@@ -19,23 +19,19 @@
 //! `BENCH_federation.json` next to the measurements, so the JSON is the
 //! complete argument: measured constants in, million-node launch out.
 //!
-//! Results print as a table and are written to `BENCH_federation.json`
+//! Results are printed and written to `BENCH_federation.json`
 //! at the workspace root (CI uploads it). Quick mode: `LMON_BENCH_QUICK=1`.
 //!
-//! **Regression gate**: unless `LMON_BENCH_SKIP_GATE=1`, the run fails if
-//! the primary spec's median failover latency regresses more than 30%
-//! over the committed `BENCH_federation.json` (same-mode runs only) *and*
-//! the hardware-neutral failover/group-rtt ratio regressed by more than
-//! 30% too — a uniformly slower runner passes, a real federation-path
-//! regression fails.
+//! **Regression gate** ([`lmon_bench::gate`]): the primary spec's median
+//! `failover_us` against the committed `BENCH_federation.json`, with the
+//! failover/group-rtt ratio as the hardware-neutral signal.
 //!
 //! [`GroupRoute`]: lmon_tbon::GroupRoute
 //! [`FederationRouter`]: lmon_tbon::FederationRouter
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use lmon_bench::{extract_json_number, print_table, Row};
+use lmon_bench::gate::{self, int, median, num, obj, text, Better, Gate, Json};
 use lmon_model::{federation_projection, CostParams};
 use lmon_tbon::filter::FilterKind;
 use lmon_tbon::spec::NodePos;
@@ -49,26 +45,6 @@ const SPECS: &[&str] = &["1x2x8 * 4g", "1x2x8 * 8g"];
 const PROJECTION_GROUPS: usize = 1024;
 const PROJECTION_NODES_PER_GROUP: usize = 1024;
 const PROJECTION_TASKS_PER_DAEMON: usize = 8;
-
-/// First committed numbers for this subsystem (quick mode, the CI
-/// configuration).
-const BASELINE_PR: u32 = 10;
-const BASELINE_SPEC: &str = "1x2x8 * 4g";
-const BASELINE_FAILOVER_US: f64 = 412.0;
-const BASELINE_GROUP_RTT_US: f64 = 120.0;
-
-/// Gate: fail when the new median failover latency exceeds the committed
-/// one by more than this factor (and the rtt-normalized ratio agrees).
-const GATE_CEILING: f64 = 1.30;
-
-fn quick_mode() -> bool {
-    std::env::var("LMON_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    v[v.len() / 2]
-}
 
 struct FederationCycle {
     group_rtt_us: f64,
@@ -131,97 +107,41 @@ fn publish_exchange_us(groups: u32, samples: usize) -> f64 {
     median(out)
 }
 
-#[derive(Debug)]
-struct SpecResult {
-    spec: String,
-    iterations: usize,
-    groups: u32,
-    group_rtt_us: f64,
-    publish_us: f64,
-    failover_us: f64,
-    bounds_held: usize,
-}
-
-fn measure(spec_str: &str, iters: usize) -> SpecResult {
-    let spec = FederationSpec::parse(spec_str).expect("valid spec");
+/// The artifact row of one spec. Acceptance is asserted here: every cycle
+/// held every node inside its connection bound.
+fn measure(spec_str: &str, iters: usize) -> Json {
+    let groups = FederationSpec::parse(spec_str).expect("valid spec").group_count();
     let cycles: Vec<FederationCycle> = (0..iters).map(|_| one_federation_cycle(spec_str)).collect();
-    SpecResult {
-        spec: spec_str.to_string(),
-        iterations: iters,
-        groups: spec.group_count(),
-        group_rtt_us: median(cycles.iter().map(|c| c.group_rtt_us).collect()),
-        publish_us: publish_exchange_us(spec.group_count(), 1000),
-        failover_us: median(cycles.iter().map(|c| c.failover_us).collect()),
-        bounds_held: cycles.iter().filter(|c| c.bounds_held).count(),
-    }
-}
-
-fn fmt_us(v: f64) -> String {
-    format!("{v:.0}us")
+    let bounds_held = cycles.iter().filter(|c| c.bounds_held).count();
+    assert_eq!(
+        bounds_held, iters,
+        "{spec_str}: a failover cycle pushed a node past its connection bound"
+    );
+    obj([
+        ("spec", text(spec_str)),
+        ("iterations", int(iters)),
+        ("groups", int(groups as usize)),
+        ("group_rtt_us", num(median(cycles.iter().map(|c| c.group_rtt_us).collect()), 0)),
+        ("publish_us", num(publish_exchange_us(groups, 1000), 2)),
+        ("failover_us", num(median(cycles.iter().map(|c| c.failover_us).collect()), 0)),
+        ("bounds_held", int(bounds_held)),
+    ])
 }
 
 fn main() {
-    let quick = quick_mode();
-    let iters = if quick { 3 } else { 10 };
-
-    // Read the committed artifact *before* overwriting; the gate only arms
-    // for a same-mode artifact (quick and full runs are not comparable).
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_federation.json");
-    let committed = std::fs::read_to_string(&out).ok().and_then(|json| {
-        let committed_quick = json.contains("\"quick\": true");
-        if committed_quick != quick {
-            return None;
-        }
-        let at = json.find(&format!("\"spec\": \"{}\"", SPECS[0]))?;
-        let tail = &json[at..];
-        let failover = extract_json_number(tail, "\"failover_us\":")?;
-        let rtt = extract_json_number(tail, "\"group_rtt_us\":")?;
-        Some((failover, rtt))
-    });
-
-    let results: Vec<SpecResult> = SPECS.iter().map(|s| measure(s, iters)).collect();
-
-    let rows: Vec<Row> = results
-        .iter()
-        .map(|r| Row {
-            x: r.spec.clone(),
-            values: vec![
-                fmt_us(r.group_rtt_us),
-                format!("{:.2}us", r.publish_us),
-                fmt_us(r.failover_us),
-                format!("{}/{}", r.bounds_held, r.iterations),
-            ],
-        })
-        .collect();
-    print_table(
-        "federated overlays (per-group constants; hard group kill + re-attach)",
-        "federation spec",
-        &["group rtt", "publish+exchange", "failover", "bounds held"],
-        &rows,
-    );
-    println!(
-        "baseline (PR {BASELINE_PR}, {BASELINE_SPEC}): failover {BASELINE_FAILOVER_US:.0}us over \
-         a {BASELINE_GROUP_RTT_US:.0}us group rtt"
-    );
-
-    // Acceptance: every cycle held every node inside its connection bound.
-    for r in &results {
-        assert_eq!(
-            r.bounds_held, r.iterations,
-            "{}: a failover cycle pushed a node past its connection bound",
-            r.spec
-        );
-    }
+    let mode = gate::Mode::from_env();
+    let iters = if mode.quick { 3 } else { 10 };
+    let specs: Vec<Json> = SPECS.iter().map(|s| measure(s, iters)).collect();
 
     // The scale story: project a million-node federated launch from the
-    // measured per-group routing constant.
-    let primary = &results[0];
+    // primary spec's measured per-group routing constant.
+    let publish_us = specs[0].number("publish_us").expect("declared by measure");
     let proj = federation_projection(
         &CostParams::default(),
         PROJECTION_GROUPS,
         PROJECTION_NODES_PER_GROUP,
         PROJECTION_TASKS_PER_DAEMON,
-        primary.publish_us * 1e-6,
+        publish_us * 1e-6,
     );
     println!(
         "projection: {} nodes as {}x{} federate in {:.2}s (one group {:.2}s + routing {:.3}s); \
@@ -239,101 +159,33 @@ fn main() {
         "federation must beat the flat launch by >10x at a million nodes"
     );
 
-    let specs_json = results
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"spec\": \"{}\", \"iterations\": {}, \"groups\": {}, ",
-                    "\"group_rtt_us\": {:.0}, \"publish_us\": {:.2}, \"failover_us\": {:.0}, ",
-                    "\"bounds_held\": {}}}"
-                ),
-                r.spec,
-                r.iterations,
-                r.groups,
-                r.group_rtt_us,
-                r.publish_us,
-                r.failover_us,
-                r.bounds_held
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {quick},\n",
-            "  \"specs\": [\n",
-            "{specs}\n",
-            "  ],\n",
-            "  \"projection\": {{\n",
-            "    \"groups\": {pgroups},\n",
-            "    \"nodes_per_group\": {pnodes},\n",
-            "    \"total_nodes\": {ptotal},\n",
-            "    \"publish_us_measured\": {ppub:.2},\n",
-            "    \"group_launch_s\": {pgl:.3},\n",
-            "    \"routing_exchange_s\": {prx:.4},\n",
-            "    \"federated_total_s\": {pfed:.3},\n",
-            "    \"flat_total_s\": {pflat:.1}\n",
-            "  }},\n",
-            "  \"baseline\": {{\n",
-            "    \"pr\": {bpr},\n",
-            "    \"spec\": \"{bspec}\",\n",
-            "    \"failover_us\": {bfail:.0},\n",
-            "    \"group_rtt_us\": {brtt:.0}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        quick = quick,
-        specs = specs_json,
-        pgroups = proj.groups,
-        pnodes = proj.nodes_per_group,
-        ptotal = proj.total_nodes,
-        ppub = primary.publish_us,
-        pgl = proj.group_launch_s,
-        prx = proj.routing_exchange_s,
-        pfed = proj.total_s,
-        pflat = proj.flat_total_s,
-        bpr = BASELINE_PR,
-        bspec = BASELINE_SPEC,
-        bfail = BASELINE_FAILOVER_US,
-        brtt = BASELINE_GROUP_RTT_US,
+    let projection = obj([
+        ("groups", int(proj.groups)),
+        ("nodes_per_group", int(proj.nodes_per_group)),
+        ("total_nodes", int(proj.total_nodes)),
+        ("publish_us_measured", num(publish_us, 2)),
+        ("group_launch_s", num(proj.group_launch_s, 3)),
+        ("routing_exchange_s", num(proj.routing_exchange_s, 4)),
+        ("federated_total_s", num(proj.total_s, 3)),
+        ("flat_total_s", num(proj.flat_total_s, 1)),
+    ]);
+    // First committed numbers for this subsystem (quick mode, the CI
+    // configuration).
+    let baseline = obj([
+        ("pr", int(10)),
+        ("spec", text("1x2x8 * 4g")),
+        ("failover_us", num(412.0, 0)),
+        ("group_rtt_us", num(120.0, 0)),
+    ]);
+    gate::publish(
+        "BENCH_federation.json",
+        mode,
+        [("specs", Json::Arr(specs)), ("projection", projection), ("baseline", baseline)],
+        &Gate {
+            row: &["specs", SPECS[0]],
+            metric: "failover_us",
+            normalizer: "group_rtt_us",
+            better: Better::Lower,
+        },
     );
-    let mut f = std::fs::File::create(&out).expect("create BENCH_federation.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_federation.json");
-    println!("\nwrote {}", out.display());
-
-    // Regression gate, two-signal: absolute failover latency AND the
-    // same-run failover/group-rtt ratio must both regress >30% to fail,
-    // so a uniformly slower runner shifts both and passes.
-    let skip_gate = std::env::var("LMON_BENCH_SKIP_GATE").map(|v| v == "1").unwrap_or(false);
-    match committed {
-        Some((committed_failover, committed_rtt)) if !skip_gate => {
-            let ceiling = committed_failover * GATE_CEILING;
-            let committed_ratio = committed_failover / committed_rtt.max(1.0);
-            let ratio = primary.failover_us / primary.group_rtt_us.max(1.0);
-            let ratio_ceiling = committed_ratio * GATE_CEILING;
-            if primary.failover_us > ceiling && ratio > ratio_ceiling {
-                eprintln!(
-                    "REGRESSION GATE FAILED: failover_us {:.0} is more than 30% above the \
-                     committed {committed_failover:.0} (ceiling {ceiling:.0}) AND the \
-                     failover/group-rtt ratio {ratio:.2} exceeds {ratio_ceiling:.2} (committed \
-                     {committed_ratio:.2}), so this is not just a slower machine. Set \
-                     LMON_BENCH_SKIP_GATE=1 to skip on noisy runners.",
-                    primary.failover_us
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "regression gate passed: {:.0}us (ceiling {ceiling:.0}, committed \
-                 {committed_failover:.0}); failover/rtt ratio {ratio:.2} (committed \
-                 {committed_ratio:.2})",
-                primary.failover_us
-            );
-        }
-        Some(_) => println!("regression gate skipped (LMON_BENCH_SKIP_GATE=1)"),
-        None => println!(
-            "regression gate skipped (no committed BENCH_federation.json in this run's mode)"
-        ),
-    }
 }

@@ -12,22 +12,18 @@
 //! `CommFault` crash runs), the failure is detected, repaired by
 //! grandparent adoption, and the next broadcast must reach every BE.
 //!
-//! Results print as a table and are written to `BENCH_recovery.json` at
+//! Results are printed and written to `BENCH_recovery.json` at
 //! the workspace root (CI uploads it as an artifact); the JSON carries a
 //! `baseline` block (this subsystem's first committed numbers) so the
 //! trajectory is self-describing. Quick mode for CI: `LMON_BENCH_QUICK=1`.
 //!
-//! **Regression gate**: unless `LMON_BENCH_SKIP_GATE=1`, the run fails if
-//! the primary shape's median `recovery_latency_us` regresses more than
-//! 30% over the committed `BENCH_recovery.json` (same-mode runs only)
-//! *and* the hardware-neutral recovery/healthy-RTT ratio regressed by more
-//! than 30% too — a uniformly slower runner passes, a real recovery-path
-//! regression fails.
+//! **Regression gate** ([`lmon_bench::gate`]): the primary shape's median
+//! `recovery_latency_us` against the committed `BENCH_recovery.json`, with
+//! the recovery/healthy-RTT ratio as the hardware-neutral signal.
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use lmon_bench::{extract_json_number, print_table, Row};
+use lmon_bench::gate::{self, int, median, num, obj, text, Better, Gate, Json};
 use lmon_tbon::filter::FilterKind;
 use lmon_tbon::spec::{NodePos, TopologySpec};
 use lmon_testkit::{FaultPlan, LiveOverlay};
@@ -35,33 +31,12 @@ use lmon_testkit::{FaultPlan, LiveOverlay};
 /// Tree shapes measured, primary (gated) shape first.
 const SHAPES: &[&str] = &["1x8x64", "1x16x256"];
 
-/// First committed numbers for this subsystem (quick mode, the CI
-/// configuration), so any later reader of the JSON sees the trajectory
-/// without digging through git history.
-const BASELINE_PR: u32 = 5;
-const BASELINE_SHAPE: &str = "1x8x64";
-const BASELINE_RECOVERY_US: f64 = 548.0;
-const BASELINE_HEALTHY_RTT_US: f64 = 390.0;
-
-/// Gate: fail when the new median recovery latency exceeds the committed
-/// one by more than this factor (and the RTT-normalized ratio agrees).
-const GATE_CEILING: f64 = 1.30;
-
-fn quick_mode() -> bool {
-    std::env::var("LMON_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
-}
-
 #[derive(Debug, Clone, Copy)]
 struct RecoverySample {
     healthy_rtt_us: f64,
     detect_us: f64,
     repair_us: f64,
     total_us: f64,
-}
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    v[v.len() / 2]
 }
 
 /// One kill-and-heal cycle on a fresh overlay.
@@ -100,155 +75,43 @@ fn one_cycle(shape: &str) -> RecoverySample {
     RecoverySample { healthy_rtt_us, detect_us, repair_us, total_us }
 }
 
-#[derive(Debug)]
-struct ShapeResult {
-    shape: String,
-    iterations: usize,
-    healthy_rtt_us: f64,
-    detect_us: f64,
-    repair_us: f64,
-    recovery_latency_us: f64,
-}
-
-fn measure(shape: &str, iters: usize) -> ShapeResult {
+/// The artifact row of one shape: medians over `iters` kill-and-heal cycles.
+fn measure(shape: &str, iters: usize) -> Json {
     let samples: Vec<RecoverySample> = (0..iters).map(|_| one_cycle(shape)).collect();
-    ShapeResult {
-        shape: shape.to_string(),
-        iterations: iters,
-        healthy_rtt_us: median(samples.iter().map(|s| s.healthy_rtt_us).collect()),
-        detect_us: median(samples.iter().map(|s| s.detect_us).collect()),
-        repair_us: median(samples.iter().map(|s| s.repair_us).collect()),
-        recovery_latency_us: median(samples.iter().map(|s| s.total_us).collect()),
-    }
-}
-
-fn fmt_us(v: f64) -> String {
-    format!("{v:.0}us")
+    let med =
+        |field: fn(&RecoverySample) -> f64| num(median(samples.iter().map(field).collect()), 0);
+    obj([
+        ("shape", text(shape)),
+        ("iterations", int(iters)),
+        ("healthy_rtt_us", med(|s| s.healthy_rtt_us)),
+        ("detect_us", med(|s| s.detect_us)),
+        ("repair_us", med(|s| s.repair_us)),
+        ("recovery_latency_us", med(|s| s.total_us)),
+    ])
 }
 
 fn main() {
-    let quick = quick_mode();
-    let iters = if quick { 3 } else { 10 };
-
-    // Read the committed artifact *before* overwriting; the gate only arms
-    // for a same-mode artifact (quick and full runs are not comparable).
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_recovery.json");
-    let committed = std::fs::read_to_string(&out).ok().and_then(|json| {
-        let committed_quick = json.contains("\"quick\": true");
-        if committed_quick != quick {
-            return None;
-        }
-        // The primary shape is the first entry in the shapes array.
-        let at = json.find(&format!("\"shape\": \"{}\"", SHAPES[0]))?;
-        let tail = &json[at..];
-        let latency = extract_json_number(tail, "\"recovery_latency_us\":")?;
-        let rtt = extract_json_number(tail, "\"healthy_rtt_us\":")?;
-        Some((latency, rtt))
-    });
-
-    let results: Vec<ShapeResult> = SHAPES.iter().map(|s| measure(s, iters)).collect();
-
-    let rows: Vec<Row> = results
-        .iter()
-        .map(|r| Row {
-            x: r.shape.clone(),
-            values: vec![
-                fmt_us(r.healthy_rtt_us),
-                fmt_us(r.detect_us),
-                fmt_us(r.repair_us),
-                fmt_us(r.recovery_latency_us),
-                format!("{:.1}x", r.recovery_latency_us / r.healthy_rtt_us.max(1.0)),
-            ],
-        })
-        .collect();
-    print_table(
-        "overlay recovery latency (kill -> first post-heal broadcast, median)",
-        "shape",
-        &["healthy rtt", "detect", "repair", "recovery", "vs rtt"],
-        &rows,
+    let mode = gate::Mode::from_env();
+    let iters = if mode.quick { 3 } else { 10 };
+    let shapes: Vec<Json> = SHAPES.iter().map(|s| measure(s, iters)).collect();
+    // First committed numbers for this subsystem (quick mode, the CI
+    // configuration), so any later reader of the JSON sees the trajectory
+    // without digging through git history.
+    let baseline = obj([
+        ("pr", int(5)),
+        ("shape", text("1x8x64")),
+        ("recovery_latency_us", num(548.0, 0)),
+        ("healthy_rtt_us", num(390.0, 0)),
+    ]);
+    gate::publish(
+        "BENCH_recovery.json",
+        mode,
+        [("shapes", Json::Arr(shapes)), ("baseline", baseline)],
+        &Gate {
+            row: &["shapes", SHAPES[0]],
+            metric: "recovery_latency_us",
+            normalizer: "healthy_rtt_us",
+            better: Better::Lower,
+        },
     );
-    println!(
-        "baseline (PR {BASELINE_PR}, {BASELINE_SHAPE}): recovery {BASELINE_RECOVERY_US:.0}us over \
-         a {BASELINE_HEALTHY_RTT_US:.0}us healthy rtt"
-    );
-
-    let shapes_json = results
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"shape\": \"{}\", \"iterations\": {}, \"healthy_rtt_us\": {:.0}, ",
-                    "\"detect_us\": {:.0}, \"repair_us\": {:.0}, \"recovery_latency_us\": {:.0}}}"
-                ),
-                r.shape,
-                r.iterations,
-                r.healthy_rtt_us,
-                r.detect_us,
-                r.repair_us,
-                r.recovery_latency_us
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {quick},\n",
-            "  \"shapes\": [\n",
-            "{shapes}\n",
-            "  ],\n",
-            "  \"baseline\": {{\n",
-            "    \"pr\": {bpr},\n",
-            "    \"shape\": \"{bshape}\",\n",
-            "    \"recovery_latency_us\": {blat:.0},\n",
-            "    \"healthy_rtt_us\": {brtt:.0}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        quick = quick,
-        shapes = shapes_json,
-        bpr = BASELINE_PR,
-        bshape = BASELINE_SHAPE,
-        blat = BASELINE_RECOVERY_US,
-        brtt = BASELINE_HEALTHY_RTT_US,
-    );
-    let mut f = std::fs::File::create(&out).expect("create BENCH_recovery.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_recovery.json");
-    println!("\nwrote {}", out.display());
-
-    // Regression gate, mirroring the transport gate's two-signal design:
-    // the absolute latency must regress >30% AND the same-run
-    // recovery/healthy-rtt ratio must regress >30% before the run fails,
-    // so a uniformly slower runner shifts both and passes.
-    let skip_gate = std::env::var("LMON_BENCH_SKIP_GATE").map(|v| v == "1").unwrap_or(false);
-    let primary = &results[0];
-    match committed {
-        Some((committed_latency, committed_rtt)) if !skip_gate => {
-            let ceiling = committed_latency * GATE_CEILING;
-            let committed_ratio = committed_latency / committed_rtt.max(1.0);
-            let ratio = primary.recovery_latency_us / primary.healthy_rtt_us.max(1.0);
-            let ratio_ceiling = committed_ratio * GATE_CEILING;
-            if primary.recovery_latency_us > ceiling && ratio > ratio_ceiling {
-                eprintln!(
-                    "REGRESSION GATE FAILED: recovery_latency_us {:.0} is more than 30% above \
-                     the committed {committed_latency:.0} (ceiling {ceiling:.0}) AND the \
-                     recovery/healthy-rtt ratio {ratio:.2} exceeds {ratio_ceiling:.2} (committed \
-                     {committed_ratio:.2}), so this is not just a slower machine. Set \
-                     LMON_BENCH_SKIP_GATE=1 to skip on noisy runners.",
-                    primary.recovery_latency_us
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "regression gate passed: {:.0}us (ceiling {ceiling:.0}, committed \
-                 {committed_latency:.0}); recovery/rtt ratio {ratio:.2} (committed \
-                 {committed_ratio:.2})",
-                primary.recovery_latency_us
-            );
-        }
-        Some(_) => println!("regression gate skipped (LMON_BENCH_SKIP_GATE=1)"),
-        None => println!(
-            "regression gate skipped (no committed BENCH_recovery.json in this run's mode)"
-        ),
-    }
 }

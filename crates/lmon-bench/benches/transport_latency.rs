@@ -9,29 +9,24 @@
 //!    condvar-driven `recv()` and the reworked event-driven `select!`.
 //! 2. **mux fan-in throughput**: aggregate messages/second across K logical
 //!    sessions multiplexed over *one* physical channel, against K dedicated
-//!    channels (the pre-mux shape that cost K fds). The headline mux number
-//!    runs the adaptive batch controller (the default — no hand-tuned
-//!    knob); a fixed-batch sweep (1 = pre-batching wire shape, 8, 64) shows
-//!    what any static setting would have bought. Fan-in is cheap enough
+//!    channels (the pre-mux shape that cost K fds). Fan-in is cheap enough
 //!    that both quick- and full-mode message counts are measured every run,
 //!    so the committed artifact carries the mux/dedicated ratio for both.
 //!
-//! Results print as tables and are written to `BENCH_transport.json` at
+//! Results are printed and written to `BENCH_transport.json` at
 //! the workspace root (CI uploads it as an artifact); the JSON carries a
 //! `baseline` block (the rates PR 6 started from) so the trajectory is
 //! self-describing. Quick mode for CI: set `LMON_BENCH_QUICK=1`.
 //!
-//! **Regression gates**: unless `LMON_BENCH_SKIP_GATE=1` (for noisy
-//! runners), the run fails if (a) the new `mux_msgs_per_s` drops more than
-//! 30% below the value in the committed `BENCH_transport.json`, or (b) the
-//! adaptive-mode rate falls more than 10% below the best fixed-batch rate
-//! measured in the same run — the controller must not lose to any static
-//! setting it replaced.
+//! **Regression gate** ([`lmon_bench::gate`]): `mux_msgs_per_s` against the
+//! committed `BENCH_transport.json`, with the same-run mux/dedicated ratio
+//! as the hardware-neutral signal — a real mux regression moves the ratio.
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
-use lmon_bench::{extract_json_number as extract_number, print_table, Row};
+use std::sync::{Arc, Barrier};
+
+use lmon_bench::gate::{self, int, median, num, obj, percentile, text, Better, Gate, Json};
 use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::mux::SessionMux;
@@ -40,41 +35,20 @@ use lmon_proto::transport::{LocalChannel, MsgChannel};
 /// The park interval the old polled `select!` used between sweeps.
 const OLD_POLL_PARK: Duration = Duration::from_micros(200);
 
-/// The rates PR 6 started from (PR 5's committed quick-mode artifact:
+/// The mux rate PR 6 started from (PR 5's committed quick-mode artifact:
 /// fixed batch-64 flushing, copying inbound decode, serialized engine
 /// exchanges): the baseline the JSON artifact carries so any later reader
 /// can see the trajectory without digging through git history.
-const BASELINE_PR: u32 = 6;
 const BASELINE_MUX_MSGS_PER_S: f64 = 1_332_027.0;
-const BASELINE_DEDICATED_MSGS_PER_S: f64 = 1_523_399.0;
 
-/// Regression gate: fail when the new mux rate drops below this fraction
-/// of the committed one.
-const GATE_FLOOR: f64 = 0.70;
-
-/// Adaptive gate: the adaptive controller must stay within this fraction
-/// of the best fixed-batch rate measured in the same run.
-const ADAPTIVE_GATE_FLOOR: f64 = 0.90;
-
-fn quick_mode() -> bool {
-    std::env::var("LMON_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
-}
-
-#[derive(Debug, Clone, Copy)]
-struct LatencyStats {
-    median_us: f64,
-    p90_us: f64,
-    mean_us: f64,
-}
-
-fn stats(mut samples: Vec<f64>) -> LatencyStats {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = samples.len();
-    LatencyStats {
-        median_us: samples[n / 2],
-        p90_us: samples[(n * 9 / 10).min(n - 1)],
-        mean_us: samples.iter().sum::<f64>() / n as f64,
-    }
+/// The artifact block of one wake-up path: median / p90 / mean, µs.
+fn stats(samples: Vec<f64>) -> Json {
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+    obj([
+        ("median", num(median(samples.clone()), 2)),
+        ("p90", num(percentile(samples, 0.90), 2)),
+        ("mean", num(mean, 2)),
+    ])
 }
 
 /// One wakeup-latency run: a producer stamps `Instant::now()` into each
@@ -83,7 +57,7 @@ fn stats(mut samples: Vec<f64>) -> LatencyStats {
 fn wakeup_latency(
     iters: usize,
     consume: impl FnOnce(crossbeam_channel::Receiver<Instant>) -> Vec<f64> + Send + 'static,
-) -> LatencyStats {
+) -> Json {
     let (tx, rx) = crossbeam_channel::unbounded::<Instant>();
     let consumer = std::thread::spawn(move || consume(rx));
     for i in 0..iters {
@@ -100,7 +74,7 @@ fn wakeup_latency(
 
 /// Baseline: the pre-refactor behavior — poll `try_recv`, park 200 µs
 /// between sweeps (what the vendored `select!` did on every miss).
-fn polled_baseline(iters: usize) -> LatencyStats {
+fn polled_baseline(iters: usize) -> Json {
     wakeup_latency(iters, |rx| {
         let mut out = Vec::new();
         loop {
@@ -116,7 +90,7 @@ fn polled_baseline(iters: usize) -> LatencyStats {
 }
 
 /// The condvar path: a plain blocking `recv()`.
-fn condvar_recv(iters: usize) -> LatencyStats {
+fn condvar_recv(iters: usize) -> Json {
     wakeup_latency(iters, |rx| {
         let mut out = Vec::new();
         while let Ok(stamp) = rx.recv() {
@@ -128,7 +102,7 @@ fn condvar_recv(iters: usize) -> LatencyStats {
 
 /// The reworked `select!`: event-driven multi-channel wait (one silent
 /// second arm, as in the comm-daemon loops).
-fn select_recv(iters: usize) -> LatencyStats {
+fn select_recv(iters: usize) -> Json {
     wakeup_latency(iters, |rx| {
         let (_silent_tx, silent_rx) = crossbeam_channel::unbounded::<Instant>();
         let mut out = Vec::new();
@@ -154,364 +128,147 @@ fn usr_msg(tag: u16) -> LmonpMsg {
     LmonpMsg::of_type(MsgType::BeUsrData).with_tag(tag).with_usr_payload(vec![0xA5; 64])
 }
 
-/// Warm-up messages per session before the timed window opens: enough for
-/// every thread to be running and the adaptive controller to ramp, so both
-/// fan-in shapes report steady-state rates rather than spawn transients.
-fn fanin_warmup(per_session: usize) -> usize {
-    (per_session / 4).min(1000)
-}
-
-/// Fan-in throughput of K sessions over one mux link. `Some(b)` pins the
-/// send-side coalescing bound to `b` frames (1 disables batching); `None`
-/// runs the adaptive controller, the deployment default.
+/// Fan-in throughput over `links` — one (sender end, receiver end) pair per
+/// session — in messages/second.
 ///
-/// Steady-state: each sender pushes a warm-up burst, all senders and the
-/// clock rendezvous on a barrier, and only the following `per_session`
-/// messages per session are timed. [`dedicated_fanin`] warms up the same
-/// way, so the comparison stays symmetric.
-fn mux_fanin_batched(sessions: u16, per_session: usize, max_batch: Option<usize>) -> f64 {
-    let (near, far) = SessionMux::pair();
-    match max_batch {
-        Some(b) => near.set_max_batch_frames(b),
-        None => near.set_adaptive_batching(),
-    }
-    let warmup = fanin_warmup(per_session);
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(sessions as usize));
-    let receivers: Vec<_> = (0..sessions)
-        .map(|i| {
-            let ep = far.open(i).unwrap();
-            std::thread::spawn(move || {
+/// Steady-state: each sender pushes a warm-up burst, all senders rendezvous
+/// on a barrier, and only the following `per_session` messages per session
+/// are timed. The window is stamped inside the workers (first sender's
+/// post-barrier start, last receiver's finish): the main thread may not get
+/// scheduled between barrier release and workload completion on small
+/// machines, so it cannot time the window itself.
+fn fanin<C: MsgChannel + Send + 'static>(links: Vec<(C, C)>, per_session: usize) -> f64 {
+    // Warm-up messages per session before the timed window opens: enough
+    // for every thread to be running and the adaptive controller to ramp, so
+    // both fan-in shapes report steady-state rates, not spawn transients.
+    let warmup = (per_session / 4).min(1000);
+    let sessions = links.len();
+    let barrier = Arc::new(Barrier::new(sessions));
+    let (senders, receivers): (Vec<_>, Vec<_>) = links
+        .into_iter()
+        .enumerate()
+        .map(|(i, (tx, rx))| {
+            let receiver = std::thread::spawn(move || {
                 for _ in 0..warmup + per_session {
-                    ep.recv().unwrap();
+                    rx.recv().unwrap();
                 }
                 Instant::now()
-            })
-        })
-        .collect();
-    let senders: Vec<_> = (0..sessions)
-        .map(|i| {
-            let ep = near.open(i).unwrap();
+            });
             let barrier = barrier.clone();
-            std::thread::spawn(move || {
+            let sender = std::thread::spawn(move || {
                 for _ in 0..warmup {
-                    ep.send(usr_msg(i)).unwrap();
+                    tx.send(usr_msg(i as u16)).unwrap();
                 }
                 barrier.wait();
                 let start = Instant::now();
                 for _ in 0..per_session {
-                    ep.send(usr_msg(i)).unwrap();
+                    tx.send(usr_msg(i as u16)).unwrap();
                 }
                 start
-            })
+            });
+            (sender, receiver)
         })
-        .collect();
-    // The window is stamped inside the workers (first sender's post-barrier
-    // start, last receiver's finish): the main thread may not get scheduled
-    // between barrier release and workload completion on small machines, so
-    // it cannot time the window itself.
+        .unzip();
     let start = senders.into_iter().map(|h| h.join().unwrap()).min().expect("senders");
     let end = receivers.into_iter().map(|h| h.join().unwrap()).max().expect("receivers");
-    (sessions as usize * per_session) as f64 / (end - start).as_secs_f64()
+    (sessions * per_session) as f64 / (end - start).as_secs_f64()
 }
 
-/// Fan-in throughput with the adaptive controller (the default policy).
-fn mux_fanin_adaptive(sessions: u16, per_session: usize) -> f64 {
-    mux_fanin_batched(sessions, per_session, None)
+/// K sessions multiplexed over *one* physical link.
+fn mux_fanin(sessions: u16, per_session: usize) -> f64 {
+    let (near, far) = SessionMux::pair();
+    let links = (0..sessions).map(|i| (near.open(i).unwrap(), far.open(i).unwrap())).collect();
+    fanin(links, per_session)
 }
 
 /// The pre-mux shape: K dedicated channels (K fds in a real deployment).
-/// Warmed up and timed exactly like [`mux_fanin_batched`].
 fn dedicated_fanin(sessions: u16, per_session: usize) -> f64 {
-    let pairs: Vec<_> = (0..sessions).map(|_| LocalChannel::pair()).collect();
-    let warmup = fanin_warmup(per_session);
-    let barrier = std::sync::Arc::new(std::sync::Barrier::new(sessions as usize));
-    let mut receivers = Vec::new();
-    let mut chans = Vec::new();
-    for (a, b) in pairs {
-        chans.push(a);
-        receivers.push(std::thread::spawn(move || {
-            for _ in 0..warmup + per_session {
-                b.recv().unwrap();
-            }
-            Instant::now()
-        }));
-    }
-    let senders: Vec<_> = chans
-        .into_iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                for _ in 0..warmup {
-                    a.send(usr_msg(i as u16)).unwrap();
-                }
-                barrier.wait();
-                let start = Instant::now();
-                for _ in 0..per_session {
-                    a.send(usr_msg(i as u16)).unwrap();
-                }
-                start
-            })
-        })
-        .collect();
-    let start = senders.into_iter().map(|h| h.join().unwrap()).min().expect("senders");
-    let end = receivers.into_iter().map(|h| h.join().unwrap()).max().expect("receivers");
-    (sessions as usize * per_session) as f64 / (end - start).as_secs_f64()
-}
-
-fn fmt_us(v: f64) -> String {
-    format!("{v:.1}us")
+    fanin((0..sessions).map(|_| LocalChannel::pair()).collect(), per_session)
 }
 
 fn main() {
-    let quick = quick_mode();
-    let iters = if quick { 300 } else { 2000 };
+    let mode = gate::Mode::from_env();
+    let iters = if mode.quick { 300 } else { 2000 };
     let sessions: u16 = 32;
-    let per_session = if quick { 500 } else { 4000 };
 
     let polled = polled_baseline(iters);
     let condvar = condvar_recv(iters);
     let select = select_recv(iters);
-    let speedup = polled.median_us / condvar.median_us;
-    let select_speedup = polled.median_us / select.median_us;
-
-    print_table(
-        "recv wakeup latency (parked consumer, µs)",
-        "path",
-        &["median", "p90", "mean"],
-        &[
-            Row {
-                x: "polled (200us park)".into(),
-                values: vec![
-                    fmt_us(polled.median_us),
-                    fmt_us(polled.p90_us),
-                    fmt_us(polled.mean_us),
-                ],
-            },
-            Row {
-                x: "condvar recv".into(),
-                values: vec![
-                    fmt_us(condvar.median_us),
-                    fmt_us(condvar.p90_us),
-                    fmt_us(condvar.mean_us),
-                ],
-            },
-            Row {
-                x: "event select!".into(),
-                values: vec![
-                    fmt_us(select.median_us),
-                    fmt_us(select.p90_us),
-                    fmt_us(select.mean_us),
-                ],
-            },
-        ],
-    );
+    let median_of = |path: &Json| path.number("median").expect("declared by stats");
+    let speedup = median_of(&polled) / median_of(&condvar);
+    let select_speedup = median_of(&polled) / median_of(&select);
     println!(
         "wakeup speedup vs polled baseline: recv {speedup:.1}x, select {select_speedup:.1}x \
          (acceptance floor: 10x)"
     );
 
-    // The committed artifact is the regression reference; read it *before*
-    // overwriting. Quick- and full-mode rates are not comparable (different
-    // message counts), so the gate only arms when the committed artifact
-    // was produced in the same mode as this run.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_transport.json");
-    let committed = std::fs::read_to_string(&out).ok().and_then(|json| {
-        let committed_quick = json.contains("\"quick\": true");
-        if committed_quick != quick {
-            return None;
-        }
-        let mux = extract_number(&json, "\"mux_msgs_per_s\":")?;
-        let dedicated = extract_number(&json, "\"dedicated_msgs_per_s\":")?;
-        Some((mux, dedicated))
-    });
-
     // Throughput is reported best-of-N: on small/shared runners a single
     // rep is hostage to scheduling storms, and the best rep is the closest
     // observable to the machine's actual capability for every shape alike.
-    let reps = 3;
-    let best_of = |f: &dyn Fn() -> f64| (0..reps).map(|_| f()).fold(f64::MIN, f64::max);
-    // Batch sweep: 1 (no coalescing — the pre-batching wire shape), 8, 64.
-    let batch_sweep: Vec<(usize, f64)> = [1usize, 8, 64]
-        .iter()
-        .map(|&b| (b, best_of(&|| mux_fanin_batched(sessions, per_session, Some(b)))))
-        .collect();
+    let best_of = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(f64::MIN, f64::max);
     // Fan-in is cheap (sub-second even at full message counts), so measure
     // both modes' message counts every run: the committed artifact then
-    // shows the adaptive mux/dedicated ratio for quick AND full mode.
+    // shows the mux/dedicated ratio for quick AND full mode.
     const FANIN_QUICK: usize = 500;
     const FANIN_FULL: usize = 4000;
-    let adaptive_quick = best_of(&|| mux_fanin_adaptive(sessions, FANIN_QUICK));
+    let mux_quick = best_of(&|| mux_fanin(sessions, FANIN_QUICK));
     let dedicated_quick = best_of(&|| dedicated_fanin(sessions, FANIN_QUICK));
-    let adaptive_full = best_of(&|| mux_fanin_adaptive(sessions, FANIN_FULL));
+    let mux_full = best_of(&|| mux_fanin(sessions, FANIN_FULL));
     let dedicated_full = best_of(&|| dedicated_fanin(sessions, FANIN_FULL));
-    let (mux_rate, dedicated_rate) =
-        if quick { (adaptive_quick, dedicated_quick) } else { (adaptive_full, dedicated_full) };
+    let (per_session, mux_rate, dedicated_rate) = if mode.quick {
+        (FANIN_QUICK, mux_quick, dedicated_quick)
+    } else {
+        (FANIN_FULL, mux_full, dedicated_full)
+    };
 
-    let mut rows = vec![
-        Row {
-            x: "SessionMux (adaptive)".into(),
-            values: vec![format!("{mux_rate:.0}"), "1".into()],
-        },
-        Row {
-            x: "dedicated channels".into(),
-            values: vec![format!("{dedicated_rate:.0}"), sessions.to_string()],
-        },
-        Row {
-            x: format!("baseline (start of PR {BASELINE_PR}) mux"),
-            values: vec![format!("{BASELINE_MUX_MSGS_PER_S:.0}"), "1".into()],
-        },
-    ];
-    for (b, rate) in &batch_sweep {
-        rows.push(Row {
-            x: format!("SessionMux, fixed batch<={b}"),
-            values: vec![format!("{rate:.0}"), "1".into()],
-        });
-    }
-    print_table(
-        "mux fan-in throughput (32 sessions)",
-        "transport",
-        &["msgs/s", "physical channels"],
-        &rows,
-    );
     println!(
-        "adaptive mux vs dedicated: {:.2}x quick, {:.2}x full (>=1.0x means the mux won); \
-         mux vs start-of-PR-{BASELINE_PR} mux: {:.2}x",
-        adaptive_quick / dedicated_quick,
-        adaptive_full / dedicated_full,
+        "32-session fan-in, mux vs dedicated: {:.2}x quick, {:.2}x full (>=1.0x means the mux \
+         won); mux vs start-of-PR-6 mux: {:.2}x",
+        mux_quick / dedicated_quick,
+        mux_full / dedicated_full,
         mux_rate / BASELINE_MUX_MSGS_PER_S,
     );
 
-    let sweep_json = batch_sweep
-        .iter()
-        .map(|(b, r)| format!("      {{\"batch\": {b}, \"mux_msgs_per_s\": {r:.0}}}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"quick\": {quick},\n",
-            "  \"recv_wakeup_us\": {{\n",
-            "    \"polled\": {{\"median\": {pm:.2}, \"p90\": {pp:.2}, \"mean\": {pa:.2}}},\n",
-            "    \"condvar\": {{\"median\": {cm:.2}, \"p90\": {cp:.2}, \"mean\": {ca:.2}}},\n",
-            "    \"select\": {{\"median\": {sm:.2}, \"p90\": {sp:.2}, \"mean\": {sa:.2}}},\n",
-            "    \"speedup_recv\": {sr:.2},\n",
-            "    \"speedup_select\": {ss:.2}\n",
-            "  }},\n",
-            "  \"mux_fanin\": {{\n",
-            "    \"sessions\": {sess},\n",
-            "    \"messages_per_session\": {per},\n",
-            "    \"batch_mode\": \"adaptive\",\n",
-            "    \"mux_msgs_per_s\": {mr:.0},\n",
-            "    \"dedicated_msgs_per_s\": {dr:.0},\n",
-            "    \"mux_physical_channels\": 1,\n",
-            "    \"quick_mode\": {{\"messages_per_session\": {fq}, \"adaptive_msgs_per_s\": \
-             {aq:.0}, \"dedicated_msgs_per_s\": {dq:.0}}},\n",
-            "    \"full_mode\": {{\"messages_per_session\": {ff}, \"adaptive_msgs_per_s\": \
-             {af:.0}, \"dedicated_msgs_per_s\": {df:.0}}},\n",
-            "    \"batch_sweep\": [\n",
-            "{sweep}\n",
-            "    ],\n",
-            "    \"baseline\": {{\n",
-            "      \"pr\": {bpr},\n",
-            "      \"note\": \"rates at the start of PR {bpr}: fixed batch-64, copying decode\",\n",
-            "      \"mux_msgs_per_s\": {bmr:.0},\n",
-            "      \"dedicated_msgs_per_s\": {bdr:.0}\n",
-            "    }}\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        quick = quick,
-        pm = polled.median_us,
-        pp = polled.p90_us,
-        pa = polled.mean_us,
-        cm = condvar.median_us,
-        cp = condvar.p90_us,
-        ca = condvar.mean_us,
-        sm = select.median_us,
-        sp = select.p90_us,
-        sa = select.mean_us,
-        sr = speedup,
-        ss = select_speedup,
-        sess = sessions,
-        per = per_session,
-        mr = mux_rate,
-        dr = dedicated_rate,
-        fq = FANIN_QUICK,
-        aq = adaptive_quick,
-        dq = dedicated_quick,
-        ff = FANIN_FULL,
-        af = adaptive_full,
-        df = dedicated_full,
-        sweep = sweep_json,
-        bpr = BASELINE_PR,
-        bmr = BASELINE_MUX_MSGS_PER_S,
-        bdr = BASELINE_DEDICATED_MSGS_PER_S,
+    let fanin_mode = |per_session: usize, mux: f64, dedicated: f64| {
+        obj([
+            ("messages_per_session", int(per_session)),
+            ("adaptive_msgs_per_s", num(mux, 0)),
+            ("dedicated_msgs_per_s", num(dedicated, 0)),
+        ])
+    };
+    let recv_wakeup_us = obj([
+        ("polled", polled),
+        ("condvar", condvar),
+        ("select", select),
+        ("speedup_recv", num(speedup, 2)),
+        ("speedup_select", num(select_speedup, 2)),
+    ]);
+    let baseline = obj([
+        ("pr", int(6)),
+        ("note", text("rates at the start of PR 6: fixed batch-64, copying decode")),
+        ("mux_msgs_per_s", num(BASELINE_MUX_MSGS_PER_S, 0)),
+        ("dedicated_msgs_per_s", num(1_523_399.0, 0)),
+    ]);
+    let mux_fanin = obj([
+        ("sessions", int(sessions as usize)),
+        ("messages_per_session", int(per_session)),
+        ("batch_mode", text("adaptive")),
+        ("mux_msgs_per_s", num(mux_rate, 0)),
+        ("dedicated_msgs_per_s", num(dedicated_rate, 0)),
+        ("mux_physical_channels", int(1)),
+        ("quick_mode", fanin_mode(FANIN_QUICK, mux_quick, dedicated_quick)),
+        ("full_mode", fanin_mode(FANIN_FULL, mux_full, dedicated_full)),
+        ("baseline", baseline),
+    ]);
+    gate::publish(
+        "BENCH_transport.json",
+        mode,
+        [("recv_wakeup_us", recv_wakeup_us), ("mux_fanin", mux_fanin)],
+        &Gate {
+            row: &["mux_fanin"],
+            metric: "mux_msgs_per_s",
+            normalizer: "dedicated_msgs_per_s",
+            better: Better::Higher,
+        },
     );
-    // Anchor the artifact at the workspace root regardless of the bench's
-    // working directory, so CI (and humans) always find it in one place.
-    let mut f = std::fs::File::create(&out).expect("create BENCH_transport.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_transport.json");
-    println!("\nwrote {}", out.display());
-
-    // Regression gate: a >30% drop of mux_msgs_per_s vs the committed
-    // artifact fails the run — but only when the hardware-neutral
-    // mux/dedicated ratio (both measured in *this* run) regressed by >30%
-    // too. A runner that is uniformly slower than the committing host
-    // shifts both rates together and passes; a real mux regression moves
-    // the ratio and fails.
-    let skip_gate = std::env::var("LMON_BENCH_SKIP_GATE").map(|v| v == "1").unwrap_or(false);
-    match committed {
-        Some((committed_mux, committed_dedicated)) if !skip_gate => {
-            let floor = committed_mux * GATE_FLOOR;
-            let committed_ratio = committed_mux / committed_dedicated.max(1.0);
-            let ratio = mux_rate / dedicated_rate.max(1.0);
-            let ratio_floor = committed_ratio * GATE_FLOOR;
-            if mux_rate < floor && ratio < ratio_floor {
-                eprintln!(
-                    "REGRESSION GATE FAILED: mux_msgs_per_s {mux_rate:.0} is more than 30% below \
-                     the committed {committed_mux:.0} (floor {floor:.0}) AND the mux/dedicated \
-                     ratio {ratio:.3} fell below {ratio_floor:.3} (committed \
-                     {committed_ratio:.3}), so this is not just a slower machine. Set \
-                     LMON_BENCH_SKIP_GATE=1 to skip on noisy runners."
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "regression gate passed: {mux_rate:.0} msgs/s (floor {floor:.0}, committed \
-                 {committed_mux:.0}); mux/dedicated ratio {ratio:.3} (committed \
-                 {committed_ratio:.3})"
-            );
-        }
-        Some(_) => println!("regression gate skipped (LMON_BENCH_SKIP_GATE=1)"),
-        None => println!(
-            "regression gate skipped (no committed BENCH_transport.json in this run's mode)"
-        ),
-    }
-
-    // Adaptive gate: the controller replaced the static batch knob, so it
-    // must not lose to any fixed setting it made unreachable. Both sides
-    // are measured in this run, so no committed artifact is needed.
-    let (best_batch, best_fixed) = batch_sweep
-        .iter()
-        .copied()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-        .expect("non-empty sweep");
-    let adaptive_floor = best_fixed * ADAPTIVE_GATE_FLOOR;
-    if skip_gate {
-        println!("adaptive gate skipped (LMON_BENCH_SKIP_GATE=1)");
-    } else if mux_rate < adaptive_floor {
-        eprintln!(
-            "ADAPTIVE GATE FAILED: adaptive rate {mux_rate:.0} msgs/s fell more than 10% below \
-             the best fixed-batch rate {best_fixed:.0} (batch<={best_batch}, floor \
-             {adaptive_floor:.0}). The controller must match the static knob it replaced. Set \
-             LMON_BENCH_SKIP_GATE=1 to skip on noisy runners."
-        );
-        std::process::exit(1);
-    } else {
-        println!(
-            "adaptive gate passed: {mux_rate:.0} msgs/s vs best fixed {best_fixed:.0} \
-             (batch<={best_batch}, floor {adaptive_floor:.0})"
-        );
-    }
 }

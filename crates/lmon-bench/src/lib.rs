@@ -13,17 +13,23 @@
 //! | `micro_hotpaths` | criterion micro-benches of the real hot paths |
 //! | `transport_latency` | recv wakeup latency + mux fan-in, self-gating vs `BENCH_transport.json` |
 //! | `recovery_latency` | overlay kill → heal → broadcast latency, self-gating vs `BENCH_recovery.json` |
-//! | `daemon_storm` | §2 launch storm through `lmond` admission control → `BENCH_daemon.json` |
-//! | `launch_latency` | per-phase time-to-ready, parallel vs sequential fan-out, self-gating vs `BENCH_launch.json` |
 //! | `upgrade_rolling` | rolling comm-daemon upgrade + phi vs sweep detection, self-gating vs `BENCH_upgrade.json` |
 //! | `federation_routing` | per-group federation constants + million-node projection, self-gating vs `BENCH_federation.json` |
 //!
+//! The end-to-end launch numbers (launch request in → tool daemons ready
+//! out, through `lmond` and directly) are not measured here: they belong
+//! to `launch-bench` under `bench/`, declared in `BENCHMARK.json`.
+//!
 //! This library holds the shared table-rendering helpers and the paper's
 //! reference numbers, so each bench can print paper-vs-reproduction
-//! comparisons.
+//! comparisons, and [`gate`]: the one harness (run mode, statistics,
+//! artifact writer/reader, regression rule) the four self-gating benches
+//! share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod gate;
 
 /// A rendered comparison row: scale point, paper value, reproduced value.
 #[derive(Debug, Clone)]
@@ -69,18 +75,6 @@ pub fn s3(v: f64) -> String {
 /// Format a ratio like `17.0x`.
 pub fn ratio(a: f64, b: f64) -> String {
     format!("{:.1}x", a / b)
-}
-
-/// Pull the first number following `key` out of a JSON blob — enough of a
-/// parser for the self-gating benches (the workspace vendors no serde).
-/// Used by the `transport_latency` and `recovery_latency` regression gates
-/// to read the committed artifact.
-pub fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Paper reference values for Figure 6 (tool daemon count → seconds).

@@ -212,11 +212,9 @@ impl VirtualCluster {
             .name(thread_name)
             .spawn(move || {
                 body(ctx);
-                // Normal return: mark exited unless killed first, and tell
-                // any tracer.
-                if !shared.state().is_terminal() {
-                    shared.set_state(ProcState::Exited(0));
-                }
+                // Normal return: mark exited (ignored if killed first —
+                // terminal states are sticky) and tell any tracer.
+                shared.set_state(ProcState::Exited(0));
                 shared.trace.raise(TraceEvent::Exited { code: 0 });
             })
             .expect("spawning a virtual-process thread");

@@ -115,9 +115,18 @@ impl ProcShared {
         })
     }
 
-    /// Transition state and wake waiters.
+    /// Transition state and wake waiters. Terminal states are sticky: once
+    /// `Exited` or `Killed`, every later transition is ignored, decided
+    /// under the state lock — so a kill that lands while the process is
+    /// between two stores of its own (a tracee resuming from a checkpoint,
+    /// a body returning) can never be overwritten.
     pub fn set_state(&self, s: ProcState) {
-        *self.state.lock() = s;
+        let mut st = self.state.lock();
+        if st.is_terminal() {
+            return;
+        }
+        *st = s;
+        drop(st);
         self.state_cv.notify_all();
     }
 

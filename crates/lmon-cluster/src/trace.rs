@@ -325,4 +325,34 @@ mod tests {
         drop(ctl); // detach must release the stopped tracee
         tracee.join().unwrap();
     }
+
+    #[test]
+    fn kill_racing_a_checkpoint_resume_is_never_lost() {
+        // The engine's kill path continues a stopped launcher and the RM
+        // kills it right after. Whichever of the kill and the tracee's own
+        // post-resume `Running` store lands last, the process must end up
+        // `Killed`: a launcher that reads `Running` again polls
+        // `ctx.killed()` forever.
+        for i in 0..3000u64 {
+            let shared = proc_shared();
+            let ctl = TraceController::attach(Pid(i), shared.clone()).unwrap();
+            ctl.set_breakpoint("bp");
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| shared.trace.checkpoint("bp", &shared));
+                ctl.wait_event(Duration::from_secs(5)).unwrap();
+                s.spawn(|| {
+                    start.wait();
+                    shared.set_state(ProcState::Killed); // what `VirtualCluster::kill` does
+                });
+                start.wait();
+                ctl.continue_proc();
+            });
+            assert_eq!(
+                shared.state(),
+                ProcState::Killed,
+                "iteration {i}: the kill was overwritten"
+            );
+        }
+    }
 }

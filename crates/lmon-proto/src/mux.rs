@@ -28,13 +28,12 @@
 //! physical frames — batches bounded by [`MAX_BATCH_BYTES`] and an
 //! *adaptive* frame-count bound that tracks flush-time backlog (doubling
 //! under load up to [`ADAPTIVE_MAX_BATCH_FRAMES`], halving when the queue
-//! drains; benches can pin a fixed bound with
-//! [`SessionMux::set_max_batch_frames`]) — releasing the lock across each
-//! physical send so peers keep enqueueing. If a flush *is* in flight, the
-//! sender just enqueues and returns; its message rides the active flusher's
-//! next batch. There is no idle timer: an idle link flushes immediately (a
-//! lone message goes out as a single carrier), so batching arises only from
-//! real backlog and latency is never traded for throughput.
+//! drains) — releasing the lock across each physical send so peers keep
+//! enqueueing. If a flush *is* in flight, the sender just enqueues and
+//! returns; its message rides the active flusher's next batch. There is no
+//! idle timer: an idle link flushes immediately (a lone message goes out as
+//! a single carrier), so batching arises only from real backlog and latency
+//! is never traded for throughput.
 //!
 //! ## Receive pumping: sharded inboxes
 //!
@@ -81,14 +80,9 @@ const SHARD_COUNT: usize = 8;
 /// Byte bound for one coalesced [`WireFrame::Batch`].
 pub const MAX_BATCH_BYTES: usize = 256 * 1024;
 
-/// Default frame-count bound for one coalesced batch (the reference point
-/// for fixed-mode sweeps; adaptive mode ranges past it up to
-/// [`ADAPTIVE_MAX_BATCH_FRAMES`]).
-pub const DEFAULT_MAX_BATCH_FRAMES: usize = 64;
-
-/// Ceiling for the adaptive batch controller's frame-count bound. Set well
-/// above the best fixed sweep point so a saturated link is never capped at
-/// a hand-tuned value; [`MAX_BATCH_BYTES`] still bounds each frame's size.
+/// Ceiling for the adaptive batch controller's frame-count bound, high
+/// enough that a saturated link is never capped at a hand-tuned value;
+/// [`MAX_BATCH_BYTES`] still bounds each frame's size.
 pub const ADAPTIVE_MAX_BATCH_FRAMES: usize = 512;
 
 /// Extra already-buffered frames the pump drains per wakeup, so a burst is
@@ -122,10 +116,6 @@ struct MuxShared {
     orphans: AtomicU64,
     /// Open-session accounting (count + high-water mark).
     accounting: Mutex<Accounting>,
-    /// Batching mode: `0` means adaptive (the default); any other value is
-    /// a fixed frame-count bound pinned by [`SessionMux::set_max_batch_frames`]
-    /// (bench sweeps use this).
-    batch_mode: AtomicUsize,
     /// The adaptive controller's current frame-count bound. Grows by
     /// doubling while flush-time backlog exceeds it, shrinks by halving once
     /// backlog falls to half of it; idle links sit at 1 (single-carrier
@@ -197,7 +187,6 @@ impl SessionMux {
                 dead: AtomicBool::new(false),
                 orphans: AtomicU64::new(0),
                 accounting: Mutex::new(Accounting::default()),
-                batch_mode: AtomicUsize::new(0),
                 adaptive_bound: AtomicUsize::new(1),
                 phys_frames: AtomicU64::new(0),
                 logical_msgs: AtomicU64::new(0),
@@ -276,32 +265,11 @@ impl SessionMux {
         self.shared.logical_msgs.load(Ordering::Relaxed)
     }
 
-    /// Pin a fixed frame-count bound for coalesced batches (clamped to
-    /// ≥ 1), disabling the adaptive controller. `1` disables batching —
-    /// every message ships as its own carrier, the pre-batching wire shape.
-    /// Bench sweeps use this to measure fixed operating points; production
-    /// paths should stay adaptive ([`SessionMux::set_adaptive_batching`]).
-    pub fn set_max_batch_frames(&self, frames: usize) {
-        self.shared.batch_mode.store(frames.max(1), Ordering::Relaxed);
-    }
-
-    /// Return batching to adaptive mode (the default): the per-flush bound
-    /// grows/shrinks with observed flush-time backlog between 1 and
-    /// [`ADAPTIVE_MAX_BATCH_FRAMES`].
-    pub fn set_adaptive_batching(&self) {
-        self.shared.batch_mode.store(0, Ordering::Relaxed);
-    }
-
-    /// The frame-count bound the next batch formation would use (the pinned
-    /// value in fixed mode, the controller's current bound in adaptive
-    /// mode). Observability for tests and benches.
+    /// The frame-count bound the adaptive controller currently holds,
+    /// between 1 and [`ADAPTIVE_MAX_BATCH_FRAMES`]. Observability for tests
+    /// and benches.
     pub fn current_batch_bound(&self) -> usize {
-        let fixed = self.shared.batch_mode.load(Ordering::Relaxed);
-        if fixed != 0 {
-            fixed
-        } else {
-            self.shared.adaptive_bound.load(Ordering::Relaxed)
-        }
+        self.shared.adaptive_bound.load(Ordering::Relaxed)
     }
 }
 
@@ -412,20 +380,14 @@ impl MuxShared {
     /// The frame-count bound for the batch about to form, given the
     /// pending-queue depth observed at flush time.
     ///
-    /// Fixed mode returns the pinned bound. Adaptive mode runs the
-    /// controller one step: backlog above the current bound doubles it
-    /// (capped at [`ADAPTIVE_MAX_BATCH_FRAMES`]), backlog at or below half
-    /// the bound halves it (floored at 1). Because the step runs at every
+    /// Runs the controller one step: backlog above the current bound
+    /// doubles it (capped at [`ADAPTIVE_MAX_BATCH_FRAMES`]), backlog at or
+    /// below half the bound halves it (floored at 1). Because the step runs at every
     /// batch formation, one flush session over a deep backlog ramps the
     /// bound in log₂ steps, and an idle link decays back to single-carrier
     /// latency just as fast. Only the flusher calls this, so the
-    /// read-modify-write needs no CAS; a racing mode switch at worst
-    /// mis-sizes one batch.
+    /// read-modify-write needs no CAS.
     fn batch_bound(&self, backlog: usize) -> usize {
-        let fixed = self.batch_mode.load(Ordering::Relaxed);
-        if fixed != 0 {
-            return fixed;
-        }
         let mut bound = self.adaptive_bound.load(Ordering::Relaxed);
         if backlog > bound {
             bound = (bound * 2).min(ADAPTIVE_MAX_BATCH_FRAMES);
@@ -908,21 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn max_batch_frames_of_one_disables_batching() {
-        let (near, far) = SessionMux::pair();
-        near.set_max_batch_frames(1);
-        let a = near.open(0).unwrap();
-        let b = far.open(0).unwrap();
-        for i in 0..20u16 {
-            a.send(msg(MsgType::BeUsrData, i)).unwrap();
-        }
-        for i in 0..20u16 {
-            assert_eq!(b.recv().unwrap().tag, i);
-        }
-        assert_eq!(near.physical_frames_sent(), 20, "one carrier per message");
-    }
-
-    #[test]
     fn adaptive_bound_grows_under_backlog_and_decays_when_idle() {
         // Wedge the flusher on a cap-2 link (as above) so a deep backlog is
         // observed at flush time: the controller must ramp the bound up.
@@ -970,15 +917,6 @@ mod tests {
             assert_eq!(_r1.recv().unwrap().tag, 200 + i);
         }
         assert_eq!(near.current_batch_bound(), 1, "idle link decays to bound 1");
-    }
-
-    #[test]
-    fn fixed_mode_pins_the_bound_and_adaptive_mode_restores_it() {
-        let (near, _far) = SessionMux::pair();
-        near.set_max_batch_frames(7);
-        assert_eq!(near.current_batch_bound(), 7);
-        near.set_adaptive_batching();
-        assert_eq!(near.current_batch_bound(), 1, "controller state, not the pin");
     }
 
     #[test]

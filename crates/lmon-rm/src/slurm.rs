@@ -248,10 +248,10 @@ impl SlurmRm {
         }
     }
 
-    /// Override the spawn fan-out width (`1` = the sequential baseline).
-    /// Placement is pid-reserved and therefore identical at any width; this
-    /// knob exists for determinism tests and A/B measurement.
-    pub fn with_launch_workers(mut self, workers: usize) -> Self {
+    /// Override the spawn fan-out width (`1` = the sequential reference
+    /// arm of `parallel_fanout_matches_sequential_placement`).
+    #[cfg(test)]
+    fn with_launch_workers(mut self, workers: usize) -> Self {
         self.core.launch_workers = workers;
         self
     }

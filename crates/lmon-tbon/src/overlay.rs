@@ -21,8 +21,7 @@
 //! pre-launches a hot-spare pool that repairs prefer over inflating
 //! sibling fan-out, [`Maintenance::start_suspicion`] runs background
 //! phi-accrual failure detection, and [`Maintenance::rolling_upgrade`]
-//! walks the overlay replacing one comm daemon at a time. The old flat
-//! `FrontEndpoint` methods remain as deprecated shims for one release.
+//! walks the overlay replacing one comm daemon at a time.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -485,30 +484,8 @@ impl FrontEndpoint {
         self.comm_ctl(pos)?.send(RecoveryCmd::Halt).map_err(|_| TbonError::Disconnected)
     }
 
-    /// Planned, loss-free removal of the comm daemon at `pos` (DESIGN.md
-    /// §12): the daemon stops as soon as every in-flight wave it holds has
-    /// flushed upward, closes its links, confirms with a `Drained` notice,
-    /// and only then is its subtree re-parented through the normal repair
-    /// machinery — under a draining guard, so the teardown never enters
-    /// the failure ledger (no `Degraded` event, no death count, no
-    /// suspicion) and is visible as `drains_completed` instead.
-    ///
-    /// Wave aggregates the drain flushes are preserved across the repair:
-    /// a wave every pre-repair child had contributed to stays gatherable.
-    /// Broadcasts whose replies are still spread across *other* daemons
-    /// follow the usual PR 5 stale-epoch rule, so callers wanting strict
-    /// zero-loss gather outstanding waves before draining (the rolling
-    /// upgrade does).
-    ///
-    /// Returns the repair report once the subtree is whole again; on
-    /// timeout the node keeps running (the drain guard is rolled back) and
-    /// the caller may fall back to [`FrontEndpoint::crash_comm`].
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().drain(pos, timeout)`")]
-    pub fn drain_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
-        self.drain_comm_inner(pos, timeout)
-    }
-
-    fn drain_comm_inner(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
+    /// [`Maintenance::drain`].
+    fn drain_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
         let ctl = self.comm_ctl(pos)?;
         self.events.push(RecoveryEvent::Draining { node: pos, epoch: self.epoch });
         self.draining.lock().insert(pos);
@@ -764,24 +741,8 @@ impl FrontEndpoint {
         Ok(reports)
     }
 
-    /// Start background phi-accrual failure suspicion (DESIGN.md §12):
-    /// every interior comm daemon — idle spares included — is enrolled to
-    /// beat over a dedicated channel (never the tree, so liveness traffic
-    /// cannot perturb wave aggregation or fault counters), and a monitor
-    /// thread grades each node Alive → Suspect → Dead from its
-    /// inter-arrival history. A suspicion death lands in the shared route
-    /// table, exactly where [`FrontEndpoint::poll_failures`] and
-    /// [`FrontEndpoint::heal_failures`] already look — silent halts feed
-    /// the normal repair path with no caller-driven sweep.
-    ///
-    /// Returns the live suspicion table (the `/metrics` per-child gauge
-    /// source). The monitor stops when the front end is dropped.
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().start_suspicion(params)`")]
-    pub fn start_suspicion(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
-        self.start_suspicion_inner(params)
-    }
-
-    fn start_suspicion_inner(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
+    /// [`Maintenance::start_suspicion`].
+    fn start_suspicion(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
         let (beat_tx, beat_rx) = unbounded();
         {
             let rt = self.route.lock();
@@ -811,18 +772,10 @@ impl FrontEndpoint {
         table
     }
 
-    /// Replace one comm daemon: drain it (loss-free), let the repair
-    /// re-attach its subtree (preferring an idle hot spare), then verify
-    /// the healed overlay with a full heartbeat sweep. Counted in
-    /// `upgrades_completed` / `upgrades_failed`.
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().upgrade(pos, timeout)`")]
-    pub fn upgrade_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
-        self.upgrade_comm_inner(pos, timeout)
-    }
-
-    fn upgrade_comm_inner(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
+    /// [`Maintenance::upgrade`].
+    fn upgrade_comm(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
         let start = Instant::now();
-        let report = match self.drain_comm_inner(pos, timeout) {
+        let report = match self.drain_comm(pos, timeout) {
             Ok(r) => r,
             Err(e) => {
                 self.stats.add_upgrades_failed(1);
@@ -851,19 +804,8 @@ impl FrontEndpoint {
         })
     }
 
-    /// Rolling upgrade: walk every interior comm daemon — deepest level
-    /// first, then index order, snapshot taken up front so replacement
-    /// daemons are not themselves walked — and run
-    /// [`Maintenance::upgrade`] on each. Between steps the walk
-    /// pauses to heal *unplanned* failures (a crash or suspicion death
-    /// that raced the upgrade); a walked node that was repaired away in
-    /// the meantime is skipped.
-    #[deprecated(since = "0.1.0", note = "use `fe.maintenance().rolling_upgrade(timeout)`")]
-    pub fn rolling_upgrade(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
-        self.rolling_upgrade_inner(per_node_timeout)
-    }
-
-    fn rolling_upgrade_inner(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
+    /// [`Maintenance::rolling_upgrade`].
+    fn rolling_upgrade(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
         let mut walk: Vec<NodePos> = {
             let rt = self.route.lock();
             rt.nodes
@@ -881,7 +823,7 @@ impl FrontEndpoint {
             if !self.route.is_alive(pos) {
                 continue;
             }
-            report.steps.push(self.upgrade_comm_inner(pos, per_node_timeout)?);
+            report.steps.push(self.upgrade_comm(pos, per_node_timeout)?);
         }
         let repaired = self.heal_failures()?;
         report.unplanned_repairs += repaired.len();
@@ -976,32 +918,61 @@ pub struct Maintenance<'a> {
 }
 
 impl Maintenance<'_> {
-    /// Planned, loss-free removal of the comm daemon at `pos`: flush its
-    /// in-flight waves, detach it, re-parent its subtree under the
-    /// draining guard. See the former `FrontEndpoint::drain_comm` for the
-    /// full contract.
+    /// Planned, loss-free removal of the comm daemon at `pos` (DESIGN.md
+    /// §12): the daemon stops as soon as every in-flight wave it holds has
+    /// flushed upward, closes its links, confirms with a `Drained` notice,
+    /// and only then is its subtree re-parented through the normal repair
+    /// machinery — under a draining guard, so the teardown never enters
+    /// the failure ledger (no `Degraded` event, no death count, no
+    /// suspicion) and is visible as `drains_completed` instead.
+    ///
+    /// Wave aggregates the drain flushes are preserved across the repair:
+    /// a wave every pre-repair child had contributed to stays gatherable.
+    /// Broadcasts whose replies are still spread across *other* daemons
+    /// follow the usual PR 5 stale-epoch rule, so callers wanting strict
+    /// zero-loss gather outstanding waves before draining (the rolling
+    /// upgrade does).
+    ///
+    /// Returns the repair report once the subtree is whole again; on
+    /// timeout the node keeps running (the drain guard is rolled back) and
+    /// the caller may fall back to [`FrontEndpoint::crash_comm`].
     pub fn drain(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<RepairReport> {
-        self.fe.drain_comm_inner(pos, timeout)
+        self.fe.drain_comm(pos, timeout)
     }
 
     /// Replace one comm daemon: drain it (loss-free), let the repair
     /// re-attach its subtree (preferring an idle hot spare), then verify
-    /// the healed overlay with a heartbeat sweep.
+    /// the healed overlay with a full heartbeat sweep. Counted in
+    /// `upgrades_completed` / `upgrades_failed`.
     pub fn upgrade(&mut self, pos: NodePos, timeout: Duration) -> TbonResult<UpgradeStep> {
-        self.fe.upgrade_comm_inner(pos, timeout)
+        self.fe.upgrade_comm(pos, timeout)
     }
 
-    /// Rolling upgrade: walk every interior comm daemon (deepest level
-    /// first) and [`Maintenance::upgrade`] each, healing unplanned
-    /// failures between steps.
+    /// Rolling upgrade: walk every interior comm daemon — deepest level
+    /// first, then index order, snapshot taken up front so replacement
+    /// daemons are not themselves walked — and run
+    /// [`Maintenance::upgrade`] on each. Between steps the walk
+    /// pauses to heal *unplanned* failures (a crash or suspicion death
+    /// that raced the upgrade); a walked node that was repaired away in
+    /// the meantime is skipped.
     pub fn rolling_upgrade(&mut self, per_node_timeout: Duration) -> TbonResult<UpgradeReport> {
-        self.fe.rolling_upgrade_inner(per_node_timeout)
+        self.fe.rolling_upgrade(per_node_timeout)
     }
 
-    /// Start background phi-accrual failure suspicion; returns the live
-    /// suspicion table. The monitor stops when the front end is dropped.
+    /// Start background phi-accrual failure suspicion (DESIGN.md §12):
+    /// every interior comm daemon — idle spares included — is enrolled to
+    /// beat over a dedicated channel (never the tree, so liveness traffic
+    /// cannot perturb wave aggregation or fault counters), and a monitor
+    /// thread grades each node Alive → Suspect → Dead from its
+    /// inter-arrival history. A suspicion death lands in the shared route
+    /// table, exactly where [`FrontEndpoint::poll_failures`] and
+    /// [`FrontEndpoint::heal_failures`] already look — silent halts feed
+    /// the normal repair path with no caller-driven sweep.
+    ///
+    /// Returns the live suspicion table (the `/metrics` per-child gauge
+    /// source). The monitor stops when the front end is dropped.
     pub fn start_suspicion(&mut self, params: PhiAccrualParams) -> Arc<SuspicionTable> {
-        self.fe.start_suspicion_inner(params)
+        self.fe.start_suspicion(params)
     }
 }
 
@@ -2530,28 +2501,6 @@ mod tests {
         let mut got = pkt.payload.to_vec();
         got.sort_unstable();
         assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "zero session interruption");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    /// The one place the deprecated flat maintenance methods are still
-    /// exercised: they must keep delegating to the same machinery for one
-    /// release before removal.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_maintenance_shims_still_delegate() {
-        let (mut front, handles) = run_overlay("1x2x8+2", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let _table = front.start_suspicion(PhiAccrualParams::default());
-        let report = front.drain_comm(pos(1, 0), Duration::from_secs(5)).unwrap();
-        assert_eq!(report.spares_used, vec![pos(1, 2)]);
-        let step = front.upgrade_comm(pos(1, 1), Duration::from_secs(5)).unwrap();
-        assert_eq!(step.spare_used, Some(pos(1, 3)));
-        let rolled = front.rolling_upgrade(Duration::from_secs(5)).unwrap();
-        assert_eq!(rolled.unplanned_repairs, 0);
-        assert_eq!(front.stats().deaths_detected, 0, "shims stay on the planned path");
         front.shutdown();
         for h in handles {
             h.join().unwrap();

@@ -85,7 +85,7 @@ pub(crate) enum UpKind {
     /// Planned-teardown confirmation: `pos` finished flushing every
     /// in-flight wave and exited cleanly in response to a drain request.
     /// Forwarded unmodified to the root, where it completes
-    /// `FrontEndpoint::drain_comm` *without* entering the failure path.
+    /// `Maintenance::drain` *without* entering the failure path.
     Drained { pos: NodePos },
 }
 

@@ -139,7 +139,7 @@ pub fn phi(elapsed: Duration, mean: Duration, stddev: Duration) -> f64 {
 }
 
 /// Handle on a running suspicion monitor: dropping it stops the thread.
-/// Obtained from `FrontEndpoint::start_suspicion`.
+/// Obtained from `Maintenance::start_suspicion`.
 #[derive(Debug)]
 pub struct SuspicionHandle {
     stop: Arc<AtomicBool>,
