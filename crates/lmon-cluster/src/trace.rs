@@ -154,11 +154,6 @@ impl TraceController {
         self.shared.trace.inner.lock().breakpoints.insert(symbol.to_string());
     }
 
-    /// Disarm a breakpoint.
-    pub fn clear_breakpoint(&self, symbol: &str) {
-        self.shared.trace.inner.lock().breakpoints.remove(symbol);
-    }
-
     /// Block until the tracee produces an event, up to `timeout`.
     pub fn wait_event(&self, timeout: Duration) -> ClusterResult<TraceEvent> {
         let cell = &self.shared.trace;

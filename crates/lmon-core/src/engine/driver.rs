@@ -66,12 +66,6 @@ impl Driver {
         }
     }
 
-    /// Replace the handler table (tools/ports installing custom handlers).
-    pub fn with_handlers(mut self, handlers: HandlerTable) -> Self {
-        self.handlers = handlers;
-        self
-    }
-
     /// Replace the event manager (tests shorten the timeout).
     pub fn with_event_manager(mut self, mgr: EventManager) -> Self {
         self.event_mgr = mgr;

@@ -76,6 +76,9 @@ type ReplySink<'a> = dyn Fn(LmonpMsg) -> bool + 'a;
 struct EngineState {
     jobs: HashMap<u16, EngineJob>,
     daemon_pids: HashMap<u16, Vec<Pid>>,
+    /// Middleware node allocations each session holds, released when the
+    /// session detaches or is killed.
+    mw_allocs: HashMap<u16, Vec<Allocation>>,
 }
 
 /// Engine state: one per engine process. Cloning shares the state — each
@@ -454,10 +457,20 @@ impl Engine {
                 .unwrap_or_default(),
             pid: pids.first().map(|p| p.0).unwrap_or(0),
         };
+        self.state.lock().mw_allocs.entry(tag).or_default().push(alloc);
         reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon(&master_info));
     }
 
+    /// Hand the session's middleware nodes back to the RM.
+    fn release_mw_allocs(&self, tag: u16) {
+        let allocs = self.state.lock().mw_allocs.remove(&tag);
+        for alloc in allocs.into_iter().flatten() {
+            self.rm.release_allocation(&alloc);
+        }
+    }
+
     fn handle_detach(&self, tag: u16) -> LmonpMsg {
+        self.release_mw_allocs(tag);
         match self.state.lock().jobs.remove(&tag) {
             Some(EngineJob::Launched { handle: _, ctl }) => {
                 // Drop the controller: detaches and resumes the launcher.
@@ -474,6 +487,7 @@ impl Engine {
     }
 
     fn handle_kill(&self, tag: u16) -> LmonpMsg {
+        self.release_mw_allocs(tag);
         // Daemons first, then the job.
         if let Some(pids) = self.state.lock().daemon_pids.remove(&tag) {
             for pid in pids {

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::control::{parse_reply_header, ParsedReply, HELLO_BANNER, PROTOCOL_VERSION};
-use crate::daemon::{start_daemon, Daemon, DaemonConfig, DaemonHandle};
+use crate::daemon::{start_daemon, Daemon, DaemonHandle};
 use crate::error::{DaemonError, DaemonResult};
 use crate::responses::{
     AttachResponse, LaunchResponse, RunJobResponse, SessionStatusResponse, StatusResponse,
@@ -510,13 +510,6 @@ fn become_daemon<F: FnOnce() -> DaemonResult<Arc<Daemon>>>(
     Ok(LazyStartOutcome::Started { handle, client })
 }
 
-/// Test-sized lazy start: defaults, small pool. Production callers build
-/// their own factory around [`Daemon::new`].
-#[cfg(unix)]
-pub fn connect_or_start_default(socket_path: &Path) -> DaemonResult<LazyStartOutcome> {
-    connect_or_start(socket_path, || Daemon::new(DaemonConfig::default()))
-}
-
 /// A collision-resistant scratch path for sockets in tests and the CLI
 /// (`Path::join` of the temp dir, the pid, and a caller-chosen tag).
 pub fn scratch_socket_path(tag: &str) -> PathBuf {
@@ -526,6 +519,7 @@ pub fn scratch_socket_path(tag: &str) -> PathBuf {
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::daemon::DaemonConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
 

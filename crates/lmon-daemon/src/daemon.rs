@@ -24,7 +24,7 @@ use lmon_proto::payload::DaemonSpec;
 use lmon_rm::api::{JobSpec, ResourceManager};
 use lmon_rm::SlurmRm;
 use lmon_tbon::filter::{FilterKind, FilterRegistry};
-use lmon_tbon::overlay::{run_comm_node, FrontEndpoint, LeafEvent, Overlay, UpgradeReport};
+use lmon_tbon::overlay::{CommFault, FrontEndpoint, LeafEndpoint, Overlay, UpgradeReport};
 use lmon_tbon::recovery::OverlayStats;
 use lmon_tbon::spec::TopologySpec;
 use lmon_tbon::{PhiAccrualParams, SuspicionTable};
@@ -685,34 +685,12 @@ impl Daemon {
 
         let leaves = spec.leaf_count();
         let overlay = Overlay::build_shared(&spec, FilterRegistry::new(), self.overlay_stats());
-        let mut handles = Vec::new();
-        for harness in overlay.comm {
-            handles.push(std::thread::spawn(move || run_comm_node(harness, FilterRegistry::new())));
-        }
-        for leaf in overlay.leaves {
-            handles.push(std::thread::spawn(move || {
-                let _ = leaf.send_hello();
-                loop {
-                    match leaf.recv() {
-                        Ok(LeafEvent::Data(pkt)) => {
-                            let _ = leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]);
-                        }
-                        Ok(LeafEvent::StreamOpened(_)) => continue,
-                        Ok(LeafEvent::Shutdown) | Err(_) => return,
-                    }
-                }
-            }));
-        }
-
-        let mut front = overlay.front;
-        let result = run_upgrade_drill(&mut front, leaves);
-        front.shutdown();
-        for h in handles {
-            let _ = h.join();
-        }
+        let mut net = overlay.run(|_| CommFault::none(), LeafEndpoint::serve_echo);
+        let result = run_upgrade_drill(&mut net.front, leaves);
+        let joined = net.shutdown().map_err(|_| "an overlay daemon thread panicked".to_string());
         drop(permit);
 
-        match result {
+        match result.and_then(|ok| joined.map(|()| ok)) {
             Ok((table, report)) => {
                 self.register_suspicion_table(table);
                 self.upgrades_run.fetch_add(1, Ordering::Relaxed);

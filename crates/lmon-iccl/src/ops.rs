@@ -85,11 +85,6 @@ impl<F: Fabric> IcclComm<F> {
         self.topo
     }
 
-    /// Consume the communicator, returning the fabric endpoint.
-    pub fn into_fabric(self) -> F {
-        self.fabric
-    }
-
     /// Borrow the underlying fabric (point-to-point sends alongside
     /// collectives).
     pub fn fabric_ref(&self) -> &F {

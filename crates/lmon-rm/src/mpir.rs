@@ -51,12 +51,6 @@ pub fn publish_proctable(ctx: &ProcCtx, table: &Rpdtab) {
     ctx.checkpoint(MPIR_BREAKPOINT);
 }
 
-/// Launcher side: mark the job as aborting and revisit the breakpoint.
-pub fn publish_abort(ctx: &ProcCtx) {
-    ctx.export_symbol(MPIR_DEBUG_STATE, vec![MPIR_DEBUG_ABORTING]);
-    ctx.checkpoint(MPIR_BREAKPOINT);
-}
-
 /// Tracer side: mark the launcher as being debugged (done at attach time,
 /// before the launcher reaches the publish step).
 pub fn set_being_debugged(ctl: &TraceController, shared: &lmon_cluster::process::ProcShared) {

@@ -70,11 +70,6 @@ impl<'a, M> Ctx<'a, M> {
         self.sends.push((self.now + delay, to, msg));
     }
 
-    /// Deliver `msg` to `to` at absolute time `at` (clamped to now).
-    pub fn send_at(&mut self, at: SimTime, to: ActorId, msg: M) {
-        self.sends.push((at.max_of(self.now), to, msg));
-    }
-
     /// Deliver `msg` to self after `delay` (a timer).
     pub fn timer(&mut self, delay: SimDuration, msg: M) {
         let id = self.self_id;
@@ -131,11 +126,6 @@ impl<M> Sim<M> {
         let id = ActorId(self.actors.len() as u32);
         self.actors.push(actor);
         id
-    }
-
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
     }
 
     /// Current virtual time.
@@ -330,11 +320,6 @@ impl<M> Sim<M> {
     /// Immutable access to a registered actor (for post-run inspection).
     pub fn actor(&self, id: ActorId) -> &dyn Actor<M> {
         self.actors[id.index()].as_ref()
-    }
-
-    /// Mutable access to a registered actor (for scenario wiring).
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut Box<dyn Actor<M>> {
-        &mut self.actors[id.index()]
     }
 }
 

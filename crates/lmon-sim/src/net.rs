@@ -40,15 +40,6 @@ impl LinkSpec {
         }
     }
 
-    /// A slower management Ethernet, for contrast in ablations.
-    pub fn mgmt_ethernet() -> Self {
-        LinkSpec {
-            latency: SimDuration::from_micros(250),
-            bytes_per_sec: 90.0e6,
-            send_overhead: SimDuration::from_micros(25),
-        }
-    }
-
     /// Time the wire is occupied by a message of `bytes` bytes.
     pub fn transmit_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)

@@ -23,13 +23,14 @@ use parking_lot::Mutex;
 
 use crate::error::{TbonError, TbonResult};
 use crate::filter::FilterRegistry;
-use crate::overlay::{run_comm_node, FrontEndpoint, LeafEndpoint, Overlay};
+use crate::overlay::{run_comm_node_with_faults, CommFault, FrontEndpoint, LeafEndpoint, Overlay};
 use crate::spec::TopologySpec;
 use lmon_cluster::process::{Pid, ProcCtx, ProcSpec};
 use lmon_cluster::remote::RshSession;
 use lmon_cluster::VirtualCluster;
 
-/// What each leaf daemon runs once connected.
+/// What each leaf daemon runs: its whole body, connect hello included
+/// (normally [`LeafEndpoint::serve`] around the tool's sampling code).
 pub type LeafMain = Arc<dyn Fn(LeafEndpoint, &ProcCtx) + Send + Sync + 'static>;
 
 /// A TBON instantiated over the virtual cluster by the ad hoc launcher.
@@ -149,7 +150,7 @@ pub fn bootstrap_adhoc(
                 ));
                 let body = move |_ctx: ProcCtx| {
                     if let Some(harness) = slot.lock().take() {
-                        run_comm_node(harness, reg);
+                        run_comm_node_with_faults(harness, reg, CommFault::none());
                     }
                 };
                 ticket.spawn_with_pid(block.pid(i), spec_proc, body)
@@ -163,10 +164,7 @@ pub fn bootstrap_adhoc(
                 ));
                 let body = move |ctx: ProcCtx| {
                     if let Some(leaf) = slot.lock().take() {
-                        // MRNet connect phase: hello to the parent.
-                        if leaf.send_hello().is_ok() {
-                            main(leaf, &ctx);
-                        }
+                        main(leaf, &ctx);
                     }
                 };
                 ticket.spawn_with_pid(block.pid(i), spec_proc, body)
@@ -214,15 +212,7 @@ mod tests {
     use std::time::Duration;
 
     fn echo_leaf() -> LeafMain {
-        Arc::new(|leaf, _ctx| loop {
-            match leaf.recv() {
-                Ok(crate::overlay::LeafEvent::Data(pkt)) => {
-                    let _ = leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]);
-                }
-                Ok(crate::overlay::LeafEvent::Shutdown) | Err(_) => return,
-                Ok(crate::overlay::LeafEvent::StreamOpened(_)) => continue,
-            }
-        })
+        Arc::new(|leaf, _ctx| leaf.serve_echo())
     }
 
     #[test]

@@ -19,14 +19,11 @@
 //! (its entry's overlay epoch moved), not how.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::{TbonError, TbonResult};
-use crate::filter::FilterRegistry;
-use crate::overlay::{FrontEndpoint, Overlay};
-use crate::recovery::OverlayStats;
+use crate::overlay::FrontEndpoint;
 use crate::spec::{NodePos, TopologySpec};
 
 /// A federation spec: `N` identical bounded-connectivity groups.
@@ -71,11 +68,6 @@ impl FederationSpec {
     /// Number of groups.
     pub fn group_count(&self) -> u32 {
         self.groups
-    }
-
-    /// The conventional name of group `g`: `"g0"`, `"g1"`, …
-    pub fn group_name(&self, g: u32) -> String {
-        format!("g{g}")
     }
 
     /// Total leaves across every group.
@@ -235,14 +227,6 @@ impl FederationRouter {
         epoch
     }
 
-    /// Bump the federation epoch without marking anything dead (a planned
-    /// re-attach). Returns the new epoch for the gateway to publish under.
-    pub fn bump_epoch(&self) -> u64 {
-        let mut inner = self.inner.lock();
-        inner.epoch += 1;
-        inner.epoch
-    }
-
     /// The current entry for `group`, if any.
     pub fn route(&self, group: u32) -> Option<GroupRoute> {
         self.inner.lock().routes.get(&group).cloned()
@@ -281,72 +265,6 @@ impl FederationRouter {
             stale_dropped: inner.stale_dropped,
             failovers: inner.failovers,
         }
-    }
-}
-
-/// One group of a built federation: a named, independently repairable
-/// overlay.
-pub struct GroupOverlay {
-    /// Group index.
-    pub group: u32,
-    /// Conventional name (`"g0"`, …).
-    pub name: String,
-    /// The group's overlay (front endpoint, comm harnesses, leaves).
-    pub overlay: Overlay,
-}
-
-/// A fully built (not yet running) federation: per-group overlays plus
-/// the shared inter-group router, with every group's initial
-/// [`GroupRoute`] already published under epoch 0.
-pub struct FederatedOverlay {
-    /// The groups, in index order.
-    pub groups: Vec<GroupOverlay>,
-    /// The shared inter-group router.
-    pub router: Arc<FederationRouter>,
-    spec: FederationSpec,
-}
-
-impl FederatedOverlay {
-    /// Build every group's links; each group gets its own stats ledger.
-    pub fn build(spec: &FederationSpec, registry: FilterRegistry) -> FederatedOverlay {
-        Self::build_with(spec, registry, None)
-    }
-
-    /// [`FederatedOverlay::build`] with one caller-supplied ledger shared
-    /// by every group (an embedding daemon aggregates the federation into
-    /// a single `/metrics` surface).
-    pub fn build_shared(
-        spec: &FederationSpec,
-        registry: FilterRegistry,
-        stats: Arc<OverlayStats>,
-    ) -> FederatedOverlay {
-        Self::build_with(spec, registry, Some(stats))
-    }
-
-    fn build_with(
-        spec: &FederationSpec,
-        registry: FilterRegistry,
-        stats: Option<Arc<OverlayStats>>,
-    ) -> FederatedOverlay {
-        let router = Arc::new(FederationRouter::new());
-        let groups = (0..spec.group_count())
-            .map(|g| {
-                let overlay = match &stats {
-                    Some(s) => {
-                        Overlay::build_shared(spec.group_spec(), registry.clone(), s.clone())
-                    }
-                    None => Overlay::build(spec.group_spec(), registry.clone()),
-                };
-                router.publish(initial_route(spec, g, &overlay.front, router.epoch()));
-                GroupOverlay { group: g, name: spec.group_name(g), overlay }
-            })
-            .collect();
-        FederatedOverlay { groups, router, spec: spec.clone() }
-    }
-
-    /// The spec this federation was built from.
-    pub fn spec(&self) -> &FederationSpec {
-        &self.spec
     }
 }
 
@@ -418,7 +336,6 @@ pub fn account_connections(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::FilterRegistry;
 
     #[test]
     fn spec_parse_roundtrip() {
@@ -428,7 +345,6 @@ mod tests {
         assert_eq!(fed.group_spec().spares(), 8);
         assert_eq!(fed.total_leaves(), 256);
         assert_eq!(fed.to_spec_string(), "1x8x64+8 * 4g");
-        assert_eq!(fed.group_name(2), "g2");
         // Compact form and case-insensitive `g`.
         assert_eq!(FederationSpec::parse("1x4x16*2G").unwrap().group_count(), 2);
         // A bare topology is one group and renders bare.
@@ -487,25 +403,5 @@ mod tests {
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].group, 0);
         assert!(seen[0].alive);
-    }
-
-    #[test]
-    fn build_publishes_every_group() {
-        let fed = FederationSpec::parse("1x2x4 * 3g").unwrap();
-        let built = FederatedOverlay::build(&fed, FilterRegistry::new());
-        assert_eq!(built.groups.len(), 3);
-        assert_eq!(built.groups[1].name, "g1");
-        assert_eq!(built.router.live_groups(), vec![0, 1, 2]);
-        assert_eq!(built.router.stats().published, 3);
-        for g in &built.groups {
-            assert_eq!(g.overlay.leaves.len(), 4);
-            let accounts = account_connections(&fed, g.group, &g.overlay.front);
-            for a in &accounts {
-                assert!(a.links <= a.bound, "{a:?} over bound at build time");
-            }
-            // The gateway comm is the only node carrying router links.
-            let gw = accounts.iter().find(|a| a.pos == fed.gateway_pos()).unwrap();
-            assert_eq!(gw.links, 2 + 1 + fed.gateway_links());
-        }
     }
 }

@@ -17,7 +17,12 @@
 //!   internal nodes aggregate child packets with a per-stream filter
 //!   (concatenate, sum, custom tool merges such as STAT's prefix-tree
 //!   fold).
-//! * [`overlay`] — the channel fabric and the communication-daemon loop.
+//! * [`overlay`] — the channel fabric, the communication-daemon loop, and
+//!   the one way to stand an overlay up on plain threads:
+//!   [`Overlay::run`] consumes a built overlay, takes a per-comm-index
+//!   [`CommFault`] source and a leaf body (normally
+//!   [`LeafEndpoint::serve`], the one leaf serve loop) and returns a
+//!   [`RunningOverlay`] whose `shutdown()` joins every thread.
 //! * [`recovery`] — the self-healing layer (DESIGN.md §9): parent-side
 //!   failure detection (deterministic link-close notices + a heartbeat
 //!   sweep), grandparent adoption of orphaned subtrees with fan-out-bounded
@@ -32,7 +37,7 @@
 //!   rsh from the front end (MRNet 1.x behaviour: linear cost, fd
 //!   exhaustion at ≈504 live sessions), while LaunchMON-based instantiation
 //!   hands leaves/comm daemons endpoints distributed through the MW/BE
-//!   APIs (wired up in `lmon-tools::stat`).
+//!   APIs (wired up once, in `lmon-tools`' `launchmon_overlay` module).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,12 +54,13 @@ pub mod suspicion;
 
 pub use error::{TbonError, TbonResult};
 pub use federation::{
-    account_connections, initial_route, ConnectionAccount, FederatedOverlay, FederationRouter,
-    FederationSpec, GroupOverlay, GroupRoute, RouterStatsSnapshot,
+    account_connections, initial_route, ConnectionAccount, FederationRouter, FederationSpec,
+    GroupRoute, RouterStatsSnapshot,
 };
 pub use filter::FilterKind;
 pub use overlay::{
-    CommFault, FrontEndpoint, LeafEndpoint, Maintenance, Overlay, UpgradeReport, UpgradeStep,
+    CommFault, FrontEndpoint, LeafEndpoint, Maintenance, Overlay, RunningOverlay, UpgradeReport,
+    UpgradeStep,
 };
 pub use packet::Packet;
 pub use recovery::{OverlayStatsSnapshot, RecoveryEvent, RepairReport, RouteTable};

@@ -128,11 +128,6 @@ impl LeafEndpoint {
             .map_err(|_| TbonError::Disconnected)
     }
 
-    /// Send the connection hello (leaf index on the reserved stream).
-    pub fn send_hello(&self) -> TbonResult<()> {
-        self.send_up(CONNECT_STREAM, 0, self.leaf_index.to_be_bytes().to_vec())
-    }
-
     /// Block for the next downstream event.
     ///
     /// Recovery traffic is handled transparently: heartbeat pings are
@@ -189,16 +184,32 @@ impl LeafEndpoint {
         }
     }
 
-    /// Block for the next *data* packet, transparently handling control
-    /// traffic. Returns `None` on shutdown.
-    pub fn recv_data(&self) -> TbonResult<Option<Packet>> {
+    /// The one leaf daemon body: send the connection hello (leaf index on
+    /// the reserved stream), build the answer closure with `prepare` (after
+    /// the hello, so a daemon's local set-up overlaps the rest of the tree
+    /// connecting), then answer every data packet with `answer(&pkt)` on
+    /// the packet's (stream, tag) until shutdown or disconnect. A failed
+    /// send is not fatal — the parent may be dead and a re-parenting rewire
+    /// on its way — so an orphan keeps serving and answers the first
+    /// post-heal wave.
+    pub fn serve<A: FnMut(&Packet) -> Vec<u8>>(&self, prepare: impl FnOnce() -> A) {
+        let _ = self.send_up(CONNECT_STREAM, 0, self.leaf_index.to_be_bytes().to_vec());
+        let mut answer = prepare();
         loop {
-            match self.recv()? {
-                LeafEvent::Data(p) => return Ok(Some(p)),
-                LeafEvent::StreamOpened(_) => continue,
-                LeafEvent::Shutdown => return Ok(None),
+            match self.recv() {
+                Ok(LeafEvent::Data(pkt)) => {
+                    let _ = self.send_up(pkt.stream, pkt.tag, answer(&pkt));
+                }
+                Ok(LeafEvent::StreamOpened(_)) => {}
+                Ok(LeafEvent::Shutdown) | Err(_) => return,
             }
         }
+    }
+
+    /// [`LeafEndpoint::serve`] as the standard probe body: every data
+    /// packet is answered with `[leaf_index]`.
+    pub fn serve_echo(self) {
+        self.serve(|| |_: &Packet| vec![self.leaf_index as u8]);
     }
 }
 
@@ -1164,6 +1175,54 @@ impl Overlay {
 
         Overlay { front, comm, leaves }
     }
+
+    /// Thread mode, the one way to stand an overlay up on plain OS threads:
+    /// every comm daemon runs under `comm_fault(i)` (`i` = its position in
+    /// [`Overlay::comm`]) and every leaf runs `leaf_main`, each on its own
+    /// thread. (LaunchMON mode — leaves as BE daemons, comm daemons as MW
+    /// daemons — lives in `lmon-tools`.)
+    pub fn run(
+        self,
+        comm_fault: impl Fn(usize) -> CommFault,
+        leaf_main: impl Fn(LeafEndpoint) + Send + Sync + 'static,
+    ) -> RunningOverlay {
+        let Overlay { front, comm, leaves } = self;
+        let leaf_main = Arc::new(leaf_main);
+        let comms = comm.into_iter().enumerate().map(|(i, harness)| {
+            let (registry, fault) = (front.registry.clone(), comm_fault(i));
+            std::thread::spawn(move || run_comm_node_with_faults(harness, registry, fault))
+        });
+        let leaves = leaves.into_iter().map(|leaf| {
+            let main = leaf_main.clone();
+            std::thread::spawn(move || main(leaf))
+        });
+        let handles = comms.chain(leaves).collect();
+        RunningOverlay { front, handles }
+    }
+}
+
+/// An overlay whose comm daemons and leaves run on threads (see
+/// [`Overlay::run`]). Dropping it without [`RunningOverlay::shutdown`]
+/// still stops every thread (the front endpoint's drop tears the overlay
+/// down) but detaches them instead of joining.
+pub struct RunningOverlay {
+    /// The front-end endpoint.
+    pub front: FrontEndpoint,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl RunningOverlay {
+    /// Tear the overlay down (in-tree and out-of-band) and join every
+    /// daemon thread — crashed, halted and drained comm daemons included.
+    /// `Err` carries the first panic any of them died with.
+    pub fn shutdown(self) -> std::thread::Result<()> {
+        self.front.shutdown();
+        let mut joined = Ok(());
+        for h in self.handles {
+            joined = joined.and(h.join());
+        }
+        joined
+    }
 }
 
 /// A deterministic fault schedule for one communication daemon.
@@ -1215,6 +1274,12 @@ impl CommFault {
     /// Whether any fault is scheduled.
     pub fn is_none(&self) -> bool {
         self == &CommFault::default()
+    }
+
+    /// The schedule `faults` lists for comm daemon `index` (its position
+    /// in [`Overlay::comm`]); fault-free when unlisted.
+    pub fn at(faults: &[(usize, CommFault)], index: usize) -> CommFault {
+        faults.iter().find(|(i, _)| *i == index).map(|(_, f)| f.clone()).unwrap_or_default()
     }
 }
 
@@ -1412,13 +1477,9 @@ impl CommNode {
     }
 }
 
-/// Run a communication daemon until shutdown: forward downstream traffic,
-/// aggregate upstream waves with the stream filter.
-pub fn run_comm_node(harness: CommHarness, registry: FilterRegistry) {
-    run_comm_node_with_faults(harness, registry, CommFault::none());
-}
-
-/// [`run_comm_node`] with a [`CommFault`] schedule applied; a "crash" runs
+/// Run a communication daemon until shutdown — forward downstream traffic,
+/// aggregate upstream waves with the stream filter — under a [`CommFault`]
+/// schedule ([`CommFault::none`] for a healthy daemon); a "crash" runs
 /// the deterministic close path (`LinkDown` to children, `ChildGone` to the
 /// parent, route-table death mark) and returns without forwarding shutdown,
 /// exactly like a daemon dying mid-protocol whose sockets the kernel then
@@ -1654,68 +1715,34 @@ pub fn run_comm_node_with_faults(harness: CommHarness, registry: FilterRegistry,
 mod tests {
     use super::*;
 
-    /// Instantiate an overlay with comm nodes on plain threads and run a
-    /// closure per leaf on its own thread.
-    fn run_overlay<R: Send + 'static>(
+    /// Build `spec` and run it in thread mode with `leaf_fn` on every leaf.
+    fn run_overlay(
         spec: &str,
         registry: FilterRegistry,
-        leaf_fn: impl Fn(LeafEndpoint) -> R + Send + Sync + 'static,
-    ) -> (FrontEndpoint, Vec<std::thread::JoinHandle<R>>) {
+        leaf_fn: impl Fn(LeafEndpoint) + Send + Sync + 'static,
+    ) -> RunningOverlay {
         run_overlay_with_faults(spec, registry, Vec::new(), leaf_fn)
     }
 
     /// Like [`run_overlay`] but with per-comm-daemon fault schedules
     /// (indexed by position in `Overlay::comm`).
-    fn run_overlay_with_faults<R: Send + 'static>(
+    fn run_overlay_with_faults(
         spec: &str,
         registry: FilterRegistry,
         faults: Vec<(usize, CommFault)>,
-        leaf_fn: impl Fn(LeafEndpoint) -> R + Send + Sync + 'static,
-    ) -> (FrontEndpoint, Vec<std::thread::JoinHandle<R>>) {
+        leaf_fn: impl Fn(LeafEndpoint) + Send + Sync + 'static,
+    ) -> RunningOverlay {
         let spec = TopologySpec::parse(spec).unwrap();
-        let overlay = Overlay::build(&spec, registry.clone());
-        for (i, harness) in overlay.comm.into_iter().enumerate() {
-            let reg = registry.clone();
-            let fault = faults
-                .iter()
-                .find(|(idx, _)| *idx == i)
-                .map(|(_, f)| f.clone())
-                .unwrap_or_default();
-            std::thread::spawn(move || run_comm_node_with_faults(harness, reg, fault));
-        }
-        let leaf_fn = Arc::new(leaf_fn);
-        let handles = overlay
-            .leaves
-            .into_iter()
-            .map(|leaf| {
-                let f = leaf_fn.clone();
-                std::thread::spawn(move || f(leaf))
-            })
-            .collect();
-        (overlay.front, handles)
+        Overlay::build(&spec, registry).run(|i| CommFault::at(&faults, i), leaf_fn)
     }
 
-    fn hello_then_wait_leaf() -> impl Fn(LeafEndpoint) + Send + Sync + 'static {
-        |leaf: LeafEndpoint| {
-            let _ = leaf.send_hello();
-            while matches!(leaf.recv(), Ok(ev) if ev != LeafEvent::Shutdown) {}
-        }
-    }
-
-    /// Hello, then echo `[leaf_index]` on every data packet.
-    fn echo_leaf() -> impl Fn(LeafEndpoint) + Send + Sync + 'static {
-        |leaf: LeafEndpoint| {
-            let _ = leaf.send_hello();
-            loop {
-                match leaf.recv() {
-                    Ok(LeafEvent::Data(pkt)) => {
-                        let _ = leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]);
-                    }
-                    Ok(LeafEvent::Shutdown) | Err(_) => return,
-                    Ok(LeafEvent::StreamOpened(_)) => continue,
-                }
-            }
-        }
+    /// One echo wave on (stream, tag) must be answered by exactly leaves
+    /// `0..leaves`.
+    fn assert_echo_wave(front: &mut FrontEndpoint, stream: u16, tag: u16, leaves: u8, why: &str) {
+        front.broadcast(stream, tag, vec![]).unwrap();
+        let mut got = front.gather(stream, tag, Duration::from_secs(5)).unwrap().payload.to_vec();
+        got.sort_unstable();
+        assert_eq!(got, (0..leaves).collect::<Vec<u8>>(), "{why}");
     }
 
     fn pos(level: u32, index: u32) -> NodePos {
@@ -1724,80 +1751,43 @@ mod tests {
 
     #[test]
     fn hellos_flow_up_one_deep() {
-        let (mut front, handles) = run_overlay("1x8", FilterRegistry::new(), |leaf| {
-            leaf.send_hello().unwrap();
-            // wait for shutdown so channels stay alive through the gather
-            while !matches!(leaf.recv().unwrap(), LeafEvent::Shutdown) {}
-        });
-        let ids = front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let mut net = run_overlay("1x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        let ids = net.front.await_connections(8, Duration::from_secs(5)).unwrap();
         assert_eq!(ids, (0..8).collect::<Vec<u32>>());
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn hellos_aggregate_through_comm_level() {
-        let (mut front, handles) = run_overlay("1x4x16", FilterRegistry::new(), |leaf| {
-            leaf.send_hello().unwrap();
-            while !matches!(leaf.recv().unwrap(), LeafEvent::Shutdown) {}
-        });
-        assert_eq!(front.fanout(), 4, "front sees only its comm children");
-        let ids = front.await_connections(16, Duration::from_secs(5)).unwrap();
+        let mut net = run_overlay("1x4x16", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        assert_eq!(net.front.fanout(), 4, "front sees only its comm children");
+        let ids = net.front.await_connections(16, Duration::from_secs(5)).unwrap();
         assert_eq!(ids.len(), 16);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn broadcast_reaches_all_leaves_and_sum_aggregates() {
-        let (mut front, handles) = run_overlay("1x2x6", FilterRegistry::new(), |leaf| {
-            // Wait for the work packet, reply with leaf_index+1 on the
-            // same stream.
-            loop {
-                match leaf.recv().unwrap() {
-                    LeafEvent::Data(pkt) => {
-                        let value = (leaf.leaf_index as u64 + 1).to_be_bytes().to_vec();
-                        leaf.send_up(pkt.stream, pkt.tag, value).unwrap();
-                    }
-                    LeafEvent::Shutdown => return,
-                    LeafEvent::StreamOpened(_) => continue,
-                }
-            }
+        // Every leaf answers the work packet with leaf_index+1.
+        let mut net = run_overlay("1x2x6", FilterRegistry::new(), |leaf| {
+            leaf.serve(|| |_: &Packet| (leaf.leaf_index as u64 + 1).to_be_bytes().to_vec())
         });
-        let stream = front.open_stream(FilterKind::SumU64).unwrap();
-        front.broadcast(stream, 7, b"work".to_vec()).unwrap();
-        let result = front.gather(stream, 7, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::SumU64).unwrap();
+        net.front.broadcast(stream, 7, b"work".to_vec()).unwrap();
+        let result = net.front.gather(stream, 7, Duration::from_secs(5)).unwrap();
         // sum of 1..=6 = 21
         assert_eq!(result.payload, 21u64.to_be_bytes());
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn concat_collects_leaf_payloads_in_order() {
-        let (mut front, handles) = run_overlay("1x3", FilterRegistry::new(), |leaf| loop {
-            match leaf.recv().unwrap() {
-                LeafEvent::Data(pkt) => {
-                    leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]).unwrap();
-                }
-                LeafEvent::Shutdown => return,
-                LeafEvent::StreamOpened(_) => continue,
-            }
-        });
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        front.broadcast(stream, 0, vec![]).unwrap();
-        let result = front.gather(stream, 0, Duration::from_secs(5)).unwrap();
+        let mut net = run_overlay("1x3", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        net.front.broadcast(stream, 0, vec![]).unwrap();
+        let result = net.front.gather(stream, 0, Duration::from_secs(5)).unwrap();
         assert_eq!(result.payload, vec![0, 1, 2]);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -1819,28 +1809,19 @@ mod tests {
                 total.to_be_bytes().to_vec()
             }),
         );
-        let (mut front, handles) = run_overlay("1x2x4", registry, |leaf| loop {
-            match leaf.recv().unwrap() {
-                LeafEvent::Data(pkt) => {
-                    leaf.send_up(pkt.stream, pkt.tag, 1u64.to_be_bytes().to_vec()).unwrap();
-                }
-                LeafEvent::Shutdown => return,
-                LeafEvent::StreamOpened(_) => continue,
-            }
+        let mut net = run_overlay("1x2x4", registry, |leaf| {
+            leaf.serve(|| |_: &Packet| 1u64.to_be_bytes().to_vec())
         });
-        let stream = front.open_stream(FilterKind::Custom(1)).unwrap();
-        front.broadcast(stream, 0, vec![]).unwrap();
-        let result = front.gather(stream, 0, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Custom(1)).unwrap();
+        net.front.broadcast(stream, 0, vec![]).unwrap();
+        let result = net.front.gather(stream, 0, Duration::from_secs(5)).unwrap();
         assert_eq!(result.payload, 4u64.to_be_bytes());
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn multiple_waves_interleave_by_tag() {
-        let (mut front, handles) = run_overlay("1x4", FilterRegistry::new(), |leaf| {
+        let mut net = run_overlay("1x4", FilterRegistry::new(), |leaf| {
             // Answer two waves, deliberately answering wave 2 first for
             // even leaves to exercise wave bookkeeping.
             let mut packets = Vec::new();
@@ -1864,22 +1845,19 @@ mod tests {
             }
             while !matches!(leaf.recv().unwrap(), LeafEvent::Shutdown) {}
         });
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        front.broadcast(stream, 1, vec![]).unwrap();
-        front.broadcast(stream, 2, vec![]).unwrap();
-        let w2 = front.gather(stream, 2, Duration::from_secs(5)).unwrap();
-        let w1 = front.gather(stream, 1, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        net.front.broadcast(stream, 1, vec![]).unwrap();
+        net.front.broadcast(stream, 2, vec![]).unwrap();
+        let w2 = net.front.gather(stream, 2, Duration::from_secs(5)).unwrap();
+        let w1 = net.front.gather(stream, 1, Duration::from_secs(5)).unwrap();
         assert_eq!(w1.payload, vec![0, 1, 2, 3]);
         assert_eq!(w2.payload, vec![0, 1, 2, 3]);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn gather_times_out_when_a_leaf_is_silent() {
-        let (mut front, handles) = run_overlay("1x3", FilterRegistry::new(), |leaf| loop {
+        let mut net = run_overlay("1x3", FilterRegistry::new(), |leaf| loop {
             match leaf.recv().unwrap() {
                 LeafEvent::Data(pkt) => {
                     if leaf.leaf_index != 2 {
@@ -1890,14 +1868,11 @@ mod tests {
                 LeafEvent::StreamOpened(_) => continue,
             }
         });
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        front.broadcast(stream, 0, vec![]).unwrap();
-        let err = front.gather(stream, 0, Duration::from_millis(100)).unwrap_err();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        net.front.broadcast(stream, 0, vec![]).unwrap();
+        let err = net.front.gather(stream, 0, Duration::from_millis(100)).unwrap_err();
         assert_eq!(err, TbonError::Timeout);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -1906,18 +1881,15 @@ mod tests {
         // after its first up-packet — its wave never completes, so the
         // front-end gather for the connect stream must time out rather
         // than deliver a partial aggregate.
-        let (mut front, handles) = run_overlay_with_faults(
+        let mut net = run_overlay_with_faults(
             "1x2x8",
             FilterRegistry::new(),
             vec![(0, CommFault::none().crash_after_up(1))],
-            hello_then_wait_leaf(),
+            LeafEndpoint::serve_echo,
         );
-        let err = front.await_connections(8, Duration::from_millis(200)).unwrap_err();
+        let err = net.front.await_connections(8, Duration::from_millis(200)).unwrap_err();
         assert_eq!(err, TbonError::Timeout);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -1926,23 +1898,20 @@ mod tests {
         // complete (the daemon no longer waits for the severed child), but
         // the front end sees fewer hellos than leaves — a clean, attributable
         // error rather than a hang.
-        let (mut front, handles) = run_overlay_with_faults(
+        let mut net = run_overlay_with_faults(
             "1x2x8",
             FilterRegistry::new(),
             vec![(1, CommFault::none().sever_child(2))],
-            hello_then_wait_leaf(),
+            LeafEndpoint::serve_echo,
         );
-        let err = front.await_connections(8, Duration::from_secs(5)).unwrap_err();
+        let err = net.front.await_connections(8, Duration::from_secs(5)).unwrap_err();
         match err {
             TbonError::LaunchFailed(msg) => {
                 assert!(msg.contains("expected 8 leaf hellos, got 7"), "{msg}")
             }
             other => panic!("expected LaunchFailed, got {other:?}"),
         }
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -1950,50 +1919,33 @@ mod tests {
         // Comm 0 dies as soon as the second down-message arrives: the
         // connect wave still aggregates, but the broadcast after it never
         // reaches comm 0's leaves, so the gather times out.
-        let (mut front, handles) = run_overlay_with_faults(
+        let mut net = run_overlay_with_faults(
             "1x2x6",
             FilterRegistry::new(),
             vec![(0, CommFault::none().crash_after_down(1))],
-            |leaf: LeafEndpoint| {
-                let _ = leaf.send_hello();
-                loop {
-                    match leaf.recv() {
-                        Ok(LeafEvent::Data(pkt)) => {
-                            let _ = leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]);
-                        }
-                        Ok(LeafEvent::Shutdown) | Err(_) => return,
-                        Ok(LeafEvent::StreamOpened(_)) => continue,
-                    }
-                }
-            },
+            LeafEndpoint::serve_echo,
         );
-        front.await_connections(6, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        front.broadcast(stream, 0, vec![]).unwrap();
-        let err = front.gather(stream, 0, Duration::from_millis(200)).unwrap_err();
+        net.front.await_connections(6, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        net.front.broadcast(stream, 0, vec![]).unwrap();
+        let err = net.front.gather(stream, 0, Duration::from_millis(200)).unwrap_err();
         assert_eq!(err, TbonError::Timeout);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn severing_an_out_of_range_slot_is_inert() {
         // Slot 99 names no child: the daemon must still wait for all of
         // its real children rather than aggregate a partial wave.
-        let (mut front, handles) = run_overlay_with_faults(
+        let mut net = run_overlay_with_faults(
             "1x2x8",
             FilterRegistry::new(),
             vec![(0, CommFault::none().sever_child(99))],
-            hello_then_wait_leaf(),
+            LeafEndpoint::serve_echo,
         );
-        let ids = front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let ids = net.front.await_connections(8, Duration::from_secs(5)).unwrap();
         assert_eq!(ids.len(), 8);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -2001,8 +1953,6 @@ mod tests {
         assert!(CommFault::none().is_none());
         assert!(!CommFault::none().crash_after_up(3).is_none());
         assert!(!CommFault::none().sever_child(0).is_none());
-        // run_comm_node delegates to the faulty variant with a none fault;
-        // the existing happy-path tests above exercise that wrapper.
     }
 
     #[test]
@@ -2020,20 +1970,20 @@ mod tests {
 
     #[test]
     fn dead_comm_heals_via_grandparent_adoption() {
-        let (mut front, handles) = run_overlay("1x2x8", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
+        let mut net = run_overlay("1x2x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
 
         // Healthy wave first.
-        front.broadcast(stream, 1, vec![]).unwrap();
-        let healthy = front.gather(stream, 1, Duration::from_secs(5)).unwrap();
+        net.front.broadcast(stream, 1, vec![]).unwrap();
+        let healthy = net.front.gather(stream, 1, Duration::from_secs(5)).unwrap();
         assert_eq!(healthy.payload.len(), 8);
 
         // Kill comm 0, detect, repair.
         let dead = pos(1, 0);
-        front.crash_comm(dead).unwrap();
-        assert_eq!(front.wait_failure(Duration::from_secs(5)), Some(dead));
-        let report = front.repair(dead).unwrap();
+        net.front.crash_comm(dead).unwrap();
+        assert_eq!(net.front.wait_failure(Duration::from_secs(5)), Some(dead));
+        let report = net.front.repair(dead).unwrap();
         assert_eq!(report.epoch, 1);
         assert_eq!(report.grandparent, pos(0, 0));
         assert_eq!(report.adoptions.len(), 4, "all four orphan leaves re-parented");
@@ -2044,15 +1994,11 @@ mod tests {
         );
 
         // Post-heal wave completes end-to-end with every leaf.
-        front.broadcast(stream, 2, vec![]).unwrap();
-        let healed = front.gather(stream, 2, Duration::from_secs(5)).unwrap();
-        let mut got = healed.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "broadcast reaches adopted orphans");
-        assert_eq!(front.overlay_epoch(), 1);
+        assert_echo_wave(&mut net.front, stream, 2, 8, "broadcast reaches adopted orphans");
+        assert_eq!(net.front.overlay_epoch(), 1);
 
         // Event log: degraded -> adoptions -> healed.
-        let events = front.take_recovery_events();
+        let events = net.front.take_recovery_events();
         assert!(
             matches!(events.first(), Some(RecoveryEvent::Degraded { dead: d, orphans: 4, .. }) if *d == dead),
             "{events:?}"
@@ -2061,13 +2007,10 @@ mod tests {
             matches!(events.last(), Some(RecoveryEvent::Healed { repaired, epoch: 1 }) if *repaired == dead),
             "{events:?}"
         );
-        assert_eq!(front.stats().repairs_completed, 1);
-        assert_eq!(front.stats().orphans_adopted, 4);
+        assert_eq!(net.front.stats().repairs_completed, 1);
+        assert_eq!(net.front.stats().orphans_adopted, 4);
 
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -2075,16 +2018,16 @@ mod tests {
         // An up-packet stamped with a pre-repair epoch must be counted in
         // overlay stats and dropped — never delivered into a wave and never
         // a panic — including the race where it arrives mid-re-parenting.
-        let (mut front, handles) = run_overlay("1x2x8", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
+        let mut net = run_overlay("1x2x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
 
         let dead = pos(1, 0);
-        front.crash_comm(dead).unwrap();
-        front.wait_failure(Duration::from_secs(5)).unwrap();
+        net.front.crash_comm(dead).unwrap();
+        net.front.wait_failure(Duration::from_secs(5)).unwrap();
 
         let root_up = {
-            let route = front.route_table();
+            let route = net.front.route_table();
             let rt = route.lock();
             rt.nodes[&pos(0, 0)].up.clone().unwrap()
         };
@@ -2097,7 +2040,7 @@ mod tests {
                 kind: UpKind::Packet(Packet::new(stream, 7, vec![0xEE])),
             })
             .unwrap();
-        front.repair(dead).unwrap();
+        net.front.repair(dead).unwrap();
         // The re-parenting race: an old-epoch packet from a surviving
         // child landing after the bump.
         root_up
@@ -2110,21 +2053,14 @@ mod tests {
 
         // A fresh wave on the same (stream, tag) must contain only
         // post-heal data.
-        front.broadcast(stream, 7, vec![]).unwrap();
-        let pkt = front.gather(stream, 7, Duration::from_secs(5)).unwrap();
-        let mut got = pkt.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "no stale bytes delivered");
+        assert_echo_wave(&mut net.front, stream, 7, 8, "no stale bytes delivered");
         assert!(
-            front.stats().stale_packets_dropped >= 2,
+            net.front.stats().stale_packets_dropped >= 2,
             "both stale packets counted: {:?}",
-            front.stats()
+            net.front.stats()
         );
 
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -2132,21 +2068,18 @@ mod tests {
         // Severing comm 1's child slot 2 cuts leaf (2,6) away. Its daemon
         // still runs, but its pongs die at the cut — the heartbeat sweep
         // must attribute exactly that node.
-        let (mut front, handles) = run_overlay_with_faults(
+        let mut net = run_overlay_with_faults(
             "1x2x8",
             FilterRegistry::new(),
             vec![(1, CommFault::none().sever_child(2))],
-            hello_then_wait_leaf(),
+            LeafEndpoint::serve_echo,
         );
-        let err = front.await_connections(8, Duration::from_secs(5)).unwrap_err();
+        let err = net.front.await_connections(8, Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, TbonError::LaunchFailed(_)));
-        let missing = front.heartbeat(Duration::from_secs(2));
+        let missing = net.front.heartbeat(Duration::from_secs(2));
         assert_eq!(missing, vec![pos(2, 6)], "only the severed leaf is unreachable");
-        assert!(front.stats().pongs_received >= 9, "everyone else answered");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert!(net.front.stats().pongs_received >= 9, "everyone else answered");
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -2154,20 +2087,17 @@ mod tests {
         // The crash fault path must close every link explicitly: LinkDown
         // to each child, ChildGone to the parent, a route-table death mark
         // — so detection needs no timing assumptions at all.
-        let (mut front, handles) = run_overlay_with_faults(
+        let mut net = run_overlay_with_faults(
             "1x2x8",
             FilterRegistry::new(),
             vec![(0, CommFault::none().crash_after_up(1))],
-            hello_then_wait_leaf(),
+            LeafEndpoint::serve_echo,
         );
-        let dead = front.wait_failure(Duration::from_secs(5));
+        let dead = net.front.wait_failure(Duration::from_secs(5));
         assert_eq!(dead, Some(pos(1, 0)));
-        assert!(!front.route_table().is_alive(pos(1, 0)));
-        assert_eq!(front.stats().link_down_notices, 4, "each of comm 0's children got a FIN");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert!(!net.front.route_table().is_alive(pos(1, 0)));
+        assert_eq!(net.front.stats().link_down_notices, 4, "each of comm 0's children got a FIN");
+        net.shutdown().unwrap();
     }
 
     #[test]
@@ -2176,23 +2106,48 @@ mod tests {
         // a full heartbeat sweep (4 pongs forwarded through comm 0) must
         // NOT advance the counter — only the broadcast wave's replies do,
         // so the crash lands at a protocol point, not a timing point.
-        let (mut front, handles) = run_overlay_with_faults(
+        let mut net = run_overlay_with_faults(
             "1x2x8",
             FilterRegistry::new(),
             vec![(0, CommFault::none().crash_after_up(5))],
-            echo_leaf(),
+            LeafEndpoint::serve_echo,
         );
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let missing = front.heartbeat(Duration::from_secs(2));
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let missing = net.front.heartbeat(Duration::from_secs(2));
         assert!(missing.is_empty(), "pongs must not crash the daemon: {missing:?}");
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        front.broadcast(stream, 1, vec![]).unwrap();
-        let err = front.gather(stream, 1, Duration::from_millis(300)).unwrap_err();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        net.front.broadcast(stream, 1, vec![]).unwrap();
+        let err = net.front.gather(stream, 1, Duration::from_millis(300)).unwrap_err();
         assert_eq!(err, TbonError::Timeout, "crash on reply packet 6 stalls the wave");
-        assert_eq!(front.poll_failures(), vec![pos(1, 0)], "crash detected deterministically");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
+        assert_eq!(net.front.poll_failures(), vec![pos(1, 0)], "crash detected deterministically");
+        net.shutdown().unwrap();
+    }
+
+    #[test]
+    fn shutdown_joins_every_thread_after_a_crash_and_after_a_halt() {
+        // A crashed or halted comm daemon forwards no shutdown to its
+        // subtree: `shutdown` must still reach those leaves (out of band)
+        // and return only once every thread — the dead daemon's included —
+        // has been joined.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for halt in [false, true] {
+            let exited = Arc::new(AtomicUsize::new(0));
+            let counter = exited.clone();
+            let faults =
+                if halt { Vec::new() } else { vec![(0, CommFault::none().crash_after_up(1))] };
+            let mut net =
+                run_overlay_with_faults("1x2x8", FilterRegistry::new(), faults, move |leaf| {
+                    leaf.serve_echo();
+                    counter.fetch_add(1, Ordering::SeqCst);
+                });
+            if halt {
+                net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+                net.front.halt_comm(pos(1, 0)).unwrap();
+            } else {
+                assert_eq!(net.front.wait_failure(Duration::from_secs(5)), Some(pos(1, 0)));
+            }
+            net.shutdown().unwrap();
+            assert_eq!(exited.load(Ordering::SeqCst), 8, "halt={halt}: a leaf outlived shutdown");
         }
     }
 
@@ -2201,7 +2156,8 @@ mod tests {
         // No explicit shutdown: dropping the front endpoint must still
         // stop every daemon thread (the route table keeps link senders
         // alive, so disconnect cascades alone cannot do it anymore).
-        let (front, handles) = run_overlay("1x2x8", FilterRegistry::new(), hello_then_wait_leaf());
+        let RunningOverlay { front, handles } =
+            run_overlay("1x2x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
         drop(front);
         for h in handles {
             h.join().unwrap();
@@ -2228,61 +2184,47 @@ mod tests {
         // parent-first, but repair() is public) must not panic, must not
         // re-adopt the already-repaired child, and the overlay must still
         // heal end to end.
-        let (mut front, handles) = run_overlay("1x2x4x8", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
+        let mut net = run_overlay("1x2x4x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
 
-        front.crash_comm(pos(2, 0)).unwrap();
-        assert_eq!(front.wait_failure(Duration::from_secs(5)), Some(pos(2, 0)));
-        front.crash_comm(pos(1, 0)).unwrap();
+        net.front.crash_comm(pos(2, 0)).unwrap();
+        assert_eq!(net.front.wait_failure(Duration::from_secs(5)), Some(pos(2, 0)));
+        net.front.crash_comm(pos(1, 0)).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while front.poll_failures().len() < 2 {
+        while net.front.poll_failures().len() < 2 {
             assert!(std::time::Instant::now() < deadline, "second death never detected");
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        let child_repair = front.repair(pos(2, 0)).unwrap();
+        let child_repair = net.front.repair(pos(2, 0)).unwrap();
         assert_eq!(child_repair.grandparent, pos(0, 0), "walks past the dead parent");
-        let parent_repair = front.repair(pos(1, 0)).unwrap();
+        let parent_repair = net.front.repair(pos(1, 0)).unwrap();
         assert!(
             parent_repair.adoptions.iter().all(|(o, _)| *o != pos(2, 0)),
             "the already-repaired child must not be re-adopted: {:?}",
             parent_repair.adoptions
         );
 
-        front.broadcast(stream, 2, vec![]).unwrap();
-        let pkt = front.gather(stream, 2, Duration::from_secs(5)).unwrap();
-        let mut got = pkt.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "both subtrees healed");
-        assert_eq!(front.overlay_epoch(), 2);
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert_echo_wave(&mut net.front, stream, 2, 8, "both subtrees healed");
+        assert_eq!(net.front.overlay_epoch(), 2);
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn heal_failures_detects_and_repairs_in_one_call() {
-        let (mut front, handles) = run_overlay("1x4x16", FilterRegistry::new(), echo_leaf());
-        front.await_connections(16, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
+        let mut net = run_overlay("1x4x16", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(16, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
 
-        front.crash_comm(pos(1, 2)).unwrap();
-        front.wait_failure(Duration::from_secs(5)).unwrap();
-        let reports = front.heal_failures().unwrap();
+        net.front.crash_comm(pos(1, 2)).unwrap();
+        net.front.wait_failure(Duration::from_secs(5)).unwrap();
+        let reports = net.front.heal_failures().unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].dead, pos(1, 2));
 
-        front.broadcast(stream, 3, vec![]).unwrap();
-        let pkt = front.gather(stream, 3, Duration::from_secs(5)).unwrap();
-        let mut got = pkt.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..16u8).collect::<Vec<u8>>());
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert_echo_wave(&mut net.front, stream, 3, 16, "every leaf answers");
+        net.shutdown().unwrap();
     }
 
     // -- planned maintenance (DESIGN.md §12) --------------------------------
@@ -2305,7 +2247,9 @@ mod tests {
             let n = &rt.nodes[&pos(1, 0)];
             (n.up.clone().unwrap(), n.ctl.clone().unwrap())
         };
-        let join = std::thread::spawn(move || run_comm_node(harness, FilterRegistry::new()));
+        let join = std::thread::spawn(move || {
+            run_comm_node_with_faults(harness, FilterRegistry::new(), CommFault::none())
+        });
 
         for i in 0..3u32 {
             c0_up
@@ -2344,104 +2288,87 @@ mod tests {
 
     #[test]
     fn drain_comm_removes_a_daemon_without_entering_the_failure_path() {
-        let (mut front, handles) = run_overlay("1x2x8", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        front.broadcast(stream, 1, vec![]).unwrap();
-        front.gather(stream, 1, Duration::from_secs(5)).unwrap();
+        let mut net = run_overlay("1x2x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        net.front.broadcast(stream, 1, vec![]).unwrap();
+        net.front.gather(stream, 1, Duration::from_secs(5)).unwrap();
 
-        let report = front.maintenance().drain(pos(1, 0), Duration::from_secs(5)).unwrap();
+        let report = net.front.maintenance().drain(pos(1, 0), Duration::from_secs(5)).unwrap();
         assert_eq!(report.epoch, 1);
         assert!(report.spares_used.is_empty(), "no pool in this spec");
         assert!(report.adoptions.iter().all(|(_, a)| *a == pos(1, 1)), "{:?}", report.adoptions);
 
         // Planned removal: a drain, never a death.
-        let stats = front.stats();
+        let stats = net.front.stats();
         assert_eq!(stats.drains_completed, 1);
         assert_eq!(stats.deaths_detected, 0, "a drain must not read as a failure");
-        let events = front.take_recovery_events();
+        let events = net.front.take_recovery_events();
         assert!(
             matches!(events.first(), Some(RecoveryEvent::Draining { node, epoch: 0 }) if *node == pos(1, 0)),
             "{events:?}"
         );
         assert!(!events.iter().any(|e| matches!(e, RecoveryEvent::Degraded { .. })), "{events:?}");
 
-        front.broadcast(stream, 2, vec![]).unwrap();
-        let healed = front.gather(stream, 2, Duration::from_secs(5)).unwrap();
-        let mut got = healed.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "no session interruption");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert_echo_wave(&mut net.front, stream, 2, 8, "no session interruption");
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn heartbeat_double_attribution_is_deduped_per_epoch() {
-        let (mut front, handles) = run_overlay("1x2x8", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let mut net = run_overlay("1x2x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
 
-        front.crash_comm(pos(1, 0)).unwrap();
-        front.wait_failure(Duration::from_secs(5)).unwrap();
+        net.front.crash_comm(pos(1, 0)).unwrap();
+        net.front.wait_failure(Duration::from_secs(5)).unwrap();
         // First sweep attributes the severed subtree...
-        let first = front.heartbeat(Duration::from_millis(300));
+        let first = net.front.heartbeat(Duration::from_millis(300));
         assert_eq!(first, (0..4).map(|i| pos(2, i)).collect::<Vec<_>>());
         // ...and a second sweep straddling the same crash must not report
         // it again — the repair below is planned exactly once.
-        let second = front.heartbeat(Duration::from_millis(300));
+        let second = net.front.heartbeat(Duration::from_millis(300));
         assert!(second.is_empty(), "double attribution: {second:?}");
 
-        front.repair(pos(1, 0)).unwrap();
+        net.front.repair(pos(1, 0)).unwrap();
         // Post-repair (new epoch) the attribution re-arms: everyone
         // answers now, and a *new* failure is reported afresh.
-        assert!(front.heartbeat(Duration::from_secs(2)).is_empty());
-        front.crash_comm(pos(1, 1)).unwrap();
-        front.wait_failure(Duration::from_secs(5)).unwrap();
-        let third = front.heartbeat(Duration::from_millis(300));
+        assert!(net.front.heartbeat(Duration::from_secs(2)).is_empty());
+        net.front.crash_comm(pos(1, 1)).unwrap();
+        net.front.wait_failure(Duration::from_secs(5)).unwrap();
+        let third = net.front.heartbeat(Duration::from_millis(300));
         assert_eq!(third.len(), 8, "all 8 leaves behind the new crash: {third:?}");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn spare_takes_over_a_crashed_comm_at_designed_fanout() {
-        let (mut front, handles) = run_overlay("1x2x8+1", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        assert_eq!(front.stats().spares_registered, 1);
+        let mut net = run_overlay("1x2x8+1", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        assert_eq!(net.front.stats().spares_registered, 1);
 
-        front.crash_comm(pos(1, 0)).unwrap();
-        front.wait_failure(Duration::from_secs(5)).unwrap();
-        let report = front.repair(pos(1, 0)).unwrap();
+        net.front.crash_comm(pos(1, 0)).unwrap();
+        net.front.wait_failure(Duration::from_secs(5)).unwrap();
+        let report = net.front.repair(pos(1, 0)).unwrap();
         assert_eq!(report.spares_used, vec![pos(1, 2)], "the idle spare takes the subtree");
         assert!(
             report.adoptions.iter().all(|(_, a)| *a == pos(1, 2)),
             "the sibling stays at its designed fan-out: {:?}",
             report.adoptions
         );
-        assert!(front.route_table().idle_spares().is_empty());
-        assert_eq!(front.stats().spares_activated, 1);
+        assert!(net.front.route_table().idle_spares().is_empty());
+        assert_eq!(net.front.stats().spares_activated, 1);
 
-        front.broadcast(stream, 1, vec![]).unwrap();
-        let pkt = front.gather(stream, 1, Duration::from_secs(5)).unwrap();
-        let mut got = pkt.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "the replacement serves its subtree");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert_echo_wave(&mut net.front, stream, 1, 8, "the replacement serves its subtree");
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn suspicion_catches_a_silent_halt_and_feeds_repair() {
-        let (mut front, handles) = run_overlay("1x2x8", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        let table = front.maintenance().start_suspicion(PhiAccrualParams {
+        let mut net = run_overlay("1x2x8", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        let table = net.front.maintenance().start_suspicion(PhiAccrualParams {
             beat_interval: Duration::from_millis(5),
             window: 16,
             suspect_phi: 1.0,
@@ -2451,59 +2378,45 @@ mod tests {
         // Let some beat history accrue, then kill -9: no FIN, no notice,
         // no route-table mark — only the beats stop.
         std::thread::sleep(Duration::from_millis(100));
-        front.halt_comm(pos(1, 0)).unwrap();
+        net.front.halt_comm(pos(1, 0)).unwrap();
 
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while front.route_table().is_alive(pos(1, 0)) {
+        while net.front.route_table().is_alive(pos(1, 0)) {
             assert!(std::time::Instant::now() < deadline, "suspicion never declared the halt");
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(table.level(pos(1, 0)), Some(crate::suspicion::SuspicionLevel::Dead));
-        assert!(front.stats().suspicion_deaths >= 1);
-        assert!(front.stats().beats_received > 0);
+        assert!(net.front.stats().suspicion_deaths >= 1);
+        assert!(net.front.stats().beats_received > 0);
 
         // The suspicion death feeds the exact same repair path.
-        front.heal_failures().unwrap();
-        front.broadcast(stream, 1, vec![]).unwrap();
-        let pkt = front.gather(stream, 1, Duration::from_secs(5)).unwrap();
-        let mut got = pkt.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "the silent death healed end to end");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        net.front.heal_failures().unwrap();
+        assert_echo_wave(&mut net.front, stream, 1, 8, "the silent death healed end to end");
+        net.shutdown().unwrap();
     }
 
     #[test]
     fn rolling_upgrade_swaps_every_comm_for_a_spare_with_zero_wave_loss() {
-        let (mut front, handles) = run_overlay("1x2x8+2", FilterRegistry::new(), echo_leaf());
-        front.await_connections(8, Duration::from_secs(5)).unwrap();
-        let stream = front.open_stream(FilterKind::Concat).unwrap();
-        front.broadcast(stream, 1, vec![]).unwrap();
-        front.gather(stream, 1, Duration::from_secs(5)).unwrap();
+        let mut net = run_overlay("1x2x8+2", FilterRegistry::new(), LeafEndpoint::serve_echo);
+        net.front.await_connections(8, Duration::from_secs(5)).unwrap();
+        let stream = net.front.open_stream(FilterKind::Concat).unwrap();
+        net.front.broadcast(stream, 1, vec![]).unwrap();
+        net.front.gather(stream, 1, Duration::from_secs(5)).unwrap();
 
-        let report = front.maintenance().rolling_upgrade(Duration::from_secs(5)).unwrap();
+        let report = net.front.maintenance().rolling_upgrade(Duration::from_secs(5)).unwrap();
         assert_eq!(report.steps.len(), 2, "both designed comm daemons walked: {report:?}");
         assert_eq!(report.unplanned_repairs, 0);
         let spares: Vec<_> = report.steps.iter().map(|s| s.spare_used).collect();
         assert_eq!(spares, vec![Some(pos(1, 2)), Some(pos(1, 3))], "one spare per step");
         assert_eq!(report.epoch, 2);
 
-        let stats = front.stats();
+        let stats = net.front.stats();
         assert_eq!(stats.upgrades_completed, 2);
         assert_eq!(stats.drains_completed, 2);
         assert_eq!(stats.spares_activated, 2);
         assert_eq!(stats.deaths_detected, 0, "a planned upgrade is never a failure");
 
-        front.broadcast(stream, 2, vec![]).unwrap();
-        let pkt = front.gather(stream, 2, Duration::from_secs(5)).unwrap();
-        let mut got = pkt.payload.to_vec();
-        got.sort_unstable();
-        assert_eq!(got, (0..8u8).collect::<Vec<u8>>(), "zero session interruption");
-        front.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        assert_echo_wave(&mut net.front, stream, 2, 8, "zero session interruption");
+        net.shutdown().unwrap();
     }
 }

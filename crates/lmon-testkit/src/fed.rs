@@ -48,7 +48,7 @@ impl LiveFederation {
     /// wait for every leaf, and publish each group's initial route.
     ///
     /// Panics on an invalid spec or an attach timeout, like
-    /// [`LiveOverlay::launch`].
+    /// [`LiveOverlay::launch_echo`].
     pub fn launch_echo(spec: &str) -> Self {
         let spec = FederationSpec::parse(spec)
             .unwrap_or_else(|e| panic!("LiveFederation::launch_echo: invalid spec: {e}"));
@@ -152,6 +152,7 @@ mod tests {
     fn federation_launches_and_probes_every_group() {
         let mut fed = LiveFederation::launch_echo("1x2x4 * 3g");
         assert_eq!(fed.router().live_groups(), vec![0, 1, 2]);
+        assert_eq!(fed.router().stats().published, 3);
         for g in 0..3 {
             probe(fed.front(g), 4);
         }
@@ -159,6 +160,12 @@ mod tests {
         assert_eq!(accounts.len(), 3 * 7); // root + 2 comms + 4 leaves per group
         for a in &accounts {
             assert!(a.links <= a.bound, "{a:?} over bound");
+        }
+        // The gateway comm is the only node carrying router links: its two
+        // children and one parent link, plus one link per sibling group.
+        let gateway = fed.spec().gateway_pos();
+        for gw in accounts.iter().filter(|a| a.pos == gateway) {
+            assert_eq!(gw.links, 2 + 1 + fed.spec().gateway_links());
         }
         fed.shutdown();
     }

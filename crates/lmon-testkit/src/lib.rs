@@ -21,6 +21,9 @@
 //!   schedule (crash mid-aggregation, severed child links), with the
 //!   overlay's self-healing layer (detect → repair → re-broadcast,
 //!   DESIGN.md §9) observable through [`LiveOverlay`]'s front endpoint.
+//!   [`LiveOverlay`] only adapts a [`FaultPlan`] to `lmon-tbon`'s one
+//!   thread-mode runner (`Overlay::run`), and [`LiveFederation`] — N such
+//!   overlays around a shared router — is the one federation builder.
 //!
 //! [`FaultPlan`] unifies those per-layer plans behind one builder, and
 //! [`Scenario`] is the DSL the facade's `chaos_suite` uses:
@@ -63,7 +66,7 @@ pub mod trace;
 
 pub use fed::LiveFederation;
 pub use launch_sim::{LaunchParams, LaunchReport, LaunchSim};
-pub use live::{LiveLeafMain, LiveOverlay};
+pub use live::LiveOverlay;
 pub use plan::{FaultPlan, SimFault, SimFaultKind, SimFaultTarget};
 pub use scenario::Scenario;
 pub use storm::{StormLaunch, StormPlan};

@@ -16,86 +16,53 @@
 //! live.shutdown();
 //! ```
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
 
 use lmon_tbon::filter::FilterRegistry;
-use lmon_tbon::overlay::{
-    run_comm_node_with_faults, FrontEndpoint, LeafEndpoint, LeafEvent, Overlay,
-};
+use lmon_tbon::overlay::{LeafEndpoint, Overlay, RunningOverlay};
 use lmon_tbon::spec::TopologySpec;
 
 use crate::plan::FaultPlan;
 
-/// A leaf daemon body for [`LiveOverlay::launch`].
-pub type LiveLeafMain = Arc<dyn Fn(LeafEndpoint) + Send + Sync + 'static>;
-
-/// A TBON overlay running on plain threads, with the plan's
+/// A TBON overlay in thread mode ([`Overlay::run`]) with the plan's
 /// [`CommFault`](lmon_tbon::overlay::CommFault) schedules applied per comm
-/// daemon (indexed by position in `Overlay::comm`).
-pub struct LiveOverlay {
-    /// The front-end endpoint (detect/repair/heal live here).
-    pub front: FrontEndpoint,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// daemon (indexed by position in `Overlay::comm`). Only the
+/// [`FaultPlan`] → `CommFault` adapter lives here; bring-up and join are
+/// the runner's, and `live.front` is the [`RunningOverlay`]'s front
+/// endpoint (detect/repair/heal).
+pub struct LiveOverlay(RunningOverlay);
+
+impl Deref for LiveOverlay {
+    type Target = RunningOverlay;
+    fn deref(&self) -> &RunningOverlay {
+        &self.0
+    }
+}
+
+impl DerefMut for LiveOverlay {
+    fn deref_mut(&mut self) -> &mut RunningOverlay {
+        &mut self.0
+    }
 }
 
 impl LiveOverlay {
-    /// Build and start an overlay for `spec`, running `leaf_main` on one
-    /// thread per leaf and each comm daemon under its slice of `plan`.
+    /// Build and start an overlay for `spec` with the standard probe body
+    /// on every leaf ([`LeafEndpoint::serve_echo`]: hello, then
+    /// `[leaf_index]` in answer to each data packet until shutdown) and
+    /// each comm daemon under its slice of `plan`.
     ///
     /// Panics on an invalid spec, like [`crate::Scenario::new`].
-    pub fn launch(
-        spec: &str,
-        plan: &FaultPlan,
-        registry: FilterRegistry,
-        leaf_main: LiveLeafMain,
-    ) -> Self {
-        let spec = TopologySpec::parse(spec)
-            .unwrap_or_else(|e| panic!("LiveOverlay::launch: invalid topology spec: {e}"));
-        let overlay = Overlay::build(&spec, registry.clone());
-        let mut handles = Vec::new();
-        for (i, harness) in overlay.comm.into_iter().enumerate() {
-            let reg = registry.clone();
-            let fault = plan.comm_fault(i);
-            handles
-                .push(std::thread::spawn(move || run_comm_node_with_faults(harness, reg, fault)));
-        }
-        for leaf in overlay.leaves {
-            let main = leaf_main.clone();
-            handles.push(std::thread::spawn(move || main(leaf)));
-        }
-        LiveOverlay { front: overlay.front, handles }
-    }
-
-    /// [`LiveOverlay::launch`] with the standard probe body: every leaf
-    /// sends its hello, then answers each data packet with `[leaf_index]`
-    /// until shutdown.
     pub fn launch_echo(spec: &str, plan: &FaultPlan) -> Self {
-        Self::launch(
-            spec,
-            plan,
-            FilterRegistry::new(),
-            Arc::new(|leaf: LeafEndpoint| {
-                let _ = leaf.send_hello();
-                loop {
-                    match leaf.recv() {
-                        Ok(LeafEvent::Data(pkt)) => {
-                            let _ = leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]);
-                        }
-                        Ok(LeafEvent::Shutdown) | Err(_) => return,
-                        Ok(LeafEvent::StreamOpened(_)) => continue,
-                    }
-                }
-            }),
-        )
+        let spec = TopologySpec::parse(spec)
+            .unwrap_or_else(|e| panic!("LiveOverlay::launch_echo: invalid topology spec: {e}"));
+        let overlay = Overlay::build(&spec, FilterRegistry::new());
+        LiveOverlay(overlay.run(|i| plan.comm_fault(i), LeafEndpoint::serve_echo))
     }
 
     /// Tear the overlay down (in-tree and out-of-band) and join every
-    /// daemon thread.
+    /// daemon thread. Panics if one of them panicked.
     pub fn shutdown(self) {
-        self.front.shutdown();
-        for h in self.handles {
-            let _ = h.join();
-        }
+        self.0.shutdown().expect("an overlay daemon thread panicked");
     }
 }
 

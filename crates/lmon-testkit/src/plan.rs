@@ -192,8 +192,8 @@ impl FaultPlan {
     }
 
     /// The TBON-layer fault for comm daemon `i` (a no-op fault when the
-    /// plan says nothing about it), ready for
-    /// [`lmon_tbon::overlay::run_comm_node_with_faults`].
+    /// plan says nothing about it): the per-index fault source
+    /// [`lmon_tbon::overlay::Overlay::run`] takes.
     pub fn comm_fault(&self, i: usize) -> CommFault {
         self.comm.get(&i).cloned().unwrap_or_default()
     }

@@ -21,21 +21,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use lmon_cluster::process::Pid;
-use lmon_core::be::BeMain;
 use lmon_core::fe::LmonFrontEnd;
 use lmon_core::health::HealthState;
-use lmon_core::mw::MwMain;
 use lmon_core::LmonResult;
-use lmon_proto::payload::DaemonSpec;
 use lmon_tbon::filter::{FilterKind, FilterRegistry};
-use lmon_tbon::overlay::{run_comm_node_with_faults, CommFault, LeafEndpoint, Overlay};
+use lmon_tbon::overlay::CommFault;
 use lmon_tbon::spec::TopologySpec;
 use lmon_tbon::TbonError;
 
 use crate::jobsnap::JobsnapReport;
+use crate::launchmon_overlay::{with_attached_overlay, Answers, OverlaySetup, CONNECT_TIMEOUT};
 
 /// Custom TBON filter id for the jobsnap line merge.
 pub const JOBSNAP_MERGE_FILTER: u32 = 101;
@@ -145,28 +141,17 @@ pub fn run_jobsnap_tbon_resilient(
     comm_faults: Vec<(usize, CommFault)>,
 ) -> LmonResult<JobsnapReport> {
     let t0 = Instant::now();
-    let spec = TopologySpec::balanced(n_nodes, fanout);
-    let reg = registry();
-    let overlay = Overlay::build(&spec, reg.clone());
-    let mut front = overlay.front;
-
-    let comm_slots: Arc<Vec<Mutex<Option<lmon_tbon::overlay::CommHarness>>>> =
-        Arc::new(overlay.comm.into_iter().map(|h| Mutex::new(Some(h))).collect());
-    let leaf_slots: Arc<Vec<Mutex<Option<LeafEndpoint>>>> =
-        Arc::new(overlay.leaves.into_iter().map(|l| Mutex::new(Some(l))).collect());
-
-    let session = fe.create_session();
-
-    // Leaves: jobsnap BE daemons collecting local snapshots.
-    let slots = leaf_slots.clone();
-    let be_main: BeMain = Arc::new(move |be| {
-        let Some(leaf) = slots[be.rank() as usize].lock().take() else {
-            return;
-        };
-        if leaf.send_hello().is_err() {
-            return;
-        }
-        // Collect local lines once; answer each snapshot wave.
+    let setup = OverlaySetup {
+        spec: TopologySpec::balanced(n_nodes, fanout),
+        registry: registry(),
+        leaf_daemon: "be_jobsnap_tbon",
+        comm_daemon: "jobsnap_commd",
+        comm_faults,
+        connect_timeout: CONNECT_TIMEOUT,
+    };
+    // Leaves: jobsnap BE daemons collect their local lines once and answer
+    // each snapshot wave with them.
+    let answers: Answers = Arc::new(|be| {
         let mut local: Vec<(u64, String)> = Vec::new();
         for desc in be.my_proctab() {
             if let Ok(snap) = be.read_local_proc(desc.pid) {
@@ -180,51 +165,22 @@ pub fn run_jobsnap_tbon_resilient(
             .collect::<Vec<_>>()
             .join("\n")
             .into_bytes();
-        loop {
-            match leaf.recv_data() {
-                Ok(Some(pkt)) => {
-                    if leaf.send_up(pkt.stream, pkt.tag, blob.clone()).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return,
-            }
-        }
+        Box::new(move |_| blob.clone())
     });
+    let session = fe.create_session();
+    with_attached_overlay(fe, session, launcher_pid, setup, answers, |front, launch| {
+        let lines = snapshot_wave(fe, session, front)?;
+        Ok(JobsnapReport { lines, total: t0.elapsed(), launch, session })
+    })
+}
 
-    fe.attach_and_spawn(session, launcher_pid, DaemonSpec::bare("be_jobsnap_tbon"), be_main)?;
-    let launch = t0.elapsed();
-
-    // Middleware: comm daemons on extra nodes, one per internal position.
-    let comm_count = spec.comm_count() as usize;
-    if comm_count > 0 {
-        let comm_slots = comm_slots.clone();
-        let reg = reg.clone();
-        let comm_faults = Arc::new(comm_faults);
-        let mw_main: MwMain = Arc::new(move |mw| {
-            let Some(harness) = comm_slots[mw.rank() as usize].lock().take() else {
-                return;
-            };
-            let fault = comm_faults
-                .iter()
-                .find(|(i, _)| *i == mw.rank() as usize)
-                .map(|(_, f)| f.clone())
-                .unwrap_or_default();
-            run_comm_node_with_faults(harness, reg.clone(), fault);
-        });
-        fe.launch_mw_daemons(
-            session,
-            comm_count,
-            fanout,
-            DaemonSpec::bare("jobsnap_commd"),
-            mw_main,
-        )?;
-    }
-
-    // Connect, snapshot wave, gather the merged report.
-    front
-        .await_connections(n_nodes, Duration::from_secs(30))
-        .map_err(|e| lmon_core::LmonError::Engine(format!("tbon connect: {e}")))?;
+/// One snapshot wave over a connected overlay, healing around comm-daemon
+/// deaths; returns the merged report lines.
+fn snapshot_wave(
+    fe: &LmonFrontEnd,
+    session: lmon_core::SessionId,
+    front: &mut lmon_tbon::FrontEndpoint,
+) -> LmonResult<Vec<String>> {
     let stream = front
         .open_stream(FilterKind::Custom(JOBSNAP_MERGE_FILTER))
         .map_err(|e| lmon_core::LmonError::Engine(format!("stream: {e}")))?;
@@ -241,7 +197,7 @@ pub fn run_jobsnap_tbon_resilient(
             Err(TbonError::Disconnected) if Instant::now() <= deadline => {
                 // A send into a dead daemon's dropped receiver: heal and
                 // re-issue, exactly like a stalled gather.
-                if heal_and_record(fe, session, &mut front)? {
+                if heal_and_record(fe, session, front)? {
                     tag += 1;
                     continue 'wave;
                 }
@@ -255,7 +211,7 @@ pub fn run_jobsnap_tbon_resilient(
             match front.gather(stream, tag, Duration::from_millis(300)) {
                 Ok(pkt) => break 'wave pkt,
                 Err(TbonError::Timeout) => {
-                    if heal_and_record(fe, session, &mut front)? {
+                    if heal_and_record(fe, session, front)? {
                         tag += 1;
                         continue 'wave; // re-issue the wave post-heal
                     }
@@ -270,15 +226,10 @@ pub fn run_jobsnap_tbon_resilient(
         }
     };
 
-    let lines: Vec<String> = String::from_utf8_lossy(&report_pkt.payload)
+    Ok(String::from_utf8_lossy(&report_pkt.payload)
         .lines()
         .filter_map(|l| l.split_once('|').map(|(_, rest)| rest.to_string()))
-        .collect();
-
-    front.shutdown();
-    fe.detach(session)?;
-
-    Ok(JobsnapReport { lines, total: t0.elapsed(), launch, session })
+        .collect())
 }
 
 #[cfg(test)]
@@ -342,6 +293,31 @@ mod tests {
             "the FE surfaces the degraded → healed transition"
         );
         assert_eq!(fe.session_health(report.session), HealthState::Healed);
+        fe.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_stalled_connect_still_shuts_the_overlay_down_and_detaches() {
+        // 1x2x4x8: comm daemon 0 = (1,0) crashes on its first up-packet,
+        // so half the hellos never reach the front end and the connect
+        // wait times out. The error must not leave the session attached,
+        // its BE sub-stream open or its BEs parked in their serve loops.
+        let (fe, launcher) = setup(8, 2, 16);
+        let probe = OverlaySetup {
+            spec: TopologySpec::balanced(8, 2),
+            registry: registry(),
+            leaf_daemon: "probe_be",
+            comm_daemon: "probe_commd",
+            comm_faults: vec![(0, CommFault::none().crash_after_up(0))],
+            connect_timeout: Duration::from_millis(200),
+        };
+        let answers: Answers = Arc::new(|_| Box::new(|_| Vec::new()));
+        let session = fe.create_session();
+        let err = with_attached_overlay(&fe, session, launcher, probe, answers, |_, _| Ok(()))
+            .unwrap_err();
+        assert!(err.to_string().contains("overlay connect"), "{err}");
+        assert_eq!(fe.session_state(session).unwrap(), lmon_core::session::SessionState::Detached);
+        assert_eq!(fe.transport_stats().be_sessions, 0, "detach closed the BE sub-stream");
         fe.shutdown().unwrap();
     }
 

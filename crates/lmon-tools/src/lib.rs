@@ -17,6 +17,11 @@
 //!   collection over an MRNet-style tree whose internal nodes (launched
 //!   through the MW API onto separately allocated nodes) merge-sort the
 //!   report, distributing the work the flat gather centralizes.
+//!
+//!   Both TBON tools (STAT's LaunchMON path and `jobsnap_tbon`) stand their
+//!   overlay up through one private helper, `launchmon_overlay`: BE daemons
+//!   as leaves, MW daemons as comm nodes, tree information piggybacked on
+//!   LMONP, overlay shutdown + detach on every exit path.
 //! * [`dpcl`] — the Dynamic Probe Class Library substrate O|SS builds on:
 //!   persistent root "super daemons", full binary parsing, instrumentation
 //!   points. Exists to reproduce Table 1's contrast.
@@ -30,5 +35,6 @@
 pub mod dpcl;
 pub mod jobsnap;
 pub mod jobsnap_tbon;
+mod launchmon_overlay;
 pub mod oss;
 pub mod stat;

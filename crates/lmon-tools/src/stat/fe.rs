@@ -3,20 +3,17 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use lmon_cluster::process::Pid;
 use lmon_cluster::VirtualCluster;
-use lmon_core::be::BeMain;
 use lmon_core::fe::LmonFrontEnd;
 use lmon_core::LmonResult;
-use lmon_proto::payload::DaemonSpec;
 use lmon_tbon::bootstrap::{bootstrap_adhoc, LeafMain};
 use lmon_tbon::filter::{FilterKind, FilterRegistry};
-use lmon_tbon::overlay::{LeafEndpoint, Overlay};
+use lmon_tbon::overlay::LeafEndpoint;
 use lmon_tbon::spec::TopologySpec;
-use lmon_tbon::TbonError;
+use lmon_tbon::{Packet, TbonError};
 
+use crate::launchmon_overlay::{with_attached_overlay, Answers, OverlaySetup, CONNECT_TIMEOUT};
 use crate::stat::trace::synth_trace;
 use crate::stat::tree::{merge_filter, EquivClass, PrefixTree};
 use crate::stat::{SAMPLE_TAG, STAT_MERGE_FILTER};
@@ -80,29 +77,21 @@ pub fn run_stat_adhoc(
     let spec = TopologySpec::one_deep(hosts.len() as u32);
 
     let leaf_main: LeafMain = Arc::new(move |leaf: LeafEndpoint, ctx| {
-        // Without LaunchMON there is no RPDTAB: scan the local process
-        // table for MPI tasks, "the very manual process" of §5.2.
-        let ranks: Vec<u32> = ctx
-            .cluster
-            .node(ctx.node)
-            .map(|node| {
-                node.pids_matching(|s| s.rank.is_some())
-                    .into_iter()
-                    .filter_map(|pid| node.proc(pid).and_then(|r| r.spec.rank))
-                    .collect()
-            })
-            .unwrap_or_default();
-        loop {
-            match leaf.recv_data() {
-                Ok(Some(pkt)) => {
-                    let payload = sample_ranks(&ranks, total_tasks);
-                    if leaf.send_up(pkt.stream, pkt.tag, payload).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return,
-            }
-        }
+        leaf.serve(|| {
+            // Without LaunchMON there is no RPDTAB: scan the local process
+            // table for MPI tasks, "the very manual process" of §5.2.
+            let ranks: Vec<u32> = ctx
+                .cluster
+                .node(ctx.node)
+                .map(|node| {
+                    node.pids_matching(|s| s.rank.is_some())
+                        .into_iter()
+                        .filter_map(|pid| node.proc(pid).and_then(|r| r.spec.rank))
+                        .collect()
+                })
+                .unwrap_or_default();
+            move |_: &Packet| sample_ranks(&ranks, total_tasks)
+        })
     });
 
     let mut net = bootstrap_adhoc(cluster, &spec, &[], hosts, stat_registry(), leaf_main)?;
@@ -124,81 +113,15 @@ pub fn run_stat_adhoc(
 
 /// STAT with the LaunchMON integration: daemons co-located via the RM's
 /// bulk launcher, task identity from the RPDTAB, and the MRNet tree
-/// information broadcast to daemons as piggybacked LMONP user data.
+/// information broadcast to daemons as piggybacked LMONP user data. The
+/// tree is 1-deep: [`run_stat_launchmon_tree`] without comm daemons.
 pub fn run_stat_launchmon(
     fe: &LmonFrontEnd,
     launcher_pid: Pid,
     n_nodes: u32,
 ) -> LmonResult<StatOutcome> {
-    let t0 = Instant::now();
-    let cluster = fe.rm().cluster().clone();
-    let connects_before = cluster.rsh_state().total_connects();
-
-    // Build the (1-deep) overlay up front; leaf endpoints are handed to
-    // daemons through slots, standing in for the TCP connect the broadcast
-    // tree info would drive in the real system.
-    let spec = TopologySpec::one_deep(n_nodes);
-    let registry = stat_registry();
-    let overlay = Overlay::build(&spec, registry);
-    let mut front = overlay.front;
-    let leaf_slots: Arc<Vec<Mutex<Option<LeafEndpoint>>>> =
-        Arc::new(overlay.leaves.into_iter().map(|l| Mutex::new(Some(l))).collect());
-
-    let session = fe.create_session();
-    // The piggybacked "MRNet communication tree information" (§5.2): the
-    // topology spec string — previously passed via command line or a
-    // shared file.
-    let spec_string = spec.to_spec_string();
-    fe.register_pack(session, Box::new(move || spec_string.clone().into_bytes()))?;
-
-    let slots = leaf_slots.clone();
-    let be_main: BeMain = Arc::new(move |be| {
-        // Tree info arrives piggybacked; our leaf index is our BE rank
-        // (allocation order == RPDTAB host order == leaf order).
-        let _topology = String::from_utf8_lossy(be.usrdata()).to_string();
-        let Some(leaf) = slots[be.rank() as usize].lock().take() else {
-            return;
-        };
-        if leaf.send_hello().is_err() {
-            return;
-        }
-        // Task identity straight from the RPDTAB — no scanning.
-        let ranks: Vec<u32> = be.my_proctab().iter().map(|d| d.rank).collect();
-        let total = be.proctable().len() as u32;
-        loop {
-            match leaf.recv_data() {
-                Ok(Some(pkt)) => {
-                    let payload = sample_ranks(&ranks, total);
-                    if leaf.send_up(pkt.stream, pkt.tag, payload).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return,
-            }
-        }
-    });
-
-    fe.attach_and_spawn(session, launcher_pid, DaemonSpec::bare("statd"), be_main)?;
-    front
-        .await_connections(n_nodes, Duration::from_secs(30))
-        .map_err(|e| lmon_core::LmonError::Engine(format!("mrnet connect: {e}")))?;
-    let connect_time = t0.elapsed();
-
-    let tree = sample_wave(&mut front, Duration::from_secs(30))
-        .map_err(|e| lmon_core::LmonError::Engine(format!("sample wave: {e}")))?;
-    let classes = tree.equivalence_classes();
-    let total_time = t0.elapsed();
-
-    front.shutdown();
-    fe.detach(session)?;
-    let rsh_connects = cluster.rsh_state().total_connects() - connects_before;
-
-    Ok(StatOutcome { connect_time, total_time, tree, classes, rsh_connects })
+    stat_over(fe, launcher_pid, TopologySpec::one_deep(n_nodes))
 }
-
-// ---------------------------------------------------------------------------
-// LaunchMON startup with a deep tree (comm daemons via the MW API)
-// ---------------------------------------------------------------------------
 
 /// STAT over a multi-level MRNet tree: sampling daemons co-located via
 /// `attachAndSpawn`, communication daemons launched onto *separately
@@ -211,81 +134,39 @@ pub fn run_stat_launchmon_tree(
     n_nodes: u32,
     fanout: u32,
 ) -> LmonResult<StatOutcome> {
+    stat_over(fe, launcher_pid, TopologySpec::balanced(n_nodes, fanout))
+}
+
+/// One LaunchMON-mode STAT session over `spec`: connect, one sample wave,
+/// tear down.
+fn stat_over(fe: &LmonFrontEnd, launcher_pid: Pid, spec: TopologySpec) -> LmonResult<StatOutcome> {
     let t0 = Instant::now();
     let cluster = fe.rm().cluster().clone();
     let connects_before = cluster.rsh_state().total_connects();
-
-    let spec = TopologySpec::balanced(n_nodes, fanout);
-    let registry = stat_registry();
-    let overlay = Overlay::build(&spec, registry.clone());
-    let mut front = overlay.front;
-    let comm_slots: Arc<Vec<Mutex<Option<lmon_tbon::overlay::CommHarness>>>> =
-        Arc::new(overlay.comm.into_iter().map(|h| Mutex::new(Some(h))).collect());
-    let leaf_slots: Arc<Vec<Mutex<Option<LeafEndpoint>>>> =
-        Arc::new(overlay.leaves.into_iter().map(|l| Mutex::new(Some(l))).collect());
-
-    let session = fe.create_session();
-    let spec_string = spec.to_spec_string();
-    fe.register_pack(session, Box::new(move || spec_string.clone().into_bytes()))?;
-
-    let slots = leaf_slots.clone();
-    let be_main: BeMain = Arc::new(move |be| {
-        let Some(leaf) = slots[be.rank() as usize].lock().take() else {
-            return;
-        };
-        if leaf.send_hello().is_err() {
-            return;
-        }
+    let setup = OverlaySetup {
+        spec,
+        registry: stat_registry(),
+        leaf_daemon: "statd",
+        comm_daemon: "mrnet_commnode",
+        comm_faults: Vec::new(),
+        connect_timeout: CONNECT_TIMEOUT,
+    };
+    // Task identity straight from the RPDTAB — no scanning.
+    let answers: Answers = Arc::new(|be| {
         let ranks: Vec<u32> = be.my_proctab().iter().map(|d| d.rank).collect();
         let total = be.proctable().len() as u32;
-        loop {
-            match leaf.recv_data() {
-                Ok(Some(pkt)) => {
-                    let payload = sample_ranks(&ranks, total);
-                    if leaf.send_up(pkt.stream, pkt.tag, payload).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return,
-            }
-        }
+        Box::new(move |_| sample_ranks(&ranks, total))
     });
-    fe.attach_and_spawn(session, launcher_pid, DaemonSpec::bare("statd"), be_main)?;
-
-    // Middleware daemons for the internal tree levels.
-    let comm_count = spec.comm_count() as usize;
-    if comm_count > 0 {
-        let comm_slots = comm_slots.clone();
-        let reg = registry.clone();
-        let mw_main: lmon_core::mw::MwMain = Arc::new(move |mw| {
-            let Some(harness) = comm_slots[mw.rank() as usize].lock().take() else {
-                return;
-            };
-            lmon_tbon::overlay::run_comm_node(harness, reg.clone());
-        });
-        fe.launch_mw_daemons(
-            session,
-            comm_count,
-            fanout,
-            DaemonSpec::bare("mrnet_commnode"),
-            mw_main,
-        )?;
-    }
-
-    front
-        .await_connections(n_nodes, Duration::from_secs(30))
-        .map_err(|e| lmon_core::LmonError::Engine(format!("mrnet connect: {e}")))?;
-    let connect_time = t0.elapsed();
-
-    let tree = sample_wave(&mut front, Duration::from_secs(30))
-        .map_err(|e| lmon_core::LmonError::Engine(format!("sample wave: {e}")))?;
-    let classes = tree.equivalence_classes();
-    let total_time = t0.elapsed();
-
-    front.shutdown();
-    fe.detach(session)?;
+    let session = fe.create_session();
+    let (connect_time, tree, classes, total_time) =
+        with_attached_overlay(fe, session, launcher_pid, setup, answers, |front, _| {
+            let connect_time = t0.elapsed();
+            let tree = sample_wave(front, Duration::from_secs(30))
+                .map_err(|e| lmon_core::LmonError::Engine(format!("sample wave: {e}")))?;
+            let classes = tree.equivalence_classes();
+            Ok((connect_time, tree, classes, t0.elapsed()))
+        })?;
     let rsh_connects = cluster.rsh_state().total_connects() - connects_before;
-
     Ok(StatOutcome { connect_time, total_time, tree, classes, rsh_connects })
 }
 
@@ -379,6 +260,24 @@ mod tests {
         assert_eq!(deep.tree, flat.tree, "topology must not change analysis results");
         assert_eq!(deep.classes, flat.classes);
         assert_eq!(deep.rsh_connects, 0);
+        fe.shutdown().unwrap();
+    }
+
+    #[test]
+    fn consecutive_tree_stats_get_their_middleware_nodes_back() {
+        // Defect D3, MW half: 8 job nodes + 6 comm daemons on a 16-node
+        // cluster leave 2 nodes free. Unless detach releases the session's
+        // MW allocation, the second call fails with `mw alloc: allocation
+        // failed: want 6 nodes, 2 free`.
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(16));
+        let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster));
+        let job = rm.launch_job(&JobSpec::new("mpi_app", 8, 4), false).unwrap();
+        let fe = LmonFrontEnd::init(rm).unwrap();
+        for call in 1..=2 {
+            let out = run_stat_launchmon_tree(&fe, job.launcher_pid, 8, 2)
+                .unwrap_or_else(|e| panic!("tree STAT call {call}: {e}"));
+            assert_eq!(out.tree.rank_count(), 32);
+        }
         fe.shutdown().unwrap();
     }
 

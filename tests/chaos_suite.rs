@@ -34,7 +34,6 @@ use launchmon::rm::SlurmRm;
 use launchmon::sim::SimDuration;
 use launchmon::tbon::bootstrap::{bootstrap_adhoc, LeafMain};
 use launchmon::tbon::filter::{FilterKind, FilterRegistry};
-use launchmon::tbon::overlay::{run_comm_node_with_faults, LeafEvent, Overlay};
 use launchmon::tbon::spec::NodePos;
 use launchmon::tbon::{FrontEndpoint, PhiAccrualParams, RecoveryEvent, TbonError, TopologySpec};
 use launchmon::testkit::{assert_identical_runs, chaos_seed, FaultPlan, LiveOverlay, Scenario};
@@ -43,12 +42,9 @@ fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
 }
 
-/// A leaf body that says hello and then waits for shutdown/disconnect.
+/// The standard leaf body: hello, then serve until shutdown/disconnect.
 fn hello_leaf() -> LeafMain {
-    Arc::new(|leaf, _ctx| {
-        let _ = leaf.send_hello();
-        while matches!(leaf.recv(), Ok(ev) if ev != LeafEvent::Shutdown) {}
-    })
+    Arc::new(|leaf, _ctx| leaf.serve_echo())
 }
 
 // ---------------------------------------------------------------------------
@@ -314,50 +310,15 @@ fn chaos_frame_delayed_past_session_close_is_an_orphan_not_a_panic() {
 // TBON scenarios (comm-daemon crash, partition)
 // ---------------------------------------------------------------------------
 
-/// Build a live overlay with per-comm fault schedules from `plan`; leaves
-/// run on plain threads and echo their index on any data packet.
-fn live_overlay(
-    spec: &str,
-    plan: &FaultPlan,
-) -> (launchmon::tbon::FrontEndpoint, Vec<std::thread::JoinHandle<()>>) {
-    let spec = TopologySpec::parse(spec).unwrap();
-    let registry = FilterRegistry::new();
-    let overlay = Overlay::build(&spec, registry.clone());
-    let mut handles = Vec::new();
-    for (i, harness) in overlay.comm.into_iter().enumerate() {
-        let reg = registry.clone();
-        let fault = plan.comm_fault(i);
-        handles.push(std::thread::spawn(move || run_comm_node_with_faults(harness, reg, fault)));
-    }
-    for leaf in overlay.leaves {
-        handles.push(std::thread::spawn(move || {
-            let _ = leaf.send_hello();
-            loop {
-                match leaf.recv() {
-                    Ok(LeafEvent::Data(pkt)) => {
-                        let _ = leaf.send_up(pkt.stream, pkt.tag, vec![leaf.leaf_index as u8]);
-                    }
-                    Ok(LeafEvent::Shutdown) | Err(_) => return,
-                    Ok(LeafEvent::StreamOpened(_)) => continue,
-                }
-            }
-        }));
-    }
-    (overlay.front, handles)
-}
-
 #[test]
 fn chaos_comm_crash_mid_aggregation_times_out_the_gather() {
     // Comm 0 aggregates 8 leaves but dies after 3 up-packets: its wave can
     // never complete, so the front-end connect gather must time out.
     let plan = FaultPlan::new().crash_comm_after_up(0, 3);
-    let (mut front, handles) = live_overlay("1x2x16", &plan);
-    let err = front.await_connections(16, Duration::from_millis(200)).unwrap_err();
+    let mut live = LiveOverlay::launch_echo("1x2x16", &plan);
+    let err = live.front.await_connections(16, Duration::from_millis(200)).unwrap_err();
     assert_eq!(err, TbonError::Timeout);
-    front.shutdown();
-    for h in handles {
-        h.join().unwrap();
-    }
+    live.shutdown();
 }
 
 #[test]
@@ -365,18 +326,15 @@ fn chaos_partitioned_overlay_reports_missing_subtree() {
     // Severing two child links of comm 1 partitions those leaves away; the
     // wave completes without them and the shortfall is attributed exactly.
     let plan = FaultPlan::new().sever_comm_child(1, 0).sever_comm_child(1, 5);
-    let (mut front, handles) = live_overlay("1x2x16", &plan);
-    let err = front.await_connections(16, Duration::from_secs(5)).unwrap_err();
+    let mut live = LiveOverlay::launch_echo("1x2x16", &plan);
+    let err = live.front.await_connections(16, Duration::from_secs(5)).unwrap_err();
     match err {
         TbonError::LaunchFailed(msg) => {
             assert!(msg.contains("expected 16 leaf hellos, got 14"), "{msg}")
         }
         other => panic!("expected LaunchFailed, got {other:?}"),
     }
-    front.shutdown();
-    for h in handles {
-        h.join().unwrap();
-    }
+    live.shutdown();
 }
 
 #[test]
@@ -384,16 +342,13 @@ fn chaos_healthy_overlay_still_gathers_under_inert_plan() {
     // Control scenario: an empty FaultPlan must not perturb the overlay.
     let plan = FaultPlan::new();
     assert!(plan.is_empty());
-    let (mut front, handles) = live_overlay("1x2x8", &plan);
-    front.await_connections(8, Duration::from_secs(5)).unwrap();
-    let stream = front.open_stream(FilterKind::Concat).unwrap();
-    front.broadcast(stream, 0, vec![]).unwrap();
-    let pkt = front.gather(stream, 0, Duration::from_secs(5)).unwrap();
+    let mut live = LiveOverlay::launch_echo("1x2x8", &plan);
+    live.front.await_connections(8, Duration::from_secs(5)).unwrap();
+    let stream = live.front.open_stream(FilterKind::Concat).unwrap();
+    live.front.broadcast(stream, 0, vec![]).unwrap();
+    let pkt = live.front.gather(stream, 0, Duration::from_secs(5)).unwrap();
     assert_eq!(pkt.payload.len(), 8);
-    front.shutdown();
-    for h in handles {
-        h.join().unwrap();
-    }
+    live.shutdown();
 }
 
 // ---------------------------------------------------------------------------
