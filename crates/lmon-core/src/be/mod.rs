@@ -10,31 +10,27 @@
 //! with the bootstrap glue (`wrap_be_main`) that:
 //!
 //! 1. builds the ICCL communicator over the RM-provided fabric,
-//! 2. has the master daemon (rank 0) run the LMONP handshake with the
-//!    front end — hello (with the security cookie delivered through the
-//!    RM's launch environment), launch info (+ piggybacked tool data),
-//!    RPDTAB distribution, ready —
+//! 2. has the master daemon (rank 0) run the daemon side of the one LMONP
+//!    handshake (`crate::handshake`, here with the `Be*` message types) —
+//!    hello (with the security cookie delivered through the RM's launch
+//!    environment), launch info (+ piggybacked tool data), RPDTAB, ready —
 //! 3. broadcasts launch info and the RPDTAB to all daemons over ICCL,
 //! 4. hands the tool its session.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_cluster::procfs::ProcSnapshot;
 use lmon_iccl::{IcclComm, Topology};
 use lmon_proto::header::MsgType;
-use lmon_proto::msg::LmonpMsg;
-use lmon_proto::payload::Hello;
 use lmon_proto::rpdtab::{ProcDesc, Rpdtab};
-use lmon_proto::security::{SessionCookie, COOKIE_ENV_VAR};
 use lmon_proto::transport::MsgChannel;
 use lmon_proto::wire::WireDecode;
 use lmon_rm::api::DaemonBody;
 use lmon_rm::fabric::RmFabricEndpoint;
 
 use crate::error::{LmonError, LmonResult};
+use crate::handshake::{self, MasterSlot};
 use crate::timeline::{CriticalEvent, TimelineRecorder};
 
 /// Sentinel payload the runtime broadcasts when the FE orders shutdown.
@@ -42,18 +38,6 @@ const SHUTDOWN_SENTINEL: &[u8] = b"__LMON_BE_SHUTDOWN__";
 
 /// A tool's daemon entry point.
 pub type BeMain = Arc<dyn Fn(&mut BeSession) + Send + Sync + 'static>;
-
-/// Wiring the FE threads through to the wrapped daemon body.
-pub(crate) struct BeWiring {
-    /// Channel the master daemon picks up to talk LMONP to the FE — a
-    /// logical mux endpoint in the live stack, but any [`MsgChannel`]
-    /// (`LocalChannel`, `TcpChannel`, `FaultyChannel`, ...) plugs in.
-    pub master_slot: Arc<Mutex<Option<Box<dyn MsgChannel>>>>,
-    /// Shared critical-path recorder (master marks e8/e9).
-    pub timeline: TimelineRecorder,
-    /// Collective schedule for the session.
-    pub topo: Topology,
-}
 
 /// The session object handed to tool daemon code.
 pub struct BeSession {
@@ -136,40 +120,19 @@ impl BeSession {
 
     /// Send tool data to the FE (master only).
     pub fn send_usrdata(&mut self, bytes: Vec<u8>) -> LmonResult<()> {
-        let chan = self
-            .master_chan
-            .as_ref()
-            .ok_or(LmonError::Engine("send_usrdata: not the master daemon".into()))?;
-        chan.send(LmonpMsg::of_type(MsgType::BeUsrData).with_usr_payload(bytes))?;
-        Ok(())
+        handshake::BE.send_usrdata(handshake::master(&self.master_chan)?, bytes)
     }
 
     /// Receive tool data from the FE (master only).
     pub fn recv_usrdata(&mut self, timeout: std::time::Duration) -> LmonResult<Vec<u8>> {
-        let chan = self
-            .master_chan
-            .as_ref()
-            .ok_or(LmonError::Engine("recv_usrdata: not the master daemon".into()))?;
-        loop {
-            match chan.recv_timeout(timeout)? {
-                Some(msg) if msg.mtype == MsgType::BeUsrData => return Ok(msg.usr.to_vec()),
-                Some(msg) if msg.mtype == MsgType::BeShutdown => {
-                    return Err(LmonError::Engine("shutdown while waiting for usrdata".into()))
-                }
-                Some(_) => continue,
-                None => return Err(LmonError::Timeout("recv_usrdata")),
-            }
-        }
+        handshake::BE.recv_usrdata(handshake::master(&self.master_chan)?, timeout)
     }
 
     /// Block until the FE orders shutdown. Collective: every daemon calls
     /// it; the master relays the order over ICCL.
     pub fn wait_shutdown(&mut self) -> LmonResult<()> {
         if self.am_i_master() {
-            let chan = self
-                .master_chan
-                .as_ref()
-                .ok_or(LmonError::Engine("master channel missing".into()))?;
+            let chan = handshake::master(&self.master_chan)?;
             loop {
                 let msg = chan.recv()?;
                 if msg.mtype == MsgType::BeShutdown {
@@ -187,21 +150,23 @@ impl BeSession {
     }
 }
 
-/// Wrap a tool's BE main with the LaunchMON bootstrap.
-pub(crate) fn wrap_be_main(tool_main: BeMain, wiring: BeWiring) -> DaemonBody {
-    let master_slot = wiring.master_slot;
-    let timeline = wiring.timeline;
-    let topo = wiring.topo;
+/// Wrap a tool's BE main with the LaunchMON bootstrap. `master_chan` is
+/// the channel the master daemon picks up to talk LMONP to the FE — a
+/// logical mux endpoint in the live stack, but any [`MsgChannel`]
+/// (`LocalChannel`, `TcpChannel`, `FaultyChannel`, ...) plugs in; the
+/// master marks e8/e9 on the shared critical-path recorder.
+pub(crate) fn wrap_be_main(
+    tool_main: BeMain,
+    master_chan: Box<dyn MsgChannel>,
+    timeline: TimelineRecorder,
+) -> DaemonBody {
+    let master_slot = MasterSlot::new(Some(master_chan));
     Arc::new(move |ctx: ProcCtx, ep: RmFabricEndpoint| {
-        match be_bootstrap(ctx, ep, &master_slot, &timeline, topo) {
-            Ok(mut session) => {
-                tool_main(&mut session);
-            }
-            Err(e) => {
-                // A real daemon would syslog; the virtual cluster surfaces
-                // bootstrap failures through the FE-side handshake timeout.
-                eprintln!("lmon-be bootstrap failed: {e}");
-            }
+        match be_bootstrap(ctx, ep, &master_slot, &timeline) {
+            Ok(mut session) => tool_main(&mut session),
+            // A real daemon would syslog; the virtual cluster surfaces
+            // bootstrap failures through the FE-side handshake timeout.
+            Err(e) => eprintln!("lmon-be bootstrap failed: {e}"),
         }
     })
 }
@@ -210,11 +175,10 @@ pub(crate) fn wrap_be_main(tool_main: BeMain, wiring: BeWiring) -> DaemonBody {
 fn be_bootstrap(
     ctx: ProcCtx,
     ep: RmFabricEndpoint,
-    master_slot: &Mutex<Option<Box<dyn MsgChannel>>>,
+    master_slot: &MasterSlot,
     timeline: &TimelineRecorder,
-    topo: Topology,
 ) -> LmonResult<BeSession> {
-    let mut comm = IcclComm::new(ep, topo);
+    let mut comm = IcclComm::new(ep, Topology::Binomial);
     let is_master = comm.is_master();
 
     let mut master_chan = None;
@@ -222,42 +186,9 @@ fn be_bootstrap(
     let rpdtab_bytes;
 
     if is_master {
-        let chan = master_slot
-            .lock()
-            .take()
-            .ok_or(LmonError::Engine("master channel already taken".into()))?;
-        // Hello with the cookie the RM delivered through our environment.
-        let cookie_env = ctx
-            .env_get(COOKIE_ENV_VAR)
-            .ok_or(LmonError::Engine("missing session cookie in environment".into()))?;
-        let cookie = SessionCookie::from_env_value(cookie_env)?;
-        let hello = Hello {
-            cookie: cookie.cookie,
-            epoch: cookie.epoch,
-            host: ctx.hostname.clone(),
-            pid: ctx.pid.0,
-        };
-        chan.send(LmonpMsg::of_type(MsgType::BeHello).with_epoch(cookie.epoch).with_lmon(&hello))?;
-
-        // Launch info (+ piggybacked tool data).
-        let msg = chan.recv()?;
-        if msg.mtype != MsgType::BeLaunchInfo {
-            return Err(LmonError::Engine(format!(
-                "handshake out of order: expected BeLaunchInfo, got {:?}",
-                msg.mtype
-            )));
-        }
-        usrdata = msg.usr.to_vec();
-
-        // RPDTAB.
-        let msg = chan.recv()?;
-        if msg.mtype != MsgType::BeRpdtab {
-            return Err(LmonError::Engine(format!(
-                "handshake out of order: expected BeRpdtab, got {:?}",
-                msg.mtype
-            )));
-        }
-        rpdtab_bytes = msg.lmon.to_vec();
+        let (chan, launch_info, table) = handshake::BE.greet(master_slot, &ctx)?;
+        usrdata = launch_info.usr.to_vec();
+        rpdtab_bytes = table.lmon.to_vec();
 
         // e8/e9: inter-daemon network setup over the RM fabric — the first
         // collectives wire up and verify every daemon.
@@ -267,8 +198,7 @@ fn be_bootstrap(
         comm.barrier().map_err(LmonError::Iccl)?;
         timeline.mark(CriticalEvent::E9SetupDone);
 
-        // Ready.
-        chan.send(LmonpMsg::of_type(MsgType::BeReady))?;
+        handshake::BE.ready(chan.as_ref())?;
         master_chan = Some(chan);
     } else {
         usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;

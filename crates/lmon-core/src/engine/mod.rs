@@ -20,6 +20,10 @@
 //! * `FeSpawnMwReq` — allocate middleware nodes and launch TBON daemons.
 //! * `FeDetachReq` / `FeKillReq` — release or destroy the session's job.
 //!
+//! The three spawning requests bulk-launch through one function, launch and
+//! attach share everything that follows "job stopped, RPDTAB in hand", and
+//! what the engine records for a session leaves with the session.
+//!
 //! Submodules mirror the paper's modular class hierarchy: the
 //! [`driver::Driver`] organizes operation, the [`driver::EventManager`]
 //! polls the traced RM process, the [`decoder::EventDecoder`] lifts native
@@ -37,20 +41,20 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use lmon_cluster::node::NodeId;
-use lmon_cluster::process::{Pid, ProcSpec};
+use lmon_cluster::process::{Pid, ProcShared, ProcSpec};
 use lmon_cluster::trace::TraceController;
 use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::payload::{AttachRequest, DaemonInfo, JobStatus, LaunchRequest, SpawnMwRequest};
 use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::wire::WireEncode;
-use lmon_rm::api::{Allocation, JobHandle, JobSpec, ResourceManager};
+use lmon_proto::wire::{put_seq, WireEncode};
+use lmon_rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager};
 
 use crate::engine::channel::{EngineEndpoint, EngineSidecar};
 use crate::engine::driver::Driver;
 use crate::engine::platform::{MpirPlatform, Platform};
 use crate::error::{LmonError, LmonResult};
-use crate::timeline::CriticalEvent;
+use crate::timeline::{CriticalEvent, TimelineRecorder};
 
 /// A job under engine control.
 enum EngineJob {
@@ -70,15 +74,28 @@ enum EngineJob {
 /// the front end is gone so the handler can cancel unobservable work.
 type ReplySink<'a> = dyn Fn(LmonpMsg) -> bool + 'a;
 
-/// Session-keyed engine state, shared between the command loop and the
-/// worker threads running spawn-bearing commands.
+/// Everything the engine holds for one session, shared between the command
+/// loop and the worker threads running spawn-bearing commands. Removed
+/// whole when the session detaches or is killed.
 #[derive(Default)]
-struct EngineState {
-    jobs: HashMap<u16, EngineJob>,
-    daemon_pids: HashMap<u16, Vec<Pid>>,
-    /// Middleware node allocations each session holds, released when the
-    /// session detaches or is killed.
-    mw_allocs: HashMap<u16, Vec<Allocation>>,
+struct EngineSession {
+    /// The job under engine control, once launch or attach co-located it.
+    job: Option<EngineJob>,
+    /// Every daemon the session spawned, back end and middleware alike:
+    /// what "kill the job and all daemons" kills.
+    daemon_pids: Vec<Pid>,
+    /// Middleware node allocations, handed back to the RM with the session.
+    mw_allocs: Vec<Allocation>,
+}
+
+/// A spawn-bearing command in flight: the daemon image the RM is to
+/// bulk-launch, and where the command's replies go.
+struct SpawnCmd<'a> {
+    tag: u16,
+    body: DaemonBody,
+    sidecar: EngineSidecar,
+    timeline: TimelineRecorder,
+    reply: &'a ReplySink<'a>,
 }
 
 /// Engine state: one per engine process. Cloning shares the state — each
@@ -87,7 +104,7 @@ struct EngineState {
 pub struct Engine {
     rm: Arc<dyn ResourceManager>,
     platform: Arc<dyn Platform>,
-    state: Arc<parking_lot::Mutex<EngineState>>,
+    sessions: Arc<parking_lot::Mutex<HashMap<u16, EngineSession>>>,
 }
 
 impl Engine {
@@ -106,11 +123,7 @@ impl Engine {
         let cluster = rm.cluster().clone();
         let pid = cluster
             .spawn_active(NodeId::FrontEnd, ProcSpec::named("launchmon_engine"), move |_ctx| {
-                let engine = Engine {
-                    rm,
-                    platform,
-                    state: Arc::new(parking_lot::Mutex::new(EngineState::default())),
-                };
+                let engine = Engine { rm, platform, sessions: Arc::default() };
                 let inlet = Arc::new(inlet);
                 // Spawn-bearing commands run on worker threads so concurrent
                 // launches overlap their engine phases; the FE's tag-routed
@@ -151,12 +164,7 @@ impl Engine {
                         ok
                     });
                     if fe_gone.get() {
-                        // Front end is gone; let in-flight work finish
-                        // before the engine process exits.
-                        for h in workers {
-                            let _ = h.join();
-                        }
-                        return;
+                        break; // front end is gone; in-flight work finishes below
                     }
                 }
                 for h in workers {
@@ -172,174 +180,73 @@ impl Engine {
     /// they are produced — spawn-bearing requests stream their RPDTAB
     /// reply *before* the daemon spawn, so the FE pipelines the BE
     /// handshake against it. The sink returns `false` when the front end
-    /// is gone, which cancels the remaining (now unobservable) work.
+    /// is gone, which cancels the remaining (now unobservable) work. A
+    /// handler's `Err` becomes the command's one error reply, terminal
+    /// wherever in the reply sequence it lands: the FE sees it where the
+    /// next reply would have been and fails the session.
     fn handle(&self, msg: LmonpMsg, sidecar: EngineSidecar, reply: &ReplySink<'_>) {
         let tag = msg.tag;
-        match msg.mtype {
-            MsgType::FeLaunchReq => self.handle_launch(tag, &msg, sidecar, reply),
-            MsgType::FeAttachReq => self.handle_attach(tag, &msg, sidecar, reply),
-            MsgType::FeSpawnMwReq => self.handle_spawn_mw(tag, &msg, sidecar, reply),
-            MsgType::FeDetachReq => {
-                reply(self.handle_detach(tag));
-            }
-            MsgType::FeKillReq => {
-                reply(self.handle_kill(tag));
-            }
-            other => {
-                reply(error_reply(tag, format!("unexpected message {other:?}")));
-            }
+        let spawn = |mut sidecar: EngineSidecar| {
+            // Checked before any job is launched or node allocated for it.
+            let missing = || format!("{:?} missing daemon body", msg.mtype);
+            let body = sidecar.body.take().ok_or_else(missing)?;
+            let timeline = sidecar.timeline.take().unwrap_or_default();
+            Ok(SpawnCmd { tag, body, sidecar, timeline, reply })
+        };
+        let result = match msg.mtype {
+            MsgType::FeLaunchReq => spawn(sidecar).and_then(|cmd| self.handle_launch(&msg, cmd)),
+            MsgType::FeAttachReq => spawn(sidecar).and_then(|cmd| self.handle_attach(&msg, cmd)),
+            MsgType::FeSpawnMwReq => spawn(sidecar).and_then(|cmd| self.handle_spawn_mw(&msg, cmd)),
+            MsgType::FeDetachReq => self.end_session(tag, JobStatus::Detached, reply),
+            MsgType::FeKillReq => self.end_session(tag, JobStatus::Killed, reply),
+            other => Err(format!("unexpected message {other:?}")),
+        };
+        if let Err(text) = result {
+            let error = LmonpMsg::of_type(MsgType::EngineError).with_tag(tag);
+            reply(error.with_lmon_payload(text.into_bytes()).as_error());
         }
     }
 
-    fn handle_launch(
-        &self,
-        tag: u16,
-        msg: &LmonpMsg,
-        sidecar: EngineSidecar,
-        reply: &ReplySink<'_>,
-    ) {
-        let req: LaunchRequest = match msg.decode_lmon() {
-            Ok(r) => r,
-            Err(e) => {
-                reply(error_reply(tag, format!("launch req: {e}")));
-                return;
-            }
-        };
-        let Some(body) = sidecar.body else {
-            reply(error_reply(tag, "launch req missing daemon body".into()));
-            return;
-        };
-        let timeline = sidecar.timeline.unwrap_or_default();
+    /// launchAndSpawn's own part: start the job under trace control and
+    /// stop it at `MPIR_Breakpoint`, where the proctable is valid.
+    fn handle_launch(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
+        let req: LaunchRequest = msg.decode_lmon().map_err(|e| format!("launch req: {e}"))?;
+        let timeline = &cmd.timeline;
 
         // e2: execute the RM launcher under engine control.
         timeline.mark(CriticalEvent::E2LauncherExec);
         let spec = JobSpec {
-            app_exe: req.app_exe.clone(),
-            app_args: req.app_args.clone(),
+            app_exe: req.app_exe,
+            app_args: req.app_args,
             nodes: req.nodes as usize,
             tasks_per_node: req.tasks_per_node as usize,
         };
-        let mut handle = match self.rm.launch_job(&spec, true) {
-            Ok(h) => h,
-            Err(e) => {
-                reply(error_reply(tag, format!("launch_job: {e}")));
-                return;
-            }
-        };
-        let (_node, rec) = match self.rm.cluster().find_proc(handle.launcher_pid) {
-            Ok(x) => x,
-            Err(e) => {
-                reply(error_reply(tag, format!("launcher proc: {e}")));
-                return;
-            }
-        };
-        let ctl = match TraceController::attach(handle.launcher_pid, rec.shared.clone()) {
-            Ok(c) => c,
-            Err(e) => {
-                reply(error_reply(tag, format!("attach: {e}")));
-                return;
-            }
-        };
-        self.platform.prepare_attach(&ctl, &rec.shared);
+        let mut handle = self.rm.launch_job(&spec, true).map_err(|e| format!("launch_job: {e}"))?;
+        let (ctl, shared) = self.trace(handle.launcher_pid)?;
+        self.platform.prepare_attach(&ctl, &shared);
         handle.release();
 
         // Drive the event pipeline to the breakpoint.
         let mut driver = Driver::new(self.platform.clone());
-        if let Err(e) = driver.run_to_breakpoint(&ctl) {
-            reply(error_reply(tag, format!("driver: {e}")));
-            return;
-        }
+        driver.run_to_breakpoint(&ctl).map_err(|e| format!("driver: {e}"))?;
         timeline.mark(CriticalEvent::E3AtBreakpoint);
 
         // Region B: fetch the RPDTAB out of the launcher's address space.
-        let rpdtab = match self.platform.fetch_rpdtab(&ctl) {
-            Ok(t) => t,
-            Err(e) => {
-                reply(error_reply(tag, format!("rpdtab: {e}")));
-                return;
-            }
-        };
+        let rpdtab = self.platform.fetch_rpdtab(&ctl).map_err(|e| format!("rpdtab: {e}"))?;
         timeline.mark(CriticalEvent::E4RpdtabFetched);
 
-        // Stream the RPDTAB now, before the spawn: the FE stages the BE
-        // handshake against it while daemons are still coming up. Channel
-        // FIFO order guarantees it can never arrive after the spawn ack.
-        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_tag(tag).with_lmon(&rpdtab)) {
-            return; // front end is gone; don't spawn daemons nobody will use
-        }
-
-        // e5/e6: the RM's bulk daemon launch over the job's footprint.
-        timeline.mark(CriticalEvent::E5DaemonSpawnStart);
-        let pids = match self.rm.spawn_daemons(
-            &handle.allocation,
-            &sidecar.daemon_exe,
-            &sidecar.daemon_args,
-            &sidecar.daemon_env,
-            body,
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                // Terminal second reply: the FE sees it where the ack
-                // would have been and fails the session.
-                reply(error_reply(tag, format!("spawn daemons: {e}")));
-                return;
-            }
-        };
-        timeline.mark(CriticalEvent::E6DaemonsSpawned);
-
-        // Let the job run under tool control.
-        ctl.continue_proc();
-
-        let master_info = DaemonInfo {
-            rank: 0,
-            size: pids.len() as u32,
-            host: rpdtab.hosts().first().cloned().unwrap_or_default(),
-            pid: pids.first().map(|p| p.0).unwrap_or(0),
-        };
-        let mut state = self.state.lock();
-        state.daemon_pids.insert(tag, pids);
-        state.jobs.insert(tag, EngineJob::Launched { handle, ctl });
-        drop(state);
-
-        reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon(&master_info));
+        let alloc = handle.allocation.clone();
+        self.colocate(cmd, rpdtab, &alloc, |_| EngineJob::Launched { handle, ctl })
     }
 
-    fn handle_attach(
-        &self,
-        tag: u16,
-        msg: &LmonpMsg,
-        sidecar: EngineSidecar,
-        reply: &ReplySink<'_>,
-    ) {
-        let req: AttachRequest = match msg.decode_lmon() {
-            Ok(r) => r,
-            Err(e) => {
-                reply(error_reply(tag, format!("attach req: {e}")));
-                return;
-            }
-        };
-        let Some(body) = sidecar.body else {
-            reply(error_reply(tag, "attach req missing daemon body".into()));
-            return;
-        };
-        let timeline = sidecar.timeline.unwrap_or_default();
+    /// attachAndSpawn's own part: adopt a running launcher and rebuild the
+    /// job's footprint from its proctable.
+    fn handle_attach(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
+        let req: AttachRequest = msg.decode_lmon().map_err(|e| format!("attach req: {e}"))?;
+        let timeline = &cmd.timeline;
         timeline.mark(CriticalEvent::E2LauncherExec);
-
         let launcher_pid = Pid(req.launcher_pid);
-        let (_node, rec) = match self.rm.cluster().find_proc(launcher_pid) {
-            Ok(x) => x,
-            Err(e) => {
-                reply(error_reply(tag, format!("launcher proc: {e}")));
-                return;
-            }
-        };
-        let ctl = match TraceController::attach(launcher_pid, rec.shared.clone()) {
-            Ok(c) => c,
-            Err(e) => {
-                reply(error_reply(tag, format!("attach: {e}")));
-                return;
-            }
-        };
+        let (ctl, _shared) = self.trace(launcher_pid)?;
 
         // The job is already running: poll the APAI until the proctable is
         // valid (it almost always already is).
@@ -347,182 +254,153 @@ impl Engine {
         let rpdtab = loop {
             match self.platform.fetch_rpdtab(&ctl) {
                 Ok(t) => break t,
-                Err(e) => {
-                    if std::time::Instant::now() >= deadline {
-                        reply(error_reply(tag, format!("rpdtab: {e}")));
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                Err(e) if std::time::Instant::now() >= deadline => {
+                    return Err(format!("rpdtab: {e}"))
                 }
+                Err(_) => std::thread::sleep(std::time::Duration::from_millis(2)),
             }
         };
         timeline.mark(CriticalEvent::E3AtBreakpoint);
         timeline.mark(CriticalEvent::E4RpdtabFetched);
 
         // Reconstruct the allocation footprint from the RPDTAB hosts.
-        let mut nodes = Vec::new();
-        for host in rpdtab.hosts() {
-            match self.rm.cluster().node_by_host(&host) {
-                Ok(n) => nodes.push(n.id),
-                Err(e) => {
-                    reply(error_reply(tag, format!("host map: {e}")));
-                    return;
-                }
-            }
-        }
-        let alloc = Allocation { id: u64::from(tag), nodes };
-
-        // Same pipelining as launch: RPDTAB streams ahead of the spawn.
-        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_tag(tag).with_lmon(&rpdtab)) {
-            return;
-        }
-
-        timeline.mark(CriticalEvent::E5DaemonSpawnStart);
-        let pids = match self.rm.spawn_daemons(
-            &alloc,
-            &sidecar.daemon_exe,
-            &sidecar.daemon_args,
-            &sidecar.daemon_env,
-            body,
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                reply(error_reply(tag, format!("spawn daemons: {e}")));
-                return;
-            }
-        };
-        timeline.mark(CriticalEvent::E6DaemonsSpawned);
-
-        let master_info = DaemonInfo {
-            rank: 0,
-            size: pids.len() as u32,
-            host: rpdtab.hosts().first().cloned().unwrap_or_default(),
-            pid: pids.first().map(|p| p.0).unwrap_or(0),
-        };
-        let mut state = self.state.lock();
-        state.daemon_pids.insert(tag, pids);
-        state.jobs.insert(tag, EngineJob::Attached { launcher_pid, rpdtab, ctl });
-        drop(state);
-
-        reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon(&master_info));
+        let cluster = self.rm.cluster();
+        let nodes = rpdtab
+            .hosts()
+            .iter()
+            .map(|host| cluster.node_by_host(host).map(|n| n.id))
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("host map: {e}"))?;
+        let alloc = Allocation { id: u64::from(cmd.tag), nodes };
+        self.colocate(cmd, rpdtab, &alloc, |rpdtab| EngineJob::Attached {
+            launcher_pid,
+            rpdtab,
+            ctl,
+        })
     }
 
-    fn handle_spawn_mw(
+    /// Put a launcher process under trace control.
+    fn trace(&self, launcher: Pid) -> Result<(TraceController, Arc<ProcShared>), String> {
+        let (_node, rec) =
+            self.rm.cluster().find_proc(launcher).map_err(|e| format!("launcher proc: {e}"))?;
+        let ctl = TraceController::attach(launcher, rec.shared.clone())
+            .map_err(|e| format!("attach: {e}"))?;
+        Ok((ctl, rec.shared.clone()))
+    }
+
+    /// The tail launch and attach share once the job is stopped (or
+    /// adopted) with its RPDTAB in hand: stream the table, co-locate the
+    /// daemons over the job's footprint, let a launched job run, and take
+    /// ownership of the job for the session.
+    fn colocate(
         &self,
-        tag: u16,
-        msg: &LmonpMsg,
-        sidecar: EngineSidecar,
-        reply: &ReplySink<'_>,
-    ) {
-        let req: SpawnMwRequest = match msg.decode_lmon() {
-            Ok(r) => r,
-            Err(e) => {
-                reply(error_reply(tag, format!("mw req: {e}")));
-                return;
-            }
-        };
-        let Some(body) = sidecar.body else {
-            reply(error_reply(tag, "mw req missing daemon body".into()));
-            return;
-        };
-        let alloc = match self.rm.allocate_mw_nodes(req.count as usize) {
-            Ok(a) => a,
-            Err(e) => {
-                reply(error_reply(tag, format!("mw alloc: {e}")));
-                return;
-            }
-        };
-        let pids = match self.rm.spawn_daemons(
-            &alloc,
-            &sidecar.daemon_exe,
-            &sidecar.daemon_args,
-            &sidecar.daemon_env,
-            body,
-        ) {
-            Ok(p) => p,
-            Err(e) => {
-                self.rm.release_allocation(&alloc);
-                reply(error_reply(tag, format!("mw spawn: {e}")));
-                return;
-            }
-        };
-        let master_info = DaemonInfo {
-            rank: 0,
-            size: pids.len() as u32,
-            host: self
-                .rm
-                .cluster()
-                .node(alloc.nodes[0])
-                .map(|n| n.hostname.clone())
-                .unwrap_or_default(),
-            pid: pids.first().map(|p| p.0).unwrap_or(0),
-        };
-        self.state.lock().mw_allocs.entry(tag).or_default().push(alloc);
-        reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon(&master_info));
+        cmd: SpawnCmd<'_>,
+        rpdtab: Rpdtab,
+        alloc: &Allocation,
+        job: impl FnOnce(Rpdtab) -> EngineJob,
+    ) -> Result<(), String> {
+        // Stream the RPDTAB now, before the spawn: the FE stages the BE
+        // handshake against it while daemons are still coming up. Channel
+        // FIFO order guarantees it can never arrive after the spawn ack.
+        let (tag, reply) = (cmd.tag, cmd.reply);
+        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_tag(tag).with_lmon(&rpdtab)) {
+            return Ok(()); // front end is gone; don't spawn daemons nobody will use
+        }
+        let pids = self.spawn_daemons(cmd, alloc)?;
+        let job = job(rpdtab);
+        if let EngineJob::Launched { ctl, .. } = &job {
+            ctl.continue_proc(); // let the job run under tool control
+        }
+        self.sessions.lock().entry(tag).or_default().job = Some(job);
+        let master = self.daemon_info(alloc, &pids, 0);
+        reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon(&master));
+        Ok(())
     }
 
-    /// Hand the session's middleware nodes back to the RM.
-    fn release_mw_allocs(&self, tag: u16) {
-        let allocs = self.state.lock().mw_allocs.remove(&tag);
-        for alloc in allocs.into_iter().flatten() {
-            self.rm.release_allocation(&alloc);
+    /// The co-location core of every spawn-bearing request (e5/e6): the
+    /// RM's bulk daemon launch onto `alloc`, with the pids recorded against
+    /// the session so a later kill reaches them. Returns them in rank order.
+    fn spawn_daemons(&self, cmd: SpawnCmd<'_>, alloc: &Allocation) -> Result<Vec<Pid>, String> {
+        let SpawnCmd { tag, body, sidecar, timeline, .. } = cmd;
+        let EngineSidecar { daemon_exe: exe, daemon_args: args, daemon_env: env, .. } = sidecar;
+        timeline.mark(CriticalEvent::E5DaemonSpawnStart);
+        let spawned = self.rm.spawn_daemons(alloc, &exe, &args, &env, body);
+        let pids = spawned.map_err(|e| format!("spawn daemons: {e}"))?;
+        timeline.mark(CriticalEvent::E6DaemonsSpawned);
+        self.sessions.lock().entry(tag).or_default().daemon_pids.extend_from_slice(&pids);
+        Ok(pids)
+    }
+
+    /// Identity of the rank-`rank` daemon of a spawn: the RM places daemon
+    /// `i` on the allocation's `i`-th node.
+    fn daemon_info(&self, alloc: &Allocation, pids: &[Pid], rank: usize) -> DaemonInfo {
+        let node = alloc.nodes.get(rank).and_then(|id| self.rm.cluster().node(*id).ok());
+        DaemonInfo {
+            rank: rank as u32,
+            size: pids.len() as u32,
+            host: node.map(|n| n.hostname.clone()).unwrap_or_default(),
+            pid: pids.get(rank).map_or(0, |p| p.0),
         }
     }
 
-    fn handle_detach(&self, tag: u16) -> LmonpMsg {
-        self.release_mw_allocs(tag);
-        match self.state.lock().jobs.remove(&tag) {
-            Some(EngineJob::Launched { handle: _, ctl }) => {
+    /// launchMwDaemons: the daemons land on freshly allocated nodes, and
+    /// the ack says where the RM put each one, in rank order — the front
+    /// end assigns personalities from that, not from a guess.
+    fn handle_spawn_mw(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
+        let req: SpawnMwRequest = msg.decode_lmon().map_err(|e| format!("mw req: {e}"))?;
+        let (tag, reply) = (cmd.tag, cmd.reply);
+        let alloc =
+            self.rm.allocate_mw_nodes(req.count as usize).map_err(|e| format!("mw alloc: {e}"))?;
+        let pids = self.spawn_daemons(cmd, &alloc).inspect_err(|_| {
+            self.rm.release_allocation(&alloc);
+        })?;
+        let placed: Vec<DaemonInfo> =
+            (0..pids.len()).map(|rank| self.daemon_info(&alloc, &pids, rank)).collect();
+        self.sessions.lock().entry(tag).or_default().mw_allocs.push(alloc);
+        let mut placement = Vec::new();
+        put_seq(&mut placement, &placed);
+        reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon_payload(placement));
+        Ok(())
+    }
+
+    /// Detach or kill: the session's record leaves the engine whole, so
+    /// nothing of a finished session outlives it. Kill takes the daemons
+    /// first, then the job; detach resumes the job and forgets the daemons
+    /// (the FE has already ordered them to shut down).
+    fn end_session(&self, tag: u16, end: JobStatus, reply: &ReplySink<'_>) -> Result<(), String> {
+        let kill = end == JobStatus::Killed;
+        let verb = if kill { "kill" } else { "detach" };
+        let session = self.sessions.lock().remove(&tag).unwrap_or_default();
+        let cluster = self.rm.cluster();
+        if kill {
+            for pid in session.daemon_pids {
+                let _ = cluster.kill(pid);
+            }
+        }
+        for alloc in &session.mw_allocs {
+            self.rm.release_allocation(alloc);
+        }
+        match session.job.ok_or_else(|| format!("{verb}: no job for session {tag}"))? {
+            EngineJob::Launched { handle, ctl } => {
                 // Drop the controller: detaches and resumes the launcher.
                 ctl.continue_proc();
                 drop(ctl);
-                status_reply(tag, JobStatus::Detached)
-            }
-            Some(EngineJob::Attached { ctl, .. }) => {
-                drop(ctl);
-                status_reply(tag, JobStatus::Detached)
-            }
-            None => error_reply(tag, format!("detach: no job for session {tag}")),
-        }
-    }
-
-    fn handle_kill(&self, tag: u16) -> LmonpMsg {
-        self.release_mw_allocs(tag);
-        // Daemons first, then the job.
-        if let Some(pids) = self.state.lock().daemon_pids.remove(&tag) {
-            for pid in pids {
-                let _ = self.rm.cluster().kill(pid);
-            }
-        }
-        match self.state.lock().jobs.remove(&tag) {
-            Some(EngineJob::Launched { handle, ctl }) => {
-                ctl.continue_proc();
-                drop(ctl);
-                if let Err(e) = self.rm.kill_job(&handle) {
-                    return error_reply(tag, format!("kill: {e}"));
+                if kill {
+                    self.rm.kill_job(&handle).map_err(|e| format!("kill: {e}"))?;
                 }
-                status_reply(tag, JobStatus::Killed)
             }
-            Some(EngineJob::Attached { launcher_pid, rpdtab, ctl }) => {
+            EngineJob::Attached { launcher_pid, rpdtab, ctl } => {
                 drop(ctl);
-                for entry in rpdtab.entries() {
-                    let _ = self.rm.cluster().kill(Pid(entry.pid));
+                if kill {
+                    for entry in rpdtab.entries() {
+                        let _ = cluster.kill(Pid(entry.pid));
+                    }
+                    let _ = cluster.kill(launcher_pid);
                 }
-                let _ = self.rm.cluster().kill(launcher_pid);
-                status_reply(tag, JobStatus::Killed)
             }
-            None => error_reply(tag, format!("kill: no job for session {tag}")),
         }
+        let status = LmonpMsg::of_type(MsgType::EngineStatus).with_tag(tag);
+        reply(status.with_lmon_payload(end.to_bytes()));
+        Ok(())
     }
-}
-
-fn error_reply(tag: u16, text: String) -> LmonpMsg {
-    LmonpMsg::of_type(MsgType::EngineError)
-        .with_tag(tag)
-        .with_lmon_payload(text.into_bytes())
-        .as_error()
-}
-
-fn status_reply(tag: u16, status: JobStatus) -> LmonpMsg {
-    LmonpMsg::of_type(MsgType::EngineStatus).with_tag(tag).with_lmon_payload(status.to_bytes())
 }

@@ -14,6 +14,10 @@
 //! | tool data | [`LmonFrontEnd::register_pack`]/[`LmonFrontEnd::register_unpack`] (piggybacked), [`LmonFrontEnd::send_usrdata`]/[`LmonFrontEnd::recv_usrdata`] |
 //! | control | [`LmonFrontEnd::detach`], [`LmonFrontEnd::kill`] |
 //! | binding | every call takes a [`SessionId`] |
+//!
+//! The three spawning calls are callers of one mechanism: each builds its
+//! engine command through `spawn_command` and runs the front-end side of
+//! the handshake in `crate::handshake` with its pair's message types.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -22,26 +26,26 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use lmon_cluster::process::Pid;
-use lmon_iccl::Topology;
 use lmon_proto::fault::{FaultyChannel, FrameFaultPlan};
 use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::mux::SessionMux;
 use lmon_proto::payload::{
-    AttachRequest, DaemonInfo, DaemonSpec, Hello, JobStatus, LaunchRequest, SpawnMwRequest,
+    AttachRequest, DaemonInfo, DaemonSpec, JobStatus, LaunchRequest, SpawnMwRequest,
 };
 use lmon_proto::rpdtab::Rpdtab;
 use lmon_proto::security::{SessionCookie, COOKIE_ENV_VAR};
 use lmon_proto::transport::MsgChannel;
-use lmon_proto::wire::{put_seq, WireDecode};
-use lmon_rm::api::ResourceManager;
+use lmon_proto::wire::{get_seq, put_seq, WireDecode};
+use lmon_rm::api::{DaemonBody, ResourceManager};
 
-use crate::be::{wrap_be_main, BeMain, BeWiring};
+use crate::be::{wrap_be_main, BeMain};
 use crate::engine::channel::{EngineCommand, EngineEndpoint, EngineSidecar};
 use crate::engine::Engine;
 use crate::error::{LmonError, LmonResult};
+use crate::handshake;
 use crate::health::{HealthMonitor, HealthState, HealthTransition};
-use crate::mw::{assign_personalities, wrap_mw_main, MwMain, MwWiring};
+use crate::mw::{assign_personalities, wrap_mw_main, MwMain};
 use crate::session::{SessionId, SessionState, SessionTable};
 use crate::timeline::{CriticalEvent, LaunchBreakdown, TimelineRecorder};
 
@@ -491,27 +495,11 @@ impl LmonFrontEnd {
                 None => Arc::new(ep),
             }
         };
-        let be_chan: Box<dyn MsgChannel> = Box::new(self.be_mux_far.open(id)?);
-        let master_slot = Arc::new(Mutex::new(Some(be_chan)));
-        let wrapped = wrap_be_main(
-            be_main,
-            BeWiring { master_slot, timeline: timeline.clone(), topo: Topology::Binomial },
-        );
-
-        let mut env = daemon.env.clone();
-        env.push(format!("{COOKIE_ENV_VAR}={}", cookie.to_env_value()));
+        let be_chan = Box::new(self.be_mux_far.open(id)?);
+        let wrapped = wrap_be_main(be_main, be_chan, timeline.clone());
 
         timeline.mark(CriticalEvent::E1EngineInvoked);
-        let cmd = EngineCommand {
-            msg: wire,
-            sidecar: EngineSidecar {
-                body: Some(wrapped),
-                daemon_exe: daemon.exe.clone(),
-                daemon_args: daemon.args.clone(),
-                daemon_env: env,
-                timeline: Some(timeline.clone()),
-            },
-        };
+        let cmd = spawn_command(wire, &daemon, &cookie, wrapped, Some(timeline.clone()));
         // Pipelined exchange over the shared control stream: the engine
         // streams the RPDTAB reply *before* it spawns daemons, so the FE
         // stages its half of the BE handshake against the spawn instead of
@@ -542,14 +530,7 @@ impl LmonFrontEnd {
         // the first daemon up and greets us while its siblings spawn). The
         // spawn ack is drained opportunistically between hello polls so an
         // engine-side spawn failure aborts the wait instead of timing out.
-        let packed = {
-            let runtimes = self.runtimes.lock();
-            runtimes
-                .get(&session)
-                .and_then(|rt| rt.pack.as_ref())
-                .map(|pack| pack())
-                .unwrap_or_default()
-        };
+        let packed = self.packed(session);
         const POLL_SLICE: Duration = Duration::from_millis(2);
         let deadline = std::time::Instant::now() + self.hs_timeout();
         let mut ack_reply: Option<LmonpMsg> = None;
@@ -567,11 +548,7 @@ impl LmonFrontEnd {
                 return Err(LmonError::Timeout("waiting for BE hello"));
             }
         };
-        if hello_msg.mtype != MsgType::BeHello {
-            return Err(LmonError::Engine(format!("expected BeHello, got {:?}", hello_msg.mtype)));
-        }
-        let hello: Hello = hello_msg.decode_lmon()?;
-        cookie.verify_hello(&hello)?;
+        handshake::BE.verify_hello(hello_msg, &cookie)?;
 
         // The spawn ack gates the rest: BeLaunchInfo carries the master
         // identity it delivers. Consume it now if the hello won the race.
@@ -593,25 +570,15 @@ impl LmonFrontEnd {
         // ordered; the hello exchange above typically ran inside the spawn
         // window, which is exactly the pipelining gain.
         timeline.mark(CriticalEvent::E7HandshakeStart);
-        fe_chan.send(
-            LmonpMsg::of_type(MsgType::BeLaunchInfo)
-                .with_epoch(cookie.epoch)
-                .with_lmon_payload(master_bytes)
-                .with_usr_payload(packed),
+        // Ready comes back with optional piggybacked tool data for unpack.
+        let ready = handshake::BE.deliver(
+            fe_chan.as_ref(),
+            &cookie,
+            master_bytes,
+            packed,
+            rpdtab_bytes,
+            self.hs_timeout(),
         )?;
-        fe_chan.send(
-            LmonpMsg::of_type(MsgType::BeRpdtab)
-                .with_epoch(cookie.epoch)
-                .with_lmon_payload(rpdtab_bytes),
-        )?;
-
-        // Ready (+ optional piggybacked tool data through unpack).
-        let ready = fe_chan
-            .recv_timeout(self.hs_timeout())?
-            .ok_or(LmonError::Timeout("waiting for BE ready"))?;
-        if ready.mtype != MsgType::BeReady {
-            return Err(LmonError::Engine(format!("expected BeReady, got {:?}", ready.mtype)));
-        }
         if !ready.usr.is_empty() {
             if let Some(rt) = self.runtimes.lock().get(&session) {
                 if let Some(unpack) = rt.unpack.as_ref() {
@@ -669,89 +636,38 @@ impl LmonFrontEnd {
         // One logical MW session over the single FE↔MW link.
         let id = mux_id(session)?;
         let fe_chan: Arc<dyn MsgChannel> = Arc::new(self.mw_mux.open(id)?);
-        let mw_chan: Box<dyn MsgChannel> = Box::new(self.mw_mux_far.open(id)?);
-        let master_slot = Arc::new(Mutex::new(Some(mw_chan)));
-        let wrapped = wrap_mw_main(mw_main, MwWiring { master_slot, topo: Topology::Binomial });
-
-        let mut env = daemon.env.clone();
-        env.push(format!("{COOKIE_ENV_VAR}={}", cookie.to_env_value()));
+        let wrapped = wrap_mw_main(mw_main, Box::new(self.mw_mux_far.open(id)?));
 
         let req = SpawnMwRequest { count: count as u32, daemon: daemon.clone() };
         let wire = LmonpMsg::of_type(MsgType::FeSpawnMwReq).with_tag(id).with_lmon(&req);
-        let cmd = EngineCommand {
-            msg: wire,
-            sidecar: EngineSidecar {
-                body: Some(wrapped),
-                daemon_exe: daemon.exe.clone(),
-                daemon_args: daemon.args.clone(),
-                daemon_env: env,
-                timeline: None,
-            },
-        };
-        let master_info: DaemonInfo = {
-            let replies = self.engine.exchange(cmd, 1, self.hs_timeout())?;
-            let reply =
-                replies.into_iter().next().ok_or(LmonError::Timeout("waiting for MW ack"))?;
-            self.expect_reply(&reply, MsgType::EngineAck)?;
-            reply.decode_lmon()?
-        };
+        let cmd = spawn_command(wire, &daemon, &cookie, wrapped, None);
+        // The ack lists the daemons where the RM actually placed them, in
+        // rank order (the allocator hands out the lowest free nodes, which
+        // need not be contiguous).
+        let ack = self.engine_reply(cmd)?;
+        self.expect_reply(&ack, MsgType::EngineAck)?;
+        let placed: Vec<DaemonInfo> = get_seq(&mut &ack.lmon[..])?;
+        let master_info =
+            placed.first().cloned().ok_or(LmonError::Engine("MW ack places no daemon".into()))?;
 
-        // MW handshake: hello, personalities (+ piggyback), RPDTAB, ready.
         let hello_msg = fe_chan
             .recv_timeout(self.hs_timeout())?
             .ok_or(LmonError::Timeout("waiting for MW hello"))?;
-        if hello_msg.mtype != MsgType::MwHello {
-            return Err(LmonError::Engine(format!("expected MwHello, got {:?}", hello_msg.mtype)));
-        }
-        let hello: Hello = hello_msg.decode_lmon()?;
-        cookie.verify_hello(&hello)?;
+        handshake::MW.verify_hello(hello_msg, &cookie)?;
 
-        // Personalities for the tool's intended tree shape.
-        let hosts: Vec<String> = {
-            // MW daemons were placed on the allocation the engine created;
-            // the master's host came back in the ack, and ranks follow
-            // allocation order. Recompute host names from rank order the
-            // same way the engine's RM did.
-            (0..master_info.size)
-                .map(|r| {
-                    if r == 0 {
-                        master_info.host.clone()
-                    } else {
-                        // Hosts are contiguous from the master's node index.
-                        next_hostname(&master_info.host, r)
-                    }
-                })
-                .collect()
-        };
-        let personalities = assign_personalities(&hosts, fanout);
+        // Personalities for the tool's intended tree shape are the MW
+        // handshake's launch info.
+        let hosts: Vec<String> = placed.into_iter().map(|d| d.host).collect();
         let mut pers_bytes = Vec::new();
-        put_seq(&mut pers_bytes, &personalities);
-
-        let packed = {
-            let runtimes = self.runtimes.lock();
-            runtimes
-                .get(&session)
-                .and_then(|rt| rt.pack.as_ref())
-                .map(|pack| pack())
-                .unwrap_or_default()
-        };
-        fe_chan.send(
-            LmonpMsg::of_type(MsgType::MwLaunchInfo)
-                .with_epoch(cookie.epoch)
-                .with_lmon_payload(pers_bytes)
-                .with_usr_payload(packed),
+        put_seq(&mut pers_bytes, &assign_personalities(&hosts, fanout));
+        handshake::MW.deliver(
+            fe_chan.as_ref(),
+            &cookie,
+            pers_bytes.into(),
+            self.packed(session),
+            rpdtab_bytes,
+            self.hs_timeout(),
         )?;
-        fe_chan.send(
-            LmonpMsg::of_type(MsgType::MwRpdtab)
-                .with_epoch(cookie.epoch)
-                .with_lmon_payload(rpdtab_bytes),
-        )?;
-        let ready = fe_chan
-            .recv_timeout(self.hs_timeout())?
-            .ok_or(LmonError::Timeout("waiting for MW ready"))?;
-        if ready.mtype != MsgType::MwReady {
-            return Err(LmonError::Engine(format!("expected MwReady, got {:?}", ready.mtype)));
-        }
 
         if let Some(rt) = self.runtimes.lock().get_mut(&session) {
             rt.mw_chan = Some(fe_chan);
@@ -773,53 +689,33 @@ impl LmonFrontEnd {
 
     /// Send tool data to the BE master (`LMON_fe_sendUsrDataBe`).
     pub fn send_usrdata(&self, session: SessionId, bytes: Vec<u8>) -> LmonResult<()> {
-        let chan = self.be_channel(session)?;
-        chan.send(LmonpMsg::of_type(MsgType::BeUsrData).with_usr_payload(bytes))?;
-        Ok(())
+        handshake::BE.send_usrdata(&*self.master_channel(session, |rt| &rt.be_chan)?, bytes)
     }
 
     /// Receive tool data from the BE master (`LMON_fe_recvUsrDataBe`).
     pub fn recv_usrdata(&self, session: SessionId, timeout: Duration) -> LmonResult<Vec<u8>> {
-        let chan = self.be_channel(session)?;
-        loop {
-            match chan.recv_timeout(timeout)? {
-                Some(msg) if msg.mtype == MsgType::BeUsrData => return Ok(msg.usr.to_vec()),
-                Some(_) => continue,
-                None => return Err(LmonError::Timeout("recv_usrdata")),
-            }
-        }
+        handshake::BE.recv_usrdata(&*self.master_channel(session, |rt| &rt.be_chan)?, timeout)
     }
 
     /// Send tool data to the MW master (`LMON_fe_sendUsrDataMw`).
     pub fn send_mw_usrdata(&self, session: SessionId, bytes: Vec<u8>) -> LmonResult<()> {
-        let chan = self.mw_channel(session)?;
-        chan.send(LmonpMsg::of_type(MsgType::MwUsrData).with_usr_payload(bytes))?;
-        Ok(())
+        handshake::MW.send_usrdata(&*self.master_channel(session, |rt| &rt.mw_chan)?, bytes)
     }
 
     /// Receive tool data from the MW master (`LMON_fe_recvUsrDataMw`).
     pub fn recv_mw_usrdata(&self, session: SessionId, timeout: Duration) -> LmonResult<Vec<u8>> {
-        let chan = self.mw_channel(session)?;
-        loop {
-            match chan.recv_timeout(timeout)? {
-                Some(msg) if msg.mtype == MsgType::MwUsrData => return Ok(msg.usr.to_vec()),
-                Some(_) => continue,
-                None => return Err(LmonError::Timeout("recv_mw_usrdata")),
-            }
-        }
+        handshake::MW.recv_usrdata(&*self.master_channel(session, |rt| &rt.mw_chan)?, timeout)
     }
 
     /// `LMON_fe_detach`: shut daemons down, leave the job running.
     pub fn detach(&self, session: SessionId) -> LmonResult<()> {
         // Order daemons to shut down.
-        if let Ok(chan) = self.be_channel(session) {
+        if let Ok(chan) = self.master_channel(session, |rt| &rt.be_chan) {
             let _ = chan.send(LmonpMsg::of_type(MsgType::BeShutdown));
         }
         // Tell the engine to release the job.
         let wire = LmonpMsg::of_type(MsgType::FeDetachReq).with_tag(mux_id(session)?);
-        let replies = self.engine.exchange(EngineCommand::control(wire), 1, self.hs_timeout())?;
-        let reply =
-            replies.into_iter().next().ok_or(LmonError::Timeout("waiting for detach status"))?;
+        let reply = self.engine_reply(EngineCommand::control(wire))?;
         self.expect_status(&reply, JobStatus::Detached)?;
         self.transition(session, SessionState::Detached)?;
         self.close_session_channels(session);
@@ -829,9 +725,7 @@ impl LmonFrontEnd {
     /// `LMON_fe_kill`: destroy the job and all daemons.
     pub fn kill(&self, session: SessionId) -> LmonResult<()> {
         let wire = LmonpMsg::of_type(MsgType::FeKillReq).with_tag(mux_id(session)?);
-        let replies = self.engine.exchange(EngineCommand::control(wire), 1, self.hs_timeout())?;
-        let reply =
-            replies.into_iter().next().ok_or(LmonError::Timeout("waiting for kill status"))?;
+        let reply = self.engine_reply(EngineCommand::control(wire))?;
         self.expect_status(&reply, JobStatus::Killed)?;
         self.transition(session, SessionState::Killed)?;
         self.close_session_channels(session);
@@ -860,23 +754,29 @@ impl LmonFrontEnd {
 
     // --- helpers ---------------------------------------------------------
 
-    /// Clone out the session's BE channel handle, releasing the runtimes
-    /// lock before the caller blocks on it.
-    fn be_channel(&self, session: SessionId) -> LmonResult<Arc<dyn MsgChannel>> {
+    /// Clone out one of the session's master-channel handles, releasing the
+    /// runtimes lock before the caller blocks on it.
+    fn master_channel(
+        &self,
+        session: SessionId,
+        which: fn(&FeSessionRt) -> &Option<Arc<dyn MsgChannel>>,
+    ) -> LmonResult<Arc<dyn MsgChannel>> {
         let runtimes = self.runtimes.lock();
         let rt = runtimes.get(&session).ok_or(LmonError::NoSuchSession(session.0))?;
-        rt.be_chan
-            .clone()
-            .ok_or(LmonError::BadSessionState { expected: "Ready", actual: "no BE channel" })
+        which(rt).clone().ok_or(LmonError::BadSessionState {
+            expected: "daemons launched",
+            actual: "no master channel",
+        })
     }
 
-    /// Clone out the session's MW channel handle (see [`Self::be_channel`]).
-    fn mw_channel(&self, session: SessionId) -> LmonResult<Arc<dyn MsgChannel>> {
+    /// The session's pack callback's output, piggybacked on launch info.
+    fn packed(&self, session: SessionId) -> Vec<u8> {
         let runtimes = self.runtimes.lock();
-        let rt = runtimes.get(&session).ok_or(LmonError::NoSuchSession(session.0))?;
-        rt.mw_chan
-            .clone()
-            .ok_or(LmonError::BadSessionState { expected: "MW launched", actual: "no MW channel" })
+        runtimes
+            .get(&session)
+            .and_then(|rt| rt.pack.as_ref())
+            .map(|pack| pack())
+            .unwrap_or_default()
     }
 
     /// Drop a terminal session's mux endpoints so its logical sub-streams
@@ -896,6 +796,12 @@ impl LmonFrontEnd {
             rt.rpdtab_bytes = None;
         }
         self.health.lock().retire(session);
+    }
+
+    /// A command the engine answers with exactly one reply.
+    fn engine_reply(&self, cmd: EngineCommand) -> LmonResult<LmonpMsg> {
+        let replies = self.engine.exchange(cmd, 1, self.hs_timeout())?;
+        replies.into_iter().next().ok_or(LmonError::Timeout("waiting for engine reply"))
     }
 
     fn session_timeline(&self, session: SessionId) -> LmonResult<TimelineRecorder> {
@@ -942,26 +848,31 @@ fn mux_id(session: SessionId) -> LmonResult<u16> {
     })
 }
 
-/// Derive the hostname `offset` nodes after `base` in the cluster's naming
-/// scheme (`node00005` + 2 → `node00007`).
-fn next_hostname(base: &str, offset: u32) -> String {
-    let digits: String = base.chars().rev().take_while(|c| c.is_ascii_digit()).collect::<String>();
-    let digits: String = digits.chars().rev().collect();
-    let prefix = &base[..base.len() - digits.len()];
-    let n: u64 = digits.parse().unwrap_or(0);
-    format!("{prefix}{:0width$}", n + offset as u64, width = digits.len())
+/// The engine command for a spawn-bearing request. The daemon image rides
+/// in the sidecar; the session cookie joins the daemons' environment, the
+/// RM's launch channel being the one secure path onto the compute nodes.
+fn spawn_command(
+    msg: LmonpMsg,
+    daemon: &DaemonSpec,
+    cookie: &SessionCookie,
+    body: DaemonBody,
+    timeline: Option<TimelineRecorder>,
+) -> EngineCommand {
+    let mut daemon_env = daemon.env.clone();
+    daemon_env.push(format!("{COOKIE_ENV_VAR}={}", cookie.to_env_value()));
+    let sidecar = EngineSidecar {
+        body: Some(body),
+        daemon_exe: daemon.exe.clone(),
+        daemon_args: daemon.args.clone(),
+        daemon_env,
+        timeline,
+    };
+    EngineCommand { msg, sidecar }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn next_hostname_increments_suffix() {
-        assert_eq!(next_hostname("node00005", 2), "node00007");
-        assert_eq!(next_hostname("comm9", 1), "comm10");
-        assert_eq!(next_hostname("node00099", 1), "node00100");
-    }
 
     /// The long-lived-daemon regression (ISSUE 7): 10k sessions that each
     /// record health and then detach must leave only the bounded retired

@@ -17,6 +17,19 @@
 //!   `amIMaster`, local proctable slices, and the four ICCL collectives.
 //! * **[`mw`]** — the middleware API for TBON daemons: personality handles,
 //!   the RM fabric, and RPDTAB distribution.
+//!
+//! The three entry points (`launchAndSpawn`, `attachAndSpawn`,
+//! `launchMwDaemons`) are one co-location mechanism with one implementation
+//! per layer. In the [`engine`], launch and attach keep only how the stopped
+//! job, its RPDTAB and its allocation are obtained, then share one tail
+//! whose spawn core the middleware request also uses. Between front end and
+//! master daemon, the private `handshake` module holds the four-message
+//! LMONP bootstrap (hello + cookie → launch info + piggyback → RPDTAB →
+//! ready) once, parameterised by the message types of the pair's
+//! `msg_class`; [`fe`], [`be`] and [`mw`] are its callers and keep what
+//! really differs — what the launch info contains, the broadcast sequence,
+//! the timeline marks, the session types.
+//!
 //! * **[`session`]** — session descriptors binding FE calls to daemon
 //!   groups (§3.2: "we use a session, an abstraction for a group of
 //!   daemons associated with a job, to provide the binding method").
@@ -42,6 +55,7 @@ pub mod be;
 pub mod engine;
 pub mod error;
 pub mod fe;
+mod handshake;
 pub mod health;
 pub mod mw;
 pub mod session;

@@ -7,36 +7,27 @@
 //! similar to an MPI rank. It also sets up a simple network fabric ...
 //! LaunchMON's middleware initialization also distributes the RPDTAB to the
 //! TBON daemons."
+//!
+//! The MW master's LMONP exchange with the front end is the same handshake
+//! back-end masters run (`crate::handshake`), with the `Mw*` message types
+//! and the personality table as its launch info.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_iccl::{IcclComm, Topology};
-use lmon_proto::header::MsgType;
-use lmon_proto::msg::LmonpMsg;
-use lmon_proto::payload::{Hello, MwPersonality};
+use lmon_proto::payload::MwPersonality;
 use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::security::{SessionCookie, COOKIE_ENV_VAR};
 use lmon_proto::transport::MsgChannel;
 use lmon_proto::wire::{get_seq, WireDecode};
 use lmon_rm::api::DaemonBody;
 use lmon_rm::fabric::RmFabricEndpoint;
 
 use crate::error::{LmonError, LmonResult};
+use crate::handshake::{self, MasterSlot};
 
 /// A tool's middleware-daemon entry point.
 pub type MwMain = Arc<dyn Fn(&mut MwSession) + Send + Sync + 'static>;
-
-/// Wiring for the MW bootstrap.
-pub(crate) struct MwWiring {
-    /// Channel the MW master picks up to talk LMONP to the FE — a logical
-    /// mux endpoint in the live stack, but any [`MsgChannel`] plugs in.
-    pub master_slot: Arc<Mutex<Option<Box<dyn MsgChannel>>>>,
-    /// Collective schedule over the MW fabric.
-    pub topo: Topology,
-}
 
 /// The session object handed to middleware daemon code.
 pub struct MwSession {
@@ -137,27 +128,12 @@ impl MwSession {
 
     /// Send tool data to the FE (master only).
     pub fn send_usrdata(&mut self, bytes: Vec<u8>) -> LmonResult<()> {
-        let chan = self
-            .master_chan
-            .as_ref()
-            .ok_or(LmonError::Engine("send_usrdata: not the MW master".into()))?;
-        chan.send(LmonpMsg::of_type(MsgType::MwUsrData).with_usr_payload(bytes))?;
-        Ok(())
+        handshake::MW.send_usrdata(handshake::master(&self.master_chan)?, bytes)
     }
 
     /// Receive tool data from the FE (master only).
     pub fn recv_usrdata(&mut self, timeout: std::time::Duration) -> LmonResult<Vec<u8>> {
-        let chan = self
-            .master_chan
-            .as_ref()
-            .ok_or(LmonError::Engine("recv_usrdata: not the MW master".into()))?;
-        loop {
-            match chan.recv_timeout(timeout)? {
-                Some(msg) if msg.mtype == MsgType::MwUsrData => return Ok(msg.usr.to_vec()),
-                Some(_) => continue,
-                None => return Err(LmonError::Timeout("mw recv_usrdata")),
-            }
-        }
+        handshake::MW.recv_usrdata(handshake::master(&self.master_chan)?, timeout)
     }
 }
 
@@ -178,25 +154,22 @@ pub fn assign_personalities(hosts: &[String], fanout: u32) -> Vec<MwPersonality>
         .collect()
 }
 
-/// Wrap a tool's MW main with the LaunchMON bootstrap.
-pub(crate) fn wrap_mw_main(tool_main: MwMain, wiring: MwWiring) -> DaemonBody {
-    let master_slot = wiring.master_slot;
-    let topo = wiring.topo;
-    Arc::new(move |ctx: ProcCtx, ep: RmFabricEndpoint| {
-        match mw_bootstrap(ctx, ep, &master_slot, topo) {
-            Ok(mut session) => tool_main(&mut session),
-            Err(e) => eprintln!("lmon-mw bootstrap failed: {e}"),
-        }
+/// Wrap a tool's MW main with the LaunchMON bootstrap; `master_chan` is
+/// the channel the MW master picks up to talk LMONP to the FE.
+pub(crate) fn wrap_mw_main(tool_main: MwMain, master_chan: Box<dyn MsgChannel>) -> DaemonBody {
+    let master_slot = MasterSlot::new(Some(master_chan));
+    Arc::new(move |ctx: ProcCtx, ep: RmFabricEndpoint| match mw_bootstrap(ctx, ep, &master_slot) {
+        Ok(mut session) => tool_main(&mut session),
+        Err(e) => eprintln!("lmon-mw bootstrap failed: {e}"),
     })
 }
 
 fn mw_bootstrap(
     ctx: ProcCtx,
     ep: RmFabricEndpoint,
-    master_slot: &Mutex<Option<Box<dyn MsgChannel>>>,
-    topo: Topology,
+    master_slot: &MasterSlot,
 ) -> LmonResult<MwSession> {
-    let mut comm = IcclComm::new(ep, topo);
+    let mut comm = IcclComm::new(ep, Topology::Binomial);
     let is_master = comm.is_master();
     let my_rank = comm.rank();
 
@@ -206,42 +179,13 @@ fn mw_bootstrap(
     let rpdtab_bytes;
 
     if is_master {
-        let chan = master_slot
-            .lock()
-            .take()
-            .ok_or(LmonError::Engine("mw master channel already taken".into()))?;
-        let cookie_env = ctx
-            .env_get(COOKIE_ENV_VAR)
-            .ok_or(LmonError::Engine("missing session cookie in environment".into()))?;
-        let cookie = SessionCookie::from_env_value(cookie_env)?;
-        let hello = Hello {
-            cookie: cookie.cookie,
-            epoch: cookie.epoch,
-            host: ctx.hostname.clone(),
-            pid: ctx.pid.0,
-        };
-        chan.send(LmonpMsg::of_type(MsgType::MwHello).with_epoch(cookie.epoch).with_lmon(&hello))?;
-
-        let msg = chan.recv()?;
-        if msg.mtype != MsgType::MwLaunchInfo {
-            return Err(LmonError::Engine(format!(
-                "mw handshake out of order: expected MwLaunchInfo, got {:?}",
-                msg.mtype
-            )));
-        }
-        personalities_bytes = comm.broadcast(Some(msg.lmon.to_vec())).map_err(LmonError::Iccl)?;
-        usrdata = comm.broadcast(Some(msg.usr.to_vec())).map_err(LmonError::Iccl)?;
-
-        let msg = chan.recv()?;
-        if msg.mtype != MsgType::MwRpdtab {
-            return Err(LmonError::Engine(format!(
-                "mw handshake out of order: expected MwRpdtab, got {:?}",
-                msg.mtype
-            )));
-        }
-        rpdtab_bytes = comm.broadcast(Some(msg.lmon.to_vec())).map_err(LmonError::Iccl)?;
+        let (chan, launch_info, table) = handshake::MW.greet(master_slot, &ctx)?;
+        personalities_bytes =
+            comm.broadcast(Some(launch_info.lmon.to_vec())).map_err(LmonError::Iccl)?;
+        usrdata = comm.broadcast(Some(launch_info.usr.to_vec())).map_err(LmonError::Iccl)?;
+        rpdtab_bytes = comm.broadcast(Some(table.lmon.to_vec())).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;
-        chan.send(LmonpMsg::of_type(MsgType::MwReady))?;
+        handshake::MW.ready(chan.as_ref())?;
         master_chan = Some(chan);
     } else {
         personalities_bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;

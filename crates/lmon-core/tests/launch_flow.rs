@@ -323,3 +323,69 @@ fn wrong_cookie_fails_handshake() {
     );
     fe.shutdown().unwrap();
 }
+
+/// Fixture for the two MW-placement regressions: on an 8-node cluster job
+/// A takes nodes 0–1 and job B nodes 2–3; killing A leaves the allocator's
+/// free list non-contiguous (0, 1, 4..), which is where a 3-daemon MW
+/// launch for B then lands. Returns the front end and B's session.
+fn fragmented_cluster_with_job_b() -> (LmonFrontEnd, lmon_core::SessionId) {
+    let fe = front_end(8);
+    let idle: BeMain = Arc::new(|be| {
+        let _ = be.wait_shutdown(); // ends in an error when the session is killed
+    });
+    let a = fe.create_session();
+    fe.launch_and_spawn(a, "job_a", &[], 2, 1, DaemonSpec::bare("d"), idle.clone()).unwrap();
+    let b = fe.create_session();
+    fe.launch_and_spawn(b, "job_b", &[], 2, 1, DaemonSpec::bare("d"), idle).unwrap();
+    fe.kill(a).unwrap();
+    (fe, b)
+}
+
+/// Regression: the FE used to re-derive MW hosts by counting up from the
+/// master's hostname, which is only right on a contiguous allocation. The
+/// engine's ack now says where the RM placed each daemon.
+#[test]
+fn mw_personalities_name_the_hosts_the_rm_placed_them_on() {
+    let (fe, b) = fragmented_cluster_with_job_b();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let tx = std::sync::Mutex::new(tx);
+    let mw_main: lmon_core::mw::MwMain = Arc::new(move |mw| {
+        let seen = (mw.rank(), mw.personality().host.clone(), mw.hostname().to_string());
+        tx.lock().unwrap().send(seen).unwrap();
+    });
+    fe.launch_mw_daemons(b, 3, 2, DaemonSpec::bare("commd"), mw_main).expect("mw launch");
+    for _ in 0..3 {
+        let (rank, personality_host, actual_host) =
+            rx.recv_timeout(Duration::from_secs(10)).expect("every MW daemon reports");
+        assert_eq!(personality_host, actual_host, "rank {rank}'s personality names its own node");
+    }
+    fe.detach(b).unwrap();
+    fe.shutdown().unwrap();
+}
+
+/// Regression: `FeKillReq` is "kill the job and all daemons", but only BE
+/// pids were recorded against the session, so MW daemons outlived it.
+#[test]
+fn kill_reaches_middleware_daemons_too() {
+    let (fe, b) = fragmented_cluster_with_job_b();
+    let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let parked = release.clone();
+    let mw_main: lmon_core::mw::MwMain = Arc::new(move |_mw| {
+        while !parked.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+    fe.launch_mw_daemons(b, 3, 2, DaemonSpec::bare("commd"), mw_main).expect("mw launch");
+
+    fe.kill(b).unwrap();
+    let cluster = fe.rm().cluster().clone();
+    let live = || cluster.compute_nodes().iter().map(|n| n.live_count()).sum::<usize>();
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while live() != 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let left = live();
+    release.store(true, Ordering::SeqCst); // let the parked bodies' threads end
+    assert_eq!(left, 0, "kill left processes alive on the compute nodes");
+    fe.shutdown().unwrap();
+}

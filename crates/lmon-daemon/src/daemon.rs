@@ -86,25 +86,37 @@ struct Backend {
     cluster: VirtualCluster,
 }
 
-/// A live session's bookkeeping entry. Holds the admission [`Permit`]: the
-/// slot frees exactly when the entry is dropped (detach/kill/error), so no
-/// control path can leak admission capacity. Launch sessions keep their
-/// launch parameters (`nodes`/`tasks_per_node`/`body`) so a whole-group FE
-/// failover can re-home them onto a sibling shard; attach sessions carry
-/// `body: None` — their launcher lives on the dead shard's cluster, so
-/// they are dropped (and counted) instead of re-homed.
-struct SessionEntry {
-    fe_idx: usize,
-    group: usize,
-    sid: SessionId,
+/// How a session's daemons get onto their nodes.
+enum Origin {
+    /// `LAUNCH`: the job is ours to start, so any shard can stand the
+    /// session up (again, after a whole-group FE failover).
+    Launch { nodes: usize, tasks_per_node: usize },
+    /// `ATTACH`: the launcher already runs on one shard's cluster and dies
+    /// with it, so the session cannot follow a failover.
+    Attach { pid: u64 },
+}
+
+/// What a session was asked to be: everything [`Daemon::establish`] needs
+/// to stand it up. Holds the admission [`Permit`]: the slot frees exactly
+/// when the seed (inside its [`SessionEntry`], or on a failed establish) is
+/// dropped, so no control path can leak admission capacity.
+struct SessionSeed {
     app: String,
-    daemons: usize,
-    nodes: usize,
-    tasks_per_node: usize,
-    body: Option<String>,
-    started: Instant,
+    origin: Origin,
+    daemon: DaemonSpec,
+    body: BeMain,
     #[allow(dead_code)] // held for its Drop
     permit: Permit,
+}
+
+/// A live session's bookkeeping entry. Its federation group is not stored:
+/// shard `g` owns backends `{ i | i % groups == g }`, so `fe_idx` says it.
+struct SessionEntry {
+    fe_idx: usize,
+    sid: SessionId,
+    daemons: usize,
+    started: Instant,
+    seed: SessionSeed,
 }
 
 /// One federation group's slice of the backend pool: the [`FeShard`] a
@@ -341,63 +353,92 @@ impl Daemon {
 
         let victims: Vec<u64> = {
             let sessions = self.sessions.lock();
-            sessions.iter().filter(|(_, e)| e.group == group).map(|(g, _)| *g).collect()
+            let in_group = |e: &SessionEntry| e.fe_idx % self.groups == group;
+            sessions.iter().filter(|(_, e)| in_group(e)).map(|(g, _)| *g).collect()
         };
         for gsid in victims {
-            let Some(entry) = self.sessions.lock().remove(&gsid) else { continue };
-            let Some(body_name) = entry.body.clone() else {
-                report.dropped += 1; // attach session: launcher died with the shard
+            let Some(SessionEntry { seed, .. }) = self.sessions.lock().remove(&gsid) else {
                 continue;
             };
-            let sibling = self.group_of_app(&entry.app);
-            if sibling == group || !self.shard_alive[sibling].load(Ordering::SeqCst) {
-                report.dropped += 1; // no live sibling left to re-home onto
+            let sibling = self.group_of_app(&seed.app);
+            let live_sibling = sibling != group && self.shard_alive[sibling].load(Ordering::SeqCst);
+            if !(live_sibling && matches!(seed.origin, Origin::Launch { .. })) {
+                report.dropped += 1; // seed (and permit) dropped with it
                 continue;
             }
-            let body_fn = self.bodies.lock().get(&body_name).cloned();
-            let Some(body_fn) = body_fn else {
-                report.dropped += 1;
-                continue;
-            };
+            let how = format!("re-homed from dead group g{group} at epoch {epoch}");
             let fe_idx = self.pick_backend(sibling);
-            let fe = &self.backends[fe_idx].fe;
-            let sid = fe.create_session();
-            match fe.launch_and_spawn(
-                sid,
-                &entry.app,
-                &[],
-                entry.nodes,
-                entry.tasks_per_node,
-                DaemonSpec::bare(format!("lmond_be_{body_name}")),
-                body_fn,
-            ) {
-                Ok(outcome) => {
-                    fe.record_session_health(
-                        sid,
-                        HealthState::Healed,
-                        0,
-                        format!("re-homed from dead group g{group} (gsid {gsid}, epoch {epoch})"),
-                    );
-                    self.sessions.lock().insert(
-                        gsid,
-                        SessionEntry {
-                            fe_idx,
-                            group: sibling,
-                            sid,
-                            daemons: outcome.daemon_count,
-                            started: Instant::now(),
-                            ..entry
-                        },
-                    );
-                    report.rehomed += 1;
-                }
-                Err(_) => {
-                    self.launch_failures_total.fetch_add(1, Ordering::Relaxed);
-                    report.dropped += 1; // entry (and permit) already removed
-                }
+            match self.establish(fe_idx, seed, Some(gsid), HealthState::Healed, &how) {
+                Ok(_) => report.rehomed += 1,
+                Err(_) => report.dropped += 1,
             }
         }
         report
+    }
+
+    /// The one way a session comes to exist, whoever asks (`LAUNCH`,
+    /// `ATTACH`, a failover re-home): create the FE session, co-locate the
+    /// daemons, seed the health ledger so the session shows up in
+    /// `/metrics` (and retires into the bounded ring on kill/detach rather
+    /// than vanishing), file the entry under its gsid — a fresh one unless
+    /// the caller keeps an old handle alive — and count the outcome.
+    fn establish(
+        &self,
+        fe_idx: usize,
+        seed: SessionSeed,
+        gsid: Option<u64>,
+        health: HealthState,
+        how: &str,
+    ) -> lmon_core::LmonResult<(u64, usize)> {
+        let fe = &self.backends[fe_idx].fe;
+        let sid = fe.create_session();
+        let started = Instant::now();
+        let (daemon, body) = (seed.daemon.clone(), seed.body.clone());
+        let spawned = match seed.origin {
+            Origin::Launch { nodes, tasks_per_node } => {
+                fe.launch_and_spawn(sid, &seed.app, &[], nodes, tasks_per_node, daemon, body)
+            }
+            Origin::Attach { pid } => fe.attach_and_spawn(sid, Pid(pid), daemon, body),
+        };
+        let spawned = spawned.inspect_err(|_| {
+            // `seed.permit` drops with the seed: a failed launch frees its slot.
+            self.launch_failures_total.fetch_add(1, Ordering::Relaxed);
+        });
+        let daemons = spawned?.daemon_count;
+        let gsid = gsid.unwrap_or_else(|| self.next_gsid.fetch_add(1, Ordering::Relaxed));
+        fe.record_session_health(sid, health, 0, format!("{how} (gsid {gsid})"));
+        self.sessions.lock().insert(gsid, SessionEntry { fe_idx, sid, daemons, started, seed });
+        self.launches_total.fetch_add(1, Ordering::Relaxed);
+        Ok((gsid, daemons))
+    }
+
+    /// The daemon image registered under `name`: its process-table spec and
+    /// the body it runs.
+    fn daemon_image(&self, name: &str) -> Result<(DaemonSpec, BeMain), String> {
+        let body = self.bodies.lock().get(name).cloned();
+        let body = body.ok_or_else(|| format!("unknown daemon body {name:?}"))?;
+        Ok((DaemonSpec::bare(format!("lmond_be_{name}")), body))
+    }
+
+    /// Take an admission slot — blocking while queued — or say why not in
+    /// the control protocol's words.
+    fn admit(&self) -> Result<Permit, String> {
+        self.admission.admit().map_err(|e| match e {
+            AdmissionError::QueueFull { .. } => format!("busy: {e}"),
+            AdmissionError::Closed => format!("shutdown: {e}"),
+        })
+    }
+
+    /// Refuse a job shape no backend's cluster can hold.
+    fn check_shape(&self, nodes: usize, tasks_per_node: usize) -> Result<(), String> {
+        if nodes == 0 || tasks_per_node == 0 {
+            return Err("nodes and tasks_per_node must be >= 1".into());
+        }
+        if nodes > self.cfg.cluster_nodes {
+            let size = self.cfg.cluster_nodes;
+            return Err(format!("nodes {nodes} exceeds backend cluster size {size}"));
+        }
+        Ok(())
     }
 
     /// Live session count.
@@ -431,6 +472,8 @@ impl Daemon {
     /// Serve one parsed request (transport-independent; also the in-process
     /// API used by tests that bypass sockets).
     pub fn dispatch(&self, req: &Request) -> Reply {
+        // Session-making handlers return `Err(text)` for an `ERR` reply.
+        let or_err = |handled: Result<Reply, String>| handled.unwrap_or_else(Reply::Err);
         match req {
             Request::Hello { version } => {
                 let supported =
@@ -446,11 +489,11 @@ impl Daemon {
                 ("uptime_s", self.started_at.elapsed().as_secs().to_string()),
             ]),
             Request::Launch { app, nodes, tasks_per_node, body } => {
-                self.handle_launch(app, *nodes, *tasks_per_node, body)
+                or_err(self.handle_launch(app, *nodes, *tasks_per_node, body))
             }
-            Request::Attach { pids, body } => self.handle_attach(pids, body),
+            Request::Attach { pids, body } => or_err(self.handle_attach(pids, body)),
             Request::RunJob { app, nodes, tasks_per_node } => {
-                self.handle_runjob(app, *nodes, *tasks_per_node)
+                or_err(self.handle_runjob(app, *nodes, *tasks_per_node))
             }
             Request::Upgrade { shape } => self.handle_upgrade(shape.as_deref()),
             Request::Status => self.handle_status(),
@@ -469,111 +512,59 @@ impl Daemon {
         }
     }
 
-    fn handle_launch(&self, app: &str, nodes: usize, tasks_per_node: usize, body: &str) -> Reply {
-        let Some(body_fn) = self.bodies.lock().get(body).cloned() else {
-            return Reply::Err(format!("unknown daemon body {body:?}"));
-        };
-        if nodes == 0 || tasks_per_node == 0 {
-            return Reply::Err("nodes and tasks_per_node must be >= 1".into());
-        }
-        if nodes > self.cfg.cluster_nodes {
-            return Reply::Err(format!(
-                "nodes {nodes} exceeds backend cluster size {}",
-                self.cfg.cluster_nodes
-            ));
-        }
+    fn handle_launch(
+        &self,
+        app: &str,
+        nodes: usize,
+        tasks_per_node: usize,
+        body: &str,
+    ) -> Result<Reply, String> {
+        let (daemon, body) = self.daemon_image(body)?;
+        self.check_shape(nodes, tasks_per_node)?;
 
         // Admission: block (queueing) or fail fast when the queue is full.
         let queued_at = Instant::now();
-        let permit = match self.admission.admit() {
-            Ok(p) => p,
-            Err(e @ AdmissionError::QueueFull { .. }) => return Reply::Err(format!("busy: {e}")),
-            Err(e @ AdmissionError::Closed) => return Reply::Err(format!("shutdown: {e}")),
-        };
+        let permit = self.admit()?;
         let wait_ms = queued_at.elapsed().as_millis();
 
-        let group = self.group_of_app(app);
-        let fe_idx = self.pick_backend(group);
-        let fe = &self.backends[fe_idx].fe;
-        let sid = fe.create_session();
+        let fe_idx = self.pick_backend(self.group_of_app(app));
         let launch_started = Instant::now();
-        match fe.launch_and_spawn(
-            sid,
-            app,
-            &[],
-            nodes,
-            tasks_per_node,
-            DaemonSpec::bare(format!("lmond_be_{body}")),
-            body_fn,
-        ) {
-            Ok(outcome) => {
-                let gsid = self.next_gsid.fetch_add(1, Ordering::Relaxed);
-                // Seed the health ledger so every daemon-launched session
-                // shows up in `/metrics` (and retires into the bounded ring
-                // on kill/detach rather than vanishing).
-                fe.record_session_health(
-                    sid,
-                    HealthState::Healthy,
-                    0,
-                    format!("launched via lmond (gsid {gsid})"),
-                );
-                self.sessions.lock().insert(
-                    gsid,
-                    SessionEntry {
-                        fe_idx,
-                        group,
-                        sid,
-                        app: app.to_string(),
-                        daemons: outcome.daemon_count,
-                        nodes,
-                        tasks_per_node,
-                        body: Some(body.to_string()),
-                        started: launch_started,
-                        permit,
-                    },
-                );
-                self.launches_total.fetch_add(1, Ordering::Relaxed);
-                Reply::ok(&[
-                    ("gsid", gsid.to_string()),
-                    ("fe", fe_idx.to_string()),
-                    ("group", group.to_string()),
-                    ("daemons", outcome.daemon_count.to_string()),
-                    ("wait_ms", wait_ms.to_string()),
-                    ("launch_ms", launch_started.elapsed().as_millis().to_string()),
-                ])
-            }
-            Err(e) => {
-                // `permit` drops here: a failed launch frees its slot.
-                self.launch_failures_total.fetch_add(1, Ordering::Relaxed);
-                Reply::Err(format!("launch failed: {e}"))
-            }
-        }
+        let origin = Origin::Launch { nodes, tasks_per_node };
+        let seed = SessionSeed { app: app.to_string(), origin, daemon, body, permit };
+        let (gsid, daemons) = self
+            .establish(fe_idx, seed, None, HealthState::Healthy, "launched via lmond")
+            .map_err(|e| format!("launch failed: {e}"))?;
+        Ok(Reply::ok(&[
+            ("gsid", gsid.to_string()),
+            ("fe", fe_idx.to_string()),
+            ("group", (fe_idx % self.groups).to_string()),
+            ("daemons", daemons.to_string()),
+            ("wait_ms", wait_ms.to_string()),
+            ("launch_ms", launch_started.elapsed().as_millis().to_string()),
+        ]))
     }
 
     /// Start a plain (tool-free) job on one backend's resource manager —
     /// the running launcher a later `ATTACH` targets. Mirrors the paper's
     /// attach-mode workflow: the job exists first, the tool comes second.
-    fn handle_runjob(&self, app: &str, nodes: usize, tasks_per_node: usize) -> Reply {
-        if nodes == 0 || tasks_per_node == 0 {
-            return Reply::Err("nodes and tasks_per_node must be >= 1".into());
-        }
-        if nodes > self.cfg.cluster_nodes {
-            return Reply::Err(format!(
-                "nodes {nodes} exceeds backend cluster size {}",
-                self.cfg.cluster_nodes
-            ));
-        }
+    fn handle_runjob(
+        &self,
+        app: &str,
+        nodes: usize,
+        tasks_per_node: usize,
+    ) -> Result<Reply, String> {
+        self.check_shape(nodes, tasks_per_node)?;
         let fe_idx = self.pick_backend(self.group_of_app(app));
         let rm = self.backends[fe_idx].fe.rm();
-        match rm.launch_job(&JobSpec::new(app, nodes, tasks_per_node), false) {
-            Ok(handle) => Reply::ok(&[
-                ("pid", handle.launcher_pid.0.to_string()),
-                ("job", handle.job_id.to_string()),
-                ("fe", fe_idx.to_string()),
-                ("nodes", handle.allocation.len().to_string()),
-            ]),
-            Err(e) => Reply::Err(format!("runjob failed: {e}")),
-        }
+        let handle = rm
+            .launch_job(&JobSpec::new(app, nodes, tasks_per_node), false)
+            .map_err(|e| format!("runjob failed: {e}"))?;
+        Ok(Reply::ok(&[
+            ("pid", handle.launcher_pid.0.to_string()),
+            ("job", handle.job_id.to_string()),
+            ("fe", fe_idx.to_string()),
+            ("nodes", handle.allocation.len().to_string()),
+        ]))
     }
 
     /// Attach tool daemons to already-running jobs: one session per
@@ -582,85 +573,36 @@ impl Daemon {
     /// whole request instead of half of it; a failure mid-way reports how
     /// many sessions were already established (they stay live and show up
     /// in `STATUS`).
-    fn handle_attach(&self, pids: &[u64], body: &str) -> Reply {
-        let Some(body_fn) = self.bodies.lock().get(body).cloned() else {
-            return Reply::Err(format!("unknown daemon body {body:?}"));
-        };
+    fn handle_attach(&self, pids: &[u64], body: &str) -> Result<Reply, String> {
+        let (daemon, body) = self.daemon_image(body)?;
         let mut targets = Vec::with_capacity(pids.len());
         for &pid in pids {
-            let Some(fe_idx) = (0..self.backends.len())
+            let fe_idx = (0..self.backends.len())
                 .find(|&i| self.backends[i].cluster.find_proc(Pid(pid)).is_ok())
-            else {
-                return Reply::Err(format!("no running process with pid {pid}"));
-            };
+                .ok_or_else(|| format!("no running process with pid {pid}"))?;
             targets.push((pid, fe_idx));
         }
 
         let mut gsids: Vec<String> = Vec::with_capacity(targets.len());
         let mut daemons_total = 0usize;
         for (pid, fe_idx) in targets {
-            let permit = match self.admission.admit() {
-                Ok(p) => p,
-                Err(e @ AdmissionError::QueueFull { .. }) => {
-                    return Reply::Err(format!(
-                        "busy: {e} ({} of {} attached)",
-                        gsids.len(),
-                        pids.len()
-                    ))
-                }
-                Err(e @ AdmissionError::Closed) => return Reply::Err(format!("shutdown: {e}")),
-            };
-            let fe = &self.backends[fe_idx].fe;
-            let sid = fe.create_session();
-            let started = Instant::now();
-            match fe.attach_and_spawn(
-                sid,
-                Pid(pid),
-                DaemonSpec::bare(format!("lmond_be_{body}")),
-                body_fn.clone(),
-            ) {
-                Ok(outcome) => {
-                    let gsid = self.next_gsid.fetch_add(1, Ordering::Relaxed);
-                    fe.record_session_health(
-                        sid,
-                        HealthState::Healthy,
-                        0,
-                        format!("attached via lmond (gsid {gsid}, launcher pid {pid})"),
-                    );
-                    self.sessions.lock().insert(
-                        gsid,
-                        SessionEntry {
-                            fe_idx,
-                            group: fe_idx % self.groups,
-                            sid,
-                            app: format!("attach:pid={pid}"),
-                            daemons: outcome.daemon_count,
-                            nodes: 0,
-                            tasks_per_node: 0,
-                            body: None,
-                            started,
-                            permit,
-                        },
-                    );
-                    self.launches_total.fetch_add(1, Ordering::Relaxed);
-                    daemons_total += outcome.daemon_count;
-                    gsids.push(gsid.to_string());
-                }
-                Err(e) => {
-                    self.launch_failures_total.fetch_add(1, Ordering::Relaxed);
-                    return Reply::Err(format!(
-                        "attach pid {pid} failed: {e} ({} of {} attached)",
-                        gsids.len(),
-                        pids.len()
-                    ));
-                }
-            }
+            let so_far = || format!("({} of {} attached)", gsids.len(), pids.len());
+            let permit = self.admit().map_err(|why| format!("{why} {}", so_far()))?;
+            let (app, origin) = (format!("attach:pid={pid}"), Origin::Attach { pid });
+            let seed =
+                SessionSeed { app, origin, daemon: daemon.clone(), body: body.clone(), permit };
+            let how = format!("attached via lmond to launcher pid {pid}");
+            let (gsid, daemons) = self
+                .establish(fe_idx, seed, None, HealthState::Healthy, &how)
+                .map_err(|e| format!("attach pid {pid} failed: {e} {}", so_far()))?;
+            daemons_total += daemons;
+            gsids.push(gsid.to_string());
         }
-        Reply::ok(&[
+        Ok(Reply::ok(&[
             ("gsids", gsids.join(",")),
             ("sessions", gsids.len().to_string()),
             ("daemons", daemons_total.to_string()),
-        ])
+        ]))
     }
 
     /// Rolling-upgrade drill (DESIGN.md §12): bring up an overlay with a
@@ -677,10 +619,9 @@ impl Daemon {
         };
         // The drill holds an admission slot like any session: a storm of
         // UPGRADE requests queues instead of stacking overlay threads.
-        let permit = match self.admission.admit() {
+        let permit = match self.admit() {
             Ok(p) => p,
-            Err(e @ AdmissionError::QueueFull { .. }) => return Reply::Err(format!("busy: {e}")),
-            Err(e @ AdmissionError::Closed) => return Reply::Err(format!("shutdown: {e}")),
+            Err(why) => return Reply::Err(why),
         };
 
         let leaves = spec.leaf_count();
@@ -756,8 +697,8 @@ impl Daemon {
         Reply::ok(&[
             ("gsid", gsid.to_string()),
             ("fe", entry.fe_idx.to_string()),
-            ("group", entry.group.to_string()),
-            ("app", entry.app.clone()),
+            ("group", (entry.fe_idx % self.groups).to_string()),
+            ("app", entry.seed.app.clone()),
             ("daemons", entry.daemons.to_string()),
             ("state", state),
             ("health", health),
@@ -1229,15 +1170,34 @@ mod tests {
         let group: usize = f.field_as("group").unwrap();
         assert_eq!(group, daemon.group_of_app("psweep"));
 
+        let status = |gsid: u64| {
+            fields(&daemon.dispatch(&Request::parse(&format!("STATUS {gsid}")).unwrap()))
+        };
+        let launched = status(gsid);
+
         let report = daemon.fail_group(group);
         assert_eq!(report.epoch, 1, "first failover bumps the epoch to 1");
         assert_eq!(report.rehomed, 1, "the launch session follows its gsid");
         assert_eq!(report.dropped, 0);
         assert!(!daemon.shard(group).unwrap().alive);
 
-        let f = fields(&daemon.dispatch(&Request::parse(&format!("STATUS {gsid}")).unwrap()));
+        let f = status(gsid);
         let new_group: usize = f.field_as("group").unwrap();
         assert_ne!(new_group, group, "session re-homed to a sibling shard");
+
+        // Re-homing goes through the same establish step as a launch, so the
+        // session reads like a launched one: same shape, its group the one
+        // its new backend belongs to, its health monitor seeded.
+        for same in ["app", "daemons", "state"] {
+            assert_eq!(f.field_as::<String>(same), launched.field_as::<String>(same), "{same}");
+        }
+        let fe_idx: usize = f.field_as("fe").unwrap();
+        assert_eq!(new_group, fe_idx % daemon.groups());
+        assert_eq!(f.field_as::<String>("health").as_deref(), Some("Healed"));
+        let snap = daemon.metrics_snapshot();
+        assert_eq!(snap.sessions_active, 1);
+        assert_eq!(snap.healths[fe_idx].live_sessions, 1, "health seeded on the new backend");
+        assert_eq!(snap.launches_total, 2, "the launch and its re-home");
 
         let f = fields(&daemon.dispatch(&Request::parse("STATUS").unwrap()));
         assert_eq!(f.field_as::<u64>("fed_epoch"), Some(1));
@@ -1250,5 +1210,22 @@ mod tests {
         // New launches for the dead group's keyspace land on the sibling.
         let f = fields(&daemon.dispatch(&Request::parse("LAUNCH psweep 2 1 sleeper").unwrap()));
         assert_eq!(f.field_as::<usize>("group"), Some(new_group));
+
+        // An attach of two launchers is two sessions, and counts as two
+        // (on a one-backend daemon: pids are only unique per backend).
+        let daemon = tiny_daemon();
+        let pids: Vec<String> = (0..2)
+            .map(|_| {
+                let f = fields(&daemon.dispatch(&Request::parse("RUNJOB psweep 1 1").unwrap()));
+                f.field_as::<String>("pid").unwrap()
+            })
+            .collect();
+        let attach = format!("ATTACH {} sleeper", pids.join(" "));
+        let f = fields(&daemon.dispatch(&Request::parse(&attach).unwrap()));
+        assert_eq!(f.field_as::<usize>("sessions"), Some(2));
+        let snap = daemon.metrics_snapshot();
+        assert_eq!((snap.launches_total, snap.sessions_active), (2, 2));
+        let seeded: usize = snap.healths.iter().map(|h| h.live_sessions).sum();
+        assert_eq!(seeded, snap.sessions_active, "every live session has a health monitor");
     }
 }
