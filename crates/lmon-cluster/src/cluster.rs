@@ -58,6 +58,14 @@ impl PidBlock {
     }
 }
 
+/// Stack of a virtual process's thread. Owners release the threads of the
+/// sessions they end, so a 32-daemon session hands 32 stacks back at once;
+/// at the 2 MiB default that overflows glibc's 40 MiB stack cache and every
+/// session munmaps and re-mmaps its stacks. 512 KiB keeps a wide session's
+/// stacks cached and is several times what the deepest body (a comm daemon
+/// decoding a wave) uses, debug builds included.
+const VIRTUAL_PROCESS_STACK: usize = 512 * 1024;
+
 impl VirtualCluster {
     /// Build a cluster from a config.
     pub fn new(config: ClusterConfig) -> Self {
@@ -210,6 +218,7 @@ impl VirtualCluster {
         let thread_name = format!("{}@{}", ctx.spec.exe, ctx.hostname);
         let handle = std::thread::Builder::new()
             .name(thread_name)
+            .stack_size(VIRTUAL_PROCESS_STACK)
             .spawn(move || {
                 body(ctx);
                 // Normal return: mark exited (ignored if killed first —

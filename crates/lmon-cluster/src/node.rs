@@ -6,7 +6,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{ClusterError, ClusterResult};
-use crate::process::{Pid, ProcRecord, ProcSpec, ProcTable};
+use crate::process::{Pid, ProcRecord, ProcSpec, ProcState, ProcTable};
 use crate::procfs::ProcStats;
 
 /// Index of a node within the cluster (`FE` is a distinguished node).
@@ -60,9 +60,24 @@ impl Node {
         self.table.lock().get(&pid).cloned()
     }
 
-    /// Remove a process record (reaping).
+    /// Remove a process record (reaping). The caller owns what is left:
+    /// dropping the record drops its `JoinHandle`, which detaches the
+    /// thread and returns its stack when the body ends.
     pub fn reap(&self, pid: Pid) -> Option<Arc<ProcRecord>> {
         self.table.lock().remove(&pid)
+    }
+
+    /// Kill every record matching `pred` and take it out of the table, in
+    /// one pass under one table lock. This is how a record's owner retires
+    /// it: what is killed here is also freed here.
+    pub fn kill_matching(&self, pred: impl Fn(&ProcRecord) -> bool) {
+        self.table.lock().retain(|_, rec| {
+            let hit = pred(rec);
+            if hit {
+                rec.shared.set_state(ProcState::Killed);
+            }
+            !hit
+        });
     }
 
     /// Snapshot of all pids on this node, sorted for determinism.
@@ -149,9 +164,22 @@ mod tests {
         let r = record(5, "x", None);
         node.insert(r.clone()).unwrap();
         assert_eq!(node.live_count(), 1);
-        r.shared.set_state(crate::process::ProcState::Exited(0));
+        r.shared.set_state(ProcState::Exited(0));
         assert_eq!(node.live_count(), 0);
         assert!(node.load() < 0.01);
+    }
+
+    #[test]
+    fn kill_matching_kills_and_removes_in_one_pass() {
+        let node = Node::new(NodeId::Compute(0), "n".into(), 8, 100);
+        let task = record(1, "app", Some(0));
+        let daemon = record(2, "toold", None);
+        node.insert(task.clone()).unwrap();
+        node.insert(daemon.clone()).unwrap();
+        node.kill_matching(|r| r.spec.rank.is_some());
+        assert_eq!(task.shared.state(), ProcState::Killed);
+        assert_eq!(node.pids(), vec![Pid(2)], "what was killed left the table");
+        assert_eq!(daemon.shared.state(), ProcState::Running);
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!    handshake (`crate::handshake`, here with the `Be*` message types) —
 //!    hello (with the security cookie delivered through the RM's launch
 //!    environment), launch info (+ piggybacked tool data), RPDTAB, ready —
-//! 3. broadcasts launch info and the RPDTAB to all daemons over ICCL,
+//! 3. broadcasts launch info and the encoded RPDTAB to all daemons over
+//!    ICCL; each daemon checks the whole table and builds its own host's
+//!    rows (the master before it says ready),
 //! 4. hands the tool its session.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_cluster::procfs::ProcSnapshot;
@@ -43,7 +45,13 @@ pub type BeMain = Arc<dyn Fn(&mut BeSession) + Send + Sync + 'static>;
 pub struct BeSession {
     comm: IcclComm<RmFabricEndpoint>,
     ctx: ProcCtx,
-    rpdtab: Rpdtab,
+    /// The rows on this daemon's host, built at bootstrap.
+    local: Rpdtab,
+    task_count: usize,
+    /// The encoded table as broadcast, checked whole at bootstrap.
+    rpdtab_bytes: Vec<u8>,
+    /// The full table, decoded from `rpdtab_bytes` on first use.
+    full: OnceLock<Rpdtab>,
     usrdata: Vec<u8>,
     master_chan: Option<Box<dyn MsgChannel>>,
 }
@@ -74,14 +82,24 @@ impl BeSession {
         self.ctx.pid
     }
 
-    /// The full RPDTAB distributed during the handshake.
+    /// The full RPDTAB distributed during the handshake. Decoded on first
+    /// use: a daemon works on [`my_proctab`](BeSession::my_proctab), and at
+    /// width the other daemons' rows are most of the table.
     pub fn proctable(&self) -> &Rpdtab {
-        &self.rpdtab
+        self.full.get_or_init(|| {
+            Rpdtab::from_bytes(&self.rpdtab_bytes).expect("RPDTAB bytes were checked at bootstrap")
+        })
+    }
+
+    /// Number of MPI tasks in the job (`proctable().len()`, without
+    /// decoding the table).
+    pub fn task_count(&self) -> usize {
+        self.task_count
     }
 
     /// The paper's `getMyProctab`: RPDTAB entries for tasks on this node.
     pub fn my_proctab(&self) -> Vec<&ProcDesc> {
-        self.rpdtab.local_tasks(&self.ctx.hostname).collect()
+        self.local.entries().iter().collect()
     }
 
     /// Tool data the FE piggybacked on the launch-info handshake message.
@@ -133,8 +151,9 @@ impl BeSession {
     pub fn wait_shutdown(&mut self) -> LmonResult<()> {
         if self.am_i_master() {
             let chan = handshake::master(&self.master_chan)?;
-            loop {
-                let msg = chan.recv()?;
+            // A dead FE link is a shutdown order too: a killed session's
+            // siblings are parked in the broadcast below and must be let go.
+            while let Ok(msg) = chan.recv() {
                 if msg.mtype == MsgType::BeShutdown {
                     break;
                 }
@@ -197,8 +216,6 @@ fn be_bootstrap(
         comm.broadcast(Some(rpdtab_bytes.clone())).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;
         timeline.mark(CriticalEvent::E9SetupDone);
-
-        handshake::BE.ready(chan.as_ref())?;
         master_chan = Some(chan);
     } else {
         usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;
@@ -206,13 +223,33 @@ fn be_bootstrap(
         comm.barrier().map_err(LmonError::Iccl)?;
     }
 
-    let rpdtab = Rpdtab::from_bytes(&rpdtab_bytes)?;
+    // Every row is checked, only this host's rows are built — and the
+    // master says `Ready` only afterwards, so a corrupt table fails the
+    // session's handshake instead of surfacing in a daemon later.
+    let (local, task_count) = Rpdtab::local_from_bytes(&rpdtab_bytes, &ctx.hostname)?;
+    if let Some(chan) = &master_chan {
+        handshake::BE.ready(chan.as_ref())?;
+    }
 
-    Ok(BeSession { comm, ctx, rpdtab, usrdata, master_chan })
+    let full = OnceLock::new();
+    Ok(BeSession { comm, ctx, local, task_count, rpdtab_bytes, full, usrdata, master_chan })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    use lmon_cluster::config::ClusterConfig;
+    use lmon_cluster::node::NodeId;
+    use lmon_cluster::process::ProcSpec;
+    use lmon_cluster::VirtualCluster;
+    use lmon_proto::rpdtab::synthetic_rpdtab;
+    use lmon_proto::security::{SessionCookie, COOKIE_ENV_VAR};
+    use lmon_proto::transport::LocalChannel;
+    use lmon_proto::wire::WireEncode;
+    use lmon_proto::Bytes;
+
     use super::*;
 
     // The BE runtime is exercised end-to-end through the FE API tests in
@@ -223,5 +260,56 @@ mod tests {
     fn shutdown_sentinel_is_distinctive() {
         assert!(SHUTDOWN_SENTINEL.starts_with(b"__LMON"));
         assert!(!SHUTDOWN_SENTINEL.is_empty());
+    }
+
+    /// A bootstrapped daemon's local ranks, task count and full table length.
+    type Views = (Vec<u32>, usize, usize);
+
+    /// What a one-daemon bootstrap on `node00001` made of `table`, or the
+    /// bootstrap's error; and whether the FE side saw `Ready`.
+    fn bootstrap_with(table: Vec<u8>) -> (Result<Views, String>, bool) {
+        const STEP: Duration = Duration::from_secs(10);
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
+        let cookie = SessionCookie::mint_seeded(7);
+        let (fe, daemon_end) = LocalChannel::pair();
+        let slot = MasterSlot::new(Some(Box::new(daemon_end)));
+        let (tx, rx) = mpsc::channel();
+        let mut spec = ProcSpec::named("toold");
+        spec.env = vec![format!("{COOKIE_ENV_VAR}={}", cookie.to_env_value())];
+        let ep = RmFabricEndpoint::provision(&["node00001".to_string()]).remove(0);
+        let body = move |ctx: ProcCtx| {
+            let session = be_bootstrap(ctx, ep, &slot, &TimelineRecorder::default());
+            let _ = tx.send(session.map_err(|e| e.to_string()).map(|be| {
+                let local = be.my_proctab().iter().map(|d| d.rank).collect();
+                (local, be.task_count(), be.proctable().len())
+            }));
+        };
+        cluster.spawn_active(NodeId::Compute(1), spec, body).expect("spawn daemon");
+        let hello = fe.recv_timeout(STEP).unwrap().expect("hello");
+        handshake::BE.verify_hello(hello, &cookie).expect("hello admitted");
+        let ready =
+            handshake::BE.deliver(&fe, &cookie, Bytes::new(), vec![], Bytes::from(table), STEP);
+        (rx.recv_timeout(STEP).expect("bootstrap returns"), ready.is_ok())
+    }
+
+    #[test]
+    fn bootstrap_builds_local_rows_and_a_corrupt_table_fails_it_before_ready() {
+        let table = synthetic_rpdtab(4, 3, "app").to_bytes();
+        let (session, ready) = bootstrap_with(table.clone());
+        assert_eq!(session, Ok((vec![3, 4, 5], 12, 12)));
+        assert!(ready);
+
+        // A row of *another* host with an out-of-range host index: the
+        // daemon builds none of that host's rows, and still refuses.
+        let mut corrupt = table.clone();
+        let host_id = corrupt.len() - 20 + 4; // last row: rank(4) host(4) exe(4) pid(8)
+        corrupt[host_id..host_id + 4].copy_from_slice(&999u32.to_be_bytes());
+        let mut trailing = table.clone();
+        trailing.push(0);
+        for bad in [corrupt, trailing, table[..table.len() - 1].to_vec()] {
+            let (session, ready) = bootstrap_with(bad);
+            assert!(session.is_err(), "bootstrap accepted a corrupt table: {session:?}");
+            assert!(!ready, "the front end was told Ready for a corrupt table");
+        }
     }
 }

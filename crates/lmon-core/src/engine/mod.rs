@@ -37,7 +37,7 @@ pub mod event;
 pub mod handler;
 pub mod platform;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use lmon_cluster::node::NodeId;
@@ -81,9 +81,10 @@ type ReplySink<'a> = dyn Fn(LmonpMsg) -> bool + 'a;
 struct EngineSession {
     /// The job under engine control, once launch or attach co-located it.
     job: Option<EngineJob>,
-    /// Every daemon the session spawned, back end and middleware alike:
-    /// what "kill the job and all daemons" kills.
-    daemon_pids: Vec<Pid>,
+    /// Every daemon the session spawned, back end and middleware alike,
+    /// with the node the RM placed it on: the session owns these process
+    /// records, and they leave their nodes' tables when the session ends.
+    daemons: Vec<(NodeId, Pid)>,
     /// Middleware node allocations, handed back to the RM with the session.
     mw_allocs: Vec<Allocation>,
 }
@@ -327,7 +328,8 @@ impl Engine {
         let spawned = self.rm.spawn_daemons(alloc, &exe, &args, &env, body);
         let pids = spawned.map_err(|e| format!("spawn daemons: {e}"))?;
         timeline.mark(CriticalEvent::E6DaemonsSpawned);
-        self.sessions.lock().entry(tag).or_default().daemon_pids.extend_from_slice(&pids);
+        let placed = alloc.nodes.iter().copied().zip(pids.iter().copied());
+        self.sessions.lock().entry(tag).or_default().daemons.extend(placed);
         Ok(pids)
     }
 
@@ -363,18 +365,23 @@ impl Engine {
         Ok(())
     }
 
-    /// Detach or kill: the session's record leaves the engine whole, so
-    /// nothing of a finished session outlives it. Kill takes the daemons
-    /// first, then the job; detach resumes the job and forgets the daemons
-    /// (the FE has already ordered them to shut down).
+    /// Detach or kill: the session's record leaves the engine whole, and the
+    /// process records the session owns leave the cluster with it. Kill
+    /// takes the daemons first, then the job; detach resumes the job and
+    /// only drops the daemons' records (the FE has already ordered them to
+    /// shut down) — a dropped record detaches its thread, so a finished
+    /// daemon's stack is returned instead of pinned for the cluster's life.
     fn end_session(&self, tag: u16, end: JobStatus, reply: &ReplySink<'_>) -> Result<(), String> {
         let kill = end == JobStatus::Killed;
         let verb = if kill { "kill" } else { "detach" };
         let session = self.sessions.lock().remove(&tag).unwrap_or_default();
         let cluster = self.rm.cluster();
-        if kill {
-            for pid in session.daemon_pids {
-                let _ = cluster.kill(pid);
+        for (node_id, pid) in session.daemons {
+            let Ok(node) = cluster.node(node_id) else { continue };
+            if kill {
+                node.kill_matching(|r| r.pid == pid);
+            } else {
+                node.reap(pid);
             }
         }
         for alloc in &session.mw_allocs {
@@ -392,10 +399,15 @@ impl Engine {
             EngineJob::Attached { launcher_pid, rpdtab, ctl } => {
                 drop(ctl);
                 if kill {
-                    for entry in rpdtab.entries() {
-                        let _ = cluster.kill(Pid(entry.pid));
+                    // An adopted job has no RM handle: its footprint is the
+                    // proctable's hosts, its records the proctable's pids.
+                    let pids: HashSet<u64> = rpdtab.entries().iter().map(|e| e.pid).collect();
+                    for host in rpdtab.hosts() {
+                        if let Ok(node) = cluster.node_by_host(&host) {
+                            node.kill_matching(|r| pids.contains(&r.pid.0));
+                        }
                     }
-                    let _ = cluster.kill(launcher_pid);
+                    cluster.front_end().kill_matching(|r| r.pid == launcher_pid);
                 }
             }
         }

@@ -795,6 +795,11 @@ impl LmonFrontEnd {
             // Same for the O(tasks) encoded proctable view.
             rt.rpdtab_bytes = None;
         }
+        // ... and for the decoded table: `get_proctable` on a terminal
+        // session is a state error, not a read of a job that is gone.
+        if let Ok(entry) = self.sessions.lock().get_mut(session) {
+            entry.rpdtab = None;
+        }
         self.health.lock().retire(session);
     }
 

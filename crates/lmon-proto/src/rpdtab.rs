@@ -181,48 +181,76 @@ impl WireEncode for Rpdtab {
     }
 }
 
+/// The one walk over an encoded table: every check a decode makes — count
+/// bounds, string validity, host and exe index bounds on *every* row — and
+/// a [`ProcDesc`] built only for rows whose host `keep` accepts. Returns
+/// the kept rows in wire order and the table's total task count.
+fn walk_rows(
+    buf: &mut impl Buf,
+    keep: impl Fn(&str) -> bool,
+) -> ProtoResult<(Vec<ProcDesc>, usize)> {
+    use crate::error::ProtoError;
+    use crate::wire::MAX_SEQ_LEN;
+
+    fn strings(buf: &mut impl Buf) -> ProtoResult<Vec<String>> {
+        let n = get_u32(buf)? as usize;
+        if n > MAX_SEQ_LEN {
+            return Err(ProtoError::PayloadTooLarge { len: n });
+        }
+        let mut table = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            table.push(get_str(buf)?);
+        }
+        Ok(table)
+    }
+    let hosts = strings(buf)?;
+    let exes = strings(buf)?;
+    let kept: Vec<bool> = hosts.iter().map(|h| keep(h)).collect();
+    let ntasks = get_u32(buf)? as usize;
+    if ntasks > MAX_SEQ_LEN {
+        return Err(ProtoError::PayloadTooLarge { len: ntasks });
+    }
+    // Sized for rows spread evenly over hosts: exact for a full decode.
+    let kept_hosts = kept.iter().filter(|k| **k).count();
+    let mut entries = Vec::with_capacity(ntasks.min(1 << 16) * kept_hosts / kept.len().max(1));
+    for _ in 0..ntasks {
+        let rank = get_u32(buf)?;
+        let host_id = get_u32(buf)? as usize;
+        let exe_id = get_u32(buf)? as usize;
+        let pid = get_u64(buf)?;
+        let host = hosts
+            .get(host_id)
+            .ok_or(ProtoError::InvalidField { field: "host_id", value: host_id as u64 })?;
+        let exe = exes
+            .get(exe_id)
+            .ok_or(ProtoError::InvalidField { field: "exe_id", value: exe_id as u64 })?;
+        if kept[host_id] {
+            entries.push(ProcDesc { rank, host: host.clone(), exe: exe.clone(), pid });
+        }
+    }
+    Ok((entries, ntasks))
+}
+
 impl WireDecode for Rpdtab {
     fn decode(buf: &mut impl Buf) -> ProtoResult<Self> {
-        use crate::error::ProtoError;
-        use crate::wire::MAX_SEQ_LEN;
-
-        let nhosts = get_u32(buf)? as usize;
-        if nhosts > MAX_SEQ_LEN {
-            return Err(ProtoError::PayloadTooLarge { len: nhosts });
-        }
-        let mut hosts = Vec::with_capacity(nhosts.min(1024));
-        for _ in 0..nhosts {
-            hosts.push(get_str(buf)?);
-        }
-        let nexes = get_u32(buf)? as usize;
-        if nexes > MAX_SEQ_LEN {
-            return Err(ProtoError::PayloadTooLarge { len: nexes });
-        }
-        let mut exes = Vec::with_capacity(nexes.min(1024));
-        for _ in 0..nexes {
-            exes.push(get_str(buf)?);
-        }
-        let ntasks = get_u32(buf)? as usize;
-        if ntasks > MAX_SEQ_LEN {
-            return Err(ProtoError::PayloadTooLarge { len: ntasks });
-        }
-        let mut entries = Vec::with_capacity(ntasks.min(1 << 16));
-        for _ in 0..ntasks {
-            let rank = get_u32(buf)?;
-            let host_id = get_u32(buf)? as usize;
-            let exe_id = get_u32(buf)? as usize;
-            let pid = get_u64(buf)?;
-            let host = hosts
-                .get(host_id)
-                .ok_or(ProtoError::InvalidField { field: "host_id", value: host_id as u64 })?
-                .clone();
-            let exe = exes
-                .get(exe_id)
-                .ok_or(ProtoError::InvalidField { field: "exe_id", value: exe_id as u64 })?
-                .clone();
-            entries.push(ProcDesc { rank, host, exe, pid });
-        }
+        let (entries, _) = walk_rows(buf, |_| true)?;
         Ok(Rpdtab::new(entries))
+    }
+}
+
+impl Rpdtab {
+    /// The paper's `getMyProctab` as a decode: check the whole encoded
+    /// table exactly as [`from_bytes`](WireDecode::from_bytes) does — a
+    /// buffer it rejects is rejected here — but build only the rows on
+    /// `host`. Returns them (equal to `from_bytes(bytes)?.local_tasks(host)`)
+    /// with the table's total task count.
+    pub fn local_from_bytes(bytes: &[u8], host: &str) -> ProtoResult<(Rpdtab, usize)> {
+        let mut slice = bytes;
+        let (entries, ntasks) = walk_rows(&mut slice, |h| h == host)?;
+        if !slice.is_empty() {
+            return Err(crate::error::ProtoError::Truncated { needed: 0, available: slice.len() });
+        }
+        Ok((Rpdtab::new(entries), ntasks))
     }
 }
 
@@ -316,6 +344,14 @@ mod tests {
         let rec_off = bytes.len() - 20 + 4; // last record: rank(4) host(4) exe(4) pid(8)
         bytes[rec_off..rec_off + 4].copy_from_slice(&999u32.to_be_bytes());
         assert!(Rpdtab::from_bytes(&bytes).is_err());
+        // A daemon on the *other* host builds none of that row and still
+        // refuses the table.
+        assert!(Rpdtab::local_from_bytes(&bytes, "node00000").is_err());
+        let intact = tab.to_bytes();
+        let (local, ntasks) = Rpdtab::local_from_bytes(&intact, "node00001").unwrap();
+        assert_eq!((local.len(), ntasks), (2, 4));
+        assert!(Rpdtab::local_from_bytes(&intact[..intact.len() - 1], "node00001").is_err());
+        assert!(Rpdtab::local_from_bytes(&[&intact[..], &[0]].concat(), "node00001").is_err());
     }
 
     #[test]

@@ -103,6 +103,44 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// A back-end daemon's local decode is the full decode restricted to
+    /// one host, on well-formed and on damaged buffers alike: it accepts
+    /// exactly what `from_bytes` accepts.
+    #[test]
+    fn rpdtab_local_decode_agrees_with_full_decode(
+        ranks_hosts in proptest::collection::vec((0u32..64, 0u32..5, 0u32..3), 0..120),
+        host_id in 0u32..6,
+        damage in 0u8..4,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let descs = ranks_hosts.iter().enumerate().map(|(i, (rank, host, exe))| ProcDesc {
+            rank: *rank,
+            host: format!("node{host:05}"),
+            exe: format!("exe{exe}"),
+            pid: i as u64,
+        });
+        let mut bytes = Rpdtab::new(descs.collect()).to_bytes();
+        match damage {
+            0 => {}
+            1 => bytes.truncate(at % (bytes.len() + 1)),
+            2 => bytes.push(byte),
+            _ => {
+                let i = at % bytes.len();
+                bytes[i] = byte;
+            }
+        }
+        let host = format!("node{host_id:05}"); // node00005 is never in the table
+        let local = Rpdtab::local_from_bytes(&bytes, &host);
+        match Rpdtab::from_bytes(&bytes) {
+            Ok(full) => {
+                let expect = Rpdtab::new(full.local_tasks(&host).cloned().collect());
+                prop_assert_eq!(local.unwrap(), (expect, full.len()));
+            }
+            Err(_) => prop_assert!(local.is_err(), "local decode accepted a rejected buffer"),
+        }
+    }
+
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_msg(&bytes);

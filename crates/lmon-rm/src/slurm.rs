@@ -138,9 +138,7 @@ impl RmCore {
                 mpir::publish_proctable(&ctx, &table);
 
                 // The launcher lives until the job is killed.
-                while !ctx.killed() {
-                    std::thread::park_timeout(std::time::Duration::from_millis(2));
-                }
+                ctx.shared.wait_terminal();
             })
             .map_err(|e| RmError::Cluster(e.to_string()))?;
 
@@ -197,25 +195,28 @@ impl RmCore {
             }
         }
         if let Some(e) = first_err {
-            // Never leave a partial daemon set running behind an error.
-            for pid in pids {
-                let _ = self.cluster.kill(pid);
+            // Never leave a partial daemon set running, or its records
+            // behind, after an error: nobody will own them.
+            for node_id in &alloc.nodes {
+                if let Ok(node) = self.cluster.node(*node_id) {
+                    node.kill_matching(|r| pids.contains(&r.pid));
+                }
             }
             return Err(RmError::Cluster(e.to_string()));
         }
         Ok(pids)
     }
 
+    /// The job owns its records: every task and the launcher is killed and
+    /// leaves its node's table here, one pass per node of the footprint.
     pub fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
         let key = self.job_env_key;
         let id = handle.job_id.to_string();
         for node_id in &handle.allocation.nodes {
             let node = self.cluster.node(*node_id).map_err(|e| RmError::Cluster(e.to_string()))?;
-            for pid in node.pids_matching(|s| s.env_get(key) == Some(id.as_str())) {
-                let _ = self.cluster.kill(pid);
-            }
+            node.kill_matching(|r| r.spec.env_get(key) == Some(id.as_str()));
         }
-        let _ = self.cluster.kill(handle.launcher_pid);
+        self.cluster.front_end().kill_matching(|r| r.pid == handle.launcher_pid);
         self.allocator.release(&handle.allocation);
         Ok(())
     }
@@ -304,6 +305,7 @@ impl ResourceManager for SlurmRm {
 mod tests {
     use super::*;
     use lmon_cluster::config::ClusterConfig;
+    use lmon_cluster::process::ProcState;
     use lmon_cluster::trace::TraceController;
     use lmon_iccl::{IcclComm, Topology};
     use std::time::Duration;
@@ -335,8 +337,10 @@ mod tests {
         };
         assert_eq!(table.len(), 8);
         assert_eq!(table.host_count(), 2);
+        // The launcher's record leaves the table with the job: wait on the
+        // state taken above, not on a pid look-up.
         rm.kill_job(&handle).unwrap();
-        rm.cluster().wait_pid(handle.launcher_pid).unwrap();
+        assert_eq!(rec.shared.wait_terminal(), ProcState::Killed);
     }
 
     #[test]
@@ -366,7 +370,7 @@ mod tests {
         assert_eq!(table.len(), 4);
         ctl.continue_proc();
         rm.kill_job(&handle).unwrap();
-        rm.cluster().wait_pid(handle.launcher_pid).unwrap();
+        assert_eq!(rec.shared.wait_terminal(), ProcState::Killed);
     }
 
     #[test]
@@ -487,17 +491,24 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "tasks never appeared");
             std::thread::sleep(Duration::from_millis(2));
         }
-        rm.kill_job(&handle).unwrap();
-        assert!(matches!(
-            rm.cluster().wait_pid(handle.launcher_pid).unwrap(),
-            lmon_cluster::process::ProcState::Killed
-        ));
-        let live: usize = handle
+        let (fe_node, launcher) = rm.cluster().find_proc(handle.launcher_pid).unwrap();
+        let tasks: Vec<_> = handle
             .allocation
             .nodes
             .iter()
-            .map(|n| rm.cluster().node(*n).unwrap().live_count())
-            .sum();
-        assert_eq!(live, 0);
+            .flat_map(|n| {
+                let node = rm.cluster().node(*n).unwrap();
+                node.pids().into_iter().map(move |pid| node.proc(pid).unwrap())
+            })
+            .collect();
+        assert_eq!(tasks.len(), 8);
+        rm.kill_job(&handle).unwrap();
+        assert_eq!(launcher.shared.wait_terminal(), ProcState::Killed);
+        assert!(tasks.iter().all(|t| t.shared.state() == ProcState::Killed));
+        // What the job owned is gone from the tables, launcher included.
+        assert!(fe_node.proc(handle.launcher_pid).is_none());
+        for n in &handle.allocation.nodes {
+            assert_eq!(rm.cluster().node(*n).unwrap().pids(), vec![]);
+        }
     }
 }

@@ -2380,13 +2380,15 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         net.front.halt_comm(pos(1, 0)).unwrap();
 
+        // The sweep writes the row, then the route mark, then the counter:
+        // wait on the last of the three.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while net.front.route_table().is_alive(pos(1, 0)) {
+        while net.front.stats().suspicion_deaths == 0 {
             assert!(std::time::Instant::now() < deadline, "suspicion never declared the halt");
             std::thread::sleep(Duration::from_millis(2));
         }
+        assert!(!net.front.route_table().is_alive(pos(1, 0)));
         assert_eq!(table.level(pos(1, 0)), Some(crate::suspicion::SuspicionLevel::Dead));
-        assert!(net.front.stats().suspicion_deaths >= 1);
         assert!(net.front.stats().beats_received > 0);
 
         // The suspicion death feeds the exact same repair path.

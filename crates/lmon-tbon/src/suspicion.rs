@@ -277,10 +277,12 @@ fn monitor_loop(
             {
                 stats.add_suspicions(1);
             }
+            // The row goes out before the route mark it explains: whoever
+            // sees the node routed dead finds `Dead` here, not `Suspect`.
+            table.set(*pos, SuspicionEntry { level, phi: p });
             if level == SuspicionLevel::Dead && route.mark_dead(*pos) {
                 stats.add_suspicion_deaths(1);
             }
-            table.set(*pos, SuspicionEntry { level, phi: p });
         }
     }
 }

@@ -154,7 +154,7 @@ fn stat_over(fe: &LmonFrontEnd, launcher_pid: Pid, spec: TopologySpec) -> LmonRe
     // Task identity straight from the RPDTAB — no scanning.
     let answers: Answers = Arc::new(|be| {
         let ranks: Vec<u32> = be.my_proctab().iter().map(|d| d.rank).collect();
-        let total = be.proctable().len() as u32;
+        let total = be.task_count() as u32;
         Box::new(move |_| sample_ranks(&ranks, total))
     });
     let session = fe.create_session();

@@ -1,0 +1,128 @@
+//! Teardown frees what it kills: every process record has an owner that
+//! removes it (job → `kill_job`, session daemons → the engine's
+//! `end_session`), and a record that leaves its table releases its thread.
+//! These are the accumulation defects D1–D3 as regressions: each test runs
+//! many sessions on *one* cluster and checks that nothing is left behind.
+//!
+//! Thread counts are process-wide, so this file is its own test binary and
+//! its tests take turns.
+
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use launchmon::cluster::config::ClusterConfig;
+use launchmon::cluster::VirtualCluster;
+use launchmon::core::be::BeMain;
+use launchmon::core::fe::LmonFrontEnd;
+use launchmon::daemon::{Daemon, DaemonConfig, Reply, Request};
+use launchmon::proto::payload::DaemonSpec;
+use launchmon::rm::api::{JobSpec, ResourceManager};
+use launchmon::rm::SlurmRm;
+use launchmon::tools::stat::run_stat_launchmon;
+
+static TURN: Mutex<()> = Mutex::new(());
+
+fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status.lines().find(|l| l.starts_with("Threads:")).expect("Threads: line");
+    line.split_whitespace().nth(1).and_then(|n| n.parse().ok()).expect("thread count")
+}
+
+/// Finished daemons exit on their own time; a leak never does.
+fn assert_threads_settle_to(limit: usize, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while threads() > limit {
+        assert!(Instant::now() < deadline, "{what}: {} threads, expected <= {limit}", threads());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The thread count once it has held still for 200 ms: the baseline a
+/// warmed-up instance is compared against.
+fn settled_threads() -> usize {
+    let (mut last, mut held) = (threads(), 0);
+    while held < 40 {
+        std::thread::sleep(Duration::from_millis(5));
+        let now = threads();
+        held = if now == last { held + 1 } else { 0 };
+        last = now;
+    }
+    last
+}
+
+fn records(cluster: &VirtualCluster) -> usize {
+    let compute: usize = cluster.compute_nodes().iter().map(|n| n.pids().len()).sum();
+    cluster.front_end().pids().len() + compute
+}
+
+/// D1: a session's records used to stay in the tables for the life of the
+/// cluster, so a node refused its 4096th process. Here the cap is 64 and
+/// one session needs 9 entries per node.
+#[test]
+fn a_hundred_killed_sessions_fit_a_sixty_four_entry_process_table() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let config = ClusterConfig { proc_table_cap: 64, ..ClusterConfig::with_nodes(2) };
+    let cluster = VirtualCluster::new(config);
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    for i in 0..100 {
+        let session = fe.create_session();
+        let daemon = DaemonSpec::bare("toold");
+        let outcome = fe
+            .launch_and_spawn(session, "app", &[], 2, 8, daemon, be_main.clone())
+            .unwrap_or_else(|e| panic!("launch {i}: {e}"));
+        assert_eq!((outcome.rpdtab.len(), outcome.daemon_count), (16, 2));
+        fe.kill(session).unwrap_or_else(|e| panic!("kill {i}: {e}"));
+    }
+    assert_eq!(records(&cluster), 1, "only the engine's record outlives its sessions");
+    fe.shutdown().unwrap();
+}
+
+/// D2: a killed session's master used to return on the dead FE link without
+/// relaying the shutdown, leaving its siblings parked in the broadcast.
+#[test]
+fn killed_sleeper_sessions_leave_no_parked_daemon_threads() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = Daemon::new(DaemonConfig::default()).expect("daemon");
+    let launch_and_kill = || {
+        let launch = Request::Launch {
+            app: "app".into(),
+            nodes: 8,
+            tasks_per_node: 1,
+            body: "sleeper".into(),
+        };
+        let Reply::Ok(fields) = daemon.dispatch(&launch) else { panic!("launch refused") };
+        let gsid = fields.iter().find(|(k, _)| k == "gsid").expect("gsid").1.parse().unwrap();
+        assert!(matches!(daemon.dispatch(&Request::Kill { gsid }), Reply::Ok(_)));
+    };
+    launch_and_kill(); // lazy backend start is not a leak
+    let before = settled_threads();
+    for _ in 0..50 {
+        launch_and_kill();
+    }
+    assert_threads_settle_to(before + 2, "after 50 killed 8-node sleeper sessions");
+}
+
+/// D3: attach → detach used to pin every daemon's record, and with it the
+/// daemon's thread stack, for the life of the cluster.
+#[test]
+fn fifty_stat_runs_on_one_job_leave_only_the_job_behind() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let job = rm.launch_job(&JobSpec::new("mpi_app", 4, 4), false).unwrap();
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    // The first run also waits out the job's own start-up.
+    let stat = run_stat_launchmon(&fe, job.launcher_pid, 4).unwrap();
+    assert_eq!(stat.tree.rank_count(), 16);
+    let job_records = 16 + 2; // tasks + launcher + engine
+    assert_eq!(records(&cluster), job_records);
+    let before = settled_threads();
+    for _ in 0..50 {
+        run_stat_launchmon(&fe, job.launcher_pid, 4).unwrap();
+    }
+    assert_eq!(records(&cluster), job_records, "detach took its daemons' records along");
+    assert_threads_settle_to(before + 2, "after 50 attach → STAT → detach runs");
+    fe.shutdown().unwrap();
+}
