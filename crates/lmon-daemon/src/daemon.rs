@@ -82,7 +82,6 @@ impl Default for DaemonConfig {
 /// One pooled front end and the virtual cluster behind it.
 struct Backend {
     fe: Arc<LmonFrontEnd>,
-    #[allow(dead_code)] // kept alive for the backend's lifetime + debugging
     cluster: VirtualCluster,
 }
 
@@ -110,7 +109,7 @@ struct SessionSeed {
 }
 
 /// A live session's bookkeeping entry. Its federation group is not stored:
-/// shard `g` owns backends `{ i | i % groups == g }`, so `fe_idx` says it.
+/// [`Daemon::group_of`] derives it from `fe_idx`.
 struct SessionEntry {
     fe_idx: usize,
     sid: SessionId,
@@ -206,12 +205,11 @@ impl Daemon {
         let pool = cfg.backends.max(1);
         let groups = cfg.groups.clamp(1, pool);
         let mut backends = Vec::with_capacity(pool);
-        for idx in 0..pool {
+        for _ in 0..pool {
             let cluster = VirtualCluster::new(ClusterConfig::with_nodes(cfg.cluster_nodes));
             let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
             let fe = Arc::new(LmonFrontEnd::init(rm).map_err(DaemonError::Core)?);
             fe.set_health_history_capacity(cfg.health_history_cap);
-            fe.set_shard_label(format!("g{}", idx % groups));
             backends.push(Backend { fe, cluster });
         }
         let admission = AdmissionQueue::new(cfg.admission_limit, cfg.queue_capacity);
@@ -237,6 +235,9 @@ impl Daemon {
             endpoints: Mutex::new(BoundEndpoints::default()),
             cfg,
         });
+        for (idx, backend) in daemon.backends.iter().enumerate() {
+            backend.fe.set_shard_label(format!("g{}", daemon.group_of(idx)));
+        }
         daemon.register_builtin_bodies();
         Ok(daemon)
     }
@@ -305,16 +306,21 @@ impl Daemon {
         self.fed_epoch.load(Ordering::SeqCst)
     }
 
+    /// The one shard rule: backend `fe_idx` belongs to group
+    /// `fe_idx % groups`.
+    fn group_of(&self, fe_idx: usize) -> usize {
+        fe_idx % self.groups
+    }
+
+    /// The backends group `group` owns, in index order.
+    fn backends_of(&self, group: usize) -> Vec<usize> {
+        (0..self.backends.len()).filter(|&i| self.group_of(i) == group).collect()
+    }
+
     /// The [`FeShard`] view of group `g` (its backend slice + liveness).
     pub fn shard(&self, group: usize) -> Option<FeShard> {
-        if group >= self.groups {
-            return None;
-        }
-        Some(FeShard {
-            group,
-            backends: (0..self.backends.len()).filter(|i| i % self.groups == group).collect(),
-            alive: self.shard_alive[group].load(Ordering::SeqCst),
-        })
+        let alive = self.shard_alive.get(group)?.load(Ordering::SeqCst);
+        Some(FeShard { group, backends: self.backends_of(group), alive })
     }
 
     /// The group `app`'s sessions are pinned to: FNV-1a of the name modulo
@@ -330,8 +336,7 @@ impl Daemon {
 
     /// Round-robin over a group's backends.
     fn pick_backend(&self, group: usize) -> usize {
-        let shard: Vec<usize> =
-            (0..self.backends.len()).filter(|i| i % self.groups == group).collect();
+        let shard = self.backends_of(group);
         let n = self.next_backend.fetch_add(1, Ordering::Relaxed);
         shard[n % shard.len()]
     }
@@ -353,7 +358,7 @@ impl Daemon {
 
         let victims: Vec<u64> = {
             let sessions = self.sessions.lock();
-            let in_group = |e: &SessionEntry| e.fe_idx % self.groups == group;
+            let in_group = |e: &SessionEntry| self.group_of(e.fe_idx) == group;
             sessions.iter().filter(|(_, e)| in_group(e)).map(|(g, _)| *g).collect()
         };
         for gsid in victims {
@@ -537,7 +542,7 @@ impl Daemon {
         Ok(Reply::ok(&[
             ("gsid", gsid.to_string()),
             ("fe", fe_idx.to_string()),
-            ("group", (fe_idx % self.groups).to_string()),
+            ("group", self.group_of(fe_idx).to_string()),
             ("daemons", daemons.to_string()),
             ("wait_ms", wait_ms.to_string()),
             ("launch_ms", launch_started.elapsed().as_millis().to_string()),
@@ -697,7 +702,7 @@ impl Daemon {
         Reply::ok(&[
             ("gsid", gsid.to_string()),
             ("fe", entry.fe_idx.to_string()),
-            ("group", (entry.fe_idx % self.groups).to_string()),
+            ("group", self.group_of(entry.fe_idx).to_string()),
             ("app", entry.seed.app.clone()),
             ("daemons", entry.daemons.to_string()),
             ("state", state),
@@ -952,40 +957,14 @@ pub fn start_daemon(
     #[cfg(unix)]
     if let Some(listener) = unix {
         socket_path = listener.local_addr().ok().and_then(|a| a.as_pathname().map(PathBuf::from));
-        let d = Arc::clone(&daemon);
-        accept_threads.push(
-            std::thread::Builder::new()
-                .name("lmond-accept-unix".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if d.is_shutting_down() {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        spawn_conn_handler(&d, stream, |s| s.try_clone());
-                    }
-                })
-                .map_err(DaemonError::Io)?,
-        );
+        let incoming = std::iter::from_fn(move || Some(listener.accept().map(|(s, _)| s)));
+        accept_threads.push(spawn_accept_loop(&daemon, "unix", incoming, UnixStream::try_clone)?);
     }
 
     if let Some(listener) = tcp {
         tcp_addr = listener.local_addr().ok();
-        let d = Arc::clone(&daemon);
-        accept_threads.push(
-            std::thread::Builder::new()
-                .name("lmond-accept-tcp".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if d.is_shutting_down() {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        spawn_conn_handler(&d, stream, |s| s.try_clone());
-                    }
-                })
-                .map_err(DaemonError::Io)?,
-        );
+        let incoming = std::iter::from_fn(move || Some(listener.accept().map(|(s, _)| s)));
+        accept_threads.push(spawn_accept_loop(&daemon, "tcp", incoming, TcpStream::try_clone)?);
     }
 
     {
@@ -994,6 +973,33 @@ pub fn start_daemon(
         ep.tcp_addr = tcp_addr;
     }
     Ok(DaemonHandle { daemon, socket_path, tcp_addr, accept_threads })
+}
+
+/// One accept thread: hand every accepted connection to its own handler
+/// until shutdown begins (the shutdown self-connect wakes a blocked
+/// accept).
+fn spawn_accept_loop<S>(
+    daemon: &Arc<Daemon>,
+    kind: &str,
+    incoming: impl Iterator<Item = std::io::Result<S>> + Send + 'static,
+    try_clone: fn(&S) -> std::io::Result<S>,
+) -> DaemonResult<std::thread::JoinHandle<()>>
+where
+    S: std::io::Read + Write + Send + 'static,
+{
+    let d = Arc::clone(daemon);
+    std::thread::Builder::new()
+        .name(format!("lmond-accept-{kind}"))
+        .spawn(move || {
+            for stream in incoming {
+                if d.is_shutting_down() {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                spawn_conn_handler(&d, stream, try_clone);
+            }
+        })
+        .map_err(DaemonError::Io)
 }
 
 /// Per-connection handler thread, with the connection cap applied.

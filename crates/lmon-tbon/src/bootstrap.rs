@@ -23,7 +23,7 @@ use parking_lot::Mutex;
 
 use crate::error::{TbonError, TbonResult};
 use crate::filter::FilterRegistry;
-use crate::overlay::{run_comm_node_with_faults, CommFault, FrontEndpoint, LeafEndpoint, Overlay};
+use crate::overlay::{CommFault, CommHarness, FrontEndpoint, LeafEndpoint, Overlay};
 use crate::spec::TopologySpec;
 use lmon_cluster::process::{Pid, ProcCtx, ProcSpec};
 use lmon_cluster::remote::RshSession;
@@ -96,7 +96,7 @@ pub fn bootstrap_adhoc(
         )));
     }
 
-    let overlay = Overlay::build(spec, registry.clone());
+    let overlay = Overlay::build(spec, registry);
 
     // Every daemon is pre-wired into the overlay by `Overlay::build`, so
     // subtrees are independent at spawn time: comm daemons at any level and
@@ -107,8 +107,8 @@ pub fn bootstrap_adhoc(
     // pids reserved in launch order so the result is indistinguishable from
     // the serial walk.
     enum Daemon {
-        Comm(crate::overlay::CommHarness),
-        Leaf(crate::overlay::LeafEndpoint),
+        Comm(CommHarness),
+        Leaf(LeafEndpoint),
     }
     let daemons: Vec<(Daemon, &String)> = overlay
         .comm
@@ -143,14 +143,13 @@ pub fn bootstrap_adhoc(
         |i, (ticket, (daemon, _host))| match daemon {
             Daemon::Comm(harness) => {
                 let slot = Arc::new(Mutex::new(Some(harness)));
-                let reg = registry.clone();
                 let spec_proc = ProcSpec::named("mrnet_commnode").arg(format!(
                     "--level={}",
                     slot.lock().as_ref().expect("fresh slot").pos.level
                 ));
                 let body = move |_ctx: ProcCtx| {
                     if let Some(harness) = slot.lock().take() {
-                        run_comm_node_with_faults(harness, reg, CommFault::none());
+                        harness.run(CommFault::none());
                     }
                 };
                 ticket.spawn_with_pid(block.pid(i), spec_proc, body)

@@ -17,12 +17,16 @@
 //!   internal nodes aggregate child packets with a per-stream filter
 //!   (concatenate, sum, custom tool merges such as STAT's prefix-tree
 //!   fold).
-//! * [`overlay`] — the channel fabric, the communication-daemon loop, and
-//!   the one way to stand an overlay up on plain threads:
-//!   [`Overlay::run`] consumes a built overlay, takes a per-comm-index
-//!   [`CommFault`] source and a leaf body (normally
+//! * [`overlay`] — the channel fabric and the one way to stand an overlay
+//!   up on plain threads: [`Overlay::run`] consumes a built overlay, takes
+//!   a per-comm-index [`CommFault`] source and a leaf body (normally
 //!   [`LeafEndpoint::serve`], the one leaf serve loop) and returns a
-//!   [`RunningOverlay`] whose `shutdown()` joins every thread.
+//!   [`RunningOverlay`] whose `shutdown()` joins every thread. One file
+//!   per plane: `overlay/mod.rs` (build, run, faults), `leaf.rs`
+//!   ([`LeafEndpoint`]), `comm.rs` ([`overlay::CommHarness::run`], the
+//!   comm-daemon loop), `front.rs` ([`FrontEndpoint`]: data, failure
+//!   detection, repair) and `maintenance.rs` ([`Maintenance`]: drain,
+//!   upgrade, suspicion).
 //! * [`recovery`] — the self-healing layer (DESIGN.md §9): parent-side
 //!   failure detection (deterministic link-close notices + a heartbeat
 //!   sweep), grandparent adoption of orphaned subtrees with fan-out-bounded

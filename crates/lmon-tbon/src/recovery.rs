@@ -23,8 +23,8 @@ use std::time::Duration;
 use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 
-use crate::packet::{Down, Up};
-use crate::spec::{NodePos, TopologySpec};
+use crate::packet::{Down, Up, UpKind};
+use crate::spec::{NodePos, TopologySpec, ROOT};
 
 /// A live link to a (current) child: its position plus the sender half of
 /// its down channel.
@@ -39,9 +39,9 @@ pub(crate) struct ChildLink {
 pub(crate) enum RecoveryCmd {
     /// Child-set surgery at `epoch`: drop dead children, adopt orphans.
     Reconfigure { epoch: u64, drop: Vec<NodePos>, adopt: Vec<ChildLink> },
-    /// Re-parent: route future up-traffic to `up` (owned by `parent`),
-    /// stamping `epoch`.
-    Rewire { epoch: u64, parent: NodePos, up: Sender<Up> },
+    /// Re-parent: route future up-traffic to `up` (the new parent's up
+    /// channel), stamping `epoch`.
+    Rewire { epoch: u64, up: Sender<Up> },
     /// Deterministic crash injection (the bench/chaos kill switch): the
     /// daemon runs its crash fault path as if a `CommFault` fired.
     Crash,
@@ -94,13 +94,25 @@ pub(crate) struct RouteInner {
     pub spare_pool: Vec<NodePos>,
 }
 
+impl RouteInner {
+    /// See [`RouteTable::idle_spares`].
+    pub fn idle_spares(&self) -> Vec<NodePos> {
+        let alive = |p: &NodePos| self.nodes.get(p).is_some_and(|n| n.alive);
+        let mut spares: Vec<NodePos> = self.spare_pool.iter().copied().filter(alive).collect();
+        spares.sort_unstable();
+        spares
+    }
+}
+
 /// The front end's authoritative view of the overlay: current topology,
 /// liveness, epoch, and the link handles repairs need.
 ///
 /// Built by [`crate::overlay::Overlay::build`] and shared (behind an `Arc`)
 /// with every communication daemon, which uses it for exactly one thing:
-/// marking itself dead on the deterministic crash path. All routing
-/// decisions are the front end's.
+/// marking itself dead on the deterministic crash path — and with the
+/// suspicion monitor, which marks a silent node dead and posts its
+/// `ChildGone` notice to the root. All routing decisions are the front
+/// end's.
 pub struct RouteTable {
     inner: Mutex<RouteInner>,
 }
@@ -109,8 +121,7 @@ impl RouteTable {
     pub(crate) fn new(spec: &TopologySpec) -> Self {
         let base_fanout = (0..spec.depth() as u32).map(|l| spec.base_fanout(l)).collect::<Vec<_>>();
         let mut nodes = HashMap::new();
-        let root = NodePos { level: 0, index: 0 };
-        let mut all = vec![root];
+        let mut all = vec![ROOT];
         all.extend(spec.comm_positions());
         all.extend(spec.leaf_positions());
         for pos in all {
@@ -175,29 +186,10 @@ impl RouteTable {
         dead
     }
 
-    /// Number of routed nodes currently believed alive (excluding the root).
-    pub fn live_count(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.nodes.iter().filter(|(p, n)| p.level != 0 && n.alive).count()
-    }
-
     /// Idle hot spares still available to repairs, in position order
     /// (dead spares are skipped — a spare can die like any other daemon).
     pub fn idle_spares(&self) -> Vec<NodePos> {
-        let inner = self.inner.lock();
-        let mut spares: Vec<NodePos> = inner
-            .spare_pool
-            .iter()
-            .copied()
-            .filter(|p| inner.nodes.get(p).map(|n| n.alive).unwrap_or(false))
-            .collect();
-        spares.sort_unstable();
-        spares
-    }
-
-    /// The node's *current* parent (None for the root or unrouted nodes).
-    pub fn current_parent(&self, pos: NodePos) -> Option<NodePos> {
-        self.inner.lock().nodes.get(&pos).and_then(|n| n.parent)
+        self.inner.lock().idle_spares()
     }
 
     /// The node's *current* children, in position order.
@@ -219,6 +211,20 @@ impl RouteTable {
                 true
             }
             _ => false,
+        }
+    }
+
+    /// Post `pos`'s `ChildGone` notice on the root's up link: a verdict
+    /// reached out of band (a suspicion death) reaches the front end as
+    /// the same message a crash's close path sends, so a front end blocked
+    /// on its up link wakes for it.
+    pub(crate) fn post_child_gone(&self, pos: NodePos) {
+        let inner = self.inner.lock();
+        let root_up = inner.nodes.get(&ROOT).and_then(|n| n.up.clone());
+        let up = Up { from: pos, epoch: inner.epoch, kind: UpKind::ChildGone { pos } };
+        drop(inner);
+        if let Some(root_up) = root_up {
+            let _ = root_up.send(up);
         }
     }
 
@@ -627,7 +633,7 @@ mod tests {
         let rt = RouteTable::new(&spec);
         assert_eq!(rt.idle_spares(), vec![pos(1, 2), pos(1, 3)]);
         assert!(rt.is_alive(pos(1, 2)));
-        assert_eq!(rt.current_parent(pos(1, 2)), None);
+        assert!(!rt.current_children(pos(0, 0)).contains(&pos(1, 2)), "no parent adopted it");
         assert!(rt.current_children(pos(1, 2)).is_empty());
         // A dead spare drops out of the idle pool.
         assert!(rt.mark_dead(pos(1, 2)));
@@ -639,15 +645,16 @@ mod tests {
         let spec = TopologySpec::parse("1x2x4").unwrap();
         let rt = RouteTable::new(&spec);
         assert_eq!(rt.epoch(), 0);
-        assert_eq!(rt.live_count(), 6, "2 comms + 4 leaves");
+        let below_root = [pos(1, 0), pos(1, 1), pos(2, 0), pos(2, 1), pos(2, 2), pos(2, 3)];
+        assert!(below_root.iter().all(|&p| rt.is_alive(p)), "2 comms + 4 leaves");
         let comm0 = pos(1, 0);
-        assert!(rt.is_alive(comm0));
         assert_eq!(rt.current_children(comm0), vec![pos(2, 0), pos(2, 1)]);
-        assert_eq!(rt.current_parent(comm0), Some(pos(0, 0)));
+        assert_eq!(rt.current_children(pos(0, 0)), vec![comm0, pos(1, 1)]);
         assert!(rt.mark_dead(comm0), "first mark transitions");
         assert!(!rt.mark_dead(comm0), "second mark is a no-op");
         assert_eq!(rt.dead_nodes(), vec![comm0]);
-        assert_eq!(rt.live_count(), 5);
+        assert!(!rt.is_alive(comm0));
+        assert!(below_root[1..].iter().all(|&p| rt.is_alive(p)), "only comm0 died");
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub struct NodePos {
     pub index: u32,
 }
 
+/// The front end's position: the root of every tree.
+pub(crate) const ROOT: NodePos = NodePos { level: 0, index: 0 };
+
 impl TopologySpec {
     /// Parse `"1x4x16"` (also accepts `:`-separated), with an optional
     /// trailing `+N` hot-spare pool (`"1x4x16+2"`).

@@ -18,10 +18,11 @@
 //!   as in the Hayashibara et al. detector and its Akka implementation);
 //! * suspicion is *graded*: `φ ≥ suspect_phi` raises
 //!   [`SuspicionLevel::Suspect`] (exported via `/metrics`, no action),
-//!   `φ ≥ dead_phi` declares [`SuspicionLevel::Dead`] and marks the node
-//!   dead in the shared [`RouteTable`] — exactly the state the front end's
-//!   `poll_failures`/`heal_failures` path already consumes, so detection
-//!   feeds the PR 5 repair machinery with no new repair code;
+//!   `φ ≥ dead_phi` declares [`SuspicionLevel::Dead`], marks the node
+//!   dead in the shared [`RouteTable`] and posts the crash path's
+//!   `ChildGone` notice on the root's up link — so a front end blocked in
+//!   `wait_failure` wakes for it, and detection feeds the PR 5 repair
+//!   machinery with no new repair code;
 //! * nodes under a planned drain are exempt (they stop beating *on
 //!   purpose*), and nodes repaired out of the route table are unenrolled.
 
@@ -277,11 +278,14 @@ fn monitor_loop(
             {
                 stats.add_suspicions(1);
             }
-            // The row goes out before the route mark it explains: whoever
-            // sees the node routed dead finds `Dead` here, not `Suspect`.
+            // The row goes out before the route mark it explains, and the
+            // counter before the notice: whoever sees the node routed dead
+            // finds `Dead` here, not `Suspect`, and whoever the notice
+            // wakes finds the death counted.
             table.set(*pos, SuspicionEntry { level, phi: p });
             if level == SuspicionLevel::Dead && route.mark_dead(*pos) {
                 stats.add_suspicion_deaths(1);
+                route.post_child_gone(*pos);
             }
         }
     }

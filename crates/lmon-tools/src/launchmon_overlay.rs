@@ -25,9 +25,7 @@ use lmon_core::mw::MwMain;
 use lmon_core::{LmonError, LmonResult, SessionId};
 use lmon_proto::payload::DaemonSpec;
 use lmon_tbon::filter::FilterRegistry;
-use lmon_tbon::overlay::{
-    run_comm_node_with_faults, CommFault, CommHarness, FrontEndpoint, LeafEndpoint, Overlay,
-};
+use lmon_tbon::overlay::{CommFault, CommHarness, FrontEndpoint, LeafEndpoint, Overlay};
 use lmon_tbon::spec::TopologySpec;
 use lmon_tbon::Packet;
 
@@ -121,13 +119,12 @@ fn bring_up(
 
     let comm_count = comm_slots.len();
     if comm_count > 0 {
-        let registry = setup.registry.clone();
         let faults = setup.comm_faults.clone();
         let mw_main: MwMain = Arc::new(move |mw| {
             let rank = mw.rank() as usize;
             let harness = comm_slots[rank].lock().take();
             if let Some(harness) = harness {
-                run_comm_node_with_faults(harness, registry.clone(), CommFault::at(&faults, rank));
+                harness.run(CommFault::at(&faults, rank));
             }
         });
         fe.launch_mw_daemons(
