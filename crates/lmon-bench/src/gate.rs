@@ -1,5 +1,5 @@
-//! The one harness behind the self-gating benches (`transport_latency`,
-//! `recovery_latency`, `upgrade_rolling`, `federation_routing`).
+//! The one harness behind the three self-gating benches
+//! (`transport_latency`, `recovery_latency`, `upgrade_rolling`).
 //!
 //! A bench measures, declares its result rows as [`Json`] objects and hands
 //! them to [`publish`], which reads the committed artifact, overwrites it
@@ -513,10 +513,6 @@ mod tests {
             (
                 include_str!("../../../BENCH_upgrade.json"),
                 gate(&["shapes", "1x8x64+8"], "step_p50_us", "healthy_rtt_us"),
-            ),
-            (
-                include_str!("../../../BENCH_federation.json"),
-                gate(&["specs", "1x2x8 * 4g"], "failover_us", "group_rtt_us"),
             ),
         ];
         for (text, gate) in artifacts {

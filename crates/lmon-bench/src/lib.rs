@@ -14,7 +14,6 @@
 //! | `transport_latency` | recv wakeup latency + mux fan-in, self-gating vs `BENCH_transport.json` |
 //! | `recovery_latency` | overlay kill → heal → broadcast latency, self-gating vs `BENCH_recovery.json` |
 //! | `upgrade_rolling` | rolling comm-daemon upgrade + phi vs sweep detection, self-gating vs `BENCH_upgrade.json` |
-//! | `federation_routing` | per-group federation constants + million-node projection, self-gating vs `BENCH_federation.json` |
 //!
 //! The end-to-end launch numbers (launch request in → tool daemons ready
 //! out, through `lmond` and directly) are not measured here: they belong
@@ -23,7 +22,7 @@
 //! This library holds the shared table-rendering helpers and the paper's
 //! reference numbers, so each bench can print paper-vs-reproduction
 //! comparisons, and [`gate`]: the one harness (run mode, statistics,
-//! artifact writer/reader, regression rule) the four self-gating benches
+//! artifact writer/reader, regression rule) the three self-gating benches
 //! share.
 
 #![forbid(unsafe_code)]

@@ -127,7 +127,8 @@ pub struct FeShard {
     pub group: usize,
     /// Backend indices this shard owns.
     pub backends: Vec<usize>,
-    /// False after [`Daemon::fail_group`] took the group's FEs down.
+    /// False after [`Daemon::fail_group`] declared the group's FEs dead
+    /// and ended every session they hosted.
     pub alive: bool,
 }
 
@@ -136,8 +137,6 @@ pub struct FeShard {
 pub struct FailoverReport {
     /// The group whose front ends were declared dead.
     pub group: usize,
-    /// Inter-group federation epoch after the bump.
-    pub epoch: u64,
     /// Launch sessions re-homed onto sibling shards.
     pub rehomed: usize,
     /// Sessions dropped (attach sessions, or re-launch failures).
@@ -167,10 +166,7 @@ pub struct Daemon {
     groups: usize,
     /// Per-group liveness; flipped by [`Daemon::fail_group`].
     shard_alive: Vec<AtomicBool>,
-    /// Inter-group federation epoch: bumps on every group failover, so
-    /// overlay re-attaches and route publishes from before the failover
-    /// are recognizably stale (the PR 5 rule, across group boundaries).
-    fed_epoch: AtomicU64,
+    /// Whole-group failovers served ([`Daemon::fail_group`] calls).
     fed_failovers: AtomicU64,
     next_backend: AtomicUsize,
     sessions: Mutex<HashMap<u64, SessionEntry>>,
@@ -217,7 +213,6 @@ impl Daemon {
             backends,
             groups,
             shard_alive: (0..groups).map(|_| AtomicBool::new(true)).collect(),
-            fed_epoch: AtomicU64::new(0),
             fed_failovers: AtomicU64::new(0),
             next_backend: AtomicUsize::new(0),
             sessions: Mutex::new(HashMap::new()),
@@ -294,6 +289,14 @@ impl Daemon {
         self.backends.get(idx).map(|b| &b.fe)
     }
 
+    /// Chaos/test hook: the backend index and FE-local session id behind
+    /// `gsid` — what a test needs to talk to the session through
+    /// [`Self::backend_fe`]. Both change when [`Self::fail_group`] re-homes
+    /// the session. `None` for an unknown gsid.
+    pub fn session_of(&self, gsid: u64) -> Option<(usize, SessionId)> {
+        self.sessions.lock().get(&gsid).map(|e| (e.fe_idx, e.sid))
+    }
+
     // --- FeShard pool -----------------------------------------------------
 
     /// Effective federation group count (≥ 1).
@@ -301,9 +304,9 @@ impl Daemon {
         self.groups
     }
 
-    /// Current inter-group federation epoch (bumps on every failover).
-    pub fn fed_epoch(&self) -> u64 {
-        self.fed_epoch.load(Ordering::SeqCst)
+    /// Whether `group`'s front ends are still serving.
+    fn shard_is_alive(&self, group: usize) -> bool {
+        self.shard_alive[group].load(Ordering::SeqCst)
     }
 
     /// The one shard rule: backend `fe_idx` belongs to group
@@ -330,7 +333,7 @@ impl Daemon {
         let home = (fnv1a(app) % self.groups as u64) as usize;
         (0..self.groups)
             .map(|off| (home + off) % self.groups)
-            .find(|&g| self.shard_alive[g].load(Ordering::SeqCst))
+            .find(|&g| self.shard_is_alive(g))
             .unwrap_or(home)
     }
 
@@ -342,19 +345,19 @@ impl Daemon {
     }
 
     /// Declare a whole group's front ends dead and fail its sessions over:
-    /// the federation epoch bumps *first* (so any in-flight publish from
-    /// the dead group is droppably stale), then every launch session
-    /// pinned to the group is re-launched on a sibling shard's FE under
-    /// the same gsid and admission permit. Attach sessions cannot follow —
-    /// their launcher ran on the dead shard's cluster — so they are
-    /// dropped and counted. DESIGN.md §13 gives the ordering argument.
+    /// mark the shard dead (new placements probe past it), then end every
+    /// session it hosted on its old backend — a launched job is killed, an
+    /// attached one detached, so no old copy keeps running — and re-launch
+    /// each launch session on a sibling shard's FE under the same gsid and
+    /// admission permit. Attach sessions cannot follow — their launcher ran
+    /// on the dead shard's cluster — so they are dropped and counted.
+    /// DESIGN.md §13 gives the ordering argument.
     pub fn fail_group(&self, group: usize) -> FailoverReport {
-        let epoch = self.fed_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.fed_failovers.fetch_add(1, Ordering::SeqCst);
+        let failover = self.fed_failovers.fetch_add(1, Ordering::SeqCst) + 1;
         if group < self.groups {
             self.shard_alive[group].store(false, Ordering::SeqCst);
         }
-        let mut report = FailoverReport { group, epoch, rehomed: 0, dropped: 0 };
+        let mut report = FailoverReport { group, rehomed: 0, dropped: 0 };
 
         let victims: Vec<u64> = {
             let sessions = self.sessions.lock();
@@ -362,16 +365,18 @@ impl Daemon {
             sessions.iter().filter(|(_, e)| in_group(e)).map(|(g, _)| *g).collect()
         };
         for gsid in victims {
-            let Some(SessionEntry { seed, .. }) = self.sessions.lock().remove(&gsid) else {
-                continue;
-            };
+            let Some(entry) = self.sessions.lock().remove(&gsid) else { continue };
+            let launched = matches!(entry.seed.origin, Origin::Launch { .. });
+            // Best effort: the group is declared dead whether or not its FE
+            // still answers the teardown.
+            let _ = self.end_session(&entry, launched);
+            let seed = entry.seed;
             let sibling = self.group_of_app(&seed.app);
-            let live_sibling = sibling != group && self.shard_alive[sibling].load(Ordering::SeqCst);
-            if !(live_sibling && matches!(seed.origin, Origin::Launch { .. })) {
+            if !(launched && sibling != group && self.shard_is_alive(sibling)) {
                 report.dropped += 1; // seed (and permit) dropped with it
                 continue;
             }
-            let how = format!("re-homed from dead group g{group} at epoch {epoch}");
+            let how = format!("re-homed from dead group g{group} at failover {failover}");
             let fe_idx = self.pick_backend(sibling);
             match self.establish(fe_idx, seed, Some(gsid), HealthState::Healed, &how) {
                 Ok(_) => report.rehomed += 1,
@@ -577,14 +582,19 @@ impl Daemon {
     /// its owning backend *before* any attach runs, so a bad pid fails the
     /// whole request instead of half of it; a failure mid-way reports how
     /// many sessions were already established (they stay live and show up
-    /// in `STATUS`).
+    /// in `STATUS`). Only live shards own pids: a launcher on a failed
+    /// group's cluster is refused by name, never given a session there.
     fn handle_attach(&self, pids: &[u64], body: &str) -> Result<Reply, String> {
         let (daemon, body) = self.daemon_image(body)?;
         let mut targets = Vec::with_capacity(pids.len());
         for &pid in pids {
-            let fe_idx = (0..self.backends.len())
-                .find(|&i| self.backends[i].cluster.find_proc(Pid(pid)).is_ok())
-                .ok_or_else(|| format!("no running process with pid {pid}"))?;
+            let knows = |i: &usize| self.backends[*i].cluster.find_proc(Pid(pid)).is_ok();
+            let owners: Vec<usize> = (0..self.backends.len()).filter(knows).collect();
+            let live = owners.iter().copied().find(|&i| self.shard_is_alive(self.group_of(i)));
+            let fe_idx = live.ok_or_else(|| match owners.first() {
+                Some(&i) => format!("pid {pid} runs on failed group g{}", self.group_of(i)),
+                None => format!("no running process with pid {pid}"),
+            })?;
             targets.push((pid, fe_idx));
         }
 
@@ -672,7 +682,6 @@ impl Daemon {
             ("uptime_s", self.started_at.elapsed().as_secs().to_string()),
             ("backends", self.backends.len().to_string()),
             ("groups", self.groups.to_string()),
-            ("fed_epoch", self.fed_epoch().to_string()),
             ("fed_failovers", self.fed_failovers.load(Ordering::SeqCst).to_string()),
             ("sessions", self.sessions_active().to_string()),
             ("in_flight", adm.in_flight.to_string()),
@@ -718,14 +727,25 @@ impl Daemon {
         let Some(entry) = self.sessions.lock().remove(&gsid) else {
             return Reply::Err(format!("no such session {gsid}"));
         };
-        let fe = &self.backends[entry.fe_idx].fe;
-        let res = if kill { fe.kill(entry.sid) } else { fe.detach(entry.sid) };
-        match res {
+        match self.end_session(&entry, kill) {
             Ok(()) => Reply::ok(&[
                 ("gsid", gsid.to_string()),
                 (if kill { "killed" } else { "detached" }, "1".into()),
             ]),
             Err(e) => Reply::Err(format!("{}: {e}", if kill { "kill" } else { "detach" })),
+        }
+    }
+
+    /// End a session on the backend that hosts it — the one teardown
+    /// `KILL`, `DETACH` and [`Self::fail_group`] share. Kill destroys the
+    /// job and its daemons; detach sends the daemons home and leaves the
+    /// job running. The caller has already removed the entry.
+    fn end_session(&self, entry: &SessionEntry, kill: bool) -> lmon_core::LmonResult<()> {
+        let fe = &self.backends[entry.fe_idx].fe;
+        if kill {
+            fe.kill(entry.sid)
+        } else {
+            fe.detach(entry.sid)
         }
     }
 
@@ -754,7 +774,6 @@ impl Daemon {
         MetricsSnapshot {
             uptime: self.started_at.elapsed(),
             fed_groups: self.groups,
-            fed_epoch: self.fed_epoch(),
             fed_failovers: self.fed_failovers.load(Ordering::SeqCst),
             sessions_active: active,
             launches_total: self.launches_total.load(Ordering::Relaxed),
@@ -1154,9 +1173,9 @@ mod tests {
         crate::control::parse_reply_header(header).expect("OK reply").0
     }
 
-    /// Tentpole: killing a whole group's FE re-homes its launch sessions
-    /// onto a sibling shard under a bumped federation epoch, preserving
-    /// the gsid (clients keep their handle across the failover).
+    /// Killing a whole group's FE re-homes its launch sessions onto a
+    /// sibling shard, preserving the gsid (clients keep their handle across
+    /// the failover).
     #[test]
     fn group_failover_rehomes_launch_sessions() {
         let daemon = Daemon::new(DaemonConfig {
@@ -1182,7 +1201,6 @@ mod tests {
         let launched = status(gsid);
 
         let report = daemon.fail_group(group);
-        assert_eq!(report.epoch, 1, "first failover bumps the epoch to 1");
         assert_eq!(report.rehomed, 1, "the launch session follows its gsid");
         assert_eq!(report.dropped, 0);
         assert!(!daemon.shard(group).unwrap().alive);
@@ -1206,8 +1224,8 @@ mod tests {
         assert_eq!(snap.launches_total, 2, "the launch and its re-home");
 
         let f = fields(&daemon.dispatch(&Request::parse("STATUS").unwrap()));
-        assert_eq!(f.field_as::<u64>("fed_epoch"), Some(1));
         assert_eq!(f.field_as::<u64>("fed_failovers"), Some(1));
+        assert_eq!(f.field("fed_epoch"), None, "one failover counter, no epoch");
 
         // The re-homed session is still fully manageable by its old gsid.
         let reply = daemon.dispatch(&Request::parse(&format!("KILL {gsid}")).unwrap());
@@ -1233,5 +1251,63 @@ mod tests {
         assert_eq!((snap.launches_total, snap.sessions_active), (2, 2));
         let seeded: usize = snap.healths.iter().map(|h| h.live_sessions).sum();
         assert_eq!(seeded, snap.sessions_active, "every live session has a health monitor");
+    }
+
+    /// Process records in backend `fe_idx`'s cluster tables.
+    fn records(daemon: &Daemon, fe_idx: usize) -> usize {
+        let cluster = &daemon.backends[fe_idx].cluster;
+        let compute: usize = cluster.compute_nodes().iter().map(|n| n.pids().len()).sum();
+        cluster.front_end().pids().len() + compute
+    }
+
+    /// A failover ends the old copy of a re-homed session: its job and
+    /// daemons must not keep running on the dead group's backend while the
+    /// same gsid runs again on the sibling.
+    #[test]
+    fn failover_ends_the_old_copy_of_every_rehomed_session() {
+        let daemon = Daemon::new(DaemonConfig {
+            backends: 4,
+            groups: 2,
+            cluster_nodes: 8,
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let f = fields(&daemon.dispatch(&Request::parse("LAUNCH psweep 2 1 sleeper").unwrap()));
+        let gsid: u64 = f.field_as("gsid").unwrap();
+        let (old_fe, old_sid) = daemon.session_of(gsid).unwrap();
+        assert!(records(&daemon, old_fe) > 1, "job and daemons are on the old backend");
+
+        let report = daemon.fail_group(daemon.group_of(old_fe));
+        assert_eq!((report.rehomed, report.dropped), (1, 0));
+        assert_eq!(records(&daemon, old_fe), 1, "only the engine's record is left behind");
+        let old = daemon.backends[old_fe].fe.session_state(old_sid);
+        assert!(matches!(old, Ok(lmon_core::SessionState::Killed)), "old copy: {old:?}");
+        let (new_fe, _) = daemon.session_of(gsid).unwrap();
+        assert_ne!(daemon.group_of(new_fe), daemon.group_of(old_fe));
+        assert!(records(&daemon, new_fe) > 1, "the session runs on its new home");
+    }
+
+    /// `ATTACH` resolves pids on live shards only: a launcher on a failed
+    /// group gets an error naming the group, not a session on the dead
+    /// shard.
+    #[test]
+    fn attach_refuses_a_launcher_on_a_failed_group() {
+        let daemon = Daemon::new(DaemonConfig {
+            backends: 2,
+            groups: 2,
+            cluster_nodes: 8,
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let f = fields(&daemon.dispatch(&Request::parse("RUNJOB psweep 1 1").unwrap()));
+        let (pid, fe): (u64, usize) = (f.field_as("pid").unwrap(), f.field_as("fe").unwrap());
+        let dead = daemon.group_of(fe);
+        daemon.fail_group(dead);
+
+        let reply = daemon.dispatch(&Request::parse(&format!("ATTACH {pid} sleeper")).unwrap());
+        let text = reply.render();
+        assert!(matches!(reply, Reply::Err(_)), "attach on a dead shard: {text}");
+        assert!(text.contains(&format!("failed group g{dead}")), "names the group: {text}");
+        assert_eq!(daemon.sessions_active(), 0);
     }
 }

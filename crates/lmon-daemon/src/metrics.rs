@@ -30,8 +30,6 @@ pub struct MetricsSnapshot {
     pub uptime: Duration,
     /// Federation groups the FE pool is sharded into (DESIGN.md §13).
     pub fed_groups: usize,
-    /// Inter-group federation epoch (bumps on every group failover).
-    pub fed_epoch: u64,
     /// Whole-group FE failovers served.
     pub fed_failovers: u64,
     /// Live (admitted, not yet detached/killed) sessions.
@@ -98,7 +96,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     // --- daemon + admission --------------------------------------------
     r.gauge("lmond_uptime_seconds", "Daemon uptime.", snap.uptime.as_secs_f64());
     r.gauge("lmond_fed_groups", "Federation groups in the FE shard pool.", snap.fed_groups);
-    r.gauge("lmond_fed_epoch", "Inter-group federation epoch.", snap.fed_epoch);
     r.counter("lmond_fed_failovers_total", "Whole-group FE failovers served.", snap.fed_failovers);
     r.gauge("lmond_sessions_active", "Sessions currently admitted and live.", snap.sessions_active);
     r.counter("lmond_launches_total", "Successful launches served.", snap.launches_total);
@@ -367,7 +364,6 @@ mod tests {
         MetricsSnapshot {
             uptime: Duration::from_secs(90),
             fed_groups: 4,
-            fed_epoch: 2,
             fed_failovers: 2,
             sessions_active: 3,
             launches_total: 12,
@@ -428,10 +424,11 @@ mod tests {
         assert!(text.contains("lmond_health_sessions{state=\"degraded\"} 1"), "{text}");
         assert!(text.contains("lmond_admission_queue_depth 2"), "{text}");
         assert!(text.contains("lmond_uptime_seconds 90"), "{text}");
-        // DESIGN.md §13 federation gauges.
+        // DESIGN.md §13 FE-shard families: the group count and the one
+        // failover counter.
         assert!(text.contains("lmond_fed_groups 4"), "{text}");
-        assert!(text.contains("lmond_fed_epoch 2"), "{text}");
         assert!(text.contains("lmond_fed_failovers_total 2"), "{text}");
+        assert!(!text.contains("lmond_fed_epoch"), "{text}");
         // DESIGN.md §12 planned-maintenance families.
         assert!(text.contains("lmond_overlay_spares_registered_total 4"), "{text}");
         assert!(text.contains("lmond_overlay_spares_idle 3"), "{text}");

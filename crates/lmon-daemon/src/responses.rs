@@ -186,8 +186,6 @@ pub struct StatusResponse {
     pub launches: u64,
     /// Failed launches since start.
     pub failures: u64,
-    /// Inter-group federation epoch (bumps on every group failover).
-    pub fed_epoch: u64,
     /// Whole-group FE failovers since start.
     pub fed_failovers: u64,
     raw: ParsedReply,
@@ -205,7 +203,6 @@ impl StatusResponse {
             queue_depth: required(&raw, "queue_depth")?,
             launches: required(&raw, "launches")?,
             failures: required(&raw, "failures")?,
-            fed_epoch: raw.field_as::<u64>("fed_epoch").unwrap_or(0),
             fed_failovers: raw.field_as::<u64>("fed_failovers").unwrap_or(0),
             raw,
         })
@@ -288,8 +285,9 @@ mod tests {
 
     #[test]
     fn v1_replies_without_group_fields_still_parse() {
-        // A v1 daemon never sends group/fed_* fields; typed views default
-        // them instead of failing, so a v2 CLI works against a v1 server.
+        // A v1 daemon never sends group/fed_failovers fields; typed views
+        // default them instead of failing, so a v2 CLI works against a v1
+        // server.
         let raw = reply("OK gsid=7 fe=0 daemons=4 wait_ms=0 launch_ms=9");
         assert_eq!(LaunchResponse::from_reply(raw).unwrap().group, 0);
         let raw = reply(
@@ -298,7 +296,7 @@ mod tests {
              upgrades=0 limit=8 queue_capacity=16",
         );
         let st = StatusResponse::from_reply(raw).unwrap();
-        assert_eq!((st.groups, st.fed_epoch, st.fed_failovers), (1, 0, 0));
+        assert_eq!((st.groups, st.fed_failovers), (1, 0));
     }
 
     #[test]

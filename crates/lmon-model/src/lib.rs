@@ -33,4 +33,4 @@ pub mod predict;
 pub mod scenario;
 
 pub use params::CostParams;
-pub use predict::{federation_projection, FederationProjection, LaunchBreakdownModel};
+pub use predict::LaunchBreakdownModel;

@@ -126,58 +126,6 @@ pub fn oss_apai_times(p: &CostParams, nodes: usize) -> (f64, f64) {
     )
 }
 
-/// A federated-launch projection (DESIGN.md §13): `groups` independent
-/// groups, each launching `nodes_per_group` daemons behind its own front
-/// end, joined by one inter-group routing exchange.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FederationProjection {
-    /// Group count.
-    pub groups: usize,
-    /// Daemons per group.
-    pub nodes_per_group: usize,
-    /// Total daemons across the federation.
-    pub total_nodes: usize,
-    /// One group's launch time; groups run in parallel, so this is also
-    /// the federation's launch critical path.
-    pub group_launch_s: f64,
-    /// The inter-group routing exchange: every gateway publishes its
-    /// epoch-stamped entry and reads the others', linear in groups.
-    pub routing_exchange_s: f64,
-    /// Federation total: parallel group launch + routing exchange.
-    pub total_s: f64,
-    /// The same daemon count launched as one flat (single-FE) session,
-    /// for contrast — the term the federation removes is linear in total
-    /// nodes, so this diverges while `total_s` stays near one group's
-    /// cost.
-    pub flat_total_s: f64,
-}
-
-/// Project a federated launch from the paper's per-component model plus
-/// one *measured* per-group constant: `route_publish_s`, the cost of a
-/// gateway's publish + exchange against the federation router (the
-/// `federation_routing` bench measures it; `BENCH_federation.json`
-/// carries the projection built from the measured value).
-pub fn federation_projection(
-    p: &CostParams,
-    groups: usize,
-    nodes_per_group: usize,
-    tasks_per_daemon: usize,
-    route_publish_s: f64,
-) -> FederationProjection {
-    let group_launch_s = launch_breakdown(p, nodes_per_group, tasks_per_daemon).total();
-    let routing_exchange_s = route_publish_s * groups as f64;
-    let flat_total_s = launch_breakdown(p, groups * nodes_per_group, tasks_per_daemon).total();
-    FederationProjection {
-        groups,
-        nodes_per_group,
-        total_nodes: groups * nodes_per_group,
-        group_launch_s,
-        routing_exchange_s,
-        total_s: group_launch_s + routing_exchange_s,
-        flat_total_s,
-    }
-}
-
 /// The §4 BlueGene observation: same model, inflated T(job)/T(daemon).
 pub fn launch_breakdown_bluegene(
     p: &CostParams,
@@ -288,32 +236,6 @@ mod tests {
         assert!(bg.t_daemon > base.t_daemon * 3.0);
         assert_eq!(bg.t_rpdtab, base.t_rpdtab, "engine costs unchanged");
         assert_eq!(bg.t_tracing, base.t_tracing);
-    }
-
-    #[test]
-    fn million_node_federation_stays_near_one_group_cost() {
-        // 1024 groups x 1024 nodes = 1,048,576 daemons, with a generous
-        // 100 us per-group routing constant.
-        let proj = federation_projection(&p(), 1024, 1024, 8, 100e-6);
-        assert_eq!(proj.total_nodes, 1_048_576);
-        // The routing exchange is a rounding error next to the launch.
-        assert!(proj.routing_exchange_s < 0.2, "exchange {}", proj.routing_exchange_s);
-        assert!(
-            proj.total_s < proj.group_launch_s + 0.2,
-            "federation total {} must track one group's launch {}",
-            proj.total_s,
-            proj.group_launch_s
-        );
-        // The flat launch pays linear-in-total-nodes terms: >100x worse.
-        assert!(
-            proj.flat_total_s > 100.0 * proj.total_s,
-            "flat {} vs federated {}",
-            proj.flat_total_s,
-            proj.total_s
-        );
-        // Scaling groups at fixed group size leaves the critical path flat.
-        let small = federation_projection(&p(), 4, 1024, 8, 100e-6);
-        assert!((proj.total_s - small.total_s).abs() < 0.2);
     }
 
     #[test]

@@ -48,7 +48,6 @@
 
 pub mod bootstrap;
 pub mod error;
-pub mod federation;
 pub mod filter;
 pub mod overlay;
 pub mod packet;
@@ -57,10 +56,6 @@ pub mod spec;
 pub mod suspicion;
 
 pub use error::{TbonError, TbonResult};
-pub use federation::{
-    account_connections, initial_route, ConnectionAccount, FederationRouter, FederationSpec,
-    GroupRoute, RouterStatsSnapshot,
-};
 pub use filter::FilterKind;
 pub use overlay::{
     CommFault, FrontEndpoint, LeafEndpoint, Maintenance, Overlay, RunningOverlay, UpgradeReport,

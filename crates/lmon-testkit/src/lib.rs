@@ -22,8 +22,7 @@
 //!   overlay's self-healing layer (detect → repair → re-broadcast,
 //!   DESIGN.md §9) observable through [`LiveOverlay`]'s front endpoint.
 //!   [`LiveOverlay`] only adapts a [`FaultPlan`] to `lmon-tbon`'s one
-//!   thread-mode runner (`Overlay::run`), and [`LiveFederation`] — N such
-//!   overlays around a shared router — is the one federation builder.
+//!   thread-mode runner (`Overlay::run`).
 //!
 //! [`FaultPlan`] unifies those per-layer plans behind one builder, and
 //! [`Scenario`] is the DSL the facade's `chaos_suite` uses:
@@ -56,7 +55,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fed;
 pub mod launch_sim;
 pub mod live;
 pub mod plan;
@@ -64,7 +62,6 @@ pub mod scenario;
 pub mod storm;
 pub mod trace;
 
-pub use fed::LiveFederation;
 pub use launch_sim::{LaunchParams, LaunchReport, LaunchSim};
 pub use live::LiveOverlay;
 pub use plan::{FaultPlan, SimFault, SimFaultKind, SimFaultTarget};

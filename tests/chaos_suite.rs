@@ -14,7 +14,7 @@
 //!    uploads them).
 //!
 //! The base seed comes from `$LMON_CHAOS_SEED` (default 42); CI runs the
-//! whole suite under two seeds.
+//! whole suite under four seeds.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,6 +24,8 @@ use launchmon::cluster::remote::{rsh_spawn, RshError};
 use launchmon::cluster::{ProcSpec, VirtualCluster};
 use launchmon::core::be::BeMain;
 use launchmon::core::fe::LmonFrontEnd;
+use launchmon::daemon::control::parse_reply_header;
+use launchmon::daemon::{Daemon, DaemonConfig, LaunchResponse, Reply, Request};
 use launchmon::proto::header::MsgType;
 use launchmon::proto::msg::LmonpMsg;
 use launchmon::proto::payload::DaemonSpec;
@@ -378,6 +380,17 @@ fn killed_broadcast_run() -> (Vec<u8>, u64, Vec<RecoveryEvent>, Vec<(NodePos, No
     assert_eq!(reports.len(), 1);
     let adoptions = reports[0].adoptions.clone();
 
+    // The connection bound a real repair could break: adoption never
+    // widens a live parent past twice its designed fan-out.
+    let spec = TopologySpec::parse("1x8x64").unwrap();
+    let route = live.front.route_table();
+    let parents = std::iter::once(NodePos { level: 0, index: 0 }).chain(spec.comm_positions());
+    for pos in parents.filter(|&p| route.is_alive(p)) {
+        let children = route.current_children(pos).len();
+        let bound = 2 * spec.base_fanout(pos.level);
+        assert!(children <= bound, "{pos:?} holds {children} children, bound {bound}");
+    }
+
     // Post-heal wave: must reach every surviving BE (here: all 64 — the
     // orphaned subtree re-attached).
     live.front.broadcast(stream, 2, vec![]).unwrap();
@@ -589,7 +602,7 @@ fn chaos_dropped_launch_info_frame_times_out_live_handshake() {
 #[test]
 fn chaos_launch_storm_survives_comm_crash_mid_bring_up() {
     use launchmon::daemon::client::scratch_socket_path;
-    use launchmon::daemon::{bind_and_start, DaemonClient, DaemonConfig};
+    use launchmon::daemon::{bind_and_start, DaemonClient};
     use launchmon::testkit::StormPlan;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -798,13 +811,11 @@ fn chaos_rolling_upgrade_with_unplanned_halt_keeps_sessions_whole() {
 }
 
 // ---------------------------------------------------------------------------
-// Federation scenario (DESIGN.md §13, ISSUE 10): a four-group fleet where
-// one group's FE dies mid-fleet. Its sessions re-home to a sibling group's
-// FE (same gsid-level identity, replayed from round 0 — the launcher died
-// with the group's cluster), and the final reports are bit-identical to a
-// no-fault control run. A second test holds the overlay-level story: a
-// whole-group kill + re-attach never pushes any node past its connection
-// bound, and the deposed group's late route publish is dropped as stale.
+// FE-shard failover (DESIGN.md §13): an `lmond` with four groups runs a
+// jobsnap fleet; one group's FE dies mid-fleet and `Daemon::fail_group`
+// re-homes its sessions to a sibling shard under the same gsids, replayed
+// from round 0 (the old copies ended with their group). The final reports
+// are bit-identical to a no-fault control run.
 // ---------------------------------------------------------------------------
 
 const FED_GROUPS: usize = 4;
@@ -814,29 +825,50 @@ const FED_ROUNDS: usize = 6;
 const FED_VICTIM: usize = 1;
 const FED_FAIL_AT_ROUND: usize = 2;
 
-/// Run one round for every session of logical group `g` hosted on `fe`.
-fn fed_round(
-    fe: &LmonFrontEnd,
-    sids: &[launchmon::core::SessionId],
-    reports: &mut [Vec<u8>],
-    seed: u64,
-    round: usize,
-    g: usize,
-) {
-    for (s, sid) in sids.iter().enumerate() {
+/// One fleet session: its gsid, the group it was launched into, its index
+/// within that group, and the echoed replies so far.
+struct FleetSession {
+    gsid: u64,
+    group: usize,
+    index: usize,
+    report: Vec<u8>,
+}
+
+/// Run one round on every session of `fleet`, each through the FE that
+/// `lmond` hosts it on right now.
+fn fed_round(daemon: &Daemon, fleet: &mut [FleetSession], seed: u64, round: usize) {
+    let homes: Vec<_> = fleet
+        .iter()
+        .map(|s| {
+            let (fe, sid) = daemon.session_of(s.gsid).expect("fleet session is live");
+            (daemon.backend_fe(fe).expect("backend"), sid)
+        })
+        .collect();
+    for (s, (fe, sid)) in fleet.iter().zip(&homes) {
         let mut payload = seed.to_le_bytes().to_vec();
-        payload.extend([round as u8, g as u8, s as u8]);
+        payload.extend([round as u8, s.group as u8, s.index as u8]);
         fe.send_usrdata(*sid, payload).unwrap();
     }
-    for (s, sid) in sids.iter().enumerate() {
-        reports[s].extend(fe.recv_usrdata(*sid, Duration::from_secs(20)).unwrap());
+    for (s, (fe, sid)) in fleet.iter_mut().zip(&homes) {
+        s.report.extend(fe.recv_usrdata(*sid, Duration::from_secs(20)).unwrap());
     }
 }
 
-/// Launch [`FED_SESSIONS_PER_GROUP`] jobsnap echo sessions for logical
-/// group `g` on `fe`.
-fn fed_launch_group(fe: &LmonFrontEnd, g: usize) -> Vec<launchmon::core::SessionId> {
-    let echo: BeMain = Arc::new(move |be| {
+/// The four-group fleet on one `lmond` (one backend per group). App names
+/// are picked so that every group hosts [`FED_SESSIONS_PER_GROUP`] echo
+/// sessions, each launched through `LAUNCH`. With `fail` set,
+/// [`FED_VICTIM`] fails over at the [`FED_FAIL_AT_ROUND`] boundary and its
+/// sessions replay the finished rounds on their new home. Returns one
+/// report per session, in (group, session) order.
+fn fed_fleet(seed: u64, fail: bool) -> Vec<Vec<u8>> {
+    let daemon = Daemon::new(DaemonConfig {
+        backends: FED_GROUPS,
+        groups: FED_GROUPS,
+        cluster_nodes: 16,
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let echo: BeMain = Arc::new(|be| {
         if be.am_i_master() {
             for _ in 0..FED_ROUNDS {
                 let Ok(data) = be.recv_usrdata(Duration::from_secs(20)) else { break };
@@ -845,85 +877,54 @@ fn fed_launch_group(fe: &LmonFrontEnd, g: usize) -> Vec<launchmon::core::Session
         }
         let _ = be.wait_shutdown();
     });
-    (0..FED_SESSIONS_PER_GROUP)
-        .map(|s| {
-            let sid = fe.create_session();
-            fe.launch_and_spawn(
-                sid,
-                &format!("fedsnap_g{g}s{s}"),
-                &[],
-                2,
-                1,
-                DaemonSpec::bare("d"),
-                echo.clone(),
-            )
-            .unwrap();
-            sid
-        })
-        .collect()
-}
+    daemon.register_body("fedsnap_echo", echo);
 
-/// The four-group fleet: each group is an FE with its own virtual cluster.
-/// With `fail` set, [`FED_VICTIM`]'s FE dies at the [`FED_FAIL_AT_ROUND`]
-/// boundary; its sessions re-home to the next group's FE and replay from
-/// round 0 (the group's cluster died with its launcher, so there is no
-/// partial state to resume — exactly `Daemon::fail_group`'s contract).
-/// Returns one report per (group, session).
-fn fed_fleet(seed: u64, fail: bool) -> Vec<Vec<Vec<u8>>> {
-    let mut fes: Vec<Option<LmonFrontEnd>> = (0..FED_GROUPS)
-        .map(|_| {
-            let cluster = VirtualCluster::new(ClusterConfig::with_nodes(16));
-            let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster));
-            Some(LmonFrontEnd::init(rm).unwrap())
-        })
-        .collect();
-    // `homes[g]` = which FE hosts group g's sessions (failover re-points it).
-    let mut homes: Vec<usize> = (0..FED_GROUPS).collect();
-    let mut sids: Vec<Vec<_>> =
-        (0..FED_GROUPS).map(|g| fed_launch_group(fes[g].as_ref().unwrap(), g)).collect();
-    let mut reports = vec![vec![Vec::new(); FED_SESSIONS_PER_GROUP]; FED_GROUPS];
+    let mut fleet = Vec::new();
+    for group in 0..FED_GROUPS {
+        let apps = (0..).map(|k| format!("fedsnap{k}")).filter(|a| daemon.group_of_app(a) == group);
+        for (index, app) in apps.take(FED_SESSIONS_PER_GROUP).enumerate() {
+            let launch = Request::parse(&format!("LAUNCH {app} 2 1 fedsnap_echo")).unwrap();
+            let reply = daemon.dispatch(&launch).render();
+            let (raw, _) = parse_reply_header(reply.trim_end()).expect("LAUNCH succeeds");
+            let launched = LaunchResponse::from_reply(raw).unwrap();
+            assert_eq!(launched.group, group, "{app} must land in group {group}");
+            fleet.push(FleetSession { gsid: launched.gsid, group, index, report: Vec::new() });
+        }
+    }
+    let victims = FED_VICTIM * FED_SESSIONS_PER_GROUP..(FED_VICTIM + 1) * FED_SESSIONS_PER_GROUP;
 
     for round in 0..FED_ROUNDS {
         if fail && round == FED_FAIL_AT_ROUND {
-            // The victim group's FE dies, abandoning its in-flight
-            // sessions (no kill, no detach — the launcher is gone and the
-            // group's cluster with it).
-            let dead = fes[FED_VICTIM].take().unwrap();
-            let _ = dead.shutdown();
-            // Re-home to the sibling and replay the finished rounds: the
-            // payloads are pure functions of (seed, round, group, session),
-            // so the replay reproduces the lost prefix byte for byte.
-            let sibling = (FED_VICTIM + 1) % FED_GROUPS;
-            homes[FED_VICTIM] = sibling;
-            sids[FED_VICTIM] = fed_launch_group(fes[sibling].as_ref().unwrap(), FED_VICTIM);
-            reports[FED_VICTIM] = vec![Vec::new(); FED_SESSIONS_PER_GROUP];
+            let homes: Vec<usize> =
+                fleet.iter().map(|s| daemon.session_of(s.gsid).unwrap().0).collect();
+            let report = daemon.fail_group(FED_VICTIM);
+            assert_eq!((report.rehomed, report.dropped), (FED_SESSIONS_PER_GROUP, 0));
+            let dead = daemon.shard(FED_VICTIM).unwrap();
+            assert!(!dead.alive);
+            for (s, home) in fleet.iter_mut().zip(homes) {
+                let (fe, _) = daemon.session_of(s.gsid).expect("the gsid survives the failover");
+                if s.group == FED_VICTIM {
+                    assert!(!dead.backends.contains(&fe), "gsid {} on the dead group", s.gsid);
+                    s.report.clear();
+                } else {
+                    assert_eq!(fe, home, "bystander gsid {} changed front end", s.gsid);
+                }
+            }
+            // The payloads are pure functions of (seed, round, group,
+            // session), so the replay reproduces the lost prefix byte for
+            // byte.
             for replay in 0..FED_FAIL_AT_ROUND {
-                fed_round(
-                    fes[sibling].as_ref().unwrap(),
-                    &sids[FED_VICTIM],
-                    &mut reports[FED_VICTIM],
-                    seed,
-                    replay,
-                    FED_VICTIM,
-                );
+                fed_round(&daemon, &mut fleet[victims.clone()], seed, replay);
             }
         }
-        for g in 0..FED_GROUPS {
-            fed_round(fes[homes[g]].as_ref().unwrap(), &sids[g], &mut reports[g], seed, round, g);
-        }
-        std::thread::sleep(Duration::from_millis(2));
+        fed_round(&daemon, &mut fleet, seed, round);
     }
 
-    for g in 0..FED_GROUPS {
-        let fe = fes[homes[g]].as_ref().unwrap();
-        for sid in &sids[g] {
-            fe.kill(*sid).unwrap();
-        }
+    for s in &fleet {
+        let reply = daemon.dispatch(&Request::Kill { gsid: s.gsid });
+        assert!(matches!(reply, Reply::Ok(_)), "kill {}: {}", s.gsid, reply.render());
     }
-    for fe in fes.into_iter().flatten() {
-        fe.shutdown().unwrap();
-    }
-    reports
+    fleet.into_iter().map(|s| s.report).collect()
 }
 
 #[test]
@@ -933,70 +934,13 @@ fn chaos_group_fe_death_mid_fleet_rehomes_with_identical_reports() {
     let failed = fed_fleet(seed, true);
     // Every session of every group completed every round: 11 bytes per
     // round (8 seed + round + group + session).
-    for (g, group) in failed.iter().enumerate() {
-        for (s, report) in group.iter().enumerate() {
-            assert_eq!(report.len(), FED_ROUNDS * 11, "g{g}s{s} lost rounds to the failover");
-        }
+    for (i, report) in failed.iter().enumerate() {
+        assert_eq!(report.len(), FED_ROUNDS * 11, "session {i} lost rounds to the failover");
     }
     assert_eq!(
         failed, control,
         "fleet reports must be bit-identical with and without the group-FE death"
     );
-}
-
-#[test]
-fn chaos_federation_group_kill_and_reattach_holds_connection_bounds() {
-    use launchmon::tbon::{initial_route, FederationSpec};
-    use launchmon::testkit::LiveFederation;
-
-    let mut fed = LiveFederation::launch_echo("1x2x8 * 4g");
-    let spec = FederationSpec::parse("1x2x8 * 4g").unwrap();
-
-    // Probe every group, then capture a route the doomed FE could publish
-    // late (stamped with the pre-failure epoch).
-    for g in 0..4 {
-        let stream = fed.front(g).open_stream(FilterKind::Concat).unwrap();
-        fed.front(g).broadcast(stream, 0, vec![]).unwrap();
-        let pkt = fed.front(g).gather(stream, 0, Duration::from_secs(5)).unwrap();
-        assert_eq!(pkt.payload.len(), 8, "group g{g} lost leaves at launch");
-    }
-    let late = initial_route(&spec, 2, fed.front(2), 0);
-
-    let epoch = fed.fail_group(2);
-    assert_eq!(epoch, 1);
-    assert_eq!(fed.router().live_groups(), vec![0, 1, 3]);
-    // The deposed FE's late publish carries the superseded epoch: counted
-    // and dropped, never applied (the PR 5 rule across group boundaries).
-    assert!(!fed.router().publish(late));
-    assert_eq!(fed.router().stats().stale_dropped, 1);
-
-    // Survivors keep gathering while group 2 is down.
-    let stream = fed.front(0).open_stream(FilterKind::Concat).unwrap();
-    fed.front(0).broadcast(stream, 1, vec![]).unwrap();
-    assert_eq!(fed.front(0).gather(stream, 1, Duration::from_secs(5)).unwrap().payload.len(), 8);
-
-    assert_eq!(fed.reattach_group(2), epoch);
-    assert_eq!(fed.router().live_groups(), vec![0, 1, 2, 3]);
-    let stream = fed.front(2).open_stream(FilterKind::Concat).unwrap();
-    fed.front(2).broadcast(stream, 2, vec![]).unwrap();
-    assert_eq!(fed.front(2).gather(stream, 2, Duration::from_secs(5)).unwrap().payload.len(), 8);
-
-    // The no-concentration invariant: after the kill + re-attach cycle, no
-    // node of any group exceeds its in-group bound plus (on the gateway
-    // comm only) the federation's router links.
-    let accounts = fed.accounts();
-    assert_eq!(accounts.len(), 4 * 11, "root + 2 comms + 8 leaves per group");
-    for a in &accounts {
-        assert!(a.links <= a.bound, "{a:?} exceeds its connection bound after failover");
-    }
-    let gateways: Vec<_> = accounts.iter().filter(|a| a.pos == spec.gateway_pos()).collect();
-    assert_eq!(gateways.len(), 4);
-    for gw in gateways {
-        assert_eq!(gw.bound, spec.connection_bound(1) + spec.gateway_links());
-    }
-    let stats = fed.router().stats();
-    assert_eq!((stats.epoch, stats.failovers), (1, 1));
-    fed.shutdown();
 }
 
 // ---------------------------------------------------------------------------
