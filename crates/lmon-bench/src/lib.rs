@@ -10,7 +10,6 @@
 //! | `fig6_stat_startup` | Figure 6 — STAT startup: MRNet-rsh vs LaunchMON, 4→512 nodes |
 //! | `table1_oss_apai` | Table 1 — O\|SS APAI access: DPCL vs LaunchMON, 2→32 nodes |
 //! | `ablations` | design-choice studies DESIGN.md calls out |
-//! | `micro_hotpaths` | criterion micro-benches of the real hot paths |
 //! | `transport_latency` | recv wakeup latency + mux fan-in, self-gating vs `BENCH_transport.json` |
 //! | `recovery_latency` | overlay kill → heal → broadcast latency, self-gating vs `BENCH_recovery.json` |
 //! | `upgrade_rolling` | rolling comm-daemon upgrade + phi vs sweep detection, self-gating vs `BENCH_upgrade.json` |

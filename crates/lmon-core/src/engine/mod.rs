@@ -223,6 +223,31 @@ impl Engine {
             tasks_per_node: req.tasks_per_node as usize,
         };
         let mut handle = self.rm.launch_job(&spec, true).map_err(|e| format!("launch_job: {e}"))?;
+        // The engine owns the job from here on: every exit that does not hand
+        // it to the session kills it, or a failed launch leaves its launcher
+        // and tasks in the process tables and its allocation held.
+        let stopped = self.stop_at_breakpoint(&mut handle, timeline);
+        let alloc = handle.allocation.clone();
+        let mut unclaimed = Some(handle);
+        let result = stopped.and_then(|(ctl, rpdtab)| {
+            self.colocate(cmd, rpdtab, &alloc, |_| {
+                let handle = unclaimed.take().expect("the session claims the job once");
+                EngineJob::Launched { handle, ctl }
+            })
+        });
+        if let Some(handle) = unclaimed {
+            let _ = self.rm.kill_job(&handle);
+        }
+        result
+    }
+
+    /// Let a launched job run to `MPIR_Breakpoint`, where the proctable is
+    /// valid, and read its RPDTAB.
+    fn stop_at_breakpoint(
+        &self,
+        handle: &mut JobHandle,
+        timeline: &TimelineRecorder,
+    ) -> Result<(TraceController, Rpdtab), String> {
         let (ctl, shared) = self.trace(handle.launcher_pid)?;
         self.platform.prepare_attach(&ctl, &shared);
         handle.release();
@@ -235,9 +260,7 @@ impl Engine {
         // Region B: fetch the RPDTAB out of the launcher's address space.
         let rpdtab = self.platform.fetch_rpdtab(&ctl).map_err(|e| format!("rpdtab: {e}"))?;
         timeline.mark(CriticalEvent::E4RpdtabFetched);
-
-        let alloc = handle.allocation.clone();
-        self.colocate(cmd, rpdtab, &alloc, |_| EngineJob::Launched { handle, ctl })
+        Ok((ctl, rpdtab))
     }
 
     /// attachAndSpawn's own part: adopt a running launcher and rebuild the

@@ -2,7 +2,7 @@
 //! the control-connection serve loop.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -41,6 +41,12 @@ pub const DEFAULT_UPGRADE_SHAPE: &str = "1x4x16+4";
 /// Suspicion tables retained for `/metrics` (most recent drills only, so a
 /// long-lived daemon's scrape payload stays bounded).
 const SUSPICION_TABLES_CAP: usize = 4;
+
+/// Longest control request line a connection may send, newline included. A
+/// request is a verb and a few tokens — an `ATTACH` naming a thousand pids
+/// is about 21 KiB — so a longer line is a client that never sends `\n`,
+/// and buffering it would grow the daemon's memory without bound.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Tunables for a daemon instance. `Default` is sized for tests and small
 /// deployments; production embedders scale the pool and cluster.
@@ -805,23 +811,32 @@ impl Daemon {
 
     // --- serving ----------------------------------------------------------
 
-    /// Serve one control connection until EOF or `SHUTDOWN`. The client
-    /// speaks first (a `HELLO` line, or directly a command): writing the
-    /// banner unprompted would corrupt HTTP `GET /metrics` scrapes, whose
-    /// clients expect the status line to open the byte stream.
-    fn serve_conn<S: std::io::Read + Write>(self: &Arc<Self>, stream: S, writer: &mut S) {
+    /// Serve one control connection until EOF, `SHUTDOWN` or a request line
+    /// longer than [`MAX_REQUEST_LINE`]. The client speaks first (a `HELLO`
+    /// line, or directly a command): writing the banner unprompted would
+    /// corrupt HTTP `GET /metrics` scrapes, whose clients expect the status
+    /// line to open the byte stream.
+    fn serve_conn<S: Read + Write>(self: &Arc<Self>, stream: S, writer: &mut S) {
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         // Until a HELLO negotiates otherwise, a connection is a v1 client
         // (v1 clients may skip the handshake and go straight to verbs).
         let mut negotiated: u32 = 1;
         loop {
             line.clear();
-            match reader.read_line(&mut line) {
+            // One byte past the cap tells an over-long line from one that fits.
+            let limit = MAX_REQUEST_LINE as u64 + 1;
+            match reader.by_ref().take(limit).read_until(b'\n', &mut line) {
                 Ok(0) | Err(_) => return, // client went away
                 Ok(_) => {}
             }
-            let trimmed = line.trim_end();
+            if line.len() > MAX_REQUEST_LINE {
+                let reply = Reply::Err(format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+                let _ = writer.write_all(reply.render().as_bytes()).and_then(|()| writer.flush());
+                return;
+            }
+            let Ok(text) = std::str::from_utf8(&line) else { return };
+            let trimmed = text.trim_end();
             if trimmed.is_empty() {
                 continue;
             }

@@ -1,30 +1,21 @@
 //! Framing: converting [`LmonpMsg`] to and from byte streams — contiguous
 //! or gathered.
 //!
+//! LMONP has one encoder and one family of decoders, and both borrow. The
+//! encoder is [`WireFrame::gather`]: it stages header bytes only and returns
+//! a slice list that gathers both payload sections in place
+//! ([`WireFrame::encode_to_vec`] concatenates that list). The decoders split
+//! payload sections off as [`Bytes`] views of the buffer they arrived in:
+//! [`FrameReader`] for byte streams, [`decode_msg_view`] and
+//! [`MuxBatch::decode_payload_view`] for a carrier's payload.
+//!
 //! Three consumers exist: the in-process transports (which move whole
-//! [`WireFrame`]s structurally and encode nothing), the TCP transport
-//! (which reads from a byte stream with the incremental [`FrameReader`]
-//! and writes with the zero-copy [`WireFrame::gather`] slice list), and
-//! the legacy one-shot [`encode_msg`]/[`decode_msg`] pair that the gather
-//! path is property-tested byte-for-byte against.
-//!
-//! ## Copy accounting
-//!
-//! Every byte staged through an intermediate buffer on an encode path is
-//! counted in a process-wide relaxed counter ([`encode_bytes_copied`]).
-//! The `micro_hotpaths` bench samples it to show what the zero-copy
-//! carrier path saves: a legacy mux send copies the whole inner message
-//! into the carrier payload; the gather path materializes only header
-//! bytes and borrows both payload sections in place.
-//!
-//! The decode direction is mirrored by [`decode_bytes_copied`]: the legacy
-//! one-shot [`decode_msg`] counts every payload byte it materializes, while
-//! the borrowing [`FrameReader`] and the view decoders
-//! ([`decode_msg_view`], [`MuxBatch::decode_payload_view`]) split [`Bytes`]
-//! views off the read buffer and count only header bytes (plus the rare
-//! partial-frame tail the buffer reclaims internally).
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! [`WireFrame`]s structurally and encode nothing), the TCP transport (which
+//! reads with [`FrameReader`] and writes the gather list with one vectored
+//! write), and [`WireFrame::into_msg`], the fallback for transports without
+//! a native frame path. The unit tests below pin the copy floors by storage
+//! identity; `lmon-proto/tests/prop.rs` checks every path byte-for-byte
+//! against a copying reference codec.
 
 use bytes::{Buf, Bytes, BytesMut};
 
@@ -33,75 +24,12 @@ use crate::header::{LmonpHeader, MsgType, HEADER_LEN};
 use crate::msg::LmonpMsg;
 use crate::wire::{get_u16, WireDecode, WireEncode};
 
-/// Process-wide count of bytes copied into intermediate encode buffers.
-static ENCODE_BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
-
-/// Total bytes copied into intermediate buffers by encode paths since
-/// process start. Sample before/after a workload and divide by messages to
-/// get copied-bytes-per-message; the zero-copy carrier path contributes
-/// only header bytes.
-pub fn encode_bytes_copied() -> u64 {
-    ENCODE_BYTES_COPIED.load(Ordering::Relaxed)
-}
-
-pub(crate) fn note_copied(n: usize) {
-    ENCODE_BYTES_COPIED.fetch_add(n as u64, Ordering::Relaxed);
-}
-
-/// Process-wide count of bytes copied into intermediate decode buffers.
-static DECODE_BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
-
-/// Total bytes copied out of wire buffers by decode paths since process
-/// start — the inbound mirror of [`encode_bytes_copied`]. The borrowing
-/// [`FrameReader`] contributes only header bytes per message (payloads are
-/// split off as [`Bytes`] views), so per-carrier deltas ≈ header-only; the
-/// legacy [`decode_msg`] contributes the full message length.
-pub fn decode_bytes_copied() -> u64 {
-    DECODE_BYTES_COPIED.load(Ordering::Relaxed)
-}
-
-fn note_decode_copied(n: usize) {
-    DECODE_BYTES_COPIED.fetch_add(n as u64, Ordering::Relaxed);
-}
-
-/// Encode a message into a single contiguous buffer.
-pub fn encode_msg(msg: &LmonpMsg) -> Vec<u8> {
-    let header = msg.header();
-    let mut buf = Vec::with_capacity(header.total_len());
-    header.encode(&mut buf);
-    buf.extend_from_slice(&msg.lmon);
-    buf.extend_from_slice(&msg.usr);
-    note_copied(buf.len());
-    buf
-}
-
-/// Decode a message from a buffer containing exactly one message.
-///
-/// This is the legacy copying path: both payload sections are materialized
-/// into fresh allocations (and counted in [`decode_bytes_copied`]). Hot
-/// paths that already hold the bytes as a [`Bytes`] view should prefer
-/// [`decode_msg_view`].
-pub fn decode_msg(bytes: &[u8]) -> ProtoResult<LmonpMsg> {
-    let mut slice = bytes;
-    let header = LmonpHeader::decode(&mut slice)?;
-    let lmon_len = header.lmon_len as usize;
-    let usr_len = header.usr_len as usize;
-    if slice.len() != lmon_len + usr_len {
-        return Err(ProtoError::Truncated { needed: lmon_len + usr_len, available: slice.len() });
-    }
-    let lmon = slice[..lmon_len].to_vec();
-    let usr = slice[lmon_len..].to_vec();
-    note_decode_copied(bytes.len());
-    Ok(LmonpMsg::from_parts(header, lmon, usr))
-}
-
 /// Decode a message from a [`Bytes`] view containing exactly one message,
 /// splitting the payload sections off as sub-views instead of copying them.
 ///
-/// Byte-identical in result to [`decode_msg`] over the same bytes
-/// (property-tested in `lmon-proto/tests/prop.rs`); only the ownership of
-/// the payload storage differs — the returned message keeps the caller's
-/// backing allocation alive instead of owning fresh copies.
+/// Only the 16 header bytes are read out; the returned message keeps the
+/// caller's backing allocation alive instead of owning fresh copies.
+/// Trailing bytes and truncation are both rejected.
 pub fn decode_msg_view(bytes: &Bytes) -> ProtoResult<LmonpMsg> {
     let mut slice = &bytes[..];
     let header = LmonpHeader::decode(&mut slice)?;
@@ -112,7 +40,6 @@ pub fn decode_msg_view(bytes: &Bytes) -> ProtoResult<LmonpMsg> {
     }
     let lmon = bytes.slice(HEADER_LEN..HEADER_LEN + lmon_len);
     let usr = bytes.slice(HEADER_LEN + lmon_len..HEADER_LEN + lmon_len + usr_len);
-    note_decode_copied(HEADER_LEN);
     Ok(LmonpMsg::from_parts(header, lmon, usr))
 }
 
@@ -131,8 +58,8 @@ pub struct MuxEntry {
 ///
 /// Wire form (the payload of a [`MsgType::MuxBatch`] message whose `tag` is
 /// the entry count): for each entry, a big-endian `u16` session id followed
-/// by the complete [`encode_msg`] form of the inner message, which is
-/// self-delimiting through its header lengths.
+/// by the inner message's complete wire form, which is self-delimiting
+/// through its header lengths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MuxBatch {
     /// The coalesced entries, in send order.
@@ -158,39 +85,11 @@ impl MuxBatch {
         }
     }
 
-    /// Parse a batch payload produced by [`WireFrame::Batch`] encoding.
-    ///
-    /// `count` is the entry count from the carrier's `tag`; a mismatch or
-    /// any framing error rejects the whole batch.
-    pub fn decode_payload(bytes: &[u8], count: u16) -> ProtoResult<MuxBatch> {
-        let mut slice = bytes;
-        let mut entries = Vec::with_capacity(count as usize);
-        while !slice.is_empty() {
-            let session = get_u16(&mut slice)?;
-            let mut peek = slice;
-            let header = LmonpHeader::decode(&mut peek)?;
-            let total = header.total_len();
-            if slice.len() < total {
-                return Err(ProtoError::Truncated { needed: total, available: slice.len() });
-            }
-            let msg = decode_msg(&slice[..total])?;
-            slice = &slice[total..];
-            entries.push(MuxEntry { session, msg });
-        }
-        if entries.len() != count as usize {
-            return Err(ProtoError::InvalidField {
-                field: "mux_batch_count",
-                value: entries.len() as u64,
-            });
-        }
-        Ok(MuxBatch { entries })
-    }
-
     /// Parse a batch payload from a [`Bytes`] view, splitting every inner
     /// message's payload sections off as sub-views instead of copying.
     ///
-    /// Same acceptance rules as [`MuxBatch::decode_payload`]; structurally
-    /// identical result (property-tested).
+    /// `count` is the entry count from the carrier's `tag`; a mismatch or
+    /// any framing error rejects the whole batch.
     pub fn decode_payload_view(bytes: &Bytes, count: u16) -> ProtoResult<MuxBatch> {
         let mut entries = Vec::with_capacity(count as usize);
         let mut off = 0usize;
@@ -224,9 +123,9 @@ impl MuxBatch {
 /// In-process transports move the frame structurally (no encode at all);
 /// byte-stream transports encode it with [`WireFrame::gather`], which
 /// materializes only the header bytes and gathers the payload sections in
-/// place. Both forms are byte-identical to the legacy
-/// `encode_msg(&frame.into_msg())` encoding — property-tested in
-/// `lmon-proto/tests/prop.rs`.
+/// place. Both forms carry the same bytes as [`WireFrame::into_msg`]
+/// (property-tested against a reference codec in
+/// `lmon-proto/tests/prop.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireFrame {
     /// A bare (non-carrier) message.
@@ -265,27 +164,17 @@ impl WireFrame {
         }
     }
 
-    /// Materialize the frame as a plain [`LmonpMsg`] — the legacy encoding,
-    /// which copies carrier payloads into the message body. Transports
-    /// without a native frame path fall back to this.
+    /// Materialize the frame as a plain [`LmonpMsg`]: a carrier's payload
+    /// becomes one contiguous copy of its encoded body. Transports without
+    /// a native frame path fall back to this.
     pub fn into_msg(self) -> LmonpMsg {
-        match self {
-            WireFrame::Msg(m) => m,
-            WireFrame::Carrier { session, msg } => LmonpMsg::of_type(MsgType::MuxData)
-                .with_tag(session)
-                .with_lmon_payload(encode_msg(&msg)),
-            WireFrame::Batch(batch) => {
-                let mut payload = Vec::with_capacity(batch.payload_len());
-                for e in &batch.entries {
-                    payload.extend_from_slice(&e.session.to_be_bytes());
-                    payload.extend_from_slice(&encode_msg(&e.msg));
-                }
-                note_copied(payload.len());
-                LmonpMsg::of_type(MsgType::MuxBatch)
-                    .with_tag(batch.entries.len() as u16)
-                    .with_lmon_payload(payload)
-            }
-        }
+        let header = match self {
+            WireFrame::Msg(m) => return m,
+            WireFrame::Carrier { session, ref msg } => Self::carrier_header(session, msg),
+            WireFrame::Batch(ref batch) => batch.header(),
+        };
+        let wire = Bytes::from(self.encode_to_vec());
+        LmonpMsg::from_parts(header, wire.slice(HEADER_LEN..), Bytes::new())
     }
 
     /// Lift a received message back into structural form: mux carriers whose
@@ -309,9 +198,8 @@ impl WireFrame {
     /// The zero-copy encode path: stage every header byte in `scratch` and
     /// return the gather list — header ranges interleaved with payload
     /// sections borrowed from the frame. Concatenating the slices yields
-    /// exactly the legacy `encode_msg(&self.clone().into_msg())` bytes, but
-    /// only `scratch.len()` bytes (headers and batch session prefixes) were
-    /// copied.
+    /// the frame's wire bytes, but only `scratch.len()` bytes (headers and
+    /// batch session prefixes) were copied.
     pub fn gather<'a>(&'a self, scratch: &'a mut Vec<u8>) -> Vec<&'a [u8]> {
         scratch.clear();
         // Phase 1: stage header material and record (range, payload slices).
@@ -342,7 +230,6 @@ impl WireFrame {
                 }
             }
         }
-        note_copied(scratch.len());
         // Phase 2: materialize the slice list against the now-immutable
         // scratch buffer, skipping empty payload sections.
         let staged: &'a [u8] = scratch;
@@ -368,7 +255,6 @@ impl WireFrame {
         for s in slices {
             out.extend_from_slice(s);
         }
-        note_copied(out.len());
         out
     }
 }
@@ -382,9 +268,8 @@ impl WireFrame {
 /// [`Bytes`] views split off the read buffer, not copies. The views keep
 /// the buffer's backing allocation alive until the message (and everything
 /// it was routed to) drops; the buffer itself un-shares lazily, copying at
-/// most the unread partial-frame tail when the next chunk arrives. Both
-/// costs are bounded by the receive chunk size and show up in
-/// [`decode_bytes_copied`].
+/// most the unread partial-frame tail when the next chunk arrives; that
+/// cost is bounded by the receive chunk size.
 #[derive(Debug, Default)]
 pub struct FrameReader {
     buf: BytesMut,
@@ -398,9 +283,7 @@ impl FrameReader {
 
     /// Append newly received bytes.
     pub fn extend(&mut self, chunk: &[u8]) {
-        let before = self.buf.internal_copies();
         self.buf.extend_from_slice(chunk);
-        note_decode_copied((self.buf.internal_copies() - before) as usize);
     }
 
     /// Bytes currently buffered but not yet consumed.
@@ -422,15 +305,12 @@ impl FrameReader {
         };
         let total = header.total_len();
         if self.buf.len() < total {
-            let before = self.buf.internal_copies();
             self.buf.reserve(total - self.buf.len());
-            note_decode_copied((self.buf.internal_copies() - before) as usize);
             return Ok(None);
         }
         self.buf.advance(HEADER_LEN);
         let lmon = self.buf.split_to(header.lmon_len as usize);
         let usr = self.buf.split_to(header.usr_len as usize);
-        note_decode_copied(HEADER_LEN);
         Ok(Some(LmonpMsg::from_parts(header, lmon, usr)))
     }
 }
@@ -439,6 +319,7 @@ impl FrameReader {
 mod tests {
     use super::*;
     use crate::header::MsgType;
+    use crate::rpdtab::synthetic_rpdtab;
 
     fn sample(i: u16) -> LmonpMsg {
         LmonpMsg::of_type(MsgType::BeUsrData)
@@ -447,25 +328,30 @@ mod tests {
             .with_usr_payload(vec![0xAB; i as usize % 13])
     }
 
+    /// A bare message's wire bytes.
+    fn wire(m: &LmonpMsg) -> Bytes {
+        Bytes::from(WireFrame::Msg(m.clone()).encode_to_vec())
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         for i in 0..20 {
             let m = sample(i);
-            assert_eq!(decode_msg(&encode_msg(&m)).unwrap(), m);
+            assert_eq!(decode_msg_view(&wire(&m)).unwrap(), m);
         }
     }
 
     #[test]
     fn decode_rejects_trailing_bytes() {
-        let mut bytes = encode_msg(&sample(1));
+        let mut bytes = WireFrame::Msg(sample(1)).encode_to_vec();
         bytes.push(0);
-        assert!(decode_msg(&bytes).is_err());
+        assert!(decode_msg_view(&Bytes::from(bytes)).is_err());
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let bytes = encode_msg(&sample(5));
-        assert!(decode_msg(&bytes[..bytes.len() - 1]).is_err());
+        let bytes = wire(&sample(5));
+        assert!(decode_msg_view(&bytes.slice(..bytes.len() - 1)).is_err());
     }
 
     #[test]
@@ -473,7 +359,7 @@ mod tests {
         let msgs: Vec<LmonpMsg> = (0..5).map(sample).collect();
         let mut stream = Vec::new();
         for m in &msgs {
-            stream.extend_from_slice(&encode_msg(m));
+            stream.extend_from_slice(&wire(m));
         }
         let mut reader = FrameReader::new();
         let mut out = Vec::new();
@@ -492,7 +378,7 @@ mod tests {
         let msgs: Vec<LmonpMsg> = (0..8).map(sample).collect();
         let mut stream = Vec::new();
         for m in &msgs {
-            stream.extend_from_slice(&encode_msg(m));
+            stream.extend_from_slice(&wire(m));
         }
         let mut reader = FrameReader::new();
         reader.extend(&stream);
@@ -522,14 +408,11 @@ mod tests {
     fn carrier_gather_matches_legacy_materialized_encoding() {
         let inner = sample(7);
         let frame = WireFrame::Carrier { session: 42, msg: inner.clone() };
-        let legacy = encode_msg(&frame.clone().into_msg());
-        assert_eq!(frame.encode_to_vec(), legacy);
-        assert_eq!(frame.wire_len(), legacy.len());
-        // The gather path stages only the two adjacent headers.
-        let mut scratch = Vec::new();
-        let slices = frame.gather(&mut scratch);
-        assert_eq!(slices[0].len(), 2 * HEADER_LEN, "only the adjacent headers are staged");
-        assert_eq!(slices.iter().map(|s| s.len()).sum::<usize>(), legacy.len());
+        let materialized = frame.clone().into_msg();
+        assert_eq!(materialized.lmon, wire(&inner), "the payload is the inner wire form");
+        let bytes = WireFrame::Msg(materialized).encode_to_vec();
+        assert_eq!(frame.encode_to_vec(), bytes);
+        assert_eq!(frame.wire_len(), bytes.len());
     }
 
     #[test]
@@ -541,7 +424,7 @@ mod tests {
         let materialized = frame.clone().into_msg();
         assert_eq!(materialized.mtype, MsgType::MuxBatch);
         assert_eq!(materialized.tag, 5);
-        assert_eq!(frame.encode_to_vec(), encode_msg(&materialized));
+        assert_eq!(frame.encode_to_vec(), WireFrame::Msg(materialized.clone()).encode_to_vec());
         match WireFrame::from_msg(materialized) {
             WireFrame::Batch(back) => assert_eq!(back, batch),
             other => panic!("expected Batch, got {other:?}"),
@@ -565,21 +448,65 @@ mod tests {
     fn batch_decode_rejects_truncation() {
         let frame =
             WireFrame::Batch(MuxBatch { entries: vec![MuxEntry { session: 1, msg: sample(9) }] });
-        let msg = frame.into_msg();
-        assert!(MuxBatch::decode_payload(&msg.lmon[..msg.lmon.len() - 1], 1).is_err());
+        let lmon = frame.into_msg().lmon;
+        assert!(MuxBatch::decode_payload_view(&lmon.slice(..lmon.len() - 1), 1).is_err());
     }
 
+    /// Copy floor of the outbound carrier: only the two adjacent headers are
+    /// staged, and both payload sections are the message's own storage.
     #[test]
     fn zero_copy_gather_stages_only_header_bytes() {
         let big = LmonpMsg::of_type(MsgType::BeUsrData)
             .with_tag(1)
             .with_lmon_payload(vec![1; 4096])
             .with_usr_payload(vec![2; 4096]);
-        let before = encode_bytes_copied();
-        let frame = WireFrame::Carrier { session: 1, msg: big };
+        let frame = WireFrame::Carrier { session: 1, msg: big.clone() };
         let mut scratch = Vec::new();
-        let _ = frame.gather(&mut scratch);
-        let copied = encode_bytes_copied() - before;
-        assert_eq!(copied, 2 * HEADER_LEN as u64, "payload bytes must not be staged");
+        let slices = frame.gather(&mut scratch);
+        assert_eq!(slices.len(), 3);
+        assert_eq!(slices[0].len(), 2 * HEADER_LEN, "payload bytes must not be staged");
+        assert_eq!(slices[1].as_ptr(), big.lmon.as_ptr(), "lmon is gathered in place");
+        assert_eq!(slices[2].as_ptr(), big.usr.as_ptr(), "usr is gathered in place");
+        assert_eq!(slices.iter().map(|s| s.len()).sum::<usize>(), frame.wire_len());
+    }
+
+    /// Copy floor of the inbound batch: every entry's payload sections are
+    /// views inside the carrier payload the reader split off its buffer.
+    #[test]
+    fn batch_decode_borrows_the_read_buffer() {
+        let msg = LmonpMsg::of_type(MsgType::BeUsrData)
+            .with_tag(7)
+            .with_lmon_payload(vec![0xA5; 256])
+            .with_usr_payload(vec![0x5A; 128]);
+        let entries = (0..8).map(|session| MuxEntry { session, msg: msg.clone() }).collect();
+        let batch = MuxBatch { entries };
+        let mut reader = FrameReader::new();
+        reader.extend(&WireFrame::Batch(batch.clone()).encode_to_vec());
+        let carrier = reader.next_msg().unwrap().expect("one whole carrier");
+        let decoded = MuxBatch::decode_payload_view(&carrier.lmon, 8).unwrap();
+        assert_eq!(decoded, batch);
+        let buffer = carrier.lmon.as_ptr_range();
+        for e in &decoded.entries {
+            for section in [&e.msg.lmon, &e.msg.usr] {
+                let r = section.as_ptr_range();
+                assert!(buffer.start <= r.start && r.end <= buffer.end, "payload was copied out");
+            }
+        }
+    }
+
+    /// Copy floor of the handshake's RPDTAB forward: a send that reuses the
+    /// engine-encoded view gathers the table from that very storage.
+    #[test]
+    fn forwarded_rpdtab_is_gathered_from_the_engine_encoding() {
+        let table = synthetic_rpdtab(128, 8, "app");
+        let encoded = LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon(&table).lmon;
+        let msg = LmonpMsg::of_type(MsgType::BeRpdtab).with_lmon_payload(encoded.clone());
+        let frame = WireFrame::Carrier { session: 3, msg };
+        let mut scratch = Vec::new();
+        let slices = frame.gather(&mut scratch);
+        assert_eq!(slices.len(), 2);
+        assert_eq!(slices[0].len(), 2 * HEADER_LEN, "only the headers are staged");
+        assert_eq!(slices[1].as_ptr(), encoded.as_ptr(), "the table is not re-encoded");
+        assert_eq!(slices[1].len(), encoded.len());
     }
 }

@@ -30,13 +30,15 @@
 //! ```
 //! use lmon_proto::header::{MsgClass, MsgType};
 //! use lmon_proto::msg::LmonpMsg;
-//! use lmon_proto::frame::{encode_msg, decode_msg};
+//! use lmon_proto::frame::{FrameReader, WireFrame};
 //!
 //! let msg = LmonpMsg::new(MsgClass::FeToBe, MsgType::BeReady)
 //!     .with_lmon_payload(b"hello".to_vec())
 //!     .with_usr_payload(b"tool-data".to_vec());
-//! let bytes = encode_msg(&msg);
-//! let back = decode_msg(&bytes).unwrap();
+//! let bytes = WireFrame::Msg(msg.clone()).encode_to_vec();
+//! let mut reader = FrameReader::new();
+//! reader.extend(&bytes);
+//! let back = reader.next_msg().unwrap().expect("one whole message");
 //! assert_eq!(msg, back);
 //! ```
 

@@ -61,15 +61,12 @@ impl LmonpMsg {
 
     /// Attach an encodable LaunchMON payload (builder style).
     ///
-    /// This serializes `body` into a fresh buffer, which is counted
-    /// against [`crate::frame::encode_bytes_copied`]: repeated sends of
-    /// the same payload should reuse an already-encoded [`Bytes`] view via
+    /// This serializes `body` into a fresh buffer: repeated sends of the
+    /// same payload should reuse an already-encoded [`Bytes`] view via
     /// [`LmonpMsg::with_lmon_payload`] instead (the launch handshake
     /// forwards the engine-encoded RPDTAB this way).
     pub fn with_lmon(mut self, body: &impl WireEncode) -> Self {
-        let encoded = body.to_bytes();
-        crate::frame::note_copied(encoded.len());
-        self.lmon = encoded.into();
+        self.lmon = body.to_bytes().into();
         self
     }
 

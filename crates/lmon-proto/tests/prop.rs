@@ -1,17 +1,45 @@
 //! Property-based tests for the LMONP codec: arbitrary messages and tables
-//! must survive encode→decode, and the incremental frame reader must agree
-//! with the one-shot decoder under arbitrary chunking.
+//! must survive encode→decode, and the borrowing encoder and decoders must
+//! agree with a copying reference codec under arbitrary chunking.
 
 use proptest::prelude::*;
 
 use bytes::Bytes;
-use lmon_proto::frame::{
-    decode_msg, decode_msg_view, encode_msg, FrameReader, MuxBatch, MuxEntry, WireFrame,
-};
-use lmon_proto::header::{MsgClass, MsgType};
+use lmon_proto::error::ProtoError;
+use lmon_proto::frame::{decode_msg_view, FrameReader, MuxBatch, MuxEntry, WireFrame};
+use lmon_proto::header::{LmonpHeader, MsgClass, MsgType};
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::rpdtab::{ProcDesc, Rpdtab};
 use lmon_proto::wire::{WireDecode, WireEncode};
+
+/// Reference encoder: the header, then both payload sections, copied.
+fn ref_encode(m: &LmonpMsg) -> Vec<u8> {
+    let mut buf = m.header().to_bytes();
+    buf.extend_from_slice(&m.lmon);
+    buf.extend_from_slice(&m.usr);
+    buf
+}
+
+/// Reference decoder for a buffer holding exactly one message.
+fn ref_decode(bytes: &[u8]) -> Result<LmonpMsg, ProtoError> {
+    let mut rest = bytes;
+    let header = LmonpHeader::decode(&mut rest)?;
+    if bytes.len() != header.total_len() {
+        return Err(ProtoError::Truncated { needed: header.total_len(), available: bytes.len() });
+    }
+    let (lmon, usr) = rest.split_at(header.lmon_len as usize);
+    Ok(LmonpMsg::from_parts(header, lmon.to_vec(), usr.to_vec()))
+}
+
+/// Reference batch payload: each entry's session id, then its message.
+fn ref_batch_payload(batch: &MuxBatch) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for e in &batch.entries {
+        payload.extend_from_slice(&e.session.to_be_bytes());
+        payload.extend_from_slice(&ref_encode(&e.msg));
+    }
+    payload
+}
 
 fn arb_msg_type() -> impl Strategy<Value = MsgType> {
     (0u8..=23).prop_map(|b| MsgType::from_bits(b).unwrap())
@@ -60,10 +88,11 @@ prop_compose! {
 proptest! {
     #[test]
     fn msg_roundtrip(m in arb_msg()) {
-        let bytes = encode_msg(&m);
+        let bytes = WireFrame::Msg(m.clone()).encode_to_vec();
+        prop_assert_eq!(&bytes, &ref_encode(&m));
         prop_assert_eq!(bytes.len(), m.wire_len());
-        let back = decode_msg(&bytes).unwrap();
-        prop_assert_eq!(back, m);
+        prop_assert_eq!(ref_decode(&bytes).unwrap(), m.clone());
+        prop_assert_eq!(decode_msg_view(&Bytes::from(bytes)).unwrap(), m);
     }
 
     #[test]
@@ -73,7 +102,7 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for m in &msgs {
-            stream.extend_from_slice(&encode_msg(m));
+            stream.extend_from_slice(&ref_encode(m));
         }
         let mut reader = FrameReader::new();
         let mut out = Vec::new();
@@ -143,7 +172,8 @@ proptest! {
 
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = decode_msg(&bytes);
+        let _ = ref_decode(&bytes);
+        let _ = decode_msg_view(&Bytes::from(bytes.clone()));
         let _ = Rpdtab::from_bytes(&bytes);
         let mut reader = FrameReader::new();
         reader.extend(&bytes);
@@ -155,12 +185,12 @@ proptest! {
         m in arb_msg(),
         session in arb_session(),
     ) {
-        // The legacy path: encode the inner message whole, wrap it in a
+        // The reference path: encode the inner message whole, wrap it in a
         // MuxData carrier, encode the carrier — two full payload copies.
-        let legacy = encode_msg(
+        let legacy = ref_encode(
             &LmonpMsg::of_type(MsgType::MuxData)
                 .with_tag(session)
-                .with_lmon_payload(encode_msg(&m)),
+                .with_lmon_payload(ref_encode(&m)),
         );
         // The zero-copy path: headers staged, payload sections gathered in
         // place. Must be byte-for-byte identical for every message shape,
@@ -169,7 +199,7 @@ proptest! {
         prop_assert_eq!(frame.wire_len(), legacy.len());
         prop_assert_eq!(frame.encode_to_vec(), legacy);
         // And the materialized fallback agrees too.
-        prop_assert_eq!(encode_msg(&frame.clone().into_msg()), legacy);
+        prop_assert_eq!(ref_encode(&frame.clone().into_msg()), legacy);
         // Structural lift inverts the materialization.
         match WireFrame::from_msg(frame.clone().into_msg()) {
             WireFrame::Carrier { session: s, msg: back } => {
@@ -190,9 +220,15 @@ proptest! {
                 .map(|(session, msg)| MuxEntry { session, msg })
                 .collect(),
         };
+        let legacy = ref_encode(
+            &LmonpMsg::of_type(MsgType::MuxBatch)
+                .with_tag(batch.entries.len() as u16)
+                .with_lmon_payload(ref_batch_payload(&batch)),
+        );
         let frame = WireFrame::Batch(batch.clone());
         let materialized = frame.clone().into_msg();
-        prop_assert_eq!(frame.encode_to_vec(), encode_msg(&materialized));
+        prop_assert_eq!(frame.encode_to_vec(), legacy.clone());
+        prop_assert_eq!(ref_encode(&materialized), legacy);
         prop_assert_eq!(frame.wire_len(), materialized.wire_len());
         // Decode inverts: every entry survives session id + message intact.
         match WireFrame::from_msg(materialized) {
@@ -205,11 +241,11 @@ proptest! {
     fn borrowing_decode_is_identical_to_legacy(m in arb_msg()) {
         // The borrowing decoder splits payload sections off the input as
         // refcounted views instead of copying them into fresh vectors. The
-        // result must be structurally identical to the legacy copying
+        // result must be structurally identical to the reference copying
         // decoder for every message shape — headers, flags, error bit,
         // empty and maximal payloads alike.
-        let bytes = encode_msg(&m);
-        let legacy = decode_msg(&bytes).unwrap();
+        let bytes = ref_encode(&m);
+        let legacy = ref_decode(&bytes).unwrap();
         let view = decode_msg_view(&Bytes::from(bytes)).unwrap();
         prop_assert_eq!(&view, &legacy);
         prop_assert_eq!(view, m);
@@ -225,11 +261,18 @@ proptest! {
                 .map(|(session, msg)| MuxEntry { session, msg })
                 .collect(),
         };
-        let payload = WireFrame::Batch(batch.clone()).into_msg().lmon;
+        let payload = Bytes::from(ref_batch_payload(&batch));
+        prop_assert_eq!(&WireFrame::Batch(batch.clone()).into_msg().lmon, &payload);
         let count = batch.entries.len() as u16;
-        let legacy = MuxBatch::decode_payload(&payload, count).unwrap();
         let view = MuxBatch::decode_payload_view(&payload, count).unwrap();
-        prop_assert_eq!(&view, &legacy);
+        // Entry by entry, the view decode agrees with the reference decoder
+        // run over the same bytes.
+        let mut off = 0;
+        for e in &view.entries {
+            let len = e.msg.wire_len();
+            prop_assert_eq!(ref_decode(&payload[off + 2..off + 2 + len]).unwrap(), e.msg.clone());
+            off += 2 + len;
+        }
         prop_assert_eq!(view, batch);
     }
 
@@ -238,7 +281,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
         count in any::<u16>(),
     ) {
-        let _ = MuxBatch::decode_payload(&bytes, count);
+        let _ = MuxBatch::decode_payload_view(&Bytes::from(bytes.clone()), count);
         let _ = WireFrame::from_msg(
             LmonpMsg::of_type(MsgType::MuxBatch).with_tag(count).with_lmon_payload(bytes),
         );

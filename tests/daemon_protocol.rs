@@ -103,6 +103,28 @@ fn silent_client_defaults_to_v1() {
     let _ = std::fs::remove_file(&socket);
 }
 
+/// A client that never sends a newline gets one `ERR` naming the 64 KiB
+/// line limit and a closed connection, instead of a daemon buffering its
+/// bytes forever; the next connection is served as usual.
+#[test]
+fn overlong_request_line_is_refused_and_closed() {
+    let (handle, socket) = daemon_up("proto-overlong");
+    let mut raw = RawClient::connect(&socket);
+    raw.writer.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+    raw.writer.write_all(&vec![b'A'; 64 * 1024 + 1]).unwrap();
+    raw.writer.flush().unwrap();
+
+    assert_eq!(raw.read_line(), "ERR request line exceeds 65536 bytes\n");
+    let mut rest = String::new();
+    assert_eq!(raw.reader.read_line(&mut rest).expect("EOF, not a timeout"), 0);
+
+    let mut next = RawClient::connect(&socket);
+    assert!(next.roundtrip("PING").starts_with("OK pong=1"));
+
+    handle.shutdown();
+    let _ = std::fs::remove_file(&socket);
+}
+
 /// End-to-end v2 negotiation: the typed client offers its version, settles
 /// on 2, and a raw `HELLO 2` connection's unknown-verb errors name v2. A
 /// client offering a *future* version is clamped to the server's maximum

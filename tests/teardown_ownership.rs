@@ -1,6 +1,7 @@
 //! Teardown frees what it kills: every process record has an owner that
-//! removes it (job → `kill_job`, session daemons → the engine's
-//! `end_session`), and a record that leaves its table releases its thread.
+//! removes it (job → `kill_job`, on a failed launch too; session daemons →
+//! the engine's `end_session`), and a record that leaves its table releases
+//! its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
 //! many sessions on *one* cluster and checks that nothing is left behind.
 //!
@@ -76,6 +77,34 @@ fn a_hundred_killed_sessions_fit_a_sixty_four_entry_process_table() {
         fe.kill(session).unwrap_or_else(|e| panic!("kill {i}: {e}"));
     }
     assert_eq!(records(&cluster), 1, "only the engine's record outlives its sessions");
+    fe.shutdown().unwrap();
+}
+
+/// A launch that fails after `launch_job` used to drop the job's handle: its
+/// launcher and tasks stayed in the tables and its allocation stayed held,
+/// so every later launch failed too. Here each node's table fits the job's
+/// 4 tasks but not a daemon beside them, so every launch fails at the spawn.
+/// The front end may see the failure (its master's link closing) before the
+/// engine has killed the job, so the count is awaited, not sampled.
+#[test]
+fn failed_launches_kill_the_jobs_they_started() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let config = ClusterConfig { proc_table_cap: 4, ..ClusterConfig::with_nodes(2) };
+    let cluster = VirtualCluster::new(config);
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for i in 0..10 {
+        let session = fe.create_session();
+        let daemon = DaemonSpec::bare("toold");
+        let launched = fe.launch_and_spawn(session, "app", &[], 2, 4, daemon, be_main.clone());
+        assert!(launched.is_err(), "launch {i}: the daemons cannot fit");
+        while records(&cluster) > 1 {
+            assert!(Instant::now() < deadline, "launch {i} left {} records", records(&cluster));
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
     fe.shutdown().unwrap();
 }
 
