@@ -1,6 +1,7 @@
 //! The long-lived launch service: front-end pool, session registry, and
 //! the control-connection serve loop.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -728,10 +729,18 @@ impl Daemon {
 
     /// Detach (job keeps running) or kill (job destroyed, nodes released).
     /// Either way the entry — and with it the admission permit — is freed
-    /// only after the front end finished tearing the session down.
+    /// only after the front end finished tearing the session down. Detach
+    /// is for attached sessions: a job `lmond` launched has no owner but its
+    /// session, so detaching it is refused and the entry stays for `KILL`.
     fn handle_end(&self, gsid: u64, kill: bool) -> Reply {
-        let Some(entry) = self.sessions.lock().remove(&gsid) else {
-            return Reply::Err(format!("no such session {gsid}"));
+        let entry = match self.sessions.lock().entry(gsid) {
+            Entry::Vacant(_) => return Reply::Err(format!("no such session {gsid}")),
+            Entry::Occupied(e) if !kill && matches!(e.get().seed.origin, Origin::Launch { .. }) => {
+                return Reply::Err(format!(
+                    "detach: session {gsid} launched its job and is its only owner; KILL it"
+                ));
+            }
+            Entry::Occupied(e) => e.remove(),
         };
         match self.end_session(&entry, kill) {
             Ok(()) => Reply::ok(&[

@@ -45,8 +45,9 @@
 //! sessions never contend on one mutex and a routed batch takes one lock
 //! acquisition per *shard*, not per message. When the pump's own message
 //! arrives or its deadline expires, it releases the pump role and wakes
-//! every shard so another waiter takes over. This keeps the mux fully
-//! event-driven — no sleep-polling anywhere on the path.
+//! every shard so another waiter takes over (the vendored `parking_lot`
+//! condvar makes that wake free on a shard with nobody parked). This keeps
+//! the mux fully event-driven — no sleep-polling anywhere on the path.
 //!
 //! ## Ordering and loss
 //!
@@ -60,8 +61,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::error::{ProtoError, ProtoResult};
 use crate::frame::{decode_msg_view, MuxBatch, MuxEntry, WireFrame};
@@ -211,13 +214,13 @@ impl SessionMux {
             return Err(ProtoError::Disconnected);
         }
         let shard = &self.shared.shards[shard_ix(id)];
-        let mut state = lock(&shard.state);
+        let mut state = shard.state.lock();
         if state.inboxes.contains_key(&id) {
             return Err(ProtoError::InvalidField { field: "mux_session", value: id as u64 });
         }
         state.inboxes.insert(id, Inbox::default());
         drop(state);
-        let mut acc = lock(&self.shared.accounting);
+        let mut acc = self.shared.accounting.lock();
         acc.count += 1;
         acc.peak = acc.peak.max(acc.count);
         drop(acc);
@@ -226,12 +229,12 @@ impl SessionMux {
 
     /// Number of sessions currently open on this side of the link.
     pub fn session_count(&self) -> usize {
-        lock(&self.shared.accounting).count
+        self.shared.accounting.lock().count
     }
 
     /// High-water mark of simultaneously open sessions.
     pub fn peak_session_count(&self) -> usize {
-        lock(&self.shared.accounting).peak
+        self.shared.accounting.lock().peak
     }
 
     /// Physical channels behind this mux — always exactly one; the type
@@ -273,10 +276,6 @@ impl SessionMux {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl MuxShared {
     /// Append one data message to the pending queue and flush unless a
     /// flush is already in flight (in which case the message rides it).
@@ -285,7 +284,7 @@ impl MuxShared {
             return Err(ProtoError::Disconnected);
         }
         self.logical_msgs.fetch_add(1, Ordering::Relaxed);
-        let mut s = lock(&self.send);
+        let mut s = self.send.lock();
         s.pending.push_back(MuxItem::Data(session, msg));
         if s.flushing {
             return Ok(());
@@ -299,7 +298,7 @@ impl MuxShared {
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        let mut s = lock(&self.send);
+        let mut s = self.send.lock();
         s.pending.push_back(MuxItem::Close(session));
         if !s.flushing {
             let _ = self.flush(s);
@@ -359,7 +358,7 @@ impl MuxShared {
             if res.is_ok() {
                 self.phys_frames.fetch_add(1, Ordering::Relaxed);
             }
-            s = lock(&self.send);
+            s = self.send.lock();
             if let Err(e) = res {
                 // The link is gone: everything queued (including other
                 // senders' riders) is undeliverable.
@@ -400,10 +399,12 @@ impl MuxShared {
 
     /// Lock-then-notify every shard: pairs with waiters that hold their
     /// shard lock from the pump-flag check through `cv.wait`, so a pump
-    /// handover (or death) can never be missed.
+    /// handover (or death) can never be missed. The lock is what orders a
+    /// waiter's count-in before the notify, so a shard nobody waits on
+    /// costs a lock round trip and an atomic load, not a wake.
     fn wake_all_shards(&self) {
         for shard in &self.shards {
-            drop(lock(&shard.state));
+            drop(shard.state.lock());
             shard.cv.notify_all();
         }
     }
@@ -445,7 +446,7 @@ impl MuxShared {
             if ops.is_empty() {
                 continue;
             }
-            let mut state = lock(&self.shards[ix].state);
+            let mut state = self.shards[ix].state.lock();
             for op in ops.drain(..) {
                 match op {
                     MuxItem::Data(id, msg) => match state.inboxes.get_mut(&id) {
@@ -494,7 +495,7 @@ impl MuxShared {
         let deadline = Instant::now() + timeout;
         let shard = &self.shards[shard_ix(id)];
         loop {
-            let mut state = lock(&shard.state);
+            let mut state = shard.state.lock();
             if let Some(resolved) = Self::check_inbox(&mut state, id) {
                 return resolved;
             }
@@ -524,12 +525,9 @@ impl MuxShared {
                 // traffic or a pump handover on our shard's condvar. The
                 // handover protocol (`wake_all_shards`) locks this mutex
                 // before notifying, so holding it from the CAS failure to
-                // here makes a missed wakeup impossible.
-                let (s, _timed_out) = shard
-                    .cv
-                    .wait_timeout(state, remaining.min(RECV_SLICE))
-                    .unwrap_or_else(|e| e.into_inner());
-                drop(s);
+                // here makes a missed wakeup impossible — and the notify
+                // reaches a futex only when this shard has a waiter parked.
+                shard.cv.wait_for(&mut state, remaining.min(RECV_SLICE));
             }
         }
     }
@@ -554,7 +552,7 @@ impl MuxShared {
                     // route the whole sweep with one lock per shard.
                     let _ = self.phys.try_recv_frames(&mut frames, PUMP_DRAIN);
                     self.route_all(&mut frames, &mut buckets);
-                    let mut state = lock(&self.shards[shard_ix(id)].state);
+                    let mut state = self.shards[shard_ix(id)].state.lock();
                     if let Some(resolved) = Self::check_inbox(&mut state, id) {
                         break Some(resolved);
                     }
@@ -621,9 +619,9 @@ impl Drop for MuxEndpoint {
         // queued behind any of this session's unflushed data.
         self.shared.send_close(self.id);
         let shard = &self.shared.shards[shard_ix(self.id)];
-        let removed = lock(&shard.state).inboxes.remove(&self.id).is_some();
+        let removed = shard.state.lock().inboxes.remove(&self.id).is_some();
         if removed {
-            lock(&self.shared.accounting).count -= 1;
+            self.shared.accounting.lock().count -= 1;
         }
         shard.cv.notify_all();
     }

@@ -11,6 +11,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use lmon_cluster::fanout::{fanout, DEFAULT_LAUNCH_WORKERS};
+use lmon_cluster::node::NodeId;
 use lmon_cluster::process::{Pid, ProcSpec};
 use lmon_cluster::trace::TraceEvent;
 use lmon_cluster::VirtualCluster;
@@ -88,9 +89,13 @@ impl RmCore {
 
         let launcher_pid = self
             .cluster
-            .spawn_active(lmon_cluster::node::NodeId::FrontEnd, launcher_spec, move |ctx| {
+            .spawn_active(NodeId::FrontEnd, launcher_spec, move |ctx| {
                 // Wait for the tool (if any) to attach and arm breakpoints.
+                // A job killed before it started spawns nothing.
                 let _ = gate_rx.recv();
+                if ctx.killed() {
+                    return;
+                }
 
                 // Spawn the application tasks: passive table entries, laid
                 // out block-wise like srun's default distribution. Pids are
@@ -125,6 +130,15 @@ impl RmCore {
                 });
                 let entries: Vec<ProcDesc> = per_node.into_iter().flatten().collect();
 
+                // `kill_job` kills the launcher before it sweeps the nodes,
+                // so a kill that landed during the spawn may have swept
+                // before some tasks existed: those are the launcher's to
+                // retire. A kill after this check sweeps them all.
+                if ctx.killed() {
+                    let _ = sweep_tasks(&cluster, &nodes, job_env_key, job_id);
+                    return;
+                }
+
                 // Debugger-visible fork events, raised in rank order once
                 // every task exists (tracers count events, they don't race
                 // the forks themselves).
@@ -133,9 +147,12 @@ impl RmCore {
                     ctx.raise_event(TraceEvent::Forked { child: Pid(desc.pid) });
                 }
 
-                // APAI: publish and stop at MPIR_Breakpoint if traced.
-                let table = Rpdtab::new(entries);
-                mpir::publish_proctable(&ctx, &table);
+                // APAI: publish and stop at MPIR_Breakpoint if traced. Only
+                // the published bytes outlive this statement: a launcher
+                // that still held the decoded table would free its rows
+                // when a kill wakes it, on another core, in the middle of
+                // `kill_job`'s sweep.
+                mpir::publish_proctable(&ctx, &Rpdtab::new(entries));
 
                 // The launcher lives until the job is killed.
                 ctx.shared.wait_terminal();
@@ -209,17 +226,25 @@ impl RmCore {
 
     /// The job owns its records: every task and the launcher is killed and
     /// leaves its node's table here, one pass per node of the footprint.
+    /// The launcher dies first, so one still spawning sees the kill and
+    /// retires whatever tasks this sweep came too early for.
     pub fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
-        let key = self.job_env_key;
-        let id = handle.job_id.to_string();
-        for node_id in &handle.allocation.nodes {
-            let node = self.cluster.node(*node_id).map_err(|e| RmError::Cluster(e.to_string()))?;
-            node.kill_matching(|r| r.spec.env_get(key) == Some(id.as_str()));
-        }
         self.cluster.front_end().kill_matching(|r| r.pid == handle.launcher_pid);
+        sweep_tasks(&self.cluster, &handle.allocation.nodes, self.job_env_key, handle.job_id)?;
         self.allocator.release(&handle.allocation);
         Ok(())
     }
+}
+
+/// Kill and remove every task stamped with job `job_id`, one
+/// `Node::kill_matching` pass per node.
+fn sweep_tasks(cluster: &VirtualCluster, nodes: &[NodeId], key: &str, job_id: u64) -> RmResult<()> {
+    let id = job_id.to_string();
+    for node_id in nodes {
+        let node = cluster.node(*node_id).map_err(|e| RmError::Cluster(e.to_string()))?;
+        node.kill_matching(|r| r.spec.env_get(key) == Some(id.as_str()));
+    }
+    Ok(())
 }
 
 /// The SLURM-like RM.

@@ -1,7 +1,8 @@
 //! Teardown frees what it kills: every process record has an owner that
-//! removes it (job → `kill_job`, on a failed launch too; session daemons →
-//! the engine's `end_session`), and a record that leaves its table releases
-//! its thread.
+//! removes it (job → `kill_job`, on a failed launch too, and before its
+//! launcher has run; a job `lmond` launched → its session's `KILL`, never a
+//! `DETACH`; session daemons → the engine's `end_session`), and a record
+//! that leaves its table releases its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
 //! many sessions on *one* cluster and checks that nothing is left behind.
 //!
@@ -12,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use launchmon::cluster::config::ClusterConfig;
+use launchmon::cluster::trace::{TraceController, TraceEvent};
 use launchmon::cluster::VirtualCluster;
 use launchmon::core::be::BeMain;
 use launchmon::core::fe::LmonFrontEnd;
@@ -106,6 +108,62 @@ fn failed_launches_kill_the_jobs_they_started() {
         }
     }
     fe.shutdown().unwrap();
+}
+
+/// A job killed before its launcher ran used to get its tasks anyway:
+/// `kill_job` swept the nodes first, then dropping the handle opened the
+/// gate and the launcher spawned into tables nobody would sweep again.
+#[test]
+fn a_job_killed_before_its_launcher_runs_leaves_no_tasks() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
+    let rm = SlurmRm::new(cluster.clone());
+    let handle = rm.launch_job(&JobSpec::new("app", 2, 4), true).unwrap();
+    let (_fe, launcher) = cluster.find_proc(handle.launcher_pid).unwrap();
+    let tracer = TraceController::attach(handle.launcher_pid, launcher.shared.clone()).unwrap();
+    rm.kill_job(&handle).unwrap();
+    drop(handle); // opens the gate
+    loop {
+        match tracer.wait_event(Duration::from_secs(10)) {
+            Ok(TraceEvent::Exited { .. }) => break,
+            Ok(_) => {}
+            Err(e) => panic!("the launcher never exited: {e}"),
+        }
+    }
+    let compute: usize = cluster.compute_nodes().iter().map(|n| n.pids().len()).sum();
+    assert_eq!(compute, 0, "the killed job's launcher spawned tasks");
+}
+
+/// `DETACH` of a session `lmond` launched used to be accepted: the daemons
+/// left, the job's launcher stayed parked and its tasks stayed in the
+/// tables, and no handle was left that could kill them. Detach is refused
+/// there; the session stays until `KILL`.
+#[test]
+fn detaching_a_launched_session_is_refused_until_it_is_killed() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = Daemon::new(DaemonConfig::default()).expect("daemon");
+    let cycle = || {
+        let launch = Request::Launch {
+            app: "app".into(),
+            nodes: 2,
+            tasks_per_node: 2,
+            body: "oneshot".into(),
+        };
+        let Reply::Ok(fields) = daemon.dispatch(&launch) else { panic!("launch refused") };
+        let gsid = fields.iter().find(|(k, _)| k == "gsid").expect("gsid").1.parse().unwrap();
+        let refused = daemon.dispatch(&Request::Detach { gsid });
+        assert!(matches!(&refused, Reply::Err(why) if why.contains("KILL")), "{refused:?}");
+        assert!(matches!(daemon.dispatch(&Request::SessionStatus { gsid }), Reply::Ok(_)));
+        assert_eq!(daemon.sessions_active(), 1);
+        assert!(matches!(daemon.dispatch(&Request::Kill { gsid }), Reply::Ok(_)));
+        assert_eq!(daemon.sessions_active(), 0);
+    };
+    cycle(); // lazy backend start is not a leak
+    let before = settled_threads();
+    for _ in 0..20 {
+        cycle();
+    }
+    assert_threads_settle_to(before + 2, "after 20 launch → refused detach → kill cycles");
 }
 
 /// D2: a killed session's master used to return on the dead FE link without
