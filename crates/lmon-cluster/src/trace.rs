@@ -6,7 +6,7 @@
 //! process exports named memory symbols (`MPIR_proctable`, ...) and calls
 //! [`TraceCell::checkpoint`] at points where a real binary would host a
 //! breakpoint (`MPIR_Breakpoint`). The tracer side, [`TraceController`],
-//! mirrors the debugger loop the engine's Event Manager runs: arm
+//! mirrors the debugger loop the engine runs on a launcher: arm
 //! breakpoints, wait for events, read memory, continue.
 //!
 //! Memory reads are counted in words, because the §4 model charges the
@@ -126,8 +126,8 @@ impl TraceCell {
     }
 }
 
-/// The tracer-side handle: what the LaunchMON engine's Event Manager holds
-/// on the RM launcher process.
+/// The tracer-side handle: what the LaunchMON engine holds on the RM
+/// launcher process.
 pub struct TraceController {
     pid: Pid,
     shared: Arc<ProcShared>,

@@ -148,19 +148,6 @@ impl EngineEndpoint {
         })
     }
 
-    /// Receive the next reply with a timeout, directly off the stream.
-    ///
-    /// Raw read that bypasses the reply router — for tests and
-    /// diagnostics only; never mix with concurrent [`EngineEndpoint::exchange`]
-    /// calls, which own the stream through the router.
-    pub fn recv_timeout(&self, timeout: Duration) -> LmonResult<LmonpMsg> {
-        match self.chan.recv_timeout(timeout) {
-            Ok(Some(msg)) => Ok(msg),
-            Ok(None) => Err(LmonError::Timeout("waiting for engine reply")),
-            Err(_) => Err(LmonError::Engine("engine is gone".into())),
-        }
-    }
-
     /// Start an exchange without waiting for any reply: register the
     /// `(tag, seq)` mailbox, send the command, and hand back an
     /// [`Exchange`] from which replies are consumed one at a time. This is
@@ -345,13 +332,15 @@ mod tests {
     #[test]
     fn commands_and_replies_flow_over_the_mux() {
         let (fe, inlet) = engine_channel();
-        fe.send(EngineCommand::control(control_msg(MsgType::FeDetachReq, 3))).unwrap();
+        let ex = fe
+            .begin_exchange(EngineCommand::control(control_msg(MsgType::FeDetachReq, 3)))
+            .unwrap();
         let got = inlet.recv().unwrap();
         assert_eq!(got.mtype, MsgType::FeDetachReq);
         assert_eq!(got.tag, 3);
         assert!(inlet.take_sidecar(got.tag).body.is_none());
-        inlet.send(control_msg(MsgType::EngineAck, 3)).unwrap();
-        assert_eq!(fe.recv_timeout(Duration::from_secs(5)).unwrap().mtype, MsgType::EngineAck);
+        inlet.send(control_msg(MsgType::EngineAck, 3).with_epoch(got.sec_epoch)).unwrap();
+        assert_eq!(ex.next(Duration::from_secs(5)).unwrap().mtype, MsgType::EngineAck);
         // The control path holds exactly one physical channel.
         assert_eq!(fe.mux().physical_links(), 1);
         assert_eq!(fe.mux().session_count(), 1);
@@ -371,15 +360,22 @@ mod tests {
     #[test]
     fn dropped_engine_surfaces_as_error() {
         let (fe, inlet) = engine_channel();
+        // An exchange in flight when the engine goes learns it from the
+        // stream, not from its timeout.
+        let ex =
+            fe.begin_exchange(EngineCommand::control(control_msg(MsgType::FeKillReq, 0))).unwrap();
         drop(inlet);
+        let err = ex.next(Duration::from_secs(5)).unwrap_err();
+        assert!(matches!(err, LmonError::Engine(_)), "{err:?}");
         assert!(fe.send(EngineCommand::control(control_msg(MsgType::FeKillReq, 0))).is_err());
-        assert!(fe.recv_timeout(Duration::from_secs(1)).is_err());
     }
 
     #[test]
-    fn recv_timeout_expires() {
+    fn an_unanswered_exchange_times_out() {
         let (fe, _inlet) = engine_channel();
-        let err = fe.recv_timeout(Duration::from_millis(10)).unwrap_err();
+        let ex =
+            fe.begin_exchange(EngineCommand::control(control_msg(MsgType::FeKillReq, 0))).unwrap();
+        let err = ex.next(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, LmonError::Timeout(_)));
     }
 

@@ -13,8 +13,8 @@
 //! LMONP commands from the front-end API:
 //!
 //! * `FeLaunchReq` — run `launchAndSpawn`: execute the launcher under trace
-//!   control, drive the [`driver::Driver`] event loop to `MPIR_Breakpoint`,
-//!   fetch the RPDTAB, bulk-launch daemons through the RM.
+//!   control, run it to `MPIR_Breakpoint`, fetch the RPDTAB, bulk-launch
+//!   daemons through the RM.
 //! * `FeAttachReq` — `attachAndSpawn`: adopt a running launcher, read the
 //!   APAI directly, bulk-launch daemons.
 //! * `FeSpawnMwReq` — allocate middleware nodes and launch TBON daemons.
@@ -24,37 +24,37 @@
 //! attach share everything that follows "job stopped, RPDTAB in hand", and
 //! what the engine records for a session leaves with the session.
 //!
-//! Submodules mirror the paper's modular class hierarchy: the
-//! [`driver::Driver`] organizes operation, the [`driver::EventManager`]
-//! polls the traced RM process, the [`decoder::EventDecoder`] lifts native
-//! trace events into LaunchMON events, and the [`handler::HandlerTable`]
-//! dispatches them.
+//! The paper builds the tracing side as a Driver → Event Manager → Event
+//! Decoder → Event Handler pipeline behind abstract classes a port inherits
+//! (§3.1). Here it is one loop, `run_to_breakpoint`, that matches the trace
+//! controller's events directly: both RMs speak MPIR, so "is the job
+//! tool-ready?" is answered once, by [`lmon_rm::mpir`] and that match. The
+//! porting seam is [`ResourceManager`], which has one implementation per RM.
 
 pub mod channel;
-pub mod decoder;
-pub mod driver;
-pub mod event;
-pub mod handler;
-pub mod platform;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 use lmon_cluster::node::NodeId;
 use lmon_cluster::process::{Pid, ProcShared, ProcSpec};
-use lmon_cluster::trace::TraceController;
+use lmon_cluster::trace::{TraceController, TraceEvent};
 use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::payload::{AttachRequest, DaemonInfo, JobStatus, LaunchRequest, SpawnMwRequest};
 use lmon_proto::rpdtab::Rpdtab;
 use lmon_proto::wire::{put_seq, WireEncode};
 use lmon_rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager};
+use lmon_rm::mpir;
 
 use crate::engine::channel::{EngineEndpoint, EngineSidecar};
-use crate::engine::driver::Driver;
-use crate::engine::platform::{MpirPlatform, Platform};
 use crate::error::{LmonError, LmonResult};
 use crate::timeline::{CriticalEvent, TimelineRecorder};
+
+/// How long a launched launcher may go without a trace event before the
+/// launch gives up on reaching `MPIR_Breakpoint`.
+const EVENT_WAIT: Duration = Duration::from_secs(30);
 
 /// A job under engine control.
 enum EngineJob {
@@ -104,7 +104,6 @@ struct SpawnCmd<'a> {
 #[derive(Clone)]
 pub struct Engine {
     rm: Arc<dyn ResourceManager>,
-    platform: Arc<dyn Platform>,
     sessions: Arc<parking_lot::Mutex<HashMap<u16, EngineSession>>>,
 }
 
@@ -112,19 +111,11 @@ impl Engine {
     /// Spawn the engine as a process on the cluster front end, returning
     /// the FE-side endpoint and the engine's pid.
     pub fn spawn(rm: Arc<dyn ResourceManager>) -> LmonResult<(EngineEndpoint, Pid)> {
-        Engine::spawn_with_platform(rm, Arc::new(MpirPlatform))
-    }
-
-    /// Spawn with a custom platform adaptation layer.
-    pub fn spawn_with_platform(
-        rm: Arc<dyn ResourceManager>,
-        platform: Arc<dyn Platform>,
-    ) -> LmonResult<(EngineEndpoint, Pid)> {
         let (fe_end, inlet) = channel::engine_channel();
         let cluster = rm.cluster().clone();
         let pid = cluster
             .spawn_active(NodeId::FrontEnd, ProcSpec::named("launchmon_engine"), move |_ctx| {
-                let engine = Engine { rm, platform, sessions: Arc::default() };
+                let engine = Engine { rm, sessions: Arc::default() };
                 let inlet = Arc::new(inlet);
                 // Spawn-bearing commands run on worker threads so concurrent
                 // launches overlap their engine phases; the FE's tag-routed
@@ -249,16 +240,14 @@ impl Engine {
         timeline: &TimelineRecorder,
     ) -> Result<(TraceController, Rpdtab), String> {
         let (ctl, shared) = self.trace(handle.launcher_pid)?;
-        self.platform.prepare_attach(&ctl, &shared);
+        mpir::set_being_debugged(&ctl, &shared);
         handle.release();
 
-        // Drive the event pipeline to the breakpoint.
-        let mut driver = Driver::new(self.platform.clone());
-        driver.run_to_breakpoint(&ctl).map_err(|e| format!("driver: {e}"))?;
+        run_to_breakpoint(&ctl, EVENT_WAIT).map_err(|e| format!("breakpoint: {e}"))?;
         timeline.mark(CriticalEvent::E3AtBreakpoint);
 
         // Region B: fetch the RPDTAB out of the launcher's address space.
-        let rpdtab = self.platform.fetch_rpdtab(&ctl).map_err(|e| format!("rpdtab: {e}"))?;
+        let rpdtab = mpir::fetch_proctable(&ctl).map_err(|e| format!("rpdtab: {e}"))?;
         timeline.mark(CriticalEvent::E4RpdtabFetched);
         Ok((ctl, rpdtab))
     }
@@ -276,7 +265,7 @@ impl Engine {
         // valid (it almost always already is).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let rpdtab = loop {
-            match self.platform.fetch_rpdtab(&ctl) {
+            match mpir::fetch_proctable(&ctl) {
                 Ok(t) => break t,
                 Err(e) if std::time::Instant::now() >= deadline => {
                     return Err(format!("rpdtab: {e}"))
@@ -437,5 +426,132 @@ impl Engine {
         let status = LmonpMsg::of_type(MsgType::EngineStatus).with_tag(tag);
         reply(status.with_lmon_payload(end.to_bytes()));
         Ok(())
+    }
+}
+
+/// Let a traced launcher run until it stops at `MPIR_Breakpoint`, where the
+/// job is tool-ready. Any other stop is resumed, or the launcher would hang
+/// there; forks and execs need nothing. An exit, or `wait` without an event,
+/// fails the launch.
+fn run_to_breakpoint(ctl: &TraceController, wait: Duration) -> Result<(), String> {
+    loop {
+        match ctl.wait_event(wait).map_err(|e| e.to_string())? {
+            TraceEvent::Stopped { symbol } if symbol == mpir::MPIR_BREAKPOINT => return Ok(()),
+            TraceEvent::Stopped { .. } => ctl.continue_proc(),
+            TraceEvent::Exited { code } => return Err(format!("launcher exited with code {code}")),
+            TraceEvent::Forked { .. } | TraceEvent::Exec { .. } => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lmon_cluster::config::ClusterConfig;
+    use lmon_cluster::VirtualCluster;
+
+    const SHORT_WAIT: Duration = Duration::from_secs(5);
+
+    /// A launcher that waits for the go signal, raises `forks` fork events,
+    /// optionally stops at an unexpected symbol, then hits
+    /// `MPIR_Breakpoint`. Returned under trace with both symbols armed.
+    fn fake_launcher(
+        cluster: &VirtualCluster,
+        forks: u32,
+        unexpected_stop: bool,
+    ) -> (Pid, TraceController, std::sync::mpsc::Sender<()>) {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let pid = cluster
+            .spawn_active(NodeId::FrontEnd, ProcSpec::named("fake_srun"), move |ctx| {
+                rx.recv().unwrap();
+                for i in 0..forks {
+                    ctx.raise_event(TraceEvent::Forked { child: Pid(100 + u64::from(i)) });
+                }
+                if unexpected_stop {
+                    ctx.checkpoint("unexpected_symbol");
+                }
+                ctx.export_symbol(mpir::MPIR_DEBUG_STATE, vec![mpir::MPIR_DEBUG_SPAWNED]);
+                ctx.checkpoint(mpir::MPIR_BREAKPOINT);
+            })
+            .unwrap();
+        let (_node, rec) = cluster.find_proc(pid).unwrap();
+        let ctl = TraceController::attach(pid, rec.shared.clone()).unwrap();
+        ctl.set_breakpoint(mpir::MPIR_BREAKPOINT);
+        ctl.set_breakpoint("unexpected_symbol");
+        (pid, ctl, tx)
+    }
+
+    #[test]
+    fn forks_do_not_end_the_wait() {
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
+        let (pid, ctl, go) = fake_launcher(&cluster, 4, false);
+        go.send(()).unwrap();
+        run_to_breakpoint(&ctl, SHORT_WAIT).unwrap();
+        assert_eq!(ctl.events_handled(), 5, "four forks, then the breakpoint stop");
+        assert_eq!(mpir::read_debug_state(&ctl), Some(mpir::MPIR_DEBUG_SPAWNED));
+        ctl.continue_proc();
+        cluster.wait_pid(pid).unwrap();
+    }
+
+    #[test]
+    fn an_unexpected_stop_is_resumed_and_the_wait_reaches_the_breakpoint() {
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
+        let (pid, ctl, go) = fake_launcher(&cluster, 0, true);
+        go.send(()).unwrap();
+        run_to_breakpoint(&ctl, SHORT_WAIT).unwrap();
+        assert_eq!(ctl.events_handled(), 2, "the unexpected stop, then the breakpoint stop");
+        assert_eq!(mpir::read_debug_state(&ctl), Some(mpir::MPIR_DEBUG_SPAWNED));
+        ctl.continue_proc();
+        cluster.wait_pid(pid).unwrap();
+    }
+
+    #[test]
+    fn a_launcher_exit_is_an_error() {
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let pid = cluster
+            .spawn_active(NodeId::FrontEnd, ProcSpec::named("dying_srun"), move |_ctx| {
+                rx.recv().unwrap();
+                // Body returns: the spawn wrapper raises Exited.
+            })
+            .unwrap();
+        let (_node, rec) = cluster.find_proc(pid).unwrap();
+        let ctl = TraceController::attach(pid, rec.shared.clone()).unwrap();
+        tx.send(()).unwrap();
+        let err = run_to_breakpoint(&ctl, SHORT_WAIT).unwrap_err();
+        assert!(err.contains("exited"), "{err}");
+        cluster.wait_pid(pid).unwrap();
+    }
+
+    #[test]
+    fn silence_is_a_timeout_error() {
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
+        let (_pid, ctl, _go) = fake_launcher(&cluster, 0, false); // never released
+        let err = run_to_breakpoint(&ctl, Duration::from_millis(30)).unwrap_err();
+        assert!(err.contains("timed out"), "{err}");
+    }
+
+    /// The pre-fix SLURM profile raises one fork per task: a 4 × 4 launch
+    /// sends 16 of them through the loop ahead of the breakpoint stop.
+    #[test]
+    fn a_per_task_event_profile_launch_reaches_ready() {
+        use crate::be::BeMain;
+        use crate::fe::LmonFrontEnd;
+        use crate::session::SessionState;
+        use lmon_proto::payload::DaemonSpec;
+        use lmon_rm::slurm::DebugEventProfile;
+        use lmon_rm::SlurmRm;
+
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+        let rm = SlurmRm::with_event_profile(cluster, DebugEventProfile::PerTask);
+        let fe = LmonFrontEnd::init(Arc::new(rm)).unwrap();
+        let session = fe.create_session();
+        let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+        let outcome =
+            fe.launch_and_spawn(session, "app", &[], 4, 4, DaemonSpec::bare("d"), be_main).unwrap();
+        assert_eq!((outcome.rpdtab.len(), outcome.daemon_count), (16, 4));
+        assert_eq!(fe.session_state(session).unwrap(), SessionState::Ready);
+        fe.kill(session).unwrap();
+        fe.shutdown().unwrap();
     }
 }

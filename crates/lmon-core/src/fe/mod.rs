@@ -149,15 +149,16 @@ pub struct HealthSummary {
     pub live_sessions: usize,
     /// Monitors retained for recently detached/killed sessions (bounded).
     pub retired_sessions: usize,
-    /// Live or retired sessions currently in [`HealthState::Degraded`].
+    /// Live sessions currently in [`HealthState::Degraded`]; ended
+    /// sessions in the retired tier are not counted in any state.
     pub degraded_sessions: usize,
-    /// Live or retired sessions currently in [`HealthState::Healed`].
+    /// Live sessions currently in [`HealthState::Healed`].
     pub healed_sessions: usize,
-    /// Live or retired sessions currently in [`HealthState::Draining`]
-    /// (planned maintenance flushing in-flight work, DESIGN.md §12).
+    /// Live sessions currently in [`HealthState::Draining`] (planned
+    /// maintenance flushing in-flight work, DESIGN.md §12).
     pub draining_sessions: usize,
-    /// Live or retired sessions currently in [`HealthState::Upgraded`]
-    /// (a rolling replacement completed; not a failure).
+    /// Live sessions currently in [`HealthState::Upgraded`] (a rolling
+    /// replacement completed; not a failure).
     pub upgraded_sessions: usize,
     /// Transitions currently held in memory across all monitors.
     pub transitions_retained: usize,
@@ -235,13 +236,14 @@ impl HealthLedger {
     fn summary(&self) -> HealthSummary {
         let monitors = || self.live.values().chain(self.retired.iter().map(|(_, m)| m));
         let ring_dropped: u64 = monitors().map(|m| m.dropped_total()).sum();
+        let live_in = |state| self.live.values().filter(|m| m.current() == state).count();
         HealthSummary {
             live_sessions: self.live.len(),
             retired_sessions: self.retired.len(),
-            degraded_sessions: monitors().filter(|m| m.current() == HealthState::Degraded).count(),
-            healed_sessions: monitors().filter(|m| m.current() == HealthState::Healed).count(),
-            draining_sessions: monitors().filter(|m| m.current() == HealthState::Draining).count(),
-            upgraded_sessions: monitors().filter(|m| m.current() == HealthState::Upgraded).count(),
+            degraded_sessions: live_in(HealthState::Degraded),
+            healed_sessions: live_in(HealthState::Healed),
+            draining_sessions: live_in(HealthState::Draining),
+            upgraded_sessions: live_in(HealthState::Upgraded),
             transitions_retained: monitors().map(|m| m.retained()).sum(),
             transitions_recorded: self.recorded_total,
             transitions_dropped: ring_dropped + self.evicted_transitions,

@@ -5,11 +5,12 @@
 //! decomposed exactly as Figure 1 shows:
 //!
 //! * **[`engine`]** — the LaunchMON Engine. Runs co-located with the RM
-//!   launcher process, traces it through the cluster's trace controller
-//!   (Driver → Event Manager → Event Decoder → Event Handler pipeline),
-//!   fetches the RPDTAB at `MPIR_Breakpoint`, and invokes the RM's
-//!   efficient bulk daemon launch. Ported across RMs via the
-//!   [`engine::platform::Platform`] abstraction.
+//!   launcher process, traces it through the cluster's trace controller in
+//!   one loop that runs it to `MPIR_Breakpoint` (the paper's Driver → Event
+//!   Manager → Event Decoder → Event Handler pipeline, collapsed to one
+//!   `match`), fetches the RPDTAB there, and invokes the RM's efficient bulk
+//!   daemon launch. Ported across RMs via
+//!   [`lmon_rm::api::ResourceManager`], one implementation per RM.
 //! * **[`fe`]** — the front-end API: sessions, `launchAndSpawnDaemons`,
 //!   `attachAndSpawnDaemons`, middleware spawn, proctable access, user-data
 //!   piggybacking via registered pack/unpack callbacks, detach/kill.

@@ -418,6 +418,13 @@ impl Daemon {
             Origin::Attach { pid } => fe.attach_and_spawn(sid, Pid(pid), daemon, body),
         };
         let spawned = spawned.inspect_err(|_| {
+            // A launch that failed after the engine placed its daemons (a
+            // handshake timeout) still holds its job, daemons and nodes, and
+            // the seed is its only owner. Best effort: a failure inside the
+            // engine has already cleaned up, and its kill answers "no job".
+            if matches!(seed.origin, Origin::Launch { .. }) {
+                let _ = fe.kill(sid);
+            }
             // `seed.permit` drops with the seed: a failed launch frees its slot.
             self.launch_failures_total.fetch_add(1, Ordering::Relaxed);
         });
@@ -798,8 +805,7 @@ impl Daemon {
             healths,
             overlay: self.overlay_stats.snapshot(),
             health_states: vec![
-                // Approximation: a session is healthy unless its (live or
-                // recently retired) monitor says otherwise.
+                // A live session is healthy unless its monitor says otherwise.
                 (
                     HealthState::Healthy,
                     active.saturating_sub(degraded + healed + draining + upgraded),
@@ -1275,6 +1281,41 @@ mod tests {
         assert_eq!((snap.launches_total, snap.sessions_active), (2, 2));
         let seeded: usize = snap.healths.iter().map(|h| h.live_sessions).sum();
         assert_eq!(seeded, snap.sessions_active, "every live session has a health monitor");
+    }
+
+    /// `lmond_health_sessions{state}` counts live sessions only: the retired
+    /// monitors of killed sessions used to push `healed` up and `healthy`
+    /// down.
+    #[test]
+    fn health_states_count_only_live_sessions() {
+        let daemon = Daemon::new(DaemonConfig {
+            backends: 2,
+            groups: 2,
+            cluster_nodes: 8,
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let launch = |app: &str| {
+            let reply =
+                daemon.dispatch(&Request::parse(&format!("LAUNCH {app} 2 1 sleeper")).unwrap());
+            fields(&reply).field_as::<u64>("gsid").unwrap()
+        };
+        let in_group_1 = (0..).map(|i| format!("app{i}")).filter(|a| daemon.group_of_app(a) == 1);
+        let gsids: Vec<u64> = in_group_1.take(2).map(|app| launch(&app)).collect();
+        assert_eq!(daemon.fail_group(1).rehomed, 2, "both re-homed copies record Healed");
+        for gsid in gsids {
+            let reply = daemon.dispatch(&Request::parse(&format!("KILL {gsid}")).unwrap());
+            assert!(matches!(reply, Reply::Ok(_)), "kill: {}", reply.render());
+        }
+        launch("fresh_a");
+        launch("fresh_b");
+
+        let snap = daemon.metrics_snapshot();
+        let count = |state| snap.health_states.iter().find(|(s, _)| *s == state).map(|(_, n)| *n);
+        assert_eq!(count(HealthState::Healthy), Some(2));
+        assert_eq!(count(HealthState::Healed), Some(0), "killed sessions are not healed ones");
+        let total: usize = snap.health_states.iter().map(|(_, n)| n).sum();
+        assert_eq!(total, snap.sessions_active);
     }
 
     /// Process records in backend `fe_idx`'s cluster tables.

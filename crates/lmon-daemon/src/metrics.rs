@@ -46,7 +46,8 @@ pub struct MetricsSnapshot {
     pub healths: Vec<HealthSummary>,
     /// Aggregated overlay recovery counters.
     pub overlay: OverlayStatsSnapshot,
-    /// Sessions per current health state, across the pool.
+    /// Live sessions per current health state, across the pool (an ended
+    /// session's retired monitor counts in no state).
     pub health_states: Vec<(HealthState, usize)>,
     /// Per-child phi-accrual suspicion levels from recent upgrade drills:
     /// `(overlay index, "level:index" child label, level)` with level
@@ -340,7 +341,7 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
     r.family(
         "lmond_health_sessions",
         "gauge",
-        "Sessions by current health state, across the pool.",
+        "Live sessions by current health state, across the pool.",
     );
     for (state, count) in &snap.health_states {
         let label = match state {

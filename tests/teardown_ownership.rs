@@ -1,7 +1,8 @@
 //! Teardown frees what it kills: every process record has an owner that
 //! removes it (job → `kill_job`, on a failed launch too, and before its
 //! launcher has run; a job `lmond` launched → its session's `KILL`, never a
-//! `DETACH`; session daemons → the engine's `end_session`), and a record
+//! `DETACH`, or `lmond` itself when the launch fails its handshake; session
+//! daemons → the engine's `end_session`), and a record
 //! that leaves its table releases its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
 //! many sessions on *one* cluster and checks that nothing is left behind.
@@ -18,6 +19,7 @@ use launchmon::cluster::VirtualCluster;
 use launchmon::core::be::BeMain;
 use launchmon::core::fe::LmonFrontEnd;
 use launchmon::daemon::{Daemon, DaemonConfig, Reply, Request};
+use launchmon::proto::fault::FrameFaultPlan;
 use launchmon::proto::payload::DaemonSpec;
 use launchmon::rm::api::{JobSpec, ResourceManager};
 use launchmon::rm::SlurmRm;
@@ -108,6 +110,34 @@ fn failed_launches_kill_the_jobs_they_started() {
         }
     }
     fe.shutdown().unwrap();
+}
+
+/// A `LAUNCH` that failed after the engine placed its daemons (here: its
+/// launch-info frames are lost, so the handshake times out) used to keep its
+/// job, daemons and nodes for the front end's whole life: the failed session
+/// had no owner left to kill it, and the next launch of the same size found
+/// no free nodes.
+#[test]
+fn a_launch_that_fails_its_handshake_gives_back_its_nodes() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let config = DaemonConfig { backends: 1, cluster_nodes: 8, ..DaemonConfig::default() };
+    let daemon = Daemon::new(config).expect("daemon");
+    let fe = daemon.backend_fe(0).expect("backend 0");
+    fe.set_handshake_timeout(Duration::from_millis(200));
+    fe.install_handshake_fault_plan(FrameFaultPlan::new().drop_frame(0).drop_frame(1));
+    let launch =
+        Request::Launch { app: "app".into(), nodes: 8, tasks_per_node: 1, body: "sleeper".into() };
+    let failed = daemon.dispatch(&launch);
+    assert!(matches!(&failed, Reply::Err(why) if why.contains("launch failed")), "{failed:?}");
+    assert_eq!(daemon.sessions_active(), 0);
+
+    fe.set_handshake_timeout(Duration::from_secs(10)); // the fault plan was one-shot
+    let relaunched = daemon.dispatch(&launch);
+    let Reply::Ok(fields) = relaunched else {
+        panic!("the failed launch kept its nodes: {relaunched:?}")
+    };
+    let gsid = fields.iter().find(|(k, _)| k == "gsid").expect("gsid").1.parse().unwrap();
+    assert!(matches!(daemon.dispatch(&Request::Kill { gsid }), Reply::Ok(_)));
 }
 
 /// A job killed before its launcher ran used to get its tasks anyway:
