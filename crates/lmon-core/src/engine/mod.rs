@@ -48,7 +48,7 @@ use lmon_proto::wire::{put_seq, WireEncode};
 use lmon_rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager};
 use lmon_rm::mpir;
 
-use crate::engine::channel::{EngineEndpoint, EngineSidecar};
+use crate::engine::channel::{EngineCommand, EngineEndpoint, EngineSidecar};
 use crate::error::{LmonError, LmonResult};
 use crate::timeline::{CriticalEvent, TimelineRecorder};
 
@@ -69,9 +69,9 @@ enum EngineJob {
     },
 }
 
-/// Reply sink handed to command handlers: forwards one reply to the front
-/// end (stamping the exchange's sequence number), returning `false` when
-/// the front end is gone so the handler can cancel unobservable work.
+/// Reply sink handed to command handlers: forwards one reply on the
+/// command's own reply channel, returning `false` when the front end has
+/// abandoned the exchange so the handler can cancel unobservable work.
 type ReplySink<'a> = dyn Fn(LmonpMsg) -> bool + 'a;
 
 /// Everything the engine holds for one session, shared between the command
@@ -116,47 +116,27 @@ impl Engine {
         let pid = cluster
             .spawn_active(NodeId::FrontEnd, ProcSpec::named("launchmon_engine"), move |_ctx| {
                 let engine = Engine { rm, sessions: Arc::default() };
-                let inlet = Arc::new(inlet);
                 // Spawn-bearing commands run on worker threads so concurrent
-                // launches overlap their engine phases; the FE's tag-routed
-                // reply mailboxes sort the interleaved replies back out.
+                // launches overlap their engine phases; each answers on its
+                // own exchange's reply channel.
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                // Commands arrive as structured LMONP messages over the
-                // shared mux link; the sidecar (daemon body, timeline) is
-                // claimed out of band by the command's tag.
-                while let Ok(msg) = inlet.recv() {
-                    let sidecar = inlet.take_sidecar(msg.tag);
-                    if msg.mtype == MsgType::BeShutdown {
-                        break; // engine shutdown sentinel
-                    }
-                    // Echoed on every reply so the FE can correlate replies
-                    // to the exact exchange that asked (tag alone repeats
-                    // across a session's commands).
-                    let seq = msg.sec_epoch;
+                // The loop ends when the front end drops its endpoint.
+                while let Ok((EngineCommand { msg, sidecar }, reply)) = inlet.recv() {
+                    let reply = move |r| reply.send(r).is_ok();
                     if matches!(
                         msg.mtype,
                         MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq
                     ) {
+                        // Replies stream back as the handler produces them —
+                        // the RPDTAB reply leaves before the daemon spawn
+                        // starts, so the FE overlaps its handshake staging
+                        // with the spawn.
                         let engine = engine.clone();
-                        let inlet = inlet.clone();
-                        workers.push(std::thread::spawn(move || {
-                            // Replies stream back as the handler produces
-                            // them — the RPDTAB reply leaves before the
-                            // daemon spawn starts, so the FE overlaps its
-                            // handshake staging with the spawn.
-                            engine.handle(msg, sidecar, &|r| inlet.send(r.with_epoch(seq)).is_ok());
-                        }));
+                        let work = move || engine.handle(msg, sidecar, &reply);
+                        workers.push(std::thread::spawn(work));
                         workers.retain(|h| !h.is_finished());
-                        continue;
-                    }
-                    let fe_gone = std::cell::Cell::new(false);
-                    engine.handle(msg, sidecar, &|r| {
-                        let ok = inlet.send(r.with_epoch(seq)).is_ok();
-                        fe_gone.set(fe_gone.get() || !ok);
-                        ok
-                    });
-                    if fe_gone.get() {
-                        break; // front end is gone; in-flight work finishes below
+                    } else {
+                        engine.handle(msg, sidecar, &reply);
                     }
                 }
                 for h in workers {
@@ -167,12 +147,12 @@ impl Engine {
         Ok((fe_end, pid))
     }
 
-    /// Process one command (shutdown is intercepted by the command loop
-    /// before this is reached). Replies go out through `reply` as soon as
+    /// Process one command. Replies go out through `reply` as soon as
     /// they are produced — spawn-bearing requests stream their RPDTAB
     /// reply *before* the daemon spawn, so the FE pipelines the BE
     /// handshake against it. The sink returns `false` when the front end
-    /// is gone, which cancels the remaining (now unobservable) work. A
+    /// has abandoned this exchange, which cancels the remaining (now
+    /// unobservable) work: a launch then kills the job it started. A
     /// handler's `Err` becomes the command's one error reply, terminal
     /// wherever in the reply sequence it lands: the FE sees it where the
     /// next reply would have been and fails the session.
@@ -215,8 +195,9 @@ impl Engine {
         };
         let mut handle = self.rm.launch_job(&spec, true).map_err(|e| format!("launch_job: {e}"))?;
         // The engine owns the job from here on: every exit that does not hand
-        // it to the session kills it, or a failed launch leaves its launcher
-        // and tasks in the process tables and its allocation held.
+        // it to the session kills it, or a failed launch (or one whose front
+        // end abandoned the exchange) leaves its launcher and tasks in the
+        // process tables and its allocation held.
         let stopped = self.stop_at_breakpoint(&mut handle, timeline);
         let alloc = handle.allocation.clone();
         let mut unclaimed = Some(handle);
@@ -317,7 +298,7 @@ impl Engine {
         // FIFO order guarantees it can never arrive after the spawn ack.
         let (tag, reply) = (cmd.tag, cmd.reply);
         if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_tag(tag).with_lmon(&rpdtab)) {
-            return Ok(()); // front end is gone; don't spawn daemons nobody will use
+            return Ok(()); // exchange abandoned; don't spawn daemons nobody will use
         }
         let pids = self.spawn_daemons(cmd, alloc)?;
         let job = job(rpdtab);

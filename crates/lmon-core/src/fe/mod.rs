@@ -133,11 +133,6 @@ pub struct TransportStats {
     pub mw_sessions: usize,
     /// High-water mark of simultaneous MW sessions.
     pub mw_peak_sessions: usize,
-    /// Physical channels carrying FE→engine control traffic (always 1: the
-    /// last dedicated pair was folded onto a mux in ISSUE 4).
-    pub engine_physical_links: usize,
-    /// Logical control sessions on the engine link (always 1).
-    pub engine_sessions: usize,
 }
 
 /// Point-in-time summary of the front end's health bookkeeping, sized for
@@ -178,10 +173,9 @@ pub struct HealthSummary {
 ///   ask "did that session degrade?" right after detach; the oldest is
 ///   dropped (its transitions counted, not kept) beyond `retired_cap`.
 struct HealthLedger {
+    /// Each monitor rings at [`crate::health::DEFAULT_HISTORY_CAP`].
     live: HashMap<SessionId, HealthMonitor>,
     retired: VecDeque<(SessionId, HealthMonitor)>,
-    /// Per-session transition ring bound for new monitors.
-    history_cap: usize,
     /// Bound on `retired`.
     retired_cap: usize,
     recorded_total: u64,
@@ -198,7 +192,6 @@ impl HealthLedger {
         HealthLedger {
             live: HashMap::new(),
             retired: VecDeque::new(),
-            history_cap: crate::health::DEFAULT_HISTORY_CAP,
             retired_cap: RETIRED_HEALTH_CAP,
             recorded_total: 0,
             evicted_transitions: 0,
@@ -206,11 +199,7 @@ impl HealthLedger {
     }
 
     fn record(&mut self, session: SessionId, state: HealthState, epoch: u64, detail: String) {
-        let cap = self.history_cap;
-        self.live
-            .entry(session)
-            .or_insert_with(|| HealthMonitor::with_capacity(cap))
-            .record(state, epoch, detail);
+        self.live.entry(session).or_default().record(state, epoch, detail);
         self.recorded_total += 1;
     }
 
@@ -276,9 +265,6 @@ pub struct LmonFrontEnd {
     /// Per-session overlay health (degraded → healed transitions recorded
     /// by recovery-aware integration layers), bounded for daemon lifetimes.
     health: Mutex<HealthLedger>,
-    /// Federation shard tag (`"g0"` style) when this FE serves one group of
-    /// a sharded pool (DESIGN.md §13); `None` for standalone front ends.
-    shard_label: Mutex<Option<String>>,
 }
 
 impl LmonFrontEnd {
@@ -300,21 +286,7 @@ impl LmonFrontEnd {
             handshake_fault: Mutex::new(None),
             handshake_timeout: Mutex::new(HANDSHAKE_TIMEOUT),
             health: Mutex::new(HealthLedger::new()),
-            shard_label: Mutex::new(None),
         })
-    }
-
-    /// Tag this front end as serving one federation group of a sharded
-    /// pool (e.g. `"g2"`). Purely observational: placement stays with the
-    /// shard pool in `lmon-daemon`, but the label makes logs, metrics and
-    /// failover reports attributable to a group.
-    pub fn set_shard_label(&self, label: impl Into<String>) {
-        *self.shard_label.lock() = Some(label.into());
-    }
-
-    /// The federation shard tag, when [`Self::set_shard_label`] was called.
-    pub fn shard_label(&self) -> Option<String> {
-        self.shard_label.lock().clone()
     }
 
     /// Record a session health transition (called by recovery-aware
@@ -353,12 +325,6 @@ impl LmonFrontEnd {
         self.health.lock().summary()
     }
 
-    /// Override the per-session health-history ring bound for monitors
-    /// created after this call (daemon configuration hook).
-    pub fn set_health_history_capacity(&self, cap: usize) {
-        self.health.lock().history_cap = cap.max(1);
-    }
-
     /// The resource manager behind this front end.
     pub fn rm(&self) -> &Arc<dyn ResourceManager> {
         &self.rm
@@ -394,8 +360,6 @@ impl LmonFrontEnd {
             mw_physical_links: self.mw_mux.physical_links(),
             mw_sessions: self.mw_mux.session_count(),
             mw_peak_sessions: self.mw_mux.peak_session_count(),
-            engine_physical_links: self.engine.mux().physical_links(),
-            engine_sessions: self.engine.mux().session_count(),
         }
     }
 
@@ -502,11 +466,13 @@ impl LmonFrontEnd {
 
         timeline.mark(CriticalEvent::E1EngineInvoked);
         let cmd = spawn_command(wire, &daemon, &cookie, wrapped, Some(timeline.clone()));
-        // Pipelined exchange over the shared control stream: the engine
-        // streams the RPDTAB reply *before* it spawns daemons, so the FE
-        // stages its half of the BE handshake against the spawn instead of
-        // after it. The session leaves `Created` only once the first reply
-        // arrives, so a failed send (or reply timeout) leaves it retryable.
+        // Pipelined exchange on its own reply channel: the engine streams
+        // the RPDTAB reply *before* it spawns daemons, so the FE stages its
+        // half of the BE handshake against the spawn instead of after it.
+        // The session leaves `Created` only once the first reply arrives,
+        // so a failed send (or reply timeout) leaves it retryable. Returning
+        // early drops the exchange: a launch whose RPDTAB reply then fails
+        // to send kills its job instead of spawning daemons.
         let exchange = self.engine.begin_exchange(cmd)?;
         let rpdtab_reply = exchange.next(self.hs_timeout())?;
         self.transition(session, SessionState::EngineAttached)?;
@@ -746,11 +712,13 @@ impl LmonFrontEnd {
 
     /// Shut down the engine and the FE runtime.
     pub fn shutdown(self) -> LmonResult<()> {
-        let wire = LmonpMsg::of_type(MsgType::BeShutdown); // engine shutdown sentinel
-        let _ = self.engine.send(EngineCommand::control(wire));
-        let cluster = self.rm.cluster().clone();
-        let _ = cluster.wait_pid(self.engine_pid);
-        let _ = cluster.join_thread(self.engine_pid);
+        let LmonFrontEnd { rm, engine, engine_pid, .. } = self;
+        // The engine serves what is queued, then stops: its command channel
+        // has disconnected.
+        drop(engine);
+        let cluster = rm.cluster();
+        let _ = cluster.wait_pid(engine_pid);
+        let _ = cluster.join_thread(engine_pid);
         Ok(())
     }
 
@@ -911,14 +879,14 @@ mod tests {
     /// session stays live.
     #[test]
     fn live_session_history_is_ring_bounded() {
+        use crate::health::DEFAULT_HISTORY_CAP;
         let mut ledger = HealthLedger::new();
-        ledger.history_cap = 16;
         let session = SessionId(7);
         for epoch in 0..1_000u64 {
             ledger.record(session, HealthState::Degraded, epoch, "flap".into());
         }
         let m = ledger.monitor(session).unwrap();
-        assert_eq!(m.retained(), 16);
-        assert_eq!(m.dropped_total(), 1_000 - 16);
+        assert_eq!(m.retained(), DEFAULT_HISTORY_CAP);
+        assert_eq!(m.dropped_total(), 1_000 - DEFAULT_HISTORY_CAP as u64);
     }
 }

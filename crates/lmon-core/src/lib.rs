@@ -45,9 +45,11 @@
 //! One honest deviation from the paper's deployment model is documented in
 //! [`engine::channel`]: our virtual cluster has no `exec()`, so the "daemon
 //! executable installed on compute nodes" is represented by a Rust closure
-//! that rides next to the fully-encoded LMONP request on the FE → engine
-//! command channel. Every byte of LMONP that the real system would put on
-//! the wire is still encoded, framed and decoded.
+//! that rides next to the LMONP request in the same FE → engine command.
+//! Commands and replies are `LmonpMsg` values on an in-process channel, so
+//! no header is framed on that path; the RPDTAB reply carries the engine's
+//! one encoding of the table, and the FE forwards those bytes to the
+//! daemons unchanged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

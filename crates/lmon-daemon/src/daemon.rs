@@ -66,8 +66,6 @@ pub struct DaemonConfig {
     /// Launch requests that may wait in the admission queue before new
     /// ones are rejected with a retryable busy error.
     pub queue_capacity: usize,
-    /// Per-session health-history ring bound (see `lmon_core::health`).
-    pub health_history_cap: usize,
     /// Concurrent control connections before new ones are turned away.
     pub max_connections: usize,
 }
@@ -80,7 +78,6 @@ impl Default for DaemonConfig {
             cluster_nodes: 64,
             admission_limit: 8,
             queue_capacity: 1024,
-            health_history_cap: lmon_core::DEFAULT_HISTORY_CAP,
             max_connections: 256,
         }
     }
@@ -212,7 +209,6 @@ impl Daemon {
             let cluster = VirtualCluster::new(ClusterConfig::with_nodes(cfg.cluster_nodes));
             let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
             let fe = Arc::new(LmonFrontEnd::init(rm).map_err(DaemonError::Core)?);
-            fe.set_health_history_capacity(cfg.health_history_cap);
             backends.push(Backend { fe, cluster });
         }
         let admission = AdmissionQueue::new(cfg.admission_limit, cfg.queue_capacity);
@@ -237,9 +233,6 @@ impl Daemon {
             endpoints: Mutex::new(BoundEndpoints::default()),
             cfg,
         });
-        for (idx, backend) in daemon.backends.iter().enumerate() {
-            backend.fe.set_shard_label(format!("g{}", daemon.group_of(idx)));
-        }
         daemon.register_builtin_bodies();
         Ok(daemon)
     }

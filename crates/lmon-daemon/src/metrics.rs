@@ -181,16 +181,6 @@ pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
         "High-water mark of simultaneous MW sessions.",
         mw_peak_sessions
     );
-    per_fe_gauge!(
-        "lmond_transport_engine_physical_links",
-        "Physical channels carrying FE-to-engine control traffic.",
-        engine_physical_links
-    );
-    per_fe_gauge!(
-        "lmond_transport_engine_sessions",
-        "Logical control sessions on the engine link.",
-        engine_sessions
-    );
 
     // --- OverlayStats ---------------------------------------------------
     macro_rules! overlay_counter {
@@ -385,8 +375,6 @@ mod tests {
                 mw_physical_links: 1,
                 mw_sessions: 0,
                 mw_peak_sessions: 1,
-                engine_physical_links: 1,
-                engine_sessions: 1,
             }],
             healths: vec![HealthSummary {
                 live_sessions: 1,

@@ -112,6 +112,36 @@ fn failed_launches_kill_the_jobs_they_started() {
     fe.shutdown().unwrap();
 }
 
+/// A launch whose front end gave up before the RPDTAB reply used to run on:
+/// its reply channel only reported "front end gone", so the engine stopped
+/// the job, spawned the daemons and stored a session nobody knew about, and
+/// the kill that came in first found no job to kill. The abandoned exchange
+/// now makes the engine kill the job it started.
+#[test]
+fn a_launch_abandoned_before_its_rpdtab_gives_back_its_job() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let config =
+        ClusterConfig { spawn_latency: Duration::from_millis(50), ..ClusterConfig::with_nodes(2) };
+    let cluster = VirtualCluster::new(config);
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    fe.set_handshake_timeout(Duration::from_millis(5));
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    let session = fe.create_session();
+    let daemon = DaemonSpec::bare("toold");
+    let launched = fe.launch_and_spawn(session, "app", &[], 2, 4, daemon, be_main);
+    assert!(launched.is_err(), "the launch cannot reach its RPDTAB in 5 ms");
+    let _ = fe.kill(session);
+    // Shutting down waits for the engine's in-flight launch to finish, so
+    // the count below cannot be read before the launch has placed anything.
+    fe.shutdown().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while records(&cluster) > 1 {
+        assert!(Instant::now() < deadline, "{} records left", records(&cluster));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// A `LAUNCH` that failed after the engine placed its daemons (here: its
 /// launch-info frames are lost, so the handshake times out) used to keep its
 /// job, daemons and nodes for the front end's whole life: the failed session

@@ -61,10 +61,6 @@ fn multi_session_512_node_launch_holds_one_channel_per_component_pair() {
         stats.be_physical_links
     );
     assert_eq!(stats.be_peak_sessions, SESSIONS);
-    // The FE→engine control path rides a mux too (ISSUE 4): one physical
-    // link, one logical control stream, however many sessions launch.
-    assert_eq!(stats.engine_physical_links, 1, "engine control traffic shares one mux link");
-    assert_eq!(stats.engine_sessions, 1);
 
     // Steady-state traffic on every sub-stream still works while they all
     // share the link.
