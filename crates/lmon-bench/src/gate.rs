@@ -1,5 +1,5 @@
-//! The one harness behind the three self-gating benches
-//! (`transport_latency`, `recovery_latency`, `upgrade_rolling`).
+//! The one harness behind the two self-gating benches
+//! (`recovery_latency`, `upgrade_rolling`).
 //!
 //! A bench measures, declares its result rows as [`Json`] objects and hands
 //! them to [`publish`], which reads the committed artifact, overwrites it
@@ -410,8 +410,8 @@ mod tests {
 
     /// A recovery-shaped artifact that repeats both gated keys before the
     /// gated row's own — in a `baseline` block, in the other shape's row and
-    /// (as `BENCH_transport.json` does) in a block nested inside the row: a
-    /// "first number after the key" scrape would read 548/390 here.
+    /// in a block nested inside the row: a "first number after the key"
+    /// scrape would read 548/390 here.
     fn recovery_doc(latency: f64, rtt: f64) -> Json {
         let baseline =
             obj([("recovery_latency_us", num(548.0, 0)), ("healthy_rtt_us", num(390.0, 0))]);
@@ -502,10 +502,6 @@ mod tests {
         let gate =
             |row, metric, normalizer| Gate { row, metric, normalizer, better: Better::Lower };
         let artifacts = [
-            (
-                include_str!("../../../BENCH_transport.json"),
-                gate(&["mux_fanin"], "mux_msgs_per_s", "dedicated_msgs_per_s"),
-            ),
             (
                 include_str!("../../../BENCH_recovery.json"),
                 gate(&["shapes", "1x8x64"], "recovery_latency_us", "healthy_rtt_us"),

@@ -10,7 +10,6 @@
 //! | `fig6_stat_startup` | Figure 6 — STAT startup: MRNet-rsh vs LaunchMON, 4→512 nodes |
 //! | `table1_oss_apai` | Table 1 — O\|SS APAI access: DPCL vs LaunchMON, 2→32 nodes |
 //! | `ablations` | design-choice studies DESIGN.md calls out |
-//! | `transport_latency` | recv wakeup latency + mux fan-in, self-gating vs `BENCH_transport.json` |
 //! | `recovery_latency` | overlay kill → heal → broadcast latency, self-gating vs `BENCH_recovery.json` |
 //! | `upgrade_rolling` | rolling comm-daemon upgrade + phi vs sweep detection, self-gating vs `BENCH_upgrade.json` |
 //!
@@ -21,7 +20,7 @@
 //! This library holds the shared table-rendering helpers and the paper's
 //! reference numbers, so each bench can print paper-vs-reproduction
 //! comparisons, and [`gate`]: the one harness (run mode, statistics,
-//! artifact writer/reader, regression rule) the three self-gating benches
+//! artifact writer/reader, regression rule) the two self-gating benches
 //! share.
 
 #![forbid(unsafe_code)]

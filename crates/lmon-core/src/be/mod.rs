@@ -23,13 +23,12 @@ use std::sync::{Arc, OnceLock};
 
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_cluster::procfs::ProcSnapshot;
-use lmon_iccl::{IcclComm, Topology};
+use lmon_iccl::{ChannelFabric, IcclComm, Topology};
 use lmon_proto::header::MsgType;
 use lmon_proto::rpdtab::{ProcDesc, Rpdtab};
 use lmon_proto::transport::MsgChannel;
 use lmon_proto::wire::WireDecode;
 use lmon_rm::api::DaemonBody;
-use lmon_rm::fabric::RmFabricEndpoint;
 
 use crate::error::{LmonError, LmonResult};
 use crate::handshake::{self, MasterSlot};
@@ -43,7 +42,7 @@ pub type BeMain = Arc<dyn Fn(&mut BeSession) + Send + Sync + 'static>;
 
 /// The session object handed to tool daemon code.
 pub struct BeSession {
-    comm: IcclComm<RmFabricEndpoint>,
+    comm: IcclComm,
     ctx: ProcCtx,
     /// The rows on this daemon's host, built at bootstrap.
     local: Rpdtab,
@@ -172,15 +171,15 @@ impl BeSession {
 /// Wrap a tool's BE main with the LaunchMON bootstrap. `master_chan` is
 /// the channel the master daemon picks up to talk LMONP to the FE — a
 /// logical mux endpoint in the live stack, but any [`MsgChannel`]
-/// (`LocalChannel`, `TcpChannel`, `FaultyChannel`, ...) plugs in; the
-/// master marks e8/e9 on the shared critical-path recorder.
+/// (`LocalChannel`, `FaultyChannel`, ...) plugs in; the master marks e8/e9
+/// on the shared critical-path recorder.
 pub(crate) fn wrap_be_main(
     tool_main: BeMain,
     master_chan: Box<dyn MsgChannel>,
     timeline: TimelineRecorder,
 ) -> DaemonBody {
     let master_slot = MasterSlot::new(Some(master_chan));
-    Arc::new(move |ctx: ProcCtx, ep: RmFabricEndpoint| {
+    Arc::new(move |ctx: ProcCtx, ep: ChannelFabric| {
         match be_bootstrap(ctx, ep, &master_slot, &timeline) {
             Ok(mut session) => tool_main(&mut session),
             // A real daemon would syslog; the virtual cluster surfaces
@@ -193,7 +192,7 @@ pub(crate) fn wrap_be_main(
 /// The daemon-side bootstrap sequence (e7..e10 from the daemon's view).
 fn be_bootstrap(
     ctx: ProcCtx,
-    ep: RmFabricEndpoint,
+    ep: ChannelFabric,
     master_slot: &MasterSlot,
     timeline: &TimelineRecorder,
 ) -> LmonResult<BeSession> {
@@ -276,7 +275,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let mut spec = ProcSpec::named("toold");
         spec.env = vec![format!("{COOKIE_ENV_VAR}={}", cookie.to_env_value())];
-        let ep = RmFabricEndpoint::provision(&["node00001".to_string()]).remove(0);
+        let ep = ChannelFabric::mesh(1).remove(0);
         let body = move |ctx: ProcCtx| {
             let session = be_bootstrap(ctx, ep, &slot, &TimelineRecorder::default());
             let _ = tx.send(session.map_err(|e| e.to_string()).map(|be| {

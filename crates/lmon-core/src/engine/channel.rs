@@ -1,18 +1,19 @@
 //! The FE → engine command path: one command channel, and a fresh reply
 //! channel per exchange.
 //!
-//! A command is one value: the LMONP request, unchanged from what a TCP
-//! deployment would carry, plus an [`EngineSidecar`] with what cannot travel
-//! as LMONP bytes, for reasons documented in the crate root. That is the
-//! daemon body closure (the stand-in for the daemon executable image, since
-//! the virtual cluster has no `exec()`) and the session's
-//! [`TimelineRecorder`]. The engine receives them together.
+//! A command is one value: the session it acts for, the LMONP request,
+//! unchanged from what a TCP deployment would carry, and an
+//! [`EngineSidecar`] with what cannot travel as LMONP bytes, for reasons
+//! documented in the crate root. That is the daemon body closure (the
+//! stand-in for the daemon executable image, since the virtual cluster has
+//! no `exec()`) and the session's [`TimelineRecorder`]. The engine receives
+//! them together.
 //!
 //! Each exchange creates its own reply channel and sends its sender along
 //! with the command, so replies need no correlation: the engine answers on
 //! that channel, in order, and only the exchange that asked can read it.
 //! Concurrent exchanges overlap without a lock, and a reply cannot reach
-//! another exchange, even one on the same session tag. Dropping an
+//! another exchange, even one on the same session. Dropping an
 //! [`Exchange`] drops its receiver. The engine's next reply then fails to
 //! send, which is how a handler learns that *this* exchange was abandoned
 //! and cancels its own work.
@@ -26,6 +27,7 @@ use lmon_proto::msg::LmonpMsg;
 use lmon_rm::api::DaemonBody;
 
 use crate::error::{LmonError, LmonResult};
+use crate::session::SessionId;
 use crate::timeline::TimelineRecorder;
 
 /// Side-band artifacts that ride in a command next to its LMONP request:
@@ -45,8 +47,12 @@ pub struct EngineSidecar {
     pub timeline: Option<TimelineRecorder>,
 }
 
-/// One FE → engine command: the LMONP message plus its sidecar.
+/// One FE → engine command: the session it acts for, the LMONP message and
+/// its sidecar. The engine keys what it holds by `session`, never by the
+/// message's u16 tag, so a front end serves any number of sessions.
 pub struct EngineCommand {
+    /// The session the command acts for.
+    pub session: SessionId,
     /// The LMONP request.
     pub msg: LmonpMsg,
     /// Side-band artifacts that travel with it.
@@ -55,8 +61,8 @@ pub struct EngineCommand {
 
 impl EngineCommand {
     /// A control-only command (detach/kill).
-    pub fn control(msg: LmonpMsg) -> Self {
-        EngineCommand { msg, sidecar: EngineSidecar::default() }
+    pub fn control(session: SessionId, msg: LmonpMsg) -> Self {
+        EngineCommand { session, msg, sidecar: EngineSidecar::default() }
     }
 }
 
@@ -147,15 +153,19 @@ mod tests {
         LmonpMsg::of_type(mtype).with_tag(tag)
     }
 
+    fn command(mtype: MsgType, session: u32) -> EngineCommand {
+        EngineCommand::control(SessionId(session), LmonpMsg::of_type(mtype))
+    }
+
     #[test]
     fn commands_carry_their_sidecar_and_replies_flow() {
         let (fe, inlet) = engine_channel();
-        let mut cmd = EngineCommand::control(control_msg(MsgType::FeLaunchReq, 7));
+        let mut cmd = command(MsgType::FeLaunchReq, 7);
         cmd.sidecar.daemon_exe = "tool_daemon".into();
         let ex = fe.begin_exchange(cmd).unwrap();
         let (got, reply) = inlet.recv().unwrap();
+        assert_eq!(got.session, SessionId(7), "the session travels with its command");
         assert_eq!(got.msg.mtype, MsgType::FeLaunchReq);
-        assert_eq!(got.msg.tag, 7);
         assert_eq!(got.sidecar.daemon_exe, "tool_daemon", "the sidecar travels with its command");
         reply.send(control_msg(MsgType::EngineAck, 7)).unwrap();
         assert_eq!(ex.next(Duration::from_secs(5)).unwrap().mtype, MsgType::EngineAck);
@@ -166,20 +176,18 @@ mod tests {
         let (fe, inlet) = engine_channel();
         // An exchange in flight when the engine goes learns it from its
         // reply channel, not from its timeout.
-        let ex =
-            fe.begin_exchange(EngineCommand::control(control_msg(MsgType::FeKillReq, 0))).unwrap();
+        let ex = fe.begin_exchange(command(MsgType::FeKillReq, 0)).unwrap();
         drop(inlet);
         let err = ex.next(Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, LmonError::Engine(_)), "{err:?}");
-        let again = fe.begin_exchange(EngineCommand::control(control_msg(MsgType::FeKillReq, 0)));
+        let again = fe.begin_exchange(command(MsgType::FeKillReq, 0));
         assert!(again.is_err());
     }
 
     #[test]
     fn an_unanswered_exchange_times_out() {
         let (fe, _inlet) = engine_channel();
-        let ex =
-            fe.begin_exchange(EngineCommand::control(control_msg(MsgType::FeKillReq, 0))).unwrap();
+        let ex = fe.begin_exchange(command(MsgType::FeKillReq, 0)).unwrap();
         let err = ex.next(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, LmonError::Timeout(_)));
     }
@@ -192,34 +200,25 @@ mod tests {
         // exchange on the *same session* must see only its own reply.
         let (fe, inlet) = engine_channel();
         let err = fe
-            .exchange(
-                EngineCommand::control(control_msg(MsgType::FeLaunchReq, 5)),
-                2,
-                Duration::from_millis(10),
-            )
+            .exchange(command(MsgType::FeLaunchReq, 5), 2, Duration::from_millis(10))
             .unwrap_err();
         assert!(matches!(err, LmonError::Timeout(_)));
 
         let (launch, stale) = inlet.recv().unwrap();
-        assert_eq!(launch.msg.tag, 5);
+        assert_eq!(launch.session, SessionId(5));
 
         let h = std::thread::spawn(move || {
             let (kill, reply) = inlet.recv().unwrap();
             assert_eq!(kill.msg.mtype, MsgType::FeKillReq);
-            assert_eq!(kill.msg.tag, 5);
+            assert_eq!(kill.session, SessionId(5));
             // The engine catches up on the timed-out launch only now.
             assert!(stale.send(control_msg(MsgType::EngineRpdtab, 5)).is_err());
             assert!(stale.send(control_msg(MsgType::EngineAck, 5)).is_err());
             reply.send(control_msg(MsgType::EngineStatus, 5)).unwrap();
             inlet
         });
-        let replies = fe
-            .exchange(
-                EngineCommand::control(control_msg(MsgType::FeKillReq, 5)),
-                1,
-                Duration::from_secs(5),
-            )
-            .unwrap();
+        let replies =
+            fe.exchange(command(MsgType::FeKillReq, 5), 1, Duration::from_secs(5)).unwrap();
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].mtype, MsgType::EngineStatus, "stale same-tag replies never arrive");
         h.join().unwrap();
@@ -237,9 +236,9 @@ mod tests {
             let first = inlet.recv().unwrap();
             let second = inlet.recv().unwrap();
             let (launch5, launch9) =
-                if first.0.msg.tag == 5 { (first, second) } else { (second, first) };
-            assert_eq!(launch5.0.msg.tag, 5);
-            assert_eq!(launch9.0.msg.tag, 9);
+                if first.0.session == SessionId(5) { (first, second) } else { (second, first) };
+            assert_eq!(launch5.0.session, SessionId(5));
+            assert_eq!(launch9.0.session, SessionId(9));
             let (reply5, reply9) = (launch5.1, launch9.1);
             reply9.send(control_msg(MsgType::EngineRpdtab, 9)).unwrap();
             reply5.send(control_msg(MsgType::EngineRpdtab, 5)).unwrap();
@@ -249,20 +248,10 @@ mod tests {
 
         let fe5 = fe.clone();
         let t5 = std::thread::spawn(move || {
-            fe5.exchange(
-                EngineCommand::control(control_msg(MsgType::FeLaunchReq, 5)),
-                2,
-                Duration::from_secs(10),
-            )
-            .unwrap()
+            fe5.exchange(command(MsgType::FeLaunchReq, 5), 2, Duration::from_secs(10)).unwrap()
         });
         let t9 = std::thread::spawn(move || {
-            fe.exchange(
-                EngineCommand::control(control_msg(MsgType::FeLaunchReq, 9)),
-                2,
-                Duration::from_secs(10),
-            )
-            .unwrap()
+            fe.exchange(command(MsgType::FeLaunchReq, 9), 2, Duration::from_secs(10)).unwrap()
         });
 
         let r5 = t5.join().unwrap();
@@ -279,9 +268,7 @@ mod tests {
     #[test]
     fn incremental_exchange_interleaves_replies_with_caller_work() {
         let (fe, inlet) = engine_channel();
-        let ex = fe
-            .begin_exchange(EngineCommand::control(control_msg(MsgType::FeLaunchReq, 4)))
-            .unwrap();
+        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 4)).unwrap();
         let (_cmd, reply) = inlet.recv().unwrap();
         assert!(ex.poll(Duration::from_millis(5)).unwrap().is_none(), "no reply sent yet");
         reply.send(control_msg(MsgType::EngineRpdtab, 4)).unwrap();
@@ -302,18 +289,13 @@ mod tests {
     fn exchange_stops_early_on_error_reply() {
         let (fe, inlet) = engine_channel();
         let h = std::thread::spawn(move || {
-            let (got, reply) = inlet.recv().unwrap();
-            let error = control_msg(MsgType::EngineError, got.msg.tag);
+            let (_cmd, reply) = inlet.recv().unwrap();
+            let error = LmonpMsg::of_type(MsgType::EngineError);
             reply.send(error.with_lmon_payload(b"boom".to_vec()).as_error()).unwrap();
             inlet
         });
-        let replies = fe
-            .exchange(
-                EngineCommand::control(control_msg(MsgType::FeLaunchReq, 5)),
-                2,
-                Duration::from_secs(5),
-            )
-            .unwrap();
+        let replies =
+            fe.exchange(command(MsgType::FeLaunchReq, 5), 2, Duration::from_secs(5)).unwrap();
         assert_eq!(replies.len(), 1, "error replies are terminal");
         assert!(replies[0].error);
         h.join().unwrap();

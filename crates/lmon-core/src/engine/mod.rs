@@ -50,6 +50,7 @@ use lmon_rm::mpir;
 
 use crate::engine::channel::{EngineCommand, EngineEndpoint, EngineSidecar};
 use crate::error::{LmonError, LmonResult};
+use crate::session::SessionId;
 use crate::timeline::{CriticalEvent, TimelineRecorder};
 
 /// How long a launched launcher may go without a trace event before the
@@ -92,7 +93,7 @@ struct EngineSession {
 /// A spawn-bearing command in flight: the daemon image the RM is to
 /// bulk-launch, and where the command's replies go.
 struct SpawnCmd<'a> {
-    tag: u16,
+    session: SessionId,
     body: DaemonBody,
     sidecar: EngineSidecar,
     timeline: TimelineRecorder,
@@ -104,7 +105,7 @@ struct SpawnCmd<'a> {
 #[derive(Clone)]
 pub struct Engine {
     rm: Arc<dyn ResourceManager>,
-    sessions: Arc<parking_lot::Mutex<HashMap<u16, EngineSession>>>,
+    sessions: Arc<parking_lot::Mutex<HashMap<SessionId, EngineSession>>>,
 }
 
 impl Engine {
@@ -121,10 +122,10 @@ impl Engine {
                 // own exchange's reply channel.
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 // The loop ends when the front end drops its endpoint.
-                while let Ok((EngineCommand { msg, sidecar }, reply)) = inlet.recv() {
+                while let Ok((cmd, reply)) = inlet.recv() {
                     let reply = move |r| reply.send(r).is_ok();
                     if matches!(
-                        msg.mtype,
+                        cmd.msg.mtype,
                         MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq
                     ) {
                         // Replies stream back as the handler produces them —
@@ -132,11 +133,11 @@ impl Engine {
                         // starts, so the FE overlaps its handshake staging
                         // with the spawn.
                         let engine = engine.clone();
-                        let work = move || engine.handle(msg, sidecar, &reply);
+                        let work = move || engine.handle(cmd, &reply);
                         workers.push(std::thread::spawn(work));
                         workers.retain(|h| !h.is_finished());
                     } else {
-                        engine.handle(msg, sidecar, &reply);
+                        engine.handle(cmd, &reply);
                     }
                 }
                 for h in workers {
@@ -156,25 +157,25 @@ impl Engine {
     /// handler's `Err` becomes the command's one error reply, terminal
     /// wherever in the reply sequence it lands: the FE sees it where the
     /// next reply would have been and fails the session.
-    fn handle(&self, msg: LmonpMsg, sidecar: EngineSidecar, reply: &ReplySink<'_>) {
-        let tag = msg.tag;
+    fn handle(&self, cmd: EngineCommand, reply: &ReplySink<'_>) {
+        let EngineCommand { session, msg, sidecar } = cmd;
         let spawn = |mut sidecar: EngineSidecar| {
             // Checked before any job is launched or node allocated for it.
             let missing = || format!("{:?} missing daemon body", msg.mtype);
             let body = sidecar.body.take().ok_or_else(missing)?;
             let timeline = sidecar.timeline.take().unwrap_or_default();
-            Ok(SpawnCmd { tag, body, sidecar, timeline, reply })
+            Ok(SpawnCmd { session, body, sidecar, timeline, reply })
         };
         let result = match msg.mtype {
             MsgType::FeLaunchReq => spawn(sidecar).and_then(|cmd| self.handle_launch(&msg, cmd)),
             MsgType::FeAttachReq => spawn(sidecar).and_then(|cmd| self.handle_attach(&msg, cmd)),
             MsgType::FeSpawnMwReq => spawn(sidecar).and_then(|cmd| self.handle_spawn_mw(&msg, cmd)),
-            MsgType::FeDetachReq => self.end_session(tag, JobStatus::Detached, reply),
-            MsgType::FeKillReq => self.end_session(tag, JobStatus::Killed, reply),
+            MsgType::FeDetachReq => self.end_session(session, JobStatus::Detached, reply),
+            MsgType::FeKillReq => self.end_session(session, JobStatus::Killed, reply),
             other => Err(format!("unexpected message {other:?}")),
         };
         if let Err(text) = result {
-            let error = LmonpMsg::of_type(MsgType::EngineError).with_tag(tag);
+            let error = LmonpMsg::of_type(MsgType::EngineError);
             reply(error.with_lmon_payload(text.into_bytes()).as_error());
         }
     }
@@ -265,7 +266,7 @@ impl Engine {
             .map(|host| cluster.node_by_host(host).map(|n| n.id))
             .collect::<Result<_, _>>()
             .map_err(|e| format!("host map: {e}"))?;
-        let alloc = Allocation { id: u64::from(cmd.tag), nodes };
+        let alloc = Allocation { id: u64::from(cmd.session.0), nodes };
         self.colocate(cmd, rpdtab, &alloc, |rpdtab| EngineJob::Attached {
             launcher_pid,
             rpdtab,
@@ -296,8 +297,8 @@ impl Engine {
         // Stream the RPDTAB now, before the spawn: the FE stages the BE
         // handshake against it while daemons are still coming up. Channel
         // FIFO order guarantees it can never arrive after the spawn ack.
-        let (tag, reply) = (cmd.tag, cmd.reply);
-        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_tag(tag).with_lmon(&rpdtab)) {
+        let (session, reply) = (cmd.session, cmd.reply);
+        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon(&rpdtab)) {
             return Ok(()); // exchange abandoned; don't spawn daemons nobody will use
         }
         let pids = self.spawn_daemons(cmd, alloc)?;
@@ -305,9 +306,9 @@ impl Engine {
         if let EngineJob::Launched { ctl, .. } = &job {
             ctl.continue_proc(); // let the job run under tool control
         }
-        self.sessions.lock().entry(tag).or_default().job = Some(job);
+        self.sessions.lock().entry(session).or_default().job = Some(job);
         let master = self.daemon_info(alloc, &pids, 0);
-        reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon(&master));
+        reply(LmonpMsg::of_type(MsgType::EngineAck).with_lmon(&master));
         Ok(())
     }
 
@@ -315,14 +316,14 @@ impl Engine {
     /// RM's bulk daemon launch onto `alloc`, with the pids recorded against
     /// the session so a later kill reaches them. Returns them in rank order.
     fn spawn_daemons(&self, cmd: SpawnCmd<'_>, alloc: &Allocation) -> Result<Vec<Pid>, String> {
-        let SpawnCmd { tag, body, sidecar, timeline, .. } = cmd;
+        let SpawnCmd { session, body, sidecar, timeline, .. } = cmd;
         let EngineSidecar { daemon_exe: exe, daemon_args: args, daemon_env: env, .. } = sidecar;
         timeline.mark(CriticalEvent::E5DaemonSpawnStart);
         let spawned = self.rm.spawn_daemons(alloc, &exe, &args, &env, body);
         let pids = spawned.map_err(|e| format!("spawn daemons: {e}"))?;
         timeline.mark(CriticalEvent::E6DaemonsSpawned);
         let placed = alloc.nodes.iter().copied().zip(pids.iter().copied());
-        self.sessions.lock().entry(tag).or_default().daemons.extend(placed);
+        self.sessions.lock().entry(session).or_default().daemons.extend(placed);
         Ok(pids)
     }
 
@@ -343,7 +344,7 @@ impl Engine {
     /// end assigns personalities from that, not from a guess.
     fn handle_spawn_mw(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
         let req: SpawnMwRequest = msg.decode_lmon().map_err(|e| format!("mw req: {e}"))?;
-        let (tag, reply) = (cmd.tag, cmd.reply);
+        let (session, reply) = (cmd.session, cmd.reply);
         let alloc =
             self.rm.allocate_mw_nodes(req.count as usize).map_err(|e| format!("mw alloc: {e}"))?;
         let pids = self.spawn_daemons(cmd, &alloc).inspect_err(|_| {
@@ -351,10 +352,10 @@ impl Engine {
         })?;
         let placed: Vec<DaemonInfo> =
             (0..pids.len()).map(|rank| self.daemon_info(&alloc, &pids, rank)).collect();
-        self.sessions.lock().entry(tag).or_default().mw_allocs.push(alloc);
+        self.sessions.lock().entry(session).or_default().mw_allocs.push(alloc);
         let mut placement = Vec::new();
         put_seq(&mut placement, &placed);
-        reply(LmonpMsg::of_type(MsgType::EngineAck).with_tag(tag).with_lmon_payload(placement));
+        reply(LmonpMsg::of_type(MsgType::EngineAck).with_lmon_payload(placement));
         Ok(())
     }
 
@@ -364,10 +365,15 @@ impl Engine {
     /// only drops the daemons' records (the FE has already ordered them to
     /// shut down) — a dropped record detaches its thread, so a finished
     /// daemon's stack is returned instead of pinned for the cluster's life.
-    fn end_session(&self, tag: u16, end: JobStatus, reply: &ReplySink<'_>) -> Result<(), String> {
+    fn end_session(
+        &self,
+        id: SessionId,
+        end: JobStatus,
+        reply: &ReplySink<'_>,
+    ) -> Result<(), String> {
         let kill = end == JobStatus::Killed;
         let verb = if kill { "kill" } else { "detach" };
-        let session = self.sessions.lock().remove(&tag).unwrap_or_default();
+        let session = self.sessions.lock().remove(&id).unwrap_or_default();
         let cluster = self.rm.cluster();
         for (node_id, pid) in session.daemons {
             let Ok(node) = cluster.node(node_id) else { continue };
@@ -380,7 +386,7 @@ impl Engine {
         for alloc in &session.mw_allocs {
             self.rm.release_allocation(alloc);
         }
-        match session.job.ok_or_else(|| format!("{verb}: no job for session {tag}"))? {
+        match session.job.ok_or_else(|| format!("{verb}: no job for session {}", id.0))? {
             EngineJob::Launched { handle, ctl } => {
                 // Drop the controller: detaches and resumes the launcher.
                 ctl.continue_proc();
@@ -404,7 +410,7 @@ impl Engine {
                 }
             }
         }
-        let status = LmonpMsg::of_type(MsgType::EngineStatus).with_tag(tag);
+        let status = LmonpMsg::of_type(MsgType::EngineStatus);
         reply(status.with_lmon_payload(end.to_bytes()));
         Ok(())
     }

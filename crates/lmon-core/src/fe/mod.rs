@@ -412,8 +412,7 @@ impl LmonFrontEnd {
             tasks_per_node: tasks_per_node as u32,
             daemon: daemon.clone(),
         };
-        let wire =
-            LmonpMsg::of_type(MsgType::FeLaunchReq).with_tag(mux_id(session)?).with_lmon(&req);
+        let wire = LmonpMsg::of_type(MsgType::FeLaunchReq).with_lmon(&req);
         self.spawn_common(session, wire, daemon, be_main, timeline)
     }
 
@@ -430,8 +429,7 @@ impl LmonFrontEnd {
         timeline.mark(CriticalEvent::E0ClientCall);
 
         let req = AttachRequest { launcher_pid: launcher_pid.0, daemon: daemon.clone() };
-        let wire =
-            LmonpMsg::of_type(MsgType::FeAttachReq).with_tag(mux_id(session)?).with_lmon(&req);
+        let wire = LmonpMsg::of_type(MsgType::FeAttachReq).with_lmon(&req);
         self.spawn_common(session, wire, daemon, be_main, timeline)
     }
 
@@ -453,19 +451,18 @@ impl LmonFrontEnd {
         // Delivered to the master through the wrapped body. The FE side is
         // Arc'd so the usrdata API can block on it without holding the
         // runtimes lock.
-        let id = mux_id(session)?;
         let fe_chan: Arc<dyn MsgChannel> = {
-            let ep = self.be_mux.open(id)?;
+            let ep = self.be_mux.open(session.0)?;
             match self.handshake_fault.lock().take() {
                 Some(plan) => Arc::new(FaultyChannel::new(ep, plan)),
                 None => Arc::new(ep),
             }
         };
-        let be_chan = Box::new(self.be_mux_far.open(id)?);
+        let be_chan = Box::new(self.be_mux_far.open(session.0)?);
         let wrapped = wrap_be_main(be_main, be_chan, timeline.clone());
 
         timeline.mark(CriticalEvent::E1EngineInvoked);
-        let cmd = spawn_command(wire, &daemon, &cookie, wrapped, Some(timeline.clone()));
+        let cmd = spawn_command(session, wire, &daemon, &cookie, wrapped, Some(timeline.clone()));
         // Pipelined exchange on its own reply channel: the engine streams
         // the RPDTAB reply *before* it spawns daemons, so the FE stages its
         // half of the BE handshake against the spawn instead of after it.
@@ -602,13 +599,12 @@ impl LmonFrontEnd {
             });
 
         // One logical MW session over the single FE↔MW link.
-        let id = mux_id(session)?;
-        let fe_chan: Arc<dyn MsgChannel> = Arc::new(self.mw_mux.open(id)?);
-        let wrapped = wrap_mw_main(mw_main, Box::new(self.mw_mux_far.open(id)?));
+        let fe_chan: Arc<dyn MsgChannel> = Arc::new(self.mw_mux.open(session.0)?);
+        let wrapped = wrap_mw_main(mw_main, Box::new(self.mw_mux_far.open(session.0)?));
 
         let req = SpawnMwRequest { count: count as u32, daemon: daemon.clone() };
-        let wire = LmonpMsg::of_type(MsgType::FeSpawnMwReq).with_tag(id).with_lmon(&req);
-        let cmd = spawn_command(wire, &daemon, &cookie, wrapped, None);
+        let wire = LmonpMsg::of_type(MsgType::FeSpawnMwReq).with_lmon(&req);
+        let cmd = spawn_command(session, wire, &daemon, &cookie, wrapped, None);
         // The ack lists the daemons where the RM actually placed them, in
         // rank order (the allocator hands out the lowest free nodes, which
         // need not be contiguous).
@@ -682,8 +678,8 @@ impl LmonFrontEnd {
             let _ = chan.send(LmonpMsg::of_type(MsgType::BeShutdown));
         }
         // Tell the engine to release the job.
-        let wire = LmonpMsg::of_type(MsgType::FeDetachReq).with_tag(mux_id(session)?);
-        let reply = self.engine_reply(EngineCommand::control(wire))?;
+        let wire = LmonpMsg::of_type(MsgType::FeDetachReq);
+        let reply = self.engine_reply(EngineCommand::control(session, wire))?;
         self.expect_status(&reply, JobStatus::Detached)?;
         self.transition(session, SessionState::Detached)?;
         self.close_session_channels(session);
@@ -692,8 +688,8 @@ impl LmonFrontEnd {
 
     /// `LMON_fe_kill`: destroy the job and all daemons.
     pub fn kill(&self, session: SessionId) -> LmonResult<()> {
-        let wire = LmonpMsg::of_type(MsgType::FeKillReq).with_tag(mux_id(session)?);
-        let reply = self.engine_reply(EngineCommand::control(wire))?;
+        let wire = LmonpMsg::of_type(MsgType::FeKillReq);
+        let reply = self.engine_reply(EngineCommand::control(session, wire))?;
         self.expect_status(&reply, JobStatus::Killed)?;
         self.transition(session, SessionState::Killed)?;
         self.close_session_channels(session);
@@ -810,23 +806,11 @@ impl LmonFrontEnd {
     }
 }
 
-/// The session's logical id on the wire: both the LMONP correlation tag and
-/// the mux sub-stream id are u16, so a front end supports at most 65 536
-/// sessions over its lifetime — rejected explicitly rather than truncated,
-/// which would silently collide two sessions' traffic and close frames.
-fn mux_id(session: SessionId) -> LmonResult<u16> {
-    u16::try_from(session.0).map_err(|_| {
-        LmonError::Engine(format!(
-            "session {} exceeds the u16 mux/tag space; recycle the front end",
-            session.0
-        ))
-    })
-}
-
 /// The engine command for a spawn-bearing request. The daemon image rides
 /// in the sidecar; the session cookie joins the daemons' environment, the
 /// RM's launch channel being the one secure path onto the compute nodes.
 fn spawn_command(
+    session: SessionId,
     msg: LmonpMsg,
     daemon: &DaemonSpec,
     cookie: &SessionCookie,
@@ -842,7 +826,7 @@ fn spawn_command(
         daemon_env,
         timeline,
     };
-    EngineCommand { msg, sidecar }
+    EngineCommand { session, msg, sidecar }
 }
 
 #[cfg(test)]

@@ -15,13 +15,12 @@
 use std::sync::Arc;
 
 use lmon_cluster::process::{Pid, ProcCtx};
-use lmon_iccl::{IcclComm, Topology};
+use lmon_iccl::{ChannelFabric, IcclComm, Topology};
 use lmon_proto::payload::MwPersonality;
 use lmon_proto::rpdtab::Rpdtab;
 use lmon_proto::transport::MsgChannel;
 use lmon_proto::wire::{get_seq, WireDecode};
 use lmon_rm::api::DaemonBody;
-use lmon_rm::fabric::RmFabricEndpoint;
 
 use crate::error::{LmonError, LmonResult};
 use crate::handshake::{self, MasterSlot};
@@ -31,7 +30,7 @@ pub type MwMain = Arc<dyn Fn(&mut MwSession) + Send + Sync + 'static>;
 
 /// The session object handed to middleware daemon code.
 pub struct MwSession {
-    comm: IcclComm<RmFabricEndpoint>,
+    comm: IcclComm,
     ctx: ProcCtx,
     personality: MwPersonality,
     all_personalities: Vec<MwPersonality>,
@@ -107,23 +106,12 @@ impl MwSession {
     /// handle (the paper: daemons "send data to and receive data from other
     /// daemons collectively or individually using the personality handles").
     pub fn send_to(&mut self, peer: u32, bytes: Vec<u8>) -> LmonResult<()> {
-        use lmon_iccl::fabric::Fabric as _;
-        self.comm_fabric().send(peer, bytes).map_err(LmonError::Iccl)
+        self.comm.fabric_ref().send(peer, bytes).map_err(LmonError::Iccl)
     }
 
     /// Blocking receive from a specific peer.
     pub fn recv_from(&mut self, peer: u32) -> LmonResult<Vec<u8>> {
-        use lmon_iccl::fabric::Fabric as _;
-        let fabric = self.comm_fabric_mut();
-        fabric.recv_from(peer).map_err(LmonError::Iccl)
-    }
-
-    fn comm_fabric(&mut self) -> &RmFabricEndpoint {
-        self.comm.fabric_ref()
-    }
-
-    fn comm_fabric_mut(&mut self) -> &mut RmFabricEndpoint {
-        self.comm.fabric_mut()
+        self.comm.fabric_mut().recv_from(peer).map_err(LmonError::Iccl)
     }
 
     /// Send tool data to the FE (master only).
@@ -158,7 +146,7 @@ pub fn assign_personalities(hosts: &[String], fanout: u32) -> Vec<MwPersonality>
 /// the channel the MW master picks up to talk LMONP to the FE.
 pub(crate) fn wrap_mw_main(tool_main: MwMain, master_chan: Box<dyn MsgChannel>) -> DaemonBody {
     let master_slot = MasterSlot::new(Some(master_chan));
-    Arc::new(move |ctx: ProcCtx, ep: RmFabricEndpoint| match mw_bootstrap(ctx, ep, &master_slot) {
+    Arc::new(move |ctx: ProcCtx, ep: ChannelFabric| match mw_bootstrap(ctx, ep, &master_slot) {
         Ok(mut session) => tool_main(&mut session),
         Err(e) => eprintln!("lmon-mw bootstrap failed: {e}"),
     })
@@ -166,7 +154,7 @@ pub(crate) fn wrap_mw_main(tool_main: MwMain, master_chan: Box<dyn MsgChannel>) 
 
 fn mw_bootstrap(
     ctx: ProcCtx,
-    ep: RmFabricEndpoint,
+    ep: ChannelFabric,
     master_slot: &MasterSlot,
 ) -> LmonResult<MwSession> {
     let mut comm = IcclComm::new(ep, Topology::Binomial);

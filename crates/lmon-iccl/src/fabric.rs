@@ -1,31 +1,17 @@
 //! The point-to-point fabric ICCL maps collectives onto.
 //!
 //! On a real system this is the RM's native communication subsystem (PMI,
-//! the srun step fabric, BG/L's control network). In the virtual cluster it
-//! is a mesh of crossbeam channels created by the RM layer at daemon-spawn
-//! time and handed to each daemon — same bootstrap shape as the real thing:
+//! the srun step fabric, BG/L's control network) — "we leverage native
+//! communication subsystems that the RM sets up if possible" (§3.3). In the
+//! virtual cluster it is a mesh of crossbeam channels the RM layer builds
+//! with [`ChannelFabric::mesh`] at daemon-spawn time, handing one endpoint
+//! to each daemon in rank order — same bootstrap shape as the real thing:
 //! daemons get their fabric *from the RM*, not by dialing each other.
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 
 use crate::error::{IcclError, IcclResult};
-
-/// A point-to-point message substrate with rank addressing.
-pub trait Fabric: Send {
-    /// This endpoint's rank.
-    fn rank(&self) -> u32;
-
-    /// Number of endpoints in the fabric.
-    fn size(&self) -> u32;
-
-    /// Send bytes to a peer rank.
-    fn send(&self, to: u32, bytes: Vec<u8>) -> IcclResult<()>;
-
-    /// Block until a message from `from` arrives (messages from other ranks
-    /// are buffered, not dropped).
-    fn recv_from(&mut self, from: u32) -> IcclResult<Vec<u8>>;
-}
 
 struct Packet {
     from: u32,
@@ -75,16 +61,19 @@ impl ChannelFabric {
     }
 }
 
-impl Fabric for ChannelFabric {
-    fn rank(&self) -> u32 {
+impl ChannelFabric {
+    /// This endpoint's rank.
+    pub fn rank(&self) -> u32 {
         self.rank
     }
 
-    fn size(&self) -> u32 {
+    /// Number of endpoints in the fabric.
+    pub fn size(&self) -> u32 {
         self.size
     }
 
-    fn send(&self, to: u32, bytes: Vec<u8>) -> IcclResult<()> {
+    /// Send bytes to a peer rank.
+    pub fn send(&self, to: u32, bytes: Vec<u8>) -> IcclResult<()> {
         let tx = self
             .peers
             .get(to as usize)
@@ -93,7 +82,9 @@ impl Fabric for ChannelFabric {
         tx.send(Packet { from: self.rank, bytes }).map_err(|_| IcclError::Disconnected)
     }
 
-    fn recv_from(&mut self, from: u32) -> IcclResult<Vec<u8>> {
+    /// Block until a message from `from` arrives (messages from other ranks
+    /// are buffered, not dropped).
+    pub fn recv_from(&mut self, from: u32) -> IcclResult<Vec<u8>> {
         if from >= self.size {
             return Err(IcclError::BadRank { rank: from, size: self.size });
         }
@@ -134,6 +125,28 @@ mod tests {
         c.send(1, vec![9]).unwrap();
         assert_eq!(b.recv_from(0).unwrap(), vec![7]);
         assert_eq!(b.recv_from(2).unwrap(), vec![9]);
+    }
+
+    #[test]
+    fn provision_assigns_ranks_in_host_order() {
+        // The RM hands endpoint `i` to the daemon on its allocation's
+        // `i`-th host: ranks follow mesh order, and every endpoint knows
+        // the mesh size.
+        let eps = ChannelFabric::mesh(4);
+        assert_eq!(eps.len(), 4);
+        for (i, ep) in eps.iter().enumerate() {
+            assert_eq!(ep.rank(), i as u32);
+            assert_eq!(ep.size(), 4);
+        }
+    }
+
+    #[test]
+    fn endpoints_carry_traffic() {
+        let mut eps = ChannelFabric::mesh(2);
+        let b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        b.send(0, vec![42]).unwrap();
+        assert_eq!(a.recv_from(1).unwrap(), vec![42]);
     }
 
     #[test]

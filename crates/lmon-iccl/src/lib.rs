@@ -14,9 +14,9 @@
 //!
 //! Structure:
 //!
-//! * [`fabric::Fabric`] — the point-to-point substrate ICCL maps onto.
-//!   [`fabric::ChannelFabric`] is the in-process implementation handed to
-//!   daemons by the RM layer (standing in for PMI/srun's fabric).
+//! * [`fabric::ChannelFabric`] — the point-to-point substrate ICCL maps
+//!   onto, handed to daemons by the RM layer (standing in for PMI/srun's
+//!   fabric).
 //! * [`topology::Topology`] — flat (1-to-N), binomial, or k-ary tree
 //!   schedules. The topology choice is a measured ablation in the bench
 //!   suite: flat gathers are linear at the master, trees are logarithmic.
@@ -32,6 +32,6 @@ pub mod ops;
 pub mod topology;
 
 pub use error::{IcclError, IcclResult};
-pub use fabric::{ChannelFabric, Fabric};
+pub use fabric::ChannelFabric;
 pub use ops::IcclComm;
 pub use topology::Topology;

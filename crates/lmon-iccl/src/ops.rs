@@ -7,12 +7,12 @@
 use std::collections::HashMap;
 
 use crate::error::{IcclError, IcclResult};
-use crate::fabric::Fabric;
+use crate::fabric::ChannelFabric;
 use crate::topology::Topology;
 
 /// A communicator binding a fabric endpoint to a collective schedule.
-pub struct IcclComm<F: Fabric> {
-    fabric: F,
+pub struct IcclComm {
+    fabric: ChannelFabric,
     topo: Topology,
 }
 
@@ -58,9 +58,9 @@ fn decode_entries(buf: &[u8]) -> IcclResult<Vec<(u32, Vec<u8>)>> {
     Ok(entries)
 }
 
-impl<F: Fabric> IcclComm<F> {
+impl IcclComm {
     /// Bind a fabric endpoint to a schedule.
-    pub fn new(fabric: F, topo: Topology) -> Self {
+    pub fn new(fabric: ChannelFabric, topo: Topology) -> Self {
         IcclComm { fabric, topo }
     }
 
@@ -87,12 +87,12 @@ impl<F: Fabric> IcclComm<F> {
 
     /// Borrow the underlying fabric (point-to-point sends alongside
     /// collectives).
-    pub fn fabric_ref(&self) -> &F {
+    pub fn fabric_ref(&self) -> &ChannelFabric {
         &self.fabric
     }
 
     /// Mutably borrow the underlying fabric (point-to-point receives).
-    pub fn fabric_mut(&mut self) -> &mut F {
+    pub fn fabric_mut(&mut self) -> &mut ChannelFabric {
         &mut self.fabric
     }
 
@@ -226,13 +226,12 @@ impl<F: Fabric> IcclComm<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::ChannelFabric;
 
     /// Run one closure per rank on its own thread; return per-rank results.
     fn spmd<R: Send + 'static>(
         n: u32,
         topo: Topology,
-        f: impl Fn(IcclComm<ChannelFabric>) -> R + Send + Sync + 'static,
+        f: impl Fn(IcclComm) -> R + Send + Sync + 'static,
     ) -> Vec<R> {
         let f = std::sync::Arc::new(f);
         let endpoints = ChannelFabric::mesh(n);

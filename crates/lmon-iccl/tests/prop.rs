@@ -13,7 +13,7 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
 fn spmd<R: Send + 'static>(
     n: u32,
     topo: Topology,
-    f: impl Fn(IcclComm<ChannelFabric>) -> R + Send + Sync + 'static,
+    f: impl Fn(IcclComm) -> R + Send + Sync + 'static,
 ) -> Vec<R> {
     let f = Arc::new(f);
     ChannelFabric::mesh(n)

@@ -135,18 +135,6 @@ pub enum MsgType {
     MwUsrData = 19,
     /// FE → MW master: orderly shutdown.
     MwShutdown = 20,
-    // --- session-mux carrier frames ------------------------------------
-    /// Mux carrier: `tag` is the logical session id, the LaunchMON payload
-    /// is a complete encoded inner message ([`crate::mux::SessionMux`]).
-    MuxData = 21,
-    /// Mux control: the logical session in `tag` closed on the sender's
-    /// side; the peer's endpoint drains and then reports disconnection.
-    MuxClose = 22,
-    /// Batched mux carrier: `tag` is the entry count, the LaunchMON payload
-    /// is a sequence of `u16 session id` + complete encoded inner message
-    /// entries ([`crate::frame::MuxBatch`]). One physical frame moves a
-    /// whole send-side backlog.
-    MuxBatch = 23,
 }
 
 impl MsgType {
@@ -175,9 +163,6 @@ impl MsgType {
             18 => MwReady,
             19 => MwUsrData,
             20 => MwShutdown,
-            21 => MuxData,
-            22 => MuxClose,
-            23 => MuxBatch,
             v => return Err(ProtoError::InvalidField { field: "msg_type", value: v as u64 }),
         })
     }
@@ -199,10 +184,6 @@ impl MsgType {
             MwHello | MwLaunchInfo | MwRpdtab | MwReady | MwUsrData | MwShutdown => {
                 MsgClass::FeToMw
             }
-            // Mux carrier frames travel on whatever pair the physical link
-            // serves; their natural class is the reserved bridging pair so
-            // they can never be mistaken for a bare handshake message.
-            MuxData | MuxClose | MuxBatch => MsgClass::MwToMw,
         }
     }
 }
@@ -303,7 +284,7 @@ mod tests {
 
     #[test]
     fn header_roundtrip_all_classes_and_types() {
-        for mtype_bits in 0..=23u8 {
+        for mtype_bits in 0..=20u8 {
             let mtype = MsgType::from_bits(mtype_bits).unwrap();
             for class in MsgClass::ASSIGNED {
                 let hdr = LmonpHeader {
@@ -338,7 +319,7 @@ mod tests {
 
     #[test]
     fn unknown_type_bits_rejected() {
-        for bits in 24..32u8 {
+        for bits in 21..32u8 {
             assert!(MsgType::from_bits(bits).is_err(), "type {bits} should be unassigned");
         }
     }
@@ -372,7 +353,7 @@ mod tests {
 
     #[test]
     fn natural_class_covers_every_type() {
-        for bits in 0..=23u8 {
+        for bits in 0..=20u8 {
             let t = MsgType::from_bits(bits).unwrap();
             // Sanity: hello/ready style messages map onto the expected pair.
             let c = t.natural_class();

@@ -21,25 +21,23 @@
 //! This crate owns the wire format ([`header`], [`wire`], [`frame`]), the
 //! typed message bodies ([`msg`], [`payload`]), the process-descriptor table
 //! that LaunchMON ships around ([`rpdtab`]), a small connection-time
-//! authentication cookie ([`security`]), and the channel abstraction used by
-//! every other crate to move LMONP messages in-process or over real TCP
-//! sockets ([`transport`]).
+//! authentication cookie ([`security`]), and the channels every other crate
+//! moves LMONP messages through ([`transport`], and [`mux`] for the one link
+//! per component pair).
 //!
 //! ## Example
 //!
 //! ```
+//! use lmon_proto::frame::{decode_msg_view, encode_wire};
 //! use lmon_proto::header::{MsgClass, MsgType};
 //! use lmon_proto::msg::LmonpMsg;
-//! use lmon_proto::frame::{FrameReader, WireFrame};
 //!
 //! let msg = LmonpMsg::new(MsgClass::FeToBe, MsgType::BeReady)
 //!     .with_lmon_payload(b"hello".to_vec())
 //!     .with_usr_payload(b"tool-data".to_vec());
-//! let bytes = WireFrame::Msg(msg.clone()).encode_to_vec();
-//! let mut reader = FrameReader::new();
-//! reader.extend(&bytes);
-//! let back = reader.next_msg().unwrap().expect("one whole message");
-//! assert_eq!(msg, back);
+//! let bytes = encode_wire(&msg);
+//! assert_eq!(bytes.len(), msg.wire_len());
+//! assert_eq!(decode_msg_view(&bytes).unwrap(), msg);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,9 +58,8 @@ pub mod wire;
 pub use bytes::Bytes;
 pub use error::ProtoError;
 pub use fault::{FaultyChannel, FrameFate, FrameFaultPlan};
-pub use frame::{MuxBatch, MuxEntry, WireFrame};
 pub use header::{LmonpHeader, MsgClass, MsgType, HEADER_LEN};
 pub use msg::LmonpMsg;
 pub use mux::{MuxEndpoint, SessionMux};
 pub use rpdtab::{ProcDesc, Rpdtab};
-pub use transport::{LocalChannel, MsgChannel, TcpChannel};
+pub use transport::{LocalChannel, MsgChannel};

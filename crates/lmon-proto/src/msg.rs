@@ -13,9 +13,9 @@ use crate::wire::{WireDecode, WireEncode};
 /// what lets a tool bootstrap its own infrastructure without extra round
 /// trips during startup (§3.2, §3.5).
 ///
-/// Payload sections are [`Bytes`] views: cloning a message (or routing it
-/// through the mux) bumps a refcount instead of copying payload bytes, and
-/// the borrowing `FrameReader` hands out slices of its read buffer directly.
+/// Payload sections are [`Bytes`] views: cloning a message (or moving it
+/// across a link) bumps a refcount instead of copying payload bytes, and
+/// the borrowing decoder hands out slices of its input buffer directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LmonpMsg {
     /// Communication-pair class.

@@ -1,55 +1,37 @@
 //! Message transports: how LMONP messages move between components.
 //!
 //! LMONP in the paper runs over TCP/IP between exactly one representative
-//! per component (§3.5). This crate provides interchangeable transports
-//! behind the [`MsgChannel`] trait:
+//! per component (§3.5). On the virtual cluster every component is a thread
+//! of one process, so a message crosses a link as a moved [`LmonpMsg`]: its
+//! payload sections are refcounted views, and no LMONP byte is encoded on
+//! the way. The [`MsgChannel`] trait is what every component talks through:
 //!
-//! * [`LocalChannel`] — crossbeam channels for the in-process virtual
-//!   cluster, where "nodes" are threads. This is the default for tests,
-//!   examples, and the tools.
-//! * [`TcpChannel`] — real TCP over localhost, exercising the incremental
-//!   [`crate::frame::FrameReader`] against genuine socket semantics.
+//! * [`LocalChannel`] — a connected pair of crossbeam queues, for tests and
+//!   for the pieces that run one exchange outside the live stack.
 //! * [`crate::fault::FaultyChannel`] — any channel plus a deterministic
 //!   frame-fault plan.
 //! * [`crate::mux::MuxEndpoint`] — one logical session of a
-//!   [`crate::mux::SessionMux`] carried over a single shared channel.
+//!   [`crate::mux::SessionMux`] link, the one link per component pair.
 //!
 //! All enforce the LMONP rule that user payloads piggyback on the same
 //! message rather than using a second connection.
 //!
 //! Channel objects are *shareable*: every method takes `&self` and the
-//! trait requires `Sync`, so one physical connection can be referenced from
-//! many threads (the session mux depends on this). Transports with
-//! per-direction stream state ([`TcpChannel`]) keep it behind internal
-//! locks — receivers serialize on the framing state, senders on the write
-//! path so concurrent frames can never interleave partial writes — which is
-//! exactly the one-representative-per-component discipline LMONP
-//! prescribes.
+//! trait requires `Sync`, so one session's channel can be referenced from
+//! several threads.
 
-use std::io::{IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::{ProtoError, ProtoResult};
-use crate::frame::{FrameReader, WireFrame};
 use crate::msg::LmonpMsg;
 
 /// A bidirectional, message-oriented LMONP connection endpoint.
 ///
-/// Object-safe and shareable: `LocalChannel`, `TcpChannel`, `FaultyChannel`
-/// and mux `Endpoint`s are interchangeable as `Box<dyn MsgChannel>` in the
-/// live FE/BE/MW stack.
-///
-/// The `*_frame` methods are the zero-copy hot path used by the session
-/// mux: frames move structurally in-process (no encode at all) and as a
-/// gathered slice list over byte streams (headers staged, payloads
-/// borrowed). The defaults fall back to the legacy materialized encoding,
-/// which is byte-identical, so implementing only the four message methods
-/// remains correct.
+/// Object-safe and shareable: `LocalChannel`, `FaultyChannel` and mux
+/// endpoints are interchangeable as `Box<dyn MsgChannel>` in the live
+/// FE/BE/MW stack.
 pub trait MsgChannel: Send + Sync {
     /// Send one message to the peer.
     fn send(&self, msg: LmonpMsg) -> ProtoResult<()>;
@@ -60,60 +42,26 @@ pub trait MsgChannel: Send + Sync {
     /// Block for at most `timeout` waiting for the next message; `Ok(None)`
     /// on timeout.
     fn recv_timeout(&self, timeout: Duration) -> ProtoResult<Option<LmonpMsg>>;
+}
 
-    /// Bytes sent so far on this endpoint (for instrumentation and the
-    /// performance model's message-volume accounting).
-    fn bytes_sent(&self) -> u64;
-
-    /// Send one physical frame, avoiding intermediate payload copies where
-    /// the transport allows.
-    fn send_frame(&self, frame: WireFrame) -> ProtoResult<()> {
-        self.send(frame.into_msg())
-    }
-
-    /// Block for at most `timeout` waiting for the next physical frame,
-    /// lifted to structural form ([`WireFrame::from_msg`]).
-    fn recv_frame_timeout(&self, timeout: Duration) -> ProtoResult<Option<WireFrame>> {
-        Ok(self.recv_timeout(timeout)?.map(WireFrame::from_msg))
-    }
-
-    /// Drain frames that are *already buffered* at this endpoint — without
-    /// blocking and, where the transport allows, with a single internal
-    /// lock acquisition — appending at most `max` of them to `out`.
-    /// Returns how many were appended.
-    ///
-    /// `Err(ProtoError::Disconnected)` is reported only when nothing was
-    /// appended, so buffered traffic always drains ahead of a disconnect.
-    fn try_recv_frames(&self, out: &mut Vec<WireFrame>, max: usize) -> ProtoResult<usize> {
-        let mut n = 0;
-        while n < max {
-            match self.recv_timeout(Duration::ZERO) {
-                Ok(Some(m)) => {
-                    out.push(WireFrame::from_msg(m));
-                    n += 1;
-                }
-                Ok(None) => break,
-                Err(_) if n > 0 => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(n)
+/// Receive from `rx` within `timeout`: a message, `Ok(None)` on timeout,
+/// [`ProtoError::Disconnected`] once every sender is gone and the queue
+/// is drained.
+pub(crate) fn recv_within(
+    rx: &Receiver<LmonpMsg>,
+    timeout: Duration,
+) -> ProtoResult<Option<LmonpMsg>> {
+    match rx.recv_timeout(timeout) {
+        Ok(msg) => Ok(Some(msg)),
+        Err(RecvTimeoutError::Timeout) => Ok(None),
+        Err(RecvTimeoutError::Disconnected) => Err(ProtoError::Disconnected),
     }
 }
 
-// ---------------------------------------------------------------------------
-// In-process transport
-// ---------------------------------------------------------------------------
-
 /// In-process transport endpoint backed by crossbeam channels.
-///
-/// The queue carries whole [`WireFrame`]s: a mux carrier travels as a
-/// structural `(session, message)` move with **zero** encode work — the
-/// in-process analog of the gathered write a byte-stream transport does.
 pub struct LocalChannel {
-    tx: Sender<WireFrame>,
-    rx: Receiver<WireFrame>,
-    sent_bytes: AtomicU64,
+    tx: Sender<LmonpMsg>,
+    rx: Receiver<LmonpMsg>,
 }
 
 impl LocalChannel {
@@ -121,293 +69,21 @@ impl LocalChannel {
     pub fn pair() -> (LocalChannel, LocalChannel) {
         let (atx, arx) = unbounded();
         let (btx, brx) = unbounded();
-        (
-            LocalChannel { tx: atx, rx: brx, sent_bytes: 0.into() },
-            LocalChannel { tx: btx, rx: arx, sent_bytes: 0.into() },
-        )
-    }
-
-    /// Create a connected pair with bounded capacity (used to test
-    /// back-pressure behaviour).
-    pub fn bounded_pair(cap: usize) -> (LocalChannel, LocalChannel) {
-        let (atx, arx) = bounded(cap);
-        let (btx, brx) = bounded(cap);
-        (
-            LocalChannel { tx: atx, rx: brx, sent_bytes: 0.into() },
-            LocalChannel { tx: btx, rx: arx, sent_bytes: 0.into() },
-        )
+        (LocalChannel { tx: atx, rx: brx }, LocalChannel { tx: btx, rx: arx })
     }
 }
 
 impl MsgChannel for LocalChannel {
     fn send(&self, msg: LmonpMsg) -> ProtoResult<()> {
-        self.send_frame(WireFrame::Msg(msg))
+        self.tx.send(msg).map_err(|_| ProtoError::Disconnected)
     }
 
     fn recv(&self) -> ProtoResult<LmonpMsg> {
-        self.rx.recv().map(WireFrame::into_msg).map_err(|_| ProtoError::Disconnected)
+        self.rx.recv().map_err(|_| ProtoError::Disconnected)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> ProtoResult<Option<LmonpMsg>> {
-        Ok(self.recv_frame_timeout(timeout)?.map(WireFrame::into_msg))
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.sent_bytes.load(Ordering::Relaxed)
-    }
-
-    fn send_frame(&self, frame: WireFrame) -> ProtoResult<()> {
-        let len = frame.wire_len() as u64;
-        self.tx.send(frame).map_err(|_| ProtoError::Disconnected)?;
-        self.sent_bytes.fetch_add(len, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn recv_frame_timeout(&self, timeout: Duration) -> ProtoResult<Option<WireFrame>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(f) => Ok(Some(f)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ProtoError::Disconnected),
-        }
-    }
-
-    fn try_recv_frames(&self, out: &mut Vec<WireFrame>, max: usize) -> ProtoResult<usize> {
-        // One queue-lock acquisition for the whole buffered burst.
-        self.rx.try_drain(out, max).map_err(|_| ProtoError::Disconnected)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TCP transport
-// ---------------------------------------------------------------------------
-
-/// TCP transport endpoint carrying framed LMONP messages.
-///
-/// Receive-side state (the incremental [`FrameReader`] and its scratch
-/// buffer) lives behind an internal lock so the channel is shareable like
-/// every other [`MsgChannel`]; concurrent receivers serialize on it. Sends
-/// hold their own lock across the whole `write_all`, because a frame larger
-/// than the socket buffer takes several write syscalls — two unserialized
-/// senders would interleave byte ranges and desync the peer's frame stream.
-pub struct TcpChannel {
-    stream: TcpStream,
-    recv_state: Mutex<TcpRecvState>,
-    /// Serializes sends; doubles as the reusable header-staging scratch so
-    /// the gather path allocates nothing per frame after warm-up.
-    send_scratch: Mutex<Vec<u8>>,
-    sent_bytes: AtomicU64,
-    /// `read(2)` calls issued on the receive path (instrumentation: the
-    /// no-syscall-per-poll regression tests assert on this).
-    read_syscalls: AtomicU64,
-}
-
-struct TcpRecvState {
-    reader: FrameReader,
-    read_buf: Vec<u8>,
-}
-
-impl TcpRecvState {
-    fn fill(&mut self, mut stream: &TcpStream, syscalls: &AtomicU64) -> ProtoResult<usize> {
-        // `Read` is implemented for `&TcpStream`, so reads work through a
-        // shared stream reference under the recv lock.
-        syscalls.fetch_add(1, Ordering::Relaxed);
-        let n = stream.read(&mut self.read_buf)?;
-        if n == 0 {
-            return Err(ProtoError::Disconnected);
-        }
-        self.reader.extend(&self.read_buf[..n]);
-        Ok(n)
-    }
-}
-
-impl TcpChannel {
-    /// Connect to a listening peer.
-    pub fn connect(addr: impl ToSocketAddrs) -> ProtoResult<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpChannel::from_stream(stream))
-    }
-
-    /// Wrap an accepted stream.
-    pub fn from_stream(stream: TcpStream) -> Self {
-        TcpChannel {
-            stream,
-            recv_state: Mutex::new(TcpRecvState {
-                reader: FrameReader::new(),
-                read_buf: vec![0u8; 64 * 1024],
-            }),
-            send_scratch: Mutex::new(Vec::new()),
-            sent_bytes: AtomicU64::new(0),
-            read_syscalls: AtomicU64::new(0),
-        }
-    }
-
-    /// Accept a single connection from a bound listener.
-    pub fn accept(listener: &TcpListener) -> ProtoResult<Self> {
-        let (stream, _addr) = listener.accept()?;
-        stream.set_nodelay(true)?;
-        Ok(TcpChannel::from_stream(stream))
-    }
-
-    /// Pull whatever bytes the kernel already buffered without blocking:
-    /// exactly one `read` on a temporarily non-blocking socket, with
-    /// `WouldBlock` mapped to "nothing available" (`Ok(0)`).
-    ///
-    /// `O_NONBLOCK` is a property of the file description, not of one
-    /// direction: while the toggle is on, a concurrent `write` would also
-    /// go non-blocking — returning a spurious `WouldBlock` (which senders
-    /// treat as a dead link) or, worse, aborting a partial `write_vectored`
-    /// mid-frame and desyncing the peer's stream. The channel is used
-    /// full-duplex (mux endpoints send while the pump thread drains), so
-    /// the whole window holds the send lock: no write syscall can overlap
-    /// the non-blocking state.
-    fn fill_nonblocking(&self, state: &mut TcpRecvState) -> ProtoResult<usize> {
-        let _senders_parked = self.send_scratch.lock().unwrap_or_else(|e| e.into_inner());
-        self.stream.set_nonblocking(true)?;
-        let res = state.fill(&self.stream, &self.read_syscalls);
-        // Restore before interpreting the result so an early return can't
-        // leave the shared socket non-blocking for the next send/receive.
-        self.stream.set_nonblocking(false)?;
-        match res {
-            Ok(n) => Ok(n),
-            Err(ProtoError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// `read(2)` calls issued so far on this endpoint's receive path.
-    ///
-    /// A daemon multiplexing many idle links polls [`MsgChannel::try_recv_frames`]
-    /// in a loop; this counter is how tests pin down that such polling costs
-    /// at most one syscall per *drain call* — and zero while already-read
-    /// frames remain buffered — rather than one per polled frame.
-    pub fn read_syscalls(&self) -> u64 {
-        self.read_syscalls.load(Ordering::Relaxed)
-    }
-}
-
-/// Write every byte of `slices` to `stream`, preferring one vectored
-/// syscall and finishing sequentially on the (rare) partial write.
-fn write_gather(mut stream: &TcpStream, slices: &[&[u8]]) -> std::io::Result<()> {
-    let total: usize = slices.iter().map(|s| s.len()).sum();
-    let bufs: Vec<IoSlice<'_>> = slices.iter().map(|s| IoSlice::new(s)).collect();
-    let mut written = stream.write_vectored(&bufs)?;
-    if written == total {
-        return Ok(());
-    }
-    if written == 0 && total > 0 {
-        return Err(std::io::Error::new(std::io::ErrorKind::WriteZero, "write_vectored wrote 0"));
-    }
-    for s in slices {
-        if written >= s.len() {
-            written -= s.len();
-            continue;
-        }
-        stream.write_all(&s[written..])?;
-        written = 0;
-    }
-    Ok(())
-}
-
-impl MsgChannel for TcpChannel {
-    fn send(&self, msg: LmonpMsg) -> ProtoResult<()> {
-        self.send_frame(WireFrame::Msg(msg))
-    }
-
-    fn send_frame(&self, frame: WireFrame) -> ProtoResult<()> {
-        // Stage only header bytes (into the lock-guarded reusable scratch);
-        // both payload sections are gathered from the frame in place
-        // ([`WireFrame::gather`]). `Write` needs `&mut`; TcpStream allows
-        // writes through `&self` via its `&TcpStream` impl. The lock keeps
-        // the frame contiguous on the wire when several threads share the
-        // channel.
-        let mut scratch = self.send_scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let slices = frame.gather(&mut scratch);
-        let total: usize = slices.iter().map(|s| s.len()).sum();
-        write_gather(&self.stream, &slices)?;
-        self.sent_bytes.fetch_add(total as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn try_recv_frames(&self, out: &mut Vec<WireFrame>, max: usize) -> ProtoResult<usize> {
-        // True non-blocking drain: pop messages already decoded in the
-        // frame reader with zero syscalls; only when that yields nothing is
-        // a single non-blocking `read` allowed to slurp whatever the kernel
-        // buffered (so a burst that arrived since the last blocking receive
-        // is not stranded until the next one). An idle link therefore costs
-        // at most one `read` returning `WouldBlock` per drain call — never
-        // one per requested frame, which is what the generic
-        // `recv_timeout(ZERO)` loop would degenerate to.
-        let mut state = self.recv_state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut n = 0;
-        let mut fill_budget = 1;
-        while n < max {
-            match state.reader.next_msg()? {
-                Some(m) => {
-                    out.push(WireFrame::from_msg(m));
-                    n += 1;
-                }
-                None => {
-                    // Fill only when nothing was buffered at all: a drain
-                    // that found frames returns them without any syscall.
-                    if n > 0 || fill_budget == 0 {
-                        break;
-                    }
-                    fill_budget -= 1;
-                    if self.fill_nonblocking(&mut state)? == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(n)
-    }
-
-    fn recv(&self) -> ProtoResult<LmonpMsg> {
-        let mut state = self.recv_state.lock().unwrap_or_else(|e| e.into_inner());
-        self.stream.set_read_timeout(None)?;
-        loop {
-            if let Some(msg) = state.reader.next_msg()? {
-                return Ok(msg);
-            }
-            state.fill(&self.stream, &self.read_syscalls)?;
-        }
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> ProtoResult<Option<LmonpMsg>> {
-        let mut state = self.recv_state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(msg) = state.reader.next_msg()? {
-            return Ok(Some(msg));
-        }
-        if timeout.is_zero() {
-            // `set_read_timeout(Some(ZERO))` is an *error* in std, so the
-            // pre-fix code turned every zero-timeout poll into
-            // `Err(InvalidInput)` — which generic pollers (the default
-            // `try_recv_frames`) treated as a dead channel. Zero now means
-            // what callers intend: one non-blocking look, `Ok(None)` if the
-            // kernel has nothing.
-            return match self.fill_nonblocking(&mut state)? {
-                0 => Ok(None),
-                _ => state.reader.next_msg(),
-            };
-        }
-        self.stream.set_read_timeout(Some(timeout))?;
-        let res = state.fill(&self.stream, &self.read_syscalls);
-        self.stream.set_read_timeout(None)?;
-        match res {
-            Ok(_) => state.reader.next_msg(),
-            Err(ProtoError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.sent_bytes.load(Ordering::Relaxed)
+        recv_within(&self.rx, timeout)
     }
 }
 
@@ -426,8 +102,7 @@ mod tests {
         a.send(msg(1)).unwrap();
         a.send(msg(2)).unwrap();
         assert_eq!(b.recv().unwrap().tag, 1);
-        assert_eq!(b.recv().unwrap().tag, 2);
-        assert!(a.bytes_sent() > 0);
+        assert_eq!(b.recv().unwrap(), msg(2));
     }
 
     #[test]
@@ -442,216 +117,5 @@ mod tests {
         let (a, b) = LocalChannel::pair();
         drop(a);
         assert!(matches!(b.recv(), Err(ProtoError::Disconnected)));
-    }
-
-    #[test]
-    fn tcp_roundtrip_over_localhost() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let h = std::thread::spawn(move || {
-            let server = TcpChannel::accept(&listener).unwrap();
-            let m = server.recv().unwrap();
-            server.send(m.clone().with_tag(m.tag + 1)).unwrap();
-        });
-        let client = TcpChannel::connect(addr).unwrap();
-        client.send(msg(10)).unwrap();
-        let reply = client.recv().unwrap();
-        assert_eq!(reply.tag, 11);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_many_messages_stream_correctly() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let h = std::thread::spawn(move || {
-            let server = TcpChannel::accept(&listener).unwrap();
-            let mut tags = Vec::new();
-            for _ in 0..50 {
-                tags.push(server.recv().unwrap().tag);
-            }
-            tags
-        });
-        let client = TcpChannel::connect(addr).unwrap();
-        for i in 0..50 {
-            client.send(msg(i)).unwrap();
-        }
-        let tags = h.join().unwrap();
-        assert_eq!(tags, (0..50).collect::<Vec<u16>>());
-    }
-
-    /// ISSUE 7 regression: draining a burst through `try_recv_frames` must
-    /// not degenerate into a syscall (or worse, an error) per polled frame.
-    /// One drain call costs at most one `read`, and frames already decoded
-    /// drain with zero syscalls.
-    #[test]
-    fn tcp_try_recv_frames_is_syscall_bounded() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let h = std::thread::spawn(move || {
-            let server = TcpChannel::accept(&listener).unwrap();
-            for i in 0..64 {
-                server.send(msg(i)).unwrap();
-            }
-            server.recv().unwrap(); // ack: keeps the connection open
-        });
-        let client = TcpChannel::connect(addr).unwrap();
-
-        // Wait for the whole burst to land in the kernel buffer: block for
-        // the first message, then give the remaining bytes a moment.
-        let first = client.recv().unwrap();
-        assert_eq!(first.tag, 0);
-        std::thread::sleep(Duration::from_millis(100));
-
-        let before = client.read_syscalls();
-        let mut got = Vec::new();
-        let mut polls = 0;
-        while got.len() < 63 && polls < 1_000 {
-            client.try_recv_frames(&mut got, 64).unwrap();
-            polls += 1;
-        }
-        assert_eq!(got.len(), 63, "whole burst drained without blocking");
-        let drain_syscalls = client.read_syscalls() - before;
-        assert!(
-            drain_syscalls <= polls,
-            "at most one read per drain call ({drain_syscalls} reads, {polls} polls)"
-        );
-        assert!(
-            drain_syscalls < 63,
-            "far fewer reads than frames (got {drain_syscalls} for 63 frames)"
-        );
-
-        // Buffered-but-undecoded frames must never be stranded: one recv
-        // pulled 64 frames' bytes, so later drains see them syscall-free.
-        // Now poll an *idle* link: each call is exactly one WouldBlock read.
-        let before_idle = client.read_syscalls();
-        for _ in 0..10 {
-            let mut none = Vec::new();
-            assert_eq!(client.try_recv_frames(&mut none, 8).unwrap(), 0);
-        }
-        assert_eq!(client.read_syscalls() - before_idle, 10);
-
-        client.send(msg(999)).unwrap();
-        h.join().unwrap();
-    }
-
-    /// Review regression: the non-blocking drain toggles `O_NONBLOCK`,
-    /// which is a property of the whole file description — the write
-    /// direction included. Polling and sending concurrently on the *same*
-    /// endpoint (exactly what mux endpoints do: senders call `send_frame`
-    /// while the pump thread drains via `try_recv_frames`) must neither
-    /// fail a send with a spurious `WouldBlock` nor tear a frame on a
-    /// partial write. The fix parks senders on the send lock for the
-    /// duration of the toggle window.
-    #[test]
-    fn tcp_nonblocking_poll_does_not_disturb_concurrent_sends() {
-        const FRAMES: u16 = 32;
-        const PAYLOAD: usize = 256 * 1024; // several socket buffers: multi-syscall writes
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server_h = std::thread::spawn(move || {
-            let server = TcpChannel::accept(&listener).unwrap();
-            let msgs: Vec<LmonpMsg> = (0..FRAMES).map(|_| server.recv().unwrap()).collect();
-            server.send(msg(7)).unwrap(); // reply: ends the client's poll loop
-            msgs
-        });
-        let client = std::sync::Arc::new(TcpChannel::connect(addr).unwrap());
-
-        let sender = {
-            let client = std::sync::Arc::clone(&client);
-            std::thread::spawn(move || {
-                for i in 0..FRAMES {
-                    let m = LmonpMsg::of_type(MsgType::BeUsrData)
-                        .with_tag(i)
-                        .with_lmon_payload(vec![i as u8; PAYLOAD]);
-                    // A WouldBlock surfacing here is the regression.
-                    client.send(m).unwrap();
-                }
-            })
-        };
-        // Hammer the non-blocking drain on the same endpoint until the
-        // server's reply lands, maximizing overlap with in-flight writes.
-        let mut got = Vec::new();
-        while got.is_empty() {
-            client.try_recv_frames(&mut got, 4).unwrap();
-        }
-        sender.join().unwrap();
-        let msgs = server_h.join().unwrap();
-        assert_eq!(msgs.len(), FRAMES as usize);
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(m.tag, i as u16, "frames arrive in order, none torn");
-            assert_eq!(m.lmon.len(), PAYLOAD, "frame {i} length intact");
-            assert!(m.lmon.iter().all(|&b| b == i as u8), "frame {i} bytes intact");
-        }
-    }
-
-    /// ISSUE 7 regression: `recv_timeout(Duration::ZERO)` used to call
-    /// `set_read_timeout(Some(ZERO))`, which std rejects — so the *default*
-    /// `MsgChannel::try_recv_frames` (which polls with a zero timeout)
-    /// reported healthy TCP-backed channels as dead. It now means "one
-    /// non-blocking look".
-    #[test]
-    fn tcp_zero_timeout_poll_is_nonblocking_not_an_error() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let h = std::thread::spawn(move || {
-            let server = TcpChannel::accept(&listener).unwrap();
-            server.send(msg(5)).unwrap();
-            server.recv().unwrap(); // ack
-        });
-        let client = TcpChannel::connect(addr).unwrap();
-
-        // Idle-at-first poll: Ok(None), not Err(InvalidInput) — retry until
-        // the message lands (each attempt is one non-blocking read).
-        let mut seen = None;
-        for _ in 0..1_000 {
-            match client.recv_timeout(Duration::ZERO).unwrap() {
-                Some(m) => {
-                    seen = Some(m);
-                    break;
-                }
-                None => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
-        assert_eq!(seen.expect("zero-timeout polling must observe the message").tag, 5);
-
-        // And the generic default drain path (what FaultyChannel-style
-        // wrappers inherit) now works over TCP: exercise it explicitly.
-        struct DefaultDrain<'a>(&'a TcpChannel);
-        impl MsgChannel for DefaultDrain<'_> {
-            fn send(&self, m: LmonpMsg) -> ProtoResult<()> {
-                self.0.send(m)
-            }
-            fn recv(&self) -> ProtoResult<LmonpMsg> {
-                self.0.recv()
-            }
-            fn recv_timeout(&self, t: Duration) -> ProtoResult<Option<LmonpMsg>> {
-                self.0.recv_timeout(t)
-            }
-            fn bytes_sent(&self) -> u64 {
-                self.0.bytes_sent()
-            }
-            // No try_recv_frames override: uses the trait default.
-        }
-        let wrapped = DefaultDrain(&client);
-        let mut out = Vec::new();
-        assert_eq!(wrapped.try_recv_frames(&mut out, 4).unwrap(), 0, "idle drain is Ok(0)");
-
-        client.send(msg(1)).unwrap();
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_recv_timeout_expires_without_data() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let h = std::thread::spawn(move || {
-            let _server = TcpChannel::accept(&listener).unwrap();
-            std::thread::sleep(Duration::from_millis(100));
-        });
-        let client = TcpChannel::connect(addr).unwrap();
-        let got = client.recv_timeout(Duration::from_millis(20)).unwrap();
-        assert!(got.is_none());
-        h.join().unwrap();
     }
 }

@@ -1,12 +1,12 @@
 //! Property-based tests for the LMONP codec: arbitrary messages and tables
-//! must survive encode→decode, and the borrowing encoder and decoders must
-//! agree with a copying reference codec under arbitrary chunking.
+//! must survive encode→decode, and the encoder and the borrowing decoder
+//! must agree with a copying reference codec.
 
 use proptest::prelude::*;
 
 use bytes::Bytes;
 use lmon_proto::error::ProtoError;
-use lmon_proto::frame::{decode_msg_view, FrameReader, MuxBatch, MuxEntry, WireFrame};
+use lmon_proto::frame::{decode_msg_view, encode_wire};
 use lmon_proto::header::{LmonpHeader, MsgClass, MsgType};
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::rpdtab::{ProcDesc, Rpdtab};
@@ -31,27 +31,12 @@ fn ref_decode(bytes: &[u8]) -> Result<LmonpMsg, ProtoError> {
     Ok(LmonpMsg::from_parts(header, lmon.to_vec(), usr.to_vec()))
 }
 
-/// Reference batch payload: each entry's session id, then its message.
-fn ref_batch_payload(batch: &MuxBatch) -> Vec<u8> {
-    let mut payload = Vec::new();
-    for e in &batch.entries {
-        payload.extend_from_slice(&e.session.to_be_bytes());
-        payload.extend_from_slice(&ref_encode(&e.msg));
-    }
-    payload
-}
-
 fn arb_msg_type() -> impl Strategy<Value = MsgType> {
-    (0u8..=23).prop_map(|b| MsgType::from_bits(b).unwrap())
+    (0u8..=20).prop_map(|b| MsgType::from_bits(b).unwrap())
 }
 
 fn arb_msg_class() -> impl Strategy<Value = MsgClass> {
     (0u8..=3).prop_map(|b| MsgClass::from_bits(b).unwrap())
-}
-
-/// Session ids with the u16 tag-space boundaries over-sampled.
-fn arb_session() -> impl Strategy<Value = u16> {
-    prop_oneof![any::<u16>(), Just(0u16), Just(u16::MAX)]
 }
 
 prop_compose! {
@@ -88,32 +73,11 @@ prop_compose! {
 proptest! {
     #[test]
     fn msg_roundtrip(m in arb_msg()) {
-        let bytes = WireFrame::Msg(m.clone()).encode_to_vec();
-        prop_assert_eq!(&bytes, &ref_encode(&m));
+        let bytes = encode_wire(&m);
+        prop_assert_eq!(&bytes[..], &ref_encode(&m)[..]);
         prop_assert_eq!(bytes.len(), m.wire_len());
         prop_assert_eq!(ref_decode(&bytes).unwrap(), m.clone());
-        prop_assert_eq!(decode_msg_view(&Bytes::from(bytes)).unwrap(), m);
-    }
-
-    #[test]
-    fn frame_reader_matches_oneshot_under_chunking(
-        msgs in proptest::collection::vec(arb_msg(), 1..10),
-        chunk in 1usize..257,
-    ) {
-        let mut stream = Vec::new();
-        for m in &msgs {
-            stream.extend_from_slice(&ref_encode(m));
-        }
-        let mut reader = FrameReader::new();
-        let mut out = Vec::new();
-        for piece in stream.chunks(chunk) {
-            reader.extend(piece);
-            while let Some(m) = reader.next_msg().unwrap() {
-                out.push(m);
-            }
-        }
-        prop_assert_eq!(out, msgs);
-        prop_assert_eq!(reader.buffered(), 0);
+        prop_assert_eq!(decode_msg_view(&bytes).unwrap(), m);
     }
 
     #[test]
@@ -175,66 +139,6 @@ proptest! {
         let _ = ref_decode(&bytes);
         let _ = decode_msg_view(&Bytes::from(bytes.clone()));
         let _ = Rpdtab::from_bytes(&bytes);
-        let mut reader = FrameReader::new();
-        reader.extend(&bytes);
-        let _ = reader.next_msg();
-    }
-
-    #[test]
-    fn zero_copy_carrier_encode_is_byte_identical_to_legacy(
-        m in arb_msg(),
-        session in arb_session(),
-    ) {
-        // The reference path: encode the inner message whole, wrap it in a
-        // MuxData carrier, encode the carrier — two full payload copies.
-        let legacy = ref_encode(
-            &LmonpMsg::of_type(MsgType::MuxData)
-                .with_tag(session)
-                .with_lmon_payload(ref_encode(&m)),
-        );
-        // The zero-copy path: headers staged, payload sections gathered in
-        // place. Must be byte-for-byte identical for every message shape,
-        // piggybacked usr payloads and tag-space boundaries included.
-        let frame = WireFrame::Carrier { session, msg: m.clone() };
-        prop_assert_eq!(frame.wire_len(), legacy.len());
-        prop_assert_eq!(frame.encode_to_vec(), legacy);
-        // And the materialized fallback agrees too.
-        prop_assert_eq!(ref_encode(&frame.clone().into_msg()), legacy);
-        // Structural lift inverts the materialization.
-        match WireFrame::from_msg(frame.clone().into_msg()) {
-            WireFrame::Carrier { session: s, msg: back } => {
-                prop_assert_eq!(s, session);
-                prop_assert_eq!(back, m);
-            }
-            other => return Err(TestCaseError::fail(format!("expected Carrier, got {other:?}"))),
-        }
-    }
-
-    #[test]
-    fn zero_copy_batch_encode_is_byte_identical_to_legacy(
-        entries in proptest::collection::vec((arb_session(), arb_msg()), 1..8),
-    ) {
-        let batch = MuxBatch {
-            entries: entries
-                .into_iter()
-                .map(|(session, msg)| MuxEntry { session, msg })
-                .collect(),
-        };
-        let legacy = ref_encode(
-            &LmonpMsg::of_type(MsgType::MuxBatch)
-                .with_tag(batch.entries.len() as u16)
-                .with_lmon_payload(ref_batch_payload(&batch)),
-        );
-        let frame = WireFrame::Batch(batch.clone());
-        let materialized = frame.clone().into_msg();
-        prop_assert_eq!(frame.encode_to_vec(), legacy.clone());
-        prop_assert_eq!(ref_encode(&materialized), legacy);
-        prop_assert_eq!(frame.wire_len(), materialized.wire_len());
-        // Decode inverts: every entry survives session id + message intact.
-        match WireFrame::from_msg(materialized) {
-            WireFrame::Batch(back) => prop_assert_eq!(back, batch),
-            other => return Err(TestCaseError::fail(format!("expected Batch, got {other:?}"))),
-        }
     }
 
     #[test]
@@ -249,42 +153,6 @@ proptest! {
         let view = decode_msg_view(&Bytes::from(bytes)).unwrap();
         prop_assert_eq!(&view, &legacy);
         prop_assert_eq!(view, m);
-    }
-
-    #[test]
-    fn borrowing_batch_decode_is_identical_to_legacy(
-        entries in proptest::collection::vec((arb_session(), arb_msg()), 1..8),
-    ) {
-        let batch = MuxBatch {
-            entries: entries
-                .into_iter()
-                .map(|(session, msg)| MuxEntry { session, msg })
-                .collect(),
-        };
-        let payload = Bytes::from(ref_batch_payload(&batch));
-        prop_assert_eq!(&WireFrame::Batch(batch.clone()).into_msg().lmon, &payload);
-        let count = batch.entries.len() as u16;
-        let view = MuxBatch::decode_payload_view(&payload, count).unwrap();
-        // Entry by entry, the view decode agrees with the reference decoder
-        // run over the same bytes.
-        let mut off = 0;
-        for e in &view.entries {
-            let len = e.msg.wire_len();
-            prop_assert_eq!(ref_decode(&payload[off + 2..off + 2 + len]).unwrap(), e.msg.clone());
-            off += 2 + len;
-        }
-        prop_assert_eq!(view, batch);
-    }
-
-    #[test]
-    fn batch_decoder_never_panics_on_garbage(
-        bytes in proptest::collection::vec(any::<u8>(), 0..512),
-        count in any::<u16>(),
-    ) {
-        let _ = MuxBatch::decode_payload_view(&Bytes::from(bytes.clone()), count);
-        let _ = WireFrame::from_msg(
-            LmonpMsg::of_type(MsgType::MuxBatch).with_tag(count).with_lmon_payload(bytes),
-        );
     }
 
     #[test]

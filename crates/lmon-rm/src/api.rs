@@ -13,8 +13,7 @@ use std::sync::Arc;
 use lmon_cluster::node::NodeId;
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_cluster::VirtualCluster;
-
-use crate::fabric::RmFabricEndpoint;
+use lmon_iccl::ChannelFabric;
 
 /// Errors from RM operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,8 +140,9 @@ impl fmt::Debug for JobHandle {
 }
 
 /// The body run by each co-spawned daemon: receives its process context and
-/// the RM-provided fabric endpoint.
-pub type DaemonBody = Arc<dyn Fn(ProcCtx, RmFabricEndpoint) + Send + Sync + 'static>;
+/// its endpoint of the fabric the RM built for the spawn (rank = the
+/// daemon's position in the allocation).
+pub type DaemonBody = Arc<dyn Fn(ProcCtx, ChannelFabric) + Send + Sync + 'static>;
 
 /// The uniform RM surface the LaunchMON engine programs against.
 pub trait ResourceManager: Send + Sync {

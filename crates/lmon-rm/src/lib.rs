@@ -26,8 +26,6 @@
 //!   mechanism Figure 6's "MRNet 1-deep" curve measures.
 //! * [`allocator::NodeAllocator`] — tracks node ownership so tools can
 //!   obtain "additional node allocations" for TBON daemons (§2).
-//! * [`fabric`] — the RM-provided communication fabric handed to co-spawned
-//!   daemons, which ICCL maps its collectives onto.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +33,6 @@
 pub mod allocator;
 pub mod api;
 pub mod bluegene;
-pub mod fabric;
 pub mod mpir;
 pub mod rsh;
 pub mod slurm;

@@ -15,12 +15,11 @@ use lmon_cluster::node::NodeId;
 use lmon_cluster::process::{Pid, ProcSpec};
 use lmon_cluster::trace::TraceEvent;
 use lmon_cluster::VirtualCluster;
-use lmon_iccl::fabric::Fabric as _;
+use lmon_iccl::ChannelFabric;
 use lmon_proto::rpdtab::{ProcDesc, Rpdtab};
 
 use crate::allocator::NodeAllocator;
 use crate::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmError, RmResult};
-use crate::fabric::RmFabricEndpoint;
 use crate::mpir;
 
 /// How many debugger-visible events a launcher generates during startup.
@@ -175,17 +174,9 @@ impl RmCore {
         env: &[String],
         body: DaemonBody,
     ) -> RmResult<Vec<Pid>> {
-        let hosts: Vec<String> = alloc
-            .nodes
-            .iter()
-            .map(|id| {
-                self.cluster
-                    .node(*id)
-                    .map(|n| n.hostname.clone())
-                    .map_err(|e| RmError::Cluster(e.to_string()))
-            })
-            .collect::<RmResult<_>>()?;
-        let endpoints = RmFabricEndpoint::provision(&hosts);
+        // The RM's fabric for this spawn: endpoint `i` goes to the daemon
+        // on the allocation's `i`-th node, so rank 0 is the master's.
+        let endpoints = ChannelFabric::mesh(alloc.nodes.len() as u32);
         // Reserve one pid per node in node order, then fan the spawns out:
         // daemon `i` always gets pid `block.pid(i)`, so placement matches
         // the sequential loop bit-for-bit while the thread-creation cost —

@@ -18,6 +18,7 @@ use launchmon::cluster::trace::{TraceController, TraceEvent};
 use launchmon::cluster::VirtualCluster;
 use launchmon::core::be::BeMain;
 use launchmon::core::fe::LmonFrontEnd;
+use launchmon::core::session::SessionState;
 use launchmon::daemon::{Daemon, DaemonConfig, Reply, Request};
 use launchmon::proto::fault::FrameFaultPlan;
 use launchmon::proto::payload::DaemonSpec;
@@ -168,6 +169,45 @@ fn a_launch_that_fails_its_handshake_gives_back_its_nodes() {
     };
     let gsid = fields.iter().find(|(k, _)| k == "gsid").expect("gsid").1.parse().unwrap();
     assert!(matches!(daemon.dispatch(&Request::Kill { gsid }), Reply::Ok(_)));
+}
+
+/// A front end used to refuse every launch after its 65 536th session: the
+/// session's link id and the engine's session key were the u16 LMONP tag,
+/// so a long-lived `lmond` backend stopped launching. Session B lives past
+/// the u16 space; if its id were truncated it would alias A (session 0),
+/// so A must still take traffic and be `Ready` after B is killed.
+#[test]
+fn a_front_end_serves_sessions_past_the_u16_id_space() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    let baseline = records(&cluster);
+    let be_main: BeMain = Arc::new(|be| {
+        let _ = be.wait_shutdown();
+    });
+    let launch = |session| {
+        fe.launch_and_spawn(session, "app", &[], 2, 1, DaemonSpec::bare("toold"), be_main.clone())
+    };
+    let a = fe.create_session();
+    assert_eq!(a.0, 0);
+    launch(a).unwrap_or_else(|e| panic!("launch A: {e}"));
+    for _ in 0..65_535 {
+        fe.create_session();
+    }
+    let b = fe.create_session();
+    assert_eq!(b.0, 65_536);
+    launch(b).unwrap_or_else(|e| panic!("launch B (session {}): {e}", b.0));
+    fe.kill(b).unwrap_or_else(|e| panic!("kill B: {e}"));
+    fe.send_usrdata(a, b"still mine".to_vec()).expect("A's link survives B");
+    assert_eq!(fe.session_state(a).unwrap(), SessionState::Ready);
+    fe.kill(a).unwrap_or_else(|e| panic!("kill A: {e}"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while records(&cluster) > baseline {
+        assert!(Instant::now() < deadline, "{} records left", records(&cluster));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    fe.shutdown().unwrap();
 }
 
 /// A job killed before its launcher ran used to get its tasks anyway:
