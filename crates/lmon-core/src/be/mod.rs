@@ -205,14 +205,13 @@ fn be_bootstrap(
 
     if is_master {
         let (chan, launch_info, table) = handshake::BE.greet(master_slot, &ctx)?;
-        usrdata = launch_info.usr.to_vec();
-        rpdtab_bytes = table.lmon.to_vec();
 
         // e8/e9: inter-daemon network setup over the RM fabric — the first
-        // collectives wire up and verify every daemon.
+        // collectives wire up and verify every daemon. The master keeps
+        // what it broadcasts: one copy of each payload out of its message.
         timeline.mark(CriticalEvent::E8SetupStart);
-        comm.broadcast(Some(usrdata.clone())).map_err(LmonError::Iccl)?;
-        comm.broadcast(Some(rpdtab_bytes.clone())).map_err(LmonError::Iccl)?;
+        usrdata = comm.broadcast(Some(launch_info.usr.to_vec())).map_err(LmonError::Iccl)?;
+        rpdtab_bytes = comm.broadcast(Some(table.lmon.to_vec())).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;
         timeline.mark(CriticalEvent::E9SetupDone);
         master_chan = Some(chan);

@@ -44,7 +44,8 @@ use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::payload::{AttachRequest, DaemonInfo, JobStatus, LaunchRequest, SpawnMwRequest};
 use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::wire::{put_seq, WireEncode};
+use lmon_proto::wire::{put_seq, WireDecode, WireEncode};
+use lmon_proto::Bytes;
 use lmon_rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager};
 use lmon_rm::mpir;
 
@@ -203,7 +204,7 @@ impl Engine {
         let alloc = handle.allocation.clone();
         let mut unclaimed = Some(handle);
         let result = stopped.and_then(|(ctl, rpdtab)| {
-            self.colocate(cmd, rpdtab, &alloc, |_| {
+            self.colocate(cmd, rpdtab, &alloc, || {
                 let handle = unclaimed.take().expect("the session claims the job once");
                 EngineJob::Launched { handle, ctl }
             })
@@ -215,12 +216,13 @@ impl Engine {
     }
 
     /// Let a launched job run to `MPIR_Breakpoint`, where the proctable is
-    /// valid, and read its RPDTAB.
+    /// valid, and read its RPDTAB: the launcher's own encoding, checked,
+    /// which the engine forwards without building a row.
     fn stop_at_breakpoint(
         &self,
         handle: &mut JobHandle,
         timeline: &TimelineRecorder,
-    ) -> Result<(TraceController, Rpdtab), String> {
+    ) -> Result<(TraceController, Bytes), String> {
         let (ctl, shared) = self.trace(handle.launcher_pid)?;
         mpir::set_being_debugged(&ctl, &shared);
         handle.release();
@@ -246,9 +248,9 @@ impl Engine {
         // The job is already running: poll the APAI until the proctable is
         // valid (it almost always already is).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let rpdtab = loop {
+        let bytes = loop {
             match mpir::fetch_proctable(&ctl) {
-                Ok(t) => break t,
+                Ok(bytes) => break bytes,
                 Err(e) if std::time::Instant::now() >= deadline => {
                     return Err(format!("rpdtab: {e}"))
                 }
@@ -258,7 +260,9 @@ impl Engine {
         timeline.mark(CriticalEvent::E3AtBreakpoint);
         timeline.mark(CriticalEvent::E4RpdtabFetched);
 
-        // Reconstruct the allocation footprint from the RPDTAB hosts.
+        // One decode, for the allocation footprint (the RPDTAB hosts) and
+        // the kill record; the front end gets the fetched bytes.
+        let rpdtab = Rpdtab::from_bytes(&bytes).map_err(|e| format!("rpdtab: {e}"))?;
         let cluster = self.rm.cluster();
         let nodes = rpdtab
             .hosts()
@@ -267,11 +271,7 @@ impl Engine {
             .collect::<Result<_, _>>()
             .map_err(|e| format!("host map: {e}"))?;
         let alloc = Allocation { id: u64::from(cmd.session.0), nodes };
-        self.colocate(cmd, rpdtab, &alloc, |rpdtab| EngineJob::Attached {
-            launcher_pid,
-            rpdtab,
-            ctl,
-        })
+        self.colocate(cmd, bytes, &alloc, || EngineJob::Attached { launcher_pid, rpdtab, ctl })
     }
 
     /// Put a launcher process under trace control.
@@ -284,25 +284,26 @@ impl Engine {
     }
 
     /// The tail launch and attach share once the job is stopped (or
-    /// adopted) with its RPDTAB in hand: stream the table, co-locate the
-    /// daemons over the job's footprint, let a launched job run, and take
-    /// ownership of the job for the session.
+    /// adopted) with its checked RPDTAB bytes in hand: stream the table,
+    /// co-locate the daemons over the job's footprint, let a launched job
+    /// run, and take ownership of the job for the session.
     fn colocate(
         &self,
         cmd: SpawnCmd<'_>,
-        rpdtab: Rpdtab,
+        rpdtab: Bytes,
         alloc: &Allocation,
-        job: impl FnOnce(Rpdtab) -> EngineJob,
+        job: impl FnOnce() -> EngineJob,
     ) -> Result<(), String> {
         // Stream the RPDTAB now, before the spawn: the FE stages the BE
         // handshake against it while daemons are still coming up. Channel
         // FIFO order guarantees it can never arrive after the spawn ack.
+        // The payload is the launcher's encoding, forwarded as fetched.
         let (session, reply) = (cmd.session, cmd.reply);
-        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon(&rpdtab)) {
+        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon_payload(rpdtab)) {
             return Ok(()); // exchange abandoned; don't spawn daemons nobody will use
         }
         let pids = self.spawn_daemons(cmd, alloc)?;
-        let job = job(rpdtab);
+        let job = job();
         if let EngineJob::Launched { ctl, .. } = &job {
             ctl.continue_proc(); // let the job run under tool control
         }

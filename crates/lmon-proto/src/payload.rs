@@ -32,14 +32,14 @@ impl DaemonSpec {
     }
 }
 
-fn put_str_vec(buf: &mut impl BufMut, v: &[String]) {
+pub(crate) fn put_str_vec(buf: &mut impl BufMut, v: &[impl AsRef<str>]) {
     buf.put_u32(v.len() as u32);
     for s in v {
-        put_str(buf, s);
+        put_str(buf, s.as_ref());
     }
 }
 
-fn get_str_vec(buf: &mut impl Buf) -> ProtoResult<Vec<String>> {
+pub(crate) fn get_str_vec(buf: &mut impl Buf) -> ProtoResult<Vec<String>> {
     let n = get_u32(buf)? as usize;
     if n > crate::wire::MAX_SEQ_LEN {
         return Err(ProtoError::PayloadTooLarge { len: n });
@@ -51,8 +51,8 @@ fn get_str_vec(buf: &mut impl Buf) -> ProtoResult<Vec<String>> {
     Ok(v)
 }
 
-fn str_vec_len(v: &[String]) -> usize {
-    4 + v.iter().map(|s| str_len(s)).sum::<usize>()
+pub(crate) fn str_vec_len(v: &[impl AsRef<str>]) -> usize {
+    4 + v.iter().map(|s| str_len(s.as_ref())).sum::<usize>()
 }
 
 impl WireEncode for DaemonSpec {

@@ -16,8 +16,9 @@ use std::collections::HashMap;
 
 use bytes::{Buf, BufMut};
 
-use crate::error::ProtoResult;
-use crate::wire::{get_str, get_u32, get_u64, put_str, str_len, WireDecode, WireEncode};
+use crate::error::{ProtoError, ProtoResult};
+use crate::payload::{get_str_vec, put_str_vec, str_vec_len};
+use crate::wire::{get_u32, WireDecode, WireEncode, MAX_SEQ_LEN};
 
 /// One entry of the RPDTAB: where a single MPI task lives.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -30,29 +31,6 @@ pub struct ProcDesc {
     pub exe: String,
     /// Node-local process ID of the task.
     pub pid: u64,
-}
-
-impl WireEncode for ProcDesc {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32(self.rank);
-        put_str(buf, &self.host);
-        put_str(buf, &self.exe);
-        buf.put_u64(self.pid);
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + str_len(&self.host) + str_len(&self.exe) + 8
-    }
-}
-
-impl WireDecode for ProcDesc {
-    fn decode(buf: &mut impl Buf) -> ProtoResult<Self> {
-        let rank = get_u32(buf)?;
-        let host = get_str(buf)?;
-        let exe = get_str(buf)?;
-        let pid = get_u64(buf)?;
-        Ok(ProcDesc { rank, host, exe, pid })
-    }
 }
 
 /// The full table, ordered by MPI rank.
@@ -110,21 +88,69 @@ impl Rpdtab {
     /// node: LaunchMON launches exactly one back-end daemon per distinct
     /// host in the RPDTAB.
     pub fn hosts(&self) -> Vec<String> {
-        let mut seen: HashMap<&str, ()> = HashMap::with_capacity(self.entries.len() / 4 + 1);
-        let mut hosts = Vec::new();
+        let mut hosts = Dict::default();
         for e in &self.entries {
-            if seen.insert(e.host.as_str(), ()).is_none() {
-                hosts.push(e.host.clone());
-            }
+            hosts.id(&e.host);
         }
-        hosts
+        hosts.strings.into_iter().map(String::from).collect()
     }
 
     /// Count of distinct hosts.
     pub fn host_count(&self) -> usize {
         self.hosts().len()
     }
+
+    /// The paper's `getMyProctab` as a decode: check the whole encoded
+    /// table exactly as [`from_bytes`](WireDecode::from_bytes) does — a
+    /// buffer it rejects is rejected here — but build only the rows on
+    /// `host`. Returns them (equal to `from_bytes(bytes)?.local_tasks(host)`)
+    /// with the table's total task count.
+    pub fn local_from_bytes(bytes: &[u8], host: &str) -> ProtoResult<(Rpdtab, usize)> {
+        let (entries, ntasks) = walk_rows(bytes, |h| h == host)?;
+        Ok((Rpdtab::new(entries), ntasks))
+    }
+
+    /// Check an encoded table as [`from_bytes`](WireDecode::from_bytes) does,
+    /// building nothing: the task count of a table it would accept.
+    pub fn check_bytes(bytes: &[u8]) -> ProtoResult<usize> {
+        walk_rows(bytes, |_| false).map(|(_, ntasks)| ntasks)
+    }
+
+    /// The one dictionary pass of `encode` and `encoded_len`: the host and
+    /// exe string tables, and each row's (host, exe) ids.
+    fn dictionary(&self) -> (Dict<'_>, Dict<'_>, Vec<(u32, u32)>) {
+        let (mut hosts, mut exes) = (Dict::default(), Dict::default());
+        let ids = self.entries.iter().map(|e| (hosts.id(&e.host), exes.id(&e.exe))).collect();
+        (hosts, exes, ids)
+    }
 }
+
+/// Dense ids for strings, in order of first appearance. A string equal to
+/// the previous one reuses its id without hashing: a launcher lists its
+/// rows grouped by host, and usually one exe for all of them.
+#[derive(Default)]
+struct Dict<'a> {
+    ids: HashMap<&'a str, u32>,
+    strings: Vec<&'a str>,
+    last: Option<(&'a str, u32)>,
+}
+
+impl<'a> Dict<'a> {
+    fn id(&mut self, s: &'a str) -> u32 {
+        let id = match self.last {
+            Some((last, id)) if last == s => return id,
+            _ => *self.ids.entry(s).or_insert(self.strings.len() as u32),
+        };
+        if id as usize == self.strings.len() {
+            self.strings.push(s);
+        }
+        self.last = Some((s, id));
+        id
+    }
+}
+
+/// Bytes of one encoded row: rank, host id, exe id (u32 each), pid (u64).
+const ROW_LEN: usize = 20;
 
 impl WireEncode for Rpdtab {
     /// Hostname-deduplicated encoding: a string table followed by per-task
@@ -133,124 +159,65 @@ impl WireEncode for Rpdtab {
     /// directly reducing the Region-B (fetch) and Region-C (handshake)
     /// linear terms.
     fn encode(&self, buf: &mut impl BufMut) {
-        let mut host_ids: HashMap<&str, u32> = HashMap::new();
-        let mut exe_ids: HashMap<&str, u32> = HashMap::new();
-        let mut hosts: Vec<&str> = Vec::new();
-        let mut exes: Vec<&str> = Vec::new();
-        for e in &self.entries {
-            host_ids.entry(&e.host).or_insert_with(|| {
-                hosts.push(&e.host);
-                (hosts.len() - 1) as u32
-            });
-            exe_ids.entry(&e.exe).or_insert_with(|| {
-                exes.push(&e.exe);
-                (exes.len() - 1) as u32
-            });
-        }
-        buf.put_u32(hosts.len() as u32);
-        for h in &hosts {
-            put_str(buf, h);
-        }
-        buf.put_u32(exes.len() as u32);
-        for x in &exes {
-            put_str(buf, x);
-        }
+        let (hosts, exes, ids) = self.dictionary();
+        put_str_vec(buf, &hosts.strings);
+        put_str_vec(buf, &exes.strings);
         buf.put_u32(self.entries.len() as u32);
-        for e in &self.entries {
+        for (e, (host, exe)) in self.entries.iter().zip(ids) {
             buf.put_u32(e.rank);
-            buf.put_u32(host_ids[e.host.as_str()]);
-            buf.put_u32(exe_ids[e.exe.as_str()]);
+            buf.put_u32(host);
+            buf.put_u32(exe);
             buf.put_u64(e.pid);
         }
     }
 
     fn encoded_len(&self) -> usize {
-        let mut host_seen: HashMap<&str, ()> = HashMap::new();
-        let mut exe_seen: HashMap<&str, ()> = HashMap::new();
-        let mut len = 4 + 4 + 4; // three table counts
-        for e in &self.entries {
-            if host_seen.insert(&e.host, ()).is_none() {
-                len += str_len(&e.host);
-            }
-            if exe_seen.insert(&e.exe, ()).is_none() {
-                len += str_len(&e.exe);
-            }
-            len += 4 + 4 + 4 + 8;
-        }
-        len
+        let (hosts, exes, _) = self.dictionary();
+        str_vec_len(&hosts.strings) + str_vec_len(&exes.strings) + 4 + ROW_LEN * self.entries.len()
     }
 }
 
 /// The one walk over an encoded table: every check a decode makes — count
-/// bounds, string validity, host and exe index bounds on *every* row — and
-/// a [`ProcDesc`] built only for rows whose host `keep` accepts. Returns
-/// the kept rows in wire order and the table's total task count.
-fn walk_rows(
-    buf: &mut impl Buf,
-    keep: impl Fn(&str) -> bool,
-) -> ProtoResult<(Vec<ProcDesc>, usize)> {
-    use crate::error::ProtoError;
-    use crate::wire::MAX_SEQ_LEN;
-
-    fn strings(buf: &mut impl Buf) -> ProtoResult<Vec<String>> {
-        let n = get_u32(buf)? as usize;
-        if n > MAX_SEQ_LEN {
-            return Err(ProtoError::PayloadTooLarge { len: n });
-        }
-        let mut table = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            table.push(get_str(buf)?);
-        }
-        Ok(table)
-    }
-    let hosts = strings(buf)?;
-    let exes = strings(buf)?;
+/// bounds, string validity, host and exe index bounds on *every* row, and
+/// that the rows end the buffer — and a [`ProcDesc`] built only for rows
+/// whose host `keep` accepts. Returns the kept rows in wire order and the
+/// table's total task count.
+fn walk_rows(bytes: &[u8], keep: impl Fn(&str) -> bool) -> ProtoResult<(Vec<ProcDesc>, usize)> {
+    let mut buf = bytes;
+    let hosts = get_str_vec(&mut buf)?;
+    let exes = get_str_vec(&mut buf)?;
     let kept: Vec<bool> = hosts.iter().map(|h| keep(h)).collect();
-    let ntasks = get_u32(buf)? as usize;
+    let ntasks = get_u32(&mut buf)? as usize;
     if ntasks > MAX_SEQ_LEN {
         return Err(ProtoError::PayloadTooLarge { len: ntasks });
     }
+    if buf.len() != ntasks * ROW_LEN {
+        return Err(ProtoError::Truncated { needed: ntasks * ROW_LEN, available: buf.len() });
+    }
+    let bad = |field, id: usize| ProtoError::InvalidField { field, value: id as u64 };
     // Sized for rows spread evenly over hosts: exact for a full decode.
     let kept_hosts = kept.iter().filter(|k| **k).count();
-    let mut entries = Vec::with_capacity(ntasks.min(1 << 16) * kept_hosts / kept.len().max(1));
-    for _ in 0..ntasks {
-        let rank = get_u32(buf)?;
-        let host_id = get_u32(buf)? as usize;
-        let exe_id = get_u32(buf)? as usize;
-        let pid = get_u64(buf)?;
-        let host = hosts
-            .get(host_id)
-            .ok_or(ProtoError::InvalidField { field: "host_id", value: host_id as u64 })?;
-        let exe = exes
-            .get(exe_id)
-            .ok_or(ProtoError::InvalidField { field: "exe_id", value: exe_id as u64 })?;
+    let mut entries = Vec::with_capacity(ntasks * kept_hosts / kept.len().max(1));
+    for row in buf.chunks_exact(ROW_LEN) {
+        let word = |at: usize| u32::from_be_bytes(std::array::from_fn(|i| row[at + i]));
+        let (host_id, exe_id) = (word(4) as usize, word(8) as usize);
+        let host = hosts.get(host_id).ok_or_else(|| bad("host_id", host_id))?;
+        let exe = exes.get(exe_id).ok_or_else(|| bad("exe_id", exe_id))?;
         if kept[host_id] {
-            entries.push(ProcDesc { rank, host: host.clone(), exe: exe.clone(), pid });
+            let pid = u64::from_be_bytes(std::array::from_fn(|i| row[12 + i]));
+            entries.push(ProcDesc { rank: word(0), host: host.clone(), exe: exe.clone(), pid });
         }
     }
     Ok((entries, ntasks))
 }
 
 impl WireDecode for Rpdtab {
+    /// An RPDTAB is always a whole payload section: the table runs to the
+    /// end of `buf`, and trailing bytes are an error.
     fn decode(buf: &mut impl Buf) -> ProtoResult<Self> {
-        let (entries, _) = walk_rows(buf, |_| true)?;
+        let (entries, _) = walk_rows(buf.chunk(), |_| true)?;
+        buf.advance(buf.remaining());
         Ok(Rpdtab::new(entries))
-    }
-}
-
-impl Rpdtab {
-    /// The paper's `getMyProctab` as a decode: check the whole encoded
-    /// table exactly as [`from_bytes`](WireDecode::from_bytes) does — a
-    /// buffer it rejects is rejected here — but build only the rows on
-    /// `host`. Returns them (equal to `from_bytes(bytes)?.local_tasks(host)`)
-    /// with the table's total task count.
-    pub fn local_from_bytes(bytes: &[u8], host: &str) -> ProtoResult<(Rpdtab, usize)> {
-        let mut slice = bytes;
-        let (entries, ntasks) = walk_rows(&mut slice, |h| h == host)?;
-        if !slice.is_empty() {
-            return Err(crate::error::ProtoError::Truncated { needed: 0, available: slice.len() });
-        }
-        Ok((Rpdtab::new(entries), ntasks))
     }
 }
 
@@ -276,7 +243,7 @@ pub fn synthetic_rpdtab(nodes: usize, tasks_per_node: usize, exe: &str) -> Rpdta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{WireDecode, WireEncode};
+    use crate::wire::str_len;
 
     #[test]
     fn roundtrip_preserves_entries() {
@@ -284,6 +251,35 @@ mod tests {
         let back = Rpdtab::from_bytes(&tab.to_bytes()).unwrap();
         assert_eq!(tab, back);
         assert_eq!(back.len(), 32);
+    }
+
+    /// The wire format, pinned byte for byte. Hosts cycle and the exe
+    /// alternates, so most rows differ from the row before them.
+    #[test]
+    fn encoding_matches_golden_bytes() {
+        let rows = [("a", "x"), ("b", "x"), ("a", "yy"), ("a", "yy"), ("c", "x"), ("b", "yy")];
+        let entries = rows.iter().enumerate().map(|(rank, (host, exe))| ProcDesc {
+            rank: rank as u32,
+            host: host.to_string(),
+            exe: exe.to_string(),
+            pid: 100 + rank as u64,
+        });
+        let tab = Rpdtab::new(entries.collect());
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            0, 0, 0, 3, 0, 0, 0, 1, b'a', 0, 0, 0, 1, b'b', 0, 0, 0, 1, b'c', // hosts
+            0, 0, 0, 2, 0, 0, 0, 1, b'x', 0, 0, 0, 2, b'y', b'y', // exes
+            0, 0, 0, 6, // rows: rank, host id, exe id, pid
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 100,
+            0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 101,
+            0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 102,
+            0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 103,
+            0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 104,
+            0, 0, 0, 5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 105,
+        ];
+        assert_eq!(tab.to_bytes(), golden);
+        assert_eq!(tab.encoded_len(), golden.len());
+        assert_eq!(Rpdtab::from_bytes(golden).unwrap(), tab);
     }
 
     #[test]
@@ -297,7 +293,9 @@ mod tests {
     #[test]
     fn dedup_encoding_is_smaller_than_naive() {
         let tab = synthetic_rpdtab(64, 8, "app");
-        let naive: usize = tab.entries().iter().map(WireEncode::encoded_len).sum();
+        // Naive: every row carries its host and exe strings itself.
+        let naive: usize =
+            tab.entries().iter().map(|e| 4 + str_len(&e.host) + str_len(&e.exe) + 8).sum();
         assert!(
             tab.encoded_len() < naive,
             "dedup {} should beat naive {}",
@@ -347,7 +345,9 @@ mod tests {
         // A daemon on the *other* host builds none of that row and still
         // refuses the table.
         assert!(Rpdtab::local_from_bytes(&bytes, "node00000").is_err());
+        assert!(Rpdtab::check_bytes(&bytes).is_err());
         let intact = tab.to_bytes();
+        assert_eq!(Rpdtab::check_bytes(&intact).unwrap(), 4);
         let (local, ntasks) = Rpdtab::local_from_bytes(&intact, "node00001").unwrap();
         assert_eq!((local.len(), ntasks), (2, 4));
         assert!(Rpdtab::local_from_bytes(&intact[..intact.len() - 1], "node00001").is_err());

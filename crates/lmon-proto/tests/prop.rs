@@ -97,7 +97,9 @@ proptest! {
     }
 
     /// A back-end daemon's local decode is the full decode restricted to
-    /// one host, on well-formed and on damaged buffers alike: it accepts
+    /// one host, and the build-nothing check the engine runs on a table it
+    /// only forwards is the full decode's verdict and task count — on clean,
+    /// truncated, extended and byte-flipped buffers alike: both accept
     /// exactly what `from_bytes` accepts.
     #[test]
     fn rpdtab_local_decode_agrees_with_full_decode(
@@ -125,12 +127,17 @@ proptest! {
         }
         let host = format!("node{host_id:05}"); // node00005 is never in the table
         let local = Rpdtab::local_from_bytes(&bytes, &host);
+        let checked = Rpdtab::check_bytes(&bytes);
         match Rpdtab::from_bytes(&bytes) {
             Ok(full) => {
                 let expect = Rpdtab::new(full.local_tasks(&host).cloned().collect());
                 prop_assert_eq!(local.unwrap(), (expect, full.len()));
+                prop_assert_eq!(checked.unwrap(), full.len());
             }
-            Err(_) => prop_assert!(local.is_err(), "local decode accepted a rejected buffer"),
+            Err(_) => {
+                prop_assert!(local.is_err(), "local decode accepted a rejected buffer");
+                prop_assert!(checked.is_err(), "check-only walk accepted a rejected buffer");
+            }
         }
     }
 

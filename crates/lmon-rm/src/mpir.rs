@@ -22,7 +22,8 @@
 use lmon_cluster::process::ProcCtx;
 use lmon_cluster::trace::TraceController;
 use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::wire::{WireDecode, WireEncode};
+use lmon_proto::wire::WireEncode;
+use lmon_proto::Bytes;
 
 /// Symbol: serialized RPDTAB.
 pub const MPIR_PROCTABLE: &str = "MPIR_proctable";
@@ -64,26 +65,28 @@ pub fn read_debug_state(ctl: &TraceController) -> Option<u8> {
     ctl.read_symbol(MPIR_DEBUG_STATE).ok().and_then(|v| v.first().copied())
 }
 
-/// Tracer side: fetch and decode the RPDTAB from launcher memory.
+/// Tracer side: fetch the RPDTAB from launcher memory, checked.
 ///
 /// Reads `MPIR_proctable_size` first, then the table — two reads, exactly
 /// like a debugger walking the real MPIR interface. Word-read accounting
-/// accumulates on the controller (Region B of the §4 model).
-pub fn fetch_proctable(ctl: &TraceController) -> Result<Rpdtab, String> {
+/// accumulates on the controller (Region B of the §4 model). The table is
+/// walked once with every check a decode makes, and its row count must
+/// match the size symbol; what comes back is the launcher's own encoding,
+/// for callers to forward as is or decode.
+pub fn fetch_proctable(ctl: &TraceController) -> Result<Bytes, String> {
     let size_bytes =
         ctl.read_symbol(MPIR_PROCTABLE_SIZE).map_err(|e| format!("proctable size: {e}"))?;
     let claimed = u32::from_be_bytes(
         size_bytes.as_slice().try_into().map_err(|_| "bad proctable size".to_string())?,
     );
     let bytes = ctl.read_symbol(MPIR_PROCTABLE).map_err(|e| format!("proctable: {e}"))?;
-    let table = Rpdtab::from_bytes(&bytes).map_err(|e| format!("proctable decode: {e}"))?;
-    if table.len() as u32 != claimed {
+    let tasks = Rpdtab::check_bytes(&bytes).map_err(|e| format!("proctable decode: {e}"))?;
+    if tasks as u32 != claimed {
         return Err(format!(
-            "proctable inconsistent: size symbol says {claimed}, table has {}",
-            table.len()
+            "proctable inconsistent: size symbol says {claimed}, table has {tasks}"
         ));
     }
-    Ok(table)
+    Ok(bytes.into())
 }
 
 #[cfg(test)]
@@ -123,7 +126,7 @@ mod tests {
         assert_eq!(read_debug_state(&ctl), Some(MPIR_DEBUG_SPAWNED));
 
         let fetched = fetch_proctable(&ctl).unwrap();
-        assert_eq!(fetched, expected);
+        assert_eq!(fetched, expected.to_bytes(), "the launcher's own encoding, unchanged");
         assert!(ctl.words_read() > 0, "fetch must charge word reads");
 
         ctl.continue_proc();

@@ -79,12 +79,14 @@ impl RmCore {
         let events = self.events;
         let job_env_key = self.job_env_key;
         let launch_workers = self.launch_workers;
+        // The env stamp `kill_job` sweeps by, on the launcher and every task.
+        let job_stamp = job_id.to_string();
 
         let launcher_spec = ProcSpec::named("srun")
             .arg(format!("--nodes={}", spec.nodes))
             .arg(format!("--ntasks-per-node={}", spec.tasks_per_node))
             .arg(job_spec.app_exe.clone())
-            .env_kv(job_env_key, &job_id.to_string());
+            .env_kv(job_env_key, &job_stamp);
 
         let launcher_pid = self
             .cluster
@@ -111,8 +113,8 @@ impl RmCore {
                     let mut descs = Vec::with_capacity(tpn);
                     for local in 0..tpn {
                         let rank = (node_i * tpn + local) as u32;
-                        let mut task_spec = ProcSpec::named(&job_spec.app_exe)
-                            .env_kv(job_env_key, &job_id.to_string());
+                        let mut task_spec =
+                            ProcSpec::named(&job_spec.app_exe).env_kv(job_env_key, &job_stamp);
                         task_spec.args = job_spec.app_args.clone();
                         task_spec.rank = Some(rank);
                         let pid = pid_block.pid(rank as usize);
@@ -324,6 +326,7 @@ mod tests {
     use lmon_cluster::process::ProcState;
     use lmon_cluster::trace::TraceController;
     use lmon_iccl::{IcclComm, Topology};
+    use lmon_proto::wire::WireDecode;
     use std::time::Duration;
 
     fn rm(nodes: usize) -> SlurmRm {
@@ -343,7 +346,7 @@ mod tests {
         let table = loop {
             let ctl = TraceController::attach(handle.launcher_pid, rec.shared.clone()).unwrap();
             match mpir::fetch_proctable(&ctl) {
-                Ok(t) => break t,
+                Ok(bytes) => break Rpdtab::from_bytes(&bytes).unwrap(),
                 Err(_) if std::time::Instant::now() < deadline => {
                     drop(ctl);
                     std::thread::sleep(Duration::from_millis(5));
@@ -382,7 +385,7 @@ mod tests {
             }
         }
         assert_eq!(forks, 3);
-        let table = mpir::fetch_proctable(&ctl).unwrap();
+        let table = Rpdtab::from_bytes(&mpir::fetch_proctable(&ctl).unwrap()).unwrap();
         assert_eq!(table.len(), 4);
         ctl.continue_proc();
         rm.kill_job(&handle).unwrap();
@@ -450,7 +453,7 @@ mod tests {
             let table = loop {
                 let ctl = TraceController::attach(handle.launcher_pid, rec.shared.clone()).unwrap();
                 match mpir::fetch_proctable(&ctl) {
-                    Ok(t) => break t,
+                    Ok(bytes) => break Rpdtab::from_bytes(&bytes).unwrap(),
                     Err(_) if std::time::Instant::now() < deadline => {
                         drop(ctl);
                         std::thread::sleep(Duration::from_millis(5));

@@ -24,6 +24,7 @@ use lmon_core::timeline::CriticalEvent;
 use lmon_core::LmonResult;
 use lmon_proto::payload::DaemonSpec;
 use lmon_proto::rpdtab::Rpdtab;
+use lmon_proto::wire::WireDecode;
 use lmon_rm::mpir;
 
 use crate::dpcl::{parse_binary, DpclInfra, ProbeModule, SyntheticBinary};
@@ -94,7 +95,8 @@ impl Instrumentor for DpclInstrumentor {
         let (_node, rec) = self.cluster.find_proc(launcher_pid).map_err(|e| e.to_string())?;
         let ctl =
             TraceController::attach(launcher_pid, rec.shared.clone()).map_err(|e| e.to_string())?;
-        let rpdtab = mpir::fetch_proctable(&ctl)?;
+        let rpdtab =
+            Rpdtab::from_bytes(&mpir::fetch_proctable(&ctl)?).map_err(|e| e.to_string())?;
 
         Ok(ApaiAcquisition { rpdtab, apai_time: t0.elapsed() })
     }

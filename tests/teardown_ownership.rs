@@ -6,24 +6,37 @@
 //! that leaves its table releases its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
 //! many sessions on *one* cluster and checks that nothing is left behind.
+//! The engine forwards the launcher's proctable bytes unbuilt, so the last
+//! tests hold it to refusing a table `from_bytes` would refuse, killing the
+//! job it started, and to forwarding the bytes it accepts unchanged.
 //!
 //! Thread counts are process-wide, so this file is its own test binary and
 //! its tests take turns.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use launchmon::cluster::config::ClusterConfig;
+use launchmon::cluster::node::NodeId;
+use launchmon::cluster::process::{Pid, ProcCtx, ProcSpec};
 use launchmon::cluster::trace::{TraceController, TraceEvent};
 use launchmon::cluster::VirtualCluster;
 use launchmon::core::be::BeMain;
+use launchmon::core::engine::channel::{EngineCommand, EngineSidecar};
+use launchmon::core::engine::Engine;
 use launchmon::core::fe::LmonFrontEnd;
-use launchmon::core::session::SessionState;
+use launchmon::core::session::{SessionId, SessionState};
+use launchmon::core::LmonError;
 use launchmon::daemon::{Daemon, DaemonConfig, Reply, Request};
 use launchmon::proto::fault::FrameFaultPlan;
-use launchmon::proto::payload::DaemonSpec;
-use launchmon::rm::api::{JobSpec, ResourceManager};
-use launchmon::rm::SlurmRm;
+use launchmon::proto::payload::{DaemonSpec, LaunchRequest};
+use launchmon::proto::wire::{WireDecode, WireEncode};
+use launchmon::proto::{LmonpMsg, MsgType, Rpdtab};
+use launchmon::rm::api::{
+    Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmError, RmResult,
+};
+use launchmon::rm::{mpir, SlurmRm};
 use launchmon::tools::stat::run_stat_launchmon;
 
 static TURN: Mutex<()> = Mutex::new(());
@@ -312,4 +325,207 @@ fn fifty_stat_runs_on_one_job_leave_only_the_job_behind() {
     assert_eq!(records(&cluster), job_records, "detach took its daemons' records along");
     assert_threads_settle_to(before + 2, "after 50 attach → STAT → detach runs");
     fe.shutdown().unwrap();
+}
+
+/// What a stand-in launcher does to the proctable and size symbols the
+/// job's real launcher published before publishing them itself.
+type Tamper = Arc<dyn Fn(&mut Vec<u8>, &mut Vec<u8>) + Send + Sync>;
+
+/// SLURM, except that the launcher the engine traces is a stand-in: it
+/// waits for the job's real launcher to publish, passes the symbols through
+/// `tamper`, publishes the result and stops at `MPIR_Breakpoint`. A kill
+/// takes both launchers.
+struct StandInRm {
+    slurm: SlurmRm,
+    tamper: Tamper,
+    real_launchers: Mutex<HashMap<Pid, Pid>>,
+}
+
+impl StandInRm {
+    fn new(cluster: &VirtualCluster, tamper: Tamper) -> Self {
+        let slurm = SlurmRm::new(cluster.clone());
+        StandInRm { slurm, tamper, real_launchers: Mutex::default() }
+    }
+}
+
+impl ResourceManager for StandInRm {
+    fn name(&self) -> &'static str {
+        self.slurm.name()
+    }
+
+    fn cluster(&self) -> &VirtualCluster {
+        self.slurm.cluster()
+    }
+
+    fn launch_job(&self, spec: &JobSpec, under_tool: bool) -> RmResult<JobHandle> {
+        let mut handle = self.slurm.launch_job(spec, under_tool)?;
+        let real = handle.launcher_pid;
+        let (_fe, rec) =
+            self.cluster().find_proc(real).map_err(|e| RmError::Cluster(e.to_string()))?;
+        let tamper = self.tamper.clone();
+        let stand_in = move |ctx: ProcCtx| {
+            // The real launcher publishes once the engine opens the job's
+            // gate, which it does after arming this launcher's breakpoint.
+            let real_ctl = TraceController::attach(real, rec.shared.clone()).unwrap();
+            while real_ctl.read_symbol(mpir::MPIR_DEBUG_STATE).is_err() {
+                if ctx.killed() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut table = real_ctl.read_symbol(mpir::MPIR_PROCTABLE).unwrap();
+            let mut size = real_ctl.read_symbol(mpir::MPIR_PROCTABLE_SIZE).unwrap();
+            tamper(&mut table, &mut size);
+            ctx.export_symbol(mpir::MPIR_PROCTABLE, table);
+            ctx.export_symbol(mpir::MPIR_PROCTABLE_SIZE, size);
+            ctx.export_symbol(mpir::MPIR_DEBUG_STATE, vec![mpir::MPIR_DEBUG_SPAWNED]);
+            ctx.checkpoint(mpir::MPIR_BREAKPOINT);
+            ctx.shared.wait_terminal();
+        };
+        let stand_in = self
+            .cluster()
+            .spawn_active(NodeId::FrontEnd, ProcSpec::named("srun"), stand_in)
+            .map_err(|e| RmError::Cluster(e.to_string()))?;
+        self.real_launchers.lock().unwrap().insert(stand_in, real);
+        handle.launcher_pid = stand_in;
+        Ok(handle)
+    }
+
+    fn spawn_daemons(
+        &self,
+        alloc: &Allocation,
+        exe: &str,
+        args: &[String],
+        env: &[String],
+        body: DaemonBody,
+    ) -> RmResult<Vec<Pid>> {
+        self.slurm.spawn_daemons(alloc, exe, args, env, body)
+    }
+
+    fn allocate_mw_nodes(&self, count: usize) -> RmResult<Allocation> {
+        self.slurm.allocate_mw_nodes(count)
+    }
+
+    fn release_allocation(&self, alloc: &Allocation) {
+        self.slurm.release_allocation(alloc)
+    }
+
+    fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
+        self.slurm.kill_job(handle)?;
+        if let Some(real) = self.real_launchers.lock().unwrap().remove(&handle.launcher_pid) {
+            self.cluster().front_end().kill_matching(|r| r.pid == real);
+        }
+        Ok(())
+    }
+}
+
+fn await_records(cluster: &VirtualCluster, baseline: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while records(cluster) > baseline {
+        assert!(Instant::now() < deadline, "{} records left", records(cluster));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Launch 2 x 4 through a launcher that publishes what `tamper` makes of
+/// its proctable. The engine must refuse the table, fail the launch with
+/// an engine error and kill the job it started, launchers and tasks alike.
+/// Returns the error.
+fn refused_launch(tamper: Tamper) -> String {
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
+    let fe = LmonFrontEnd::init(Arc::new(StandInRm::new(&cluster, tamper))).unwrap();
+    let baseline = records(&cluster);
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    let session = fe.create_session();
+    let daemon = DaemonSpec::bare("toold");
+    let why = match fe.launch_and_spawn(session, "app", &[], 2, 4, daemon, be_main) {
+        Err(LmonError::Engine(why)) => why,
+        Err(other) => panic!("not an engine error: {other}"),
+        Ok(_) => panic!("the engine accepted the table"),
+    };
+    await_records(&cluster, baseline);
+    fe.shutdown().unwrap();
+    why
+}
+
+/// The engine forwards the launcher's table without building its rows, and
+/// still refuses one `from_bytes` would: here the last row's host id is
+/// out of range.
+#[test]
+fn a_launcher_publishing_a_corrupt_proctable_fails_the_launch_and_is_killed() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let why = refused_launch(Arc::new(|table, _size| {
+        let host_id = table.len() - 20 + 4; // last row: rank, host id, exe id, pid
+        table[host_id..host_id + 4].copy_from_slice(&999u32.to_be_bytes());
+    }));
+    assert!(why.contains("proctable decode"), "{why}");
+}
+
+/// The table is well formed, but `MPIR_proctable_size` claims one task more.
+#[test]
+fn a_launcher_whose_proctable_size_disagrees_fails_the_launch_and_is_killed() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let why = refused_launch(Arc::new(|_table, size| {
+        let claimed = u32::from_be_bytes(size.as_slice().try_into().unwrap());
+        *size = (claimed + 1).to_be_bytes().to_vec();
+    }));
+    assert!(why.contains("inconsistent"), "{why}");
+}
+
+/// Append an exe no row uses to an encoded table's exe list: still a valid
+/// table, but not the one encoding its rows gives.
+fn add_spare_exe(table: &mut Vec<u8>) {
+    let word = |t: &[u8], at: usize| u32::from_be_bytes(t[at..at + 4].try_into().unwrap());
+    let skip_strings =
+        |t: &[u8], at: usize| (0..word(t, at)).fold(at + 4, |at, _| at + 4 + word(t, at) as usize);
+    let exes = skip_strings(table, 0);
+    let rows = skip_strings(table, exes);
+    let count = word(table, exes) + 1;
+    table[exes..exes + 4].copy_from_slice(&count.to_be_bytes());
+    table.splice(rows..rows, [0, 0, 0, 5].into_iter().chain(*b"spare"));
+}
+
+/// A launch's `EngineRpdtab` payload is the launcher's `MPIR_proctable`
+/// symbol byte for byte — even an encoding that decoding the rows and
+/// encoding them again would change.
+#[test]
+fn the_rpdtab_reply_is_the_launchers_proctable_bytes() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let published = Arc::new(Mutex::new(Vec::new()));
+    let seen = published.clone();
+    let rm = StandInRm::new(
+        &cluster,
+        Arc::new(move |table, _size| {
+            add_spare_exe(table);
+            *seen.lock().unwrap() = table.clone();
+        }),
+    );
+    let (engine, _pid) = Engine::spawn(Arc::new(rm)).unwrap();
+    let baseline = records(&cluster);
+    let session = SessionId(7);
+    let req = LaunchRequest {
+        app_exe: "app".into(),
+        app_args: Vec::new(),
+        nodes: 4,
+        tasks_per_node: 8,
+        daemon: DaemonSpec::bare("toold"),
+    };
+    let msg = LmonpMsg::of_type(MsgType::FeLaunchReq).with_lmon(&req);
+    let body: DaemonBody = Arc::new(|_ctx, _fabric| {});
+    let sidecar = EngineSidecar { body: Some(body), ..EngineSidecar::default() };
+    let wait = Duration::from_secs(10);
+    let replies = engine.exchange(EngineCommand { session, msg, sidecar }, 2, wait).unwrap();
+    let types: Vec<MsgType> = replies.iter().map(|r| r.mtype).collect();
+    assert_eq!(types, [MsgType::EngineRpdtab, MsgType::EngineAck]);
+
+    let published = published.lock().unwrap().clone();
+    assert_eq!(replies[0].lmon, published);
+    let reencoded = Rpdtab::from_bytes(&published).unwrap();
+    assert_eq!(reencoded.len(), 32);
+    assert_ne!(reencoded.to_bytes(), published, "a re-encode drops the spare exe");
+
+    let kill = EngineCommand::control(session, LmonpMsg::of_type(MsgType::FeKillReq));
+    engine.exchange(kill, 1, wait).unwrap();
+    await_records(&cluster, baseline);
 }
