@@ -36,7 +36,7 @@ use lmon_proto::payload::{
 use lmon_proto::rpdtab::Rpdtab;
 use lmon_proto::security::{SessionCookie, COOKIE_ENV_VAR};
 use lmon_proto::transport::MsgChannel;
-use lmon_proto::wire::{get_seq, put_seq, WireDecode};
+use lmon_proto::wire::{get_seq, put_seq, WireDecode, WireEncode};
 use lmon_rm::api::{DaemonBody, ResourceManager};
 
 use crate::be::{wrap_be_main, BeMain};
@@ -46,7 +46,7 @@ use crate::error::{LmonError, LmonResult};
 use crate::handshake;
 use crate::health::{HealthMonitor, HealthState, HealthTransition};
 use crate::mw::{assign_personalities, wrap_mw_main, MwMain};
-use crate::session::{SessionId, SessionState, SessionTable};
+use crate::session::{SessionId, SessionState};
 use crate::timeline::{CriticalEvent, LaunchBreakdown, TimelineRecorder};
 
 /// Callback packing tool data to piggyback on the FE→BE handshake.
@@ -59,35 +59,190 @@ pub type UnpackFn = Box<dyn Fn(&[u8]) + Send>;
 /// [`LmonFrontEnd::set_handshake_timeout`]).
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Per-session FE runtime state (channels, callbacks, timing).
+/// One live session's front-end record: the paper's session resource
+/// descriptor (§3.2). It lives from `create_session` to `kill`/`detach`,
+/// which drop it and keep only an [`EndedSession`].
 ///
 /// The channels are mux endpoints (or fault-injecting wrappers around
 /// them), never dedicated connections: every session's LMONP traffic rides
 /// the one physical link its component pair shares.
-struct FeSessionRt {
+struct FeSession {
+    state: SessionState,
+    /// The session's security cookie (passed to daemons via the RM).
+    cookie: SessionCookie,
     /// `Arc` rather than `Box`: the usrdata API clones the handle out and
-    /// releases the runtimes lock *before* blocking, so one session's wait
+    /// releases the sessions lock *before* blocking, so one session's wait
     /// never serializes another session's traffic.
     be_chan: Option<Arc<dyn MsgChannel>>,
     mw_chan: Option<Arc<dyn MsgChannel>>,
-    timeline: TimelineRecorder,
+    /// Tool callbacks; they run under the sessions lock, so they must not
+    /// call back into the front end.
     pack: Option<PackFn>,
     unpack: Option<UnpackFn>,
-    /// The engine-encoded RPDTAB wire bytes, kept as a refcounted view so
-    /// every later forward (BeRpdtab, MwRpdtab) is a clone, not a
-    /// re-serialization of the whole table.
-    rpdtab_bytes: Option<lmon_proto::Bytes>,
+    timeline: TimelineRecorder,
+    /// The RPDTAB reply's wire bytes, a refcounted view: every later
+    /// forward (BeRpdtab, MwRpdtab) is a clone, and `get_proctable`
+    /// decodes it.
+    rpdtab: Option<lmon_proto::Bytes>,
+    /// Created by the first recorded transition; rings at
+    /// [`crate::health::DEFAULT_HISTORY_CAP`].
+    health: Option<HealthMonitor>,
 }
 
-impl FeSessionRt {
-    fn new() -> Self {
-        FeSessionRt {
+impl FeSession {
+    fn new(cookie: SessionCookie) -> Self {
+        FeSession {
+            state: SessionState::Created,
+            cookie,
             be_chan: None,
             mw_chan: None,
-            timeline: TimelineRecorder::new(),
             pack: None,
             unpack: None,
-            rpdtab_bytes: None,
+            timeline: TimelineRecorder::new(),
+            rpdtab: None,
+            health: None,
+        }
+    }
+
+    /// Apply a state transition, validating legality.
+    fn transition(&mut self, next: SessionState) -> LmonResult<()> {
+        if !self.state.can_transition_to(next) {
+            return Err(LmonError::BadSessionState {
+                expected: next.name(),
+                actual: self.state.name(),
+            });
+        }
+        self.state = next;
+        Ok(())
+    }
+}
+
+/// What is kept of a session after it ends, so a tool can still ask how it
+/// ended ("did that session degrade?") right after `kill`/`detach`.
+struct EndedSession {
+    id: SessionId,
+    /// `Killed` or `Detached`.
+    state: SessionState,
+    timeline: TimelineRecorder,
+    health: Option<HealthMonitor>,
+}
+
+/// Ended sessions kept after kill/detach: enough for "inspect the session
+/// you just ended" workflows without growing with daemon lifetime.
+const ENDED_SESSION_CAP: usize = 64;
+
+/// The front end's session descriptor table: every live session's record,
+/// plus a FIFO of the [`ENDED_SESSION_CAP`] most recently ended ones. A
+/// front end that serves millions of sessions keeps nothing else per
+/// session.
+#[derive(Default)]
+struct Sessions {
+    /// The next id to hand out (skipping live ones once it wraps).
+    next_id: u32,
+    live: HashMap<SessionId, FeSession>,
+    ended: VecDeque<EndedSession>,
+    /// Lifetime health transitions recorded.
+    health_recorded: u64,
+    /// Transitions inside monitors of ended sessions that aged out of the
+    /// ended tier.
+    health_evicted: u64,
+}
+
+impl Sessions {
+    /// Create a session with the given cookie under a fresh id. After 2³²
+    /// sessions the counter wraps; ids of sessions still live are skipped.
+    fn create(&mut self, cookie: SessionCookie) -> SessionId {
+        while self.live.contains_key(&SessionId(self.next_id)) {
+            self.next_id = self.next_id.wrapping_add(1);
+        }
+        let id = SessionId(self.next_id);
+        self.next_id = self.next_id.wrapping_add(1);
+        self.live.insert(id, FeSession::new(cookie));
+        id
+    }
+
+    /// What a live or recently ended session still has: its state,
+    /// timeline and health monitor.
+    fn view(
+        &self,
+        id: SessionId,
+    ) -> LmonResult<(SessionState, &TimelineRecorder, Option<&HealthMonitor>)> {
+        if let Some(s) = self.live.get(&id) {
+            return Ok((s.state, &s.timeline, s.health.as_ref()));
+        }
+        let ended = self.ended.iter().rev().find(|e| e.id == id);
+        let e = ended.ok_or(LmonError::NoSuchSession(id.0))?;
+        Ok((e.state, &e.timeline, e.health.as_ref()))
+    }
+
+    fn state(&self, id: SessionId) -> LmonResult<SessionState> {
+        self.view(id).map(|(state, ..)| state)
+    }
+
+    fn monitor(&self, id: SessionId) -> Option<&HealthMonitor> {
+        self.view(id).ok().and_then(|(.., health)| health)
+    }
+
+    /// The live record; an ended session is a state error, an unknown one
+    /// `NoSuchSession`.
+    fn live(&self, id: SessionId) -> LmonResult<&FeSession> {
+        if let Some(session) = self.live.get(&id) {
+            return Ok(session);
+        }
+        let ended = self.state(id)?;
+        Err(LmonError::BadSessionState { expected: "a live session", actual: ended.name() })
+    }
+
+    fn live_mut(&mut self, id: SessionId) -> LmonResult<&mut FeSession> {
+        self.live(id)?;
+        Ok(self.live.get_mut(&id).expect("checked above"))
+    }
+
+    /// Record a health transition on a live session; an ended session's
+    /// health is final, so a transition for it (or for an unknown id) is
+    /// dropped.
+    fn record_health(&mut self, id: SessionId, state: HealthState, epoch: u64, detail: String) {
+        if let Some(session) = self.live.get_mut(&id) {
+            session.health.get_or_insert_with(HealthMonitor::default).record(state, epoch, detail);
+            self.health_recorded += 1;
+        }
+    }
+
+    /// End a live session: move it to `state` and drop its record —
+    /// channels (the peer sees a clean per-session disconnect and the mux
+    /// accounting reflects only live sessions), callbacks (which can
+    /// capture arbitrarily large tool state) and the O(tasks) RPDTAB view —
+    /// keeping an [`EndedSession`]. The oldest ended session beyond
+    /// [`ENDED_SESSION_CAP`] is forgotten (its transitions counted, not
+    /// kept).
+    fn end(&mut self, id: SessionId, state: SessionState) -> LmonResult<()> {
+        self.live_mut(id)?.transition(state)?;
+        let FeSession { timeline, health, .. } = self.live.remove(&id).expect("checked above");
+        self.ended.push_back(EndedSession { id, state, timeline, health });
+        while self.ended.len() > ENDED_SESSION_CAP {
+            if let Some(old) = self.ended.pop_front() {
+                self.health_evicted += old.health.map_or(0, |m| m.retained() as u64);
+            }
+        }
+        Ok(())
+    }
+
+    fn health_summary(&self) -> HealthSummary {
+        let live = || self.live.values().filter_map(|s| s.health.as_ref());
+        let ended = || self.ended.iter().filter_map(|e| e.health.as_ref());
+        let monitors = || live().chain(ended());
+        let live_in = |state| live().filter(|m| m.current() == state).count();
+        HealthSummary {
+            live_sessions: live().count(),
+            retired_sessions: ended().count(),
+            degraded_sessions: live_in(HealthState::Degraded),
+            healed_sessions: live_in(HealthState::Healed),
+            draining_sessions: live_in(HealthState::Draining),
+            upgraded_sessions: live_in(HealthState::Upgraded),
+            transitions_retained: monitors().map(|m| m.retained()).sum(),
+            transitions_recorded: self.health_recorded,
+            transitions_dropped: monitors().map(|m| m.dropped_total()).sum::<u64>()
+                + self.health_evicted,
         }
     }
 }
@@ -145,7 +300,7 @@ pub struct HealthSummary {
     /// Monitors retained for recently detached/killed sessions (bounded).
     pub retired_sessions: usize,
     /// Live sessions currently in [`HealthState::Degraded`]; ended
-    /// sessions in the retired tier are not counted in any state.
+    /// sessions are not counted in any state.
     pub degraded_sessions: usize,
     /// Live sessions currently in [`HealthState::Healed`].
     pub healed_sessions: usize,
@@ -160,84 +315,8 @@ pub struct HealthSummary {
     /// Lifetime transitions recorded, including evicted ones.
     pub transitions_recorded: u64,
     /// Lifetime transitions no longer in memory (per-session ring
-    /// evictions plus whole retired monitors aged out).
+    /// evictions plus whole monitors of ended sessions aged out).
     pub transitions_dropped: u64,
-}
-
-/// Health bookkeeping behind the FE's session-health API.
-///
-/// Two bounded tiers keep a multi-year daemon's memory flat:
-/// * `live` — one ring-buffered [`HealthMonitor`] per session that has
-///   recorded a transition; retired when the session detaches or is killed.
-/// * `retired` — monitors of recently ended sessions, so tools can still
-///   ask "did that session degrade?" right after detach; the oldest is
-///   dropped (its transitions counted, not kept) beyond `retired_cap`.
-struct HealthLedger {
-    /// Each monitor rings at [`crate::health::DEFAULT_HISTORY_CAP`].
-    live: HashMap<SessionId, HealthMonitor>,
-    retired: VecDeque<(SessionId, HealthMonitor)>,
-    /// Bound on `retired`.
-    retired_cap: usize,
-    recorded_total: u64,
-    /// Transitions inside retired monitors that aged out of the ring.
-    evicted_transitions: u64,
-}
-
-/// Retired monitors kept after detach (enough for "inspect the session you
-/// just ended" workflows without growing with daemon lifetime).
-const RETIRED_HEALTH_CAP: usize = 64;
-
-impl HealthLedger {
-    fn new() -> Self {
-        HealthLedger {
-            live: HashMap::new(),
-            retired: VecDeque::new(),
-            retired_cap: RETIRED_HEALTH_CAP,
-            recorded_total: 0,
-            evicted_transitions: 0,
-        }
-    }
-
-    fn record(&mut self, session: SessionId, state: HealthState, epoch: u64, detail: String) {
-        self.live.entry(session).or_default().record(state, epoch, detail);
-        self.recorded_total += 1;
-    }
-
-    fn monitor(&self, session: SessionId) -> Option<&HealthMonitor> {
-        self.live
-            .get(&session)
-            .or_else(|| self.retired.iter().rev().find(|(s, _)| *s == session).map(|(_, m)| m))
-    }
-
-    /// Move a session's monitor to the bounded retired tier (no-op for
-    /// sessions that never recorded a transition).
-    fn retire(&mut self, session: SessionId) {
-        if let Some(monitor) = self.live.remove(&session) {
-            self.retired.push_back((session, monitor));
-            while self.retired.len() > self.retired_cap {
-                if let Some((_, old)) = self.retired.pop_front() {
-                    self.evicted_transitions += old.retained() as u64;
-                }
-            }
-        }
-    }
-
-    fn summary(&self) -> HealthSummary {
-        let monitors = || self.live.values().chain(self.retired.iter().map(|(_, m)| m));
-        let ring_dropped: u64 = monitors().map(|m| m.dropped_total()).sum();
-        let live_in = |state| self.live.values().filter(|m| m.current() == state).count();
-        HealthSummary {
-            live_sessions: self.live.len(),
-            retired_sessions: self.retired.len(),
-            degraded_sessions: live_in(HealthState::Degraded),
-            healed_sessions: live_in(HealthState::Healed),
-            draining_sessions: live_in(HealthState::Draining),
-            upgraded_sessions: live_in(HealthState::Upgraded),
-            transitions_retained: monitors().map(|m| m.retained()).sum(),
-            transitions_recorded: self.recorded_total,
-            transitions_dropped: ring_dropped + self.evicted_transitions,
-        }
-    }
 }
 
 /// The front end: the tool's handle on all of LaunchMON.
@@ -245,8 +324,8 @@ pub struct LmonFrontEnd {
     rm: Arc<dyn ResourceManager>,
     engine: EngineEndpoint,
     engine_pid: Pid,
-    sessions: Mutex<SessionTable>,
-    runtimes: Mutex<HashMap<SessionId, FeSessionRt>>,
+    /// Every per-session byte the front end holds, under one lock.
+    sessions: Mutex<Sessions>,
     /// FE side of the single FE↔BE-component link; one logical session per
     /// tool session rides it.
     be_mux: SessionMux,
@@ -262,9 +341,6 @@ pub struct LmonFrontEnd {
     handshake_fault: Mutex<Option<FrameFaultPlan>>,
     /// Receive deadline for handshake and control replies.
     handshake_timeout: Mutex<Duration>,
-    /// Per-session overlay health (degraded → healed transitions recorded
-    /// by recovery-aware integration layers), bounded for daemon lifetimes.
-    health: Mutex<HealthLedger>,
 }
 
 impl LmonFrontEnd {
@@ -277,20 +353,19 @@ impl LmonFrontEnd {
             rm,
             engine,
             engine_pid,
-            sessions: Mutex::new(SessionTable::new()),
-            runtimes: Mutex::new(HashMap::new()),
+            sessions: Mutex::default(),
             be_mux,
             be_mux_far,
             mw_mux,
             mw_mux_far,
             handshake_fault: Mutex::new(None),
             handshake_timeout: Mutex::new(HANDSHAKE_TIMEOUT),
-            health: Mutex::new(HealthLedger::new()),
         })
     }
 
     /// Record a session health transition (called by recovery-aware
-    /// integration layers when the overlay degrades or heals).
+    /// integration layers when the overlay degrades or heals). Only a live
+    /// session takes one: an ended session's health is final.
     pub fn record_session_health(
         &self,
         session: SessionId,
@@ -298,21 +373,21 @@ impl LmonFrontEnd {
         epoch: u64,
         detail: impl Into<String>,
     ) {
-        self.health.lock().record(session, state, epoch, detail.into());
+        self.sessions.lock().record_health(session, state, epoch, detail.into());
     }
 
     /// The session's current health ([`HealthState::Healthy`] when no
     /// transition was ever recorded). Readable for a bounded grace window
-    /// after detach/kill: the monitor is retired, not dropped, and survives
-    /// until `RETIRED_HEALTH_CAP` (64) newer sessions have also ended.
+    /// after detach/kill: the ended session keeps its monitor until
+    /// `ENDED_SESSION_CAP` (64) newer sessions have also ended.
     pub fn session_health(&self, session: SessionId) -> HealthState {
-        self.health.lock().monitor(session).map(|m| m.current()).unwrap_or(HealthState::Healthy)
+        self.sessions.lock().monitor(session).map(|m| m.current()).unwrap_or(HealthState::Healthy)
     }
 
     /// The session's retained health history, oldest transition first (at
     /// most the monitor's ring capacity; see [`HealthMonitor`]).
     pub fn session_health_history(&self, session: SessionId) -> Vec<HealthTransition> {
-        self.health
+        self.sessions
             .lock()
             .monitor(session)
             .map(|m| m.history().cloned().collect())
@@ -322,7 +397,7 @@ impl LmonFrontEnd {
     /// Aggregate health bookkeeping across all sessions, for metrics export
     /// and for asserting the daemon-lifetime memory bound.
     pub fn health_summary(&self) -> HealthSummary {
-        self.health.lock().summary()
+        self.sessions.lock().health_summary()
     }
 
     /// The resource manager behind this front end.
@@ -365,27 +440,18 @@ impl LmonFrontEnd {
 
     /// `LMON_fe_createSession`.
     pub fn create_session(&self) -> SessionId {
-        let cookie = SessionCookie::mint();
-        let id = self.sessions.lock().create(cookie);
-        self.runtimes.lock().insert(id, FeSessionRt::new());
-        id
+        self.sessions.lock().create(SessionCookie::mint())
     }
 
     /// Register the pack callback for FE→BE piggybacked data.
     pub fn register_pack(&self, session: SessionId, pack: PackFn) -> LmonResult<()> {
-        self.sessions.lock().get(session)?;
-        if let Some(rt) = self.runtimes.lock().get_mut(&session) {
-            rt.pack = Some(pack);
-        }
+        self.sessions.lock().live_mut(session)?.pack = Some(pack);
         Ok(())
     }
 
     /// Register the unpack callback for BE→FE piggybacked data.
     pub fn register_unpack(&self, session: SessionId, unpack: UnpackFn) -> LmonResult<()> {
-        self.sessions.lock().get(session)?;
-        if let Some(rt) = self.runtimes.lock().get_mut(&session) {
-            rt.unpack = Some(unpack);
-        }
+        self.sessions.lock().live_mut(session)?.unpack = Some(unpack);
         Ok(())
     }
 
@@ -402,7 +468,7 @@ impl LmonFrontEnd {
         daemon: DaemonSpec,
         be_main: BeMain,
     ) -> LmonResult<LaunchOutcome> {
-        let timeline = self.session_timeline(session)?;
+        let timeline = self.sessions.lock().live(session)?.timeline.clone();
         timeline.mark(CriticalEvent::E0ClientCall);
 
         let req = LaunchRequest {
@@ -425,7 +491,7 @@ impl LmonFrontEnd {
         daemon: DaemonSpec,
         be_main: BeMain,
     ) -> LmonResult<LaunchOutcome> {
-        let timeline = self.session_timeline(session)?;
+        let timeline = self.sessions.lock().live(session)?.timeline.clone();
         timeline.mark(CriticalEvent::E0ClientCall);
 
         let req = AttachRequest { launcher_pid: launcher_pid.0, daemon: daemon.clone() };
@@ -443,14 +509,14 @@ impl LmonFrontEnd {
         be_main: BeMain,
         timeline: TimelineRecorder,
     ) -> LmonResult<LaunchOutcome> {
-        let cookie = self.sessions.lock().get(session)?.cookie;
+        let cookie = self.sessions.lock().live(session)?.cookie;
 
         // The master daemon's LMONP channel: a logical session over the one
         // physical FE↔BE link (one representative per component, §3.5 — and
         // one *channel* per component no matter how many sessions ride it).
         // Delivered to the master through the wrapped body. The FE side is
         // Arc'd so the usrdata API can block on it without holding the
-        // runtimes lock.
+        // sessions lock.
         let fe_chan: Arc<dyn MsgChannel> = {
             let ep = self.be_mux.open(session.0)?;
             match self.handshake_fault.lock().take() {
@@ -475,19 +541,14 @@ impl LmonFrontEnd {
         self.transition(session, SessionState::EngineAttached)?;
         self.expect_reply(&rpdtab_reply, MsgType::EngineRpdtab)?;
         let rpdtab: Rpdtab = rpdtab_reply.decode_lmon()?;
-        // Keep the engine-encoded bytes: BeRpdtab (and later MwRpdtab)
-        // forward this exact refcounted view instead of re-encoding the
-        // table — O(tasks) serialization happens once per launch, in the
-        // engine.
+        // Keep the launcher's bytes: BeRpdtab (and later MwRpdtab) forward
+        // this exact refcounted view instead of re-encoding the table.
         let rpdtab_bytes = rpdtab_reply.lmon.clone();
-        self.transition(session, SessionState::JobStopped)?;
         {
             let mut sessions = self.sessions.lock();
-            let entry = sessions.get_mut(session)?;
-            entry.rpdtab = Some(rpdtab.clone());
-        }
-        if let Some(rt) = self.runtimes.lock().get_mut(&session) {
-            rt.rpdtab_bytes = Some(rpdtab_bytes.clone());
+            let record = sessions.live_mut(session)?;
+            record.transition(SessionState::JobStopped)?;
+            record.rpdtab = Some(rpdtab_bytes.clone());
         }
 
         // Overlap window: while the engine is still spawning daemons, run
@@ -528,7 +589,6 @@ impl LmonFrontEnd {
         let master_info: DaemonInfo = ack.decode_lmon()?;
         let master_bytes = ack.lmon.clone();
         self.transition(session, SessionState::DaemonsSpawned)?;
-        self.sessions.lock().get_mut(session)?.be_count = master_info.size as usize;
 
         // Serialized remainder of the BE handshake (e7..e10). e7 lands
         // after the spawn ack — hence after e6 — keeping the critical path
@@ -545,18 +605,17 @@ impl LmonFrontEnd {
             self.hs_timeout(),
         )?;
         if !ready.usr.is_empty() {
-            if let Some(rt) = self.runtimes.lock().get(&session) {
-                if let Some(unpack) = rt.unpack.as_ref() {
-                    unpack(&ready.usr);
-                }
+            if let Some(unpack) = self.sessions.lock().live(session)?.unpack.as_ref() {
+                unpack(&ready.usr);
             }
         }
         timeline.mark(CriticalEvent::E10Ready);
-        self.transition(session, SessionState::Ready)?;
-
-        // Stash the channel for later usrdata traffic.
-        if let Some(rt) = self.runtimes.lock().get_mut(&session) {
-            rt.be_chan = Some(fe_chan);
+        {
+            // Ready, with the channel stashed for later usrdata traffic.
+            let mut sessions = self.sessions.lock();
+            let record = sessions.live_mut(session)?;
+            record.transition(SessionState::Ready)?;
+            record.be_chan = Some(fe_chan);
         }
         timeline.mark(CriticalEvent::E11Returned);
 
@@ -578,25 +637,14 @@ impl LmonFrontEnd {
         daemon: DaemonSpec,
         mw_main: MwMain,
     ) -> LmonResult<MwOutcome> {
-        let cookie = self.sessions.lock().get(session)?.cookie;
-        // Prefer the engine-encoded wire bytes stashed at launch; fall back
-        // to encoding the decoded table (or an empty one) only when a
-        // session never went through spawn_common.
-        let rpdtab_bytes: lmon_proto::Bytes = self
-            .runtimes
-            .lock()
-            .get(&session)
-            .and_then(|rt| rt.rpdtab_bytes.clone())
-            .unwrap_or_else(|| {
-                let table = self
-                    .sessions
-                    .lock()
-                    .get(session)
-                    .ok()
-                    .and_then(|s| s.rpdtab.clone())
-                    .unwrap_or_else(Rpdtab::empty);
-                LmonpMsg::of_type(MsgType::MwRpdtab).with_lmon(&table).lmon
-            });
+        // The RPDTAB bytes stashed at launch; a session that never launched
+        // hands its middleware an empty table.
+        let (cookie, rpdtab_bytes) = {
+            let sessions = self.sessions.lock();
+            let record = sessions.live(session)?;
+            (record.cookie, record.rpdtab.clone())
+        };
+        let rpdtab_bytes = rpdtab_bytes.unwrap_or_else(|| Rpdtab::empty().to_bytes().into());
 
         // One logical MW session over the single FE↔MW link.
         let fe_chan: Arc<dyn MsgChannel> = Arc::new(self.mw_mux.open(session.0)?);
@@ -633,22 +681,22 @@ impl LmonFrontEnd {
             self.hs_timeout(),
         )?;
 
-        if let Some(rt) = self.runtimes.lock().get_mut(&session) {
-            rt.mw_chan = Some(fe_chan);
-        }
-        self.sessions.lock().get_mut(session)?.mw_count = master_info.size as usize;
+        self.sessions.lock().live_mut(session)?.mw_chan = Some(fe_chan);
 
         Ok(MwOutcome { daemon_count: master_info.size as usize, master: master_info })
     }
 
     /// `LMON_fe_getProctable`.
     pub fn get_proctable(&self, session: SessionId) -> LmonResult<Rpdtab> {
-        self.sessions
-            .lock()
-            .get(session)?
-            .rpdtab
-            .clone()
-            .ok_or(LmonError::BadSessionState { expected: "JobStopped+", actual: "no RPDTAB" })
+        let bytes = {
+            let sessions = self.sessions.lock();
+            let record = sessions.live(session)?;
+            record.rpdtab.clone().ok_or(LmonError::BadSessionState {
+                expected: "JobStopped+",
+                actual: record.state.name(),
+            })?
+        };
+        Ok(Rpdtab::from_bytes(&bytes)?)
     }
 
     /// Send tool data to the BE master (`LMON_fe_sendUsrDataBe`).
@@ -681,29 +729,34 @@ impl LmonFrontEnd {
         let wire = LmonpMsg::of_type(MsgType::FeDetachReq);
         let reply = self.engine_reply(EngineCommand::control(session, wire))?;
         self.expect_status(&reply, JobStatus::Detached)?;
-        self.transition(session, SessionState::Detached)?;
-        self.close_session_channels(session);
-        Ok(())
+        self.sessions.lock().end(session, SessionState::Detached)
     }
 
     /// `LMON_fe_kill`: destroy the job and all daemons.
+    ///
+    /// The session ends whatever the engine answers: after a failed launch
+    /// the engine has already killed the job and answers "no job", and the
+    /// record must not stay behind. The engine's error is still returned.
     pub fn kill(&self, session: SessionId) -> LmonResult<()> {
         let wire = LmonpMsg::of_type(MsgType::FeKillReq);
-        let reply = self.engine_reply(EngineCommand::control(session, wire))?;
-        self.expect_status(&reply, JobStatus::Killed)?;
-        self.transition(session, SessionState::Killed)?;
-        self.close_session_channels(session);
-        Ok(())
+        let killed = self
+            .engine_reply(EngineCommand::control(session, wire))
+            .and_then(|reply| self.expect_status(&reply, JobStatus::Killed));
+        let ended = self.sessions.lock().end(session, SessionState::Killed);
+        killed.and(ended)
     }
 
-    /// The session's critical-path recorder.
+    /// The session's critical-path recorder (kept for a while after the
+    /// session ends, like its state).
     pub fn timeline(&self, session: SessionId) -> LmonResult<TimelineRecorder> {
-        self.session_timeline(session)
+        self.sessions.lock().view(session).map(|(_, timeline, _)| timeline.clone())
     }
 
-    /// Current session state.
+    /// Current session state; an ended session reads `Killed` or
+    /// `Detached` until `ENDED_SESSION_CAP` (64) newer sessions have also
+    /// ended, and `NoSuchSession` after that.
     pub fn session_state(&self, session: SessionId) -> LmonResult<SessionState> {
-        Ok(self.sessions.lock().get(session)?.state)
+        self.sessions.lock().state(session)
     }
 
     /// Shut down the engine and the FE runtime.
@@ -721,15 +774,13 @@ impl LmonFrontEnd {
     // --- helpers ---------------------------------------------------------
 
     /// Clone out one of the session's master-channel handles, releasing the
-    /// runtimes lock before the caller blocks on it.
+    /// sessions lock before the caller blocks on it.
     fn master_channel(
         &self,
         session: SessionId,
-        which: fn(&FeSessionRt) -> &Option<Arc<dyn MsgChannel>>,
+        which: fn(&FeSession) -> &Option<Arc<dyn MsgChannel>>,
     ) -> LmonResult<Arc<dyn MsgChannel>> {
-        let runtimes = self.runtimes.lock();
-        let rt = runtimes.get(&session).ok_or(LmonError::NoSuchSession(session.0))?;
-        which(rt).clone().ok_or(LmonError::BadSessionState {
+        which(self.sessions.lock().live(session)?).clone().ok_or(LmonError::BadSessionState {
             expected: "daemons launched",
             actual: "no master channel",
         })
@@ -737,36 +788,13 @@ impl LmonFrontEnd {
 
     /// The session's pack callback's output, piggybacked on launch info.
     fn packed(&self, session: SessionId) -> Vec<u8> {
-        let runtimes = self.runtimes.lock();
-        runtimes
-            .get(&session)
-            .and_then(|rt| rt.pack.as_ref())
+        let sessions = self.sessions.lock();
+        sessions
+            .live(session)
+            .ok()
+            .and_then(|s| s.pack.as_ref())
             .map(|pack| pack())
             .unwrap_or_default()
-    }
-
-    /// Drop a terminal session's mux endpoints so its logical sub-streams
-    /// close (the peer sees a clean per-session disconnect) and the mux
-    /// accounting reflects only live sessions. Health state is retired into
-    /// the bounded ledger tier at the same moment: a front end that serves
-    /// millions of sessions must not keep per-session state for dead ones.
-    fn close_session_channels(&self, session: SessionId) {
-        if let Some(rt) = self.runtimes.lock().get_mut(&session) {
-            rt.be_chan = None;
-            rt.mw_chan = None;
-            // The pack/unpack closures can capture arbitrarily large tool
-            // state; a detached session must not pin it for daemon lifetime.
-            rt.pack = None;
-            rt.unpack = None;
-            // Same for the O(tasks) encoded proctable view.
-            rt.rpdtab_bytes = None;
-        }
-        // ... and for the decoded table: `get_proctable` on a terminal
-        // session is a state error, not a read of a job that is gone.
-        if let Ok(entry) = self.sessions.lock().get_mut(session) {
-            entry.rpdtab = None;
-        }
-        self.health.lock().retire(session);
     }
 
     /// A command the engine answers with exactly one reply.
@@ -775,13 +803,8 @@ impl LmonFrontEnd {
         replies.into_iter().next().ok_or(LmonError::Timeout("waiting for engine reply"))
     }
 
-    fn session_timeline(&self, session: SessionId) -> LmonResult<TimelineRecorder> {
-        self.sessions.lock().get(session)?;
-        Ok(self.runtimes.lock().get(&session).map(|rt| rt.timeline.clone()).unwrap_or_default())
-    }
-
     fn transition(&self, session: SessionId, next: SessionState) -> LmonResult<()> {
-        self.sessions.lock().get_mut(session)?.transition(next)
+        self.sessions.lock().live_mut(session)?.transition(next)
     }
 
     fn expect_reply(&self, reply: &LmonpMsg, want: MsgType) -> LmonResult<()> {
@@ -833,30 +856,87 @@ fn spawn_command(
 mod tests {
     use super::*;
 
-    /// The long-lived-daemon regression (ISSUE 7): 10k sessions that each
-    /// record health and then detach must leave only the bounded retired
-    /// tier behind — not 10k monitors.
+    fn sessions_with(n: usize) -> (Sessions, Vec<SessionId>) {
+        let mut sessions = Sessions::default();
+        let ids = (0..n).map(|i| sessions.create(SessionCookie::mint_seeded(i as u64))).collect();
+        (sessions, ids)
+    }
+
     #[test]
-    fn health_ledger_memory_bounded_across_10k_record_detach_cycles() {
-        let mut ledger = HealthLedger::new();
-        for i in 0..10_000u32 {
-            let session = SessionId(i);
-            ledger.record(session, HealthState::Degraded, 0, format!("fault in {i}"));
-            ledger.record(session, HealthState::Healed, 1, "repaired".into());
-            ledger.retire(session);
+    fn ids_are_unique_and_dense() {
+        let (sessions, ids) = sessions_with(2);
+        assert_eq!(ids, [SessionId(0), SessionId(1)]);
+        assert_eq!(sessions.live.len(), 2);
+    }
+
+    /// The id counter wraps after 2³² sessions; a session still live under
+    /// a low id must not be handed out again (its record would be
+    /// overwritten and its mux link id refused).
+    #[test]
+    fn ids_skip_live_sessions_after_the_counter_wraps() {
+        let (mut sessions, ids) = sessions_with(1);
+        sessions.next_id = u32::MAX - 1;
+        let next: Vec<u32> =
+            (0..3).map(|i| sessions.create(SessionCookie::mint_seeded(i)).0).collect();
+        assert_eq!(next, [u32::MAX - 1, u32::MAX, 1], "live session {} is skipped", ids[0].0);
+        assert_eq!(sessions.live.len(), 4);
+    }
+
+    #[test]
+    fn transitions_are_checked_and_ending_leaves_a_terminal_state() {
+        let (mut sessions, ids) = sessions_with(1);
+        let id = ids[0];
+        let err = sessions.live_mut(id).unwrap().transition(SessionState::Ready).unwrap_err();
+        assert!(matches!(err, LmonError::BadSessionState { expected: "Ready", actual: "Created" }));
+        assert!(sessions.end(id, SessionState::Detached).is_err(), "detach only from Ready");
+        assert_eq!(sessions.state(id).unwrap(), SessionState::Created);
+        sessions.end(id, SessionState::Killed).unwrap();
+        assert_eq!(sessions.state(id).unwrap(), SessionState::Killed);
+        assert!(matches!(sessions.live(id), Err(LmonError::BadSessionState { .. })));
+        assert!(sessions.end(id, SessionState::Killed).is_err(), "an ended session stays ended");
+        assert!(matches!(sessions.state(SessionId(9)), Err(LmonError::NoSuchSession(9))));
+    }
+
+    /// The long-lived-daemon regression: 10k sessions that each record
+    /// health and then end must leave only the bounded ended tier behind —
+    /// no live records, not 10k monitors.
+    #[test]
+    fn ten_thousand_ended_sessions_leave_only_the_ended_tier() {
+        let mut sessions = Sessions::default();
+        for i in 0..10_000u64 {
+            let id = sessions.create(SessionCookie::mint_seeded(i));
+            sessions.record_health(id, HealthState::Degraded, 0, format!("fault in {i}"));
+            sessions.record_health(id, HealthState::Healed, 1, "repaired".into());
+            sessions.end(id, SessionState::Killed).unwrap();
         }
-        let s = ledger.summary();
-        assert_eq!(s.live_sessions, 0, "every detached session left the live tier");
-        assert_eq!(s.retired_sessions, RETIRED_HEALTH_CAP, "retired tier is bounded");
-        assert_eq!(s.transitions_retained, RETIRED_HEALTH_CAP * 2);
+        assert!(sessions.live.is_empty(), "every ended session left the live map");
+        assert_eq!(sessions.ended.len(), ENDED_SESSION_CAP, "the ended tier is bounded");
+        let s = sessions.health_summary();
+        assert_eq!(s.live_sessions, 0);
+        assert_eq!(s.retired_sessions, ENDED_SESSION_CAP);
+        assert_eq!(s.transitions_retained, ENDED_SESSION_CAP * 2);
         assert_eq!(s.transitions_recorded, 20_000);
-        assert_eq!(s.transitions_dropped, 20_000 - (RETIRED_HEALTH_CAP as u64) * 2);
+        assert_eq!(s.transitions_dropped, 20_000 - (ENDED_SESSION_CAP as u64) * 2);
         // Recently ended sessions remain queryable; ancient ones are gone.
-        assert_eq!(
-            ledger.monitor(SessionId(9_999)).map(|m| m.current()),
-            Some(HealthState::Healed)
-        );
-        assert!(ledger.monitor(SessionId(0)).is_none());
+        let last = SessionId(9_999);
+        assert_eq!(sessions.monitor(last).map(|m| m.current()), Some(HealthState::Healed));
+        assert_eq!(sessions.state(last).unwrap(), SessionState::Killed);
+        assert!(sessions.monitor(SessionId(0)).is_none());
+        assert!(matches!(sessions.state(SessionId(0)), Err(LmonError::NoSuchSession(0))));
+    }
+
+    /// An ended session's health is final: a late transition neither
+    /// changes it nor brings back a live monitor.
+    #[test]
+    fn health_recorded_after_the_end_is_dropped() {
+        let (mut sessions, ids) = sessions_with(1);
+        sessions.record_health(ids[0], HealthState::Degraded, 0, "fault".into());
+        sessions.end(ids[0], SessionState::Killed).unwrap();
+        sessions.record_health(ids[0], HealthState::Healed, 1, "late".into());
+        sessions.record_health(SessionId(7), HealthState::Healed, 1, "unknown".into());
+        assert_eq!(sessions.monitor(ids[0]).map(|m| m.current()), Some(HealthState::Degraded));
+        let s = sessions.health_summary();
+        assert_eq!((s.live_sessions, s.retired_sessions, s.transitions_recorded), (0, 1, 1));
     }
 
     /// Per-session flapping is bounded by the monitor ring even while the
@@ -864,12 +944,11 @@ mod tests {
     #[test]
     fn live_session_history_is_ring_bounded() {
         use crate::health::DEFAULT_HISTORY_CAP;
-        let mut ledger = HealthLedger::new();
-        let session = SessionId(7);
+        let (mut sessions, ids) = sessions_with(1);
         for epoch in 0..1_000u64 {
-            ledger.record(session, HealthState::Degraded, epoch, "flap".into());
+            sessions.record_health(ids[0], HealthState::Degraded, epoch, "flap".into());
         }
-        let m = ledger.monitor(session).unwrap();
+        let m = sessions.monitor(ids[0]).unwrap();
         assert_eq!(m.retained(), DEFAULT_HISTORY_CAP);
         assert_eq!(m.dropped_total(), 1_000 - DEFAULT_HISTORY_CAP as u64);
     }

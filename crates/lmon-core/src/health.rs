@@ -15,8 +15,9 @@
 //! [`DEFAULT_HISTORY_CAP`] transitions (configurable via
 //! [`HealthMonitor::with_capacity`]), with the oldest evicted first and the
 //! eviction count surfaced through [`HealthMonitor::dropped_total`]. The
-//! front end additionally retires whole monitors when their session
-//! detaches (see `LmonFrontEnd::session_health` docs), so health state for
+//! monitor lives in its session's front-end record, which leaves when the
+//! session is killed or detached; only the 64 most recently ended sessions
+//! are kept (see `LmonFrontEnd::session_health` docs), so health state for
 //! dead sessions cannot accumulate either.
 
 use std::collections::VecDeque;

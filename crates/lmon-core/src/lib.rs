@@ -31,9 +31,10 @@
 //! really differs — what the launch info contains, the broadcast sequence,
 //! the timeline marks, the session types.
 //!
-//! * **[`session`]** — session descriptors binding FE calls to daemon
-//!   groups (§3.2: "we use a session, an abstraction for a group of
-//!   daemons associated with a job, to provide the binding method").
+//! * **[`session`]** — session ids and lifecycle states binding FE calls to
+//!   daemon groups (§3.2: "we use a session, an abstraction for a group of
+//!   daemons associated with a job, to provide the binding method"); the
+//!   descriptor table is [`fe`]'s one session map.
 //! * **[`timeline`]** — critical-path instrumentation capturing the §4
 //!   model's events e0..e11 on every launch, so real runs produce the same
 //!   breakdown the paper's Figure 3 reports.

@@ -4,13 +4,11 @@
 //! associated with a job, to provide the binding method. Most FE API
 //! procedures ... include a session parameter. ... Internally, the
 //! front-end runtime maintains a session resource descriptor table."
-
-use std::collections::HashMap;
-
-use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::security::SessionCookie;
-
-use crate::error::{LmonError, LmonResult};
+//!
+//! This module holds a session's name and its lifecycle. The descriptor
+//! table itself is the front end's one session map (`crate::fe`): one
+//! record per live session, dropped when the session is killed or
+//! detached.
 
 /// Identifier of a session in the FE's descriptor table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,155 +71,38 @@ impl SessionState {
     }
 }
 
-/// Per-session descriptor held by the front-end runtime.
-#[derive(Debug)]
-pub struct SessionDesc {
-    /// The session id.
-    pub id: SessionId,
-    /// Current lifecycle state.
-    pub state: SessionState,
-    /// The session's security cookie (passed to daemons via the RM).
-    pub cookie: SessionCookie,
-    /// The RPDTAB once fetched.
-    pub rpdtab: Option<Rpdtab>,
-    /// Back-end daemon count once spawned.
-    pub be_count: usize,
-    /// Middleware daemon count once spawned.
-    pub mw_count: usize,
-}
-
-impl SessionDesc {
-    fn new(id: SessionId, cookie: SessionCookie) -> Self {
-        SessionDesc {
-            id,
-            state: SessionState::Created,
-            cookie,
-            rpdtab: None,
-            be_count: 0,
-            mw_count: 0,
-        }
-    }
-
-    /// Apply a state transition, validating legality.
-    pub fn transition(&mut self, next: SessionState) -> LmonResult<()> {
-        if !self.state.can_transition_to(next) {
-            return Err(LmonError::BadSessionState {
-                expected: next.name(),
-                actual: self.state.name(),
-            });
-        }
-        self.state = next;
-        Ok(())
-    }
-}
-
-/// The FE's session resource descriptor table.
-#[derive(Debug, Default)]
-pub struct SessionTable {
-    next: u32,
-    sessions: HashMap<SessionId, SessionDesc>,
-}
-
-impl SessionTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        SessionTable::default()
-    }
-
-    /// Create a session with a freshly minted cookie.
-    pub fn create(&mut self, cookie: SessionCookie) -> SessionId {
-        let id = SessionId(self.next);
-        self.next += 1;
-        self.sessions.insert(id, SessionDesc::new(id, cookie));
-        id
-    }
-
-    /// Borrow a session descriptor.
-    pub fn get(&self, id: SessionId) -> LmonResult<&SessionDesc> {
-        self.sessions.get(&id).ok_or(LmonError::NoSuchSession(id.0))
-    }
-
-    /// Mutably borrow a session descriptor.
-    pub fn get_mut(&mut self, id: SessionId) -> LmonResult<&mut SessionDesc> {
-        self.sessions.get_mut(&id).ok_or(LmonError::NoSuchSession(id.0))
-    }
-
-    /// Remove a terminal session from the table.
-    pub fn remove(&mut self, id: SessionId) -> LmonResult<SessionDesc> {
-        let desc = self.sessions.get(&id).ok_or(LmonError::NoSuchSession(id.0))?;
-        if !desc.state.is_terminal() {
-            return Err(LmonError::BadSessionState {
-                expected: "terminal",
-                actual: desc.state.name(),
-            });
-        }
-        Ok(self.sessions.remove(&id).expect("checked above"))
-    }
-
-    /// Number of live sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use SessionState::*;
 
-    fn table_with_one() -> (SessionTable, SessionId) {
-        let mut t = SessionTable::new();
-        let id = t.create(SessionCookie::mint_seeded(1));
-        (t, id)
-    }
-
-    #[test]
-    fn ids_are_unique_and_dense() {
-        let mut t = SessionTable::new();
-        let a = t.create(SessionCookie::mint_seeded(1));
-        let b = t.create(SessionCookie::mint_seeded(2));
-        assert_ne!(a, b);
-        assert_eq!(t.len(), 2);
-    }
+    const ALL: [SessionState; 7] =
+        [Created, EngineAttached, JobStopped, DaemonsSpawned, Ready, Detached, Killed];
 
     #[test]
     fn happy_path_transitions() {
-        let (mut t, id) = table_with_one();
-        for next in [
-            SessionState::EngineAttached,
-            SessionState::JobStopped,
-            SessionState::DaemonsSpawned,
-            SessionState::Ready,
-            SessionState::Detached,
-        ] {
-            t.get_mut(id).unwrap().transition(next).unwrap();
+        let path = [Created, EngineAttached, JobStopped, DaemonsSpawned, Ready, Detached];
+        for step in path.windows(2) {
+            assert!(step[0].can_transition_to(step[1]), "{:?} -> {:?}", step[0], step[1]);
+            assert!(!step[0].is_terminal());
         }
-        assert!(t.get(id).unwrap().state.is_terminal());
+        assert!(Detached.is_terminal());
     }
 
     #[test]
     fn illegal_transitions_rejected() {
-        let (mut t, id) = table_with_one();
-        let err = t.get_mut(id).unwrap().transition(SessionState::Ready).unwrap_err();
-        assert!(matches!(err, LmonError::BadSessionState { .. }));
+        assert!(!Created.can_transition_to(Ready));
+        assert!(!Ready.can_transition_to(Created));
         // Terminal states admit nothing.
-        t.get_mut(id).unwrap().transition(SessionState::Killed).unwrap();
-        assert!(t.get_mut(id).unwrap().transition(SessionState::EngineAttached).is_err());
+        for next in ALL {
+            assert!(!Killed.can_transition_to(next), "Killed -> {next:?}");
+            assert!(!Detached.can_transition_to(next), "Detached -> {next:?}");
+        }
     }
 
     #[test]
     fn kill_allowed_from_any_live_state() {
-        for intermediate in [
-            SessionState::Created,
-            SessionState::EngineAttached,
-            SessionState::JobStopped,
-            SessionState::DaemonsSpawned,
-            SessionState::Ready,
-        ] {
+        for intermediate in ALL.into_iter().filter(|s| !s.is_terminal()) {
             assert!(
                 intermediate.can_transition_to(SessionState::Killed),
                 "{intermediate:?} must allow kill"
@@ -230,19 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn remove_requires_terminal_state() {
-        let (mut t, id) = table_with_one();
-        assert!(t.remove(id).is_err());
-        t.get_mut(id).unwrap().transition(SessionState::Killed).unwrap();
-        assert!(t.remove(id).is_ok());
-        assert!(t.is_empty());
-        assert!(matches!(t.get(id), Err(LmonError::NoSuchSession(_))));
-    }
-
-    #[test]
     fn detach_only_from_ready() {
-        assert!(!SessionState::Created.can_transition_to(SessionState::Detached));
-        assert!(!SessionState::DaemonsSpawned.can_transition_to(SessionState::Detached));
-        assert!(SessionState::Ready.can_transition_to(SessionState::Detached));
+        for from in ALL {
+            assert_eq!(from.can_transition_to(Detached), from == Ready, "{from:?} -> Detached");
+        }
     }
 }

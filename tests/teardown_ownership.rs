@@ -2,8 +2,9 @@
 //! removes it (job → `kill_job`, on a failed launch too, and before its
 //! launcher has run; a job `lmond` launched → its session's `KILL`, never a
 //! `DETACH`, or `lmond` itself when the launch fails its handshake; session
-//! daemons → the engine's `end_session`), and a record
-//! that leaves its table releases its thread.
+//! daemons → the engine's `end_session`; a session's front-end record →
+//! its `kill` or `detach`), and a record that leaves its table releases
+//! its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
 //! many sessions on *one* cluster and checks that nothing is left behind.
 //! The engine forwards the launcher's proctable bytes unbuilt, so the last
@@ -223,6 +224,40 @@ fn a_front_end_serves_sessions_past_the_u16_id_space() {
     fe.shutdown().unwrap();
 }
 
+/// A front end used to keep every session it ever served: each session's
+/// descriptor, runtime record and decoded RPDTAB stayed after its kill, so
+/// a long-lived `lmond` backend grew by about half a kilobyte per session.
+/// An ended session now leaves its record and stays readable only until
+/// 64 newer sessions have ended too.
+#[test]
+fn a_front_end_forgets_ended_sessions() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    let launch_and_kill = || {
+        let session = fe.create_session();
+        let daemon = DaemonSpec::bare("toold");
+        fe.launch_and_spawn(session, "app", &[], 2, 2, daemon, be_main.clone())
+            .unwrap_or_else(|e| panic!("launch {}: {e}", session.0));
+        fe.kill(session).unwrap_or_else(|e| panic!("kill {}: {e}", session.0));
+        session
+    };
+    let a = launch_and_kill();
+    assert_eq!(fe.session_state(a).unwrap(), SessionState::Killed, "read-after-kill");
+    let mut newest = a;
+    for _ in 0..64 {
+        newest = launch_and_kill();
+    }
+    assert!(matches!(fe.session_state(a), Err(LmonError::NoSuchSession(id)) if id == a.0));
+    assert!(matches!(fe.get_proctable(a), Err(LmonError::NoSuchSession(_))));
+    assert_eq!(fe.session_state(newest).unwrap(), SessionState::Killed);
+    assert!(matches!(fe.get_proctable(newest), Err(LmonError::BadSessionState { .. })));
+    assert_eq!(fe.transport_stats().be_sessions, 0, "no ended session holds a link");
+    fe.shutdown().unwrap();
+}
+
 /// A job killed before its launcher ran used to get its tasks anyway:
 /// `kill_job` swept the nodes first, then dropping the handle opened the
 /// gate and the launcher spawned into tables nobody would sweep again.
@@ -430,7 +465,8 @@ fn await_records(cluster: &VirtualCluster, baseline: usize) {
 /// Launch 2 x 4 through a launcher that publishes what `tamper` makes of
 /// its proctable. The engine must refuse the table, fail the launch with
 /// an engine error and kill the job it started, launchers and tasks alike.
-/// Returns the error.
+/// The kill `lmond` then sends finds no job, and must still end the
+/// session. Returns the launch's error.
 fn refused_launch(tamper: Tamper) -> String {
     let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
     let fe = LmonFrontEnd::init(Arc::new(StandInRm::new(&cluster, tamper))).unwrap();
@@ -444,6 +480,8 @@ fn refused_launch(tamper: Tamper) -> String {
         Ok(_) => panic!("the engine accepted the table"),
     };
     await_records(&cluster, baseline);
+    assert!(matches!(fe.kill(session), Err(LmonError::Engine(_))), "the engine has no job left");
+    assert_eq!(fe.session_state(session).unwrap(), SessionState::Killed);
     fe.shutdown().unwrap();
     why
 }
