@@ -19,15 +19,15 @@
 //!    rows (the master before it says ready),
 //! 4. hands the tool its session.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_cluster::procfs::ProcSnapshot;
 use lmon_iccl::{ChannelFabric, IcclComm, Topology};
 use lmon_proto::header::MsgType;
-use lmon_proto::rpdtab::{ProcDesc, Rpdtab};
+use lmon_proto::rpdtab::{CheckedRpdtab, ProcDesc, Rpdtab};
 use lmon_proto::transport::MsgChannel;
-use lmon_proto::wire::WireDecode;
+use lmon_proto::Bytes;
 use lmon_rm::api::DaemonBody;
 
 use crate::error::{LmonError, LmonResult};
@@ -46,12 +46,9 @@ pub struct BeSession {
     ctx: ProcCtx,
     /// The rows on this daemon's host, built at bootstrap.
     local: Rpdtab,
-    task_count: usize,
-    /// The encoded table as broadcast, checked whole at bootstrap.
-    rpdtab_bytes: Vec<u8>,
-    /// The full table, decoded from `rpdtab_bytes` on first use.
-    full: OnceLock<Rpdtab>,
-    usrdata: Vec<u8>,
+    /// The table as broadcast, checked whole at bootstrap.
+    table: CheckedRpdtab,
+    usrdata: Bytes,
     master_chan: Option<Box<dyn MsgChannel>>,
 }
 
@@ -85,15 +82,13 @@ impl BeSession {
     /// use: a daemon works on [`my_proctab`](BeSession::my_proctab), and at
     /// width the other daemons' rows are most of the table.
     pub fn proctable(&self) -> &Rpdtab {
-        self.full.get_or_init(|| {
-            Rpdtab::from_bytes(&self.rpdtab_bytes).expect("RPDTAB bytes were checked at bootstrap")
-        })
+        &self.table
     }
 
     /// Number of MPI tasks in the job (`proctable().len()`, without
     /// decoding the table).
     pub fn task_count(&self) -> usize {
-        self.task_count
+        self.table.len()
     }
 
     /// The paper's `getMyProctab`: RPDTAB entries for tasks on this node.
@@ -120,7 +115,8 @@ impl BeSession {
 
     /// ICCL broadcast from the master.
     pub fn broadcast(&mut self, data: Option<Vec<u8>>) -> LmonResult<Vec<u8>> {
-        self.comm.broadcast(data).map_err(LmonError::Iccl)
+        let data = self.comm.broadcast(data.map(Bytes::from)).map_err(LmonError::Iccl)?;
+        Ok(data.to_vec())
     }
 
     /// ICCL gather to the master.
@@ -157,7 +153,7 @@ impl BeSession {
                     break;
                 }
             }
-            self.comm.broadcast(Some(SHUTDOWN_SENTINEL.to_vec())).map_err(LmonError::Iccl)?;
+            self.comm.broadcast(Some(SHUTDOWN_SENTINEL.into())).map_err(LmonError::Iccl)?;
         } else {
             let got = self.comm.broadcast(None).map_err(LmonError::Iccl)?;
             if got != SHUTDOWN_SENTINEL {
@@ -207,11 +203,11 @@ fn be_bootstrap(
         let (chan, launch_info, table) = handshake::BE.greet(master_slot, &ctx)?;
 
         // e8/e9: inter-daemon network setup over the RM fabric — the first
-        // collectives wire up and verify every daemon. The master keeps
-        // what it broadcasts: one copy of each payload out of its message.
+        // collectives wire up and verify every daemon. The master forwards
+        // its messages' payload views: every daemon shares one buffer each.
         timeline.mark(CriticalEvent::E8SetupStart);
-        usrdata = comm.broadcast(Some(launch_info.usr.to_vec())).map_err(LmonError::Iccl)?;
-        rpdtab_bytes = comm.broadcast(Some(table.lmon.to_vec())).map_err(LmonError::Iccl)?;
+        usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
+        rpdtab_bytes = comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;
         timeline.mark(CriticalEvent::E9SetupDone);
         master_chan = Some(chan);
@@ -224,13 +220,12 @@ fn be_bootstrap(
     // Every row is checked, only this host's rows are built — and the
     // master says `Ready` only afterwards, so a corrupt table fails the
     // session's handshake instead of surfacing in a daemon later.
-    let (local, task_count) = Rpdtab::local_from_bytes(&rpdtab_bytes, &ctx.hostname)?;
+    let (local, table) = Rpdtab::local_from_bytes(rpdtab_bytes, &ctx.hostname)?;
     if let Some(chan) = &master_chan {
         handshake::BE.ready(chan.as_ref())?;
     }
 
-    let full = OnceLock::new();
-    Ok(BeSession { comm, ctx, local, task_count, rpdtab_bytes, full, usrdata, master_chan })
+    Ok(BeSession { comm, ctx, local, table, usrdata, master_chan })
 }
 
 #[cfg(test)]

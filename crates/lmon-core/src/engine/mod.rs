@@ -43,8 +43,8 @@ use lmon_cluster::trace::{TraceController, TraceEvent};
 use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::payload::{AttachRequest, DaemonInfo, JobStatus, LaunchRequest, SpawnMwRequest};
-use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::wire::{put_seq, WireDecode, WireEncode};
+use lmon_proto::rpdtab::CheckedRpdtab;
+use lmon_proto::wire::{put_seq, WireEncode};
 use lmon_proto::Bytes;
 use lmon_rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager};
 use lmon_rm::mpir;
@@ -65,7 +65,7 @@ enum EngineJob {
     /// Adopted at attach time: only pids are known.
     Attached {
         launcher_pid: Pid,
-        rpdtab: Rpdtab,
+        rpdtab: CheckedRpdtab,
         #[allow(dead_code)] // retained so the trace attachment lives with the job
         ctl: TraceController,
     },
@@ -204,7 +204,7 @@ impl Engine {
         let alloc = handle.allocation.clone();
         let mut unclaimed = Some(handle);
         let result = stopped.and_then(|(ctl, rpdtab)| {
-            self.colocate(cmd, rpdtab, &alloc, || {
+            self.colocate(cmd, rpdtab.bytes().clone(), &alloc, || {
                 let handle = unclaimed.take().expect("the session claims the job once");
                 EngineJob::Launched { handle, ctl }
             })
@@ -222,7 +222,7 @@ impl Engine {
         &self,
         handle: &mut JobHandle,
         timeline: &TimelineRecorder,
-    ) -> Result<(TraceController, Bytes), String> {
+    ) -> Result<(TraceController, CheckedRpdtab), String> {
         let (ctl, shared) = self.trace(handle.launcher_pid)?;
         mpir::set_being_debugged(&ctl, &shared);
         handle.release();
@@ -248,9 +248,9 @@ impl Engine {
         // The job is already running: poll the APAI until the proctable is
         // valid (it almost always already is).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let bytes = loop {
+        let rpdtab = loop {
             match mpir::fetch_proctable(&ctl) {
-                Ok(bytes) => break bytes,
+                Ok(table) => break table,
                 Err(e) if std::time::Instant::now() >= deadline => {
                     return Err(format!("rpdtab: {e}"))
                 }
@@ -260,9 +260,8 @@ impl Engine {
         timeline.mark(CriticalEvent::E3AtBreakpoint);
         timeline.mark(CriticalEvent::E4RpdtabFetched);
 
-        // One decode, for the allocation footprint (the RPDTAB hosts) and
-        // the kill record; the front end gets the fetched bytes.
-        let rpdtab = Rpdtab::from_bytes(&bytes).map_err(|e| format!("rpdtab: {e}"))?;
+        // The table's one decode is for the allocation footprint (the
+        // RPDTAB hosts) and the kill record; the front end gets the bytes.
         let cluster = self.rm.cluster();
         let nodes = rpdtab
             .hosts()
@@ -271,6 +270,7 @@ impl Engine {
             .collect::<Result<_, _>>()
             .map_err(|e| format!("host map: {e}"))?;
         let alloc = Allocation { id: u64::from(cmd.session.0), nodes };
+        let bytes = rpdtab.bytes().clone();
         self.colocate(cmd, bytes, &alloc, || EngineJob::Attached { launcher_pid, rpdtab, ctl })
     }
 

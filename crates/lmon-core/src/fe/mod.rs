@@ -33,7 +33,7 @@ use lmon_proto::mux::SessionMux;
 use lmon_proto::payload::{
     AttachRequest, DaemonInfo, DaemonSpec, JobStatus, LaunchRequest, SpawnMwRequest,
 };
-use lmon_proto::rpdtab::Rpdtab;
+use lmon_proto::rpdtab::{CheckedRpdtab, Rpdtab};
 use lmon_proto::security::{SessionCookie, COOKIE_ENV_VAR};
 use lmon_proto::transport::MsgChannel;
 use lmon_proto::wire::{get_seq, put_seq, WireDecode, WireEncode};
@@ -252,8 +252,9 @@ impl Sessions {
 pub struct LaunchOutcome {
     /// The session the daemons are bound to.
     pub session: SessionId,
-    /// The RPDTAB fetched from the RM.
-    pub rpdtab: Rpdtab,
+    /// The RPDTAB fetched from the RM: the launcher's bytes as checked,
+    /// with rows built on first use.
+    pub rpdtab: CheckedRpdtab,
     /// Number of back-end daemons launched.
     pub daemon_count: usize,
     /// Master daemon identity.
@@ -540,10 +541,11 @@ impl LmonFrontEnd {
         let rpdtab_reply = exchange.next(self.hs_timeout())?;
         self.transition(session, SessionState::EngineAttached)?;
         self.expect_reply(&rpdtab_reply, MsgType::EngineRpdtab)?;
-        let rpdtab: Rpdtab = rpdtab_reply.decode_lmon()?;
-        // Keep the launcher's bytes: BeRpdtab (and later MwRpdtab) forward
-        // this exact refcounted view instead of re-encoding the table.
-        let rpdtab_bytes = rpdtab_reply.lmon.clone();
+        // Check the launcher's bytes whole before forwarding them, building
+        // no row: BeRpdtab (and later MwRpdtab) forward this exact
+        // refcounted view, and the caller's table decodes on first use.
+        let rpdtab = Rpdtab::check_bytes(rpdtab_reply.lmon)?;
+        let rpdtab_bytes = rpdtab.bytes().clone();
         {
             let mut sessions = self.sessions.lock();
             let record = sessions.live_mut(session)?;
@@ -644,7 +646,7 @@ impl LmonFrontEnd {
             let record = sessions.live(session)?;
             (record.cookie, record.rpdtab.clone())
         };
-        let rpdtab_bytes = rpdtab_bytes.unwrap_or_else(|| Rpdtab::empty().to_bytes().into());
+        let rpdtab_bytes = rpdtab_bytes.unwrap_or_else(|| Rpdtab::default().to_bytes().into());
 
         // One logical MW session over the single FE↔MW link.
         let fe_chan: Arc<dyn MsgChannel> = Arc::new(self.mw_mux.open(session.0)?);

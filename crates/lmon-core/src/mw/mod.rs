@@ -20,6 +20,7 @@ use lmon_proto::payload::MwPersonality;
 use lmon_proto::rpdtab::Rpdtab;
 use lmon_proto::transport::MsgChannel;
 use lmon_proto::wire::{get_seq, WireDecode};
+use lmon_proto::Bytes;
 use lmon_rm::api::DaemonBody;
 
 use crate::error::{LmonError, LmonResult};
@@ -35,7 +36,7 @@ pub struct MwSession {
     personality: MwPersonality,
     all_personalities: Vec<MwPersonality>,
     rpdtab: Rpdtab,
-    usrdata: Vec<u8>,
+    usrdata: Bytes,
     master_chan: Option<Box<dyn MsgChannel>>,
 }
 
@@ -89,7 +90,8 @@ impl MwSession {
 
     /// Collective broadcast over the MW fabric.
     pub fn broadcast(&mut self, data: Option<Vec<u8>>) -> LmonResult<Vec<u8>> {
-        self.comm.broadcast(data).map_err(LmonError::Iccl)
+        let data = self.comm.broadcast(data.map(Bytes::from)).map_err(LmonError::Iccl)?;
+        Ok(data.to_vec())
     }
 
     /// Collective gather over the MW fabric.
@@ -111,7 +113,7 @@ impl MwSession {
 
     /// Blocking receive from a specific peer.
     pub fn recv_from(&mut self, peer: u32) -> LmonResult<Vec<u8>> {
-        self.comm.fabric_mut().recv_from(peer).map_err(LmonError::Iccl)
+        self.comm.fabric_mut().recv_from(peer).map(|b| b.to_vec()).map_err(LmonError::Iccl)
     }
 
     /// Send tool data to the FE (master only).
@@ -168,10 +170,9 @@ fn mw_bootstrap(
 
     if is_master {
         let (chan, launch_info, table) = handshake::MW.greet(master_slot, &ctx)?;
-        personalities_bytes =
-            comm.broadcast(Some(launch_info.lmon.to_vec())).map_err(LmonError::Iccl)?;
-        usrdata = comm.broadcast(Some(launch_info.usr.to_vec())).map_err(LmonError::Iccl)?;
-        rpdtab_bytes = comm.broadcast(Some(table.lmon.to_vec())).map_err(LmonError::Iccl)?;
+        personalities_bytes = comm.broadcast(Some(launch_info.lmon)).map_err(LmonError::Iccl)?;
+        usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
+        rpdtab_bytes = comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;
         handshake::MW.ready(chan.as_ref())?;
         master_chan = Some(chan);

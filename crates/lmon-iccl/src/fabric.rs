@@ -8,14 +8,17 @@
 //! to each daemon in rank order — same bootstrap shape as the real thing:
 //! daemons get their fabric *from the RM*, not by dialing each other.
 
+use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use std::collections::{HashMap, VecDeque};
 
 use crate::error::{IcclError, IcclResult};
 
+/// One message: a refcounted view, so forwarding a payload to many peers
+/// copies none of its bytes.
 struct Packet {
     from: u32,
-    bytes: Vec<u8>,
+    bytes: Bytes,
 }
 
 /// In-process fabric endpoint: every rank can reach every other rank.
@@ -29,7 +32,7 @@ pub struct ChannelFabric {
     peers: Vec<Option<Sender<Packet>>>,
     inbox: Receiver<Packet>,
     /// Messages that arrived while waiting for a different sender.
-    stashed: HashMap<u32, VecDeque<Vec<u8>>>,
+    stashed: HashMap<u32, VecDeque<Bytes>>,
 }
 
 impl ChannelFabric {
@@ -73,18 +76,19 @@ impl ChannelFabric {
     }
 
     /// Send bytes to a peer rank.
-    pub fn send(&self, to: u32, bytes: Vec<u8>) -> IcclResult<()> {
+    pub fn send(&self, to: u32, bytes: impl Into<Bytes>) -> IcclResult<()> {
         let tx = self
             .peers
             .get(to as usize)
             .and_then(Option::as_ref)
             .ok_or(IcclError::BadRank { rank: to, size: self.size })?;
-        tx.send(Packet { from: self.rank, bytes }).map_err(|_| IcclError::Disconnected)
+        tx.send(Packet { from: self.rank, bytes: bytes.into() })
+            .map_err(|_| IcclError::Disconnected)
     }
 
     /// Block until a message from `from` arrives (messages from other ranks
     /// are buffered, not dropped).
-    pub fn recv_from(&mut self, from: u32) -> IcclResult<Vec<u8>> {
+    pub fn recv_from(&mut self, from: u32) -> IcclResult<Bytes> {
         if from >= self.size {
             return Err(IcclError::BadRank { rank: from, size: self.size });
         }

@@ -6,6 +6,8 @@
 
 use std::collections::HashMap;
 
+use bytes::Bytes;
+
 use crate::error::{IcclError, IcclResult};
 use crate::fabric::ChannelFabric;
 use crate::topology::Topology;
@@ -132,8 +134,10 @@ impl IcclComm {
     }
 
     /// Broadcast bytes from the master to every rank. The master passes
-    /// `Some(data)`, everyone else `None`; all ranks return the data.
-    pub fn broadcast(&mut self, data: Option<Vec<u8>>) -> IcclResult<Vec<u8>> {
+    /// `Some(data)`, everyone else `None`; all ranks return the data. Every
+    /// rank's copy is a view of the master's one buffer: each hop forwards
+    /// a refcount, not the bytes.
+    pub fn broadcast(&mut self, data: Option<Bytes>) -> IcclResult<Bytes> {
         let data = match self.parent() {
             None => data.ok_or(IcclError::RoleMismatch("master must supply broadcast data"))?,
             Some(parent) => {
@@ -201,7 +205,7 @@ impl IcclComm {
         let gathered = self.gather(Vec::new())?;
         let seed = if self.is_master() {
             debug_assert!(gathered.is_some());
-            Some(Vec::new())
+            Some(Bytes::new())
         } else {
             None
         };
@@ -269,7 +273,7 @@ mod tests {
         for topo in TOPOLOGIES {
             for n in [1u32, 2, 7, 16] {
                 let results = spmd(n, topo, |mut comm| {
-                    let seed = comm.is_master().then(|| b"launch-info".to_vec());
+                    let seed = comm.is_master().then(|| Bytes::from(&b"launch-info"[..]));
                     comm.broadcast(seed).unwrap()
                 });
                 assert!(results.iter().all(|r| r == b"launch-info"), "{topo:?} n={n}");
@@ -318,7 +322,8 @@ mod tests {
                     .collect::<Vec<_>>()
             });
             let mine = comm.scatter(parts).unwrap();
-            let table = comm.broadcast(comm.is_master().then(|| b"rpdtab".to_vec())).unwrap();
+            let table = comm.broadcast(comm.is_master().then(|| Bytes::from(&b"rpdtab"[..])));
+            let table = table.unwrap();
             (mine, table)
         });
         for (r, (mine, table)) in results.iter().enumerate() {
@@ -329,6 +334,17 @@ mod tests {
         }
     }
 
+    /// The RPDTAB broadcast at `wide_launch` width: 32 daemons, one
+    /// 82 355-byte table. Every rank ends up holding the master's buffer.
+    #[test]
+    fn broadcast_shares_one_buffer() {
+        let results = spmd(32, Topology::Binomial, |mut comm| {
+            comm.broadcast(comm.is_master().then(|| Bytes::from(vec![7u8; 82_355]))).unwrap()
+        });
+        let master = results[0].as_ptr();
+        assert!(results.iter().all(|r| r.len() == 82_355 && r.as_ptr() == master));
+    }
+
     #[test]
     fn role_mismatch_detected() {
         let results = spmd(2, Topology::Flat, |mut comm| {
@@ -336,14 +352,17 @@ mod tests {
                 // Master must supply data; passing None is an error.
                 let e = comm.broadcast(None).unwrap_err();
                 // Recover the protocol so rank 1 doesn't hang: send real data.
-                comm.broadcast(Some(vec![1])).unwrap();
-                Some(e)
+                comm.broadcast(Some(Bytes::from(vec![1]))).unwrap();
+                e
             } else {
-                comm.broadcast(None).unwrap();
-                None
+                // A non-master must not supply data: refused before it
+                // receives, so the master's broadcast is still there.
+                let e = comm.broadcast(Some(Bytes::from(vec![2]))).unwrap_err();
+                assert_eq!(comm.broadcast(None).unwrap(), vec![1]);
+                e
             }
         });
-        assert!(matches!(results[0], Some(IcclError::RoleMismatch(_))));
+        assert!(results.iter().all(|e| matches!(e, IcclError::RoleMismatch(_))));
     }
 
     #[test]

@@ -113,7 +113,7 @@ proptest! {
     ) {
         let expect = data.clone();
         let results = spmd(n, topo, move |mut comm| {
-            let seed = comm.is_master().then(|| data.clone());
+            let seed = comm.is_master().then(|| data.clone().into());
             comm.broadcast(seed).unwrap()
         });
         prop_assert!(results.iter().all(|r| r == &expect));

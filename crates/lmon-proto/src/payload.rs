@@ -9,10 +9,7 @@
 use bytes::{Buf, BufMut};
 
 use crate::error::{ProtoError, ProtoResult};
-use crate::wire::{
-    bytes_len, get_bytes, get_str, get_u16, get_u32, get_u64, get_u8, put_bytes, put_str, str_len,
-    WireDecode, WireEncode,
-};
+use crate::wire::{get_str, get_u16, get_u32, get_u64, get_u8, put_str, WireDecode, WireEncode};
 
 /// What a tool wants launched on each target node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,19 +48,11 @@ pub(crate) fn get_str_vec(buf: &mut impl Buf) -> ProtoResult<Vec<String>> {
     Ok(v)
 }
 
-pub(crate) fn str_vec_len(v: &[impl AsRef<str>]) -> usize {
-    4 + v.iter().map(|s| str_len(s.as_ref())).sum::<usize>()
-}
-
 impl WireEncode for DaemonSpec {
     fn encode(&self, buf: &mut impl BufMut) {
         put_str(buf, &self.exe);
         put_str_vec(buf, &self.args);
         put_str_vec(buf, &self.env);
-    }
-
-    fn encoded_len(&self) -> usize {
-        str_len(&self.exe) + str_vec_len(&self.args) + str_vec_len(&self.env)
     }
 }
 
@@ -96,10 +85,6 @@ impl WireEncode for LaunchRequest {
         buf.put_u32(self.tasks_per_node);
         self.daemon.encode(buf);
     }
-
-    fn encoded_len(&self) -> usize {
-        str_len(&self.app_exe) + str_vec_len(&self.app_args) + 8 + self.daemon.encoded_len()
-    }
 }
 
 impl WireDecode for LaunchRequest {
@@ -128,10 +113,6 @@ impl WireEncode for AttachRequest {
         buf.put_u64(self.launcher_pid);
         self.daemon.encode(buf);
     }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.daemon.encoded_len()
-    }
 }
 
 impl WireDecode for AttachRequest {
@@ -153,10 +134,6 @@ impl WireEncode for SpawnMwRequest {
     fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u32(self.count);
         self.daemon.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + self.daemon.encoded_len()
     }
 }
 
@@ -189,10 +166,6 @@ impl WireEncode for DaemonInfo {
         buf.put_u32(self.size);
         put_str(buf, &self.host);
         buf.put_u64(self.pid);
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + 4 + str_len(&self.host) + 8
     }
 }
 
@@ -242,10 +215,6 @@ impl WireEncode for MwPersonality {
         buf.put_u32(self.parent);
         buf.put_u64(self.endpoint);
     }
-
-    fn encoded_len(&self) -> usize {
-        4 + 4 + str_len(&self.host) + 4 + 8
-    }
 }
 
 impl WireDecode for MwPersonality {
@@ -283,10 +252,6 @@ pub enum JobStatus {
 impl WireEncode for JobStatus {
     fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u8(*self as u8);
-    }
-
-    fn encoded_len(&self) -> usize {
-        1
     }
 }
 
@@ -326,10 +291,6 @@ impl WireEncode for Hello {
         put_str(buf, &self.host);
         buf.put_u64(self.pid);
     }
-
-    fn encoded_len(&self) -> usize {
-        8 + 2 + str_len(&self.host) + 8
-    }
 }
 
 impl WireDecode for Hello {
@@ -340,29 +301,6 @@ impl WireDecode for Hello {
             host: get_str(buf)?,
             pid: get_u64(buf)?,
         })
-    }
-}
-
-/// An opaque tool payload moved by the pack/unpack registration calls.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UsrData {
-    /// Raw bytes produced by the tool's registered pack callback.
-    pub bytes: Vec<u8>,
-}
-
-impl WireEncode for UsrData {
-    fn encode(&self, buf: &mut impl BufMut) {
-        put_bytes(buf, &self.bytes);
-    }
-
-    fn encoded_len(&self) -> usize {
-        bytes_len(&self.bytes)
-    }
-}
-
-impl WireDecode for UsrData {
-    fn decode(buf: &mut impl Buf) -> ProtoResult<Self> {
-        Ok(UsrData { bytes: get_bytes(buf)? })
     }
 }
 
@@ -441,9 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn hello_and_usrdata_roundtrip() {
+    fn hello_roundtrip() {
         roundtrip(&Hello { cookie: 0xDEAD_BEEF_CAFE, epoch: 7, host: "fe0".into(), pid: 1 });
-        roundtrip(&UsrData { bytes: vec![9; 1000] });
-        roundtrip(&UsrData::default());
     }
 }

@@ -13,11 +13,13 @@
 //! deliberately compact and hostname-deduplicated.
 
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::OnceLock;
 
-use bytes::{Buf, BufMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::{ProtoError, ProtoResult};
-use crate::payload::{get_str_vec, put_str_vec, str_vec_len};
+use crate::payload::{get_str_vec, put_str_vec};
 use crate::wire::{get_u32, WireDecode, WireEncode, MAX_SEQ_LEN};
 
 /// One entry of the RPDTAB: where a single MPI task lives.
@@ -46,11 +48,6 @@ impl Rpdtab {
         Rpdtab { entries }
     }
 
-    /// An empty table.
-    pub fn empty() -> Self {
-        Rpdtab { entries: Vec::new() }
-    }
-
     /// Number of MPI tasks described.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -64,17 +61,6 @@ impl Rpdtab {
     /// All entries, sorted by rank.
     pub fn entries(&self) -> &[ProcDesc] {
         &self.entries
-    }
-
-    /// Append an entry (keeps rank order).
-    pub fn push(&mut self, e: ProcDesc) {
-        let pos = self.entries.partition_point(|x| x.rank <= e.rank);
-        self.entries.insert(pos, e);
-    }
-
-    /// Look up the entry for a given MPI rank.
-    pub fn by_rank(&self, rank: u32) -> Option<&ProcDesc> {
-        self.entries.binary_search_by_key(&rank, |e| e.rank).ok().map(|i| &self.entries[i])
     }
 
     /// Entries located on `host` (a daemon uses this to find its local tasks).
@@ -104,30 +90,32 @@ impl Rpdtab {
     /// table exactly as [`from_bytes`](WireDecode::from_bytes) does — a
     /// buffer it rejects is rejected here — but build only the rows on
     /// `host`. Returns them (equal to `from_bytes(bytes)?.local_tasks(host)`)
-    /// with the table's total task count.
-    pub fn local_from_bytes(bytes: &[u8], host: &str) -> ProtoResult<(Rpdtab, usize)> {
-        let (entries, ntasks) = walk_rows(bytes, |h| h == host)?;
-        Ok((Rpdtab::new(entries), ntasks))
+    /// with the checked table.
+    pub fn local_from_bytes(bytes: Bytes, host: &str) -> ProtoResult<(Rpdtab, CheckedRpdtab)> {
+        let (entries, len) = walk_rows(&bytes, |h| h == host)?;
+        Ok((Rpdtab::new(entries), CheckedRpdtab { bytes, len, rows: OnceLock::new() }))
     }
 
     /// Check an encoded table as [`from_bytes`](WireDecode::from_bytes) does,
-    /// building nothing: the task count of a table it would accept.
-    pub fn check_bytes(bytes: &[u8]) -> ProtoResult<usize> {
-        walk_rows(bytes, |_| false).map(|(_, ntasks)| ntasks)
+    /// building no row.
+    pub fn check_bytes(bytes: Bytes) -> ProtoResult<CheckedRpdtab> {
+        let (_, len) = walk_rows(&bytes, |_| false)?;
+        Ok(CheckedRpdtab { bytes, len, rows: OnceLock::new() })
     }
 
-    /// The one dictionary pass of `encode` and `encoded_len`: the host and
-    /// exe string tables, and each row's (host, exe) ids.
-    fn dictionary(&self) -> (Dict<'_>, Dict<'_>, Vec<(u32, u32)>) {
-        let (mut hosts, mut exes) = (Dict::default(), Dict::default());
-        let ids = self.entries.iter().map(|e| (hosts.id(&e.host), exes.id(&e.exe))).collect();
-        (hosts, exes, ids)
+    /// The table's rows in a writer: the one encoder.
+    fn writer(&self) -> RpdtabWriter<'_> {
+        let mut writer = RpdtabWriter::with_capacity(self.entries.len());
+        for e in &self.entries {
+            writer.push(&e.host, &e.exe, &[(e.rank, e.pid)]);
+        }
+        writer
     }
 }
 
 /// Dense ids for strings, in order of first appearance. A string equal to
-/// the previous one reuses its id without hashing: a launcher lists its
-/// rows grouped by host, and usually one exe for all of them.
+/// the previous one reuses its id without hashing: rows come grouped by
+/// host, and usually with one exe for all of them.
 #[derive(Default)]
 struct Dict<'a> {
     ids: HashMap<&'a str, u32>,
@@ -152,28 +140,58 @@ impl<'a> Dict<'a> {
 /// Bytes of one encoded row: rank, host id, exe id (u32 each), pid (u64).
 const ROW_LEN: usize = 20;
 
-impl WireEncode for Rpdtab {
+/// Writes the wire encoding row by row, building no [`ProcDesc`]: how a
+/// launcher fills `MPIR_proctable`. Rows go in rank order, and hosts and
+/// exes get dense ids in order of first appearance, so the bytes are
+/// `Rpdtab::new(rows).to_bytes()` for the same rows.
+#[derive(Default)]
+pub struct RpdtabWriter<'a> {
+    hosts: Dict<'a>,
+    exes: Dict<'a>,
+    rows: Vec<u8>,
+}
+
+impl<'a> RpdtabWriter<'a> {
+    /// A writer with room for `rows` rows.
+    pub fn with_capacity(rows: usize) -> Self {
+        RpdtabWriter { rows: Vec::with_capacity(rows * ROW_LEN), ..Default::default() }
+    }
+
+    /// Append the `(rank, pid)` rows of the tasks running `exe` on `host`.
+    /// A host with no rows gets no id.
+    pub fn push(&mut self, host: &'a str, exe: &'a str, tasks: &[(u32, u64)]) {
+        let mut ids = None;
+        for &(rank, pid) in tasks {
+            let (host, exe) = *ids.get_or_insert_with(|| (self.hosts.id(host), self.exes.id(exe)));
+            self.rows.put_u32(rank);
+            self.rows.put_u32(host);
+            self.rows.put_u32(exe);
+            self.rows.put_u64(pid);
+        }
+    }
+}
+
+impl WireEncode for RpdtabWriter<'_> {
     /// Hostname-deduplicated encoding: a string table followed by per-task
     /// fixed-width records referencing it. For the paper's 8-tasks-per-node
     /// configuration this shrinks the table by ~40% versus naive encoding —
     /// directly reducing the Region-B (fetch) and Region-C (handshake)
     /// linear terms.
     fn encode(&self, buf: &mut impl BufMut) {
-        let (hosts, exes, ids) = self.dictionary();
-        put_str_vec(buf, &hosts.strings);
-        put_str_vec(buf, &exes.strings);
-        buf.put_u32(self.entries.len() as u32);
-        for (e, (host, exe)) in self.entries.iter().zip(ids) {
-            buf.put_u32(e.rank);
-            buf.put_u32(host);
-            buf.put_u32(exe);
-            buf.put_u64(e.pid);
-        }
+        put_str_vec(buf, &self.hosts.strings);
+        put_str_vec(buf, &self.exes.strings);
+        buf.put_u32((self.rows.len() / ROW_LEN) as u32);
+        buf.put_slice(&self.rows);
+    }
+}
+
+impl WireEncode for Rpdtab {
+    fn encode(&self, buf: &mut impl BufMut) {
+        self.writer().encode(buf);
     }
 
-    fn encoded_len(&self) -> usize {
-        let (hosts, exes, _) = self.dictionary();
-        str_vec_len(&hosts.strings) + str_vec_len(&exes.strings) + 4 + ROW_LEN * self.entries.len()
+    fn to_bytes(&self) -> Vec<u8> {
+        self.writer().to_bytes()
     }
 }
 
@@ -218,6 +236,47 @@ impl WireDecode for Rpdtab {
         let (entries, _) = walk_rows(buf.chunk(), |_| true)?;
         buf.advance(buf.remaining());
         Ok(Rpdtab::new(entries))
+    }
+}
+
+/// An encoded table that passed every check [`from_bytes`](WireDecode::from_bytes)
+/// makes, kept as received so it is forwarded as is. Made by
+/// [`Rpdtab::check_bytes`] and [`Rpdtab::local_from_bytes`]. Like a
+/// `LazyLock`, it derefs to the decoded [`Rpdtab`], built on first use;
+/// [`len`](CheckedRpdtab::len) decodes nothing.
+#[derive(Debug, Clone)]
+pub struct CheckedRpdtab {
+    bytes: Bytes,
+    len: usize,
+    rows: OnceLock<Rpdtab>,
+}
+
+impl CheckedRpdtab {
+    /// Number of MPI tasks described.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the table has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The encoding as checked: a refcounted view to forward.
+    pub fn bytes(&self) -> &Bytes {
+        &self.bytes
+    }
+}
+
+impl Deref for CheckedRpdtab {
+    type Target = Rpdtab;
+
+    fn deref(&self) -> &Rpdtab {
+        self.rows.get_or_init(|| {
+            // These immutable bytes passed every check `from_bytes` makes
+            // when this value was built, so decoding them cannot fail.
+            Rpdtab::from_bytes(&self.bytes).expect("checked RPDTAB bytes decode")
+        })
     }
 }
 
@@ -305,13 +364,11 @@ mod tests {
     }
 
     #[test]
-    fn by_rank_and_local_tasks() {
+    fn local_tasks_by_host() {
         let tab = synthetic_rpdtab(4, 8, "app");
-        let e = tab.by_rank(17).unwrap();
-        assert_eq!(e.host, "node00002");
+        assert_eq!(tab.entries()[17].host, "node00002");
         assert_eq!(tab.local_tasks("node00002").count(), 8);
         assert_eq!(tab.local_tasks("nonexistent").count(), 0);
-        assert!(tab.by_rank(999).is_none());
     }
 
     #[test]
@@ -325,16 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn push_keeps_rank_order() {
-        let mut tab = Rpdtab::empty();
-        for rank in [5u32, 1, 3, 2, 4, 0] {
-            tab.push(ProcDesc { rank, host: "h".into(), exe: "x".into(), pid: rank as u64 });
-        }
-        let ranks: Vec<u32> = tab.entries().iter().map(|e| e.rank).collect();
-        assert_eq!(ranks, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn corrupt_host_index_rejected() {
         let tab = synthetic_rpdtab(2, 2, "app");
         let mut bytes = tab.to_bytes();
@@ -344,19 +391,22 @@ mod tests {
         assert!(Rpdtab::from_bytes(&bytes).is_err());
         // A daemon on the *other* host builds none of that row and still
         // refuses the table.
-        assert!(Rpdtab::local_from_bytes(&bytes, "node00000").is_err());
-        assert!(Rpdtab::check_bytes(&bytes).is_err());
-        let intact = tab.to_bytes();
-        assert_eq!(Rpdtab::check_bytes(&intact).unwrap(), 4);
-        let (local, ntasks) = Rpdtab::local_from_bytes(&intact, "node00001").unwrap();
-        assert_eq!((local.len(), ntasks), (2, 4));
-        assert!(Rpdtab::local_from_bytes(&intact[..intact.len() - 1], "node00001").is_err());
-        assert!(Rpdtab::local_from_bytes(&[&intact[..], &[0]].concat(), "node00001").is_err());
+        assert!(Rpdtab::local_from_bytes(bytes.clone().into(), "node00000").is_err());
+        assert!(Rpdtab::check_bytes(bytes.into()).is_err());
+        let intact = Bytes::from(tab.to_bytes());
+        let checked = Rpdtab::check_bytes(intact.clone()).unwrap();
+        assert_eq!((checked.len(), checked.bytes()), (4, &intact));
+        assert_eq!(*checked, tab, "its rows are the decode's");
+        let (local, checked) = Rpdtab::local_from_bytes(intact.clone(), "node00001").unwrap();
+        assert_eq!((local.len(), checked.len()), (2, 4));
+        assert!(Rpdtab::local_from_bytes(intact.slice(..intact.len() - 1), "node00001").is_err());
+        let trailing = [&intact[..], &[0]].concat();
+        assert!(Rpdtab::local_from_bytes(trailing.into(), "node00001").is_err());
     }
 
     #[test]
     fn empty_table_roundtrip() {
-        let tab = Rpdtab::empty();
+        let tab = Rpdtab::default();
         let back = Rpdtab::from_bytes(&tab.to_bytes()).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.host_count(), 0);

@@ -27,8 +27,14 @@ pub trait WireEncode {
     /// Append the encoded form of `self` to `buf`.
     fn encode(&self, buf: &mut impl BufMut);
 
-    /// Exact number of bytes [`WireEncode::encode`] will write.
-    fn encoded_len(&self) -> usize;
+    /// Exact number of bytes [`WireEncode::encode`] will write: counted by
+    /// encoding into a sink that keeps no byte, so it cannot drift from
+    /// `encode`.
+    fn encoded_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode(&mut count);
+        count.0
+    }
 
     /// Encode into a fresh, exactly sized buffer.
     fn to_bytes(&self) -> Vec<u8> {
@@ -36,6 +42,15 @@ pub trait WireEncode {
         self.encode(&mut v);
         debug_assert_eq!(v.len(), self.encoded_len(), "encoded_len out of sync");
         v
+    }
+}
+
+/// A [`BufMut`] that counts what is put into it and keeps none of it.
+struct ByteCount(usize);
+
+impl BufMut for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
     }
 }
 
@@ -130,11 +145,6 @@ pub fn get_bytes(buf: &mut impl Buf) -> ProtoResult<Vec<u8>> {
     Ok(bytes)
 }
 
-/// Number of bytes [`put_bytes`] writes for `b`.
-pub fn bytes_len(b: &[u8]) -> usize {
-    4 + b.len()
-}
-
 /// Write a length-prefixed sequence of encodable values.
 pub fn put_seq<T: WireEncode>(buf: &mut impl BufMut, items: &[T]) {
     debug_assert!(items.len() <= MAX_SEQ_LEN);
@@ -157,11 +167,6 @@ pub fn get_seq<T: WireDecode>(buf: &mut impl Buf) -> ProtoResult<Vec<T>> {
         items.push(T::decode(buf)?);
     }
     Ok(items)
-}
-
-/// Encoded length of a sequence of encodable values.
-pub fn seq_len<T: WireEncode>(items: &[T]) -> usize {
-    4 + items.iter().map(WireEncode::encoded_len).sum::<usize>()
 }
 
 #[cfg(test)]
@@ -238,9 +243,6 @@ mod tests {
             fn encode(&self, buf: &mut impl BufMut) {
                 buf.put_u32(self.0);
             }
-            fn encoded_len(&self) -> usize {
-                4
-            }
         }
         impl WireDecode for W {
             fn decode(buf: &mut impl Buf) -> ProtoResult<Self> {
@@ -250,7 +252,7 @@ mod tests {
         let items: Vec<W> = (0..100).map(W).collect();
         let mut buf = Vec::new();
         put_seq(&mut buf, &items);
-        assert_eq!(buf.len(), seq_len(&items));
+        assert_eq!(buf.len(), 4 + 4 * items.len());
         let mut slice = &buf[..];
         let back: Vec<W> = get_seq(&mut slice).unwrap();
         assert_eq!(back.len(), 100);

@@ -70,6 +70,37 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// An encoded table as a decoder may meet it: clean, truncated, with a
+    /// trailing byte, with one byte flipped, or not a table at all.
+    fn arb_table_bytes()(
+        ranks_hosts in proptest::collection::vec((0u32..64, 0u32..5, 0u32..3), 0..120),
+        damage in 0u8..5,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        hostile in proptest::collection::vec(any::<u8>(), 0..256),
+    ) -> Vec<u8> {
+        let descs = ranks_hosts.iter().enumerate().map(|(i, (rank, host, exe))| ProcDesc {
+            rank: *rank,
+            host: format!("node{host:05}"),
+            exe: format!("exe{exe}"),
+            pid: i as u64,
+        });
+        let mut bytes = Rpdtab::new(descs.collect()).to_bytes();
+        match damage {
+            0 => {}
+            1 => bytes.truncate(at % (bytes.len() + 1)),
+            2 => bytes.push(byte),
+            3 => {
+                let i = at % bytes.len();
+                bytes[i] = byte;
+            }
+            _ => bytes = hostile,
+        }
+        bytes
+    }
+}
+
 proptest! {
     #[test]
     fn msg_roundtrip(m in arb_msg()) {
@@ -97,47 +128,48 @@ proptest! {
     }
 
     /// A back-end daemon's local decode is the full decode restricted to
-    /// one host, and the build-nothing check the engine runs on a table it
-    /// only forwards is the full decode's verdict and task count — on clean,
-    /// truncated, extended and byte-flipped buffers alike: both accept
-    /// exactly what `from_bytes` accepts.
+    /// one host, and the build-nothing check the engine and the front end
+    /// run on a table they only forward is the full decode's verdict and
+    /// task count — on clean, truncated, extended, byte-flipped and hostile
+    /// buffers alike: both accept exactly what `from_bytes` accepts.
     #[test]
     fn rpdtab_local_decode_agrees_with_full_decode(
-        ranks_hosts in proptest::collection::vec((0u32..64, 0u32..5, 0u32..3), 0..120),
+        bytes in arb_table_bytes(),
         host_id in 0u32..6,
-        damage in 0u8..4,
-        at in any::<usize>(),
-        byte in any::<u8>(),
     ) {
-        let descs = ranks_hosts.iter().enumerate().map(|(i, (rank, host, exe))| ProcDesc {
-            rank: *rank,
-            host: format!("node{host:05}"),
-            exe: format!("exe{exe}"),
-            pid: i as u64,
-        });
-        let mut bytes = Rpdtab::new(descs.collect()).to_bytes();
-        match damage {
-            0 => {}
-            1 => bytes.truncate(at % (bytes.len() + 1)),
-            2 => bytes.push(byte),
-            _ => {
-                let i = at % bytes.len();
-                bytes[i] = byte;
-            }
-        }
         let host = format!("node{host_id:05}"); // node00005 is never in the table
-        let local = Rpdtab::local_from_bytes(&bytes, &host);
-        let checked = Rpdtab::check_bytes(&bytes);
+        let local = Rpdtab::local_from_bytes(bytes.clone().into(), &host);
+        let checked = Rpdtab::check_bytes(bytes.clone().into());
         match Rpdtab::from_bytes(&bytes) {
             Ok(full) => {
                 let expect = Rpdtab::new(full.local_tasks(&host).cloned().collect());
-                prop_assert_eq!(local.unwrap(), (expect, full.len()));
-                prop_assert_eq!(checked.unwrap(), full.len());
+                let (local, table) = local.unwrap();
+                prop_assert_eq!((local, table.len()), (expect, full.len()));
+                prop_assert_eq!(checked.unwrap().len(), full.len());
             }
             Err(_) => {
                 prop_assert!(local.is_err(), "local decode accepted a rejected buffer");
                 prop_assert!(checked.is_err(), "check-only walk accepted a rejected buffer");
             }
+        }
+    }
+
+    /// `CheckedRpdtab` is `from_bytes` deferred: it is made from exactly
+    /// the buffers `from_bytes` accepts, never panics on hostile bytes, keeps
+    /// the bytes it checked, and the table it builds on first use is
+    /// `from_bytes`' table.
+    #[test]
+    fn checked_rpdtab_is_from_bytes_deferred(bytes in arb_table_bytes()) {
+        let checked = Rpdtab::check_bytes(bytes.clone().into());
+        match (checked, Rpdtab::from_bytes(&bytes)) {
+            (Ok(checked), Ok(full)) => {
+                prop_assert_eq!(checked.bytes(), &bytes);
+                prop_assert_eq!((checked.len(), checked.is_empty()), (full.len(), full.is_empty()));
+                prop_assert_eq!(&*checked, &full);
+                prop_assert_eq!(checked.hosts(), full.hosts());
+            }
+            (Err(_), Err(_)) => {}
+            (checked, full) => prop_assert!(false, "verdicts differ: {:?} vs {:?}", checked, full),
         }
     }
 

@@ -92,8 +92,6 @@ mod tests {
     use crate::mpir;
     use lmon_cluster::config::ClusterConfig;
     use lmon_cluster::trace::{TraceController, TraceEvent};
-    use lmon_proto::rpdtab::Rpdtab;
-    use lmon_proto::wire::WireDecode;
     use std::time::Duration;
 
     #[test]
@@ -114,7 +112,7 @@ mod tests {
             }
         }
         assert_eq!(forks, 3, "PerNode default: one event per node");
-        let table = Rpdtab::from_bytes(&mpir::fetch_proctable(&ctl).unwrap()).unwrap();
+        let table = mpir::fetch_proctable(&ctl).unwrap();
         assert_eq!(table.len(), 6);
         ctl.continue_proc();
         rm.kill_job(&handle).unwrap();

@@ -21,9 +21,7 @@
 
 use lmon_cluster::process::ProcCtx;
 use lmon_cluster::trace::TraceController;
-use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::wire::WireEncode;
-use lmon_proto::Bytes;
+use lmon_proto::rpdtab::{CheckedRpdtab, Rpdtab};
 
 /// Symbol: serialized RPDTAB.
 pub const MPIR_PROCTABLE: &str = "MPIR_proctable";
@@ -43,11 +41,12 @@ pub const MPIR_DEBUG_SPAWNED: u8 = 1;
 /// `MPIR_debug_state`: the job is aborting.
 pub const MPIR_DEBUG_ABORTING: u8 = 2;
 
-/// Launcher side: export the proctable and state, then hit the breakpoint
-/// (which stops the launcher only if a tracer armed it).
-pub fn publish_proctable(ctx: &ProcCtx, table: &Rpdtab) {
-    ctx.export_symbol(MPIR_PROCTABLE, table.to_bytes());
-    ctx.export_symbol(MPIR_PROCTABLE_SIZE, (table.len() as u32).to_be_bytes().to_vec());
+/// Launcher side: export the encoded proctable of `ntasks` rows and the
+/// state, then hit the breakpoint (which stops the launcher only if a
+/// tracer armed it).
+pub fn publish_proctable(ctx: &ProcCtx, table: Vec<u8>, ntasks: usize) {
+    ctx.export_symbol(MPIR_PROCTABLE, table);
+    ctx.export_symbol(MPIR_PROCTABLE_SIZE, (ntasks as u32).to_be_bytes().to_vec());
     ctx.export_symbol(MPIR_DEBUG_STATE, vec![MPIR_DEBUG_SPAWNED]);
     ctx.checkpoint(MPIR_BREAKPOINT);
 }
@@ -72,21 +71,22 @@ pub fn read_debug_state(ctl: &TraceController) -> Option<u8> {
 /// accumulates on the controller (Region B of the §4 model). The table is
 /// walked once with every check a decode makes, and its row count must
 /// match the size symbol; what comes back is the launcher's own encoding,
-/// for callers to forward as is or decode.
-pub fn fetch_proctable(ctl: &TraceController) -> Result<Bytes, String> {
+/// checked, for callers to forward as is or decode.
+pub fn fetch_proctable(ctl: &TraceController) -> Result<CheckedRpdtab, String> {
     let size_bytes =
         ctl.read_symbol(MPIR_PROCTABLE_SIZE).map_err(|e| format!("proctable size: {e}"))?;
     let claimed = u32::from_be_bytes(
         size_bytes.as_slice().try_into().map_err(|_| "bad proctable size".to_string())?,
     );
     let bytes = ctl.read_symbol(MPIR_PROCTABLE).map_err(|e| format!("proctable: {e}"))?;
-    let tasks = Rpdtab::check_bytes(&bytes).map_err(|e| format!("proctable decode: {e}"))?;
-    if tasks as u32 != claimed {
+    let table = Rpdtab::check_bytes(bytes.into()).map_err(|e| format!("proctable decode: {e}"))?;
+    if table.len() as u32 != claimed {
         return Err(format!(
-            "proctable inconsistent: size symbol says {claimed}, table has {tasks}"
+            "proctable inconsistent: size symbol says {claimed}, table has {}",
+            table.len()
         ));
     }
-    Ok(bytes.into())
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -98,6 +98,7 @@ mod tests {
     use lmon_cluster::trace::TraceEvent;
     use lmon_cluster::VirtualCluster;
     use lmon_proto::rpdtab::synthetic_rpdtab;
+    use lmon_proto::wire::WireEncode;
     use std::time::Duration;
 
     #[test]
@@ -112,7 +113,7 @@ mod tests {
                 // Wait for the tracer to attach before publishing, the same
                 // way launch_job's gate sequences things.
                 attach_rx.recv().unwrap();
-                publish_proctable(&ctx, &table);
+                publish_proctable(&ctx, table.to_bytes(), table.len());
             })
             .unwrap();
 
@@ -126,7 +127,8 @@ mod tests {
         assert_eq!(read_debug_state(&ctl), Some(MPIR_DEBUG_SPAWNED));
 
         let fetched = fetch_proctable(&ctl).unwrap();
-        assert_eq!(fetched, expected.to_bytes(), "the launcher's own encoding, unchanged");
+        assert_eq!(fetched.bytes(), &expected.to_bytes(), "the launcher's own encoding, unchanged");
+        assert_eq!(*fetched, expected);
         assert!(ctl.words_read() > 0, "fetch must charge word reads");
 
         ctl.continue_proc();

@@ -16,7 +16,8 @@ use lmon_cluster::process::{Pid, ProcSpec};
 use lmon_cluster::trace::TraceEvent;
 use lmon_cluster::VirtualCluster;
 use lmon_iccl::ChannelFabric;
-use lmon_proto::rpdtab::{ProcDesc, Rpdtab};
+use lmon_proto::rpdtab::RpdtabWriter;
+use lmon_proto::wire::WireEncode;
 
 use crate::allocator::NodeAllocator;
 use crate::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmError, RmResult};
@@ -102,15 +103,14 @@ impl RmCore {
                 // out block-wise like srun's default distribution. Pids are
                 // reserved up front in rank order, so the bounded fan-out
                 // below places every task exactly where the sequential loop
-                // would, no matter how workers interleave.
+                // would, no matter how workers interleave. Each node's
+                // worker returns its hostname and the `(rank, pid)` of every
+                // task it spawned.
                 let tpn = job_spec.tasks_per_node;
                 let pid_block = cluster.reserve_pids(nodes.len() * tpn);
                 let per_node = fanout(nodes.clone(), launch_workers, |node_i, node_id| {
-                    let host = match cluster.node(node_id) {
-                        Ok(n) => n.hostname.clone(),
-                        Err(_) => return Vec::new(),
-                    };
-                    let mut descs = Vec::with_capacity(tpn);
+                    let Ok(node) = cluster.node(node_id) else { return (String::new(), vec![]) };
+                    let mut tasks = Vec::with_capacity(tpn);
                     for local in 0..tpn {
                         let rank = (node_i * tpn + local) as u32;
                         let mut task_spec =
@@ -119,17 +119,11 @@ impl RmCore {
                         task_spec.rank = Some(rank);
                         let pid = pid_block.pid(rank as usize);
                         if cluster.spawn_passive_with_pid(pid, node_id, task_spec, job_id).is_ok() {
-                            descs.push(ProcDesc {
-                                rank,
-                                host: host.clone(),
-                                exe: job_spec.app_exe.clone(),
-                                pid: pid.0,
-                            });
+                            tasks.push((rank, pid.0));
                         }
                     }
-                    descs
+                    (node.hostname.clone(), tasks)
                 });
-                let entries: Vec<ProcDesc> = per_node.into_iter().flatten().collect();
 
                 // `kill_job` kills the launcher before it sweeps the nodes,
                 // so a kill that landed during the spawn may have swept
@@ -144,16 +138,19 @@ impl RmCore {
                 // every task exists (tracers count events, they don't race
                 // the forks themselves).
                 let event_budget = events.event_count(job_spec.nodes, tpn);
-                for desc in entries.iter().take(event_budget) {
-                    ctx.raise_event(TraceEvent::Forked { child: Pid(desc.pid) });
+                let pids = per_node.iter().flat_map(|(_, tasks)| tasks).map(|&(_, pid)| pid);
+                for pid in pids.take(event_budget) {
+                    ctx.raise_event(TraceEvent::Forked { child: Pid(pid) });
                 }
 
-                // APAI: publish and stop at MPIR_Breakpoint if traced. Only
-                // the published bytes outlive this statement: a launcher
-                // that still held the decoded table would free its rows
-                // when a kill wakes it, on another core, in the middle of
-                // `kill_job`'s sweep.
-                mpir::publish_proctable(&ctx, &Rpdtab::new(entries));
+                // APAI: publish and stop at MPIR_Breakpoint if traced. The
+                // encoding consumes the per-node lists, so only the exported
+                // bytes are left when the launcher stops: one still holding
+                // its rows would free them when the engine continues it,
+                // inside the handshake, or when a kill wakes it, on another
+                // core in the middle of `kill_job`'s sweep.
+                let (table, ntasks) = encode_proctable(per_node, &job_spec.app_exe);
+                mpir::publish_proctable(&ctx, table, ntasks);
 
                 // The launcher lives until the job is killed.
                 ctx.shared.wait_terminal();
@@ -227,6 +224,18 @@ impl RmCore {
         self.allocator.release(&handle.allocation);
         Ok(())
     }
+}
+
+/// A launcher's `MPIR_proctable`: each node's `(rank, pid)` rows, in rank
+/// order, written straight into the one encoding; and the row count. A
+/// node with no rows leaves its host out.
+fn encode_proctable(per_node: Vec<(String, Vec<(u32, u64)>)>, exe: &str) -> (Vec<u8>, usize) {
+    let ntasks = per_node.iter().map(|(_, tasks)| tasks.len()).sum();
+    let mut table = RpdtabWriter::with_capacity(ntasks);
+    for (host, tasks) in &per_node {
+        table.push(host, exe, tasks);
+    }
+    (table.to_bytes(), ntasks)
 }
 
 /// Kill and remove every task stamped with job `job_id`, one
@@ -326,11 +335,82 @@ mod tests {
     use lmon_cluster::process::ProcState;
     use lmon_cluster::trace::TraceController;
     use lmon_iccl::{IcclComm, Topology};
-    use lmon_proto::wire::WireDecode;
+    use lmon_proto::rpdtab::{CheckedRpdtab, ProcDesc, Rpdtab};
     use std::time::Duration;
 
     fn rm(nodes: usize) -> SlurmRm {
         SlurmRm::new(VirtualCluster::new(ClusterConfig::with_nodes(nodes)))
+    }
+
+    /// Attach to an ungated job's launcher after the fact (the
+    /// attachAndSpawn shape) and read its APAI once it has published.
+    fn published_table(rm: &SlurmRm, handle: &JobHandle) -> CheckedRpdtab {
+        let (_n, rec) = rm.cluster().find_proc(handle.launcher_pid).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let ctl = TraceController::attach(handle.launcher_pid, rec.shared.clone()).unwrap();
+            match mpir::fetch_proctable(&ctl) {
+                Ok(table) => break table,
+                Err(_) if std::time::Instant::now() < deadline => {
+                    drop(ctl);
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("proctable never appeared: {e}"),
+            }
+        }
+    }
+
+    /// What the old launcher built from the same job: one row per task
+    /// record on the job's nodes, made from the cluster's process tables.
+    fn rows_in_tables(rm: &SlurmRm, handle: &JobHandle) -> Vec<ProcDesc> {
+        let mut rows = Vec::new();
+        for node_id in &handle.allocation.nodes {
+            let node = rm.cluster().node(*node_id).unwrap();
+            for pid in node.pids() {
+                let rec = node.proc(pid).unwrap();
+                if let Some(rank) = rec.spec.rank.filter(|_| rec.spec.exe == "app") {
+                    let host = node.hostname.clone();
+                    rows.push(ProcDesc { rank, host, exe: rec.spec.exe.clone(), pid: pid.0 });
+                }
+            }
+        }
+        rows
+    }
+
+    /// The launcher writes its rows straight into the wire format; the
+    /// bytes are those `Rpdtab::new(rows).to_bytes()` makes of the same
+    /// rows: for a full job, for one whose middle node spawned nothing (its
+    /// host is absent and the host ids stay dense), and for no tasks at all.
+    #[test]
+    fn launcher_bytes_equal_the_table_encoding() {
+        let mut config = ClusterConfig::with_nodes(4);
+        config.proc_table_cap = 8;
+        let rm = SlurmRm::new(VirtualCluster::new(config));
+        let handle = rm.launch_job(&JobSpec::new("app", 4, 8), false).unwrap();
+        let table = published_table(&rm, &handle);
+        let rows = rows_in_tables(&rm, &handle);
+        assert_eq!(rows.len(), 32);
+        assert_eq!(table.bytes(), &Rpdtab::new(rows).to_bytes());
+        rm.kill_job(&handle).unwrap();
+
+        // Node 1's table is full: every spawn there fails.
+        let full = NodeId::Compute(1);
+        for _ in 0..8 {
+            rm.cluster().spawn_passive(full, ProcSpec::named("filler"), 0).unwrap();
+        }
+        let handle = rm.launch_job(&JobSpec::new("app", 3, 2), false).unwrap();
+        let table = published_table(&rm, &handle);
+        let rows = rows_in_tables(&rm, &handle);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(table.bytes(), &Rpdtab::new(rows).to_bytes());
+        assert_eq!(table.hosts(), ["node00000", "node00002"]);
+        rm.kill_job(&handle).unwrap();
+
+        let handle = rm.launch_job(&JobSpec::new("app", 2, 0), false).unwrap();
+        let table = published_table(&rm, &handle);
+        assert_eq!(table.bytes(), &Rpdtab::new(vec![]).to_bytes());
+        assert_eq!(table.bytes(), &[0; 12], "no host, no exe, no row");
+        rm.kill_job(&handle).unwrap();
     }
 
     #[test]
@@ -339,21 +419,8 @@ mod tests {
         let spec = JobSpec::new("ring", 2, 4);
         let handle = rm.launch_job(&spec, false).unwrap();
         assert!(!handle.is_gated());
-        // Attach after the fact (the attachAndSpawn shape) and read APAI.
         let (_n, rec) = rm.cluster().find_proc(handle.launcher_pid).unwrap();
-        // Give the launcher a moment to publish.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let table = loop {
-            let ctl = TraceController::attach(handle.launcher_pid, rec.shared.clone()).unwrap();
-            match mpir::fetch_proctable(&ctl) {
-                Ok(bytes) => break Rpdtab::from_bytes(&bytes).unwrap(),
-                Err(_) if std::time::Instant::now() < deadline => {
-                    drop(ctl);
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => panic!("proctable never appeared: {e}"),
-            }
-        };
+        let table = published_table(&rm, &handle);
         assert_eq!(table.len(), 8);
         assert_eq!(table.host_count(), 2);
         // The launcher's record leaves the table with the job: wait on the
@@ -385,7 +452,7 @@ mod tests {
             }
         }
         assert_eq!(forks, 3);
-        let table = Rpdtab::from_bytes(&mpir::fetch_proctable(&ctl).unwrap()).unwrap();
+        let table = mpir::fetch_proctable(&ctl).unwrap();
         assert_eq!(table.len(), 4);
         ctl.continue_proc();
         rm.kill_job(&handle).unwrap();
@@ -448,19 +515,7 @@ mod tests {
             let rm = SlurmRm::new(VirtualCluster::new(ClusterConfig::with_nodes(8)))
                 .with_launch_workers(workers);
             let handle = rm.launch_job(&JobSpec::new("app", 8, 4), false).unwrap();
-            let (_n, rec) = rm.cluster().find_proc(handle.launcher_pid).unwrap();
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            let table = loop {
-                let ctl = TraceController::attach(handle.launcher_pid, rec.shared.clone()).unwrap();
-                match mpir::fetch_proctable(&ctl) {
-                    Ok(bytes) => break Rpdtab::from_bytes(&bytes).unwrap(),
-                    Err(_) if std::time::Instant::now() < deadline => {
-                        drop(ctl);
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => panic!("proctable never appeared: {e}"),
-                }
-            };
+            let table = published_table(&rm, &handle);
             let body: DaemonBody = Arc::new(|_ctx, _ep| {});
             let daemons = rm.spawn_daemons(&handle.allocation, "toold", &[], &[], body).unwrap();
             for pid in &daemons {

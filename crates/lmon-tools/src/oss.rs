@@ -24,7 +24,6 @@ use lmon_core::timeline::CriticalEvent;
 use lmon_core::LmonResult;
 use lmon_proto::payload::DaemonSpec;
 use lmon_proto::rpdtab::Rpdtab;
-use lmon_proto::wire::WireDecode;
 use lmon_rm::mpir;
 
 use crate::dpcl::{parse_binary, DpclInfra, ProbeModule, SyntheticBinary};
@@ -95,8 +94,8 @@ impl Instrumentor for DpclInstrumentor {
         let (_node, rec) = self.cluster.find_proc(launcher_pid).map_err(|e| e.to_string())?;
         let ctl =
             TraceController::attach(launcher_pid, rec.shared.clone()).map_err(|e| e.to_string())?;
-        let rpdtab =
-            Rpdtab::from_bytes(&mpir::fetch_proctable(&ctl)?).map_err(|e| e.to_string())?;
+        let table = mpir::fetch_proctable(&ctl)?;
+        let rpdtab = Rpdtab::clone(&table);
 
         Ok(ApaiAcquisition { rpdtab, apai_time: t0.elapsed() })
     }
@@ -149,7 +148,7 @@ impl Instrumentor for LaunchmonInstrumentor<'_> {
         let apai_time = tl
             .between(CriticalEvent::E0ClientCall, CriticalEvent::E4RpdtabFetched)
             .ok_or("timeline incomplete")?;
-        Ok(ApaiAcquisition { rpdtab: outcome.rpdtab, apai_time })
+        Ok(ApaiAcquisition { rpdtab: Rpdtab::clone(&outcome.rpdtab), apai_time })
     }
 }
 

@@ -131,7 +131,7 @@ fn rpdtab_flows_unchanged_from_rm_to_daemons() {
     let outcome = fe.attach_and_spawn(session, launcher, DaemonSpec::bare("d"), be_main).unwrap();
 
     let fe_view = fe.get_proctable(session).unwrap();
-    assert_eq!(fe_view, outcome.rpdtab);
+    assert_eq!(fe_view, *outcome.rpdtab);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while daemon_views.lock().len() < 3 {
         assert!(std::time::Instant::now() < deadline);
