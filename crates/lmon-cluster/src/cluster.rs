@@ -1,5 +1,6 @@
 //! The cluster facade: node lookup, process spawning, `/proc` reads.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -9,7 +10,7 @@ use crate::config::ClusterConfig;
 use crate::error::{ClusterError, ClusterResult};
 use crate::node::{Node, NodeId};
 use crate::process::{Pid, ProcCtx, ProcRecord, ProcShared, ProcSpec, ProcState};
-use crate::procfs::{snapshot, synth_task_stats, ProcSnapshot, ProcStats};
+use crate::procfs::{snapshot, synth_task_stats, ProcSnapshot};
 use crate::remote::RshState;
 use crate::trace::TraceEvent;
 
@@ -17,6 +18,8 @@ struct ClusterInner {
     config: ClusterConfig,
     fe: Arc<Node>,
     compute: Vec<Arc<Node>>,
+    /// Hostname → node, built once: hostnames never change.
+    by_host: HashMap<String, NodeId>,
     next_pid: AtomicU64,
     next_job: AtomicU64,
     rsh: RshState,
@@ -75,7 +78,7 @@ impl VirtualCluster {
             config.cores_per_node,
             config.proc_table_cap,
         );
-        let compute = (0..config.nodes)
+        let compute: Vec<_> = (0..config.nodes)
             .map(|i| {
                 Node::new(
                     NodeId::Compute(i as u32),
@@ -85,12 +88,17 @@ impl VirtualCluster {
                 )
             })
             .collect();
+        // Collected in reverse: the front end wins a shared hostname, then
+        // the lowest compute index.
+        let nodes = std::iter::once(&fe).chain(&compute);
+        let by_host = nodes.rev().map(|n| (n.hostname.clone(), n.id)).collect();
         VirtualCluster {
             inner: Arc::new(ClusterInner {
                 rsh: RshState::new(config.rsh),
                 config,
                 fe,
                 compute,
+                by_host,
                 next_pid: AtomicU64::new(1000),
                 next_job: AtomicU64::new(1),
             }),
@@ -124,15 +132,9 @@ impl VirtualCluster {
 
     /// Look up a node by hostname.
     pub fn node_by_host(&self, host: &str) -> ClusterResult<Arc<Node>> {
-        if host == self.inner.fe.hostname {
-            return Ok(self.inner.fe.clone());
-        }
-        self.inner
-            .compute
-            .iter()
-            .find(|n| n.hostname == host)
-            .cloned()
-            .ok_or_else(|| ClusterError::NoSuchHost(host.to_string()))
+        let id =
+            self.inner.by_host.get(host).ok_or_else(|| ClusterError::NoSuchHost(host.into()))?;
+        self.node(*id)
     }
 
     /// All compute nodes, in index order.
@@ -199,10 +201,13 @@ impl VirtualCluster {
             std::thread::sleep(spawn_latency);
         }
         let node = self.node(node_id)?;
+        let spec = Arc::new(spec);
         let shared = ProcShared::new(Node::fresh_stats());
         let rec = Arc::new(ProcRecord {
             pid,
             spec: spec.clone(),
+            rank: None,
+            job: None,
             shared: shared.clone(),
             thread: Mutex::new(None),
         });
@@ -232,15 +237,17 @@ impl VirtualCluster {
     }
 
     /// Spawn a *passive* process: a table entry with synthesized stats and
-    /// no thread. Used for MPI application tasks.
+    /// no thread, for an MPI application task: the record shares the job's
+    /// `spec` and carries `job_id` (what its RM's kill matches) and `rank`.
     pub fn spawn_passive(
         &self,
         node_id: NodeId,
-        spec: ProcSpec,
+        spec: &Arc<ProcSpec>,
         job_id: u64,
+        rank: u32,
     ) -> ClusterResult<Pid> {
         let pid = self.alloc_pid();
-        self.spawn_passive_with_pid(pid, node_id, spec, job_id)?;
+        self.spawn_passive_with_pid(pid, node_id, spec, job_id, rank)?;
         Ok(pid)
     }
 
@@ -250,17 +257,17 @@ impl VirtualCluster {
         &self,
         pid: Pid,
         node_id: NodeId,
-        spec: ProcSpec,
+        spec: &Arc<ProcSpec>,
         job_id: u64,
+        rank: u32,
     ) -> ClusterResult<()> {
         let node = self.node(node_id)?;
-        let stats = match spec.rank {
-            Some(rank) => synth_task_stats(self.inner.config.stats_seed, job_id, rank),
-            None => ProcStats::default(),
-        };
+        let stats = synth_task_stats(self.inner.config.stats_seed, job_id, rank);
         let rec = Arc::new(ProcRecord {
             pid,
-            spec,
+            spec: spec.clone(),
+            rank: Some(rank),
+            job: Some(job_id),
             shared: ProcShared::new(stats),
             thread: Mutex::new(None),
         });
@@ -286,7 +293,7 @@ impl VirtualCluster {
         let node = self.node_by_host(host)?;
         let rec = node.proc(pid).ok_or(ClusterError::NoSuchProcess(pid))?;
         let stats = *rec.shared.stats.lock();
-        Ok(snapshot(pid.0, rec.spec.rank, &rec.spec.exe, &node.hostname, rec.shared.state(), stats))
+        Ok(snapshot(pid.0, rec.rank, &rec.spec.exe, &node.hostname, rec.shared.state(), stats))
     }
 
     /// Send a kill to a process; active bodies observe it via
@@ -348,6 +355,22 @@ mod tests {
         assert!(c.node_by_host("node00003").is_ok());
         assert!(c.node_by_host("atlas-fe0").is_ok());
         assert!(c.node_by_host("nope").is_err());
+
+        let wide = VirtualCluster::new(ClusterConfig::with_nodes(2048));
+        for i in 0..2048 {
+            let host = wide.config().hostname(i);
+            assert_eq!(wide.node_by_host(&host).unwrap().id, NodeId::Compute(i as u32));
+        }
+        assert_eq!(wide.node_by_host("atlas-fe0").unwrap().id, NodeId::FrontEnd);
+        assert!(matches!(
+            wide.node_by_host("node02048"),
+            Err(ClusterError::NoSuchHost(h)) if h == "node02048"
+        ));
+
+        let mut shared_name = ClusterConfig::with_nodes(2);
+        shared_name.fe_host = "node00001".into();
+        let c = VirtualCluster::new(shared_name);
+        assert_eq!(c.node_by_host("node00001").unwrap().id, NodeId::FrontEnd, "the FE wins");
     }
 
     #[test]
@@ -369,9 +392,8 @@ mod tests {
     #[test]
     fn passive_tasks_get_synthesized_stats() {
         let c = small();
-        let mut spec = ProcSpec::named("ring");
-        spec.rank = Some(5);
-        let pid = c.spawn_passive(NodeId::Compute(1), spec, 77).unwrap();
+        let spec = Arc::new(ProcSpec::named("ring"));
+        let pid = c.spawn_passive(NodeId::Compute(1), &spec, 77, 5).unwrap();
         let snap = c.read_proc("node00001", pid).unwrap();
         assert_eq!(snap.rank, Some(5));
         assert_eq!(snap.state, 'R');
@@ -384,9 +406,8 @@ mod tests {
     #[test]
     fn kill_terminates_and_wait_observes() {
         let c = small();
-        let mut spec = ProcSpec::named("victim");
-        spec.rank = Some(0);
-        let pid = c.spawn_passive(NodeId::Compute(0), spec, 1).unwrap();
+        let spec = Arc::new(ProcSpec::named("victim"));
+        let pid = c.spawn_passive(NodeId::Compute(0), &spec, 1, 0).unwrap();
         c.kill(pid).unwrap();
         assert!(matches!(c.wait_pid(pid).unwrap(), ProcState::Killed));
     }
@@ -413,11 +434,10 @@ mod tests {
     fn pids_are_cluster_globally_unique() {
         let c = small();
         let mut pids = std::collections::HashSet::new();
+        let spec = Arc::new(ProcSpec::named("t"));
         for i in 0..4 {
             for _ in 0..10 {
-                let mut spec = ProcSpec::named("t");
-                spec.rank = Some(0);
-                let pid = c.spawn_passive(NodeId::Compute(i), spec, 1).unwrap();
+                let pid = c.spawn_passive(NodeId::Compute(i), &spec, 1, 0).unwrap();
                 assert!(pids.insert(pid), "pid reused: {pid:?}");
             }
         }
@@ -429,13 +449,14 @@ mod tests {
         let block = c.reserve_pids(4);
         assert_eq!(block.len(), 4);
         // A spawn after the reservation lands past the whole block.
-        let later = c.spawn_passive(NodeId::Compute(0), ProcSpec::named("after"), 1).unwrap();
+        let later =
+            c.spawn_passive(NodeId::Compute(0), &Arc::new(ProcSpec::named("after")), 1, 0).unwrap();
         assert!(later.0 > block.pid(3).0);
         // Spawning into the block out of order still yields the reserved
         // pids, observable on the node.
+        let spec = Arc::new(ProcSpec::named("blk"));
         for i in [2usize, 0, 3, 1] {
-            c.spawn_passive_with_pid(block.pid(i), NodeId::Compute(1), ProcSpec::named("blk"), 1)
-                .unwrap();
+            c.spawn_passive_with_pid(block.pid(i), NodeId::Compute(1), &spec, 1, i as u32).unwrap();
         }
         for i in 0..4 {
             let snap = c.read_proc("node00001", block.pid(i)).unwrap();

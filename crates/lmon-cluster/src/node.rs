@@ -6,7 +6,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::error::{ClusterError, ClusterResult};
-use crate::process::{Pid, ProcRecord, ProcSpec, ProcState, ProcTable};
+use crate::process::{Pid, ProcRecord, ProcState, ProcTable};
 use crate::procfs::ProcStats;
 
 /// Index of a node within the cluster (`FE` is a distinguished node).
@@ -87,10 +87,10 @@ impl Node {
         v
     }
 
-    /// Pids whose spec matches a predicate (e.g. all tasks of one job).
-    pub fn pids_matching(&self, pred: impl Fn(&ProcSpec) -> bool) -> Vec<Pid> {
+    /// Pids whose record matches a predicate (e.g. all ranked tasks).
+    pub fn pids_matching(&self, pred: impl Fn(&ProcRecord) -> bool) -> Vec<Pid> {
         let mut v: Vec<Pid> =
-            self.table.lock().values().filter(|r| pred(&r.spec)).map(|r| r.pid).collect();
+            self.table.lock().values().filter(|r| pred(r)).map(|r| r.pid).collect();
         v.sort();
         v
     }
@@ -124,14 +124,14 @@ impl std::fmt::Debug for Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::ProcShared;
+    use crate::process::{ProcShared, ProcSpec};
 
     fn record(pid: u64, exe: &str, rank: Option<u32>) -> Arc<ProcRecord> {
-        let mut spec = ProcSpec::named(exe);
-        spec.rank = rank;
         Arc::new(ProcRecord {
             pid: Pid(pid),
-            spec,
+            spec: Arc::new(ProcSpec::named(exe)),
+            rank,
+            job: None,
             shared: ProcShared::new(ProcStats::default()),
             thread: Mutex::new(None),
         })
@@ -155,7 +155,7 @@ mod tests {
         node.insert(record(10, "app", Some(0))).unwrap();
         node.insert(record(20, "daemon", None)).unwrap();
         assert_eq!(node.pids(), vec![Pid(10), Pid(20), Pid(30)]);
-        assert_eq!(node.pids_matching(|s| s.rank.is_some()), vec![Pid(10), Pid(30)]);
+        assert_eq!(node.pids_matching(|r| r.rank.is_some()), vec![Pid(10), Pid(30)]);
     }
 
     #[test]
@@ -176,7 +176,7 @@ mod tests {
         let daemon = record(2, "toold", None);
         node.insert(task.clone()).unwrap();
         node.insert(daemon.clone()).unwrap();
-        node.kill_matching(|r| r.spec.rank.is_some());
+        node.kill_matching(|r| r.rank.is_some());
         assert_eq!(task.shared.state(), ProcState::Killed);
         assert_eq!(node.pids(), vec![Pid(2)], "what was killed left the table");
         assert_eq!(daemon.shared.state(), ProcState::Running);

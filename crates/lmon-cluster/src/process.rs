@@ -51,7 +51,8 @@ impl ProcState {
     }
 }
 
-/// What to run: image name, arguments, environment.
+/// What to run: image name, arguments, environment. Every task of one job
+/// shares one spec; its rank and job id live on the [`ProcRecord`].
 #[derive(Debug, Clone, Default)]
 pub struct ProcSpec {
     /// Executable image name (also reported in the RPDTAB).
@@ -60,8 +61,6 @@ pub struct ProcSpec {
     pub args: Vec<String>,
     /// Environment assignments, `KEY=VALUE`.
     pub env: Vec<String>,
-    /// MPI rank if this is an application task.
-    pub rank: Option<u32>,
 }
 
 impl ProcSpec {
@@ -149,8 +148,12 @@ impl ProcShared {
 pub struct ProcRecord {
     /// The process id.
     pub pid: Pid,
-    /// Static spec the process was created from.
-    pub spec: ProcSpec,
+    /// Static spec the process was created from (one per job for tasks).
+    pub spec: Arc<ProcSpec>,
+    /// MPI rank if this is an application task.
+    pub rank: Option<u32>,
+    /// Job id of an application task: what its RM's kill matches.
+    pub job: Option<u64>,
     /// Shared dynamic state.
     pub shared: Arc<ProcShared>,
     /// Join handle if the process is active (has a thread).
@@ -180,8 +183,8 @@ pub struct ProcCtx {
     pub node: crate::node::NodeId,
     /// The node's hostname.
     pub hostname: String,
-    /// The spec the process was launched with.
-    pub spec: ProcSpec,
+    /// The spec the process was launched with (the record's own `Arc`).
+    pub spec: Arc<ProcSpec>,
     /// Shared state (stats may be updated by the body).
     pub shared: Arc<ProcShared>,
     /// Handle back to the whole cluster, for spawning and lookups.

@@ -36,7 +36,6 @@ impl BlueGeneRm {
                 cluster,
                 allocator,
                 events: DebugEventProfile::PerNode,
-                job_env_key: "BG_JOB_ID",
                 launch_workers: lmon_cluster::DEFAULT_LAUNCH_WORKERS,
             },
         }

@@ -156,9 +156,8 @@ mod tests {
     #[test]
     fn fetch_fails_cleanly_without_symbols() {
         let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
-        let mut spec = ProcSpec::named("notalauncher");
-        spec.rank = Some(0);
-        let pid = cluster.spawn_passive(NodeId::Compute(0), spec, 1).unwrap();
+        let spec = std::sync::Arc::new(ProcSpec::named("notalauncher"));
+        let pid = cluster.spawn_passive(NodeId::Compute(0), &spec, 1, 0).unwrap();
         let (_n, rec) = cluster.find_proc(pid).unwrap();
         let ctl = TraceController::attach(Pid(pid.0), rec.shared.clone()).unwrap();
         assert!(fetch_proctable(&ctl).is_err());

@@ -56,8 +56,6 @@ pub(crate) struct RmCore {
     pub cluster: VirtualCluster,
     pub allocator: Arc<NodeAllocator>,
     pub events: DebugEventProfile,
-    /// Environment key the RM stamps on every job task (used by kill).
-    pub job_env_key: &'static str,
     /// Fan-out width for per-node daemon/task spawn loops. `1` reproduces
     /// the old sequential loops exactly; placement is identical either way
     /// because pids are reserved before the fan-out.
@@ -78,16 +76,12 @@ impl RmCore {
         let job_spec = spec.clone();
         let nodes = alloc.nodes.clone();
         let events = self.events;
-        let job_env_key = self.job_env_key;
         let launch_workers = self.launch_workers;
-        // The env stamp `kill_job` sweeps by, on the launcher and every task.
-        let job_stamp = job_id.to_string();
 
         let launcher_spec = ProcSpec::named("srun")
             .arg(format!("--nodes={}", spec.nodes))
             .arg(format!("--ntasks-per-node={}", spec.tasks_per_node))
-            .arg(job_spec.app_exe.clone())
-            .env_kv(job_env_key, &job_stamp);
+            .arg(job_spec.app_exe.clone());
 
         let launcher_pid = self
             .cluster
@@ -105,20 +99,23 @@ impl RmCore {
                 // below places every task exactly where the sequential loop
                 // would, no matter how workers interleave. Each node's
                 // worker returns its hostname and the `(rank, pid)` of every
-                // task it spawned.
+                // task it spawned. Every task shares the job's one spec.
                 let tpn = job_spec.tasks_per_node;
+                let task_spec = Arc::new(ProcSpec {
+                    args: job_spec.app_args.clone(),
+                    ..ProcSpec::named(&job_spec.app_exe)
+                });
                 let pid_block = cluster.reserve_pids(nodes.len() * tpn);
                 let per_node = fanout(nodes.clone(), launch_workers, |node_i, node_id| {
                     let Ok(node) = cluster.node(node_id) else { return (String::new(), vec![]) };
                     let mut tasks = Vec::with_capacity(tpn);
                     for local in 0..tpn {
                         let rank = (node_i * tpn + local) as u32;
-                        let mut task_spec =
-                            ProcSpec::named(&job_spec.app_exe).env_kv(job_env_key, &job_stamp);
-                        task_spec.args = job_spec.app_args.clone();
-                        task_spec.rank = Some(rank);
                         let pid = pid_block.pid(rank as usize);
-                        if cluster.spawn_passive_with_pid(pid, node_id, task_spec, job_id).is_ok() {
+                        if cluster
+                            .spawn_passive_with_pid(pid, node_id, &task_spec, job_id, rank)
+                            .is_ok()
+                        {
                             tasks.push((rank, pid.0));
                         }
                     }
@@ -130,7 +127,7 @@ impl RmCore {
                 // before some tasks existed: those are the launcher's to
                 // retire. A kill after this check sweeps them all.
                 if ctx.killed() {
-                    let _ = sweep_tasks(&cluster, &nodes, job_env_key, job_id);
+                    let _ = sweep_tasks(&cluster, &nodes, job_id);
                     return;
                 }
 
@@ -193,25 +190,19 @@ impl RmCore {
             let body = body.clone();
             cluster.spawn_active_with_pid(block.pid(i), node_id, spec, move |ctx| body(ctx, ep))
         });
-        let mut pids = Vec::with_capacity(results.len());
-        let mut first_err = None;
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(()) => pids.push(block.pid(i)),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
+        if let Some(e) = results.iter().find_map(|r| r.as_ref().err()) {
             // Never leave a partial daemon set running, or its records
-            // behind, after an error: nobody will own them.
-            for node_id in &alloc.nodes {
-                if let Ok(node) = self.cluster.node(*node_id) {
-                    node.kill_matching(|r| pids.contains(&r.pid));
+            // behind, after an error: nobody will own them. Daemon `i`
+            // lives on `alloc.nodes[i]` with pid `block.pid(i)`.
+            for (i, (node_id, r)) in alloc.nodes.iter().zip(&results).enumerate() {
+                if let (Ok(()), Ok(node)) = (r, self.cluster.node(*node_id)) {
+                    let pid = block.pid(i);
+                    node.kill_matching(|rec| rec.pid == pid);
                 }
             }
             return Err(RmError::Cluster(e.to_string()));
         }
-        Ok(pids)
+        Ok((0..results.len()).map(|i| block.pid(i)).collect())
     }
 
     /// The job owns its records: every task and the launcher is killed and
@@ -220,7 +211,7 @@ impl RmCore {
     /// retires whatever tasks this sweep came too early for.
     pub fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
         self.cluster.front_end().kill_matching(|r| r.pid == handle.launcher_pid);
-        sweep_tasks(&self.cluster, &handle.allocation.nodes, self.job_env_key, handle.job_id)?;
+        sweep_tasks(&self.cluster, &handle.allocation.nodes, handle.job_id)?;
         self.allocator.release(&handle.allocation);
         Ok(())
     }
@@ -238,13 +229,12 @@ fn encode_proctable(per_node: Vec<(String, Vec<(u32, u64)>)>, exe: &str) -> (Vec
     (table.to_bytes(), ntasks)
 }
 
-/// Kill and remove every task stamped with job `job_id`, one
-/// `Node::kill_matching` pass per node.
-fn sweep_tasks(cluster: &VirtualCluster, nodes: &[NodeId], key: &str, job_id: u64) -> RmResult<()> {
-    let id = job_id.to_string();
+/// Kill and remove every task of job `job_id`, one `Node::kill_matching`
+/// pass per node.
+fn sweep_tasks(cluster: &VirtualCluster, nodes: &[NodeId], job_id: u64) -> RmResult<()> {
     for node_id in nodes {
         let node = cluster.node(*node_id).map_err(|e| RmError::Cluster(e.to_string()))?;
-        node.kill_matching(|r| r.spec.env_get(key) == Some(id.as_str()));
+        node.kill_matching(|r| r.job == Some(job_id));
     }
     Ok(())
 }
@@ -270,7 +260,6 @@ impl SlurmRm {
                 cluster,
                 allocator,
                 events,
-                job_env_key: "SLURM_JOB_ID",
                 launch_workers: DEFAULT_LAUNCH_WORKERS,
             },
         }
@@ -368,7 +357,7 @@ mod tests {
             let node = rm.cluster().node(*node_id).unwrap();
             for pid in node.pids() {
                 let rec = node.proc(pid).unwrap();
-                if let Some(rank) = rec.spec.rank.filter(|_| rec.spec.exe == "app") {
+                if let Some(rank) = rec.rank.filter(|_| rec.spec.exe == "app") {
                     let host = node.hostname.clone();
                     rows.push(ProcDesc { rank, host, exe: rec.spec.exe.clone(), pid: pid.0 });
                 }
@@ -395,8 +384,9 @@ mod tests {
 
         // Node 1's table is full: every spawn there fails.
         let full = NodeId::Compute(1);
+        let filler = Arc::new(ProcSpec::named("filler"));
         for _ in 0..8 {
-            rm.cluster().spawn_passive(full, ProcSpec::named("filler"), 0).unwrap();
+            rm.cluster().spawn_passive(full, &filler, 0, 0).unwrap();
         }
         let handle = rm.launch_job(&JobSpec::new("app", 3, 2), false).unwrap();
         let table = published_table(&rm, &handle);
@@ -550,21 +540,10 @@ mod tests {
     fn kill_job_terminates_tasks_and_launcher() {
         let rm = rm(2);
         let handle = rm.launch_job(&JobSpec::new("app", 2, 4), false).unwrap();
-        // wait until tasks exist
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let live: usize = handle
-                .allocation
-                .nodes
-                .iter()
-                .map(|n| rm.cluster().node(*n).unwrap().live_count())
-                .sum();
-            if live == 8 {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "tasks never appeared");
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        // The launcher publishes once every task exists.
+        let table = published_table(&rm, &handle);
+        let row_rank: std::collections::HashMap<u64, u32> =
+            table.entries().iter().map(|e| (e.pid, e.rank)).collect();
         let (fe_node, launcher) = rm.cluster().find_proc(handle.launcher_pid).unwrap();
         let tasks: Vec<_> = handle
             .allocation
@@ -576,6 +555,11 @@ mod tests {
             })
             .collect();
         assert_eq!(tasks.len(), 8);
+        for t in &tasks {
+            assert!(Arc::ptr_eq(&t.spec, &tasks[0].spec), "one spec allocation per job");
+            assert_eq!(t.rank, Some(row_rank[&t.pid.0]), "the record's rank is its row's");
+            assert_eq!(t.job, Some(handle.job_id));
+        }
         rm.kill_job(&handle).unwrap();
         assert_eq!(launcher.shared.wait_terminal(), ProcState::Killed);
         assert!(tasks.iter().all(|t| t.shared.state() == ProcState::Killed));
@@ -584,5 +568,70 @@ mod tests {
         for n in &handle.allocation.nodes {
             assert_eq!(rm.cluster().node(*n).unwrap().pids(), vec![]);
         }
+    }
+
+    #[test]
+    fn kill_job_sweeps_exactly_its_job() {
+        let rm = rm(2);
+        let handle = rm.launch_job(&JobSpec::new("app", 2, 4), false).unwrap();
+        published_table(&rm, &handle);
+        let node = rm.cluster().node(handle.allocation.nodes[0]).unwrap();
+        let tasks: Vec<_> = node.pids().into_iter().map(|pid| node.proc(pid).unwrap()).collect();
+        assert_eq!(tasks.len(), 4);
+
+        // Three neighbours on the job's node: a co-located daemon, a task of
+        // another job with the same exe and rank, and one sharing this
+        // job's very spec under another id. Only the job id decides.
+        let cluster = rm.cluster();
+        let daemon = cluster
+            .spawn_active(node.id, ProcSpec::named("toold"), |ctx| {
+                ctx.shared.wait_terminal();
+            })
+            .unwrap();
+        let other = Arc::new(ProcSpec::named("app"));
+        let others = [
+            daemon,
+            cluster.spawn_passive(node.id, &other, handle.job_id + 100, 0).unwrap(),
+            cluster.spawn_passive(node.id, &tasks[0].spec, handle.job_id + 101, 0).unwrap(),
+        ];
+        let others: Vec<_> = others.iter().map(|pid| node.proc(*pid).unwrap()).collect();
+
+        rm.kill_job(&handle).unwrap();
+        for t in &tasks {
+            assert_eq!(t.shared.state(), ProcState::Killed);
+            assert!(node.proc(t.pid).is_none(), "a killed task left the table");
+        }
+        for r in &others {
+            assert_eq!(r.shared.state(), ProcState::Running, "{r:?} is not the job's");
+            assert!(node.proc(r.pid).is_some(), "{r:?} stays in the table");
+        }
+
+        node.kill_matching(|r| r.pid == daemon);
+        others[0].thread.lock().take().unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn a_failed_daemon_spawn_leaves_no_records() {
+        let mut config = ClusterConfig::with_nodes(4);
+        config.proc_table_cap = 4;
+        let rm = SlurmRm::new(VirtualCluster::new(config));
+        let filler = Arc::new(ProcSpec::named("filler"));
+        for rank in 0..4 {
+            rm.cluster().spawn_passive(NodeId::Compute(2), &filler, 0, rank).unwrap();
+        }
+        let alloc = rm.allocate_mw_nodes(4).unwrap();
+        let records = || -> Vec<usize> {
+            alloc.nodes.iter().map(|n| rm.cluster().node(*n).unwrap().pids().len()).collect()
+        };
+        let baseline = records();
+        assert_eq!(baseline.iter().sum::<usize>(), 4);
+        let body: DaemonBody = Arc::new(|ctx, _ep| {
+            while !ctx.killed() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert!(rm.spawn_daemons(&alloc, "toold", &[], &[], body).is_err());
+        assert_eq!(records(), baseline, "the daemons that did spawn are killed and removed");
+        rm.release_allocation(&alloc);
     }
 }

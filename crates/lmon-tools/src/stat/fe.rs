@@ -84,9 +84,9 @@ pub fn run_stat_adhoc(
                 .cluster
                 .node(ctx.node)
                 .map(|node| {
-                    node.pids_matching(|s| s.rank.is_some())
+                    node.pids_matching(|r| r.rank.is_some())
                         .into_iter()
-                        .filter_map(|pid| node.proc(pid).and_then(|r| r.spec.rank))
+                        .filter_map(|pid| node.proc(pid).and_then(|r| r.rank))
                         .collect()
                 })
                 .unwrap_or_default();
