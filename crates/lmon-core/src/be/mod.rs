@@ -200,7 +200,12 @@ fn be_bootstrap(
     let rpdtab_bytes;
 
     if is_master {
-        let (chan, launch_info, table) = handshake::BE.greet(master_slot, &ctx)?;
+        // A master whose handshake fails lets its siblings go: they are
+        // parked in the broadcast below, and the session is over.
+        let greeted = handshake::BE.greet(master_slot, &ctx).inspect_err(|_| {
+            let _ = comm.broadcast(Some(SHUTDOWN_SENTINEL.into()));
+        });
+        let (chan, launch_info, table) = greeted?;
 
         // e8/e9: inter-daemon network setup over the RM fabric — the first
         // collectives wire up and verify every daemon. The master forwards
@@ -213,6 +218,9 @@ fn be_bootstrap(
         master_chan = Some(chan);
     } else {
         usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;
+        if usrdata == SHUTDOWN_SENTINEL {
+            return Err(LmonError::Engine("the master's handshake failed".into()));
+        }
         rpdtab_bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;
     }

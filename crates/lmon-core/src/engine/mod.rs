@@ -22,7 +22,9 @@
 //!
 //! The three spawning requests bulk-launch through one function, launch and
 //! attach share everything that follows "job stopped, RPDTAB in hand", and
-//! what the engine records for a session leaves with the session.
+//! every way a session ends runs through one teardown, `end_session`: a
+//! kill or detach, and a launch or attach that fails, is abandoned or is
+//! killed while it places its daemons.
 //!
 //! The paper builds the tracing side as a Driver → Event Manager → Event
 //! Decoder → Event Handler pipeline behind abstract classes a port inherits
@@ -35,8 +37,9 @@ pub mod channel;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use crossbeam_channel::Sender;
 use lmon_cluster::node::NodeId;
 use lmon_cluster::process::{Pid, ProcShared, ProcSpec};
 use lmon_cluster::trace::{TraceController, TraceEvent};
@@ -61,34 +64,32 @@ const EVENT_WAIT: Duration = Duration::from_secs(30);
 /// A job under engine control.
 enum EngineJob {
     /// Launched by the engine (launchAndSpawn): full RM handle retained.
-    Launched { handle: JobHandle, ctl: TraceController },
+    Launched(JobHandle),
     /// Adopted at attach time: only pids are known.
-    Attached {
-        launcher_pid: Pid,
-        rpdtab: CheckedRpdtab,
-        #[allow(dead_code)] // retained so the trace attachment lives with the job
-        ctl: TraceController,
-    },
+    Attached { launcher_pid: Pid, rpdtab: CheckedRpdtab },
 }
 
-/// Reply sink handed to command handlers: forwards one reply on the
-/// command's own reply channel, returning `false` when the front end has
-/// abandoned the exchange so the handler can cancel unobservable work.
-type ReplySink<'a> = dyn Fn(LmonpMsg) -> bool + 'a;
-
 /// Everything the engine holds for one session, shared between the command
-/// loop and the worker threads running spawn-bearing commands. Removed
-/// whole when the session detaches or is killed.
+/// loop and the spawn workers: created when a launch or attach arrives,
+/// removed whole by `end_session`.
 #[derive(Default)]
 struct EngineSession {
-    /// The job under engine control, once launch or attach co-located it.
+    /// The job under engine control, from the moment it exists.
     job: Option<EngineJob>,
+    /// The trace on the job's launcher, which the placing worker holds until
+    /// the ack; dropping it detaches and resumes the launcher.
+    ctl: Option<TraceController>,
     /// Every daemon the session spawned, back end and middleware alike,
     /// with the node the RM placed it on: the session owns these process
     /// records, and they leave their nodes' tables when the session ends.
     daemons: Vec<(NodeId, Pid)>,
     /// Middleware node allocations, handed back to the RM with the session.
     mw_allocs: Vec<Allocation>,
+    /// A launch or attach is placing the session and has not acked yet.
+    placing: bool,
+    /// A kill or detach that came in while placing, with its reply channel:
+    /// the worker stops at its next phase boundary, tears down, answers.
+    ending: Option<(JobStatus, Sender<LmonpMsg>)>,
 }
 
 /// A spawn-bearing command in flight: the daemon image the RM is to
@@ -98,7 +99,7 @@ struct SpawnCmd<'a> {
     body: DaemonBody,
     sidecar: EngineSidecar,
     timeline: TimelineRecorder,
-    reply: &'a ReplySink<'a>,
+    reply: &'a Sender<LmonpMsg>,
 }
 
 /// Engine state: one per engine process. Cloning shares the state — each
@@ -124,21 +125,22 @@ impl Engine {
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 // The loop ends when the front end drops its endpoint.
                 while let Ok((cmd, reply)) = inlet.recv() {
-                    let reply = move |r| reply.send(r).is_ok();
-                    if matches!(
-                        cmd.msg.mtype,
-                        MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq
-                    ) {
+                    let places =
+                        matches!(cmd.msg.mtype, MsgType::FeLaunchReq | MsgType::FeAttachReq);
+                    if places {
+                        // Filed before any later command: a kill finds it.
+                        engine.sessions.lock().entry(cmd.session).or_default().placing = true;
+                    }
+                    if places || cmd.msg.mtype == MsgType::FeSpawnMwReq {
                         // Replies stream back as the handler produces them —
                         // the RPDTAB reply leaves before the daemon spawn
                         // starts, so the FE overlaps its handshake staging
                         // with the spawn.
                         let engine = engine.clone();
-                        let work = move || engine.handle(cmd, &reply);
-                        workers.push(std::thread::spawn(work));
+                        workers.push(std::thread::spawn(move || engine.handle(cmd, reply)));
                         workers.retain(|h| !h.is_finished());
                     } else {
-                        engine.handle(cmd, &reply);
+                        engine.handle(cmd, reply);
                     }
                 }
                 for h in workers {
@@ -149,43 +151,45 @@ impl Engine {
         Ok((fe_end, pid))
     }
 
-    /// Process one command. Replies go out through `reply` as soon as
-    /// they are produced — spawn-bearing requests stream their RPDTAB
-    /// reply *before* the daemon spawn, so the FE pipelines the BE
-    /// handshake against it. The sink returns `false` when the front end
-    /// has abandoned this exchange, which cancels the remaining (now
-    /// unobservable) work: a launch then kills the job it started. A
-    /// handler's `Err` becomes the command's one error reply, terminal
-    /// wherever in the reply sequence it lands: the FE sees it where the
-    /// next reply would have been and fails the session.
-    fn handle(&self, cmd: EngineCommand, reply: &ReplySink<'_>) {
+    /// Process one command. Replies go out on the exchange's channel as soon
+    /// as they are produced — spawn-bearing requests stream their RPDTAB
+    /// reply *before* the daemon spawn, so the FE pipelines the BE handshake
+    /// against it. A handler's `Err` becomes the command's one error reply,
+    /// terminal wherever in the reply sequence it lands; a failed launch or
+    /// attach has ended its session by then.
+    fn handle(&self, cmd: EngineCommand, reply: Sender<LmonpMsg>) {
         let EngineCommand { session, msg, sidecar } = cmd;
         let spawn = |mut sidecar: EngineSidecar| {
             // Checked before any job is launched or node allocated for it.
             let missing = || format!("{:?} missing daemon body", msg.mtype);
             let body = sidecar.body.take().ok_or_else(missing)?;
             let timeline = sidecar.timeline.take().unwrap_or_default();
-            Ok(SpawnCmd { session, body, sidecar, timeline, reply })
+            Ok(SpawnCmd { session, body, sidecar, timeline, reply: &reply })
         };
         let result = match msg.mtype {
             MsgType::FeLaunchReq => spawn(sidecar).and_then(|cmd| self.handle_launch(&msg, cmd)),
             MsgType::FeAttachReq => spawn(sidecar).and_then(|cmd| self.handle_attach(&msg, cmd)),
             MsgType::FeSpawnMwReq => spawn(sidecar).and_then(|cmd| self.handle_spawn_mw(&msg, cmd)),
-            MsgType::FeDetachReq => self.end_session(session, JobStatus::Detached, reply),
-            MsgType::FeKillReq => self.end_session(session, JobStatus::Killed, reply),
+            MsgType::FeDetachReq => return self.request_end(session, JobStatus::Detached, reply),
+            MsgType::FeKillReq => return self.request_end(session, JobStatus::Killed, reply),
             other => Err(format!("unexpected message {other:?}")),
         };
-        if let Err(text) = result {
-            let error = LmonpMsg::of_type(MsgType::EngineError);
-            reply(error.with_lmon_payload(text.into_bytes()).as_error());
+        let Err(text) = result else { return };
+        match msg.mtype {
+            MsgType::FeLaunchReq => self.end_session(session, JobStatus::Killed, None),
+            MsgType::FeAttachReq => self.end_session(session, JobStatus::Detached, None),
+            _ => {}
         }
+        let _ = reply.send(error_reply(text));
     }
 
-    /// launchAndSpawn's own part: start the job under trace control and
-    /// stop it at `MPIR_Breakpoint`, where the proctable is valid.
+    /// launchAndSpawn's own part: start the job under trace control, stop it
+    /// at `MPIR_Breakpoint`, where the proctable is valid, and read its
+    /// RPDTAB: the launcher's own encoding, checked, which the engine
+    /// forwards without building a row.
     fn handle_launch(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
         let req: LaunchRequest = msg.decode_lmon().map_err(|e| format!("launch req: {e}"))?;
-        let timeline = &cmd.timeline;
+        let (session, timeline) = (cmd.session, &cmd.timeline);
 
         // e2: execute the RM launcher under engine control.
         timeline.mark(CriticalEvent::E2LauncherExec);
@@ -195,37 +199,18 @@ impl Engine {
             nodes: req.nodes as usize,
             tasks_per_node: req.tasks_per_node as usize,
         };
-        let mut handle = self.rm.launch_job(&spec, true).map_err(|e| format!("launch_job: {e}"))?;
-        // The engine owns the job from here on: every exit that does not hand
-        // it to the session kills it, or a failed launch (or one whose front
-        // end abandoned the exchange) leaves its launcher and tasks in the
-        // process tables and its allocation held.
-        let stopped = self.stop_at_breakpoint(&mut handle, timeline);
-        let alloc = handle.allocation.clone();
-        let mut unclaimed = Some(handle);
-        let result = stopped.and_then(|(ctl, rpdtab)| {
-            self.colocate(cmd, rpdtab.bytes().clone(), &alloc, || {
-                let handle = unclaimed.take().expect("the session claims the job once");
-                EngineJob::Launched { handle, ctl }
-            })
-        });
-        if let Some(handle) = unclaimed {
-            let _ = self.rm.kill_job(&handle);
-        }
-        result
-    }
-
-    /// Let a launched job run to `MPIR_Breakpoint`, where the proctable is
-    /// valid, and read its RPDTAB: the launcher's own encoding, checked,
-    /// which the engine forwards without building a row.
-    fn stop_at_breakpoint(
-        &self,
-        handle: &mut JobHandle,
-        timeline: &TimelineRecorder,
-    ) -> Result<(TraceController, CheckedRpdtab), String> {
-        let (ctl, shared) = self.trace(handle.launcher_pid)?;
+        let handle = self.rm.launch_job(&spec, true).map_err(|e| format!("launch_job: {e}"))?;
+        let (launcher, alloc) = (handle.launcher_pid, handle.allocation.clone());
+        // The job joins the session still gated: from here on, however the
+        // launch ends, `end_session` kills it.
+        self.place(session, |s| s.job = Some(EngineJob::Launched(handle)))?;
+        let (ctl, shared) = self.trace(launcher)?;
         mpir::set_being_debugged(&ctl, &shared);
-        handle.release();
+        self.place(session, |s| {
+            if let Some(EngineJob::Launched(handle)) = &mut s.job {
+                handle.release();
+            }
+        })?;
 
         run_to_breakpoint(&ctl, EVENT_WAIT).map_err(|e| format!("breakpoint: {e}"))?;
         timeline.mark(CriticalEvent::E3AtBreakpoint);
@@ -233,7 +218,7 @@ impl Engine {
         // Region B: fetch the RPDTAB out of the launcher's address space.
         let rpdtab = mpir::fetch_proctable(&ctl).map_err(|e| format!("rpdtab: {e}"))?;
         timeline.mark(CriticalEvent::E4RpdtabFetched);
-        Ok((ctl, rpdtab))
+        self.colocate(cmd, ctl, rpdtab.bytes().clone(), &alloc)
     }
 
     /// attachAndSpawn's own part: adopt a running launcher and rebuild the
@@ -247,14 +232,12 @@ impl Engine {
 
         // The job is already running: poll the APAI until the proctable is
         // valid (it almost always already is).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         let rpdtab = loop {
             match mpir::fetch_proctable(&ctl) {
                 Ok(table) => break table,
-                Err(e) if std::time::Instant::now() >= deadline => {
-                    return Err(format!("rpdtab: {e}"))
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(2)),
+                Err(e) if Instant::now() >= deadline => return Err(format!("rpdtab: {e}")),
+                Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
         };
         timeline.mark(CriticalEvent::E3AtBreakpoint);
@@ -271,7 +254,8 @@ impl Engine {
             .map_err(|e| format!("host map: {e}"))?;
         let alloc = Allocation { id: u64::from(cmd.session.0), nodes };
         let bytes = rpdtab.bytes().clone();
-        self.colocate(cmd, bytes, &alloc, || EngineJob::Attached { launcher_pid, rpdtab, ctl })
+        self.place(cmd.session, |s| s.job = Some(EngineJob::Attached { launcher_pid, rpdtab }))?;
+        self.colocate(cmd, ctl, bytes, &alloc)
     }
 
     /// Put a launcher process under trace control.
@@ -286,31 +270,28 @@ impl Engine {
     /// The tail launch and attach share once the job is stopped (or
     /// adopted) with its checked RPDTAB bytes in hand: stream the table,
     /// co-locate the daemons over the job's footprint, let a launched job
-    /// run, and take ownership of the job for the session.
+    /// run, and hand the trace to the session with the ack.
     fn colocate(
         &self,
         cmd: SpawnCmd<'_>,
+        ctl: TraceController,
         rpdtab: Bytes,
         alloc: &Allocation,
-        job: impl FnOnce() -> EngineJob,
     ) -> Result<(), String> {
         // Stream the RPDTAB now, before the spawn: the FE stages the BE
         // handshake against it while daemons are still coming up. Channel
         // FIFO order guarantees it can never arrive after the spawn ack.
         // The payload is the launcher's encoding, forwarded as fetched.
         let (session, reply) = (cmd.session, cmd.reply);
-        if !reply(LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon_payload(rpdtab)) {
-            return Ok(()); // exchange abandoned; don't spawn daemons nobody will use
-        }
+        self.place(session, |_| ())?; // a kill during the breakpoint wait spawns nothing
+        answer(reply, LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon_payload(rpdtab))?;
         let pids = self.spawn_daemons(cmd, alloc)?;
-        let job = job();
-        if let EngineJob::Launched { ctl, .. } = &job {
-            ctl.continue_proc(); // let the job run under tool control
-        }
-        self.sessions.lock().entry(session).or_default().job = Some(job);
+        // Let a launched job run under tool control. The session is placed,
+        // unless a kill or detach came in first: this worker answers that one.
+        ctl.continue_proc();
+        self.place(session, |s| (s.ctl, s.placing) = (Some(ctl), s.ending.is_some()))?;
         let master = self.daemon_info(alloc, &pids, 0);
-        reply(LmonpMsg::of_type(MsgType::EngineAck).with_lmon(&master));
-        Ok(())
+        answer(reply, LmonpMsg::of_type(MsgType::EngineAck).with_lmon(&master))
     }
 
     /// The co-location core of every spawn-bearing request (e5/e6): the
@@ -324,7 +305,7 @@ impl Engine {
         let pids = spawned.map_err(|e| format!("spawn daemons: {e}"))?;
         timeline.mark(CriticalEvent::E6DaemonsSpawned);
         let placed = alloc.nodes.iter().copied().zip(pids.iter().copied());
-        self.sessions.lock().entry(session).or_default().daemons.extend(placed);
+        self.place(session, |s| s.daemons.extend(placed))?;
         Ok(pids)
     }
 
@@ -356,65 +337,93 @@ impl Engine {
         self.sessions.lock().entry(session).or_default().mw_allocs.push(alloc);
         let mut placement = Vec::new();
         put_seq(&mut placement, &placed);
-        reply(LmonpMsg::of_type(MsgType::EngineAck).with_lmon_payload(placement));
-        Ok(())
+        answer(reply, LmonpMsg::of_type(MsgType::EngineAck).with_lmon_payload(placement))
     }
 
-    /// Detach or kill: the session's record leaves the engine whole, and the
-    /// process records the session owns leave the cluster with it. Kill
-    /// takes the daemons first, then the job; detach resumes the job and
-    /// only drops the daemons' records (the FE has already ordered them to
-    /// shut down) — a dropped record detaches its thread, so a finished
-    /// daemon's stack is returned instead of pinned for the cluster's life.
-    fn end_session(
-        &self,
-        id: SessionId,
-        end: JobStatus,
-        reply: &ReplySink<'_>,
-    ) -> Result<(), String> {
-        let kill = end == JobStatus::Killed;
-        let verb = if kill { "kill" } else { "detach" };
-        let session = self.sessions.lock().remove(&id).unwrap_or_default();
-        let cluster = self.rm.cluster();
-        for (node_id, pid) in session.daemons {
-            let Ok(node) = cluster.node(node_id) else { continue };
-            if kill {
-                node.kill_matching(|r| r.pid == pid);
-            } else {
-                node.reap(pid);
-            }
+    /// Record `put` in the session's entry, then stop a placing worker if a
+    /// kill or detach came in meanwhile: its `Err` takes the worker to
+    /// `end_session`, which answers the request.
+    fn place(&self, id: SessionId, put: impl FnOnce(&mut EngineSession)) -> Result<(), String> {
+        let mut sessions = self.sessions.lock();
+        let entry = sessions.entry(id).or_default();
+        put(entry);
+        match &entry.ending {
+            Some((end, _)) => Err(format!("session {} ended while placing: {end:?}", id.0)),
+            None => Ok(()),
         }
-        for alloc in &session.mw_allocs {
+    }
+
+    /// A kill or detach. A session still placing keeps it for its worker to
+    /// end and answer at its next phase boundary, so the command loop never
+    /// waits on a spawn; any other session ends now.
+    fn request_end(&self, id: SessionId, end: JobStatus, reply: Sender<LmonpMsg>) {
+        if let Some(placing) = self.sessions.lock().get_mut(&id).filter(|s| s.placing) {
+            placing.ending = Some((end, reply));
+            return;
+        }
+        self.end_session(id, end, Some(reply));
+    }
+
+    /// The one teardown, however a session ends. Its record leaves the
+    /// engine whole, and the process records it owns leave the cluster: the
+    /// daemons are killed (a detach's were told to shut down, a failed
+    /// spawn's never will be), the MW nodes go back, the dropped trace
+    /// resumes the launcher, and a kill kills the job, as does any end of a
+    /// launch still placing. An end a placing session kept wins over `end`;
+    /// it and `reply` are answered.
+    fn end_session(&self, id: SessionId, end: JobStatus, reply: Option<Sender<LmonpMsg>>) {
+        let Some(session) = self.sessions.lock().remove(&id) else {
+            let verb = if end == JobStatus::Killed { "kill" } else { "detach" };
+            let text = format!("{verb}: no job for session {}", id.0);
+            let _ = reply.map(|reply| reply.send(error_reply(text)));
+            return;
+        };
+        let EngineSession { job, ctl, daemons, mw_allocs, placing, ending } = session;
+        let (end, reply) = ending.map_or((end, reply), |(end, kept)| (end, Some(kept)));
+        let cluster = self.rm.cluster();
+        for (node_id, pid) in daemons {
+            let Ok(node) = cluster.node(node_id) else { continue };
+            node.kill_matching(|r| r.pid == pid);
+        }
+        for alloc in &mw_allocs {
             self.rm.release_allocation(alloc);
         }
-        match session.job.ok_or_else(|| format!("{verb}: no job for session {}", id.0))? {
-            EngineJob::Launched { handle, ctl } => {
-                // Drop the controller: detaches and resumes the launcher.
-                ctl.continue_proc();
-                drop(ctl);
-                if kill {
-                    self.rm.kill_job(&handle).map_err(|e| format!("kill: {e}"))?;
-                }
+        drop(ctl);
+        let kill = end == JobStatus::Killed;
+        let ended = match job {
+            Some(EngineJob::Launched(handle)) if kill || placing => {
+                self.rm.kill_job(&handle).map_err(|e| format!("kill: {e}"))
             }
-            EngineJob::Attached { launcher_pid, rpdtab, ctl } => {
-                drop(ctl);
-                if kill {
-                    // An adopted job has no RM handle: its footprint is the
-                    // proctable's hosts, its records the proctable's pids.
-                    let pids: HashSet<u64> = rpdtab.entries().iter().map(|e| e.pid).collect();
-                    for host in rpdtab.hosts() {
-                        if let Ok(node) = cluster.node_by_host(&host) {
-                            node.kill_matching(|r| pids.contains(&r.pid.0));
-                        }
+            Some(EngineJob::Attached { launcher_pid, rpdtab }) if kill => {
+                // An adopted job has no RM handle: its footprint is the
+                // proctable's hosts, its records the proctable's pids.
+                let pids: HashSet<u64> = rpdtab.entries().iter().map(|e| e.pid).collect();
+                for host in rpdtab.hosts() {
+                    if let Ok(node) = cluster.node_by_host(&host) {
+                        node.kill_matching(|r| pids.contains(&r.pid.0));
                     }
-                    cluster.front_end().kill_matching(|r| r.pid == launcher_pid);
                 }
+                cluster.front_end().kill_matching(|r| r.pid == launcher_pid);
+                Ok(())
             }
+            _ => Ok(()),
+        };
+        let status = LmonpMsg::of_type(MsgType::EngineStatus).with_lmon_payload(end.to_bytes());
+        if let Some(reply) = reply {
+            let _ = reply.send(ended.map_or_else(error_reply, |()| status));
         }
-        let status = LmonpMsg::of_type(MsgType::EngineStatus);
-        reply(status.with_lmon_payload(end.to_bytes()));
-        Ok(())
     }
+}
+
+/// Send one reply on a command's exchange. It fails once the front end has
+/// abandoned the exchange, and a placing worker then ends its session.
+fn answer(reply: &Sender<LmonpMsg>, msg: LmonpMsg) -> Result<(), String> {
+    reply.send(msg).map_err(|_| "the front end abandoned the exchange".to_string())
+}
+
+/// A command's one error reply, terminal wherever it lands.
+fn error_reply(text: String) -> LmonpMsg {
+    LmonpMsg::of_type(MsgType::EngineError).with_lmon_payload(text.into_bytes()).as_error()
 }
 
 /// Let a traced launcher run until it stops at `MPIR_Breakpoint`, where the

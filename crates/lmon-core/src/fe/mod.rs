@@ -481,6 +481,7 @@ impl LmonFrontEnd {
         };
         let wire = LmonpMsg::of_type(MsgType::FeLaunchReq).with_lmon(&req);
         self.spawn_common(session, wire, daemon, be_main, timeline)
+            .inspect_err(|_| drop(self.kill(session)))
     }
 
     /// `LMON_fe_attachAndSpawnDaemons`: attach to a running job's launcher
@@ -498,10 +499,14 @@ impl LmonFrontEnd {
         let req = AttachRequest { launcher_pid: launcher_pid.0, daemon: daemon.clone() };
         let wire = LmonpMsg::of_type(MsgType::FeAttachReq).with_lmon(&req);
         self.spawn_common(session, wire, daemon, be_main, timeline)
+            .inspect_err(|_| drop(self.detach(session)))
     }
 
     /// Common path for launch/attach: ship the request + wrapped daemon
-    /// body to the engine, then run the FE side of the BE handshake.
+    /// body to the engine, then run the FE side of the BE handshake. A
+    /// session that fails here is ended by its caller with the command a
+    /// tool would send, kill for a launch and detach for an attach: the
+    /// engine tears down whatever it placed, and the record ends.
     fn spawn_common(
         &self,
         session: SessionId,
@@ -533,10 +538,6 @@ impl LmonFrontEnd {
         // Pipelined exchange on its own reply channel: the engine streams
         // the RPDTAB reply *before* it spawns daemons, so the FE stages its
         // half of the BE handshake against the spawn instead of after it.
-        // The session leaves `Created` only once the first reply arrives,
-        // so a failed send (or reply timeout) leaves it retryable. Returning
-        // early drops the exchange: a launch whose RPDTAB reply then fails
-        // to send kills its job instead of spawning daemons.
         let exchange = self.engine.begin_exchange(cmd)?;
         let rpdtab_reply = exchange.next(self.hs_timeout())?;
         self.transition(session, SessionState::EngineAttached)?;
@@ -658,7 +659,7 @@ impl LmonFrontEnd {
         // The ack lists the daemons where the RM actually placed them, in
         // rank order (the allocator hands out the lowest free nodes, which
         // need not be contiguous).
-        let ack = self.engine_reply(cmd)?;
+        let ack = self.engine.begin_exchange(cmd)?.next(self.hs_timeout())?;
         self.expect_reply(&ack, MsgType::EngineAck)?;
         let placed: Vec<DaemonInfo> = get_seq(&mut &ack.lmon[..])?;
         let master_info =
@@ -721,31 +722,22 @@ impl LmonFrontEnd {
         handshake::MW.recv_usrdata(&*self.master_channel(session, |rt| &rt.mw_chan)?, timeout)
     }
 
-    /// `LMON_fe_detach`: shut daemons down, leave the job running.
+    /// `LMON_fe_detach`: shut daemons down, leave the job running, and end
+    /// the session, from any live state.
     pub fn detach(&self, session: SessionId) -> LmonResult<()> {
         // Order daemons to shut down.
         if let Ok(chan) = self.master_channel(session, |rt| &rt.be_chan) {
             let _ = chan.send(LmonpMsg::of_type(MsgType::BeShutdown));
         }
-        // Tell the engine to release the job.
-        let wire = LmonpMsg::of_type(MsgType::FeDetachReq);
-        let reply = self.engine_reply(EngineCommand::control(session, wire))?;
-        self.expect_status(&reply, JobStatus::Detached)?;
-        self.sessions.lock().end(session, SessionState::Detached)
+        self.end(session, JobStatus::Detached)
     }
 
-    /// `LMON_fe_kill`: destroy the job and all daemons.
-    ///
-    /// The session ends whatever the engine answers: after a failed launch
-    /// the engine has already killed the job and answers "no job", and the
-    /// record must not stay behind. The engine's error is still returned.
+    /// `LMON_fe_kill`: destroy the job and all daemons, and end the session,
+    /// from any live state. A launch still placing its daemons stops at its
+    /// next phase boundary and is torn down before the kill returns. A
+    /// failed launch has killed its session already.
     pub fn kill(&self, session: SessionId) -> LmonResult<()> {
-        let wire = LmonpMsg::of_type(MsgType::FeKillReq);
-        let killed = self
-            .engine_reply(EngineCommand::control(session, wire))
-            .and_then(|reply| self.expect_status(&reply, JobStatus::Killed));
-        let ended = self.sessions.lock().end(session, SessionState::Killed);
-        killed.and(ended)
+        self.end(session, JobStatus::Killed)
     }
 
     /// The session's critical-path recorder (kept for a while after the
@@ -799,10 +791,29 @@ impl LmonFrontEnd {
             .unwrap_or_default()
     }
 
-    /// A command the engine answers with exactly one reply.
-    fn engine_reply(&self, cmd: EngineCommand) -> LmonResult<LmonpMsg> {
-        let replies = self.engine.exchange(cmd, 1, self.hs_timeout())?;
-        replies.into_iter().next().ok_or(LmonError::Timeout("waiting for engine reply"))
+    /// End a session through the engine's one teardown, then its record: once
+    /// asked, the engine ends its side whatever it answers. A record already
+    /// in this end was ended by the failing launch the engine just tore down.
+    fn end(&self, session: SessionId, end: JobStatus) -> LmonResult<()> {
+        let (wire, state) = match end {
+            JobStatus::Killed => (MsgType::FeKillReq, SessionState::Killed),
+            _ => (MsgType::FeDetachReq, SessionState::Detached),
+        };
+        let exchange =
+            self.engine.begin_exchange(EngineCommand::control(session, LmonpMsg::of_type(wire)));
+        let ended_engine = exchange.and_then(|ex| ex.next(self.hs_timeout())).and_then(|reply| {
+            self.expect_reply(&reply, MsgType::EngineStatus)?;
+            match JobStatus::from_bytes(&reply.lmon)? {
+                got if got == end => Ok(()),
+                got => Err(LmonError::Engine(format!("expected status {end:?}, got {got:?}"))),
+            }
+        });
+        let mut sessions = self.sessions.lock();
+        let ended_record = match sessions.state(session) {
+            Ok(now) if now == state => Ok(()),
+            _ => sessions.end(session, state),
+        };
+        ended_engine.and(ended_record)
     }
 
     fn transition(&self, session: SessionId, next: SessionState) -> LmonResult<()> {
@@ -815,17 +826,6 @@ impl LmonFrontEnd {
         }
         if reply.mtype != want {
             return Err(LmonError::Engine(format!("expected {want:?}, got {:?}", reply.mtype)));
-        }
-        Ok(())
-    }
-
-    fn expect_status(&self, reply: &LmonpMsg, want: JobStatus) -> LmonResult<()> {
-        if reply.error || reply.mtype == MsgType::EngineError {
-            return Err(LmonError::Engine(String::from_utf8_lossy(&reply.lmon).into_owned()));
-        }
-        let got = JobStatus::from_bytes(&reply.lmon)?;
-        if got != want {
-            return Err(LmonError::Engine(format!("expected status {want:?}, got {got:?}")));
         }
         Ok(())
     }
@@ -890,7 +890,10 @@ mod tests {
         let id = ids[0];
         let err = sessions.live_mut(id).unwrap().transition(SessionState::Ready).unwrap_err();
         assert!(matches!(err, LmonError::BadSessionState { expected: "Ready", actual: "Created" }));
-        assert!(sessions.end(id, SessionState::Detached).is_err(), "detach only from Ready");
+        assert!(
+            sessions.end(id, SessionState::Ready).is_err(),
+            "a session ends Killed or Detached"
+        );
         assert_eq!(sessions.state(id).unwrap(), SessionState::Created);
         sessions.end(id, SessionState::Killed).unwrap();
         assert_eq!(sessions.state(id).unwrap(), SessionState::Killed);

@@ -47,22 +47,18 @@ impl SessionState {
         }
     }
 
-    /// Legal forward transitions.
+    /// Legal transitions: one step along the launch path, or from any live
+    /// state to an end, `Killed` or `Detached`.
     pub fn can_transition_to(self, next: SessionState) -> bool {
         use SessionState::*;
-        matches!(
+        let step = matches!(
             (self, next),
             (Created, EngineAttached)
                 | (EngineAttached, JobStopped)
                 | (JobStopped, DaemonsSpawned)
                 | (DaemonsSpawned, Ready)
-                | (Ready, Detached)
-                | (Ready, Killed)
-                | (Created, Killed)
-                | (EngineAttached, Killed)
-                | (JobStopped, Killed)
-                | (DaemonsSpawned, Killed)
-        )
+        );
+        step || (next.is_terminal() && !self.is_terminal())
     }
 
     /// Whether the session has been torn down.
@@ -110,10 +106,22 @@ mod tests {
         }
     }
 
+    /// Every pair of states against the whole table: the four launch steps,
+    /// and an end from each live state.
     #[test]
-    fn detach_only_from_ready() {
+    fn every_transition_follows_the_table() {
+        const STEPS: [(SessionState, SessionState); 4] = [
+            (Created, EngineAttached),
+            (EngineAttached, JobStopped),
+            (JobStopped, DaemonsSpawned),
+            (DaemonsSpawned, Ready),
+        ];
         for from in ALL {
-            assert_eq!(from.can_transition_to(Detached), from == Ready, "{from:?} -> Detached");
+            for next in ALL {
+                let legal = STEPS.contains(&(from, next))
+                    || (matches!(next, Killed | Detached) && !from.is_terminal());
+                assert_eq!(from.can_transition_to(next), legal, "{from:?} -> {next:?}");
+            }
         }
     }
 }

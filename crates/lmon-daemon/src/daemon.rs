@@ -410,15 +410,9 @@ impl Daemon {
             }
             Origin::Attach { pid } => fe.attach_and_spawn(sid, Pid(pid), daemon, body),
         };
+        // The front end has ended a failed session, and `seed.permit` drops
+        // with the seed: a failed launch frees its slot.
         let spawned = spawned.inspect_err(|_| {
-            // A launch that failed after the engine placed its daemons (a
-            // handshake timeout) still holds its job, daemons and nodes, and
-            // the seed is its only owner. Best effort: a failure inside the
-            // engine has already cleaned up, and its kill answers "no job".
-            if matches!(seed.origin, Origin::Launch { .. }) {
-                let _ = fe.kill(sid);
-            }
-            // `seed.permit` drops with the seed: a failed launch frees its slot.
             self.launch_failures_total.fetch_add(1, Ordering::Relaxed);
         });
         let daemons = spawned?.daemon_count;

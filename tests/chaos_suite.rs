@@ -584,7 +584,10 @@ fn chaos_dropped_launch_info_frame_times_out_live_handshake() {
         matches!(err, launchmon::core::LmonError::Timeout("waiting for BE ready")),
         "lost launch-info frame must surface as the ready timeout, got {err:?}"
     );
-    fe.kill(session).unwrap();
+    // The failed launch killed its own session: a later kill finds no job.
+    let state = fe.session_state(session).unwrap();
+    assert_eq!(state, launchmon::core::session::SessionState::Killed);
+    assert!(matches!(fe.kill(session), Err(launchmon::core::LmonError::Engine(_))));
     fe.shutdown().unwrap();
 }
 

@@ -1,10 +1,11 @@
 //! Teardown frees what it kills: every process record has an owner that
 //! removes it (job → `kill_job`, on a failed launch too, and before its
 //! launcher has run; a job `lmond` launched → its session's `KILL`, never a
-//! `DETACH`, or `lmond` itself when the launch fails its handshake; session
-//! daemons → the engine's `end_session`; a session's front-end record →
-//! its `kill` or `detach`), and a record that leaves its table releases
-//! its thread.
+//! `DETACH`; session daemons → the engine's `end_session`, the one teardown
+//! every way a session ends runs through: a kill or detach, a kill during
+//! the spawn, a failed or abandoned launch or attach; a session's front-end
+//! record → its `kill` or `detach`, which a failed launch or attach sends
+//! itself), and a record that leaves its table releases its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
 //! many sessions on *one* cluster and checks that nothing is left behind.
 //! The engine forwards the launcher's proctable bytes unbuilt, so the last
@@ -183,6 +184,109 @@ fn a_launch_that_fails_its_handshake_gives_back_its_nodes() {
     };
     let gsid = fields.iter().find(|(k, _)| k == "gsid").expect("gsid").1.parse().unwrap();
     assert!(matches!(daemon.dispatch(&Request::Kill { gsid }), Reply::Ok(_)));
+}
+
+/// A kill that landed while the daemons spawned used to find no job: the
+/// engine filed the job under its session only once the daemons were
+/// placed, so the kill failed and the launch's 32 daemons, 32 tasks and
+/// launcher stayed in the tables. The kill now stops the launch at its next
+/// phase boundary and answers once the engine has torn it down.
+#[test]
+fn a_kill_during_the_spawn_stops_the_launch_and_frees_what_it_placed() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let config =
+        ClusterConfig { spawn_latency: Duration::from_millis(50), ..ClusterConfig::with_nodes(32) };
+    let cluster = VirtualCluster::new(config);
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = Arc::new(LmonFrontEnd::init(rm).unwrap());
+    let (baseline, before) = (records(&cluster), settled_threads());
+    let session = fe.create_session();
+    let killer = {
+        let fe = fe.clone();
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while fe.session_state(session).unwrap() != SessionState::JobStopped {
+                assert!(Instant::now() < deadline, "the launch never reached JobStopped");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            fe.kill(session)
+        })
+    };
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    let daemon = DaemonSpec::bare("toold");
+    let launched = fe.launch_and_spawn(session, "app", &[], 32, 1, daemon, be_main);
+    let killed = killer.join().unwrap();
+    assert!(killed.is_ok(), "the kill found the launch: {killed:?}");
+    assert!(launched.is_err(), "a killed launch does not come up");
+    assert_eq!(fe.session_state(session).unwrap(), SessionState::Killed);
+    await_records(&cluster, baseline);
+    assert_threads_settle_to(before, "after a kill during the spawn");
+    Arc::into_inner(fe).unwrap().shutdown().unwrap();
+}
+
+/// An attach that failed its handshake used to keep its daemons and its
+/// trace: its four daemon records stayed, the next attach to the same
+/// launcher was refused as already traced, and a `detach` tore the engine
+/// side down and then refused to end the record. A failed attach now
+/// detaches itself: its daemons go, its trace is dropped, the job runs on.
+#[test]
+fn an_attach_that_fails_its_handshake_leaves_only_the_job() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let job = rm.launch_job(&JobSpec::new("app", 4, 2), false).unwrap();
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    let job_records = 8 + 2; // tasks + launcher + engine
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while records(&cluster) < job_records {
+        assert!(Instant::now() < deadline, "the job never started its tasks");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let before = settled_threads();
+    let be_main: BeMain = Arc::new(|be| {
+        let _ = be.wait_shutdown();
+    });
+    let attach = |session| {
+        fe.attach_and_spawn(session, job.launcher_pid, DaemonSpec::bare("toold"), be_main.clone())
+    };
+
+    fe.set_handshake_timeout(Duration::from_millis(200));
+    fe.install_handshake_fault_plan(FrameFaultPlan::new().drop_frame(0).drop_frame(1));
+    let failed = fe.create_session();
+    assert!(attach(failed).is_err(), "the handshake cannot finish");
+    assert_eq!(fe.session_state(failed).unwrap(), SessionState::Detached);
+    await_records(&cluster, job_records);
+    assert_threads_settle_to(before, "after a failed attach");
+    let job_tasks: usize = cluster
+        .compute_nodes()
+        .iter()
+        .map(|n| n.pids_matching(|r| r.job == Some(job.job_id)).len())
+        .sum();
+    assert_eq!(job_tasks, 8, "the job's tasks run on");
+    assert!(cluster.find_proc(job.launcher_pid).is_ok(), "the job's launcher runs on");
+
+    fe.set_handshake_timeout(Duration::from_secs(10)); // the fault plan was one-shot
+    let again = fe.create_session();
+    attach(again).unwrap_or_else(|e| panic!("the failed attach kept its trace: {e}"));
+    fe.detach(again).unwrap();
+    await_records(&cluster, job_records);
+    fe.shutdown().unwrap();
+
+    // The same through `lmond`: the failed ATTACH files no session.
+    let daemon = Daemon::new(DaemonConfig { backends: 1, ..DaemonConfig::default() }).unwrap();
+    let runjob = Request::RunJob { app: "app".into(), nodes: 4, tasks_per_node: 2 };
+    let Reply::Ok(fields) = daemon.dispatch(&runjob) else { panic!("runjob refused") };
+    let pid = fields.iter().find(|(k, _)| k == "pid").expect("pid").1.parse().unwrap();
+    let lmond_fe = daemon.backend_fe(0).expect("backend 0");
+    lmond_fe.set_handshake_timeout(Duration::from_millis(200));
+    lmond_fe.install_handshake_fault_plan(FrameFaultPlan::new().drop_frame(0).drop_frame(1));
+    let attach = Request::Attach { pids: vec![pid], body: "sleeper".into() };
+    assert!(matches!(daemon.dispatch(&attach), Reply::Err(_)));
+    assert_eq!(daemon.sessions_active(), 0);
+    lmond_fe.set_handshake_timeout(Duration::from_secs(10));
+    let Reply::Ok(fields) = daemon.dispatch(&attach) else { panic!("the retried attach failed") };
+    let gsid = fields.iter().find(|(k, _)| k == "gsids").expect("gsids").1.parse().unwrap();
+    assert!(matches!(daemon.dispatch(&Request::Detach { gsid }), Reply::Ok(_)));
 }
 
 /// A front end used to refuse every launch after its 65 536th session: the
@@ -465,8 +569,8 @@ fn await_records(cluster: &VirtualCluster, baseline: usize) {
 /// Launch 2 x 4 through a launcher that publishes what `tamper` makes of
 /// its proctable. The engine must refuse the table, fail the launch with
 /// an engine error and kill the job it started, launchers and tasks alike.
-/// The kill `lmond` then sends finds no job, and must still end the
-/// session. Returns the launch's error.
+/// The failed launch has ended its session, so a later kill finds no job.
+/// Returns the launch's error.
 fn refused_launch(tamper: Tamper) -> String {
     let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
     let fe = LmonFrontEnd::init(Arc::new(StandInRm::new(&cluster, tamper))).unwrap();
