@@ -10,7 +10,7 @@ use crate::config::ClusterConfig;
 use crate::error::{ClusterError, ClusterResult};
 use crate::node::{Node, NodeId};
 use crate::process::{Pid, ProcCtx, ProcRecord, ProcShared, ProcSpec, ProcState};
-use crate::procfs::{snapshot, synth_task_stats, ProcSnapshot};
+use crate::procfs::{snapshot, synth_task_stats, ProcSnapshot, ProcStats};
 use crate::remote::RshState;
 use crate::trace::TraceEvent;
 
@@ -158,15 +158,14 @@ impl VirtualCluster {
 
     /// Reserve a contiguous block of `count` pids and return it.
     ///
-    /// Parallel launchers use this to keep pid assignment deterministic:
-    /// reserve the whole block up front in canonical (node, rank) order,
-    /// then fan the actual spawns out in any order, handing each spawn its
-    /// pre-assigned pid via [`spawn_active_with_pid`] /
-    /// [`spawn_passive_with_pid`]. The result is bit-identical placement to
-    /// the sequential loop regardless of worker interleaving.
+    /// Launchers use this to keep pid assignment deterministic: reserve the
+    /// whole block up front in canonical (node, rank) order, then hand each
+    /// spawn its pre-assigned pids, via [`spawn_active_with_pid`] from a
+    /// parallel fan-out or as a [`TaskBlock`](crate::process::TaskBlock) to
+    /// [`Node::spawn_tasks`]. The result is bit-identical placement to the
+    /// sequential loop regardless of worker interleaving.
     ///
     /// [`spawn_active_with_pid`]: VirtualCluster::spawn_active_with_pid
-    /// [`spawn_passive_with_pid`]: VirtualCluster::spawn_passive_with_pid
     pub fn reserve_pids(&self, count: usize) -> PidBlock {
         let start = self.inner.next_pid.fetch_add(count as u64, Ordering::Relaxed);
         PidBlock { start, len: count as u64 }
@@ -202,12 +201,12 @@ impl VirtualCluster {
         }
         let node = self.node(node_id)?;
         let spec = Arc::new(spec);
-        let shared = ProcShared::new(Node::fresh_stats());
+        let stats =
+            ProcStats { num_threads: 1, vm_peak_kb: 8_192, vm_hwm_kb: 4_096, ..Default::default() };
+        let shared = ProcShared::new(stats);
         let rec = Arc::new(ProcRecord {
             pid,
             spec: spec.clone(),
-            rank: None,
-            job: None,
             shared: shared.clone(),
             thread: Mutex::new(None),
         });
@@ -227,55 +226,19 @@ impl VirtualCluster {
             .spawn(move || {
                 body(ctx);
                 // Normal return: mark exited (ignored if killed first —
-                // terminal states are sticky) and tell any tracer.
-                shared.set_state(ProcState::Exited(0));
-                shared.trace.raise(TraceEvent::Exited { code: 0 });
+                // terminal states are sticky) and tell any tracer, unless
+                // the body lingers.
+                if !shared.lingers.load(Ordering::Relaxed) {
+                    shared.set_state(ProcState::Exited(0));
+                    shared.trace.raise(TraceEvent::Exited { code: 0 });
+                }
             })
             .expect("spawning a virtual-process thread");
         *rec.thread.lock() = Some(handle);
         Ok(())
     }
 
-    /// Spawn a *passive* process: a table entry with synthesized stats and
-    /// no thread, for an MPI application task: the record shares the job's
-    /// `spec` and carries `job_id` (what its RM's kill matches) and `rank`.
-    pub fn spawn_passive(
-        &self,
-        node_id: NodeId,
-        spec: &Arc<ProcSpec>,
-        job_id: u64,
-        rank: u32,
-    ) -> ClusterResult<Pid> {
-        let pid = self.alloc_pid();
-        self.spawn_passive_with_pid(pid, node_id, spec, job_id, rank)?;
-        Ok(pid)
-    }
-
-    /// [`spawn_passive`](VirtualCluster::spawn_passive) with a caller-supplied
-    /// pid, previously reserved via [`reserve_pids`](VirtualCluster::reserve_pids).
-    pub fn spawn_passive_with_pid(
-        &self,
-        pid: Pid,
-        node_id: NodeId,
-        spec: &Arc<ProcSpec>,
-        job_id: u64,
-        rank: u32,
-    ) -> ClusterResult<()> {
-        let node = self.node(node_id)?;
-        let stats = synth_task_stats(self.inner.config.stats_seed, job_id, rank);
-        let rec = Arc::new(ProcRecord {
-            pid,
-            spec: spec.clone(),
-            rank: Some(rank),
-            job: Some(job_id),
-            shared: ProcShared::new(stats),
-            thread: Mutex::new(None),
-        });
-        node.insert(rec)?;
-        Ok(())
-    }
-
-    /// Find a process anywhere on the cluster.
+    /// Find an active process anywhere on the cluster.
     pub fn find_proc(&self, pid: Pid) -> ClusterResult<(Arc<Node>, Arc<ProcRecord>)> {
         if let Some(rec) = self.inner.fe.proc(pid) {
             return Ok((self.inner.fe.clone(), rec));
@@ -288,20 +251,30 @@ impl VirtualCluster {
         Err(ClusterError::NoSuchProcess(pid))
     }
 
-    /// Read a `/proc` snapshot for a process on a known host.
+    /// Read a `/proc` snapshot for a process on a known host. A task runs
+    /// (`R`), and its stats are synthesized from its job and rank.
     pub fn read_proc(&self, host: &str, pid: Pid) -> ClusterResult<ProcSnapshot> {
         let node = self.node_by_host(host)?;
-        let rec = node.proc(pid).ok_or(ClusterError::NoSuchProcess(pid))?;
-        let stats = *rec.shared.stats.lock();
-        Ok(snapshot(pid.0, rec.rank, &rec.spec.exe, &node.hostname, rec.shared.state(), stats))
+        if let Some(rec) = node.proc(pid) {
+            let stats = *rec.shared.stats.lock();
+            let state = rec.shared.state();
+            return Ok(snapshot(pid.0, None, &rec.spec.exe, &node.hostname, state, stats));
+        }
+        let task = node.task(pid).ok_or(ClusterError::NoSuchProcess(pid))?;
+        let (seed, rank) = (self.inner.config.stats_seed, task.first_rank);
+        let stats = synth_task_stats(seed, task.job, rank);
+        Ok(snapshot(pid.0, Some(rank), &task.spec.exe, &node.hostname, ProcState::Running, stats))
     }
 
-    /// Send a kill to a process; active bodies observe it via
-    /// [`ProcCtx::killed`], passive entries terminate immediately.
+    /// Send a kill to a process: an active body observes it via
+    /// [`ProcCtx::killed`], and a task leaves its node's table at once.
     pub fn kill(&self, pid: Pid) -> ClusterResult<()> {
-        let (_node, rec) = self.find_proc(pid)?;
-        rec.shared.set_state(ProcState::Killed);
-        Ok(())
+        if let Ok((_node, rec)) = self.find_proc(pid) {
+            rec.shared.set_state(ProcState::Killed);
+            return Ok(());
+        }
+        let mut nodes = std::iter::once(&self.inner.fe).chain(&self.inner.compute);
+        nodes.any(|n| n.kill_task(pid)).then_some(()).ok_or(ClusterError::NoSuchProcess(pid))
     }
 
     /// Block until a process reaches a terminal state; returns it.
@@ -339,10 +312,27 @@ impl std::fmt::Debug for VirtualCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::TaskBlock;
     use std::sync::mpsc;
 
     fn small() -> VirtualCluster {
         VirtualCluster::new(ClusterConfig::with_nodes(4))
+    }
+
+    /// Place `count` tasks of job `job` on compute node `node`, from pid
+    /// `first_pid` and rank `first_rank`.
+    fn place(
+        c: &VirtualCluster,
+        node: u32,
+        job: u64,
+        exe: &str,
+        first_pid: Pid,
+        first_rank: u32,
+        count: u32,
+    ) {
+        let spec = Arc::new(ProcSpec::named(exe));
+        let block = TaskBlock { job, spec, first_pid, first_rank, count };
+        c.node(NodeId::Compute(node)).unwrap().spawn_tasks(block).unwrap();
     }
 
     #[test]
@@ -392,24 +382,48 @@ mod tests {
     #[test]
     fn passive_tasks_get_synthesized_stats() {
         let c = small();
-        let spec = Arc::new(ProcSpec::named("ring"));
-        let pid = c.spawn_passive(NodeId::Compute(1), &spec, 77, 5).unwrap();
-        let snap = c.read_proc("node00001", pid).unwrap();
-        assert_eq!(snap.rank, Some(5));
-        assert_eq!(snap.state, 'R');
+        let pids = c.reserve_pids(1);
+        place(&c, 1, 77, "ring", pids.pid(0), 5, 1);
+        let snap = c.read_proc("node00001", pids.pid(0)).unwrap();
+        assert_eq!((snap.rank, snap.exe.as_str(), snap.state), (Some(5), "ring", 'R'));
+        assert_eq!(snap.stats, synth_task_stats(c.config().stats_seed, 77, 5));
         assert!(snap.stats.utime_ms > 0);
         // Re-reading is stable.
-        let again = c.read_proc("node00001", pid).unwrap();
+        let again = c.read_proc("node00001", pids.pid(0)).unwrap();
         assert_eq!(snap, again);
+        // A task is not an active process: no record, no thread to wait on.
+        assert!(c.find_proc(pids.pid(0)).is_err());
+        assert!(c.read_proc("node00000", pids.pid(0)).is_err(), "it runs on one node only");
     }
 
     #[test]
     fn kill_terminates_and_wait_observes() {
         let c = small();
-        let spec = Arc::new(ProcSpec::named("victim"));
-        let pid = c.spawn_passive(NodeId::Compute(0), &spec, 1, 0).unwrap();
+        let pid = c
+            .spawn_active(NodeId::Compute(0), ProcSpec::named("victim"), |ctx| {
+                ctx.shared.wait_terminal();
+            })
+            .unwrap();
         c.kill(pid).unwrap();
         assert!(matches!(c.wait_pid(pid).unwrap(), ProcState::Killed));
+        c.join_thread(pid).unwrap();
+
+        // A killed task leaves at once; its block splits around it.
+        let pids = c.reserve_pids(3);
+        place(&c, 0, 1, "victim", pids.pid(0), 0, 3);
+        c.kill(pids.pid(1)).unwrap();
+        assert!(matches!(c.wait_pid(pids.pid(1)), Err(ClusterError::NoSuchProcess(_))));
+        assert!(matches!(
+            c.read_proc("node00000", pids.pid(1)),
+            Err(ClusterError::NoSuchProcess(_))
+        ));
+        assert!(matches!(c.kill(pids.pid(1)), Err(ClusterError::NoSuchProcess(_))));
+        for (i, rank) in [(0, 0), (2, 2)] {
+            assert_eq!(c.read_proc("node00000", pids.pid(i)).unwrap().rank, Some(rank));
+        }
+        let node = c.node(NodeId::Compute(0)).unwrap();
+        assert_eq!(node.pids(), vec![pid, pids.pid(0), pids.pid(2)]);
+        assert_eq!(node.live_count(), 2, "the two tasks left; the killed record is not live");
     }
 
     #[test]
@@ -434,10 +448,15 @@ mod tests {
     fn pids_are_cluster_globally_unique() {
         let c = small();
         let mut pids = std::collections::HashSet::new();
-        let spec = Arc::new(ProcSpec::named("t"));
         for i in 0..4 {
-            for _ in 0..10 {
-                let pid = c.spawn_passive(NodeId::Compute(i), &spec, 1, 0).unwrap();
+            let block_pids = c.reserve_pids(10);
+            place(&c, i, 1, "t", block_pids.pid(0), 0, 10);
+            let daemon = c.spawn_active(NodeId::Compute(i), ProcSpec::named("d"), |_| {}).unwrap();
+            c.wait_pid(daemon).unwrap();
+            c.join_thread(daemon).unwrap();
+            let node = c.node(NodeId::Compute(i)).unwrap();
+            assert_eq!(node.pids().len(), 11);
+            for pid in node.pids() {
                 assert!(pids.insert(pid), "pid reused: {pid:?}");
             }
         }
@@ -446,22 +465,24 @@ mod tests {
     #[test]
     fn reserved_blocks_interleave_with_plain_allocation() {
         let c = small();
-        let block = c.reserve_pids(4);
-        assert_eq!(block.len(), 4);
+        let pids = c.reserve_pids(4);
+        assert_eq!(pids.len(), 4);
         // A spawn after the reservation lands past the whole block.
-        let later =
-            c.spawn_passive(NodeId::Compute(0), &Arc::new(ProcSpec::named("after")), 1, 0).unwrap();
-        assert!(later.0 > block.pid(3).0);
-        // Spawning into the block out of order still yields the reserved
-        // pids, observable on the node.
-        let spec = Arc::new(ProcSpec::named("blk"));
-        for i in [2usize, 0, 3, 1] {
-            c.spawn_passive_with_pid(block.pid(i), NodeId::Compute(1), &spec, 1, i as u32).unwrap();
-        }
+        let later = c.spawn_active(NodeId::Compute(0), ProcSpec::named("after"), |_| {}).unwrap();
+        assert!(later.0 > pids.pid(3).0);
+        c.wait_pid(later).unwrap();
+        c.join_thread(later).unwrap();
+        // Placing the block's halves out of order still yields the
+        // reserved pids, observable on the node.
+        place(&c, 1, 1, "blk", pids.pid(2), 2, 2);
+        place(&c, 1, 1, "blk", pids.pid(0), 0, 2);
         for i in 0..4 {
-            let snap = c.read_proc("node00001", block.pid(i)).unwrap();
-            assert_eq!(snap.exe, "blk");
+            let snap = c.read_proc("node00001", pids.pid(i)).unwrap();
+            assert_eq!((snap.exe.as_str(), snap.rank), ("blk", Some(i as u32)));
         }
+        let node = c.node(NodeId::Compute(1)).unwrap();
+        let firsts: Vec<Pid> = node.tasks().iter().map(|b| b.first_pid).collect();
+        assert_eq!(firsts, vec![pids.pid(0), pids.pid(2)], "the task query is in pid order");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Bounded worker-pool fan-out over an indexed work list.
 //!
-//! The launch path's serial loops (daemon spawn per node, task spawn per
-//! node, overlay bring-up per subtree) all share the same shape: N
-//! independent items whose *results* must come back in item order even
-//! though the *work* may complete in any order. [`fanout`] runs that shape
-//! on a bounded pool of scoped threads: items are claimed from an atomic
-//! index dispenser, each worker writes its result into the slot matching
-//! the item's index, and the caller gets back a `Vec` aligned with the
-//! input. Determinism of anything order-sensitive (pids, ranks) is the
+//! The launch path's serial loops (daemon spawn per node, overlay bring-up
+//! per subtree) share the same shape: N independent items whose *results*
+//! must come back in item order even though the *work* may complete in any
+//! order. [`fanout`] runs that shape on a bounded pool of scoped threads:
+//! items are claimed from an atomic index dispenser, each worker writes its
+//! result into the slot matching the item's index, and the caller gets back
+//! a `Vec` aligned with the input. Determinism of anything order-sensitive (pids, ranks) is the
 //! *caller's* job — reserve identifiers up front (see
 //! [`VirtualCluster::reserve_pids`](crate::VirtualCluster::reserve_pids))
 //! and hand each item its pre-assigned value.

@@ -6,8 +6,8 @@
 //!
 //! * **Nodes** ([`node`]) with per-node process tables and a node-local
 //!   spawn service. *Active* processes run as real OS threads (tool
-//!   daemons, RM launchers); *passive* processes are table entries with
-//!   synthesized `/proc` statistics (MPI application tasks — they need to
+//!   daemons, RM launchers); MPI application tasks are one block per job
+//!   per node with `/proc` statistics synthesized when read (they need to
 //!   be observable, not to burn CPU).
 //! * **`/proc`-style statistics** ([`procfs`]) per process: user/system
 //!   time, major faults, virtual-memory high watermark, locked memory,
@@ -43,7 +43,7 @@ pub use config::{ClusterConfig, RshConfig};
 pub use error::ClusterError;
 pub use fanout::{fanout, DEFAULT_LAUNCH_WORKERS};
 pub use node::NodeId;
-pub use process::{Pid, ProcCtx, ProcSpec, ProcState};
+pub use process::{Pid, ProcCtx, ProcSpec, ProcState, TaskBlock};
 pub use procfs::{ProcSnapshot, ProcStats};
 pub use remote::{RshError, RshSession, RshTicket, SpawnFaultPlan};
 pub use trace::{TraceController, TraceEvent};

@@ -1,13 +1,13 @@
 //! Compute and front-end nodes: process tables and the node-local spawn
 //! service.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::{ClusterError, ClusterResult};
-use crate::process::{Pid, ProcRecord, ProcState, ProcTable};
-use crate::procfs::ProcStats;
+use crate::process::{Pid, ProcRecord, ProcState, TaskBlock};
 
 /// Index of a node within the cluster (`FE` is a distinguished node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,6 +28,20 @@ impl NodeId {
     }
 }
 
+/// A node's process table: active-process records by pid, and the task
+/// blocks of the jobs placed on the node.
+#[derive(Default)]
+struct ProcTable {
+    records: HashMap<Pid, Arc<ProcRecord>>,
+    tasks: Vec<TaskBlock>,
+}
+
+impl ProcTable {
+    fn task_count(&self) -> usize {
+        self.tasks.iter().map(|b| b.count as usize).sum()
+    }
+}
+
 /// One node: identity plus a bounded process table.
 pub struct Node {
     /// The node's id.
@@ -42,36 +56,54 @@ pub struct Node {
 
 impl Node {
     pub(crate) fn new(id: NodeId, hostname: String, cores: usize, table_cap: usize) -> Arc<Node> {
-        Arc::new(Node { id, hostname, cores, table: Mutex::new(ProcTable::new()), table_cap })
+        Arc::new(Node { id, hostname, cores, table: Mutex::new(ProcTable::default()), table_cap })
+    }
+
+    /// Lock the table for adding `n` processes, or refuse all of them.
+    fn admit(&self, n: usize) -> ClusterResult<parking_lot::MutexGuard<'_, ProcTable>> {
+        let table = self.table.lock();
+        if table.records.len() + table.task_count() + n > self.table_cap {
+            return Err(ClusterError::ProcessTableFull(self.id));
+        }
+        Ok(table)
     }
 
     /// Insert a record into the table, enforcing capacity.
     pub(crate) fn insert(&self, rec: Arc<ProcRecord>) -> ClusterResult<()> {
-        let mut table = self.table.lock();
-        if table.len() >= self.table_cap {
-            return Err(ClusterError::ProcessTableFull(self.id));
-        }
-        table.insert(rec.pid, rec);
+        self.admit(1)?.records.insert(rec.pid, rec);
         Ok(())
     }
 
-    /// Look up a process record.
-    pub fn proc(&self, pid: Pid) -> Option<Arc<ProcRecord>> {
-        self.table.lock().get(&pid).cloned()
+    /// Place a block of tasks, under the node's one lock: all of them, or
+    /// none if they would overflow its table. Their pids come from a
+    /// [`reserve_pids`](crate::VirtualCluster::reserve_pids) block.
+    pub fn spawn_tasks(&self, block: TaskBlock) -> ClusterResult<()> {
+        self.admit(block.count as usize)?.tasks.push(block);
+        Ok(())
     }
 
-    /// Remove a process record (reaping). The caller owns what is left:
-    /// dropping the record drops its `JoinHandle`, which detaches the
-    /// thread and returns its stack when the body ends.
-    pub fn reap(&self, pid: Pid) -> Option<Arc<ProcRecord>> {
-        self.table.lock().remove(&pid)
+    /// Look up an active process's record.
+    pub fn proc(&self, pid: Pid) -> Option<Arc<ProcRecord>> {
+        self.table.lock().records.get(&pid).cloned()
+    }
+
+    /// The task `pid`, as a block of one.
+    pub fn task(&self, pid: Pid) -> Option<TaskBlock> {
+        self.table.lock().tasks.iter().find_map(|b| b.offset(pid).map(|i| b.slice(i, i + 1)))
+    }
+
+    /// The task blocks on this node, in pid order.
+    pub fn tasks(&self) -> Vec<TaskBlock> {
+        let mut v = self.table.lock().tasks.clone();
+        v.sort_by_key(|b| b.first_pid);
+        v
     }
 
     /// Kill every record matching `pred` and take it out of the table, in
     /// one pass under one table lock. This is how a record's owner retires
     /// it: what is killed here is also freed here.
     pub fn kill_matching(&self, pred: impl Fn(&ProcRecord) -> bool) {
-        self.table.lock().retain(|_, rec| {
+        self.table.lock().records.retain(|_, rec| {
             let hit = pred(rec);
             if hit {
                 rec.shared.set_state(ProcState::Killed);
@@ -80,34 +112,38 @@ impl Node {
         });
     }
 
-    /// Snapshot of all pids on this node, sorted for determinism.
+    /// Kill every task of job `job`: its blocks leave the table in one pass.
+    pub fn kill_tasks(&self, job: u64) {
+        self.table.lock().tasks.retain(|b| b.job != job);
+    }
+
+    /// Kill the task `pid`: it leaves its block, which splits in two at
+    /// most. Returns whether there was such a task.
+    pub fn kill_task(&self, pid: Pid) -> bool {
+        let mut table = self.table.lock();
+        let hit = table.tasks.iter().enumerate().find_map(|(at, b)| Some((at, b.offset(pid)?)));
+        let Some((at, i)) = hit else { return false };
+        let block = table.tasks.swap_remove(at);
+        let halves = [block.slice(0, i), block.slice(i + 1, block.count)];
+        table.tasks.extend(halves.into_iter().filter(|b| b.count > 0));
+        true
+    }
+
+    /// Snapshot of all pids on this node, tasks included, sorted for
+    /// determinism.
     pub fn pids(&self) -> Vec<Pid> {
-        let mut v: Vec<Pid> = self.table.lock().keys().copied().collect();
+        let table = self.table.lock();
+        let tasks = table.tasks.iter().flat_map(|b| b.rows().map(|(_, pid)| Pid(pid)));
+        let mut v: Vec<Pid> = table.records.keys().copied().chain(tasks).collect();
         v.sort();
         v
     }
 
-    /// Pids whose record matches a predicate (e.g. all ranked tasks).
-    pub fn pids_matching(&self, pred: impl Fn(&ProcRecord) -> bool) -> Vec<Pid> {
-        let mut v: Vec<Pid> =
-            self.table.lock().values().filter(|r| pred(r)).map(|r| r.pid).collect();
-        v.sort();
-        v
-    }
-
-    /// Number of live (non-terminal) processes.
+    /// Number of live (non-terminal) processes; a task is live until killed.
     pub fn live_count(&self) -> usize {
-        self.table.lock().values().filter(|r| !r.shared.state().is_terminal()).count()
-    }
-
-    /// Aggregate load estimate: live processes / cores.
-    pub fn load(&self) -> f64 {
-        self.live_count() as f64 / self.cores.max(1) as f64
-    }
-
-    /// Build a fresh default stats record for a daemon-style process.
-    pub fn fresh_stats() -> ProcStats {
-        ProcStats { num_threads: 1, vm_peak_kb: 8_192, vm_hwm_kb: 4_096, ..Default::default() }
+        let table = self.table.lock();
+        let records = table.records.values().filter(|r| !r.shared.state().is_terminal());
+        records.count() + table.task_count()
     }
 }
 
@@ -116,7 +152,7 @@ impl std::fmt::Debug for Node {
         f.debug_struct("Node")
             .field("id", &self.id)
             .field("hostname", &self.hostname)
-            .field("procs", &self.table.lock().len())
+            .field("procs", &self.table.lock().records.len())
             .finish()
     }
 }
@@ -125,25 +161,35 @@ impl std::fmt::Debug for Node {
 mod tests {
     use super::*;
     use crate::process::{ProcShared, ProcSpec};
+    use crate::procfs::ProcStats;
 
-    fn record(pid: u64, exe: &str, rank: Option<u32>) -> Arc<ProcRecord> {
+    fn record(pid: u64, exe: &str) -> Arc<ProcRecord> {
         Arc::new(ProcRecord {
             pid: Pid(pid),
             spec: Arc::new(ProcSpec::named(exe)),
-            rank,
-            job: None,
             shared: ProcShared::new(ProcStats::default()),
             thread: Mutex::new(None),
         })
     }
 
+    fn block(job: u64, first_pid: u64, first_rank: u32, count: u32) -> TaskBlock {
+        let spec = Arc::new(ProcSpec::named("app"));
+        TaskBlock { job, spec, first_pid: Pid(first_pid), first_rank, count }
+    }
+
     #[test]
     fn table_capacity_enforced() {
-        let node = Node::new(NodeId::Compute(0), "node00000".into(), 8, 2);
-        node.insert(record(1, "a", None)).unwrap();
-        node.insert(record(2, "b", None)).unwrap();
+        let node = Node::new(NodeId::Compute(0), "node00000".into(), 8, 4);
+        node.insert(record(1, "a")).unwrap();
+        node.spawn_tasks(block(1, 10, 0, 2)).unwrap();
         assert!(matches!(
-            node.insert(record(3, "c", None)),
+            node.spawn_tasks(block(2, 20, 0, 2)),
+            Err(ClusterError::ProcessTableFull(NodeId::Compute(0)))
+        ));
+        assert_eq!(node.pids().len(), 3, "a block that would cross the cap is refused whole");
+        node.insert(record(2, "b")).unwrap();
+        assert!(matches!(
+            node.insert(record(3, "c")),
             Err(ClusterError::ProcessTableFull(NodeId::Compute(0)))
         ));
     }
@@ -151,44 +197,62 @@ mod tests {
     #[test]
     fn pids_sorted_and_matching_filter() {
         let node = Node::new(NodeId::Compute(1), "node00001".into(), 8, 100);
-        node.insert(record(30, "app", Some(2))).unwrap();
-        node.insert(record(10, "app", Some(0))).unwrap();
-        node.insert(record(20, "daemon", None)).unwrap();
-        assert_eq!(node.pids(), vec![Pid(10), Pid(20), Pid(30)]);
-        assert_eq!(node.pids_matching(|r| r.rank.is_some()), vec![Pid(10), Pid(30)]);
+        node.spawn_tasks(block(7, 30, 2, 2)).unwrap();
+        node.spawn_tasks(block(7, 10, 0, 2)).unwrap();
+        node.insert(record(20, "daemon")).unwrap();
+        let pids = [10, 11, 20, 30, 31].map(Pid);
+        assert_eq!(node.pids(), pids);
+        let ranks: Vec<_> =
+            node.tasks().iter().flat_map(|b| b.rows().collect::<Vec<_>>()).collect();
+        assert_eq!(ranks, vec![(0, 10), (1, 11), (2, 30), (3, 31)], "tasks only, in pid order");
+        let task = node.task(Pid(31)).unwrap();
+        assert_eq!((task.job, task.first_pid, task.first_rank, task.count), (7, Pid(31), 3, 1));
+        assert!(node.task(Pid(20)).is_none(), "a record is not a task");
+        assert!(node.task(Pid(12)).is_none());
+        assert!(node.proc(Pid(10)).is_none(), "a task has no record");
     }
 
     #[test]
     fn live_count_tracks_state() {
         let node = Node::new(NodeId::FrontEnd, "fe".into(), 8, 100);
-        let r = record(5, "x", None);
+        let r = record(5, "x");
         node.insert(r.clone()).unwrap();
-        assert_eq!(node.live_count(), 1);
+        node.spawn_tasks(block(1, 10, 0, 3)).unwrap();
+        assert_eq!(node.live_count(), 4);
         r.shared.set_state(ProcState::Exited(0));
+        assert_eq!(node.live_count(), 3);
+        node.kill_tasks(1);
         assert_eq!(node.live_count(), 0);
-        assert!(node.load() < 0.01);
     }
 
     #[test]
     fn kill_matching_kills_and_removes_in_one_pass() {
         let node = Node::new(NodeId::Compute(0), "n".into(), 8, 100);
-        let task = record(1, "app", Some(0));
-        let daemon = record(2, "toold", None);
-        node.insert(task.clone()).unwrap();
+        let launcher = record(1, "srun");
+        let daemon = record(2, "toold");
+        node.insert(launcher.clone()).unwrap();
         node.insert(daemon.clone()).unwrap();
-        node.kill_matching(|r| r.rank.is_some());
-        assert_eq!(task.shared.state(), ProcState::Killed);
-        assert_eq!(node.pids(), vec![Pid(2)], "what was killed left the table");
+        node.spawn_tasks(block(7, 10, 0, 2)).unwrap();
+        node.spawn_tasks(block(8, 20, 0, 2)).unwrap();
+        node.kill_matching(|r| r.spec.exe == "srun");
+        assert_eq!(launcher.shared.state(), ProcState::Killed);
         assert_eq!(daemon.shared.state(), ProcState::Running);
+        assert_eq!(node.pids(), [2, 10, 11, 20, 21].map(Pid), "what was killed left the table");
+        node.kill_tasks(7);
+        assert_eq!(node.pids(), [2, 20, 21].map(Pid), "job 7's block left, job 8's stays");
     }
 
     #[test]
-    fn reap_removes_entries() {
+    fn kill_task_splits_its_block() {
         let node = Node::new(NodeId::Compute(0), "n".into(), 8, 100);
-        node.insert(record(7, "x", None)).unwrap();
-        assert!(node.proc(Pid(7)).is_some());
-        assert!(node.reap(Pid(7)).is_some());
-        assert!(node.proc(Pid(7)).is_none());
-        assert!(node.reap(Pid(7)).is_none());
+        node.spawn_tasks(block(7, 10, 4, 5)).unwrap();
+        assert!(node.kill_task(Pid(12)));
+        assert!(!node.kill_task(Pid(12)), "a task dies once");
+        assert!(node.kill_task(Pid(10)));
+        assert!(node.kill_task(Pid(14)));
+        assert!(!node.kill_task(Pid(15)));
+        let rows: Vec<_> = node.tasks().iter().flat_map(|b| b.rows().collect::<Vec<_>>()).collect();
+        assert_eq!(rows, vec![(5, 11), (7, 13)], "the survivors keep their ranks");
+        assert_eq!(node.tasks().len(), 2, "one split, two trims");
     }
 }

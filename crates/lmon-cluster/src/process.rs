@@ -3,13 +3,15 @@
 //! Two kinds exist:
 //!
 //! * **Active** processes run a Rust closure on a dedicated OS thread —
-//!   tool daemons, RM launchers, TBON communication daemons.
-//! * **Passive** processes are process-table entries with synthesized
-//!   statistics — the MPI application tasks. A tool observes them (via
-//!   `/proc` and the RPDTAB) but they consume no host resources, which is
-//!   what lets functional tests co-locate daemons with "8192-task jobs".
+//!   tool daemons, RM launchers, TBON communication daemons. A body that
+//!   calls [`ProcCtx::linger`] leaves its record `Running` when it returns.
+//! * **Tasks**, the MPI application's processes, are one [`TaskBlock`] per
+//!   job per node, with statistics synthesized when read. A tool observes
+//!   them (via `/proc` and the RPDTAB) but they cost neither a thread nor a
+//!   record each, which is what lets functional tests co-locate daemons
+//!   with "8192-task jobs".
 
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -52,7 +54,7 @@ impl ProcState {
 }
 
 /// What to run: image name, arguments, environment. Every task of one job
-/// shares one spec; its rank and job id live on the [`ProcRecord`].
+/// shares one spec; the job id and the ranks live on the [`TaskBlock`].
 #[derive(Debug, Clone, Default)]
 pub struct ProcSpec {
     /// Executable image name (also reported in the RPDTAB).
@@ -102,6 +104,7 @@ pub struct ProcShared {
     pub stats: Mutex<ProcStats>,
     /// Trace-control cell (breakpoints, exported symbols, event queue).
     pub trace: TraceCell,
+    pub(crate) lingers: AtomicBool,
 }
 
 impl ProcShared {
@@ -111,6 +114,7 @@ impl ProcShared {
             state_cv: Condvar::new(),
             stats: Mutex::new(stats),
             trace: TraceCell::default(),
+            lingers: AtomicBool::new(false),
         })
     }
 
@@ -144,19 +148,15 @@ impl ProcShared {
     }
 }
 
-/// One entry in a node's process table.
+/// An active process's entry in its node's process table.
 pub struct ProcRecord {
     /// The process id.
     pub pid: Pid,
-    /// Static spec the process was created from (one per job for tasks).
+    /// Static spec the process was created from.
     pub spec: Arc<ProcSpec>,
-    /// MPI rank if this is an application task.
-    pub rank: Option<u32>,
-    /// Job id of an application task: what its RM's kill matches.
-    pub job: Option<u64>,
     /// Shared dynamic state.
     pub shared: Arc<ProcShared>,
-    /// Join handle if the process is active (has a thread).
+    /// Join handle of the process's thread, until someone joins it.
     pub thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -167,6 +167,47 @@ impl std::fmt::Debug for ProcRecord {
             .field("exe", &self.spec.exe)
             .field("state", &self.shared.state())
             .finish()
+    }
+}
+
+/// A job's tasks on one node: `count` tasks whose pids run from
+/// `first_pid` and whose ranks run from `first_rank`, both consecutive, all
+/// sharing the job's spec. A single task is a block of one.
+#[derive(Debug, Clone)]
+pub struct TaskBlock {
+    /// The job the tasks belong to: what its RM's kill matches.
+    pub job: u64,
+    /// The job's one spec.
+    pub spec: Arc<ProcSpec>,
+    /// Pid of the block's first task.
+    pub first_pid: Pid,
+    /// Rank of the block's first task.
+    pub first_rank: u32,
+    /// Number of tasks in the block.
+    pub count: u32,
+}
+
+impl TaskBlock {
+    /// The `(rank, pid)` row of every task, in rank order.
+    pub fn rows(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (0..self.count).map(|i| (self.first_rank + i, self.first_pid.0 + u64::from(i)))
+    }
+
+    /// The offset of `pid` in the block, if it is one of its tasks.
+    pub(crate) fn offset(&self, pid: Pid) -> Option<u32> {
+        let i = pid.0.checked_sub(self.first_pid.0)?;
+        (i < u64::from(self.count)).then_some(i as u32)
+    }
+
+    /// The block's tasks `from..to`, as a block.
+    pub(crate) fn slice(&self, from: u32, to: u32) -> TaskBlock {
+        let first_pid = Pid(self.first_pid.0 + u64::from(from));
+        TaskBlock {
+            first_pid,
+            first_rank: self.first_rank + from,
+            count: to - from,
+            ..self.clone()
+        }
     }
 }
 
@@ -208,6 +249,13 @@ impl ProcCtx {
         self.shared.trace.raise(ev);
     }
 
+    /// Let the process outlive its body: when the body returns, the record
+    /// stays as it is (`Running`, with its exported symbols) until its owner
+    /// kills it, and no thread is kept for it.
+    pub fn linger(&self) {
+        self.shared.lingers.store(true, Ordering::Relaxed);
+    }
+
     /// Whether a kill was requested; long-running bodies should poll this.
     pub fn killed(&self) -> bool {
         matches!(self.shared.state(), ProcState::Killed)
@@ -226,9 +274,6 @@ impl ProcCtx {
         stats.stime_ms += sys_ms;
     }
 }
-
-/// Map from pid to process record — one per node.
-pub type ProcTable = HashMap<Pid, Arc<ProcRecord>>;
 
 #[cfg(test)]
 mod tests {

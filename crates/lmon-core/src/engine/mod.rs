@@ -35,7 +35,7 @@
 
 pub mod channel;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -395,12 +395,11 @@ impl Engine {
                 self.rm.kill_job(&handle).map_err(|e| format!("kill: {e}"))
             }
             Some(EngineJob::Attached { launcher_pid, rpdtab }) if kill => {
-                // An adopted job has no RM handle: its footprint is the
-                // proctable's hosts, its records the proctable's pids.
-                let pids: HashSet<u64> = rpdtab.entries().iter().map(|e| e.pid).collect();
-                for host in rpdtab.hosts() {
-                    if let Ok(node) = cluster.node_by_host(&host) {
-                        node.kill_matching(|r| pids.contains(&r.pid.0));
+                // An adopted job has no RM handle: its tasks are the
+                // proctable's rows, each killed on its own host.
+                for row in rpdtab.entries() {
+                    if let Ok(node) = cluster.node_by_host(&row.host) {
+                        node.kill_task(Pid(row.pid));
                     }
                 }
                 cluster.front_end().kill_matching(|r| r.pid == launcher_pid);

@@ -107,7 +107,7 @@ impl Rpdtab {
     fn writer(&self) -> RpdtabWriter<'_> {
         let mut writer = RpdtabWriter::with_capacity(self.entries.len());
         for e in &self.entries {
-            writer.push(&e.host, &e.exe, &[(e.rank, e.pid)]);
+            writer.push(&e.host, &e.exe, [(e.rank, e.pid)]);
         }
         writer
     }
@@ -159,9 +159,14 @@ impl<'a> RpdtabWriter<'a> {
 
     /// Append the `(rank, pid)` rows of the tasks running `exe` on `host`.
     /// A host with no rows gets no id.
-    pub fn push(&mut self, host: &'a str, exe: &'a str, tasks: &[(u32, u64)]) {
+    pub fn push(
+        &mut self,
+        host: &'a str,
+        exe: &'a str,
+        tasks: impl IntoIterator<Item = (u32, u64)>,
+    ) {
         let mut ids = None;
-        for &(rank, pid) in tasks {
+        for (rank, pid) in tasks {
             let (host, exe) = *ids.get_or_insert_with(|| (self.hosts.id(host), self.exes.id(exe)));
             self.rows.put_u32(rank);
             self.rows.put_u32(host);

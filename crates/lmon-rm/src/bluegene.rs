@@ -14,12 +14,10 @@
 
 use std::sync::Arc;
 
-use lmon_cluster::process::Pid;
 use lmon_cluster::VirtualCluster;
 
 use crate::allocator::NodeAllocator;
-use crate::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmResult};
-use crate::slurm::{DebugEventProfile, RmCore};
+use crate::slurm::{DebugEventProfile, Flavour, RmCore};
 
 /// The BG/L-like RM.
 pub struct BlueGeneRm {
@@ -40,54 +38,18 @@ impl BlueGeneRm {
             },
         }
     }
-
-    /// The node allocator.
-    pub fn allocator(&self) -> Arc<NodeAllocator> {
-        self.core.allocator.clone()
-    }
 }
 
-impl ResourceManager for BlueGeneRm {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn cluster(&self) -> &VirtualCluster {
-        &self.core.cluster
-    }
-
-    fn launch_job(&self, spec: &JobSpec, under_tool: bool) -> RmResult<JobHandle> {
-        self.core.launch_job(spec, under_tool)
-    }
-
-    fn spawn_daemons(
-        &self,
-        alloc: &Allocation,
-        exe: &str,
-        args: &[String],
-        env: &[String],
-        body: DaemonBody,
-    ) -> RmResult<Vec<Pid>> {
-        self.core.spawn_daemons(alloc, exe, args, env, body)
-    }
-
-    fn allocate_mw_nodes(&self, count: usize) -> RmResult<Allocation> {
-        let id = self.core.cluster.alloc_job_id();
-        self.core.allocator.allocate(id, count)
-    }
-
-    fn release_allocation(&self, alloc: &Allocation) {
-        self.core.allocator.release(alloc);
-    }
-
-    fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
-        self.core.kill_job(handle)
+impl Flavour for BlueGeneRm {
+    fn core(&self) -> &RmCore {
+        &self.core
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{JobSpec, ResourceManager};
     use crate::mpir;
     use lmon_cluster::config::ClusterConfig;
     use lmon_cluster::trace::{TraceController, TraceEvent};

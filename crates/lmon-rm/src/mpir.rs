@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use lmon_cluster::config::ClusterConfig;
     use lmon_cluster::node::NodeId;
-    use lmon_cluster::process::{Pid, ProcSpec};
+    use lmon_cluster::process::{Pid, ProcSpec, ProcState};
     use lmon_cluster::trace::TraceEvent;
     use lmon_cluster::VirtualCluster;
     use lmon_proto::rpdtab::synthetic_rpdtab;
@@ -156,11 +156,14 @@ mod tests {
     #[test]
     fn fetch_fails_cleanly_without_symbols() {
         let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
-        let spec = std::sync::Arc::new(ProcSpec::named("notalauncher"));
-        let pid = cluster.spawn_passive(NodeId::Compute(0), &spec, 1, 0).unwrap();
+        let spec = ProcSpec::named("notalauncher");
+        let pid = cluster.spawn_active(NodeId::Compute(0), spec, |ctx| ctx.linger()).unwrap();
         let (_n, rec) = cluster.find_proc(pid).unwrap();
         let ctl = TraceController::attach(Pid(pid.0), rec.shared.clone()).unwrap();
         assert!(fetch_proctable(&ctl).is_err());
         assert!(read_debug_state(&ctl).is_none());
+        cluster.join_thread(pid).unwrap();
+        assert_eq!(rec.shared.state(), ProcState::Running, "a lingering body stays running");
+        assert!(ctl.poll_event().is_none(), "and raises no exit");
     }
 }

@@ -112,25 +112,12 @@ impl RshLauncher {
         body: RshDaemonBody,
     ) -> Result<RshLaunchResult, (RshError, RshLaunchResult)> {
         let fanout_width = fanout_width.max(1);
-        let mut out = RshLaunchResult { sessions: Vec::new(), pids: Vec::new() };
-        if targets.is_empty() {
-            return Ok(out);
-        }
         // BFS layering: index i's children are i*fanout+1 ..= i*fanout+fanout.
         // The front end launches layer-0 roots (indices 0..fanout) over rsh;
         // deeper nodes are spawned directly on their host by their parent's
         // node agent (modelled as a direct cluster spawn).
         let roots = targets.len().min(fanout_width);
-        for (host, spec) in &targets[..roots] {
-            let body = body.clone();
-            match rsh_spawn(&self.cluster, host, spec.clone(), move |ctx| body(ctx)) {
-                Ok(session) => {
-                    out.pids.push(session.pid());
-                    out.sessions.push(session);
-                }
-                Err(e) => return Err((e, self.reap_partial(out))),
-            }
-        }
+        let mut out = self.launch_sequential(&targets[..roots], body.clone())?;
 
         // Independent subtrees bring their children up concurrently; the
         // pre-reserved pid block keeps the BFS pid order of the serial walk.

@@ -11,8 +11,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use lmon_cluster::fanout::{fanout, DEFAULT_LAUNCH_WORKERS};
-use lmon_cluster::node::NodeId;
-use lmon_cluster::process::{Pid, ProcSpec};
+use lmon_cluster::node::{Node, NodeId};
+use lmon_cluster::process::{Pid, ProcSpec, TaskBlock};
 use lmon_cluster::trace::TraceEvent;
 use lmon_cluster::VirtualCluster;
 use lmon_iccl::ChannelFabric;
@@ -56,9 +56,8 @@ pub(crate) struct RmCore {
     pub cluster: VirtualCluster,
     pub allocator: Arc<NodeAllocator>,
     pub events: DebugEventProfile,
-    /// Fan-out width for per-node daemon/task spawn loops. `1` reproduces
-    /// the old sequential loops exactly; placement is identical either way
-    /// because pids are reserved before the fan-out.
+    /// Fan-out width of the per-node daemon spawn; `1` is the sequential
+    /// loop. Placement is the same either way: pids are reserved first.
     pub launch_workers: usize,
 }
 
@@ -76,7 +75,6 @@ impl RmCore {
         let job_spec = spec.clone();
         let nodes = alloc.nodes.clone();
         let events = self.events;
-        let launch_workers = self.launch_workers;
 
         let launcher_spec = ProcSpec::named("srun")
             .arg(format!("--nodes={}", spec.nodes))
@@ -93,34 +91,29 @@ impl RmCore {
                     return;
                 }
 
-                // Spawn the application tasks: passive table entries, laid
-                // out block-wise like srun's default distribution. Pids are
-                // reserved up front in rank order, so the bounded fan-out
-                // below places every task exactly where the sequential loop
-                // would, no matter how workers interleave. Each node's
-                // worker returns its hostname and the `(rank, pid)` of every
-                // task it spawned. Every task shares the job's one spec.
+                // Place the application tasks, laid out block-wise like
+                // srun's default distribution: node `i` holds ranks from
+                // `i * tpn`, on the pids reserved for them in rank order, as
+                // one block that shares the job's one spec. A node whose
+                // table cannot take its block gets no task (nor does any
+                // node of a job of no tasks).
                 let tpn = job_spec.tasks_per_node;
                 let task_spec = Arc::new(ProcSpec {
                     args: job_spec.app_args.clone(),
                     ..ProcSpec::named(&job_spec.app_exe)
                 });
-                let pid_block = cluster.reserve_pids(nodes.len() * tpn);
-                let per_node = fanout(nodes.clone(), launch_workers, |node_i, node_id| {
-                    let Ok(node) = cluster.node(node_id) else { return (String::new(), vec![]) };
-                    let mut tasks = Vec::with_capacity(tpn);
-                    for local in 0..tpn {
-                        let rank = (node_i * tpn + local) as u32;
-                        let pid = pid_block.pid(rank as usize);
-                        if cluster
-                            .spawn_passive_with_pid(pid, node_id, &task_spec, job_id, rank)
-                            .is_ok()
-                        {
-                            tasks.push((rank, pid.0));
-                        }
+                let pids = cluster.reserve_pids(nodes.len() * tpn);
+                let mut placed = Vec::with_capacity(nodes.len());
+                for (i, node_id) in nodes.iter().enumerate().filter(|_| tpn > 0) {
+                    let first_pid = pids.pid(i * tpn);
+                    let (first_rank, count) = ((i * tpn) as u32, tpn as u32);
+                    let spec = task_spec.clone();
+                    let block = TaskBlock { job: job_id, spec, first_pid, first_rank, count };
+                    let Ok(node) = cluster.node(*node_id) else { continue };
+                    if node.spawn_tasks(block.clone()).is_ok() {
+                        placed.push((node, block));
                     }
-                    (node.hostname.clone(), tasks)
-                });
+                }
 
                 // `kill_job` kills the launcher before it sweeps the nodes,
                 // so a kill that landed during the spawn may have swept
@@ -135,22 +128,18 @@ impl RmCore {
                 // every task exists (tracers count events, they don't race
                 // the forks themselves).
                 let event_budget = events.event_count(job_spec.nodes, tpn);
-                let pids = per_node.iter().flat_map(|(_, tasks)| tasks).map(|&(_, pid)| pid);
-                for pid in pids.take(event_budget) {
+                let forked = placed.iter().flat_map(|(_, block)| block.rows());
+                for (_, pid) in forked.take(event_budget) {
                     ctx.raise_event(TraceEvent::Forked { child: Pid(pid) });
                 }
 
-                // APAI: publish and stop at MPIR_Breakpoint if traced. The
-                // encoding consumes the per-node lists, so only the exported
-                // bytes are left when the launcher stops: one still holding
-                // its rows would free them when the engine continues it,
-                // inside the handshake, or when a kill wakes it, on another
-                // core in the middle of `kill_job`'s sweep.
-                let (table, ntasks) = encode_proctable(per_node, &job_spec.app_exe);
+                // APAI: publish and stop at MPIR_Breakpoint if traced. Once
+                // continued (at once if untraced) the launcher's work is
+                // done: its body returns and leaves its record `Running`,
+                // with no thread parked for `kill_job` to wake.
+                let (table, ntasks) = encode_proctable(placed, &job_spec.app_exe);
                 mpir::publish_proctable(&ctx, table, ntasks);
-
-                // The launcher lives until the job is killed.
-                ctx.shared.wait_terminal();
+                ctx.linger();
             })
             .map_err(|e| RmError::Cluster(e.to_string()))?;
 
@@ -205,10 +194,10 @@ impl RmCore {
         Ok((0..results.len()).map(|i| block.pid(i)).collect())
     }
 
-    /// The job owns its records: every task and the launcher is killed and
-    /// leaves its node's table here, one pass per node of the footprint.
-    /// The launcher dies first, so one still spawning sees the kill and
-    /// retires whatever tasks this sweep came too early for.
+    /// The job owns its entries: the launcher and every task block is
+    /// killed and leaves its node's table here, one pass per node of the
+    /// footprint. The launcher dies first, so one still spawning sees the
+    /// kill and retires whatever tasks this sweep came too early for.
     pub fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
         self.cluster.front_end().kill_matching(|r| r.pid == handle.launcher_pid);
         sweep_tasks(&self.cluster, &handle.allocation.nodes, handle.job_id)?;
@@ -217,24 +206,24 @@ impl RmCore {
     }
 }
 
-/// A launcher's `MPIR_proctable`: each node's `(rank, pid)` rows, in rank
-/// order, written straight into the one encoding; and the row count. A
-/// node with no rows leaves its host out.
-fn encode_proctable(per_node: Vec<(String, Vec<(u32, u64)>)>, exe: &str) -> (Vec<u8>, usize) {
-    let ntasks = per_node.iter().map(|(_, tasks)| tasks.len()).sum();
+/// A launcher's `MPIR_proctable`: each placed block's `(rank, pid)` rows,
+/// in rank order, written straight into the one encoding; and the row
+/// count. A node with no block leaves its host out.
+fn encode_proctable(placed: Vec<(Arc<Node>, TaskBlock)>, exe: &str) -> (Vec<u8>, usize) {
+    let ntasks = placed.iter().map(|(_, block)| block.count as usize).sum();
     let mut table = RpdtabWriter::with_capacity(ntasks);
-    for (host, tasks) in &per_node {
-        table.push(host, exe, tasks);
+    for (node, block) in &placed {
+        table.push(&node.hostname, exe, block.rows());
     }
     (table.to_bytes(), ntasks)
 }
 
-/// Kill and remove every task of job `job_id`, one `Node::kill_matching`
-/// pass per node.
+/// Kill and remove every task of job `job_id`: its block leaves each
+/// node's table, one `Node::kill_tasks` pass per node.
 fn sweep_tasks(cluster: &VirtualCluster, nodes: &[NodeId], job_id: u64) -> RmResult<()> {
     for node_id in nodes {
         let node = cluster.node(*node_id).map_err(|e| RmError::Cluster(e.to_string()))?;
-        node.kill_matching(|r| r.job == Some(job_id));
+        node.kill_tasks(job_id);
     }
     Ok(())
 }
@@ -272,24 +261,31 @@ impl SlurmRm {
         self.core.launch_workers = workers;
         self
     }
+}
 
-    /// The node allocator (shared with middleware allocation).
-    pub fn allocator(&self) -> Arc<NodeAllocator> {
-        self.core.allocator.clone()
+impl Flavour for SlurmRm {
+    fn core(&self) -> &RmCore {
+        &self.core
     }
 }
 
-impl ResourceManager for SlurmRm {
+/// An RM flavour is a name and an event profile around one [`RmCore`],
+/// which answers every [`ResourceManager`] call.
+pub(crate) trait Flavour {
+    fn core(&self) -> &RmCore;
+}
+
+impl<F: Flavour + Send + Sync> ResourceManager for F {
     fn name(&self) -> &'static str {
-        self.core.name
+        self.core().name
     }
 
     fn cluster(&self) -> &VirtualCluster {
-        &self.core.cluster
+        &self.core().cluster
     }
 
     fn launch_job(&self, spec: &JobSpec, under_tool: bool) -> RmResult<JobHandle> {
-        self.core.launch_job(spec, under_tool)
+        self.core().launch_job(spec, under_tool)
     }
 
     fn spawn_daemons(
@@ -300,20 +296,20 @@ impl ResourceManager for SlurmRm {
         env: &[String],
         body: DaemonBody,
     ) -> RmResult<Vec<Pid>> {
-        self.core.spawn_daemons(alloc, exe, args, env, body)
+        self.core().spawn_daemons(alloc, exe, args, env, body)
     }
 
     fn allocate_mw_nodes(&self, count: usize) -> RmResult<Allocation> {
-        let id = self.core.cluster.alloc_job_id();
-        self.core.allocator.allocate(id, count)
+        let id = self.core().cluster.alloc_job_id();
+        self.core().allocator.allocate(id, count)
     }
 
     fn release_allocation(&self, alloc: &Allocation) {
-        self.core.allocator.release(alloc);
+        self.core().allocator.release(alloc);
     }
 
     fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
-        self.core.kill_job(handle)
+        self.core().kill_job(handle)
     }
 }
 
@@ -322,7 +318,9 @@ mod tests {
     use super::*;
     use lmon_cluster::config::ClusterConfig;
     use lmon_cluster::process::ProcState;
+    use lmon_cluster::procfs::synth_task_stats;
     use lmon_cluster::trace::TraceController;
+    use lmon_cluster::ClusterError;
     use lmon_iccl::{IcclComm, Topology};
     use lmon_proto::rpdtab::{CheckedRpdtab, ProcDesc, Rpdtab};
     use std::time::Duration;
@@ -349,21 +347,28 @@ mod tests {
         }
     }
 
-    /// What the old launcher built from the same job: one row per task
-    /// record on the job's nodes, made from the cluster's process tables.
+    /// What the old launcher built from the same job: one row per task on
+    /// the job's nodes, made from the cluster's process tables.
     fn rows_in_tables(rm: &SlurmRm, handle: &JobHandle) -> Vec<ProcDesc> {
         let mut rows = Vec::new();
         for node_id in &handle.allocation.nodes {
             let node = rm.cluster().node(*node_id).unwrap();
-            for pid in node.pids() {
-                let rec = node.proc(pid).unwrap();
-                if let Some(rank) = rec.rank.filter(|_| rec.spec.exe == "app") {
-                    let host = node.hostname.clone();
-                    rows.push(ProcDesc { rank, host, exe: rec.spec.exe.clone(), pid: pid.0 });
+            for block in node.tasks().iter().filter(|b| b.spec.exe == "app") {
+                for (rank, pid) in block.rows() {
+                    let (host, exe) = (node.hostname.clone(), block.spec.exe.clone());
+                    rows.push(ProcDesc { rank, host, exe, pid });
                 }
             }
         }
         rows
+    }
+
+    /// `count` tasks of a job that is not the RM's, on `node`.
+    fn filler(rm: &SlurmRm, node: NodeId, job: u64, spec: Arc<ProcSpec>, count: u32) -> TaskBlock {
+        let first_pid = rm.cluster().reserve_pids(count as usize).pid(0);
+        let block = TaskBlock { job, spec, first_pid, first_rank: 0, count };
+        rm.cluster().node(node).unwrap().spawn_tasks(block.clone()).unwrap();
+        block
     }
 
     /// The launcher writes its rows straight into the wire format; the
@@ -383,11 +388,7 @@ mod tests {
         rm.kill_job(&handle).unwrap();
 
         // Node 1's table is full: every spawn there fails.
-        let full = NodeId::Compute(1);
-        let filler = Arc::new(ProcSpec::named("filler"));
-        for _ in 0..8 {
-            rm.cluster().spawn_passive(full, &filler, 0, 0).unwrap();
-        }
+        filler(&rm, NodeId::Compute(1), 0, Arc::new(ProcSpec::named("filler")), 8);
         let handle = rm.launch_job(&JobSpec::new("app", 3, 2), false).unwrap();
         let table = published_table(&rm, &handle);
         let rows = rows_in_tables(&rm, &handle);
@@ -497,10 +498,11 @@ mod tests {
 
     #[test]
     fn parallel_fanout_matches_sequential_placement() {
-        // Same cluster shape, same job: the 8-wide fan-out must produce a
-        // proctable (rank → host/pid) and daemon pid set identical to the
-        // 1-wide (sequential) baseline. Pid reservation makes worker
-        // interleaving irrelevant; this pins that property.
+        // Same cluster shape, same job: the 8-wide daemon fan-out must
+        // produce a daemon pid set identical to the 1-wide (sequential)
+        // baseline, beside the same proctable (rank → host/pid). Pid
+        // reservation makes worker interleaving irrelevant; this pins that
+        // property.
         let run = |workers: usize| {
             let rm = SlurmRm::new(VirtualCluster::new(ClusterConfig::with_nodes(8)))
                 .with_launch_workers(workers);
@@ -542,31 +544,30 @@ mod tests {
         let handle = rm.launch_job(&JobSpec::new("app", 2, 4), false).unwrap();
         // The launcher publishes once every task exists.
         let table = published_table(&rm, &handle);
-        let row_rank: std::collections::HashMap<u64, u32> =
-            table.entries().iter().map(|e| (e.pid, e.rank)).collect();
         let (fe_node, launcher) = rm.cluster().find_proc(handle.launcher_pid).unwrap();
-        let tasks: Vec<_> = handle
+        let blocks: Vec<_> = handle
             .allocation
             .nodes
             .iter()
-            .flat_map(|n| {
-                let node = rm.cluster().node(*n).unwrap();
-                node.pids().into_iter().map(move |pid| node.proc(pid).unwrap())
-            })
+            .flat_map(|n| rm.cluster().node(*n).unwrap().tasks())
             .collect();
-        assert_eq!(tasks.len(), 8);
-        for t in &tasks {
-            assert!(Arc::ptr_eq(&t.spec, &tasks[0].spec), "one spec allocation per job");
-            assert_eq!(t.rank, Some(row_rank[&t.pid.0]), "the record's rank is its row's");
-            assert_eq!(t.job, Some(handle.job_id));
+        assert_eq!(blocks.len(), 2, "one block per node");
+        let rows: Vec<_> = blocks.iter().flat_map(|b| b.rows()).collect();
+        let published: Vec<_> = table.entries().iter().map(|e| (e.rank, e.pid)).collect();
+        assert_eq!(rows, published, "every task's rank is its row's");
+        for b in &blocks {
+            assert!(Arc::ptr_eq(&b.spec, &blocks[0].spec), "one spec allocation per job");
+            assert_eq!(b.job, handle.job_id);
         }
         rm.kill_job(&handle).unwrap();
         assert_eq!(launcher.shared.wait_terminal(), ProcState::Killed);
-        assert!(tasks.iter().all(|t| t.shared.state() == ProcState::Killed));
         // What the job owned is gone from the tables, launcher included.
         assert!(fe_node.proc(handle.launcher_pid).is_none());
         for n in &handle.allocation.nodes {
             assert_eq!(rm.cluster().node(*n).unwrap().pids(), vec![]);
+        }
+        for (_, pid) in rows {
+            assert!(matches!(rm.cluster().kill(Pid(pid)), Err(ClusterError::NoSuchProcess(_))));
         }
     }
 
@@ -576,8 +577,9 @@ mod tests {
         let handle = rm.launch_job(&JobSpec::new("app", 2, 4), false).unwrap();
         published_table(&rm, &handle);
         let node = rm.cluster().node(handle.allocation.nodes[0]).unwrap();
-        let tasks: Vec<_> = node.pids().into_iter().map(|pid| node.proc(pid).unwrap()).collect();
+        let tasks = node.pids();
         assert_eq!(tasks.len(), 4);
+        let spec = node.task(tasks[0]).unwrap().spec;
 
         // Three neighbours on the job's node: a co-located daemon, a task of
         // another job with the same exe and rank, and one sharing this
@@ -588,26 +590,75 @@ mod tests {
                 ctx.shared.wait_terminal();
             })
             .unwrap();
-        let other = Arc::new(ProcSpec::named("app"));
+        let daemon_rec = node.proc(daemon).unwrap();
         let others = [
-            daemon,
-            cluster.spawn_passive(node.id, &other, handle.job_id + 100, 0).unwrap(),
-            cluster.spawn_passive(node.id, &tasks[0].spec, handle.job_id + 101, 0).unwrap(),
+            filler(&rm, node.id, handle.job_id + 100, Arc::new(ProcSpec::named("app")), 1),
+            filler(&rm, node.id, handle.job_id + 101, spec, 1),
         ];
-        let others: Vec<_> = others.iter().map(|pid| node.proc(*pid).unwrap()).collect();
 
         rm.kill_job(&handle).unwrap();
-        for t in &tasks {
-            assert_eq!(t.shared.state(), ProcState::Killed);
-            assert!(node.proc(t.pid).is_none(), "a killed task left the table");
+        for pid in &tasks {
+            assert!(node.task(*pid).is_none(), "a killed task left the table");
         }
-        for r in &others {
-            assert_eq!(r.shared.state(), ProcState::Running, "{r:?} is not the job's");
-            assert!(node.proc(r.pid).is_some(), "{r:?} stays in the table");
+        assert_eq!(daemon_rec.shared.state(), ProcState::Running, "the daemon is not the job's");
+        assert!(node.proc(daemon).is_some(), "the daemon stays in the table");
+        for other in &others {
+            let task = node.task(other.first_pid).expect("another job's task stays in the table");
+            assert_eq!((task.job, task.first_rank), (other.job, 0));
         }
+        assert_eq!(node.live_count(), 3, "the daemon and two other jobs' tasks run on");
 
         node.kill_matching(|r| r.pid == daemon);
-        others[0].thread.lock().take().unwrap().join().unwrap();
+        daemon_rec.thread.lock().take().unwrap().join().unwrap();
+    }
+
+    /// The task contract of a 4 x 8 job: every RPDTAB row reads back through
+    /// `read_proc` as a running task of its rank, exe and synthesized stats;
+    /// `pids()` and `live_count()` count the tasks; a kill leaves every pid
+    /// unknown and the tables as they were; and a node whose table cannot
+    /// take a whole block takes none of it.
+    #[test]
+    fn a_jobs_tasks_read_back_from_their_blocks_until_it_is_killed() {
+        let rm = rm(4);
+        let cluster = rm.cluster();
+        let counts = || -> (usize, usize) {
+            let nodes = cluster.compute_nodes().iter();
+            nodes.fold((0, 0), |(p, l), n| (p + n.pids().len(), l + n.live_count()))
+        };
+        let baseline = counts();
+        let handle = rm.launch_job(&JobSpec::new("app", 4, 8), false).unwrap();
+        let table = published_table(&rm, &handle);
+        assert_eq!(table.len(), 32);
+        assert_eq!(counts(), (baseline.0 + 32, baseline.1 + 32));
+        let seed = cluster.config().stats_seed;
+        for row in table.entries() {
+            let snap = cluster.read_proc(&row.host, Pid(row.pid)).unwrap();
+            assert_eq!((snap.rank, snap.exe.as_str(), snap.state), (Some(row.rank), "app", 'R'));
+            assert_eq!(snap.stats, synth_task_stats(seed, handle.job_id, row.rank));
+        }
+        rm.kill_job(&handle).unwrap();
+        for row in table.entries() {
+            let gone = cluster.read_proc(&row.host, Pid(row.pid));
+            assert!(matches!(gone, Err(ClusterError::NoSuchProcess(_))), "{row:?}: {gone:?}");
+        }
+        assert_eq!(counts(), baseline);
+
+        // Proc-table cap 10 with another job's 8 tasks on the node: a
+        // 3-task block would cross it and is refused whole; a 2-task block
+        // fills it exactly.
+        let mut config = ClusterConfig::with_nodes(1);
+        config.proc_table_cap = 10;
+        let rm = SlurmRm::new(VirtualCluster::new(config));
+        let node = rm.cluster().node(NodeId::Compute(0)).unwrap();
+        filler(&rm, node.id, 0, Arc::new(ProcSpec::named("filler")), 8);
+        let handle = rm.launch_job(&JobSpec::new("app", 1, 3), false).unwrap();
+        assert_eq!(published_table(&rm, &handle).len(), 0, "3 tasks would cross the cap");
+        assert_eq!(node.pids().len(), 8);
+        rm.kill_job(&handle).unwrap();
+        let handle = rm.launch_job(&JobSpec::new("app", 1, 2), false).unwrap();
+        assert_eq!(published_table(&rm, &handle).len(), 2, "2 tasks fill the table exactly");
+        assert_eq!(node.pids().len(), 10);
+        rm.kill_job(&handle).unwrap();
     }
 
     #[test]
@@ -615,10 +666,7 @@ mod tests {
         let mut config = ClusterConfig::with_nodes(4);
         config.proc_table_cap = 4;
         let rm = SlurmRm::new(VirtualCluster::new(config));
-        let filler = Arc::new(ProcSpec::named("filler"));
-        for rank in 0..4 {
-            rm.cluster().spawn_passive(NodeId::Compute(2), &filler, 0, rank).unwrap();
-        }
+        filler(&rm, NodeId::Compute(2), 0, Arc::new(ProcSpec::named("filler")), 4);
         let alloc = rm.allocate_mw_nodes(4).unwrap();
         let records = || -> Vec<usize> {
             alloc.nodes.iter().map(|n| rm.cluster().node(*n).unwrap().pids().len()).collect()

@@ -83,12 +83,7 @@ pub fn run_stat_adhoc(
             let ranks: Vec<u32> = ctx
                 .cluster
                 .node(ctx.node)
-                .map(|node| {
-                    node.pids_matching(|r| r.rank.is_some())
-                        .into_iter()
-                        .filter_map(|pid| node.proc(pid).and_then(|r| r.rank))
-                        .collect()
-                })
+                .map(|node| node.tasks().iter().flat_map(|b| b.rows()).map(|(r, _)| r).collect())
                 .unwrap_or_default();
             move |_: &Packet| sample_ranks(&ranks, total_tasks)
         })

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use launchmon::cluster::config::ClusterConfig;
 use launchmon::cluster::node::NodeId;
-use launchmon::cluster::process::{Pid, ProcCtx, ProcSpec};
+use launchmon::cluster::process::{Pid, ProcCtx, ProcSpec, ProcState};
 use launchmon::cluster::trace::{TraceController, TraceEvent};
 use launchmon::cluster::VirtualCluster;
 use launchmon::core::be::BeMain;
@@ -260,7 +260,9 @@ fn an_attach_that_fails_its_handshake_leaves_only_the_job() {
     let job_tasks: usize = cluster
         .compute_nodes()
         .iter()
-        .map(|n| n.pids_matching(|r| r.job == Some(job.job_id)).len())
+        .flat_map(|n| n.tasks())
+        .filter(|b| b.job == job.job_id)
+        .map(|b| b.count as usize)
         .sum();
     assert_eq!(job_tasks, 8, "the job's tasks run on");
     assert!(cluster.find_proc(job.launcher_pid).is_ok(), "the job's launcher runs on");
@@ -360,6 +362,59 @@ fn a_front_end_forgets_ended_sessions() {
     assert!(matches!(fe.get_proctable(newest), Err(LmonError::BadSessionState { .. })));
     assert_eq!(fe.transport_stats().be_sessions, 0, "no ended session holds a link");
     fe.shutdown().unwrap();
+}
+
+/// A running job used to park its launcher's thread until the job was
+/// killed, and every kill paid for waking it. Once the job is up the
+/// launcher keeps no thread: its record stays `Running` until `kill_job`.
+/// A launch killed while stopped at `MPIR_Breakpoint` leaves nothing once
+/// its tracer lets go.
+#[test]
+fn running_jobs_keep_no_launcher_thread() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(16));
+    let rm = SlurmRm::new(cluster.clone());
+    let (records_before, threads_before) = (records(&cluster), settled_threads());
+    let jobs: Vec<_> =
+        (0..8).map(|_| rm.launch_job(&JobSpec::new("app", 2, 4), false).unwrap()).collect();
+    await_records_up_to(&cluster, records_before + 8 * (8 + 1));
+    assert_threads_settle_to(threads_before, "with 8 untraced jobs running");
+    for job in &jobs {
+        let (_fe, launcher) = cluster.find_proc(job.launcher_pid).unwrap();
+        assert_eq!(launcher.shared.state(), ProcState::Running, "{job:?}");
+        let tracer = TraceController::attach(job.launcher_pid, launcher.shared.clone()).unwrap();
+        assert_eq!(mpir::fetch_proctable(&tracer).unwrap().len(), 8, "its symbols stay readable");
+    }
+    for job in &jobs {
+        rm.kill_job(job).unwrap();
+    }
+    assert_eq!(records(&cluster), records_before);
+
+    let mut handle = rm.launch_job(&JobSpec::new("app", 2, 4), true).unwrap();
+    let (_fe, launcher) = cluster.find_proc(handle.launcher_pid).unwrap();
+    let tracer = TraceController::attach(handle.launcher_pid, launcher.shared.clone()).unwrap();
+    mpir::set_being_debugged(&tracer, &launcher.shared);
+    handle.release();
+    loop {
+        match tracer.wait_event(Duration::from_secs(10)).unwrap() {
+            TraceEvent::Stopped { symbol } if symbol == mpir::MPIR_BREAKPOINT => break,
+            _ => {}
+        }
+    }
+    rm.kill_job(&handle).unwrap();
+    drop(tracer); // detaching resumes the killed launcher, which returns
+    assert_eq!(records(&cluster), records_before);
+    assert_threads_settle_to(threads_before, "after a launch killed at MPIR_Breakpoint");
+    assert_eq!(launcher.shared.state(), ProcState::Killed);
+}
+
+/// Wait until `cluster`'s tables hold `count` records.
+fn await_records_up_to(cluster: &VirtualCluster, count: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while records(cluster) < count {
+        assert!(Instant::now() < deadline, "{} records, expected {count}", records(cluster));
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// A job killed before its launcher ran used to get its tasks anyway:
