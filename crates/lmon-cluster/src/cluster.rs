@@ -160,11 +160,13 @@ impl VirtualCluster {
     ///
     /// Launchers use this to keep pid assignment deterministic: reserve the
     /// whole block up front in canonical (node, rank) order, then hand each
-    /// spawn its pre-assigned pids, via [`spawn_active_with_pid`] from a
-    /// parallel fan-out or as a [`TaskBlock`](crate::process::TaskBlock) to
-    /// [`Node::spawn_tasks`]. The result is bit-identical placement to the
-    /// sequential loop regardless of worker interleaving.
+    /// spawn its pre-assigned pids: to [`spawn_active_waves`], to
+    /// [`spawn_active_with_pid`] from a parallel fan-out, or as a
+    /// [`TaskBlock`](crate::process::TaskBlock) to [`Node::spawn_tasks`].
+    /// The result is bit-identical placement to the sequential loop
+    /// regardless of wave width or worker interleaving.
     ///
+    /// [`spawn_active_waves`]: VirtualCluster::spawn_active_waves
     /// [`spawn_active_with_pid`]: VirtualCluster::spawn_active_with_pid
     pub fn reserve_pids(&self, count: usize) -> PidBlock {
         let start = self.inner.next_pid.fetch_add(count as u64, Ordering::Relaxed);
@@ -193,12 +195,69 @@ impl VirtualCluster {
         spec: ProcSpec,
         body: impl FnOnce(ProcCtx) + Send + 'static,
     ) -> ClusterResult<()> {
+        // A single spawn pays the whole latency on the caller's thread.
+        self.charge_spawn_latency();
+        self.place_active(pid, node_id, spec, body)
+    }
+
+    /// Place `items` as active processes on the calling thread, in waves of
+    /// `width` (`0` counts as `1`): item `i` gets `pids.pid(i)`, and each
+    /// wave pays one [`spawn_latency`](ClusterConfig::spawn_latency) before
+    /// it places, so item `i` appears (⌊i/width⌋ + 1) × latency after the
+    /// call, as if `width` node agents spawned in parallel, and at once when
+    /// the latency is zero.
+    ///
+    /// `stop` is asked once per wave, after its latency and before its
+    /// first placement; once it answers `true` nothing more is placed.
+    /// Returns one result per item, in item order: a refused placement
+    /// (a full process table, an unknown node) is reported in its own slot
+    /// without stopping the waves, and an item the stop kept from being
+    /// placed reads [`ClusterError::SpawnStopped`]. Items are built as they
+    /// are drawn. What was placed is the caller's.
+    pub fn spawn_active_waves<B>(
+        &self,
+        pids: &PidBlock,
+        width: usize,
+        items: impl IntoIterator<Item = (NodeId, ProcSpec, B)>,
+        stop: impl Fn() -> bool,
+    ) -> Vec<ClusterResult<()>>
+    where
+        B: FnOnce(ProcCtx) + Send + 'static,
+    {
+        let mut items = items.into_iter().enumerate().peekable();
+        let mut results = Vec::with_capacity(items.size_hint().0);
+        while items.peek().is_some() {
+            self.charge_spawn_latency();
+            if stop() {
+                results.extend(items.map(|_| Err(ClusterError::SpawnStopped)));
+                break;
+            }
+            for (i, (node_id, spec, body)) in items.by_ref().take(width.max(1)) {
+                results.push(self.place_active(pids.pid(i), node_id, spec, body));
+            }
+        }
+        results
+    }
+
+    /// Sleep out the configured per-spawn latency, if any, on the caller's
+    /// thread.
+    fn charge_spawn_latency(&self) {
         let spawn_latency = self.inner.config.spawn_latency;
         if !spawn_latency.is_zero() {
-            // Charged on the *caller's* thread: a sequential spawn loop pays
-            // N x spawn_latency while a worker-pool fan-out amortizes it.
             std::thread::sleep(spawn_latency);
         }
+    }
+
+    /// The one placement of an active process: its record enters the
+    /// node's table (which may refuse it) and `body` starts on a thread of
+    /// its own.
+    fn place_active(
+        &self,
+        pid: Pid,
+        node_id: NodeId,
+        spec: ProcSpec,
+        body: impl FnOnce(ProcCtx) + Send + 'static,
+    ) -> ClusterResult<()> {
         let node = self.node(node_id)?;
         let spec = Arc::new(spec);
         let stats =
@@ -314,6 +373,7 @@ mod tests {
     use super::*;
     use crate::process::TaskBlock;
     use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn small() -> VirtualCluster {
         VirtualCluster::new(ClusterConfig::with_nodes(4))
@@ -483,6 +543,88 @@ mod tests {
         let node = c.node(NodeId::Compute(1)).unwrap();
         let firsts: Vec<Pid> = node.tasks().iter().map(|b| b.first_pid).collect();
         assert_eq!(firsts, vec![pids.pid(0), pids.pid(2)], "the task query is in pid order");
+    }
+
+    /// Seven items in waves of three at 20 ms: item `i` takes the block's
+    /// `i`-th pid on its own node, and starts no sooner than one latency per
+    /// wave up to and including its own.
+    #[test]
+    fn waves_place_in_block_order_and_pay_one_latency_per_wave() {
+        let latency = Duration::from_millis(20);
+        let c = VirtualCluster::new(ClusterConfig {
+            spawn_latency: latency,
+            ..ClusterConfig::with_nodes(4)
+        });
+        let pids = c.reserve_pids(7);
+        let (tx, rx) = mpsc::channel();
+        let called = Instant::now();
+        let items = (0..7u32).map(|i| {
+            let tx = tx.clone();
+            let body = move |ctx: ProcCtx| tx.send((i, ctx.pid, called.elapsed())).unwrap();
+            (NodeId::Compute(i % 4), ProcSpec::named("w"), body)
+        });
+        let results = c.spawn_active_waves(&pids, 3, items, || false);
+        assert_eq!(results, vec![Ok(()); 7]);
+        drop(tx);
+        let mut started: Vec<_> = rx.iter().collect();
+        started.sort();
+        assert_eq!(started.len(), 7);
+        for (i, pid, after) in started {
+            assert_eq!(pid, pids.pid(i as usize));
+            assert!(after >= latency * (i / 3 + 1), "item {i} started after {after:?}");
+            let (node, _rec) = c.find_proc(pid).unwrap();
+            assert_eq!(node.id, NodeId::Compute(i % 4));
+            c.wait_pid(pid).unwrap();
+            c.join_thread(pid).unwrap();
+        }
+    }
+
+    /// A node whose table is full refuses its item in that item's slot, and
+    /// the waves go on past it.
+    #[test]
+    fn a_refused_item_is_reported_in_its_own_slot() {
+        let c = VirtualCluster::new(ClusterConfig {
+            proc_table_cap: 1,
+            ..ClusterConfig::with_nodes(4)
+        });
+        let filler = c.spawn_active(NodeId::Compute(1), ProcSpec::named("filler"), |_| {}).unwrap();
+        let pids = c.reserve_pids(4);
+        let items = (0..4).map(|i| (NodeId::Compute(i), ProcSpec::named("w"), |_ctx: ProcCtx| {}));
+        let results = c.spawn_active_waves(&pids, 2, items, || false);
+        let full = Err(ClusterError::ProcessTableFull(NodeId::Compute(1)));
+        assert_eq!(results, vec![Ok(()), full, Ok(()), Ok(())]);
+        assert!(matches!(c.find_proc(pids.pid(1)), Err(ClusterError::NoSuchProcess(_))));
+        for pid in [filler, pids.pid(0), pids.pid(2), pids.pid(3)] {
+            c.wait_pid(pid).unwrap();
+            c.join_thread(pid).unwrap();
+        }
+    }
+
+    /// The stop is asked once per wave, never per item: answering `true` at
+    /// the second wave leaves the first wave placed and every later item
+    /// unplaced.
+    #[test]
+    fn a_stop_leaves_the_rest_unplaced() {
+        let c = small();
+        let pids = c.reserve_pids(6);
+        let asked = std::cell::Cell::new(0);
+        let stop = || {
+            asked.set(asked.get() + 1);
+            asked.get() == 2
+        };
+        let items =
+            (0..6).map(|i| (NodeId::Compute(i % 4), ProcSpec::named("w"), |_ctx: ProcCtx| {}));
+        let results = c.spawn_active_waves(&pids, 2, items, stop);
+        let stopped = Err(ClusterError::SpawnStopped);
+        assert_eq!(results, [vec![Ok(()); 2], vec![stopped; 4]].concat());
+        assert_eq!(asked.get(), 2);
+        for i in 2..6 {
+            assert!(matches!(c.find_proc(pids.pid(i)), Err(ClusterError::NoSuchProcess(_))));
+        }
+        for i in 0..2 {
+            c.wait_pid(pids.pid(i)).unwrap();
+            c.join_thread(pids.pid(i)).unwrap();
+        }
     }
 
     #[test]

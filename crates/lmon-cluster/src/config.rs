@@ -63,8 +63,13 @@ pub struct ClusterConfig {
     /// for fork/exec plus image load on a real node).
     ///
     /// Zero for functional tests; launch-latency measurement runs inject a
-    /// calibrated cost so the serial-vs-parallel fan-out gap at small scale
-    /// has the same shape as a real machine's.
+    /// calibrated cost. A single spawn
+    /// ([`spawn_active_with_pid`](crate::VirtualCluster::spawn_active_with_pid))
+    /// pays it on the caller's thread. A bulk spawn
+    /// ([`spawn_active_waves`](crate::VirtualCluster::spawn_active_waves))
+    /// pays it once per wave, as a wave's node agents forking at once
+    /// would, so a wide spawn's wait keeps a real machine's shape without
+    /// a thread per agent.
     pub spawn_latency: Duration,
     /// Seed for synthesized per-task `/proc` statistics.
     pub stats_seed: u64,

@@ -34,6 +34,8 @@ pub enum ClusterError {
     TraceTimeout(Pid),
     /// Process-table capacity exhausted on a node.
     ProcessTableFull(NodeId),
+    /// A wave spawn was stopped before it placed this process.
+    SpawnStopped,
 }
 
 impl fmt::Display for ClusterError {
@@ -55,6 +57,7 @@ impl fmt::Display for ClusterError {
             ClusterError::ProcessTableFull(n) => {
                 write!(f, "process table full on node {n:?}")
             }
+            ClusterError::SpawnStopped => write!(f, "spawn stopped before placing"),
         }
     }
 }

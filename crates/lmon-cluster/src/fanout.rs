@@ -1,12 +1,16 @@
 //! Bounded worker-pool fan-out over an indexed work list.
 //!
-//! The launch path's serial loops (daemon spawn per node, overlay bring-up
-//! per subtree) share the same shape: N independent items whose *results*
-//! must come back in item order even though the *work* may complete in any
-//! order. [`fanout`] runs that shape on a bounded pool of scoped threads:
-//! items are claimed from an atomic index dispenser, each worker writes its
-//! result into the slot matching the item's index, and the caller gets back
-//! a `Vec` aligned with the input. Determinism of anything order-sensitive (pids, ranks) is the
+//! [`fanout`] runs N independent items whose *results* must come back in
+//! item order even though the *work* may complete in any order, on a
+//! bounded pool of scoped threads: items are claimed from an atomic index
+//! dispenser, each worker writes its result into the slot matching the
+//! item's index, and the caller gets back a `Vec` aligned with the input.
+//! Its caller on the launch path is `lmon-tbon`'s rsh bootstrap, whose
+//! spawns each go through an admitted rsh ticket. The RM's daemon spawn
+//! does not use it: creating and joining the pool's threads cost more than
+//! the spawns it ran, so that spawn places its daemons in waves on the
+//! calling thread ([`VirtualCluster::spawn_active_waves`](crate::VirtualCluster::spawn_active_waves)).
+//! Determinism of anything order-sensitive (pids, ranks) is the
 //! *caller's* job — reserve identifiers up front (see
 //! [`VirtualCluster::reserve_pids`](crate::VirtualCluster::reserve_pids))
 //! and hand each item its pre-assigned value.
@@ -66,11 +70,15 @@ where
         .collect()
 }
 
-/// The house default for launch-path fan-out width.
+/// The house default width of a launch-path spawn: how many spawns share
+/// one charge of [`spawn_latency`](crate::ClusterConfig::spawn_latency),
+/// as a wave of [`spawn_active_waves`](crate::VirtualCluster::spawn_active_waves)
+/// or as [`fanout`]'s worker count.
 ///
-/// Wide enough to hide per-spawn thread-creation latency on any plausible
-/// host, narrow enough not to oversubscribe small CI runners. Callers that
-/// measured a better width pass their own.
+/// It models how many node agents fork at once; it does not hide thread
+/// creation. On a 2-vCPU host, 32 zero-latency spawns took a median
+/// 1.17 ms through an 8-worker `fanout` and 0.52 ms in waves on the
+/// calling thread: the pool's own threads cost more than they overlap.
 pub const DEFAULT_LAUNCH_WORKERS: usize = 8;
 
 #[cfg(test)]

@@ -88,7 +88,8 @@ struct EngineSession {
     /// A launch or attach is placing the session and has not acked yet.
     placing: bool,
     /// A kill or detach that came in while placing, with its reply channel:
-    /// the worker stops at its next phase boundary, tears down, answers.
+    /// the worker stops at its next phase boundary or daemon-spawn wave,
+    /// tears down, answers.
     ending: Option<(JobStatus, Sender<LmonpMsg>)>,
 }
 
@@ -301,7 +302,10 @@ impl Engine {
         let SpawnCmd { session, body, sidecar, timeline, .. } = cmd;
         let EngineSidecar { daemon_exe: exe, daemon_args: args, daemon_env: env, .. } = sidecar;
         timeline.mark(CriticalEvent::E5DaemonSpawnStart);
-        let spawned = self.rm.spawn_daemons(alloc, &exe, &args, &env, body);
+        // A kill or detach kept for this session stops the spawn at its next
+        // wave; the spawn then fails, and the worker ends the session.
+        let ending = || self.sessions.lock().get(&session).is_some_and(|s| s.ending.is_some());
+        let spawned = self.rm.spawn_daemons(alloc, &exe, &args, &env, body, &ending);
         let pids = spawned.map_err(|e| format!("spawn daemons: {e}"))?;
         timeline.mark(CriticalEvent::E6DaemonsSpawned);
         let placed = alloc.nodes.iter().copied().zip(pids.iter().copied());

@@ -164,7 +164,9 @@ pub trait ResourceManager: Send + Sync {
     /// the native, scalable co-location facility (`srun --jobid=N`).
     ///
     /// The RM constructs the inter-daemon fabric and hands each daemon an
-    /// endpoint; returns daemon pids in allocation-node order.
+    /// endpoint; returns daemon pids in allocation-node order. `stop` is
+    /// asked once per wave of spawns: once it answers `true` the spawn
+    /// places nothing more, kills what it placed and fails.
     fn spawn_daemons(
         &self,
         alloc: &Allocation,
@@ -172,6 +174,7 @@ pub trait ResourceManager: Send + Sync {
         args: &[String],
         env: &[String],
         body: DaemonBody,
+        stop: &dyn Fn() -> bool,
     ) -> RmResult<Vec<Pid>>;
 
     /// Allocate `count` extra nodes for middleware daemons (§2: TBON

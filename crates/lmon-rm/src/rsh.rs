@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use lmon_cluster::fanout::fanout;
 use lmon_cluster::process::{Pid, ProcCtx, ProcSpec};
 use lmon_cluster::remote::{rsh_spawn, RshError, RshSession};
 use lmon_cluster::VirtualCluster;
@@ -99,8 +98,8 @@ impl RshLauncher {
     /// from its own node (bypassing the front end's fd table, but still
     /// with no RM integration: configuration rides argv).
     ///
-    /// Returns pids in BFS order: subtree spawns are fanned out over a
-    /// bounded worker pool with pids reserved up front, so placement is
+    /// Returns pids in BFS order: subtree spawns are placed in waves of
+    /// `fanout_width` with pids reserved up front, so placement is
     /// identical to a sequential walk. On failure the partial set is
     /// killed and reaped, as in [`launch_sequential`].
     ///
@@ -119,30 +118,33 @@ impl RshLauncher {
         let roots = targets.len().min(fanout_width);
         let mut out = self.launch_sequential(&targets[..roots], body.clone())?;
 
-        // Independent subtrees bring their children up concurrently; the
-        // pre-reserved pid block keeps the BFS pid order of the serial walk.
+        // Independent subtrees bring their children up in waves of
+        // `fanout_width`, one spawn latency each; the pre-reserved pid
+        // block keeps the BFS pid order of the serial walk.
         let rest = &targets[roots..];
+        let nodes: Result<Vec<_>, _> =
+            rest.iter().map(|(host, _)| self.cluster.node_by_host(host).map(|n| n.id)).collect();
+        let nodes = match nodes {
+            Ok(nodes) => nodes,
+            Err(e) => {
+                return Err((RshError::RemoteSpawnFailed(e.to_string()), self.reap_partial(out)))
+            }
+        };
         let block = self.cluster.reserve_pids(rest.len());
-        let cluster = &self.cluster;
-        let spawned = fanout(rest.to_vec(), fanout_width, |i, (host, spec)| {
+        let children = nodes.into_iter().zip(rest).map(|(node_id, (_, spec))| {
             let body = body.clone();
-            let node = cluster
-                .node_by_host(&host)
-                .map_err(|e| RshError::RemoteSpawnFailed(e.to_string()))?;
-            cluster
-                .spawn_active_with_pid(block.pid(i), node.id, spec, move |ctx| body(ctx))
-                .map_err(|e| RshError::RemoteSpawnFailed(e.to_string()))?;
-            Ok::<Pid, RshError>(block.pid(i))
+            (node_id, spec.clone(), move |ctx| body(ctx))
         });
+        let spawned = self.cluster.spawn_active_waves(&block, fanout_width, children, || false);
         let mut first_err = None;
-        for r in spawned {
+        for (i, r) in spawned.into_iter().enumerate() {
             match r {
-                Ok(pid) => out.pids.push(pid),
+                Ok(()) => out.pids.push(block.pid(i)),
                 Err(e) => first_err = first_err.or(Some(e)),
             }
         }
         match first_err {
-            Some(e) => Err((e, self.reap_partial(out))),
+            Some(e) => Err((RshError::RemoteSpawnFailed(e.to_string()), self.reap_partial(out))),
             None => Ok(out),
         }
     }

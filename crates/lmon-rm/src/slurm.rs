@@ -10,7 +10,7 @@
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use lmon_cluster::fanout::{fanout, DEFAULT_LAUNCH_WORKERS};
+use lmon_cluster::fanout::DEFAULT_LAUNCH_WORKERS;
 use lmon_cluster::node::{Node, NodeId};
 use lmon_cluster::process::{Pid, ProcSpec, TaskBlock};
 use lmon_cluster::trace::TraceEvent;
@@ -56,8 +56,9 @@ pub(crate) struct RmCore {
     pub cluster: VirtualCluster,
     pub allocator: Arc<NodeAllocator>,
     pub events: DebugEventProfile,
-    /// Fan-out width of the per-node daemon spawn; `1` is the sequential
-    /// loop. Placement is the same either way: pids are reserved first.
+    /// Wave width of the per-node daemon spawn: how many daemons share one
+    /// spawn latency; `1` is the sequential loop. Placement is the same at
+    /// any width: pids are reserved first.
     pub launch_workers: usize,
 }
 
@@ -158,18 +159,16 @@ impl RmCore {
         args: &[String],
         env: &[String],
         body: DaemonBody,
+        stop: &dyn Fn() -> bool,
     ) -> RmResult<Vec<Pid>> {
         // The RM's fabric for this spawn: endpoint `i` goes to the daemon
         // on the allocation's `i`-th node, so rank 0 is the master's.
         let endpoints = ChannelFabric::mesh(alloc.nodes.len() as u32);
-        // Reserve one pid per node in node order, then fan the spawns out:
-        // daemon `i` always gets pid `block.pid(i)`, so placement matches
-        // the sequential loop bit-for-bit while the thread-creation cost —
-        // the dominant serial term of T(daemon) — is paid in parallel.
+        // Reserve one pid per node in node order, then place the daemons in
+        // waves of `launch_workers` on this thread: daemon `i` always gets
+        // pid `block.pid(i)`, and each wave pays the spawn latency once.
         let block = self.cluster.reserve_pids(alloc.nodes.len());
-        let targets: Vec<_> = alloc.nodes.iter().copied().zip(endpoints).collect();
-        let cluster = &self.cluster;
-        let results = fanout(targets, self.launch_workers, |i, (node_id, ep)| {
+        let daemons = alloc.nodes.iter().zip(endpoints).map(|(&node_id, ep)| {
             let mut spec = ProcSpec::named(exe);
             spec.args = args.to_vec();
             spec.env = env.to_vec();
@@ -177,12 +176,13 @@ impl RmCore {
                 .env_kv("LMON_BE_RANK", &ep.rank().to_string())
                 .env_kv("LMON_BE_SIZE", &ep.size().to_string());
             let body = body.clone();
-            cluster.spawn_active_with_pid(block.pid(i), node_id, spec, move |ctx| body(ctx, ep))
+            (node_id, spec, move |ctx| body(ctx, ep))
         });
+        let results = self.cluster.spawn_active_waves(&block, self.launch_workers, daemons, stop);
         if let Some(e) = results.iter().find_map(|r| r.as_ref().err()) {
             // Never leave a partial daemon set running, or its records
-            // behind, after an error: nobody will own them. Daemon `i`
-            // lives on `alloc.nodes[i]` with pid `block.pid(i)`.
+            // behind, after an error or a stop: nobody will own them.
+            // Daemon `i` lives on `alloc.nodes[i]` with pid `block.pid(i)`.
             for (i, (node_id, r)) in alloc.nodes.iter().zip(&results).enumerate() {
                 if let (Ok(()), Ok(node)) = (r, self.cluster.node(*node_id)) {
                     let pid = block.pid(i);
@@ -254,8 +254,8 @@ impl SlurmRm {
         }
     }
 
-    /// Override the spawn fan-out width (`1` = the sequential reference
-    /// arm of `parallel_fanout_matches_sequential_placement`).
+    /// Override the spawn wave width (`1` = the sequential reference arm
+    /// of `wave_width_does_not_change_placement`).
     #[cfg(test)]
     fn with_launch_workers(mut self, workers: usize) -> Self {
         self.core.launch_workers = workers;
@@ -295,8 +295,9 @@ impl<F: Flavour + Send + Sync> ResourceManager for F {
         args: &[String],
         env: &[String],
         body: DaemonBody,
+        stop: &dyn Fn() -> bool,
     ) -> RmResult<Vec<Pid>> {
-        self.core().spawn_daemons(alloc, exe, args, env, body)
+        self.core().spawn_daemons(alloc, exe, args, env, body, stop)
     }
 
     fn allocate_mw_nodes(&self, count: usize) -> RmResult<Allocation> {
@@ -484,7 +485,8 @@ mod tests {
                 tx.send(hosts).unwrap();
             }
         });
-        let pids = rm.spawn_daemons(&handle.allocation, "toold", &[], &[], body).unwrap();
+        let pids =
+            rm.spawn_daemons(&handle.allocation, "toold", &[], &[], body, &|| false).unwrap();
         assert_eq!(pids.len(), 4);
         let hosts = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let hosts: Vec<String> = hosts.into_iter().map(|h| String::from_utf8(h).unwrap()).collect();
@@ -497,19 +499,19 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fanout_matches_sequential_placement() {
-        // Same cluster shape, same job: the 8-wide daemon fan-out must
-        // produce a daemon pid set identical to the 1-wide (sequential)
-        // baseline, beside the same proctable (rank → host/pid). Pid
-        // reservation makes worker interleaving irrelevant; this pins that
-        // property.
+    fn wave_width_does_not_change_placement() {
+        // Same cluster shape, same job: 8-wide daemon waves must produce a
+        // daemon pid set identical to the 1-wide (sequential) baseline,
+        // beside the same proctable (rank → host/pid). Pid reservation
+        // makes the width irrelevant; this pins that property.
         let run = |workers: usize| {
             let rm = SlurmRm::new(VirtualCluster::new(ClusterConfig::with_nodes(8)))
                 .with_launch_workers(workers);
             let handle = rm.launch_job(&JobSpec::new("app", 8, 4), false).unwrap();
             let table = published_table(&rm, &handle);
             let body: DaemonBody = Arc::new(|_ctx, _ep| {});
-            let daemons = rm.spawn_daemons(&handle.allocation, "toold", &[], &[], body).unwrap();
+            let daemons =
+                rm.spawn_daemons(&handle.allocation, "toold", &[], &[], body, &|| false).unwrap();
             for pid in &daemons {
                 rm.cluster().wait_pid(*pid).unwrap();
                 rm.cluster().join_thread(*pid).unwrap();
@@ -521,8 +523,8 @@ mod tests {
         };
         let (seq_table, seq_daemons) = run(1);
         let (par_table, par_daemons) = run(8);
-        assert_eq!(seq_table, par_table, "task placement must not depend on fan-out width");
-        assert_eq!(seq_daemons, par_daemons, "daemon pids must not depend on fan-out width");
+        assert_eq!(seq_table, par_table, "task placement must not depend on wave width");
+        assert_eq!(seq_daemons, par_daemons, "daemon pids must not depend on wave width");
     }
 
     #[test]
@@ -678,7 +680,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        assert!(rm.spawn_daemons(&alloc, "toold", &[], &[], body).is_err());
+        assert!(rm.spawn_daemons(&alloc, "toold", &[], &[], body, &|| false).is_err());
         assert_eq!(records(), baseline, "the daemons that did spawn are killed and removed");
         rm.release_allocation(&alloc);
     }

@@ -7,7 +7,8 @@
 //! record → its `kill` or `detach`, which a failed launch or attach sends
 //! itself), and a record that leaves its table releases its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
-//! many sessions on *one* cluster and checks that nothing is left behind.
+//! many sessions on *one* cluster and checks that nothing is left behind;
+//! one runs a single launch and STAT wave at 1 024 daemons instead.
 //! The engine forwards the launcher's proctable bytes unbuilt, so the last
 //! tests hold it to refusing a table `from_bytes` would refuse, killing the
 //! job it started, and to forwarding the bytes it accepts unchanged.
@@ -16,6 +17,7 @@
 //! its tests take turns.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -190,15 +192,18 @@ fn a_launch_that_fails_its_handshake_gives_back_its_nodes() {
 /// engine filed the job under its session only once the daemons were
 /// placed, so the kill failed and the launch's 32 daemons, 32 tasks and
 /// launcher stayed in the tables. The kill now stops the launch at its next
-/// phase boundary and answers once the engine has torn it down.
+/// phase boundary and answers once the engine has torn it down. It also
+/// used to wait for the whole spawn: 32 nodes at 50 ms are 4 waves of 8,
+/// and the spawn now stops at the next wave, so not every daemon starts.
 #[test]
 fn a_kill_during_the_spawn_stops_the_launch_and_frees_what_it_placed() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let config =
         ClusterConfig { spawn_latency: Duration::from_millis(50), ..ClusterConfig::with_nodes(32) };
     let cluster = VirtualCluster::new(config);
-    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
-    let fe = Arc::new(LmonFrontEnd::init(rm).unwrap());
+    let rm = CountingRm::new(&cluster);
+    let started = rm.started.clone();
+    let fe = Arc::new(LmonFrontEnd::init(Arc::new(rm)).unwrap());
     let (baseline, before) = (records(&cluster), settled_threads());
     let session = fe.create_session();
     let killer = {
@@ -221,7 +226,97 @@ fn a_kill_during_the_spawn_stops_the_launch_and_frees_what_it_placed() {
     assert_eq!(fe.session_state(session).unwrap(), SessionState::Killed);
     await_records(&cluster, baseline);
     assert_threads_settle_to(before, "after a kill during the spawn");
+    let started = started.load(Ordering::SeqCst);
+    assert!(started < 32, "the kill waited for the whole spawn: {started} daemons started");
     Arc::into_inner(fe).unwrap().shutdown().unwrap();
+}
+
+/// A thousand daemons, each placed by the RM's wave loop, come and go
+/// without a trace: a 1 024 x 1 launch and kill, then an attach, STAT wave
+/// and detach on a running job of that size, each leave the process tables
+/// and the thread count where they found them. No timing is checked.
+#[test]
+fn a_thousand_daemon_launch_and_stat_wave_leave_nothing_behind() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1024));
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = LmonFrontEnd::init(rm.clone()).unwrap();
+    let (baseline, before) = (records(&cluster), settled_threads());
+    let session = fe.create_session();
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    let daemon = DaemonSpec::bare("toold");
+    let outcome = fe.launch_and_spawn(session, "app", &[], 1024, 1, daemon, be_main).unwrap();
+    assert_eq!((outcome.rpdtab.len(), outcome.daemon_count), (1024, 1024));
+    fe.kill(session).unwrap();
+    await_records(&cluster, baseline);
+    assert_threads_settle_to(before, "after a 1 024-daemon launch + kill");
+
+    let job = rm.launch_job(&JobSpec::new("mpi_app", 1024, 1), false).unwrap();
+    let job_records = baseline + 1024 + 1; // tasks + launcher
+    await_records_up_to(&cluster, job_records);
+    let stat = run_stat_launchmon(&fe, job.launcher_pid, 1024).unwrap();
+    assert_eq!(stat.tree.rank_count(), 1024);
+    await_records(&cluster, job_records);
+    assert_eq!(records(&cluster), job_records, "detach took its daemons' records along");
+    assert_threads_settle_to(before, "after a 1 024-daemon attach + STAT wave + detach");
+    rm.kill_job(&job).unwrap();
+    assert_eq!(records(&cluster), baseline);
+    fe.shutdown().unwrap();
+}
+
+/// SLURM, counting the daemon bodies that ever start.
+struct CountingRm {
+    slurm: SlurmRm,
+    started: Arc<AtomicUsize>,
+}
+
+impl CountingRm {
+    fn new(cluster: &VirtualCluster) -> Self {
+        CountingRm { slurm: SlurmRm::new(cluster.clone()), started: Arc::default() }
+    }
+}
+
+impl ResourceManager for CountingRm {
+    fn name(&self) -> &'static str {
+        self.slurm.name()
+    }
+
+    fn cluster(&self) -> &VirtualCluster {
+        self.slurm.cluster()
+    }
+
+    fn launch_job(&self, spec: &JobSpec, under_tool: bool) -> RmResult<JobHandle> {
+        self.slurm.launch_job(spec, under_tool)
+    }
+
+    fn spawn_daemons(
+        &self,
+        alloc: &Allocation,
+        exe: &str,
+        args: &[String],
+        env: &[String],
+        body: DaemonBody,
+        stop: &dyn Fn() -> bool,
+    ) -> RmResult<Vec<Pid>> {
+        let started = self.started.clone();
+        let counted: DaemonBody = Arc::new(move |ctx, ep| {
+            started.fetch_add(1, Ordering::SeqCst);
+            body(ctx, ep)
+        });
+        self.slurm.spawn_daemons(alloc, exe, args, env, counted, stop)
+    }
+
+    fn allocate_mw_nodes(&self, count: usize) -> RmResult<Allocation> {
+        self.slurm.allocate_mw_nodes(count)
+    }
+
+    fn release_allocation(&self, alloc: &Allocation) {
+        self.slurm.release_allocation(alloc)
+    }
+
+    fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
+        self.slurm.kill_job(handle)
+    }
 }
 
 /// An attach that failed its handshake used to keep its daemons and its
@@ -592,8 +687,9 @@ impl ResourceManager for StandInRm {
         args: &[String],
         env: &[String],
         body: DaemonBody,
+        stop: &dyn Fn() -> bool,
     ) -> RmResult<Vec<Pid>> {
-        self.slurm.spawn_daemons(alloc, exe, args, env, body)
+        self.slurm.spawn_daemons(alloc, exe, args, env, body, stop)
     }
 
     fn allocate_mw_nodes(&self, count: usize) -> RmResult<Allocation> {
