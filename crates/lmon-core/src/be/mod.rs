@@ -31,11 +31,8 @@ use lmon_proto::Bytes;
 use lmon_rm::api::DaemonBody;
 
 use crate::error::{LmonError, LmonResult};
-use crate::handshake::{self, MasterSlot};
+use crate::handshake::{self, MasterSlot, SHUTDOWN_SENTINEL};
 use crate::timeline::{CriticalEvent, TimelineRecorder};
-
-/// Sentinel payload the runtime broadcasts when the FE orders shutdown.
-const SHUTDOWN_SENTINEL: &[u8] = b"__LMON_BE_SHUTDOWN__";
 
 /// A tool's daemon entry point.
 pub type BeMain = Arc<dyn Fn(&mut BeSession) + Send + Sync + 'static>;
@@ -200,12 +197,7 @@ fn be_bootstrap(
     let rpdtab_bytes;
 
     if is_master {
-        // A master whose handshake fails lets its siblings go: they are
-        // parked in the broadcast below, and the session is over.
-        let greeted = handshake::BE.greet(master_slot, &ctx).inspect_err(|_| {
-            let _ = comm.broadcast(Some(SHUTDOWN_SENTINEL.into()));
-        });
-        let (chan, launch_info, table) = greeted?;
+        let (chan, launch_info, table) = handshake::BE.greet(master_slot, &ctx, &mut comm)?;
 
         // e8/e9: inter-daemon network setup over the RM fabric — the first
         // collectives wire up and verify every daemon. The master forwards
@@ -217,10 +209,7 @@ fn be_bootstrap(
         timeline.mark(CriticalEvent::E9SetupDone);
         master_chan = Some(chan);
     } else {
-        usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;
-        if usrdata == SHUTDOWN_SENTINEL {
-            return Err(LmonError::Engine("the master's handshake failed".into()));
-        }
+        usrdata = handshake::from_master(&mut comm)?;
         rpdtab_bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;
     }
@@ -286,8 +275,7 @@ mod tests {
             }));
         };
         cluster.spawn_active(NodeId::Compute(1), spec, body).expect("spawn daemon");
-        let hello = fe.recv_timeout(STEP).unwrap().expect("hello");
-        handshake::BE.verify_hello(hello, &cookie).expect("hello admitted");
+        handshake::BE.admit(&fe, &cookie, STEP).expect("hello admitted");
         let ready =
             handshake::BE.deliver(&fe, &cookie, Bytes::new(), vec![], Bytes::from(table), STEP);
         (rx.recv_timeout(STEP).expect("bootstrap returns"), ready.is_ok())

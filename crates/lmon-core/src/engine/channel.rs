@@ -80,8 +80,8 @@ impl EngineEndpoint {
     /// Start an exchange without waiting for any reply: send the command
     /// with a fresh reply channel and hand back an [`Exchange`] from which
     /// replies are consumed one at a time. This is the pipelining primitive
-    /// — the launch path consumes the RPDTAB reply and starts the BE
-    /// handshake while the engine is still spawning daemons, then collects
+    /// — the launch path consumes the RPDTAB reply and runs the tool's pack
+    /// callback while the engine is still spawning daemons, then waits for
     /// the spawn ack.
     pub fn begin_exchange(&self, cmd: EngineCommand) -> LmonResult<Exchange> {
         let (reply, replies) = crossbeam_channel::unbounded();
@@ -122,20 +122,13 @@ pub struct Exchange {
 }
 
 impl Exchange {
-    /// Block for the next reply, up to `timeout`.
+    /// Block for the next reply, up to `timeout`. An `Engine` error means
+    /// the engine dropped the command without answering it.
     pub fn next(&self, timeout: Duration) -> LmonResult<LmonpMsg> {
-        self.poll(timeout)?.ok_or(LmonError::Timeout("waiting for engine reply"))
-    }
-
-    /// Wait up to `timeout` for the next reply; `Ok(None)` when nothing
-    /// arrived in time. An error means the engine dropped the command
-    /// without answering it.
-    pub fn poll(&self, timeout: Duration) -> LmonResult<Option<LmonpMsg>> {
-        match self.replies.recv_timeout(timeout) {
-            Ok(reply) => Ok(Some(reply)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(LmonError::Engine("engine is gone".into())),
-        }
+        self.replies.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => LmonError::Timeout("waiting for engine reply"),
+            RecvTimeoutError::Disconnected => LmonError::Engine("engine is gone".into()),
+        })
     }
 }
 
@@ -270,18 +263,17 @@ mod tests {
         let (fe, inlet) = engine_channel();
         let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 4)).unwrap();
         let (_cmd, reply) = inlet.recv().unwrap();
-        assert!(ex.poll(Duration::from_millis(5)).unwrap().is_none(), "no reply sent yet");
+        let early = ex.next(Duration::from_millis(5));
+        assert!(matches!(early, Err(LmonError::Timeout(_))), "no reply sent yet: {early:?}");
         reply.send(control_msg(MsgType::EngineRpdtab, 4)).unwrap();
         let first = ex.next(Duration::from_secs(5)).unwrap();
         assert_eq!(first.mtype, MsgType::EngineRpdtab);
-        // The caller overlaps its own work here; the second reply arrives
-        // later and is picked up by short poll slices.
+        // The caller overlaps its own work here; a timed-out wait loses
+        // nothing, and the second reply is the next one read.
+        let between = ex.next(Duration::from_millis(1));
+        assert!(matches!(between, Err(LmonError::Timeout(_))), "{between:?}");
         reply.send(control_msg(MsgType::EngineAck, 4)).unwrap();
-        let second = loop {
-            if let Some(r) = ex.poll(Duration::from_millis(1)).unwrap() {
-                break r;
-            }
-        };
+        let second = ex.next(Duration::from_secs(5)).unwrap();
         assert_eq!(second.mtype, MsgType::EngineAck);
     }
 

@@ -503,10 +503,12 @@ impl LmonFrontEnd {
     }
 
     /// Common path for launch/attach: ship the request + wrapped daemon
-    /// body to the engine, then run the FE side of the BE handshake. A
-    /// session that fails here is ended by its caller with the command a
-    /// tool would send, kill for a launch and detach for an attach: the
-    /// engine tears down whatever it placed, and the record ends.
+    /// body to the engine, take the RPDTAB reply and run the pack callback
+    /// while the daemons spawn, then wait for the spawn ack, admit the
+    /// master's hello and run the rest of the BE handshake. A session that
+    /// fails here is ended by its caller with the command a tool would
+    /// send, kill for a launch and detach for an attach: the engine tears
+    /// down whatever it placed, and the record ends.
     fn spawn_common(
         &self,
         session: SessionId,
@@ -554,55 +556,28 @@ impl LmonFrontEnd {
             record.rpdtab = Some(rpdtab_bytes.clone());
         }
 
-        // Overlap window: while the engine is still spawning daemons, run
-        // the pack callback and wait for the master's hello (the master is
-        // the first daemon up and greets us while its siblings spawn). The
-        // spawn ack is drained opportunistically between hello polls so an
-        // engine-side spawn failure aborts the wait instead of timing out.
+        // Overlap window: the pack callback runs while the engine is still
+        // spawning daemons. Then one wait for the spawn ack, which carries
+        // the master identity BeLaunchInfo delivers (a failed spawn's error
+        // reply ends that wait at once), and one for the master's hello,
+        // sent while its siblings spawned: either order of arrival costs
+        // the same wait, for whichever comes last.
         let packed = self.packed(session);
-        const POLL_SLICE: Duration = Duration::from_millis(2);
-        let deadline = std::time::Instant::now() + self.hs_timeout();
-        let mut ack_reply: Option<LmonpMsg> = None;
-        let hello_msg = loop {
-            if let Some(msg) = fe_chan.recv_timeout(POLL_SLICE)? {
-                break msg;
-            }
-            if ack_reply.is_none() {
-                if let Some(reply) = exchange.poll(POLL_SLICE)? {
-                    self.expect_reply(&reply, MsgType::EngineAck)?;
-                    ack_reply = Some(reply);
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(LmonError::Timeout("waiting for BE hello"));
-            }
-        };
-        handshake::BE.verify_hello(hello_msg, &cookie)?;
-
-        // The spawn ack gates the rest: BeLaunchInfo carries the master
-        // identity it delivers. Consume it now if the hello won the race.
-        let ack = match ack_reply {
-            Some(reply) => reply,
-            None => {
-                let reply = exchange.next(self.hs_timeout())?;
-                self.expect_reply(&reply, MsgType::EngineAck)?;
-                reply
-            }
-        };
+        let ack = exchange.next(self.hs_timeout())?;
+        self.expect_reply(&ack, MsgType::EngineAck)?;
         let master_info: DaemonInfo = ack.decode_lmon()?;
-        let master_bytes = ack.lmon.clone();
+        handshake::BE.admit(fe_chan.as_ref(), &cookie, self.hs_timeout())?;
         self.transition(session, SessionState::DaemonsSpawned)?;
 
         // Serialized remainder of the BE handshake (e7..e10). e7 lands
         // after the spawn ack — hence after e6 — keeping the critical path
-        // ordered; the hello exchange above typically ran inside the spawn
-        // window, which is exactly the pipelining gain.
+        // ordered.
         timeline.mark(CriticalEvent::E7HandshakeStart);
         // Ready comes back with optional piggybacked tool data for unpack.
         let ready = handshake::BE.deliver(
             fe_chan.as_ref(),
             &cookie,
-            master_bytes,
+            ack.lmon,
             packed,
             rpdtab_bytes,
             self.hs_timeout(),
@@ -665,10 +640,7 @@ impl LmonFrontEnd {
         let master_info =
             placed.first().cloned().ok_or(LmonError::Engine("MW ack places no daemon".into()))?;
 
-        let hello_msg = fe_chan
-            .recv_timeout(self.hs_timeout())?
-            .ok_or(LmonError::Timeout("waiting for MW hello"))?;
-        handshake::MW.verify_hello(hello_msg, &cookie)?;
+        handshake::MW.admit(fe_chan.as_ref(), &cookie, self.hs_timeout())?;
 
         // Personalities for the tool's intended tree shape are the MW
         // handshake's launch info.

@@ -14,13 +14,16 @@
 //! What really differs per class stays with the caller: what the launch
 //! info *is* (the master's [`DaemonInfo`](lmon_proto::payload::DaemonInfo)
 //! for back ends, the personality table for middleware), the ICCL broadcast
-//! sequence that fans it out, and the timeline marks around it.
+//! sequence that fans it out, and the timeline marks around it. How that
+//! sequence starts is shared: the siblings wait in their first broadcast
+//! ([`from_master`]), and a master whose handshake fails lets them go.
 
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use lmon_cluster::process::ProcCtx;
+use lmon_iccl::IcclComm;
 use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::payload::Hello;
@@ -30,9 +33,17 @@ use lmon_proto::Bytes;
 
 use crate::error::{LmonError, LmonResult};
 
+/// What a master broadcasts in place of its next message once the session
+/// is over: its handshake failed, or the front end ordered shutdown.
+pub(crate) const SHUTDOWN_SENTINEL: &[u8] = b"__LMON_SHUTDOWN__";
+
 /// Where the FE parks the daemon end of a session's master channel until
 /// the master daemon (rank 0 of the spawn) claims it.
 pub(crate) type MasterSlot = Mutex<Option<Box<dyn MsgChannel>>>;
+
+/// What a master holds once the front end has delivered: its channel, the
+/// launch info and the RPDTAB.
+type Delivered = (Box<dyn MsgChannel>, LmonpMsg, LmonpMsg);
 
 /// One message class's handshake vocabulary.
 pub(crate) struct Handshake {
@@ -42,6 +53,8 @@ pub(crate) struct Handshake {
     ready: MsgType,
     usrdata: MsgType,
     shutdown: MsgType,
+    /// What the FE reports when the master never says hello.
+    hello_timeout: &'static str,
     /// What the FE reports when the master never gets to `ready`.
     ready_timeout: &'static str,
 }
@@ -54,6 +67,7 @@ pub(crate) const BE: Handshake = Handshake {
     ready: MsgType::BeReady,
     usrdata: MsgType::BeUsrData,
     shutdown: MsgType::BeShutdown,
+    hello_timeout: "waiting for BE hello",
     ready_timeout: "waiting for BE ready",
 };
 
@@ -65,6 +79,7 @@ pub(crate) const MW: Handshake = Handshake {
     ready: MsgType::MwReady,
     usrdata: MsgType::MwUsrData,
     shutdown: MsgType::MwShutdown,
+    hello_timeout: "waiting for MW hello",
     ready_timeout: "waiting for MW ready",
 };
 
@@ -86,12 +101,21 @@ impl Handshake {
     /// it must fan out: claim the channel, say hello with the cookie from
     /// the environment, take delivery of launch info and then the RPDTAB.
     /// Returns the channel with both messages; the caller broadcasts them
-    /// its own way and then calls [`Handshake::ready`].
+    /// over `comm` its own way and then calls [`Handshake::ready`]. If the
+    /// handshake fails, the session is over: the master broadcasts
+    /// [`SHUTDOWN_SENTINEL`] instead, which lets its siblings go.
     pub(crate) fn greet(
         &self,
         slot: &MasterSlot,
         ctx: &ProcCtx,
-    ) -> LmonResult<(Box<dyn MsgChannel>, LmonpMsg, LmonpMsg)> {
+        comm: &mut IcclComm,
+    ) -> LmonResult<Delivered> {
+        self.take_delivery(slot, ctx).inspect_err(|_| {
+            let _ = comm.broadcast(Some(SHUTDOWN_SENTINEL.into()));
+        })
+    }
+
+    fn take_delivery(&self, slot: &MasterSlot, ctx: &ProcCtx) -> LmonResult<Delivered> {
         let chan =
             slot.lock().take().ok_or(LmonError::Engine("master channel already taken".into()))?;
         let cookie_env = ctx
@@ -117,9 +141,15 @@ impl Handshake {
 
     // --- front-end side ---------------------------------------------------
 
-    /// Admit the master: its first message must be this class's hello and
-    /// must present the session's cookie.
-    pub(crate) fn verify_hello(&self, hello: LmonpMsg, cookie: &SessionCookie) -> LmonResult<()> {
+    /// Admit the master: wait up to `timeout` for its first message, which
+    /// must be this class's hello and must present the session's cookie.
+    pub(crate) fn admit(
+        &self,
+        chan: &dyn MsgChannel,
+        cookie: &SessionCookie,
+        timeout: Duration,
+    ) -> LmonResult<()> {
+        let hello = chan.recv_timeout(timeout)?.ok_or(LmonError::Timeout(self.hello_timeout))?;
         let hello: Hello = expect(hello, self.hello)?.decode_lmon()?;
         Ok(cookie.verify_hello(&hello)?)
     }
@@ -176,6 +206,16 @@ impl Handshake {
     }
 }
 
+/// A sibling's first broadcast from its master: the first part of the
+/// launch info, or an error if the master's handshake failed.
+pub(crate) fn from_master(comm: &mut IcclComm) -> LmonResult<Bytes> {
+    let first = comm.broadcast(None).map_err(LmonError::Iccl)?;
+    if first == SHUTDOWN_SENTINEL {
+        return Err(LmonError::Engine("the master's handshake failed".into()));
+    }
+    Ok(first)
+}
+
 /// A daemon's channel to the front end: only the master holds one.
 pub(crate) fn master(chan: &Option<Box<dyn MsgChannel>>) -> LmonResult<&dyn MsgChannel> {
     chan.as_deref().ok_or(LmonError::Engine("not the master daemon".into()))
@@ -189,6 +229,7 @@ mod tests {
     use lmon_cluster::node::NodeId;
     use lmon_cluster::process::ProcSpec;
     use lmon_cluster::VirtualCluster;
+    use lmon_iccl::{ChannelFabric, Topology};
     use lmon_proto::transport::LocalChannel;
 
     use super::*;
@@ -198,27 +239,31 @@ mod tests {
     type Greeted = LmonResult<(Vec<u8>, Vec<u8>)>;
 
     /// Run the daemon side as a process on the virtual cluster with `env`
-    /// as its environment. Returns the FE end of its master channel and
-    /// where its outcome arrives.
+    /// as its environment, as rank 0 of two. Returns the FE end of its
+    /// master channel, where its outcome arrives, and its sibling's comm.
     fn master_daemon(
         cluster: &VirtualCluster,
         hs: &'static Handshake,
         env: Vec<String>,
-    ) -> (LocalChannel, mpsc::Receiver<Greeted>) {
+    ) -> (LocalChannel, mpsc::Receiver<Greeted>, IcclComm) {
         let (fe_end, daemon_end) = LocalChannel::pair();
         let slot = MasterSlot::new(Some(Box::new(daemon_end)));
         let (tx, rx) = mpsc::channel();
         let mut spec = ProcSpec::named("toold");
         spec.env = env;
+        let mut fabric = ChannelFabric::mesh(2);
+        let sibling = IcclComm::new(fabric.pop().expect("rank 1"), Topology::Binomial);
+        let mut comm = IcclComm::new(fabric.pop().expect("rank 0"), Topology::Binomial);
         let body = move |ctx: ProcCtx| {
-            let greeted = hs.greet(&slot, &ctx).and_then(|(chan, launch_info, table)| {
-                hs.ready(chan.as_ref())?;
-                Ok((launch_info.usr.to_vec(), table.lmon.to_vec()))
-            });
+            let greeted =
+                hs.greet(&slot, &ctx, &mut comm).and_then(|(chan, launch_info, table)| {
+                    hs.ready(chan.as_ref())?;
+                    Ok((launch_info.usr.to_vec(), table.lmon.to_vec()))
+                });
             let _ = tx.send(greeted);
         };
         cluster.spawn_active(NodeId::Compute(0), spec, body).expect("spawn daemon");
-        (fe_end, rx)
+        (fe_end, rx, sibling)
     }
 
     fn cookie_env(cookie: &SessionCookie) -> Vec<String> {
@@ -233,12 +278,11 @@ mod tests {
     fn both_classes_complete_in_order_and_fail_closed() {
         let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
         let cookie = SessionCookie::mint_seeded(7);
-        for hs in [&BE, &MW] {
+        for (hs, hello_timeout) in [(&BE, "waiting for BE hello"), (&MW, "waiting for MW hello")] {
             // In order, with the right cookie: both sides finish, and the
             // daemon holds what the FE sent.
-            let (fe, outcome) = master_daemon(&cluster, hs, cookie_env(&cookie));
-            let hello = fe.recv_timeout(STEP).unwrap().expect("hello");
-            hs.verify_hello(hello, &cookie).expect("right cookie is admitted");
+            let (fe, outcome, _) = master_daemon(&cluster, hs, cookie_env(&cookie));
+            hs.admit(&fe, &cookie, STEP).expect("right cookie is admitted");
             let info = Bytes::copy_from_slice(b"launch info");
             let table = Bytes::copy_from_slice(b"proctable");
             let ready = hs.deliver(&fe, &cookie, info, b"tool data".to_vec(), table, STEP);
@@ -247,30 +291,39 @@ mod tests {
             assert_eq!((&usrdata[..], &rpdtab[..]), (&b"tool data"[..], &b"proctable"[..]));
 
             // Wrong cookie in the daemon's environment: the FE refuses the hello.
-            let (fe, _outcome) =
+            let (fe, _outcome, _) =
                 master_daemon(&cluster, hs, cookie_env(&SessionCookie::mint_seeded(8)));
-            let hello = fe.recv_timeout(STEP).unwrap().expect("hello");
-            let err = hs.verify_hello(hello, &cookie).unwrap_err();
+            let err = hs.admit(&fe, &cookie, STEP).unwrap_err();
             assert!(matches!(err, LmonError::AuthFailed), "expected AuthFailed, got {err:?}");
 
-            // The other class's hello is not a hello.
+            // The other class's hello is not a hello, and silence is this
+            // class's hello timeout.
+            let (near, far) = LocalChannel::pair();
             let other = if hs.hello == BE.hello { MW.hello } else { BE.hello };
-            let err = hs.verify_hello(LmonpMsg::of_type(other), &cookie).unwrap_err();
+            far.send(LmonpMsg::of_type(other)).unwrap();
+            let err = hs.admit(&near, &cookie, STEP).unwrap_err();
             assert!(err.to_string().contains("handshake out of order"), "{err}");
+            let err = hs.admit(&near, &cookie, Duration::from_millis(10)).unwrap_err();
+            assert!(matches!(err, LmonError::Timeout(why) if why == hello_timeout), "{err:?}");
 
-            // RPDTAB before launch info: the daemon gives up.
-            let (fe, outcome) = master_daemon(&cluster, hs, cookie_env(&cookie));
+            // RPDTAB before launch info: the daemon gives up, and lets its
+            // sibling go.
+            let (fe, outcome, mut sibling) = master_daemon(&cluster, hs, cookie_env(&cookie));
             fe.recv_timeout(STEP).unwrap().expect("hello");
             fe.send(LmonpMsg::of_type(hs.rpdtab)).unwrap();
             let err = outcome.recv_timeout(STEP).unwrap().unwrap_err();
             assert!(err.to_string().contains("handshake out of order"), "{err}");
+            let err = from_master(&mut sibling).unwrap_err();
+            assert!(err.to_string().contains("the master's handshake failed"), "{err}");
 
             // No cookie in the environment: an error at once, never a hello
-            // and never a hang.
-            let (fe, outcome) = master_daemon(&cluster, hs, vec![]);
+            // and never a hang, for the master or its sibling.
+            let (fe, outcome, mut sibling) = master_daemon(&cluster, hs, vec![]);
             let err = outcome.recv_timeout(STEP).expect("daemon returns").unwrap_err();
             assert!(err.to_string().contains("missing session cookie"), "{err}");
             assert!(!matches!(fe.recv_timeout(Duration::from_millis(20)), Ok(Some(_))));
+            let err = from_master(&mut sibling).unwrap_err();
+            assert!(err.to_string().contains("the master's handshake failed"), "{err}");
         }
     }
 

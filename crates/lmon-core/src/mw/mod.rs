@@ -169,7 +169,7 @@ fn mw_bootstrap(
     let rpdtab_bytes;
 
     if is_master {
-        let (chan, launch_info, table) = handshake::MW.greet(master_slot, &ctx)?;
+        let (chan, launch_info, table) = handshake::MW.greet(master_slot, &ctx, &mut comm)?;
         personalities_bytes = comm.broadcast(Some(launch_info.lmon)).map_err(LmonError::Iccl)?;
         usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
         rpdtab_bytes = comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?;
@@ -177,7 +177,7 @@ fn mw_bootstrap(
         handshake::MW.ready(chan.as_ref())?;
         master_chan = Some(chan);
     } else {
-        personalities_bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;
+        personalities_bytes = handshake::from_master(&mut comm)?;
         usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;
         rpdtab_bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;
         comm.barrier().map_err(LmonError::Iccl)?;

@@ -30,6 +30,7 @@ use launchmon::core::be::BeMain;
 use launchmon::core::engine::channel::{EngineCommand, EngineSidecar};
 use launchmon::core::engine::Engine;
 use launchmon::core::fe::LmonFrontEnd;
+use launchmon::core::mw::MwMain;
 use launchmon::core::session::{SessionId, SessionState};
 use launchmon::core::LmonError;
 use launchmon::daemon::{Daemon, DaemonConfig, Reply, Request};
@@ -105,9 +106,10 @@ fn a_hundred_killed_sessions_fit_a_sixty_four_entry_process_table() {
 /// A launch that fails after `launch_job` used to drop the job's handle: its
 /// launcher and tasks stayed in the tables and its allocation stayed held,
 /// so every later launch failed too. Here each node's table fits the job's
-/// 4 tasks but not a daemon beside them, so every launch fails at the spawn.
-/// The front end may see the failure (its master's link closing) before the
-/// engine has killed the job, so the count is awaited, not sampled.
+/// 4 tasks but not a daemon beside them, so every launch fails at the spawn,
+/// with the engine's reason. The front end waits for the spawn ack before
+/// the master's hello, so it sees the failure only after the engine has
+/// ended the session: the count is sampled, not awaited.
 #[test]
 fn failed_launches_kill_the_jobs_they_started() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -116,16 +118,15 @@ fn failed_launches_kill_the_jobs_they_started() {
     let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
     let fe = LmonFrontEnd::init(rm).unwrap();
     let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
-    let deadline = Instant::now() + Duration::from_secs(10);
     for i in 0..10 {
         let session = fe.create_session();
         let daemon = DaemonSpec::bare("toold");
         let launched = fe.launch_and_spawn(session, "app", &[], 2, 4, daemon, be_main.clone());
-        assert!(launched.is_err(), "launch {i}: the daemons cannot fit");
-        while records(&cluster) > 1 {
-            assert!(Instant::now() < deadline, "launch {i} left {} records", records(&cluster));
-            std::thread::sleep(Duration::from_millis(5));
+        match launched {
+            Err(LmonError::Engine(why)) if why.contains("spawn daemons") => {}
+            other => panic!("launch {i}: the daemons cannot fit, but got {other:?}"),
         }
+        assert_eq!(records(&cluster), 1, "launch {i} left its job behind");
     }
     fe.shutdown().unwrap();
 }
@@ -229,6 +230,31 @@ fn a_kill_during_the_spawn_stops_the_launch_and_frees_what_it_placed() {
     let started = started.load(Ordering::SeqCst);
     assert!(started < 32, "the kill waited for the whole spawn: {started} daemons started");
     Arc::into_inner(fe).unwrap().shutdown().unwrap();
+}
+
+/// A middleware master whose handshake failed used to return without a
+/// word to its siblings, which stayed parked in their first broadcast for
+/// good: every sibling holds a sender to every other, so no inbox ever
+/// disconnects, and a kill removes records, not threads. Here the front end
+/// gives up on the spawn ack after 10 ms of a 50 ms spawn, so the master
+/// finds its front-end link gone; it now lets its siblings go.
+#[test]
+fn a_failed_mw_handshake_lets_the_masters_siblings_go() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let config =
+        ClusterConfig { spawn_latency: Duration::from_millis(50), ..ClusterConfig::with_nodes(8) };
+    let cluster = VirtualCluster::new(config);
+    let rm: Arc<dyn ResourceManager> = Arc::new(SlurmRm::new(cluster.clone()));
+    let fe = LmonFrontEnd::init(rm).unwrap();
+    let before = settled_threads();
+    fe.set_handshake_timeout(Duration::from_millis(10));
+    let session = fe.create_session();
+    let mw_main: MwMain = Arc::new(|mw| mw.barrier().unwrap());
+    let launched = fe.launch_mw_daemons(session, 4, 2, DaemonSpec::bare("commd"), mw_main);
+    assert!(launched.is_err(), "a 50 ms spawn cannot ack in 10 ms");
+    let _ = fe.kill(session);
+    assert_threads_settle_to(before, "after a failed MW handshake and its kill");
+    fe.shutdown().unwrap();
 }
 
 /// A thousand daemons, each placed by the RM's wave loop, come and go
