@@ -15,9 +15,11 @@
 //!    hello (with the security cookie delivered through the RM's launch
 //!    environment), launch info (+ piggybacked tool data), RPDTAB, ready —
 //! 3. broadcasts launch info and the encoded RPDTAB to all daemons over
-//!    ICCL; each daemon checks the whole table and builds its own host's
-//!    rows (the master before it says ready),
-//! 4. hands the tool its session.
+//!    ICCL; each daemon then reports up once (`Handshake::report`, with no
+//!    release wave back down), checks the whole table and builds its own
+//!    host's rows; the master says ready once every report is in and its
+//!    own check has passed,
+//! 4. hands the tool its session (a sibling as soon as its walk is done).
 
 use std::sync::Arc;
 
@@ -190,38 +192,25 @@ fn be_bootstrap(
     timeline: &TimelineRecorder,
 ) -> LmonResult<BeSession> {
     let mut comm = IcclComm::new(ep, Topology::Binomial);
-    let is_master = comm.is_master();
-
-    let mut master_chan = None;
-    let usrdata;
-    let rpdtab_bytes;
-
-    if is_master {
+    let (master_chan, usrdata, rpdtab_bytes) = if comm.is_master() {
         let (chan, launch_info, table) = handshake::BE.greet(master_slot, &ctx, &mut comm)?;
-
-        // e8/e9: inter-daemon network setup over the RM fabric — the first
-        // collectives wire up and verify every daemon. The master forwards
-        // its messages' payload views: every daemon shares one buffer each.
+        // e8: inter-daemon setup over the RM fabric. The master forwards its
+        // messages' payload views: every daemon shares one buffer each.
         timeline.mark(CriticalEvent::E8SetupStart);
-        usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
-        rpdtab_bytes = comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?;
-        comm.barrier().map_err(LmonError::Iccl)?;
-        timeline.mark(CriticalEvent::E9SetupDone);
-        master_chan = Some(chan);
+        let usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
+        (Some(chan), usrdata, comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?)
     } else {
-        usrdata = handshake::from_master(&mut comm)?;
-        rpdtab_bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;
-        comm.barrier().map_err(LmonError::Iccl)?;
-    }
+        let usrdata = handshake::from_master(&mut comm)?;
+        (None, usrdata, comm.broadcast(None).map_err(LmonError::Iccl)?)
+    };
 
-    // Every row is checked, only this host's rows are built — and the
-    // master says `Ready` only afterwards, so a corrupt table fails the
-    // session's handshake instead of surfacing in a daemon later.
-    let (local, table) = Rpdtab::local_from_bytes(rpdtab_bytes, &ctx.hostname)?;
-    if let Some(chan) = &master_chan {
-        handshake::BE.ready(chan.as_ref())?;
-    }
-
+    // Every row is checked, only this host's rows are built, and the master
+    // says `Ready` only afterwards, so a corrupt table fails the session's
+    // handshake instead of surfacing in a daemon later.
+    let (local, table) =
+        handshake::BE.report(&mut comm, master_chan.as_deref(), Some(timeline), || {
+            Ok(Rpdtab::local_from_bytes(rpdtab_bytes, &ctx.hostname)?)
+        })?;
     Ok(BeSession { comm, ctx, local, table, usrdata, master_chan })
 }
 

@@ -13,10 +13,11 @@
 //!
 //! What really differs per class stays with the caller: what the launch
 //! info *is* (the master's [`DaemonInfo`](lmon_proto::payload::DaemonInfo)
-//! for back ends, the personality table for middleware), the ICCL broadcast
-//! sequence that fans it out, and the timeline marks around it. How that
-//! sequence starts is shared: the siblings wait in their first broadcast
-//! ([`from_master`]), and a master whose handshake fails lets them go.
+//! for back ends, the personality table for middleware) and the ICCL
+//! broadcasts that fan it out. How they start and end is shared: siblings
+//! wait in their first broadcast ([`from_master`]), a master whose
+//! handshake fails lets them go, and every daemon ends with one report up
+//! ([`Handshake::report`]).
 
 use std::time::Duration;
 
@@ -32,6 +33,7 @@ use lmon_proto::transport::MsgChannel;
 use lmon_proto::Bytes;
 
 use crate::error::{LmonError, LmonResult};
+use crate::timeline::{CriticalEvent, TimelineRecorder};
 
 /// What a master broadcasts in place of its next message once the session
 /// is over: its handshake failed, or the front end ordered shutdown.
@@ -101,7 +103,7 @@ impl Handshake {
     /// it must fan out: claim the channel, say hello with the cookie from
     /// the environment, take delivery of launch info and then the RPDTAB.
     /// Returns the channel with both messages; the caller broadcasts them
-    /// over `comm` its own way and then calls [`Handshake::ready`]. If the
+    /// over `comm` its own way and then calls [`Handshake::report`]. If the
     /// handshake fails, the session is over: the master broadcasts
     /// [`SHUTDOWN_SENTINEL`] instead, which lets its siblings go.
     pub(crate) fn greet(
@@ -134,9 +136,27 @@ impl Handshake {
         Ok((chan, launch_info, rpdtab))
     }
 
-    /// Close the handshake from the daemon side: every daemon is set up.
-    pub(crate) fn ready(&self, chan: &dyn MsgChannel) -> LmonResult<()> {
-        Ok(chan.send(LmonpMsg::of_type(self.ready))?)
+    /// How every bootstrap ends once a daemon holds the broadcasts: one
+    /// report up (a gather) and no release wave back down, so a sibling
+    /// runs `check` and its tool body while others still report. The
+    /// master (the daemon with a `chan`) waits for every report, marks e9,
+    /// and says ready once its `check` of the table has passed: Ready means
+    /// every daemon holds the broadcasts and the table was checked whole.
+    pub(crate) fn report<T>(
+        &self,
+        comm: &mut IcclComm,
+        chan: Option<&dyn MsgChannel>,
+        timeline: Option<&TimelineRecorder>,
+        check: impl FnOnce() -> LmonResult<T>,
+    ) -> LmonResult<T> {
+        comm.gather(Vec::new()).map_err(LmonError::Iccl)?;
+        let Some(chan) = chan else { return check() };
+        if let Some(timeline) = timeline {
+            timeline.mark(CriticalEvent::E9SetupDone);
+        }
+        let checked = check()?;
+        chan.send(LmonpMsg::of_type(self.ready))?;
+        Ok(checked)
     }
 
     // --- front-end side ---------------------------------------------------
@@ -223,24 +243,30 @@ pub(crate) fn master(chan: &Option<Box<dyn MsgChannel>>) -> LmonResult<&dyn MsgC
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Arc};
 
     use lmon_cluster::config::ClusterConfig;
     use lmon_cluster::node::NodeId;
     use lmon_cluster::process::ProcSpec;
     use lmon_cluster::VirtualCluster;
     use lmon_iccl::{ChannelFabric, Topology};
+    use lmon_proto::rpdtab::synthetic_rpdtab;
     use lmon_proto::transport::LocalChannel;
+    use lmon_proto::wire::{put_seq, WireEncode};
+    use lmon_rm::api::DaemonBody;
 
     use super::*;
+    use crate::be::{wrap_be_main, BeMain};
+    use crate::mw::{assign_personalities, wrap_mw_main, MwMain};
 
     /// What the daemon side made of the handshake: the piggybacked tool
     /// data and the RPDTAB bytes it took delivery of.
     type Greeted = LmonResult<(Vec<u8>, Vec<u8>)>;
 
     /// Run the daemon side as a process on the virtual cluster with `env`
-    /// as its environment, as rank 0 of two. Returns the FE end of its
-    /// master channel, where its outcome arrives, and its sibling's comm.
+    /// as its environment, as rank 0 of two: greet, then report. Returns
+    /// the FE end of its master channel, where its outcome arrives, and its
+    /// sibling's comm.
     fn master_daemon(
         cluster: &VirtualCluster,
         hs: &'static Handshake,
@@ -257,7 +283,7 @@ mod tests {
         let body = move |ctx: ProcCtx| {
             let greeted =
                 hs.greet(&slot, &ctx, &mut comm).and_then(|(chan, launch_info, table)| {
-                    hs.ready(chan.as_ref())?;
+                    hs.report(&mut comm, Some(chan.as_ref()), None, || Ok(()))?;
                     Ok((launch_info.usr.to_vec(), table.lmon.to_vec()))
                 });
             let _ = tx.send(greeted);
@@ -279,9 +305,10 @@ mod tests {
         let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
         let cookie = SessionCookie::mint_seeded(7);
         for (hs, hello_timeout) in [(&BE, "waiting for BE hello"), (&MW, "waiting for MW hello")] {
-            // In order, with the right cookie: both sides finish, and the
-            // daemon holds what the FE sent.
-            let (fe, outcome, _) = master_daemon(&cluster, hs, cookie_env(&cookie));
+            // In order, with the right cookie: both sides finish once the
+            // sibling has reported, and the daemon holds what the FE sent.
+            let (fe, outcome, mut sibling) = master_daemon(&cluster, hs, cookie_env(&cookie));
+            hs.report(&mut sibling, None, None, || Ok(())).expect("the sibling reports");
             hs.admit(&fe, &cookie, STEP).expect("right cookie is admitted");
             let info = Bytes::copy_from_slice(b"launch info");
             let table = Bytes::copy_from_slice(b"proctable");
@@ -324,6 +351,144 @@ mod tests {
             assert!(!matches!(fe.recv_timeout(Duration::from_millis(20)), Ok(Some(_))));
             let err = from_master(&mut sibling).unwrap_err();
             assert!(err.to_string().contains("the master's handshake failed"), "{err}");
+        }
+    }
+
+    /// What one daemon of a bootstrapped session holds: its rank, the tool
+    /// data, the table's length and its own rows' ranks, and for middleware
+    /// the rank its personality names.
+    #[derive(Debug, PartialEq)]
+    struct Holds {
+        rank: u32,
+        usrdata: Vec<u8>,
+        table: usize,
+        local: Vec<u32>,
+        personality: Option<u32>,
+    }
+
+    const MEMBERS: u32 = 5;
+    const TASKS_PER_NODE: usize = 3;
+
+    /// One class's daemon body over `master` (the daemon end of its master
+    /// channel): the real bootstrap, then a tool body that sends what its
+    /// daemon holds to `held`. Also the launch info the FE sends this class.
+    fn class_body(
+        hs: &'static Handshake,
+        master: LocalChannel,
+        held: mpsc::Sender<Holds>,
+    ) -> (DaemonBody, Bytes) {
+        if hs.ready == BE.ready {
+            let tool: BeMain = Arc::new(move |be| {
+                let local = be.my_proctab().iter().map(|d| d.rank).collect();
+                let (rank, usrdata, table) = (be.rank(), be.usrdata().to_vec(), be.task_count());
+                let _ = held.send(Holds { rank, usrdata, table, local, personality: None });
+            });
+            (wrap_be_main(tool, Box::new(master), TimelineRecorder::new()), Bytes::new())
+        } else {
+            let tool: MwMain = Arc::new(move |mw| {
+                let local = mw.proctable().local_tasks(mw.hostname()).map(|d| d.rank).collect();
+                let _ = held.send(Holds {
+                    rank: mw.rank(),
+                    usrdata: mw.usrdata().to_vec(),
+                    table: mw.proctable().len(),
+                    local,
+                    personality: Some(mw.personality().rank),
+                });
+            });
+            let hosts: Vec<String> = (0..MEMBERS).map(|i| format!("node{i:05}")).collect();
+            let mut personalities = Vec::new();
+            put_seq(&mut personalities, &assign_personalities(&hosts, 2));
+            (wrap_mw_main(tool, Box::new(master)), personalities.into())
+        }
+    }
+
+    /// Bootstrap one class's `MEMBERS` daemons, one per node, except the
+    /// ranks in `silent`, whose fabric endpoints are returned unused: they
+    /// never report. The FE side admits the master and delivers with
+    /// `ready_within`; returns its outcome, what the running daemons sent
+    /// from their tool bodies, the silent endpoints and the FE end of the
+    /// master channel.
+    fn bootstrap_class(
+        hs: &'static Handshake,
+        silent: &[u32],
+        ready_within: Duration,
+    ) -> (LmonResult<LmonpMsg>, mpsc::Receiver<Holds>, Vec<ChannelFabric>, LocalChannel) {
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(MEMBERS as usize));
+        let cookie = SessionCookie::mint_seeded(7);
+        let (fe, daemon_end) = LocalChannel::pair();
+        let (tx, held) = mpsc::channel();
+        let (body, launch_info) = class_body(hs, daemon_end, tx);
+        let mut spec = ProcSpec::named("toold");
+        spec.env = cookie_env(&cookie);
+        let mut unused = Vec::new();
+        for ep in ChannelFabric::mesh(MEMBERS) {
+            let rank = ep.rank();
+            if silent.contains(&rank) {
+                unused.push(ep);
+                continue;
+            }
+            let body = body.clone();
+            let node = NodeId::Compute(rank);
+            cluster.spawn_active(node, spec.clone(), move |ctx| body(ctx, ep)).unwrap();
+        }
+        hs.admit(&fe, &cookie, STEP).expect("hello admitted");
+        let table = synthetic_rpdtab(MEMBERS as usize, TASKS_PER_NODE, "app").to_bytes();
+        let packed = b"tool data".to_vec();
+        let ready = hs.deliver(&fe, &cookie, launch_info, packed, table.into(), ready_within);
+        (ready, held, unused, fe)
+    }
+
+    /// Both classes over a fabric that is not a power of two: every member
+    /// ends up holding the launch info and the table, and the master says
+    /// ready.
+    #[test]
+    fn every_member_of_a_five_daemon_session_holds_the_broadcasts() {
+        for hs in [&BE, &MW] {
+            let (ready, held, _, _) = bootstrap_class(hs, &[], STEP);
+            assert_eq!(ready.expect("ready").mtype, hs.ready);
+            let mut holds: Vec<Holds> =
+                (0..MEMBERS).map(|_| held.recv_timeout(STEP).expect("every member")).collect();
+            holds.sort_by_key(|h| h.rank);
+            for (rank, h) in (0..MEMBERS).zip(holds) {
+                let first = rank * TASKS_PER_NODE as u32;
+                let want = Holds {
+                    rank,
+                    usrdata: b"tool data".to_vec(),
+                    table: MEMBERS as usize * TASKS_PER_NODE,
+                    local: (first..first + TASKS_PER_NODE as u32).collect(),
+                    personality: (hs.ready == MW.ready).then_some(rank),
+                };
+                assert_eq!(h, want);
+            }
+        }
+    }
+
+    /// A sibling that never reports holds Ready back: the front end's
+    /// delivery ends with this class's ready timeout, while the siblings
+    /// that did report have gone on to their tool bodies. Once the silent
+    /// rank is gone, the master ends its bootstrap instead of hanging, and
+    /// never runs its tool body.
+    #[test]
+    fn a_sibling_that_never_reports_holds_ready_back() {
+        for (hs, ready_timeout) in [(&BE, "waiting for BE ready"), (&MW, "waiting for MW ready")] {
+            let (ready, held, silent, fe) =
+                bootstrap_class(hs, &[MEMBERS - 1], Duration::from_millis(100));
+            let err = ready.unwrap_err();
+            assert!(matches!(err, LmonError::Timeout(why) if why == ready_timeout), "{err:?}");
+            let mut ranks: Vec<u32> = (1..MEMBERS - 1)
+                .map(|_| held.recv_timeout(STEP).expect("a sibling").rank)
+                .collect();
+            ranks.sort_unstable();
+            assert_eq!(ranks, [1, 2, 3]);
+            // The master's bootstrap ends: its channel closes, with no
+            // Ready on it, and its tool body never runs.
+            drop(silent);
+            let closed = fe.recv_timeout(STEP);
+            assert!(closed.is_err(), "the master's channel stayed open: {closed:?}");
+            assert!(
+                held.recv_timeout(Duration::from_millis(50)).is_err(),
+                "the master ran its tool"
+            );
         }
     }
 

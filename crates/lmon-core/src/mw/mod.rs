@@ -17,9 +17,9 @@ use std::sync::Arc;
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_iccl::{ChannelFabric, IcclComm, Topology};
 use lmon_proto::payload::MwPersonality;
-use lmon_proto::rpdtab::Rpdtab;
+use lmon_proto::rpdtab::{CheckedRpdtab, Rpdtab};
 use lmon_proto::transport::MsgChannel;
-use lmon_proto::wire::{get_seq, WireDecode};
+use lmon_proto::wire::get_seq;
 use lmon_proto::Bytes;
 use lmon_rm::api::DaemonBody;
 
@@ -35,7 +35,8 @@ pub struct MwSession {
     ctx: ProcCtx,
     personality: MwPersonality,
     all_personalities: Vec<MwPersonality>,
-    rpdtab: Rpdtab,
+    /// The table as broadcast, checked whole at bootstrap.
+    rpdtab: CheckedRpdtab,
     usrdata: Bytes,
     master_chan: Option<Box<dyn MsgChannel>>,
 }
@@ -78,7 +79,7 @@ impl MwSession {
     }
 
     /// The RPDTAB, "allow\[ing\] TBON daemons to locate the target program
-    /// and the back-end daemons" (§3.4).
+    /// and the back-end daemons" (§3.4). Decoded on first use.
     pub fn proctable(&self) -> &Rpdtab {
         &self.rpdtab
     }
@@ -160,38 +161,27 @@ fn mw_bootstrap(
     master_slot: &MasterSlot,
 ) -> LmonResult<MwSession> {
     let mut comm = IcclComm::new(ep, Topology::Binomial);
-    let is_master = comm.is_master();
-    let my_rank = comm.rank();
-
-    let mut master_chan = None;
-    let personalities_bytes;
-    let usrdata;
-    let rpdtab_bytes;
-
-    if is_master {
+    let (master_chan, personalities_bytes, usrdata, rpdtab_bytes) = if comm.is_master() {
         let (chan, launch_info, table) = handshake::MW.greet(master_slot, &ctx, &mut comm)?;
-        personalities_bytes = comm.broadcast(Some(launch_info.lmon)).map_err(LmonError::Iccl)?;
-        usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
-        rpdtab_bytes = comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?;
-        comm.barrier().map_err(LmonError::Iccl)?;
-        handshake::MW.ready(chan.as_ref())?;
-        master_chan = Some(chan);
+        let personalities = comm.broadcast(Some(launch_info.lmon)).map_err(LmonError::Iccl)?;
+        let usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
+        let table = comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?;
+        (Some(chan), personalities, usrdata, table)
     } else {
-        personalities_bytes = handshake::from_master(&mut comm)?;
-        usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;
-        rpdtab_bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;
-        comm.barrier().map_err(LmonError::Iccl)?;
-    }
+        let personalities = handshake::from_master(&mut comm)?;
+        let usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;
+        (None, personalities, usrdata, comm.broadcast(None).map_err(LmonError::Iccl)?)
+    };
+    let rpdtab = handshake::MW.report(&mut comm, master_chan.as_deref(), None, || {
+        Ok(Rpdtab::check_bytes(rpdtab_bytes)?)
+    })?;
 
-    let mut slice = &personalities_bytes[..];
-    let all_personalities: Vec<MwPersonality> = get_seq(&mut slice)?;
+    let all_personalities: Vec<MwPersonality> = get_seq(&mut &personalities_bytes[..])?;
     let personality = all_personalities
         .iter()
-        .find(|p| p.rank == my_rank)
+        .find(|p| p.rank == comm.rank())
         .cloned()
         .ok_or(LmonError::Engine("no personality for my rank".into()))?;
-    let rpdtab = Rpdtab::from_bytes(&rpdtab_bytes)?;
-
     Ok(MwSession { comm, ctx, personality, all_personalities, rpdtab, usrdata, master_chan })
 }
 

@@ -19,8 +19,8 @@ use std::sync::OnceLock;
 use bytes::{Buf, BufMut, Bytes};
 
 use crate::error::{ProtoError, ProtoResult};
-use crate::payload::{get_str_vec, put_str_vec};
-use crate::wire::{get_u32, WireDecode, WireEncode, MAX_SEQ_LEN};
+use crate::payload::put_str_vec;
+use crate::wire::{get_u32, need, WireDecode, WireEncode, MAX_SEQ_LEN, MAX_STRING_LEN};
 
 /// One entry of the RPDTAB: where a single MPI task lives.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -200,15 +200,39 @@ impl WireEncode for Rpdtab {
     }
 }
 
+/// A string table written by `put_str_vec`, read as views of `buf` with
+/// the checks `get_str_vec` makes: the count and every length bounded, and
+/// every string UTF-8. One allocation, whatever the count.
+fn str_views<'a>(buf: &mut &'a [u8]) -> ProtoResult<Vec<&'a str>> {
+    let n = get_u32(buf)? as usize;
+    if n > MAX_SEQ_LEN {
+        return Err(ProtoError::PayloadTooLarge { len: n });
+    }
+    // Every string takes at least its 4-byte length.
+    let mut views = Vec::with_capacity(n.min(buf.len() / 4));
+    for _ in 0..n {
+        let len = get_u32(buf)? as usize;
+        if len > MAX_STRING_LEN {
+            return Err(ProtoError::PayloadTooLarge { len });
+        }
+        need(buf, len)?;
+        let (s, rest) = buf.split_at(len);
+        views.push(std::str::from_utf8(s).map_err(|_| ProtoError::BadString)?);
+        *buf = rest;
+    }
+    Ok(views)
+}
+
 /// The one walk over an encoded table: every check a decode makes — count
 /// bounds, string validity, host and exe index bounds on *every* row, and
 /// that the rows end the buffer — and a [`ProcDesc`] built only for rows
-/// whose host `keep` accepts. Returns the kept rows in wire order and the
-/// table's total task count.
+/// whose host `keep` accepts. The host and exe tables are read as views,
+/// so only kept rows own strings. Returns the kept rows in wire order and
+/// the table's total task count.
 fn walk_rows(bytes: &[u8], keep: impl Fn(&str) -> bool) -> ProtoResult<(Vec<ProcDesc>, usize)> {
     let mut buf = bytes;
-    let hosts = get_str_vec(&mut buf)?;
-    let exes = get_str_vec(&mut buf)?;
+    let hosts = str_views(&mut buf)?;
+    let exes = str_views(&mut buf)?;
     let kept: Vec<bool> = hosts.iter().map(|h| keep(h)).collect();
     let ntasks = get_u32(&mut buf)? as usize;
     if ntasks > MAX_SEQ_LEN {
@@ -228,7 +252,8 @@ fn walk_rows(bytes: &[u8], keep: impl Fn(&str) -> bool) -> ProtoResult<(Vec<Proc
         let exe = exes.get(exe_id).ok_or_else(|| bad("exe_id", exe_id))?;
         if kept[host_id] {
             let pid = u64::from_be_bytes(std::array::from_fn(|i| row[12 + i]));
-            entries.push(ProcDesc { rank: word(0), host: host.clone(), exe: exe.clone(), pid });
+            let (host, exe) = (host.to_string(), exe.to_string());
+            entries.push(ProcDesc { rank: word(0), host, exe, pid });
         }
     }
     Ok((entries, ntasks))
