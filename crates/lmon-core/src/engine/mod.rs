@@ -20,11 +20,11 @@
 //! * `FeSpawnMwReq` — allocate middleware nodes and launch TBON daemons.
 //! * `FeDetachReq` / `FeKillReq` — release or destroy the session's job.
 //!
-//! The three spawning requests bulk-launch through one function, launch and
-//! attach share everything that follows "job stopped, RPDTAB in hand", and
-//! every way a session ends runs through one teardown, `end_session`: a
-//! kill or detach, and a launch or attach that fails, is abandoned or is
-//! killed while it places its daemons.
+//! The three spawning requests are filed one way, as placing, when they
+//! arrive, and bulk-launch through one function. Launch and attach share
+//! everything that follows "job stopped, RPDTAB in hand". Every way a
+//! session ends runs through one teardown, `end_session`: a kill or detach,
+//! whenever it lands, and a launch or attach that fails or is abandoned.
 //!
 //! The paper builds the tracing side as a Driver → Event Manager → Event
 //! Decoder → Event Handler pipeline behind abstract classes a port inherits
@@ -70,27 +70,32 @@ enum EngineJob {
 }
 
 /// Everything the engine holds for one session, shared between the command
-/// loop and the spawn workers: created when a launch or attach arrives,
-/// removed whole by `end_session`.
+/// loop and the spawn workers: filed when a spawn-bearing command arrives,
+/// it owns what its commands place until `end_session` removes it whole.
 #[derive(Default)]
 struct EngineSession {
     /// The job under engine control, from the moment it exists.
     job: Option<EngineJob>,
-    /// The trace on the job's launcher, which the placing worker holds until
-    /// the ack; dropping it detaches and resumes the launcher.
+    /// The launcher's trace, set exactly at the launch or attach ack (the
+    /// worker holds it until then); dropping it resumes the launcher.
     ctl: Option<TraceController>,
     /// Every daemon the session spawned, back end and middleware alike,
-    /// with the node the RM placed it on: the session owns these process
-    /// records, and they leave their nodes' tables when the session ends.
+    /// with the node the RM placed it on.
     daemons: Vec<(NodeId, Pid)>,
-    /// Middleware node allocations, handed back to the RM with the session.
+    /// Middleware node allocations, each filed before its spawn starts.
     mw_allocs: Vec<Allocation>,
-    /// A launch or attach is placing the session and has not acked yet.
-    placing: bool,
-    /// A kill or detach that came in while placing, with its reply channel:
-    /// the worker stops at its next phase boundary or daemon-spawn wave,
-    /// tears down, answers.
-    ending: Option<(JobStatus, Sender<LmonpMsg>)>,
+    phase: Phase,
+}
+
+/// Where a session is in its one lifecycle.
+#[derive(Default)]
+enum Phase {
+    /// A launch, attach or MW spawn is placing daemons; a kill or detach
+    /// that comes in meanwhile waits here, with its reply channel.
+    Placing { ending: Option<(JobStatus, Sender<LmonpMsg>)> },
+    /// Nothing is placing: a kill or detach ends the session at once.
+    #[default]
+    Live,
 }
 
 /// A spawn-bearing command in flight: the daemon image the RM is to
@@ -120,28 +125,24 @@ impl Engine {
         let pid = cluster
             .spawn_active(NodeId::FrontEnd, ProcSpec::named("launchmon_engine"), move |_ctx| {
                 let engine = Engine { rm, sessions: Arc::default() };
-                // Spawn-bearing commands run on worker threads so concurrent
-                // launches overlap their engine phases; each answers on its
-                // own exchange's reply channel.
+                // Spawn-bearing commands run on worker threads, so concurrent
+                // launches overlap; each answers on its exchange's channel.
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 // The loop ends when the front end drops its endpoint.
                 while let Ok((cmd, reply)) = inlet.recv() {
-                    let places =
-                        matches!(cmd.msg.mtype, MsgType::FeLaunchReq | MsgType::FeAttachReq);
-                    if places {
-                        // Filed before any later command: a kill finds it.
-                        engine.sessions.lock().entry(cmd.session).or_default().placing = true;
-                    }
-                    if places || cmd.msg.mtype == MsgType::FeSpawnMwReq {
-                        // Replies stream back as the handler produces them —
-                        // the RPDTAB reply leaves before the daemon spawn
-                        // starts, so the FE overlaps its handshake staging
-                        // with the spawn.
-                        let engine = engine.clone();
-                        workers.push(std::thread::spawn(move || engine.handle(cmd, reply)));
-                        workers.retain(|h| !h.is_finished());
-                    } else {
-                        engine.handle(cmd, reply);
+                    let id = cmd.session;
+                    match cmd.msg.mtype {
+                        MsgType::FeKillReq => engine.request_end(id, JobStatus::Killed, reply),
+                        MsgType::FeDetachReq => engine.request_end(id, JobStatus::Detached, reply),
+                        MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq => {
+                            // Filed before any later command: a kill finds it.
+                            let filed = Phase::Placing { ending: None };
+                            engine.sessions.lock().entry(id).or_default().phase = filed;
+                            let engine = engine.clone();
+                            workers.push(std::thread::spawn(move || engine.handle(cmd, reply)));
+                            workers.retain(|h| !h.is_finished());
+                        }
+                        other => drop(reply.send(error_reply(format!("unexpected {other:?}")))),
                     }
                 }
                 for h in workers {
@@ -152,34 +153,29 @@ impl Engine {
         Ok((fe_end, pid))
     }
 
-    /// Process one command. Replies go out on the exchange's channel as soon
-    /// as they are produced — spawn-bearing requests stream their RPDTAB
-    /// reply *before* the daemon spawn, so the FE pipelines the BE handshake
-    /// against it. A handler's `Err` becomes the command's one error reply,
-    /// terminal wherever in the reply sequence it lands; a failed launch or
-    /// attach has ended its session by then.
+    /// Run one spawn-bearing command on its worker. Replies stream back as
+    /// they are produced: the RPDTAB reply leaves *before* the daemon spawn,
+    /// so the FE pipelines the BE handshake against it. A handler's `Err` is
+    /// the command's one, terminal error reply. A failed launch or attach
+    /// ends its session; a failed MW spawn goes live unless it kept an end.
     fn handle(&self, cmd: EngineCommand, reply: Sender<LmonpMsg>) {
-        let EngineCommand { session, msg, sidecar } = cmd;
-        let spawn = |mut sidecar: EngineSidecar| {
-            // Checked before any job is launched or node allocated for it.
-            let missing = || format!("{:?} missing daemon body", msg.mtype);
-            let body = sidecar.body.take().ok_or_else(missing)?;
+        let EngineCommand { session, msg, mut sidecar } = cmd;
+        // Checked before any job is launched or node allocated for it.
+        let missing = || format!("{:?} missing daemon body", msg.mtype);
+        let result = sidecar.body.take().ok_or_else(missing).and_then(|body| {
             let timeline = sidecar.timeline.take().unwrap_or_default();
-            Ok(SpawnCmd { session, body, sidecar, timeline, reply: &reply })
-        };
-        let result = match msg.mtype {
-            MsgType::FeLaunchReq => spawn(sidecar).and_then(|cmd| self.handle_launch(&msg, cmd)),
-            MsgType::FeAttachReq => spawn(sidecar).and_then(|cmd| self.handle_attach(&msg, cmd)),
-            MsgType::FeSpawnMwReq => spawn(sidecar).and_then(|cmd| self.handle_spawn_mw(&msg, cmd)),
-            MsgType::FeDetachReq => return self.request_end(session, JobStatus::Detached, reply),
-            MsgType::FeKillReq => return self.request_end(session, JobStatus::Killed, reply),
-            other => Err(format!("unexpected message {other:?}")),
-        };
+            let cmd = SpawnCmd { session, body, sidecar, timeline, reply: &reply };
+            match msg.mtype {
+                MsgType::FeLaunchReq => self.handle_launch(&msg, cmd),
+                MsgType::FeAttachReq => self.handle_attach(&msg, cmd),
+                _ => self.handle_spawn_mw(&msg, cmd),
+            }
+        });
         let Err(text) = result else { return };
-        match msg.mtype {
-            MsgType::FeLaunchReq => self.end_session(session, JobStatus::Killed, None),
-            MsgType::FeAttachReq => self.end_session(session, JobStatus::Detached, None),
-            _ => {}
+        if msg.mtype != MsgType::FeSpawnMwReq || self.go_live(session, |_| ()).is_err() {
+            let attach = msg.mtype == MsgType::FeAttachReq;
+            let end = if attach { JobStatus::Detached } else { JobStatus::Killed };
+            self.end_session(session, end, None);
         }
         let _ = reply.send(error_reply(text));
     }
@@ -194,12 +190,8 @@ impl Engine {
 
         // e2: execute the RM launcher under engine control.
         timeline.mark(CriticalEvent::E2LauncherExec);
-        let spec = JobSpec {
-            app_exe: req.app_exe,
-            app_args: req.app_args,
-            nodes: req.nodes as usize,
-            tasks_per_node: req.tasks_per_node as usize,
-        };
+        let (nodes, tasks) = (req.nodes as usize, req.tasks_per_node as usize);
+        let spec = JobSpec { app_args: req.app_args, ..JobSpec::new(req.app_exe, nodes, tasks) };
         let handle = self.rm.launch_job(&spec, true).map_err(|e| format!("launch_job: {e}"))?;
         let (launcher, alloc) = (handle.launcher_pid, handle.allocation.clone());
         // The job joins the session still gated: from here on, however the
@@ -247,12 +239,8 @@ impl Engine {
         // The table's one decode is for the allocation footprint (the
         // RPDTAB hosts) and the kill record; the front end gets the bytes.
         let cluster = self.rm.cluster();
-        let nodes = rpdtab
-            .hosts()
-            .iter()
-            .map(|host| cluster.node_by_host(host).map(|n| n.id))
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("host map: {e}"))?;
+        let nodes = rpdtab.hosts().into_iter().map(|h| cluster.node_by_host(&h).map(|n| n.id));
+        let nodes = nodes.collect::<Result<_, _>>().map_err(|e| format!("host map: {e}"))?;
         let alloc = Allocation { id: u64::from(cmd.session.0), nodes };
         let bytes = rpdtab.bytes().clone();
         self.place(cmd.session, |s| s.job = Some(EngineJob::Attached { launcher_pid, rpdtab }))?;
@@ -279,18 +267,17 @@ impl Engine {
         rpdtab: Bytes,
         alloc: &Allocation,
     ) -> Result<(), String> {
-        // Stream the RPDTAB now, before the spawn: the FE stages the BE
-        // handshake against it while daemons are still coming up. Channel
-        // FIFO order guarantees it can never arrive after the spawn ack.
-        // The payload is the launcher's encoding, forwarded as fetched.
+        // Stream the launcher's RPDTAB bytes now, before the spawn: the FE
+        // stages the BE handshake against them while daemons come up, and
+        // channel FIFO order keeps them ahead of the spawn ack.
         let (session, reply) = (cmd.session, cmd.reply);
         self.place(session, |_| ())?; // a kill during the breakpoint wait spawns nothing
         answer(reply, LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon_payload(rpdtab))?;
         let pids = self.spawn_daemons(cmd, alloc)?;
-        // Let a launched job run under tool control. The session is placed,
-        // unless a kill or detach came in first: this worker answers that one.
+        // Let a launched job run under tool control, and go live with the
+        // trace, unless a kill or detach came in first.
         ctl.continue_proc();
-        self.place(session, |s| (s.ctl, s.placing) = (Some(ctl), s.ending.is_some()))?;
+        self.go_live(session, |s| s.ctl = Some(ctl))?;
         let master = self.daemon_info(alloc, &pids, 0);
         answer(reply, LmonpMsg::of_type(MsgType::EngineAck).with_lmon(&master))
     }
@@ -304,7 +291,7 @@ impl Engine {
         timeline.mark(CriticalEvent::E5DaemonSpawnStart);
         // A kill or detach kept for this session stops the spawn at its next
         // wave; the spawn then fails, and the worker ends the session.
-        let ending = || self.sessions.lock().get(&session).is_some_and(|s| s.ending.is_some());
+        let ending = || self.place(session, |_| ()).is_err();
         let spawned = self.rm.spawn_daemons(alloc, &exe, &args, &env, body, &ending);
         let pids = spawned.map_err(|e| format!("spawn daemons: {e}"))?;
         timeline.mark(CriticalEvent::E6DaemonsSpawned);
@@ -333,37 +320,47 @@ impl Engine {
         let (session, reply) = (cmd.session, cmd.reply);
         let alloc =
             self.rm.allocate_mw_nodes(req.count as usize).map_err(|e| format!("mw alloc: {e}"))?;
-        let pids = self.spawn_daemons(cmd, &alloc).inspect_err(|_| {
-            self.rm.release_allocation(&alloc);
-        })?;
+        self.place(session, |s| s.mw_allocs.push(alloc.clone()))?;
+        let pids = self.spawn_daemons(cmd, &alloc)?;
         let placed: Vec<DaemonInfo> =
             (0..pids.len()).map(|rank| self.daemon_info(&alloc, &pids, rank)).collect();
-        self.sessions.lock().entry(session).or_default().mw_allocs.push(alloc);
+        self.go_live(session, |_| ())?;
         let mut placement = Vec::new();
         put_seq(&mut placement, &placed);
         answer(reply, LmonpMsg::of_type(MsgType::EngineAck).with_lmon_payload(placement))
     }
 
-    /// Record `put` in the session's entry, then stop a placing worker if a
-    /// kill or detach came in meanwhile: its `Err` takes the worker to
-    /// `end_session`, which answers the request.
+    /// Record `put` in the session's filed entry, then stop a placing worker
+    /// if a kill or detach came in meanwhile: its `Err` leads to `end_session`.
     fn place(&self, id: SessionId, put: impl FnOnce(&mut EngineSession)) -> Result<(), String> {
         let mut sessions = self.sessions.lock();
-        let entry = sessions.entry(id).or_default();
+        let entry = sessions.get_mut(&id).ok_or_else(|| format!("session {} ended", id.0))?;
         put(entry);
-        match &entry.ending {
-            Some((end, _)) => Err(format!("session {} ended while placing: {end:?}", id.0)),
-            None => Ok(()),
+        if let Phase::Placing { ending: Some((end, _)) } = &entry.phase {
+            return Err(format!("session {} ended while placing: {end:?}", id.0));
         }
+        Ok(())
     }
 
-    /// A kill or detach. A session still placing keeps it for its worker to
-    /// end and answer at its next phase boundary, so the command loop never
-    /// waits on a spawn; any other session ends now.
+    /// End a command's placing: record `put` and make the session live, or
+    /// fail as `place` does, with `put` dropped unrecorded.
+    fn go_live(&self, id: SessionId, put: impl FnOnce(&mut EngineSession)) -> Result<(), String> {
+        self.place(id, |s| {
+            if let Phase::Placing { ending: None } = s.phase {
+                put(s);
+                s.phase = Phase::Live;
+            }
+        })
+    }
+
+    /// A kill or detach. A placing session keeps it for its worker to end at
+    /// its next phase boundary or spawn wave; any other session ends now.
     fn request_end(&self, id: SessionId, end: JobStatus, reply: Sender<LmonpMsg>) {
-        if let Some(placing) = self.sessions.lock().get_mut(&id).filter(|s| s.placing) {
-            placing.ending = Some((end, reply));
-            return;
+        if let Some(s) = self.sessions.lock().get_mut(&id) {
+            if let Phase::Placing { ending } = &mut s.phase {
+                *ending = Some((end, reply));
+                return;
+            }
         }
         self.end_session(id, end, Some(reply));
     }
@@ -373,8 +370,8 @@ impl Engine {
     /// daemons are killed (a detach's were told to shut down, a failed
     /// spawn's never will be), the MW nodes go back, the dropped trace
     /// resumes the launcher, and a kill kills the job, as does any end of a
-    /// launch still placing. An end a placing session kept wins over `end`;
-    /// it and `reply` are answered.
+    /// launch that never acked (it has no trace yet). An end a placing
+    /// session kept wins over `end`; it and `reply` are answered.
     fn end_session(&self, id: SessionId, end: JobStatus, reply: Option<Sender<LmonpMsg>>) {
         let Some(session) = self.sessions.lock().remove(&id) else {
             let verb = if end == JobStatus::Killed { "kill" } else { "detach" };
@@ -382,8 +379,11 @@ impl Engine {
             let _ = reply.map(|reply| reply.send(error_reply(text)));
             return;
         };
-        let EngineSession { job, ctl, daemons, mw_allocs, placing, ending } = session;
-        let (end, reply) = ending.map_or((end, reply), |(end, kept)| (end, Some(kept)));
+        let EngineSession { job, ctl, daemons, mw_allocs, phase } = session;
+        let (end, reply) = match phase {
+            Phase::Placing { ending: Some((end, kept)) } => (end, Some(kept)),
+            _ => (end, reply),
+        };
         let cluster = self.rm.cluster();
         for (node_id, pid) in daemons {
             let Ok(node) = cluster.node(node_id) else { continue };
@@ -392,10 +392,10 @@ impl Engine {
         for alloc in &mw_allocs {
             self.rm.release_allocation(alloc);
         }
+        let (kill, acked) = (end == JobStatus::Killed, ctl.is_some());
         drop(ctl);
-        let kill = end == JobStatus::Killed;
         let ended = match job {
-            Some(EngineJob::Launched(handle)) if kill || placing => {
+            Some(EngineJob::Launched(handle)) if kill || !acked => {
                 self.rm.kill_job(&handle).map_err(|e| format!("kill: {e}"))
             }
             Some(EngineJob::Attached { launcher_pid, rpdtab }) if kill => {

@@ -69,7 +69,6 @@ pub struct HealthTransition {
 pub struct HealthMonitor {
     log: VecDeque<HealthTransition>,
     cap: usize,
-    recorded: u64,
     dropped: u64,
 }
 
@@ -88,7 +87,7 @@ impl HealthMonitor {
     /// A fresh monitor retaining at most `cap` transitions (minimum 1: the
     /// current state must always be representable).
     pub fn with_capacity(cap: usize) -> Self {
-        HealthMonitor { log: VecDeque::new(), cap: cap.max(1), recorded: 0, dropped: 0 }
+        HealthMonitor { log: VecDeque::new(), cap: cap.max(1), dropped: 0 }
     }
 
     /// Record a transition, evicting the oldest retained one when the ring
@@ -99,18 +98,12 @@ impl HealthMonitor {
             self.dropped += 1;
         }
         self.log.push_back(HealthTransition { state, epoch, detail: detail.into() });
-        self.recorded += 1;
     }
 
     /// The current state ([`HealthState::Healthy`] when nothing was ever
     /// recorded).
     pub fn current(&self) -> HealthState {
         self.log.back().map(|t| t.state).unwrap_or(HealthState::Healthy)
-    }
-
-    /// Whether a failure is currently outstanding.
-    pub fn is_degraded(&self) -> bool {
-        self.current() == HealthState::Degraded
     }
 
     /// The retained transition history, oldest first. At most
@@ -130,11 +123,6 @@ impl HealthMonitor {
         self.cap
     }
 
-    /// Lifetime count of transitions recorded (including evicted ones).
-    pub fn recorded_total(&self) -> u64 {
-        self.recorded
-    }
-
     /// Lifetime count of transitions evicted by the ring bound.
     pub fn dropped_total(&self) -> u64 {
         self.dropped
@@ -149,7 +137,6 @@ mod tests {
     fn fresh_monitor_is_healthy() {
         let m = HealthMonitor::new();
         assert_eq!(m.current(), HealthState::Healthy);
-        assert!(!m.is_degraded());
         assert_eq!(m.retained(), 0);
         assert_eq!(m.capacity(), DEFAULT_HISTORY_CAP);
     }
@@ -158,10 +145,9 @@ mod tests {
     fn degraded_then_healed_transition_sequence() {
         let mut m = HealthMonitor::new();
         m.record(HealthState::Degraded, 0, "comm daemon died");
-        assert!(m.is_degraded());
+        assert_eq!(m.current(), HealthState::Degraded);
         m.record(HealthState::Healed, 1, "orphans adopted");
         assert_eq!(m.current(), HealthState::Healed);
-        assert!(!m.is_degraded());
         let states: Vec<HealthState> = m.history().map(|t| t.state).collect();
         assert_eq!(states, vec![HealthState::Degraded, HealthState::Healed]);
         assert_eq!(m.history().nth(1).unwrap().epoch, 1);
@@ -174,8 +160,7 @@ mod tests {
             m.record(HealthState::Degraded, epoch, format!("event {epoch}"));
         }
         assert_eq!(m.retained(), 4, "ring never exceeds its capacity");
-        assert_eq!(m.recorded_total(), 10);
-        assert_eq!(m.dropped_total(), 6);
+        assert_eq!(m.dropped_total(), 6, "every record is retained or counted as dropped");
         // The *newest* transitions are the retained ones.
         let epochs: Vec<u64> = m.history().map(|t| t.epoch).collect();
         assert_eq!(epochs, vec![6, 7, 8, 9]);
@@ -197,10 +182,9 @@ mod tests {
     fn planned_maintenance_states_are_not_failures() {
         let mut m = HealthMonitor::new();
         m.record(HealthState::Draining, 0, "draining comm (1,0)");
-        assert!(!m.is_degraded(), "a planned drain is not a failure");
+        assert_eq!(m.current(), HealthState::Draining, "a planned drain is not a failure");
         m.record(HealthState::Upgraded, 1, "replaced by spare (1,8)");
         assert_eq!(m.current(), HealthState::Upgraded);
-        assert!(!m.is_degraded());
     }
 
     #[test]

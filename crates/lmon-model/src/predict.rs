@@ -111,12 +111,6 @@ pub fn stat_launchmon_time(p: &CostParams, daemons: usize, tasks_per_daemon: usi
     p.mrnet_fe_init + launch + p.stat_daemon_init_per_daemon * d + p.mrnet_accept_per_daemon * d
 }
 
-/// The MRNet handshake portion of the LaunchMON STAT number (the paper
-/// reports 0.77 s of the 3.57 s at 256 nodes).
-pub fn stat_mrnet_handshake(p: &CostParams, daemons: usize) -> f64 {
-    p.mrnet_accept_per_daemon * daemons as f64
-}
-
 /// Table 1 model: `(dpcl, launchmon)` APAI access times for `nodes`.
 pub fn oss_apai_times(p: &CostParams, nodes: usize) -> (f64, f64) {
     let l = CostParams::log2(nodes);
@@ -210,7 +204,7 @@ mod tests {
     #[test]
     fn figure6_handshake_portion() {
         // 0.77 s of the 3.57 s at 256 is MRNet's handshake.
-        let hs = stat_mrnet_handshake(&p(), 256);
+        let hs = p().mrnet_accept_per_daemon * 256.0;
         assert!((0.6..0.95).contains(&hs), "handshake {hs}");
     }
 

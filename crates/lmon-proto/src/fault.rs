@@ -101,11 +101,6 @@ impl<C: MsgChannel> FaultyChannel<C> {
         }
     }
 
-    /// Frames submitted for sending (including dropped ones).
-    pub fn frames_sent(&self) -> u64 {
-        self.sent.load(Ordering::Relaxed)
-    }
-
     /// Frames the plan discarded.
     pub fn frames_dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -168,7 +163,6 @@ mod tests {
         assert_eq!(b.recv().unwrap().tag, 1);
         assert_eq!(b.recv().unwrap().tag, 3);
         assert!(b.recv_timeout(Duration::from_millis(10)).unwrap().is_none());
-        assert_eq!(faulty.frames_sent(), 4);
         assert_eq!(faulty.frames_dropped(), 2);
     }
 

@@ -127,24 +127,6 @@ pub fn str_len(s: &str) -> usize {
     4 + s.len()
 }
 
-/// Write a length-prefixed byte blob (u32 length + bytes).
-pub fn put_bytes(buf: &mut impl BufMut, b: &[u8]) {
-    buf.put_u32(b.len() as u32);
-    buf.put_slice(b);
-}
-
-/// Read a length-prefixed byte blob written by [`put_bytes`].
-pub fn get_bytes(buf: &mut impl Buf) -> ProtoResult<Vec<u8>> {
-    let len = get_u32(buf)? as usize;
-    if len > crate::header::MAX_PAYLOAD_LEN {
-        return Err(ProtoError::PayloadTooLarge { len });
-    }
-    need(buf, len)?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    Ok(bytes)
-}
-
 /// Write a length-prefixed sequence of encodable values.
 pub fn put_seq<T: WireEncode>(buf: &mut impl BufMut, items: &[T]) {
     debug_assert!(items.len() <= MAX_SEQ_LEN);
@@ -214,15 +196,6 @@ mod tests {
         buf.extend_from_slice(&[0xff, 0xfe, 0xfd]);
         let mut slice = &buf[..];
         assert!(matches!(get_str(&mut slice), Err(ProtoError::BadString)));
-    }
-
-    #[test]
-    fn bytes_roundtrip() {
-        let blob = vec![1u8, 2, 3, 255, 0];
-        let mut buf = Vec::new();
-        put_bytes(&mut buf, &blob);
-        let mut slice = &buf[..];
-        assert_eq!(get_bytes(&mut slice).unwrap(), blob);
     }
 
     #[test]

@@ -165,26 +165,6 @@ impl RshLauncher {
     }
 }
 
-/// Build one `(host, spec)` target per compute node `0..n`, passing each
-/// daemon its index through argv (the ad hoc configuration channel).
-pub fn per_node_targets(
-    cluster: &VirtualCluster,
-    n: usize,
-    exe: &str,
-    extra_args: &[String],
-) -> Vec<(String, ProcSpec)> {
-    (0..n.min(cluster.node_count()))
-        .map(|i| {
-            let host = cluster.config().hostname(i);
-            let mut spec = ProcSpec::named(exe).arg(format!("--index={i}"));
-            for a in extra_args {
-                spec = spec.arg(a.clone());
-            }
-            (host, spec)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +178,11 @@ mod tests {
         VirtualCluster::new(cfg)
     }
 
+    /// One `toold` target on each of compute nodes `0..n`.
+    fn targets(c: &VirtualCluster, n: usize) -> Vec<(String, ProcSpec)> {
+        (0..n).map(|i| (c.config().hostname(i), ProcSpec::named("toold"))).collect()
+    }
+
     #[test]
     fn sequential_launch_places_daemons() {
         let c = cluster(4, RshConfig::default());
@@ -207,7 +192,7 @@ mod tests {
         let body: RshDaemonBody = Arc::new(move |_ctx| {
             s2.fetch_add(1, Ordering::SeqCst);
         });
-        let targets = per_node_targets(&c, 4, "toold", &[]);
+        let targets = targets(&c, 4);
         let result = launcher.launch_sequential(&targets, body).unwrap();
         assert_eq!(result.pids.len(), 4);
         for pid in &result.pids {
@@ -229,7 +214,7 @@ mod tests {
                 std::thread::park_timeout(Duration::from_millis(1));
             }
         });
-        let targets = per_node_targets(&c, 16, "toold", &[]);
+        let targets = targets(&c, 16);
         let (err, partial) = launcher.launch_sequential(&targets, body).unwrap_err();
         assert!(matches!(err, RshError::ForkFailed { .. }));
         assert_eq!(partial.pids.len(), 8, "eight daemons were spawned before the cliff");
@@ -253,7 +238,7 @@ mod tests {
                 std::thread::park_timeout(Duration::from_millis(1));
             }
         });
-        let targets = per_node_targets(&c, 8, "toold", &[]);
+        let targets = targets(&c, 8);
         let (_err, partial) = launcher.launch_sequential(&targets, body).unwrap_err();
         assert_eq!(partial.pids.len(), 5, "five daemons preceded the faulted host");
         assert!(partial.sessions.is_empty());
@@ -273,7 +258,7 @@ mod tests {
         let body: RshDaemonBody = Arc::new(move |_ctx| {
             s2.fetch_add(1, Ordering::SeqCst);
         });
-        let targets = per_node_targets(&c, 16, "toold", &[]);
+        let targets = targets(&c, 16);
         let result = launcher.launch_tree(&targets, 4, body).unwrap();
         assert_eq!(result.pids.len(), 16);
         assert_eq!(result.sessions.len(), 4, "only roots hold FE sessions");
@@ -288,7 +273,7 @@ mod tests {
         let c = cluster(16, RshConfig::default());
         let launcher = RshLauncher::new(c.clone());
         let body: RshDaemonBody = Arc::new(|_ctx| {});
-        let targets = per_node_targets(&c, 16, "toold", &[]);
+        let targets = targets(&c, 16);
         let result = launcher.launch(&targets, body).unwrap();
         assert_eq!(result.pids.len(), 16);
         assert_eq!(
@@ -299,17 +284,5 @@ mod tests {
         for pid in &result.pids {
             c.wait_pid(*pid).unwrap();
         }
-    }
-
-    #[test]
-    fn per_node_targets_passes_index_via_argv() {
-        let c = cluster(3, RshConfig::default());
-        let targets = per_node_targets(&c, 3, "d", &["--extra".into()]);
-        assert_eq!(targets.len(), 3);
-        assert_eq!(targets[2].0, "node00002");
-        assert!(targets[2].1.args.contains(&"--index=2".to_string()));
-        assert!(targets[2].1.args.contains(&"--extra".to_string()));
-        // Requesting more targets than nodes clamps.
-        assert_eq!(per_node_targets(&c, 99, "d", &[]).len(), 3);
     }
 }

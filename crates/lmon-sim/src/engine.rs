@@ -311,12 +311,6 @@ impl<M> Sim<M> {
         self.now
     }
 
-    /// Run until the queue is fully drained (convenience for scenarios with
-    /// a natural end).
-    pub fn run_to_completion(&mut self) -> SimTime {
-        self.run(u64::MAX)
-    }
-
     /// Immutable access to a registered actor (for post-run inspection).
     pub fn actor(&self, id: ActorId) -> &dyn Actor<M> {
         self.actors[id.index()].as_ref()
@@ -413,7 +407,7 @@ mod tests {
         for i in 0..50 {
             sim.inject(SimTime(100), c, i);
         }
-        sim.run_to_completion();
+        sim.run(u64::MAX);
         assert_eq!(*seen.borrow(), (0..50).collect::<Vec<u32>>());
     }
 
@@ -465,7 +459,7 @@ mod tests {
         }
         // Kill at t=450: deliveries at 0..=400 land (5), 500..=900 drop (5).
         sim.kill_at(SimTime(450), c);
-        sim.run_to_completion();
+        sim.run(u64::MAX);
         assert_eq!(*seen.borrow(), 5);
         assert_eq!(sim.metrics.counter("fault.dropped"), 5);
     }
@@ -487,7 +481,7 @@ mod tests {
         sim.inject(SimTime(200), s, 1); // inside the hang window: deferred
         sim.inject(SimTime(900), s, 2);
         sim.hang_between(s, SimTime(150), SimTime(500));
-        sim.run_to_completion();
+        sim.run(u64::MAX);
         assert_eq!(*at.borrow(), vec![SimTime(100), SimTime(500), SimTime(900)]);
         assert_eq!(sim.metrics.counter("fault.deferred"), 1);
     }
@@ -519,7 +513,7 @@ mod tests {
         }
         let a = sim.add_actor(Box::new(Sink));
         sim.inject(SimTime(1), a, 0);
-        sim.run_to_completion();
+        sim.run(u64::MAX);
         assert!(sim.trace().is_empty());
         assert_eq!(sim.trace_fingerprint(), crate::fault::trace_fingerprint(&[]));
     }
@@ -542,7 +536,7 @@ mod tests {
         }
         let mut sim: Sim<()> = Sim::new(0);
         let _ = sim.add_actor(Box::new(T { fired: 0 }));
-        let end = sim.run_to_completion();
+        let end = sim.run(u64::MAX);
         assert_eq!(end, SimTime(3_000_000_000));
     }
 }

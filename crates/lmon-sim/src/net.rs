@@ -44,11 +44,6 @@ impl LinkSpec {
     pub fn transmit_time(&self, bytes: usize) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
     }
-
-    /// End-to-end delivery time for one unconstrained message.
-    pub fn delivery_time(&self, bytes: usize) -> SimDuration {
-        self.send_overhead + self.transmit_time(bytes) + self.latency
-    }
 }
 
 /// Identifies a network endpoint (usually one per actor).
@@ -92,19 +87,6 @@ impl NetModel {
         tx_done + self.link.latency
     }
 
-    /// Arrival time without contention (used for modelling broadcast over
-    /// RM-provided fabrics that fan out inside the network).
-    pub fn send_uncontended(&mut self, now: SimTime, bytes: usize) -> SimTime {
-        self.messages += 1;
-        self.bytes += bytes as u64;
-        now + self.link.delivery_time(bytes)
-    }
-
-    /// When `ep`'s transmit path next becomes free.
-    pub fn tx_free_at(&self, ep: Endpoint) -> SimTime {
-        self.tx_free.get(&ep).copied().unwrap_or(SimTime::ZERO)
-    }
-
     /// Total messages sent through the model.
     pub fn messages(&self) -> u64 {
         self.messages
@@ -130,12 +112,12 @@ mod tests {
 
     #[test]
     fn delivery_time_components_add_up() {
-        let link = fast_link();
-        let d = link.delivery_time(1_000_000); // 1 MB at 1 GB/s = 1 ms
+        // One 1 MB send (1 ms at 1 GB/s) from an idle endpoint.
+        let d = NetModel::new(fast_link()).send(SimTime::ZERO, Endpoint(0), 1_000_000);
         let expect = SimDuration::from_micros(10)
             + SimDuration::from_millis(1)
             + SimDuration::from_micros(100);
-        assert_eq!(d, expect);
+        assert_eq!(d, SimTime::ZERO + expect);
     }
 
     #[test]
@@ -175,7 +157,7 @@ mod tests {
     fn counters_accumulate() {
         let mut net = NetModel::new(fast_link());
         net.send(SimTime::ZERO, Endpoint(0), 10);
-        net.send_uncontended(SimTime::ZERO, 20);
+        net.send(SimTime::ZERO, Endpoint(1), 20);
         assert_eq!(net.messages(), 2);
         assert_eq!(net.bytes(), 30);
     }
@@ -183,8 +165,12 @@ mod tests {
     #[test]
     fn tx_free_tracks_last_send() {
         let mut net = NetModel::new(fast_link());
-        assert_eq!(net.tx_free_at(Endpoint(9)), SimTime::ZERO);
-        net.send(SimTime(1_000), Endpoint(9), 0);
-        assert!(net.tx_free_at(Endpoint(9)) > SimTime(1_000));
+        let link = fast_link();
+        let first = net.send(SimTime(1_000), Endpoint(9), 0);
+        let idle = link.send_overhead + link.latency;
+        assert_eq!(first, SimTime(1_000) + idle, "a fresh endpoint sends at once");
+        // The next send starts once the first has left the transmit path.
+        let second = net.send(SimTime(1_000), Endpoint(9), 0);
+        assert_eq!(second, first + link.send_overhead);
     }
 }

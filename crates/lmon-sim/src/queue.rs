@@ -70,11 +70,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -83,11 +78,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
     }
 }
 
@@ -134,14 +124,12 @@ mod tests {
     fn peek_and_counters() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         q.push(SimTime::ZERO + SimDuration::from_millis(1), ());
         q.push(SimTime::ZERO, ());
-        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
-        q.pop();
+        assert_eq!(q.pop(), Some((SimTime::ZERO, ())));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
+        assert!(!q.is_empty());
     }
 }

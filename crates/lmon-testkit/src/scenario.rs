@@ -70,13 +70,6 @@ impl Scenario {
         self
     }
 
-    /// Attach a pre-built multi-layer [`FaultPlan`] (replaces the current
-    /// one; the sim-layer slice is applied by [`Scenario::run`]).
-    pub fn with_plan(mut self, plan: FaultPlan) -> Self {
-        self.plan = plan;
-        self
-    }
-
     /// Kill back end `leaf` at virtual time `at`.
     pub fn kill_be_at(mut self, leaf: u32, at: SimDuration) -> Self {
         self.plan = self.plan.kill_be_at(leaf, at);
@@ -236,8 +229,8 @@ mod tests {
 
     #[test]
     fn scenario_exposes_its_plan_for_other_layers() {
-        let sc = Scenario::new("1x4").with_plan(FaultPlan::new().fail_spawn_attempt(2));
-        assert!(!sc.plan().spawn_plan().is_empty());
+        let sc = Scenario::new("1x4").crash_comm_after_up(0, 3);
+        assert_eq!(sc.plan().comm_fault(0).crash_after_up, Some(3));
         assert_eq!(sc.topology().leaf_count(), 4);
     }
 }

@@ -79,22 +79,22 @@ impl StormPlan {
             })
             .collect()
     }
-
-    /// The full storm, client-major (for single-threaded replays).
-    pub fn all_launches(&self) -> Vec<StormLaunch> {
-        (0..self.clients).flat_map(|c| self.client_launches(c)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The full storm, client-major.
+    fn all_launches(plan: &StormPlan) -> Vec<StormLaunch> {
+        (0..plan.clients).flat_map(|c| plan.client_launches(c)).collect()
+    }
+
     #[test]
     fn paper_storm_is_504_sessions() {
         let plan = StormPlan::paper_504(7);
         assert_eq!(plan.total_sessions(), 504);
-        assert_eq!(plan.all_launches().len(), 504);
+        assert_eq!(all_launches(&plan).len(), 504);
     }
 
     #[test]
@@ -103,13 +103,13 @@ mod tests {
         let b = StormPlan::paper_504(7);
         assert_eq!(a.client_launches(3), b.client_launches(3));
         let c = StormPlan::paper_504(8);
-        assert_ne!(a.all_launches(), c.all_launches(), "different seed, different mix");
+        assert_ne!(all_launches(&a), all_launches(&c), "different seed, different mix");
     }
 
     #[test]
     fn sizes_stay_within_bounds() {
         let plan = StormPlan::new(5, 10, 3, 42);
-        for l in plan.all_launches() {
+        for l in all_launches(&plan) {
             assert!((1..=3).contains(&l.nodes));
             assert!((1..=2).contains(&l.tasks_per_node));
         }

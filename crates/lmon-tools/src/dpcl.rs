@@ -189,13 +189,6 @@ impl ProbeModule {
     pub fn is_empty(&self) -> bool {
         self.probes.is_empty()
     }
-
-    /// Remove all probes from a process (detach path).
-    pub fn remove_for(&mut self, target: Pid) -> usize {
-        let before = self.probes.len();
-        self.probes.retain(|(pid, _)| *pid != target);
-        before - self.probes.len()
-    }
 }
 
 #[cfg(test)]
@@ -250,14 +243,13 @@ mod tests {
     }
 
     #[test]
-    fn probes_install_and_remove() {
+    fn probes_install_and_count() {
         let mut m = ProbeModule::new();
+        assert!(m.is_empty());
         m.install(Pid(1), "pc_sample_entry");
         m.install(Pid(1), "pc_sample_exit");
         m.install(Pid(2), "pc_sample_entry");
         assert_eq!(m.len(), 3);
-        assert_eq!(m.remove_for(Pid(1)), 2);
-        assert_eq!(m.len(), 1);
         assert!(!m.is_empty());
     }
 }

@@ -118,60 +118,6 @@ pub fn run_jobsnap(fe: &LmonFrontEnd, launcher_pid: Pid) -> LmonResult<JobsnapRe
     Ok(JobsnapReport { lines, total: t0.elapsed(), launch, session })
 }
 
-/// Outcome of a multi-session Jobsnap fleet.
-#[derive(Debug)]
-pub struct JobsnapFleet {
-    /// One report per session, in launch order.
-    pub reports: Vec<JobsnapReport>,
-    /// Sessions that were simultaneously live on the FE↔BE link.
-    pub concurrent_sessions: usize,
-    /// Physical channels those sessions shared — 1 by mux construction.
-    pub physical_links: usize,
-}
-
-/// Run one Jobsnap session per launcher *concurrently*: every session's
-/// daemon group stays attached (its master parked in `wait_shutdown`) until
-/// all reports are in, so all of their LMONP sub-streams are live at once —
-/// multiplexed over the single physical FE↔BE channel. This is the paper's
-/// §3.5 fix exercised end-to-end through a tool: N tool sessions per
-/// component pair cost one channel, not N.
-pub fn run_jobsnap_fleet(fe: &LmonFrontEnd, launchers: &[Pid]) -> LmonResult<JobsnapFleet> {
-    let mut live = Vec::new();
-    // Launch every session before detaching any of them.
-    for &launcher_pid in launchers {
-        let t0 = Instant::now();
-        let session = fe.create_session();
-        fe.attach_and_spawn(
-            session,
-            launcher_pid,
-            DaemonSpec::bare("be_jobsnap"),
-            jobsnap_be_main(),
-        )?;
-        live.push((session, t0, t0.elapsed()));
-    }
-
-    // All sessions are attached: this is the moment the accounting must
-    // show N logical sessions on 1 physical link.
-    let stats = fe.transport_stats();
-
-    let mut reports = Vec::new();
-    for (session, t0, launch) in live {
-        let report = fe.recv_usrdata(session, Duration::from_secs(60))?;
-        let lines: Vec<String> =
-            String::from_utf8_lossy(&report).lines().map(str::to_string).collect();
-        reports.push(JobsnapReport { lines, total: t0.elapsed(), launch, session });
-    }
-    for report in &reports {
-        fe.detach(report.session)?;
-    }
-
-    Ok(JobsnapFleet {
-        reports,
-        concurrent_sessions: stats.be_sessions,
-        physical_links: stats.be_physical_links,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,15 +172,30 @@ mod tests {
             .collect();
         let fe = LmonFrontEnd::init(rm).unwrap();
 
-        let fleet = run_jobsnap_fleet(&fe, &launchers).expect("fleet");
-        assert_eq!(fleet.concurrent_sessions, 4, "all four sessions live at once");
-        assert_eq!(fleet.physical_links, 1, "…over exactly one physical channel");
-        assert_eq!(fleet.reports.len(), 4);
-        for report in &fleet.reports {
-            assert_eq!(report.lines.len(), 6, "3 nodes x 2 tasks per session");
-            for (i, line) in report.lines.iter().enumerate() {
+        // Attach every session before detaching any of them.
+        let sessions: Vec<SessionId> = launchers
+            .iter()
+            .map(|&launcher| {
+                let session = fe.create_session();
+                let daemon = DaemonSpec::bare("be_jobsnap");
+                fe.attach_and_spawn(session, launcher, daemon, jobsnap_be_main()).expect("attach");
+                session
+            })
+            .collect();
+        let stats = fe.transport_stats();
+        assert_eq!(stats.be_sessions, 4, "all four sessions live at once");
+        assert_eq!(stats.be_physical_links, 1, "…over exactly one physical channel");
+        for &session in &sessions {
+            let report = fe.recv_usrdata(session, Duration::from_secs(60)).expect("report");
+            let report = String::from_utf8_lossy(&report).into_owned();
+            let lines: Vec<&str> = report.lines().collect();
+            assert_eq!(lines.len(), 6, "3 nodes x 2 tasks per session");
+            for (i, line) in lines.iter().enumerate() {
                 assert!(line.contains(&format!("rank={i}")), "line {i} out of order: {line}");
             }
+        }
+        for session in sessions {
+            fe.detach(session).unwrap();
         }
         // After detach the sub-streams close; the link itself remains.
         let stats = fe.transport_stats();

@@ -1,11 +1,12 @@
 //! Teardown frees what it kills: every process record has an owner that
 //! removes it (job → `kill_job`, on a failed launch too, and before its
 //! launcher has run; a job `lmond` launched → its session's `KILL`, never a
-//! `DETACH`; session daemons → the engine's `end_session`, the one teardown
-//! every way a session ends runs through: a kill or detach, a kill during
-//! the spawn, a failed or abandoned launch or attach; a session's front-end
-//! record → its `kill` or `detach`, which a failed launch or attach sends
-//! itself), and a record that leaves its table releases its thread.
+//! `DETACH`; session daemons and MW nodes → the engine's `end_session`, the
+//! one teardown every way a session ends runs through: a kill or detach,
+//! also during any spawn, MW included, and a failed or abandoned launch or
+//! attach; a session's front-end record → its `kill` or `detach`, which a
+//! failed launch or attach sends itself), and a record that leaves its
+//! table releases its thread.
 //! These are the accumulation defects D1–D3 as regressions: each test runs
 //! many sessions on *one* cluster and checks that nothing is left behind;
 //! one runs a single launch and STAT wave at 1 024 daemons instead.
@@ -18,7 +19,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use launchmon::cluster::config::ClusterConfig;
@@ -29,7 +30,7 @@ use launchmon::cluster::VirtualCluster;
 use launchmon::core::be::BeMain;
 use launchmon::core::engine::channel::{EngineCommand, EngineSidecar};
 use launchmon::core::engine::Engine;
-use launchmon::core::fe::LmonFrontEnd;
+use launchmon::core::fe::{LmonFrontEnd, MwOutcome};
 use launchmon::core::mw::MwMain;
 use launchmon::core::session::{SessionId, SessionState};
 use launchmon::core::LmonError;
@@ -257,6 +258,125 @@ fn a_failed_mw_handshake_lets_the_masters_siblings_go() {
     fe.shutdown().unwrap();
 }
 
+/// A kill during a middleware spawn used to find no engine entry: the
+/// engine filed only launches and attaches when they arrived, and an MW
+/// spawn's nodes joined its session once the spawn had returned. The kill
+/// failed with "no job", and the spawn's daemons and nodes stayed for good,
+/// so a tool that retried ran out of nodes. The spawn is now filed like a
+/// launch: the kill ends it, and the session gives back what it placed.
+/// The spawn is held until the kill has reached the engine, so the front
+/// end gives up on it first and the kill always lands during it.
+#[test]
+fn a_kill_during_an_mw_only_spawn_frees_its_daemons_and_nodes() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(8));
+    let rm = Arc::new(CountingRm::new(&cluster));
+    let fe = LmonFrontEnd::init(rm.clone()).unwrap();
+    let (baseline, before) = (records(&cluster), settled_threads());
+    let mw_main: MwMain = Arc::new(|mw| mw.barrier().unwrap());
+    let commd = || DaemonSpec::bare("commd");
+    let _held = rm.hold_next_mw_spawn();
+    fe.set_handshake_timeout(Duration::from_millis(10));
+    let session = fe.create_session();
+    let launched = fe.launch_mw_daemons(session, 4, 2, commd(), mw_main.clone());
+    assert!(launched.is_err(), "a held spawn cannot ack");
+    fe.set_handshake_timeout(Duration::from_secs(10));
+    let killed = fe.kill(session);
+    assert!(killed.is_ok(), "the kill found the MW spawn: {killed:?}");
+    await_records(&cluster, baseline);
+    assert_threads_settle_to(before, "after a kill during an MW spawn");
+
+    // All 8 nodes are free again: a retry of the same size comes up, and
+    // so does a second one held beside it.
+    let retries: Vec<SessionId> = (0..2)
+        .map(|i| {
+            let retry = fe.create_session();
+            let up = fe.launch_mw_daemons(retry, 4, 2, commd(), mw_main.clone());
+            up.unwrap_or_else(|e| panic!("retry {i}: {e}"));
+            retry
+        })
+        .collect();
+    for retry in retries {
+        fe.kill(retry).unwrap();
+    }
+    await_records(&cluster, baseline);
+    fe.shutdown().unwrap();
+}
+
+type MwSpawn = std::thread::JoinHandle<Result<MwOutcome, LmonError>>;
+
+/// Launch a 2 x 2 job with one daemon per node on an 8-node cluster, then
+/// start a held 4-node MW spawn on its session and return once it has
+/// started, with the records before the launch and the thread count the
+/// spawn must settle back to.
+fn an_mw_spawn_on_a_launched_session(
+) -> (VirtualCluster, Arc<LmonFrontEnd>, SessionId, MwSpawn, usize, usize) {
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(8));
+    let rm = Arc::new(CountingRm::new(&cluster));
+    let fe = Arc::new(LmonFrontEnd::init(rm.clone()).unwrap());
+    let (baseline, before) = (records(&cluster), settled_threads());
+    let session = fe.create_session();
+    let be_main: BeMain = Arc::new(|be| be.barrier().unwrap());
+    fe.launch_and_spawn(session, "app", &[], 2, 2, DaemonSpec::bare("toold"), be_main).unwrap();
+    let started = rm.hold_next_mw_spawn();
+    let spawn = {
+        let fe = fe.clone();
+        let mw_main: MwMain = Arc::new(|mw| mw.barrier().unwrap());
+        std::thread::spawn(move || {
+            fe.launch_mw_daemons(session, 4, 2, DaemonSpec::bare("commd"), mw_main)
+        })
+    };
+    started.recv_timeout(Duration::from_secs(10)).expect("the MW spawn started");
+    (cluster, fe, session, spawn, baseline, before)
+}
+
+/// Bring up `count` MW daemons on a fresh session and kill it.
+fn mw_spawn_fits(fe: &LmonFrontEnd, count: usize) {
+    let session = fe.create_session();
+    let mw_main: MwMain = Arc::new(|mw| mw.barrier().unwrap());
+    let up = fe.launch_mw_daemons(session, count, 2, DaemonSpec::bare("commd"), mw_main);
+    up.unwrap_or_else(|e| panic!("a {count}-node MW spawn: {e}"));
+    fe.kill(session).unwrap();
+}
+
+/// A kill that landed during an MW spawn on a launched session used to
+/// answer at once and end the session without the spawn: its daemons and
+/// nodes joined a fresh entry nobody would end. The kill now stops the
+/// spawn and takes the job, its daemons and the MW nodes along.
+#[test]
+fn a_kill_during_an_mw_spawn_on_a_launched_session_frees_every_node() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (cluster, fe, session, spawn, baseline, before) = an_mw_spawn_on_a_launched_session();
+    let killed = fe.kill(session);
+    assert!(killed.is_ok(), "the kill found the session: {killed:?}");
+    assert!(spawn.join().unwrap().is_err(), "a killed session's MW spawn does not come up");
+    await_records(&cluster, baseline);
+    assert_threads_settle_to(before, "after a kill during an MW spawn");
+    mw_spawn_fits(&fe, 8);
+    await_records(&cluster, baseline);
+    Arc::into_inner(fe).unwrap().shutdown().unwrap();
+}
+
+/// A detach that lands during an MW spawn on a launched session ends the
+/// daemons, back end and middleware alike, and gives the MW nodes back,
+/// but leaves the job running: its launcher and 4 task records stay, and
+/// so do its 2 nodes, so a 6-node MW spawn takes the rest.
+#[test]
+fn a_detach_during_an_mw_spawn_frees_the_mw_nodes_and_leaves_the_job() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let (cluster, fe, session, spawn, baseline, before) = an_mw_spawn_on_a_launched_session();
+    let detached = fe.detach(session);
+    assert!(detached.is_ok(), "the detach found the session: {detached:?}");
+    assert!(spawn.join().unwrap().is_err(), "a detached session's MW spawn does not come up");
+    let job_records = baseline + 4 + 1; // tasks + launcher
+    await_records(&cluster, job_records);
+    assert_eq!(records(&cluster), job_records, "the detach took the job along");
+    assert_threads_settle_to(before, "after a detach during an MW spawn");
+    mw_spawn_fits(&fe, 6);
+    await_records(&cluster, job_records);
+    Arc::into_inner(fe).unwrap().shutdown().unwrap();
+}
+
 /// A thousand daemons, each placed by the RM's wave loop, come and go
 /// without a trace: a 1 024 x 1 launch and kill, then an attach, STAT wave
 /// and detach on a running job of that size, each leave the process tables
@@ -290,15 +410,27 @@ fn a_thousand_daemon_launch_and_stat_wave_leave_nothing_behind() {
     fe.shutdown().unwrap();
 }
 
-/// SLURM, counting the daemon bodies that ever start.
+/// SLURM, counting the daemon bodies that ever start, and holding a
+/// middleware spawn when asked to.
 struct CountingRm {
     slurm: SlurmRm,
     started: Arc<AtomicUsize>,
+    held: Mutex<Option<mpsc::Sender<()>>>,
 }
 
 impl CountingRm {
     fn new(cluster: &VirtualCluster) -> Self {
-        CountingRm { slurm: SlurmRm::new(cluster.clone()), started: Arc::default() }
+        let slurm = SlurmRm::new(cluster.clone());
+        CountingRm { slurm, started: Arc::default(), held: Mutex::default() }
+    }
+
+    /// Hold the next `commd` spawn until the engine's stop check reports a
+    /// kill or detach for its session (for 2 s at most), then place it as
+    /// usual. The returned channel says when that spawn has started.
+    fn hold_next_mw_spawn(&self) -> mpsc::Receiver<()> {
+        let (started, rx) = mpsc::channel();
+        *self.held.lock().unwrap() = Some(started);
+        rx
     }
 }
 
@@ -324,6 +456,14 @@ impl ResourceManager for CountingRm {
         body: DaemonBody,
         stop: &dyn Fn() -> bool,
     ) -> RmResult<Vec<Pid>> {
+        let held = if exe == "commd" { self.held.lock().unwrap().take() } else { None };
+        if let Some(started) = held {
+            let _ = started.send(());
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !stop() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         let started = self.started.clone();
         let counted: DaemonBody = Arc::new(move |ctx, ep| {
             started.fetch_add(1, Ordering::SeqCst);
