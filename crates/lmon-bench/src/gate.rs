@@ -27,15 +27,12 @@ const GATE_TOLERANCE: f64 = 0.30;
 pub struct Mode {
     /// `LMON_BENCH_QUICK=1`: CI-sized sample counts.
     pub quick: bool,
-    /// `LMON_BENCH_SKIP_GATE=1`: report, but never fail (noisy runners).
-    pub skip_gate: bool,
 }
 
 impl Mode {
-    /// Read `LMON_BENCH_QUICK` and `LMON_BENCH_SKIP_GATE`.
+    /// Read `LMON_BENCH_QUICK`.
     pub fn from_env() -> Self {
-        let flag = |name: &str| std::env::var(name).is_ok_and(|v| v == "1");
-        Mode { quick: flag("LMON_BENCH_QUICK"), skip_gate: flag("LMON_BENCH_SKIP_GATE") }
+        Mode { quick: std::env::var("LMON_BENCH_QUICK").is_ok_and(|v| v == "1") }
     }
 }
 
@@ -291,8 +288,6 @@ impl Reading {
 /// Why the gate did not arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Skip {
-    /// `LMON_BENCH_SKIP_GATE=1`.
-    Disabled,
     /// No committed artifact on disk.
     Missing,
     /// The committed artifact does not parse, or lacks the gated row.
@@ -339,14 +334,10 @@ pub struct Verdict {
 /// # Panics
 /// If `fresh` itself lacks the gated row — a bug in the bench.
 pub fn evaluate(
-    mode: Mode,
     committed: Result<Json, Skip>,
     fresh: &Json,
     gate: &Gate<'_>,
 ) -> Result<Verdict, Skip> {
-    if mode.skip_gate {
-        return Err(Skip::Disabled);
-    }
     let committed = Reading::of(&committed?, gate).ok_or(Skip::Malformed)?;
     let fresh = Reading::of(fresh, gate).expect("this run's document holds the gated row");
     Ok(Verdict { fresh, committed, regressed: regressed(gate.better, fresh, committed) })
@@ -369,7 +360,7 @@ pub fn publish<'a>(
     let rendered = doc.render();
     std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("write {file_name}: {e}"));
     println!("\nwrote {}:\n{rendered}", path.display());
-    match evaluate(mode, committed, &doc, gate) {
+    match evaluate(committed, &doc, gate) {
         Err(why) => println!("regression gate skipped ({why:?})"),
         Ok(Verdict { fresh, committed, regressed }) => {
             let (metric, normalizer) = (gate.metric, gate.normalizer);
@@ -384,8 +375,7 @@ pub fn publish<'a>(
             if regressed {
                 eprintln!(
                     "REGRESSION GATE FAILED: {readings} — both more than {:.0}% worse, so this is \
-                     not just a slower machine. Set LMON_BENCH_SKIP_GATE=1 to skip on noisy \
-                     runners.",
+                     not just a slower machine.",
                     GATE_TOLERANCE * 100.0
                 );
                 std::process::exit(1);
@@ -399,7 +389,7 @@ pub fn publish<'a>(
 mod tests {
     use super::*;
 
-    const QUICK: Mode = Mode { quick: true, skip_gate: false };
+    const QUICK: Mode = Mode { quick: true };
 
     const RECOVERY_GATE: Gate<'static> = Gate {
         row: &["shapes", "1x8x64"],
@@ -454,24 +444,23 @@ mod tests {
     #[test]
     fn evaluate_reads_the_gated_row_not_a_key_with_the_same_name() {
         let committed = || Ok(recovery_doc(517.0, 352.0));
-        let verdict = evaluate(QUICK, committed(), &recovery_doc(530.0, 350.0), &RECOVERY_GATE);
+        let verdict = evaluate(committed(), &recovery_doc(530.0, 350.0), &RECOVERY_GATE);
         let (fresh, committed_reading) = (reading(530.0, 350.0), reading(517.0, 352.0));
         assert_eq!(verdict, Ok(Verdict { fresh, committed: committed_reading, regressed: false }));
-        let verdict = evaluate(QUICK, committed(), &recovery_doc(1100.0, 350.0), &RECOVERY_GATE);
+        let verdict = evaluate(committed(), &recovery_doc(1100.0, 350.0), &RECOVERY_GATE);
         assert!(verdict.unwrap().regressed);
     }
 
     #[test]
-    fn skip_gate_and_unusable_committed_artifacts_skip_with_a_reason() {
+    fn unusable_committed_artifacts_skip_with_a_reason() {
         let fresh = recovery_doc(5000.0, 100.0);
-        let skipping = Mode { quick: true, skip_gate: true };
-        let committed = Ok(recovery_doc(517.0, 352.0));
-        assert_eq!(evaluate(skipping, committed, &fresh, &RECOVERY_GATE), Err(Skip::Disabled));
+        let missing = Err(Skip::Missing);
+        assert_eq!(evaluate(missing, &fresh, &RECOVERY_GATE), Err(Skip::Missing));
         let other = Err(Skip::OtherMode);
-        assert_eq!(evaluate(QUICK, other, &fresh, &RECOVERY_GATE), Err(Skip::OtherMode));
+        assert_eq!(evaluate(other, &fresh, &RECOVERY_GATE), Err(Skip::OtherMode));
         // Parses, carries the mode, but has no row for the gated shape.
         let rowless = Ok(obj([("quick", Json::Bool(true)), ("shapes", Json::Arr(vec![]))]));
-        assert_eq!(evaluate(QUICK, rowless, &fresh, &RECOVERY_GATE), Err(Skip::Malformed));
+        assert_eq!(evaluate(rowless, &fresh, &RECOVERY_GATE), Err(Skip::Malformed));
     }
 
     #[test]
@@ -483,7 +472,7 @@ mod tests {
         let text = recovery_doc(517.0, 352.0).render();
         std::fs::write(&path, &text).unwrap();
         assert_eq!(read_committed(&path, QUICK), Ok(recovery_doc(517.0, 352.0)));
-        let full = Mode { quick: false, skip_gate: false };
+        let full = Mode { quick: false };
         assert_eq!(read_committed(&path, full), Err(Skip::OtherMode));
 
         for cut in [0, 1, text.len() / 2, text.len() - 3] {
@@ -531,18 +520,15 @@ mod tests {
     }
 
     #[test]
-    fn mode_reads_both_switches_from_the_environment() {
+    fn mode_reads_the_quick_switch_from_the_environment() {
         // The only test (and, with `Mode::from_env`, the only code) that
-        // touches these two variables.
+        // touches this variable.
         std::env::set_var("LMON_BENCH_QUICK", "1");
-        std::env::remove_var("LMON_BENCH_SKIP_GATE");
-        assert_eq!(Mode::from_env(), Mode { quick: true, skip_gate: false });
+        assert_eq!(Mode::from_env(), QUICK);
         std::env::set_var("LMON_BENCH_QUICK", "0");
-        std::env::set_var("LMON_BENCH_SKIP_GATE", "1");
-        assert_eq!(Mode::from_env(), Mode { quick: false, skip_gate: true });
+        assert_eq!(Mode::from_env(), Mode { quick: false });
         std::env::remove_var("LMON_BENCH_QUICK");
-        std::env::remove_var("LMON_BENCH_SKIP_GATE");
-        assert_eq!(Mode::from_env(), Mode { quick: false, skip_gate: false });
+        assert_eq!(Mode::from_env(), Mode { quick: false });
     }
 
     #[test]

@@ -82,6 +82,7 @@ where
 pub const DEFAULT_LAUNCH_WORKERS: usize = 8;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "the pool's own tests")]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;

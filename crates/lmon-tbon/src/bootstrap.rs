@@ -137,6 +137,7 @@ pub fn bootstrap_adhoc(
     // Spawn pass: independent subtrees bring their daemons up concurrently.
     let block = cluster.reserve_pids(daemons.len());
     let work: Vec<_> = tickets.into_iter().zip(daemons).collect();
+    #[allow(clippy::disallowed_methods, reason = "last pool user, until it moves onto waves")]
     let spawned = lmon_cluster::fanout::fanout(
         work,
         lmon_cluster::DEFAULT_LAUNCH_WORKERS,
