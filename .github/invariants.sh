@@ -161,6 +161,20 @@ forbid file 'crates/lmon-core/src !crates/lmon-core/src/handshake.rs' 'verify_he
 forbid live crates/lmon-core/src/fe/mod.rs 'thread::sleep' 'std::thread::sleep(d);' \
   "fe/mod.rs: the FE sleeps on the live path"
 
+# One table check per daemon session: the master checks the whole RPDTAB once,
+# before it broadcasts; siblings check the framing, and no bootstrap walks rows.
+count -eq 1 live crates/lmon-core/src/be/mod.rs 'check_bytes\(' 'Rpdtab::check_bytes(t)' \
+  "be/mod.rs: check_bytes( not once"
+count -eq 1 live crates/lmon-core/src/mw/mod.rs 'check_bytes\(' 'Rpdtab::check_bytes(t)' \
+  "mw/mod.rs: check_bytes( not once"
+forbid fn:be_bootstrap crates/lmon-core/src/be/mod.rs 'local_from_bytes\(' \
+  'Rpdtab::local_from_bytes(b, h)' "be_bootstrap walks the RPDTAB's rows again"
+
+# Kill and detach end their session on the caller's thread (begin_exchange);
+# the engine's command loop only hands spawn-bearing commands to workers.
+forbid fn:spawn $ENGINE/mod.rs 'FeKillReq|FeDetachReq' 'MsgType::FeKillReq => x,' \
+  "engine: a kill or detach arm is back in the command loop"
+
 # One report per bootstrap: a daemon reports up once (Handshake::report), with
 # no release wave; the one barrier left in each file is the session's own.
 count -le 1 file crates/lmon-core/src/be/mod.rs 'comm\.barrier\(\)' 'comm.barrier()' "be/mod.rs: a bootstrap barrier"

@@ -14,14 +14,18 @@
 //!    handshake (`crate::handshake`, here with the `Be*` message types) —
 //!    hello (with the security cookie delivered through the RM's launch
 //!    environment), launch info (+ piggybacked tool data), RPDTAB, ready —
-//! 3. broadcasts launch info and the encoded RPDTAB to all daemons over
-//!    ICCL; each daemon then reports up once (`Handshake::report`, with no
-//!    release wave back down), checks the whole table and builds its own
-//!    host's rows; the master says ready once every report is in and its
-//!    own check has passed,
-//! 4. hands the tool its session (a sibling as soon as its walk is done).
+//! 3. has the master check the whole encoded RPDTAB once, for every daemon
+//!    of the session, before it broadcasts anything (a table it refuses
+//!    ends the session: its siblings get the shutdown sentinel in place of
+//!    the launch info), then broadcast launch info and the table over ICCL;
+//!    a sibling checks only the table's framing, and each daemon reports up
+//!    once (`Handshake::report`, with no release wave back down); the
+//!    master says ready once every report is in,
+//! 4. hands the tool its session (a sibling as soon as it has reported). No
+//!    daemon walks the table's rows on the way: `my_proctab` builds this
+//!    host's rows on its first call.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_cluster::procfs::ProcSnapshot;
@@ -43,9 +47,9 @@ pub type BeMain = Arc<dyn Fn(&mut BeSession) + Send + Sync + 'static>;
 pub struct BeSession {
     comm: IcclComm,
     ctx: ProcCtx,
-    /// The rows on this daemon's host, built at bootstrap.
-    local: Rpdtab,
-    /// The table as broadcast, checked whole at bootstrap.
+    /// The rows on this daemon's host, built on first use.
+    local: OnceLock<Rpdtab>,
+    /// The table as broadcast, checked whole by the master before it did.
     table: CheckedRpdtab,
     usrdata: Bytes,
     master_chan: Option<Box<dyn MsgChannel>>,
@@ -91,8 +95,16 @@ impl BeSession {
     }
 
     /// The paper's `getMyProctab`: RPDTAB entries for tasks on this node.
+    /// Built on the first call, by one walk of the table that keeps only
+    /// this host's rows; a tool that never asks pays nothing.
     pub fn my_proctab(&self) -> Vec<&ProcDesc> {
-        self.local.entries().iter().collect()
+        let local = self.local.get_or_init(|| {
+            let bytes = self.table.bytes().clone();
+            // The master checked these bytes whole before broadcasting them,
+            // so this host's walk of them cannot fail.
+            Rpdtab::local_from_bytes(bytes, &self.ctx.hostname).expect("checked RPDTAB walks").0
+        });
+        local.entries().iter().collect()
     }
 
     /// Tool data the FE piggybacked on the launch-info handshake message.
@@ -185,33 +197,31 @@ pub(crate) fn wrap_be_main(
 }
 
 /// The daemon-side bootstrap sequence (e7..e10 from the daemon's view).
-fn be_bootstrap(
+pub(crate) fn be_bootstrap(
     ctx: ProcCtx,
     ep: ChannelFabric,
     master_slot: &MasterSlot,
     timeline: &TimelineRecorder,
 ) -> LmonResult<BeSession> {
     let mut comm = IcclComm::new(ep, Topology::Binomial);
-    let (master_chan, usrdata, rpdtab_bytes) = if comm.is_master() {
-        let (chan, launch_info, table) = handshake::BE.greet(master_slot, &ctx, &mut comm)?;
+    let (master_chan, usrdata, table) = if comm.is_master() {
+        // The session's one check of the whole table, before any broadcast:
+        // a corrupt table fails the handshake, and no daemon walks its rows.
+        let (chan, launch_info, table) =
+            handshake::BE.greet(master_slot, &ctx, &mut comm, |t| Ok(Rpdtab::check_bytes(t)?))?;
         // e8: inter-daemon setup over the RM fabric. The master forwards its
         // messages' payload views: every daemon shares one buffer each.
         timeline.mark(CriticalEvent::E8SetupStart);
         let usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
-        (Some(chan), usrdata, comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?)
+        comm.broadcast(Some(table.bytes().clone())).map_err(LmonError::Iccl)?;
+        (Some(chan), usrdata, table)
     } else {
         let usrdata = handshake::from_master(&mut comm)?;
-        (None, usrdata, comm.broadcast(None).map_err(LmonError::Iccl)?)
+        let bytes = comm.broadcast(None).map_err(LmonError::Iccl)?;
+        (None, usrdata, Rpdtab::check_framing(bytes)?)
     };
-
-    // Every row is checked, only this host's rows are built, and the master
-    // says `Ready` only afterwards, so a corrupt table fails the session's
-    // handshake instead of surfacing in a daemon later.
-    let (local, table) =
-        handshake::BE.report(&mut comm, master_chan.as_deref(), Some(timeline), || {
-            Ok(Rpdtab::local_from_bytes(rpdtab_bytes, &ctx.hostname)?)
-        })?;
-    Ok(BeSession { comm, ctx, local, table, usrdata, master_chan })
+    handshake::BE.report(&mut comm, master_chan.as_deref(), Some(timeline))?;
+    Ok(BeSession { comm, ctx, local: OnceLock::new(), table, usrdata, master_chan })
 }
 
 #[cfg(test)]
@@ -268,6 +278,36 @@ mod tests {
         let ready =
             handshake::BE.deliver(&fe, &cookie, Bytes::new(), vec![], Bytes::from(table), STEP);
         (rx.recv_timeout(STEP).expect("bootstrap returns"), ready.is_ok())
+    }
+
+    /// A sibling builds no row at bootstrap: the first `my_proctab` builds
+    /// its rows, and they are exactly its host's.
+    #[test]
+    fn a_sibling_builds_its_rows_only_when_asked() {
+        const STEP: Duration = Duration::from_secs(10);
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
+        let cookie = SessionCookie::mint_seeded(7);
+        let (fe, daemon_end) = LocalChannel::pair();
+        let slot = Arc::new(MasterSlot::new(Some(Box::new(daemon_end))));
+        let (tx, rx) = mpsc::channel();
+        let mut spec = ProcSpec::named("toold");
+        spec.env = vec![format!("{COOKIE_ENV_VAR}={}", cookie.to_env_value())];
+        for ep in ChannelFabric::mesh(2) {
+            let (rank, slot, tx) = (ep.rank(), slot.clone(), tx.clone());
+            let body = move |ctx: ProcCtx| {
+                let be = be_bootstrap(ctx, ep, &slot, &TimelineRecorder::default()).unwrap();
+                let built_at_bootstrap = be.local.get().is_some();
+                let local: Vec<u32> = be.my_proctab().iter().map(|d| d.rank).collect();
+                let _ = tx.send((rank, built_at_bootstrap, local, be.local.get().is_some()));
+            };
+            cluster.spawn_active(NodeId::Compute(rank), spec.clone(), body).expect("spawn daemon");
+        }
+        handshake::BE.admit(&fe, &cookie, STEP).expect("hello admitted");
+        let table = Bytes::from(synthetic_rpdtab(2, 3, "app").to_bytes());
+        handshake::BE.deliver(&fe, &cookie, Bytes::new(), vec![], table, STEP).expect("ready");
+        let mut got: Vec<_> = (0..2).map(|_| rx.recv_timeout(STEP).expect("a daemon")).collect();
+        got.sort_by_key(|g| g.0);
+        assert_eq!(got, [(0, false, vec![0, 1, 2], true), (1, false, vec![3, 4, 5], true)]);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_rm::api::DaemonBody;
 
+use crate::engine::Engine;
 use crate::error::{LmonError, LmonResult};
 use crate::session::SessionId;
 use crate::timeline::TimelineRecorder;
@@ -70,22 +71,32 @@ impl EngineCommand {
 /// sender its exchange's replies go to.
 pub(crate) type EngineInlet = Receiver<(EngineCommand, Sender<LmonpMsg>)>;
 
-/// FE-side endpoint of the engine command channel. Dropping it ends the
+/// FE-side endpoint of the engine command channel, with the engine's
+/// session table that kills and detaches act on. Dropping it ends the
 /// engine's command loop.
 pub struct EngineEndpoint {
     commands: Sender<(EngineCommand, Sender<LmonpMsg>)>,
+    engine: Engine,
 }
 
 impl EngineEndpoint {
-    /// Start an exchange without waiting for any reply: send the command
-    /// with a fresh reply channel and hand back an [`Exchange`] from which
-    /// replies are consumed one at a time. This is the pipelining primitive
-    /// — the launch path consumes the RPDTAB reply and runs the tool's pack
-    /// callback while the engine is still spawning daemons, then waits for
-    /// the spawn ack.
+    /// Start an exchange without waiting for any reply: give the command a
+    /// fresh reply channel and hand back an [`Exchange`] from which replies
+    /// are consumed one at a time. A kill or detach is served on this
+    /// thread; a spawn-bearing command is filed with the engine and queued
+    /// for its command loop. This is the pipelining primitive — the launch
+    /// path consumes the RPDTAB reply and runs the tool's pack callback
+    /// while the engine is still spawning daemons, then waits for the spawn
+    /// ack.
     pub fn begin_exchange(&self, cmd: EngineCommand) -> LmonResult<Exchange> {
         let (reply, replies) = crossbeam_channel::unbounded();
-        self.commands.send((cmd, reply)).map_err(|_| LmonError::Engine("engine is gone".into()))?;
+        if let Some(queued) = self.engine.accept(cmd, reply) {
+            if let Err(unsent) = self.commands.send(queued) {
+                let (cmd, _reply) = unsent.0;
+                self.engine.fail(cmd.session, cmd.msg.mtype);
+                return Err(LmonError::Engine("engine is gone".into()));
+            }
+        }
         Ok(Exchange { replies })
     }
 
@@ -132,15 +143,18 @@ impl Exchange {
     }
 }
 
-/// Build the command channel: (FE endpoint, engine inlet).
-pub(crate) fn engine_channel() -> (EngineEndpoint, EngineInlet) {
+/// Build the command channel to `engine`: (FE endpoint, engine inlet).
+pub(crate) fn engine_channel(engine: Engine) -> (EngineEndpoint, EngineInlet) {
     let (commands, inlet) = crossbeam_channel::unbounded();
-    (EngineEndpoint { commands }, inlet)
+    (EngineEndpoint { commands, engine }, inlet)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmon_cluster::config::ClusterConfig;
+    use lmon_cluster::VirtualCluster;
+    use lmon_rm::SlurmRm;
 
     fn control_msg(mtype: MsgType, tag: u16) -> LmonpMsg {
         LmonpMsg::of_type(mtype).with_tag(tag)
@@ -150,9 +164,17 @@ mod tests {
         EngineCommand::control(SessionId(session), LmonpMsg::of_type(mtype))
     }
 
+    /// A channel to an engine whose command loop is the test itself: the
+    /// test reads the queued spawn-bearing commands and answers them.
+    fn test_channel() -> (EngineEndpoint, EngineInlet) {
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
+        let rm = std::sync::Arc::new(SlurmRm::new(cluster));
+        engine_channel(Engine { rm, sessions: Default::default() })
+    }
+
     #[test]
     fn commands_carry_their_sidecar_and_replies_flow() {
-        let (fe, inlet) = engine_channel();
+        let (fe, inlet) = test_channel();
         let mut cmd = command(MsgType::FeLaunchReq, 7);
         cmd.sidecar.daemon_exe = "tool_daemon".into();
         let ex = fe.begin_exchange(cmd).unwrap();
@@ -166,21 +188,34 @@ mod tests {
 
     #[test]
     fn dropped_engine_surfaces_as_error() {
-        let (fe, inlet) = engine_channel();
+        let (fe, inlet) = test_channel();
         // An exchange in flight when the engine goes learns it from its
         // reply channel, not from its timeout.
-        let ex = fe.begin_exchange(command(MsgType::FeKillReq, 0)).unwrap();
+        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 0)).unwrap();
         drop(inlet);
         let err = ex.next(Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, LmonError::Engine(_)), "{err:?}");
-        let again = fe.begin_exchange(command(MsgType::FeKillReq, 0));
+        let again = fe.begin_exchange(command(MsgType::FeLaunchReq, 0));
         assert!(again.is_err());
+    }
+
+    /// A kill or detach is served on the caller's thread: its reply is in
+    /// before `begin_exchange` returns, and the command loop sees nothing.
+    #[test]
+    fn kill_and_detach_are_answered_without_the_command_loop() {
+        let (fe, inlet) = test_channel();
+        for mtype in [MsgType::FeKillReq, MsgType::FeDetachReq] {
+            let ex = fe.begin_exchange(command(mtype, 3)).unwrap();
+            let reply = ex.next(Duration::ZERO).expect("answered in place");
+            assert!(reply.error, "session 3 has no job: {reply:?}");
+        }
+        assert!(inlet.try_recv().is_err(), "nothing was queued");
     }
 
     #[test]
     fn an_unanswered_exchange_times_out() {
-        let (fe, _inlet) = engine_channel();
-        let ex = fe.begin_exchange(command(MsgType::FeKillReq, 0)).unwrap();
+        let (fe, _inlet) = test_channel();
+        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 0)).unwrap();
         let err = ex.next(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, LmonError::Timeout(_)));
     }
@@ -189,9 +224,9 @@ mod tests {
     fn timed_out_exchange_does_not_desync_the_next_one_even_on_the_same_tag() {
         // A launch exchange on session 5 times out before the engine
         // replies. Its late replies (same tag!) must fail to send — that is
-        // how the engine learns the launch was abandoned — and a kill
+        // how the engine learns the launch was abandoned — and an MW spawn
         // exchange on the *same session* must see only its own reply.
-        let (fe, inlet) = engine_channel();
+        let (fe, inlet) = test_channel();
         let err = fe
             .exchange(command(MsgType::FeLaunchReq, 5), 2, Duration::from_millis(10))
             .unwrap_err();
@@ -201,9 +236,9 @@ mod tests {
         assert_eq!(launch.session, SessionId(5));
 
         let h = std::thread::spawn(move || {
-            let (kill, reply) = inlet.recv().unwrap();
-            assert_eq!(kill.msg.mtype, MsgType::FeKillReq);
-            assert_eq!(kill.session, SessionId(5));
+            let (spawn, reply) = inlet.recv().unwrap();
+            assert_eq!(spawn.msg.mtype, MsgType::FeSpawnMwReq);
+            assert_eq!(spawn.session, SessionId(5));
             // The engine catches up on the timed-out launch only now.
             assert!(stale.send(control_msg(MsgType::EngineRpdtab, 5)).is_err());
             assert!(stale.send(control_msg(MsgType::EngineAck, 5)).is_err());
@@ -211,7 +246,7 @@ mod tests {
             inlet
         });
         let replies =
-            fe.exchange(command(MsgType::FeKillReq, 5), 1, Duration::from_secs(5)).unwrap();
+            fe.exchange(command(MsgType::FeSpawnMwReq, 5), 1, Duration::from_secs(5)).unwrap();
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].mtype, MsgType::EngineStatus, "stale same-tag replies never arrive");
         h.join().unwrap();
@@ -222,7 +257,7 @@ mod tests {
         // Two sessions issue exchanges simultaneously; the engine replies
         // to the *second* command first and interleaves the two sessions'
         // replies. Each exchange must come back with exactly its own.
-        let (fe, inlet) = engine_channel();
+        let (fe, inlet) = test_channel();
         let fe = std::sync::Arc::new(fe);
 
         let engine = std::thread::spawn(move || {
@@ -260,7 +295,7 @@ mod tests {
 
     #[test]
     fn incremental_exchange_interleaves_replies_with_caller_work() {
-        let (fe, inlet) = engine_channel();
+        let (fe, inlet) = test_channel();
         let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 4)).unwrap();
         let (_cmd, reply) = inlet.recv().unwrap();
         let early = ex.next(Duration::from_millis(5));
@@ -279,7 +314,7 @@ mod tests {
 
     #[test]
     fn exchange_stops_early_on_error_reply() {
-        let (fe, inlet) = engine_channel();
+        let (fe, inlet) = test_channel();
         let h = std::thread::spawn(move || {
             let (_cmd, reply) = inlet.recv().unwrap();
             let error = LmonpMsg::of_type(MsgType::EngineError);

@@ -20,11 +20,14 @@
 //! * `FeSpawnMwReq` — allocate middleware nodes and launch TBON daemons.
 //! * `FeDetachReq` / `FeKillReq` — release or destroy the session's job.
 //!
-//! The three spawning requests are filed one way, as placing, when they
-//! arrive, and bulk-launch through one function. Launch and attach share
-//! everything that follows "job stopped, RPDTAB in hand". Every way a
-//! session ends runs through one teardown, `end_session`: a kill or detach,
-//! whenever it lands, and a launch or attach that fails or is abandoned.
+//! The three spawning requests are filed one way, as placing, before they
+//! are queued, and bulk-launch through one function on a worker thread.
+//! Launch and attach share everything that follows "job stopped, RPDTAB in
+//! hand". Detach and kill are calls on the engine's session table, made on
+//! the caller's thread: they queue behind nothing and wake no engine
+//! thread. Every way a session ends runs through one teardown,
+//! `end_session`: a kill or detach, whenever it lands, and a launch or
+//! attach that fails or is abandoned.
 //!
 //! The paper builds the tracing side as a Driver → Event Manager → Event
 //! Decoder → Event Handler pipeline behind abstract classes a port inherits
@@ -69,9 +72,10 @@ enum EngineJob {
     Attached { launcher_pid: Pid, rpdtab: CheckedRpdtab },
 }
 
-/// Everything the engine holds for one session, shared between the command
-/// loop and the spawn workers: filed when a spawn-bearing command arrives,
-/// it owns what its commands place until `end_session` removes it whole.
+/// Everything the engine holds for one session, shared between the front
+/// end's calls and the spawn workers: filed when a spawn-bearing command is
+/// sent, it owns what its commands place until `end_session` removes it
+/// whole.
 #[derive(Default)]
 struct EngineSession {
     /// The job under engine control, from the moment it exists.
@@ -108,8 +112,9 @@ struct SpawnCmd<'a> {
     reply: &'a Sender<LmonpMsg>,
 }
 
-/// Engine state: one per engine process. Cloning shares the state — each
-/// worker thread handling a spawn-bearing command holds a clone.
+/// Engine state: one per engine process. Cloning shares the state — the
+/// front end's endpoint and each worker thread handling a spawn-bearing
+/// command hold a clone.
 #[derive(Clone)]
 pub struct Engine {
     rm: Arc<dyn ResourceManager>,
@@ -120,30 +125,20 @@ impl Engine {
     /// Spawn the engine as a process on the cluster front end, returning
     /// the FE-side endpoint and the engine's pid.
     pub fn spawn(rm: Arc<dyn ResourceManager>) -> LmonResult<(EngineEndpoint, Pid)> {
-        let (fe_end, inlet) = channel::engine_channel();
-        let cluster = rm.cluster().clone();
+        let engine = Engine { rm, sessions: Arc::default() };
+        let cluster = engine.rm.cluster().clone();
+        let (fe_end, inlet) = channel::engine_channel(engine.clone());
         let pid = cluster
             .spawn_active(NodeId::FrontEnd, ProcSpec::named("launchmon_engine"), move |_ctx| {
-                let engine = Engine { rm, sessions: Arc::default() };
-                // Spawn-bearing commands run on worker threads, so concurrent
-                // launches overlap; each answers on its exchange's channel.
+                // Only spawn-bearing commands are queued, each filed already.
+                // They run on worker threads, so concurrent launches overlap;
+                // each answers on its exchange's channel.
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
                 // The loop ends when the front end drops its endpoint.
                 while let Ok((cmd, reply)) = inlet.recv() {
-                    let id = cmd.session;
-                    match cmd.msg.mtype {
-                        MsgType::FeKillReq => engine.request_end(id, JobStatus::Killed, reply),
-                        MsgType::FeDetachReq => engine.request_end(id, JobStatus::Detached, reply),
-                        MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq => {
-                            // Filed before any later command: a kill finds it.
-                            let filed = Phase::Placing { ending: None };
-                            engine.sessions.lock().entry(id).or_default().phase = filed;
-                            let engine = engine.clone();
-                            workers.push(std::thread::spawn(move || engine.handle(cmd, reply)));
-                            workers.retain(|h| !h.is_finished());
-                        }
-                        other => drop(reply.send(error_reply(format!("unexpected {other:?}")))),
-                    }
+                    let engine = engine.clone();
+                    workers.push(std::thread::spawn(move || engine.handle(cmd, reply)));
+                    workers.retain(|h| !h.is_finished());
                 }
                 for h in workers {
                     let _ = h.join();
@@ -153,11 +148,35 @@ impl Engine {
         Ok((fe_end, pid))
     }
 
+    /// Take one command on the caller's thread. A kill or detach acts on the
+    /// session table here and answers on `reply` (at once, unless a placing
+    /// worker keeps it). A spawn-bearing command is filed `Placing` and
+    /// handed back for the command loop, so a kill sent after this returns
+    /// always finds it. Anything else is answered with an error.
+    fn accept(
+        &self,
+        cmd: EngineCommand,
+        reply: Sender<LmonpMsg>,
+    ) -> Option<(EngineCommand, Sender<LmonpMsg>)> {
+        let id = cmd.session;
+        match cmd.msg.mtype {
+            MsgType::FeKillReq => self.request_end(id, JobStatus::Killed, reply),
+            MsgType::FeDetachReq => self.request_end(id, JobStatus::Detached, reply),
+            MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq => {
+                let filed = Phase::Placing { ending: None };
+                self.sessions.lock().entry(id).or_default().phase = filed;
+                return Some((cmd, reply));
+            }
+            other => drop(reply.send(error_reply(format!("unexpected {other:?}")))),
+        }
+        None
+    }
+
     /// Run one spawn-bearing command on its worker. Replies stream back as
     /// they are produced: the RPDTAB reply leaves *before* the daemon spawn,
     /// so the FE pipelines the BE handshake against it. A handler's `Err` is
-    /// the command's one, terminal error reply. A failed launch or attach
-    /// ends its session; a failed MW spawn goes live unless it kept an end.
+    /// the command's one, terminal error reply, sent once `fail` has dealt
+    /// with the session.
     fn handle(&self, cmd: EngineCommand, reply: Sender<LmonpMsg>) {
         let EngineCommand { session, msg, mut sidecar } = cmd;
         // Checked before any job is launched or node allocated for it.
@@ -172,12 +191,19 @@ impl Engine {
             }
         });
         let Err(text) = result else { return };
-        if msg.mtype != MsgType::FeSpawnMwReq || self.go_live(session, |_| ()).is_err() {
-            let attach = msg.mtype == MsgType::FeAttachReq;
+        self.fail(session, msg.mtype);
+        let _ = reply.send(error_reply(text));
+    }
+
+    /// A filed spawn-bearing command of type `mtype` failed: a launch or
+    /// attach ends its session, and an MW spawn goes live unless it kept an
+    /// end.
+    fn fail(&self, session: SessionId, mtype: MsgType) {
+        if mtype != MsgType::FeSpawnMwReq || self.go_live(session, |_| ()).is_err() {
+            let attach = mtype == MsgType::FeAttachReq;
             let end = if attach { JobStatus::Detached } else { JobStatus::Killed };
             self.end_session(session, end, None);
         }
-        let _ = reply.send(error_reply(text));
     }
 
     /// launchAndSpawn's own part: start the job under trace control, stop it

@@ -16,8 +16,8 @@
 //! for back ends, the personality table for middleware) and the ICCL
 //! broadcasts that fan it out. How they start and end is shared: siblings
 //! wait in their first broadcast ([`from_master`]), a master whose
-//! handshake fails lets them go, and every daemon ends with one report up
-//! ([`Handshake::report`]).
+//! handshake or table check fails lets them go, and every daemon ends with
+//! one report up ([`Handshake::report`]).
 
 use std::time::Duration;
 
@@ -44,8 +44,8 @@ pub(crate) const SHUTDOWN_SENTINEL: &[u8] = b"__LMON_SHUTDOWN__";
 pub(crate) type MasterSlot = Mutex<Option<Box<dyn MsgChannel>>>;
 
 /// What a master holds once the front end has delivered: its channel, the
-/// launch info and the RPDTAB.
-type Delivered = (Box<dyn MsgChannel>, LmonpMsg, LmonpMsg);
+/// launch info and the RPDTAB as its caller's check made it.
+type Delivered<T> = (Box<dyn MsgChannel>, LmonpMsg, T);
 
 /// One message class's handshake vocabulary.
 pub(crate) struct Handshake {
@@ -101,23 +101,28 @@ impl Handshake {
 
     /// The master daemon's half up to the point where it holds everything
     /// it must fan out: claim the channel, say hello with the cookie from
-    /// the environment, take delivery of launch info and then the RPDTAB.
-    /// Returns the channel with both messages; the caller broadcasts them
+    /// the environment, take delivery of launch info and then the RPDTAB,
+    /// whose bytes `check` must accept. Returns the channel with the launch
+    /// info and what `check` made of the table; the caller broadcasts them
     /// over `comm` its own way and then calls [`Handshake::report`]. If the
-    /// handshake fails, the session is over: the master broadcasts
-    /// [`SHUTDOWN_SENTINEL`] instead, which lets its siblings go.
-    pub(crate) fn greet(
+    /// handshake or the check fails, the session is over: the master
+    /// broadcasts [`SHUTDOWN_SENTINEL`] in place of its first broadcast,
+    /// which lets its siblings go before any of them holds the table.
+    pub(crate) fn greet<T>(
         &self,
         slot: &MasterSlot,
         ctx: &ProcCtx,
         comm: &mut IcclComm,
-    ) -> LmonResult<Delivered> {
-        self.take_delivery(slot, ctx).inspect_err(|_| {
-            let _ = comm.broadcast(Some(SHUTDOWN_SENTINEL.into()));
-        })
+        check: impl FnOnce(Bytes) -> LmonResult<T>,
+    ) -> LmonResult<Delivered<T>> {
+        self.take_delivery(slot, ctx)
+            .and_then(|(chan, launch_info, rpdtab)| Ok((chan, launch_info, check(rpdtab.lmon)?)))
+            .inspect_err(|_| {
+                let _ = comm.broadcast(Some(SHUTDOWN_SENTINEL.into()));
+            })
     }
 
-    fn take_delivery(&self, slot: &MasterSlot, ctx: &ProcCtx) -> LmonResult<Delivered> {
+    fn take_delivery(&self, slot: &MasterSlot, ctx: &ProcCtx) -> LmonResult<Delivered<LmonpMsg>> {
         let chan =
             slot.lock().take().ok_or(LmonError::Engine("master channel already taken".into()))?;
         let cookie_env = ctx
@@ -138,25 +143,23 @@ impl Handshake {
 
     /// How every bootstrap ends once a daemon holds the broadcasts: one
     /// report up (a gather) and no release wave back down, so a sibling
-    /// runs `check` and its tool body while others still report. The
-    /// master (the daemon with a `chan`) waits for every report, marks e9,
-    /// and says ready once its `check` of the table has passed: Ready means
-    /// every daemon holds the broadcasts and the table was checked whole.
-    pub(crate) fn report<T>(
+    /// runs its tool body while others still report. The master (the
+    /// daemon with a `chan`) waits for every report, marks e9 and says
+    /// ready: Ready means every daemon holds the broadcasts, of a table the
+    /// master checked whole in [`Handshake::greet`].
+    pub(crate) fn report(
         &self,
         comm: &mut IcclComm,
         chan: Option<&dyn MsgChannel>,
         timeline: Option<&TimelineRecorder>,
-        check: impl FnOnce() -> LmonResult<T>,
-    ) -> LmonResult<T> {
+    ) -> LmonResult<()> {
         comm.gather(Vec::new()).map_err(LmonError::Iccl)?;
-        let Some(chan) = chan else { return check() };
+        let Some(chan) = chan else { return Ok(()) };
         if let Some(timeline) = timeline {
             timeline.mark(CriticalEvent::E9SetupDone);
         }
-        let checked = check()?;
         chan.send(LmonpMsg::of_type(self.ready))?;
-        Ok(checked)
+        Ok(())
     }
 
     // --- front-end side ---------------------------------------------------
@@ -243,6 +246,7 @@ pub(crate) fn master(chan: &Option<Box<dyn MsgChannel>>) -> LmonResult<&dyn MsgC
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc};
 
     use lmon_cluster::config::ClusterConfig;
@@ -256,8 +260,8 @@ mod tests {
     use lmon_rm::api::DaemonBody;
 
     use super::*;
-    use crate::be::{wrap_be_main, BeMain};
-    use crate::mw::{assign_personalities, wrap_mw_main, MwMain};
+    use crate::be::{be_bootstrap, wrap_be_main, BeMain};
+    use crate::mw::{assign_personalities, mw_bootstrap, wrap_mw_main, MwMain};
 
     /// What the daemon side made of the handshake: the piggybacked tool
     /// data and the RPDTAB bytes it took delivery of.
@@ -282,9 +286,9 @@ mod tests {
         let mut comm = IcclComm::new(fabric.pop().expect("rank 0"), Topology::Binomial);
         let body = move |ctx: ProcCtx| {
             let greeted =
-                hs.greet(&slot, &ctx, &mut comm).and_then(|(chan, launch_info, table)| {
-                    hs.report(&mut comm, Some(chan.as_ref()), None, || Ok(()))?;
-                    Ok((launch_info.usr.to_vec(), table.lmon.to_vec()))
+                hs.greet(&slot, &ctx, &mut comm, Ok).and_then(|(chan, launch_info, table)| {
+                    hs.report(&mut comm, Some(chan.as_ref()), None)?;
+                    Ok((launch_info.usr.to_vec(), table.to_vec()))
                 });
             let _ = tx.send(greeted);
         };
@@ -308,7 +312,7 @@ mod tests {
             // In order, with the right cookie: both sides finish once the
             // sibling has reported, and the daemon holds what the FE sent.
             let (fe, outcome, mut sibling) = master_daemon(&cluster, hs, cookie_env(&cookie));
-            hs.report(&mut sibling, None, None, || Ok(())).expect("the sibling reports");
+            hs.report(&mut sibling, None, None).expect("the sibling reports");
             hs.admit(&fe, &cookie, STEP).expect("right cookie is admitted");
             let info = Bytes::copy_from_slice(b"launch info");
             let table = Bytes::copy_from_slice(b"proctable");
@@ -489,6 +493,58 @@ mod tests {
                 held.recv_timeout(Duration::from_millis(50)).is_err(),
                 "the master ran its tool"
             );
+        }
+    }
+
+    /// A table whose only bad row is another host's (its host id is out of
+    /// range) fails a four-daemon session before anything is broadcast:
+    /// the master refuses it, every sibling's first broadcast is the
+    /// shutdown sentinel, no tool body runs and the front end sees no Ready.
+    #[test]
+    fn a_table_with_one_bad_row_fails_every_daemon_before_any_broadcast() {
+        const N: u32 = 4;
+        let mut table = synthetic_rpdtab(N as usize, TASKS_PER_NODE, "app").to_bytes();
+        let host_id = table.len() - 20 + 4; // last row, on node00003: rank(4) host(4) exe(4) pid(8)
+        table[host_id..host_id + 4].copy_from_slice(&999u32.to_be_bytes());
+        for hs in [&BE, &MW] {
+            let cluster = VirtualCluster::new(ClusterConfig::with_nodes(N as usize));
+            let cookie = SessionCookie::mint_seeded(7);
+            let (fe, daemon_end) = LocalChannel::pair();
+            let slot = Arc::new(MasterSlot::new(Some(Box::new(daemon_end))));
+            let bodies = Arc::new(AtomicUsize::new(0));
+            let (tx, outcomes) = mpsc::channel();
+            let mut spec = ProcSpec::named("toold");
+            spec.env = cookie_env(&cookie);
+            for ep in ChannelFabric::mesh(N) {
+                let (rank, slot, bodies, tx) =
+                    (ep.rank(), slot.clone(), bodies.clone(), tx.clone());
+                let body = move |ctx: ProcCtx| {
+                    let booted = if hs.ready == BE.ready {
+                        be_bootstrap(ctx, ep, &slot, &TimelineRecorder::new()).map(drop)
+                    } else {
+                        mw_bootstrap(ctx, ep, &slot).map(drop)
+                    };
+                    // What `wrap_be_main` and `wrap_mw_main` do on `Ok`.
+                    if booted.is_ok() {
+                        bodies.fetch_add(1, Ordering::SeqCst);
+                    }
+                    let _ = tx.send((rank, booted.map_err(|e| e.to_string())));
+                };
+                cluster.spawn_active(NodeId::Compute(rank), spec.clone(), body).unwrap();
+            }
+            hs.admit(&fe, &cookie, STEP).expect("hello admitted");
+            let ready = hs.deliver(&fe, &cookie, Bytes::new(), vec![], table.clone().into(), STEP);
+            assert!(ready.is_err(), "the front end was told Ready for a corrupt table");
+            let mut got: Vec<(u32, Result<(), String>)> =
+                (0..N).map(|_| outcomes.recv_timeout(STEP).expect("every daemon")).collect();
+            got.sort_by_key(|(rank, _)| *rank);
+            let master = got[0].1.as_ref().unwrap_err();
+            assert!(master.contains("host_id"), "the master refused the table: {master}");
+            for (rank, sibling) in &got[1..] {
+                let err = sibling.as_ref().unwrap_err();
+                assert!(err.contains("the master's handshake failed"), "rank {rank}: {err}");
+            }
+            assert_eq!(bodies.load(Ordering::SeqCst), 0, "a tool body ran");
         }
     }
 

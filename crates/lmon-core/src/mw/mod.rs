@@ -10,7 +10,9 @@
 //!
 //! The MW master's LMONP exchange with the front end is the same handshake
 //! back-end masters run (`crate::handshake`), with the `Mw*` message types
-//! and the personality table as its launch info.
+//! and the personality table as its launch info. As there, the master
+//! checks the whole RPDTAB once before it broadcasts anything, and a
+//! sibling checks only the framing of the bytes it receives.
 
 use std::sync::Arc;
 
@@ -35,7 +37,7 @@ pub struct MwSession {
     ctx: ProcCtx,
     personality: MwPersonality,
     all_personalities: Vec<MwPersonality>,
-    /// The table as broadcast, checked whole at bootstrap.
+    /// The table as broadcast, checked whole by the master before it did.
     rpdtab: CheckedRpdtab,
     usrdata: Bytes,
     master_chan: Option<Box<dyn MsgChannel>>,
@@ -155,26 +157,27 @@ pub(crate) fn wrap_mw_main(tool_main: MwMain, master_chan: Box<dyn MsgChannel>) 
     })
 }
 
-fn mw_bootstrap(
+pub(crate) fn mw_bootstrap(
     ctx: ProcCtx,
     ep: ChannelFabric,
     master_slot: &MasterSlot,
 ) -> LmonResult<MwSession> {
     let mut comm = IcclComm::new(ep, Topology::Binomial);
-    let (master_chan, personalities_bytes, usrdata, rpdtab_bytes) = if comm.is_master() {
-        let (chan, launch_info, table) = handshake::MW.greet(master_slot, &ctx, &mut comm)?;
+    let (master_chan, personalities_bytes, usrdata, rpdtab) = if comm.is_master() {
+        // The session's one check of the whole table, before any broadcast.
+        let (chan, launch_info, table) =
+            handshake::MW.greet(master_slot, &ctx, &mut comm, |t| Ok(Rpdtab::check_bytes(t)?))?;
         let personalities = comm.broadcast(Some(launch_info.lmon)).map_err(LmonError::Iccl)?;
         let usrdata = comm.broadcast(Some(launch_info.usr)).map_err(LmonError::Iccl)?;
-        let table = comm.broadcast(Some(table.lmon)).map_err(LmonError::Iccl)?;
+        comm.broadcast(Some(table.bytes().clone())).map_err(LmonError::Iccl)?;
         (Some(chan), personalities, usrdata, table)
     } else {
         let personalities = handshake::from_master(&mut comm)?;
         let usrdata = comm.broadcast(None).map_err(LmonError::Iccl)?;
-        (None, personalities, usrdata, comm.broadcast(None).map_err(LmonError::Iccl)?)
+        let table = Rpdtab::check_framing(comm.broadcast(None).map_err(LmonError::Iccl)?)?;
+        (None, personalities, usrdata, table)
     };
-    let rpdtab = handshake::MW.report(&mut comm, master_chan.as_deref(), None, || {
-        Ok(Rpdtab::check_bytes(rpdtab_bytes)?)
-    })?;
+    handshake::MW.report(&mut comm, master_chan.as_deref(), None)?;
 
     let all_personalities: Vec<MwPersonality> = get_seq(&mut &personalities_bytes[..])?;
     let personality = all_personalities

@@ -103,6 +103,24 @@ impl Rpdtab {
         Ok(CheckedRpdtab { bytes, len, rows: OnceLock::new() })
     }
 
+    /// Take bytes this session's master checked whole before broadcasting
+    /// them, checking only their framing: both string tables' counts and
+    /// lengths, the row count's bound and that the rows end the buffer. No
+    /// row is read, so strings and host and exe ids are not checked again;
+    /// every buffer [`check_bytes`](Rpdtab::check_bytes) accepts is accepted
+    /// with the same `len()`. Bytes that passed no full check must not come
+    /// here: the decode on first use of such a table may panic.
+    pub fn check_framing(bytes: Bytes) -> ProtoResult<CheckedRpdtab> {
+        let mut buf = &bytes[..];
+        for _ in 0..2 {
+            for _ in 0..str_count(&mut buf)? {
+                str_bytes(&mut buf)?;
+            }
+        }
+        let len = row_section(&mut buf)?.len() / ROW_LEN;
+        Ok(CheckedRpdtab { bytes, len, rows: OnceLock::new() })
+    }
+
     /// The table's rows in a writer: the one encoder.
     fn writer(&self) -> RpdtabWriter<'_> {
         let mut writer = RpdtabWriter::with_capacity(self.entries.len());
@@ -200,27 +218,53 @@ impl WireEncode for Rpdtab {
     }
 }
 
-/// A string table written by `put_str_vec`, read as views of `buf` with
-/// the checks `get_str_vec` makes: the count and every length bounded, and
-/// every string UTF-8. One allocation, whatever the count.
-fn str_views<'a>(buf: &mut &'a [u8]) -> ProtoResult<Vec<&'a str>> {
+/// The count of a string table written by `put_str_vec`, bounded as
+/// `get_str_vec` bounds it.
+fn str_count(buf: &mut &[u8]) -> ProtoResult<usize> {
     let n = get_u32(buf)? as usize;
     if n > MAX_SEQ_LEN {
         return Err(ProtoError::PayloadTooLarge { len: n });
     }
+    Ok(n)
+}
+
+/// The next string of such a table as a view of `buf`: its length bounded
+/// and its bytes present, not yet checked as UTF-8.
+fn str_bytes<'a>(buf: &mut &'a [u8]) -> ProtoResult<&'a [u8]> {
+    let len = get_u32(buf)? as usize;
+    if len > MAX_STRING_LEN {
+        return Err(ProtoError::PayloadTooLarge { len });
+    }
+    need(buf, len)?;
+    let (s, rest) = buf.split_at(len);
+    *buf = rest;
+    Ok(s)
+}
+
+/// A string table written by `put_str_vec`, read as views of `buf` with
+/// the checks `get_str_vec` makes: the count and every length bounded, and
+/// every string UTF-8. One allocation, whatever the count.
+fn str_views<'a>(buf: &mut &'a [u8]) -> ProtoResult<Vec<&'a str>> {
+    let n = str_count(buf)?;
     // Every string takes at least its 4-byte length.
     let mut views = Vec::with_capacity(n.min(buf.len() / 4));
     for _ in 0..n {
-        let len = get_u32(buf)? as usize;
-        if len > MAX_STRING_LEN {
-            return Err(ProtoError::PayloadTooLarge { len });
-        }
-        need(buf, len)?;
-        let (s, rest) = buf.split_at(len);
-        views.push(std::str::from_utf8(s).map_err(|_| ProtoError::BadString)?);
-        *buf = rest;
+        views.push(std::str::from_utf8(str_bytes(buf)?).map_err(|_| ProtoError::BadString)?);
     }
     Ok(views)
+}
+
+/// The rows after the string tables: a bounded count, then exactly that
+/// many rows, which end the buffer.
+fn row_section<'a>(buf: &mut &'a [u8]) -> ProtoResult<&'a [u8]> {
+    let ntasks = get_u32(buf)? as usize;
+    if ntasks > MAX_SEQ_LEN {
+        return Err(ProtoError::PayloadTooLarge { len: ntasks });
+    }
+    if buf.len() != ntasks * ROW_LEN {
+        return Err(ProtoError::Truncated { needed: ntasks * ROW_LEN, available: buf.len() });
+    }
+    Ok(std::mem::take(buf))
 }
 
 /// The one walk over an encoded table: every check a decode makes — count
@@ -234,18 +278,13 @@ fn walk_rows(bytes: &[u8], keep: impl Fn(&str) -> bool) -> ProtoResult<(Vec<Proc
     let hosts = str_views(&mut buf)?;
     let exes = str_views(&mut buf)?;
     let kept: Vec<bool> = hosts.iter().map(|h| keep(h)).collect();
-    let ntasks = get_u32(&mut buf)? as usize;
-    if ntasks > MAX_SEQ_LEN {
-        return Err(ProtoError::PayloadTooLarge { len: ntasks });
-    }
-    if buf.len() != ntasks * ROW_LEN {
-        return Err(ProtoError::Truncated { needed: ntasks * ROW_LEN, available: buf.len() });
-    }
+    let rows = row_section(&mut buf)?;
+    let ntasks = rows.len() / ROW_LEN;
     let bad = |field, id: usize| ProtoError::InvalidField { field, value: id as u64 };
     // Sized for rows spread evenly over hosts: exact for a full decode.
     let kept_hosts = kept.iter().filter(|k| **k).count();
     let mut entries = Vec::with_capacity(ntasks * kept_hosts / kept.len().max(1));
-    for row in buf.chunks_exact(ROW_LEN) {
+    for row in rows.chunks_exact(ROW_LEN) {
         let word = |at: usize| u32::from_be_bytes(std::array::from_fn(|i| row[at + i]));
         let (host_id, exe_id) = (word(4) as usize, word(8) as usize);
         let host = hosts.get(host_id).ok_or_else(|| bad("host_id", host_id))?;
@@ -271,7 +310,8 @@ impl WireDecode for Rpdtab {
 
 /// An encoded table that passed every check [`from_bytes`](WireDecode::from_bytes)
 /// makes, kept as received so it is forwarded as is. Made by
-/// [`Rpdtab::check_bytes`] and [`Rpdtab::local_from_bytes`]. Like a
+/// [`Rpdtab::check_bytes`] and [`Rpdtab::local_from_bytes`], and from bytes
+/// such a check passed by [`Rpdtab::check_framing`]. Like a
 /// `LazyLock`, it derefs to the decoded [`Rpdtab`], built on first use;
 /// [`len`](CheckedRpdtab::len) decodes nothing.
 #[derive(Debug, Clone)]
@@ -303,8 +343,9 @@ impl Deref for CheckedRpdtab {
 
     fn deref(&self) -> &Rpdtab {
         self.rows.get_or_init(|| {
-            // These immutable bytes passed every check `from_bytes` makes
-            // when this value was built, so decoding them cannot fail.
+            // These immutable bytes passed every check `from_bytes` makes,
+            // when this value was built or before the session's master
+            // broadcast them, so decoding them cannot fail.
             Rpdtab::from_bytes(&self.bytes).expect("checked RPDTAB bytes decode")
         })
     }
@@ -432,6 +473,37 @@ mod tests {
         assert!(Rpdtab::local_from_bytes(intact.slice(..intact.len() - 1), "node00001").is_err());
         let trailing = [&intact[..], &[0]].concat();
         assert!(Rpdtab::local_from_bytes(trailing.into(), "node00001").is_err());
+    }
+
+    /// The framing-only check refuses what breaks the framing, and takes
+    /// rows it does not read: a host id out of range is the full check's.
+    #[test]
+    fn framing_check_refuses_broken_framing_and_reads_no_row() {
+        let intact = synthetic_rpdtab(2, 2, "app").to_bytes();
+        let framed = Rpdtab::check_framing(intact.clone().into()).unwrap();
+        assert_eq!((framed.len(), &framed.bytes()[..]), (4, &intact[..]));
+        assert_eq!(*framed, synthetic_rpdtab(2, 2, "app"));
+
+        let truncated = intact[..intact.len() - 1].to_vec();
+        let trailing = [&intact[..], &[0]].concat();
+        let mut oversized = intact.clone();
+        let rows_at = intact.len() - 4 * ROW_LEN - 4; // the row count's offset
+        let too_many = (MAX_SEQ_LEN as u32 + 1).to_be_bytes();
+        oversized[rows_at..rows_at + 4].copy_from_slice(&too_many);
+        let mut string_len = intact.clone();
+        string_len[4..8].copy_from_slice(&(MAX_STRING_LEN as u32 + 1).to_be_bytes());
+        let mut past_end = intact.clone();
+        past_end[4..8].copy_from_slice(&(intact.len() as u32).to_be_bytes());
+        for bad in [truncated, trailing, oversized, string_len, past_end] {
+            assert!(Rpdtab::check_framing(bad.clone().into()).is_err(), "took {bad:?}");
+            assert!(Rpdtab::check_bytes(bad.into()).is_err());
+        }
+
+        let mut bad_row = intact;
+        let host_id = bad_row.len() - ROW_LEN + 4;
+        bad_row[host_id..host_id + 4].copy_from_slice(&999u32.to_be_bytes());
+        assert!(Rpdtab::check_bytes(bad_row.clone().into()).is_err());
+        assert_eq!(Rpdtab::check_framing(bad_row.into()).unwrap().len(), 4);
     }
 
     #[test]

@@ -173,6 +173,19 @@ proptest! {
         }
     }
 
+    /// The framing-only check siblings run on bytes their master checked:
+    /// it takes every buffer `check_bytes` takes, with the same length, and
+    /// whatever it refuses `check_bytes` refuses too.
+    #[test]
+    fn framing_check_takes_all_the_full_check_takes(bytes in arb_table_bytes()) {
+        let framed = Rpdtab::check_framing(bytes.clone().into());
+        match (Rpdtab::check_bytes(bytes.into()), framed) {
+            (Ok(full), Ok(framed)) => prop_assert_eq!(framed.len(), full.len()),
+            (Ok(_), Err(e)) => prop_assert!(false, "framing refused a checked table: {:?}", e),
+            (Err(_), _) => {}
+        }
+    }
+
     #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         let _ = ref_decode(&bytes);

@@ -1,0 +1,240 @@
+//! A kill or detach is served on the caller's thread, and a spawn-bearing
+//! command is filed with the engine before `begin_exchange` queues it. So
+//! an end sent right after a launch or attach always finds it, however
+//! far the engine's worker has got, and program order on the caller's
+//! thread is the only order that matters.
+//!
+//! Thread counts are process-wide, so this file is its own test binary and
+//! its tests take turns.
+
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use launchmon::cluster::config::ClusterConfig;
+use launchmon::cluster::process::Pid;
+use launchmon::cluster::VirtualCluster;
+use launchmon::core::engine::channel::{EngineCommand, EngineSidecar, Exchange};
+use launchmon::core::engine::Engine;
+use launchmon::core::session::SessionId;
+use launchmon::proto::payload::{AttachRequest, DaemonSpec, JobStatus, LaunchRequest};
+use launchmon::proto::wire::WireDecode;
+use launchmon::proto::{LmonpMsg, MsgType};
+use launchmon::rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmResult};
+use launchmon::rm::SlurmRm;
+
+static TURN: Mutex<()> = Mutex::new(());
+
+const WAIT: Duration = Duration::from_secs(10);
+
+fn threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status.lines().find(|l| l.starts_with("Threads:")).expect("Threads: line");
+    line.split_whitespace().nth(1).and_then(|n| n.parse().ok()).expect("thread count")
+}
+
+/// The thread count once it has held still for 200 ms.
+fn settled_threads() -> usize {
+    let (mut last, mut held) = (threads(), 0);
+    while held < 40 {
+        std::thread::sleep(Duration::from_millis(5));
+        let now = threads();
+        held = if now == last { held + 1 } else { 0 };
+        last = now;
+    }
+    last
+}
+
+/// Wait, up to `WAIT`, until `now()` is at most `limit`.
+fn settle_to(limit: usize, now: impl Fn() -> usize, what: &str) {
+    let deadline = Instant::now() + WAIT;
+    while now() > limit {
+        assert!(Instant::now() < deadline, "{what}: {}, expected <= {limit}", now());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn records(cluster: &VirtualCluster) -> usize {
+    let compute: usize = cluster.compute_nodes().iter().map(|n| n.pids().len()).sum();
+    cluster.front_end().pids().len() + compute
+}
+
+/// One held call: the next call through it waits until the test lets it go.
+#[derive(Default)]
+struct Gate(Mutex<Option<mpsc::Receiver<()>>>);
+
+impl Gate {
+    /// Hold the next call until the returned sender sends.
+    fn hold_next(&self) -> mpsc::Sender<()> {
+        let (release, gate) = mpsc::channel();
+        *self.0.lock().unwrap() = Some(gate);
+        release
+    }
+
+    /// Wait here if the test holds this call.
+    fn pass(&self) {
+        let gate = self.0.lock().unwrap().take();
+        if let Some(gate) = gate {
+            gate.recv_timeout(WAIT).expect("the test releases the call");
+        }
+    }
+}
+
+/// SLURM, with the next `launch_job` or `spawn_daemons` held until the test
+/// lets it go.
+struct GatedRm {
+    slurm: SlurmRm,
+    launches: Gate,
+    spawns: Gate,
+}
+
+impl GatedRm {
+    fn new(cluster: &VirtualCluster) -> Self {
+        let slurm = SlurmRm::new(cluster.clone());
+        GatedRm { slurm, launches: Gate::default(), spawns: Gate::default() }
+    }
+}
+
+impl ResourceManager for GatedRm {
+    fn name(&self) -> &'static str {
+        self.slurm.name()
+    }
+
+    fn cluster(&self) -> &VirtualCluster {
+        self.slurm.cluster()
+    }
+
+    fn launch_job(&self, spec: &JobSpec, under_tool: bool) -> RmResult<JobHandle> {
+        self.launches.pass();
+        self.slurm.launch_job(spec, under_tool)
+    }
+
+    fn spawn_daemons(
+        &self,
+        alloc: &Allocation,
+        exe: &str,
+        args: &[String],
+        env: &[String],
+        body: DaemonBody,
+        stop: &dyn Fn() -> bool,
+    ) -> RmResult<Vec<Pid>> {
+        self.spawns.pass();
+        self.slurm.spawn_daemons(alloc, exe, args, env, body, stop)
+    }
+
+    fn allocate_mw_nodes(&self, count: usize) -> RmResult<Allocation> {
+        self.slurm.allocate_mw_nodes(count)
+    }
+
+    fn release_allocation(&self, alloc: &Allocation) {
+        self.slurm.release_allocation(alloc)
+    }
+
+    fn kill_job(&self, handle: &JobHandle) -> RmResult<()> {
+        self.slurm.kill_job(handle)
+    }
+}
+
+/// A spawn-bearing command carrying `msg`, with a daemon body that returns.
+fn spawn_command(session: SessionId, msg: LmonpMsg) -> EngineCommand {
+    let body: DaemonBody = Arc::new(|_ctx, _fabric| {});
+    let sidecar = EngineSidecar { body: Some(body), ..EngineSidecar::default() };
+    EngineCommand { session, msg, sidecar }
+}
+
+/// The status an end's one reply carries.
+fn status(end: &Exchange) -> JobStatus {
+    let reply = end.next(WAIT).expect("the end is answered");
+    assert_eq!(reply.mtype, MsgType::EngineStatus, "{:?}", String::from_utf8_lossy(&reply.lmon));
+    JobStatus::from_bytes(&reply.lmon).expect("a job status")
+}
+
+/// Read a spawn-bearing exchange to its end: it must be an error, with no
+/// spawn ack before it.
+fn assert_ends_in_error(spawn: &Exchange) {
+    loop {
+        let reply = spawn.next(WAIT).expect("the spawn is answered");
+        assert_ne!(reply.mtype, MsgType::EngineAck, "an ended session acked its spawn");
+        if reply.error || reply.mtype == MsgType::EngineError {
+            return;
+        }
+    }
+}
+
+/// A kill sent right after a launch, while the RM has not even started the
+/// job: the kill waits for the launch's worker, which stops at its first
+/// phase boundary and tears down the job it got. The kill answers `Killed`
+/// and the launch an error, and every record and thread goes back.
+#[test]
+fn a_kill_sent_right_after_a_launch_stops_it() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
+    let rm = Arc::new(GatedRm::new(&cluster));
+    let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
+    let (baseline, before) = (records(&cluster), settled_threads());
+    for id in 0..3 {
+        let session = SessionId(id);
+        let release = rm.launches.hold_next();
+        let req = LaunchRequest {
+            app_exe: "app".into(),
+            app_args: Vec::new(),
+            nodes: 2,
+            tasks_per_node: 2,
+            daemon: DaemonSpec::bare("toold"),
+        };
+        let msg = LmonpMsg::of_type(MsgType::FeLaunchReq).with_lmon(&req);
+        let launch = engine.begin_exchange(spawn_command(session, msg)).unwrap();
+        let kill = LmonpMsg::of_type(MsgType::FeKillReq);
+        let kill = engine.begin_exchange(EngineCommand::control(session, kill)).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(status(&kill), JobStatus::Killed);
+        assert_ends_in_error(&launch);
+        settle_to(baseline, || records(&cluster), "records after a kill sent with the launch");
+    }
+    settle_to(before, threads, "threads after kills sent with their launches");
+}
+
+/// The same for a detach sent right after an attach, with the attach's
+/// daemon spawn held so that its worker cannot ack before the detach lands:
+/// the detach answers `Detached`, the attach ends in an error, and the job
+/// runs on, untraced.
+#[test]
+fn a_detach_sent_right_after_an_attach_stops_it() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(2));
+    let rm = Arc::new(GatedRm::new(&cluster));
+    let job = rm.launch_job(&JobSpec::new("app", 2, 2), false).unwrap();
+    let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
+    let job_records = 2 * 2 + 2; // tasks + launcher + engine
+    let deadline = Instant::now() + WAIT;
+    while records(&cluster) < job_records {
+        assert!(Instant::now() < deadline, "the job never placed its tasks");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let before = settled_threads();
+    let attach = |session| {
+        let req = AttachRequest { launcher_pid: job.launcher_pid.0, daemon: DaemonSpec::bare("d") };
+        let msg = LmonpMsg::of_type(MsgType::FeAttachReq).with_lmon(&req);
+        engine.begin_exchange(spawn_command(session, msg)).unwrap()
+    };
+    let detach = |session| {
+        let msg = LmonpMsg::of_type(MsgType::FeDetachReq);
+        engine.begin_exchange(EngineCommand::control(session, msg)).unwrap()
+    };
+    for id in 0..3 {
+        let release = rm.spawns.hold_next();
+        let (attached, detached) = (attach(SessionId(id)), detach(SessionId(id)));
+        release.send(()).unwrap();
+        assert_eq!(status(&detached), JobStatus::Detached);
+        assert_ends_in_error(&attached);
+        settle_to(job_records, || records(&cluster), "records after a detach sent with the attach");
+    }
+    settle_to(before, threads, "threads after detaches sent with their attaches");
+
+    // Each stopped attach let go of the launcher: the next one traces it,
+    // places its daemons and acks.
+    let attached = attach(SessionId(3));
+    while attached.next(WAIT).expect("the attach is answered").mtype != MsgType::EngineAck {}
+    assert_eq!(status(&detach(SessionId(3))), JobStatus::Detached);
+    settle_to(job_records, || records(&cluster), "records after the last detach");
+    rm.kill_job(&job).unwrap();
+}
