@@ -56,6 +56,8 @@ RUST='crates tests src examples'
 ENGINE=crates/lmon-core/src/engine
 DAEMON=crates/lmon-daemon/src/daemon.rs
 SLURM=crates/lmon-rm/src/slurm.rs
+SESSION=crates/lmon-core/src/daemon_session.rs
+BOOT="$SESSION crates/lmon-core/src/be crates/lmon-core/src/mw"
 
 # Exceptions to clippy.toml's bans: exactly these three, each with a reason.
 count -eq 3 file "$RUST vendor" '(allow|expect)\(clippy::disallowed_' \
@@ -161,14 +163,25 @@ forbid file 'crates/lmon-core/src !crates/lmon-core/src/handshake.rs' 'verify_he
 forbid live crates/lmon-core/src/fe/mod.rs 'thread::sleep' 'std::thread::sleep(d);' \
   "fe/mod.rs: the FE sleeps on the live path"
 
-# One table check per daemon session: the master checks the whole RPDTAB once,
-# before it broadcasts; siblings check the framing, and no bootstrap walks rows.
-count -eq 1 live crates/lmon-core/src/be/mod.rs 'check_bytes\(' 'Rpdtab::check_bytes(t)' \
-  "be/mod.rs: check_bytes( not once"
-count -eq 1 live crates/lmon-core/src/mw/mod.rs 'check_bytes\(' 'Rpdtab::check_bytes(t)' \
-  "mw/mod.rs: check_bytes( not once"
-forbid fn:be_bootstrap crates/lmon-core/src/be/mod.rs 'local_from_bytes\(' \
-  'Rpdtab::local_from_bytes(b, h)' "be_bootstrap walks the RPDTAB's rows again"
+# One table check per daemon session: BE and MW run the one bootstrap in
+# daemon_session.rs, where the master checks the whole RPDTAB once, before it
+# broadcasts; siblings check the framing, and no bootstrap walks rows.
+count -eq 1 live "$BOOT" 'check_bytes\(' 'Rpdtab::check_bytes(t)' \
+  "daemon bootstrap: check_bytes( not once"
+forbid live $SESSION 'local_from_bytes\(' 'Rpdtab::local_from_bytes(b, h)' \
+  "daemon_session.rs walks the RPDTAB's rows again"
+forbid fn:from_launch_info "$BOOT" 'local_from_bytes\(' 'Rpdtab::local_from_bytes(b, h)' \
+  "a class's bootstrap part walks the RPDTAB's rows again"
+
+# One fabric per daemon spawn, neighbour-only: the RM hands each daemon its
+# tree neighbours' senders (lmon_rm::api::daemon_comms); no live path builds
+# a mesh, and the daemon API offers collectives, never point-to-point.
+forbid live 'crates/lmon-rm/src crates/lmon-core/src' 'ChannelFabric::mesh\(' \
+  'let eps = ChannelFabric::mesh(n);' "a live path builds a full mesh again"
+forbid live crates/lmon-core/src 'fn (send_to|recv_from)\(' 'pub fn send_to(&mut self, peer: u32)' \
+  "a daemon session sends point-to-point again"
+forbid file "$RUST" 'fabric_(ref|mut)\(' 'self.comm.fabric_ref().send(p, b)' \
+  "IcclComm hands out its fabric again"
 
 # Kill and detach end their session on the caller's thread (begin_exchange);
 # the engine's command loop only hands spawn-bearing commands to workers.
@@ -176,9 +189,8 @@ forbid fn:spawn $ENGINE/mod.rs 'FeKillReq|FeDetachReq' 'MsgType::FeKillReq => x,
   "engine: a kill or detach arm is back in the command loop"
 
 # One report per bootstrap: a daemon reports up once (Handshake::report), with
-# no release wave; the one barrier left in each file is the session's own.
-count -le 1 file crates/lmon-core/src/be/mod.rs 'comm\.barrier\(\)' 'comm.barrier()' "be/mod.rs: a bootstrap barrier"
-count -le 1 file crates/lmon-core/src/mw/mod.rs 'comm\.barrier\(\)' 'comm.barrier()' "mw/mod.rs: a bootstrap barrier"
+# no release wave; the one barrier left is the session's own.
+count -le 1 file "$BOOT" 'comm\.barrier\(\)' 'comm.barrier()' "daemon sessions: a bootstrap barrier"
 
 # No source file over 1 500 lines: one that size holds several planes.
 long_files() {

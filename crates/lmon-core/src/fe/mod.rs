@@ -39,13 +39,14 @@ use lmon_proto::transport::MsgChannel;
 use lmon_proto::wire::{get_seq, put_seq, WireDecode, WireEncode};
 use lmon_rm::api::{DaemonBody, ResourceManager};
 
-use crate::be::{wrap_be_main, BeMain};
+use crate::be::BeMain;
+use crate::daemon_session;
 use crate::engine::channel::{EngineCommand, EngineEndpoint, EngineSidecar};
 use crate::engine::Engine;
 use crate::error::{LmonError, LmonResult};
 use crate::handshake;
 use crate::health::{HealthMonitor, HealthState, HealthTransition};
-use crate::mw::{assign_personalities, wrap_mw_main, MwMain};
+use crate::mw::{assign_personalities, MwMain};
 use crate::session::{SessionId, SessionState};
 use crate::timeline::{CriticalEvent, LaunchBreakdown, TimelineRecorder};
 
@@ -533,7 +534,7 @@ impl LmonFrontEnd {
             }
         };
         let be_chan = Box::new(self.be_mux_far.open(session.0)?);
-        let wrapped = wrap_be_main(be_main, be_chan, timeline.clone());
+        let wrapped = daemon_session::wrap(be_main, be_chan, Some(timeline.clone()));
 
         timeline.mark(CriticalEvent::E1EngineInvoked);
         let cmd = spawn_command(session, wire, &daemon, &cookie, wrapped, Some(timeline.clone()));
@@ -626,7 +627,8 @@ impl LmonFrontEnd {
 
         // One logical MW session over the single FE↔MW link.
         let fe_chan: Arc<dyn MsgChannel> = Arc::new(self.mw_mux.open(session.0)?);
-        let wrapped = wrap_mw_main(mw_main, Box::new(self.mw_mux_far.open(session.0)?));
+        let wrapped =
+            daemon_session::wrap(mw_main, Box::new(self.mw_mux_far.open(session.0)?), None);
 
         let req = SpawnMwRequest { count: count as u32, daemon: daemon.clone() };
         let wire = LmonpMsg::of_type(MsgType::FeSpawnMwReq).with_lmon(&req);

@@ -11,13 +11,16 @@
 //! side, the daemon side and the later usrdata exchange on the same channel
 //! are methods on it, so none of them asks which caller it serves.
 //!
-//! What really differs per class stays with the caller: what the launch
-//! info *is* (the master's [`DaemonInfo`](lmon_proto::payload::DaemonInfo)
-//! for back ends, the personality table for middleware) and the ICCL
-//! broadcasts that fan it out. How they start and end is shared: siblings
-//! wait in their first broadcast ([`from_master`]), a master whose
-//! handshake or table check fails lets them go, and every daemon ends with
-//! one report up ([`Handshake::report`]).
+//! The daemon side's fan-out is shared too (`crate::daemon_session` runs
+//! it): the master broadcasts the launch-info message in LMONP's wire form
+//! (its LMONP payload and the tool data), then the table. Siblings wait in
+//! that first broadcast ([`from_master`]); a master whose handshake or
+//! table check fails sends the shutdown sentinel there instead, and bytes
+//! that do not decode fail a sibling the same way. Every daemon ends with
+//! one report up ([`Handshake::report`]). What differs per class is only
+//! what the launch info *is*: the master's
+//! [`DaemonInfo`](lmon_proto::payload::DaemonInfo) for back ends, the
+//! personality table for middleware.
 
 use std::time::Duration;
 
@@ -25,6 +28,7 @@ use parking_lot::Mutex;
 
 use lmon_cluster::process::ProcCtx;
 use lmon_iccl::IcclComm;
+use lmon_proto::frame::decode_msg_view;
 use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_proto::payload::Hello;
@@ -104,10 +108,11 @@ impl Handshake {
     /// the environment, take delivery of launch info and then the RPDTAB,
     /// whose bytes `check` must accept. Returns the channel with the launch
     /// info and what `check` made of the table; the caller broadcasts them
-    /// over `comm` its own way and then calls [`Handshake::report`]. If the
-    /// handshake or the check fails, the session is over: the master
-    /// broadcasts [`SHUTDOWN_SENTINEL`] in place of its first broadcast,
-    /// which lets its siblings go before any of them holds the table.
+    /// over `comm` (the launch info, then the table) and then calls
+    /// [`Handshake::report`]. If the handshake or the check fails, the
+    /// session is over: the master broadcasts [`SHUTDOWN_SENTINEL`] in place
+    /// of the launch info, which lets its siblings go before any of them
+    /// holds the table.
     pub(crate) fn greet<T>(
         &self,
         slot: &MasterSlot,
@@ -229,14 +234,16 @@ impl Handshake {
     }
 }
 
-/// A sibling's first broadcast from its master: the first part of the
-/// launch info, or an error if the master's handshake failed.
-pub(crate) fn from_master(comm: &mut IcclComm) -> LmonResult<Bytes> {
+/// A sibling's first broadcast from its master: the launch-info message in
+/// LMONP's wire form, whose payload sections come back as views of the one
+/// broadcast buffer. An error if the master's handshake failed, or if the
+/// bytes are not exactly one message.
+pub(crate) fn from_master(comm: &mut IcclComm) -> LmonResult<LmonpMsg> {
     let first = comm.broadcast(None).map_err(LmonError::Iccl)?;
     if first == SHUTDOWN_SENTINEL {
         return Err(LmonError::Engine("the master's handshake failed".into()));
     }
-    Ok(first)
+    Ok(decode_msg_view(&first)?)
 }
 
 /// A daemon's channel to the front end: only the master holds one.
@@ -253,15 +260,16 @@ mod tests {
     use lmon_cluster::node::NodeId;
     use lmon_cluster::process::ProcSpec;
     use lmon_cluster::VirtualCluster;
-    use lmon_iccl::{ChannelFabric, Topology};
+    use lmon_proto::frame::encode_wire;
     use lmon_proto::rpdtab::synthetic_rpdtab;
     use lmon_proto::transport::LocalChannel;
     use lmon_proto::wire::{put_seq, WireEncode};
-    use lmon_rm::api::DaemonBody;
+    use lmon_rm::api::{daemon_comms, DaemonBody};
 
     use super::*;
-    use crate::be::{be_bootstrap, wrap_be_main, BeMain};
-    use crate::mw::{assign_personalities, mw_bootstrap, wrap_mw_main, MwMain};
+    use crate::be::{BackEnd, BeMain};
+    use crate::daemon_session::{bootstrap, wrap};
+    use crate::mw::{assign_personalities, Middleware, MwMain};
 
     /// What the daemon side made of the handshake: the piggybacked tool
     /// data and the RPDTAB bytes it took delivery of.
@@ -281,9 +289,9 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let mut spec = ProcSpec::named("toold");
         spec.env = env;
-        let mut fabric = ChannelFabric::mesh(2);
-        let sibling = IcclComm::new(fabric.pop().expect("rank 1"), Topology::Binomial);
-        let mut comm = IcclComm::new(fabric.pop().expect("rank 0"), Topology::Binomial);
+        let mut comms = daemon_comms(2);
+        let sibling = comms.pop().expect("rank 1");
+        let mut comm = comms.pop().expect("rank 0");
         let body = move |ctx: ProcCtx| {
             let greeted =
                 hs.greet(&slot, &ctx, &mut comm, Ok).and_then(|(chan, launch_info, table)| {
@@ -358,6 +366,46 @@ mod tests {
         }
     }
 
+    /// A sibling takes its launch info and tool data as views of the one
+    /// message its master broadcast. Bytes cut inside the header, a payload
+    /// length that runs past the end, or bytes after the message fail the
+    /// sibling the way the shutdown sentinel does: an error at once, never
+    /// a panic.
+    #[test]
+    fn a_sibling_takes_a_whole_launch_info_and_refuses_a_malformed_one() {
+        let info = LmonpMsg::of_type(MW.launch_info)
+            .with_lmon_payload(b"launch info".to_vec())
+            .with_usr_payload(b"tool data".to_vec());
+        let good = encode_wire(&info);
+        let mut trailing = good.to_vec();
+        trailing.push(0);
+        for (sent, whole) in [
+            (good.to_vec(), true),
+            (SHUTDOWN_SENTINEL.to_vec(), false),
+            (vec![], false),
+            (good[..2].to_vec(), false),
+            (good[..good.len() - 1].to_vec(), false),
+            (trailing, false),
+        ] {
+            let mut comms = daemon_comms(2);
+            let mut sibling = comms.pop().expect("rank 1");
+            let sent = Bytes::from(sent);
+            comms[0].broadcast(Some(sent.clone())).expect("the master broadcasts");
+            match from_master(&mut sibling) {
+                Ok(got) => {
+                    assert!(whole, "a sibling accepted a malformed launch info {sent:?}");
+                    assert_eq!((&got.lmon[..], &got.usr[..]), (&info.lmon[..], &info.usr[..]));
+                    assert_eq!(
+                        got.lmon.as_ptr(),
+                        sent[16..].as_ptr(),
+                        "the launch info was copied"
+                    );
+                }
+                Err(e) => assert!(!whole, "a sibling refused a whole launch info: {e}"),
+            }
+        }
+    }
+
     /// What one daemon of a bootstrapped session holds: its rank, the tool
     /// data, the table's length and its own rows' ranks, and for middleware
     /// the rank its personality names.
@@ -387,7 +435,7 @@ mod tests {
                 let (rank, usrdata, table) = (be.rank(), be.usrdata().to_vec(), be.task_count());
                 let _ = held.send(Holds { rank, usrdata, table, local, personality: None });
             });
-            (wrap_be_main(tool, Box::new(master), TimelineRecorder::new()), Bytes::new())
+            (wrap(tool, Box::new(master), Some(TimelineRecorder::new())), Bytes::new())
         } else {
             let tool: MwMain = Arc::new(move |mw| {
                 let local = mw.proctable().local_tasks(mw.hostname()).map(|d| d.rank).collect();
@@ -402,21 +450,21 @@ mod tests {
             let hosts: Vec<String> = (0..MEMBERS).map(|i| format!("node{i:05}")).collect();
             let mut personalities = Vec::new();
             put_seq(&mut personalities, &assign_personalities(&hosts, 2));
-            (wrap_mw_main(tool, Box::new(master)), personalities.into())
+            (wrap(tool, Box::new(master), None), personalities.into())
         }
     }
 
     /// Bootstrap one class's `MEMBERS` daemons, one per node, except the
-    /// ranks in `silent`, whose fabric endpoints are returned unused: they
+    /// ranks in `silent`, whose comms are returned unused: they
     /// never report. The FE side admits the master and delivers with
     /// `ready_within`; returns its outcome, what the running daemons sent
-    /// from their tool bodies, the silent endpoints and the FE end of the
+    /// from their tool bodies, the silent comms and the FE end of the
     /// master channel.
     fn bootstrap_class(
         hs: &'static Handshake,
         silent: &[u32],
         ready_within: Duration,
-    ) -> (LmonResult<LmonpMsg>, mpsc::Receiver<Holds>, Vec<ChannelFabric>, LocalChannel) {
+    ) -> (LmonResult<LmonpMsg>, mpsc::Receiver<Holds>, Vec<IcclComm>, LocalChannel) {
         let cluster = VirtualCluster::new(ClusterConfig::with_nodes(MEMBERS as usize));
         let cookie = SessionCookie::mint_seeded(7);
         let (fe, daemon_end) = LocalChannel::pair();
@@ -425,15 +473,15 @@ mod tests {
         let mut spec = ProcSpec::named("toold");
         spec.env = cookie_env(&cookie);
         let mut unused = Vec::new();
-        for ep in ChannelFabric::mesh(MEMBERS) {
-            let rank = ep.rank();
+        for comm in daemon_comms(MEMBERS) {
+            let rank = comm.rank();
             if silent.contains(&rank) {
-                unused.push(ep);
+                unused.push(comm);
                 continue;
             }
             let body = body.clone();
             let node = NodeId::Compute(rank);
-            cluster.spawn_active(node, spec.clone(), move |ctx| body(ctx, ep)).unwrap();
+            cluster.spawn_active(node, spec.clone(), move |ctx| body(ctx, comm)).unwrap();
         }
         hs.admit(&fe, &cookie, STEP).expect("hello admitted");
         let table = synthetic_rpdtab(MEMBERS as usize, TASKS_PER_NODE, "app").to_bytes();
@@ -515,16 +563,17 @@ mod tests {
             let (tx, outcomes) = mpsc::channel();
             let mut spec = ProcSpec::named("toold");
             spec.env = cookie_env(&cookie);
-            for ep in ChannelFabric::mesh(N) {
+            for comm in daemon_comms(N) {
                 let (rank, slot, bodies, tx) =
-                    (ep.rank(), slot.clone(), bodies.clone(), tx.clone());
+                    (comm.rank(), slot.clone(), bodies.clone(), tx.clone());
                 let body = move |ctx: ProcCtx| {
                     let booted = if hs.ready == BE.ready {
-                        be_bootstrap(ctx, ep, &slot, &TimelineRecorder::new()).map(drop)
+                        bootstrap::<BackEnd>(ctx, comm, &slot, Some(&TimelineRecorder::new()))
+                            .map(drop)
                     } else {
-                        mw_bootstrap(ctx, ep, &slot).map(drop)
+                        bootstrap::<Middleware>(ctx, comm, &slot, None).map(drop)
                     };
-                    // What `wrap_be_main` and `wrap_mw_main` do on `Ok`.
+                    // What `daemon_session::wrap` does on `Ok`.
                     if booted.is_ok() {
                         bodies.fetch_add(1, Ordering::SeqCst);
                     }

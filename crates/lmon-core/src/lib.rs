@@ -18,6 +18,9 @@
 //!   `amIMaster`, local proctable slices, and the four ICCL collectives.
 //! * **[`mw`]** — the middleware API for TBON daemons: personality handles,
 //!   the RM fabric, and RPDTAB distribution.
+//! * **[`daemon_session`]** — what [`be`] and [`mw`] share: one session
+//!   type, of which `BeSession` and `MwSession` are the two instances, and
+//!   one bootstrap both classes run.
 //!
 //! The three entry points (`launchAndSpawn`, `attachAndSpawn`,
 //! `launchMwDaemons`) are one co-location mechanism with one implementation
@@ -27,9 +30,9 @@
 //! master daemon, the private `handshake` module holds the four-message
 //! LMONP bootstrap (hello + cookie → launch info + piggyback → RPDTAB →
 //! ready) once, parameterised by the message types of the pair's
-//! `msg_class`; [`fe`], [`be`] and [`mw`] are its callers and keep what
-//! really differs — what the launch info contains, the broadcast sequence,
-//! the timeline marks, the session types.
+//! `msg_class`; [`fe`] and [`daemon_session`] are its callers, and [`be`]
+//! and [`mw`] keep what really differs — what the launch info contains and
+//! what a daemon makes of it, the timeline marks, the class-only calls.
 //!
 //! * **[`session`]** — session ids and lifecycle states binding FE calls to
 //!   daemon groups (§3.2: "we use a session, an abstraction for a group of
@@ -56,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod be;
+pub mod daemon_session;
 pub mod engine;
 pub mod error;
 pub mod fe;

@@ -1,6 +1,6 @@
-//! Middleware-API tests beyond the launch path: personality-addressed
-//! point-to-point traffic, MW usrdata both ways, and piggybacked bootstrap
-//! data — the §3.4 surface a TBON implementation builds on.
+//! Middleware-API tests beyond the launch path: MW usrdata both ways,
+//! piggybacked bootstrap data and the distributed RPDTAB — the §3.4
+//! surface a TBON implementation builds on.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -26,38 +26,6 @@ fn fe_with_job(job_nodes: usize, extra_nodes: usize) -> LmonFrontEnd {
     fe.launch_and_spawn(session, "app", &[], job_nodes, 2, DaemonSpec::bare("bed"), idle)
         .expect("job launch");
     fe
-}
-
-#[test]
-fn mw_point_to_point_by_personality_handle() {
-    let fe = fe_with_job(2, 4);
-    let session = lmon_core::session::SessionId(0);
-
-    // A ring: each MW daemon sends its rank to (rank+1) % size and checks
-    // what it receives from (rank+size-1) % size.
-    let ok_count = Arc::new(AtomicU32::new(0));
-    let ok = ok_count.clone();
-    let mw_main: MwMain = Arc::new(move |mw| {
-        let size = mw.size();
-        let me = mw.rank();
-        let next = (me + 1) % size;
-        let prev = (me + size - 1) % size;
-        mw.send_to(next, vec![me as u8]).unwrap();
-        let got = mw.recv_from(prev).unwrap();
-        if got == vec![prev as u8] {
-            ok.fetch_add(1, Ordering::SeqCst);
-        }
-        mw.barrier().unwrap();
-    });
-    let outcome =
-        fe.launch_mw_daemons(session, 4, 2, DaemonSpec::bare("commd"), mw_main).expect("mw launch");
-    assert_eq!(outcome.daemon_count, 4);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while ok_count.load(Ordering::SeqCst) < 4 {
-        assert!(std::time::Instant::now() < deadline, "ring never completed");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    fe.shutdown().unwrap();
 }
 
 #[test]

@@ -12,6 +12,8 @@ pub enum IcclError {
         /// Size of the communicator.
         size: u32,
     },
+    /// The rank is in range but not a neighbour of this fabric endpoint.
+    NotNeighbour(u32),
     /// A peer disconnected mid-collective.
     Disconnected,
     /// A scatter was given the wrong number of parts.
@@ -34,6 +36,7 @@ impl fmt::Display for IcclError {
             IcclError::BadRank { rank, size } => {
                 write!(f, "rank {rank} out of range for communicator of size {size}")
             }
+            IcclError::NotNeighbour(rank) => write!(f, "rank {rank} is not a fabric neighbour"),
             IcclError::Disconnected => write!(f, "fabric peer disconnected"),
             IcclError::BadScatterParts { got, want } => {
                 write!(f, "scatter needs {want} parts, got {got}")

@@ -16,7 +16,8 @@
 //!
 //! * [`fabric::ChannelFabric`] — the point-to-point substrate ICCL maps
 //!   onto, handed to daemons by the RM layer (standing in for PMI/srun's
-//!   fabric).
+//!   fabric). The RM builds it as a tree: each endpoint reaches only its
+//!   schedule's parent and children, the only ranks a collective talks to.
 //! * [`topology::Topology`] — flat (1-to-N), binomial, or k-ary tree
 //!   schedules. The topology choice is a measured ablation in the bench
 //!   suite: flat gathers are linear at the master, trees are logarithmic.

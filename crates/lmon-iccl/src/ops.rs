@@ -1,8 +1,9 @@
 //! The four ICCL collectives: barrier, broadcast, gather, scatter.
 //!
-//! SPMD usage: every daemon in the session constructs an [`IcclComm`] over
-//! its fabric endpoint and calls the same sequence of collectives. Rank 0
-//! is always the master (the paper's master back-end daemon).
+//! SPMD usage: every daemon in the session holds an [`IcclComm`] over its
+//! fabric endpoint (the RM binds it) and calls the same sequence of
+//! collectives. Rank 0 is always the master (the paper's master back-end
+//! daemon).
 
 use std::collections::HashMap;
 
@@ -61,7 +62,10 @@ fn decode_entries(buf: &[u8]) -> IcclResult<Vec<(u32, Vec<u8>)>> {
 }
 
 impl IcclComm {
-    /// Bind a fabric endpoint to a schedule.
+    /// Bind a fabric endpoint to a schedule. Over a
+    /// [`ChannelFabric::tree`] endpoint the schedule must be the fabric's
+    /// own: a hop to any other rank fails with
+    /// [`IcclError::NotNeighbour`].
     pub fn new(fabric: ChannelFabric, topo: Topology) -> Self {
         IcclComm { fabric, topo }
     }
@@ -85,17 +89,6 @@ impl IcclComm {
     /// The schedule in use.
     pub fn topology(&self) -> Topology {
         self.topo
-    }
-
-    /// Borrow the underlying fabric (point-to-point sends alongside
-    /// collectives).
-    pub fn fabric_ref(&self) -> &ChannelFabric {
-        &self.fabric
-    }
-
-    /// Mutably borrow the underlying fabric (point-to-point receives).
-    pub fn fabric_mut(&mut self) -> &mut ChannelFabric {
-        &mut self.fabric
     }
 
     fn parent(&self) -> Option<u32> {
@@ -238,7 +231,7 @@ mod tests {
         f: impl Fn(IcclComm) -> R + Send + Sync + 'static,
     ) -> Vec<R> {
         let f = std::sync::Arc::new(f);
-        let endpoints = ChannelFabric::mesh(n);
+        let endpoints = ChannelFabric::tree(n, topo);
         let handles: Vec<_> = endpoints
             .into_iter()
             .map(|ep| {

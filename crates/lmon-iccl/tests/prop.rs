@@ -1,4 +1,5 @@
-//! Property tests: collectives must be correct for any topology and size.
+//! Property tests: collectives must be correct for any topology and size,
+//! and the same over a full mesh as over the neighbour-only tree fabric.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -9,23 +10,31 @@ fn arb_topology() -> impl Strategy<Value = Topology> {
     prop_oneof![Just(Topology::Flat), Just(Topology::Binomial), (1u32..9).prop_map(Topology::KAry),]
 }
 
-/// Run one closure per rank on its own thread.
-fn spmd<R: Send + 'static>(
+/// Run one closure per rank on its own thread, once over a full mesh and
+/// once over the neighbour-only tree fabric the RM hands daemons: both
+/// fabrics must give every rank the same result, which is returned.
+fn spmd<R: Send + PartialEq + std::fmt::Debug + 'static>(
     n: u32,
     topo: Topology,
     f: impl Fn(IcclComm) -> R + Send + Sync + 'static,
 ) -> Vec<R> {
     let f = Arc::new(f);
-    ChannelFabric::mesh(n)
-        .into_iter()
-        .map(|ep| {
-            let f = f.clone();
-            std::thread::spawn(move || f(IcclComm::new(ep, topo)))
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|h| h.join().unwrap())
-        .collect()
+    let run = |fabric: Vec<ChannelFabric>| -> Vec<R> {
+        fabric
+            .into_iter()
+            .map(|ep| {
+                let f = f.clone();
+                std::thread::spawn(move || f(IcclComm::new(ep, topo)))
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect()
+    };
+    let over_mesh = run(ChannelFabric::mesh(n));
+    let over_tree = run(ChannelFabric::tree(n, topo));
+    assert_eq!(over_mesh, over_tree, "{topo:?} at n={n}: the tree fabric disagrees with the mesh");
+    over_tree
 }
 
 proptest! {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use lmon_cluster::node::NodeId;
 use lmon_cluster::process::{Pid, ProcCtx};
 use lmon_cluster::VirtualCluster;
-use lmon_iccl::ChannelFabric;
+use lmon_iccl::{ChannelFabric, IcclComm, Topology};
 
 /// Errors from RM operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,9 +140,18 @@ impl fmt::Debug for JobHandle {
 }
 
 /// The body run by each co-spawned daemon: receives its process context and
-/// its endpoint of the fabric the RM built for the spawn (rank = the
-/// daemon's position in the allocation).
-pub type DaemonBody = Arc<dyn Fn(ProcCtx, ChannelFabric) + Send + Sync + 'static>;
+/// its communicator over the fabric the RM built for the spawn (rank = the
+/// daemon's position in the allocation), from [`daemon_comms`].
+pub type DaemonBody = Arc<dyn Fn(ProcCtx, IcclComm) + Send + Sync + 'static>;
+
+/// The communicators a spawn of `n` daemons hands them, in rank order. The
+/// daemons' one schedule is a binomial tree, and their fabric holds only its
+/// links: each endpoint reaches its parent and children, 2(n−1) senders in
+/// all where a mesh holds n(n−1).
+pub fn daemon_comms(n: u32) -> Vec<IcclComm> {
+    let topology = Topology::Binomial;
+    ChannelFabric::tree(n, topology).into_iter().map(|ep| IcclComm::new(ep, topology)).collect()
+}
 
 /// The uniform RM surface the LaunchMON engine programs against.
 pub trait ResourceManager: Send + Sync {

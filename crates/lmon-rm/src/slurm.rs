@@ -15,12 +15,13 @@ use lmon_cluster::node::{Node, NodeId};
 use lmon_cluster::process::{Pid, ProcSpec, TaskBlock};
 use lmon_cluster::trace::TraceEvent;
 use lmon_cluster::VirtualCluster;
-use lmon_iccl::ChannelFabric;
 use lmon_proto::rpdtab::RpdtabWriter;
 use lmon_proto::wire::WireEncode;
 
 use crate::allocator::NodeAllocator;
-use crate::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmError, RmResult};
+use crate::api::{
+    daemon_comms, Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmError, RmResult,
+};
 use crate::mpir;
 
 /// How many debugger-visible events a launcher generates during startup.
@@ -163,20 +164,20 @@ impl RmCore {
     ) -> RmResult<Vec<Pid>> {
         // The RM's fabric for this spawn: endpoint `i` goes to the daemon
         // on the allocation's `i`-th node, so rank 0 is the master's.
-        let endpoints = ChannelFabric::mesh(alloc.nodes.len() as u32);
+        let comms = daemon_comms(alloc.nodes.len() as u32);
         // Reserve one pid per node in node order, then place the daemons in
         // waves of `launch_workers` on this thread: daemon `i` always gets
         // pid `block.pid(i)`, and each wave pays the spawn latency once.
         let block = self.cluster.reserve_pids(alloc.nodes.len());
-        let daemons = alloc.nodes.iter().zip(endpoints).map(|(&node_id, ep)| {
+        let daemons = alloc.nodes.iter().zip(comms).map(|(&node_id, comm)| {
             let mut spec = ProcSpec::named(exe);
             spec.args = args.to_vec();
             spec.env = env.to_vec();
             spec = spec
-                .env_kv("LMON_BE_RANK", &ep.rank().to_string())
-                .env_kv("LMON_BE_SIZE", &ep.size().to_string());
+                .env_kv("LMON_BE_RANK", &comm.rank().to_string())
+                .env_kv("LMON_BE_SIZE", &comm.size().to_string());
             let body = body.clone();
-            (node_id, spec, move |ctx| body(ctx, ep))
+            (node_id, spec, move |ctx| body(ctx, comm))
         });
         let results = self.cluster.spawn_active_waves(&block, self.launch_workers, daemons, stop);
         if let Some(e) = results.iter().find_map(|r| r.as_ref().err()) {
@@ -322,7 +323,6 @@ mod tests {
     use lmon_cluster::procfs::synth_task_stats;
     use lmon_cluster::trace::TraceController;
     use lmon_cluster::ClusterError;
-    use lmon_iccl::{IcclComm, Topology};
     use lmon_proto::rpdtab::{CheckedRpdtab, ProcDesc, Rpdtab};
     use std::time::Duration;
 
@@ -478,8 +478,7 @@ mod tests {
         let rm = rm(4);
         let handle = rm.launch_job(&JobSpec::new("app", 4, 2), false).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        let body: DaemonBody = Arc::new(move |ctx, ep| {
-            let mut comm = IcclComm::new(ep, Topology::Binomial);
+        let body: DaemonBody = Arc::new(move |ctx, mut comm| {
             let gathered = comm.gather(ctx.hostname.clone().into_bytes()).unwrap();
             if let Some(hosts) = gathered {
                 tx.send(hosts).unwrap();
@@ -509,7 +508,7 @@ mod tests {
                 .with_launch_workers(workers);
             let handle = rm.launch_job(&JobSpec::new("app", 8, 4), false).unwrap();
             let table = published_table(&rm, &handle);
-            let body: DaemonBody = Arc::new(|_ctx, _ep| {});
+            let body: DaemonBody = Arc::new(|_ctx, _comm| {});
             let daemons =
                 rm.spawn_daemons(&handle.allocation, "toold", &[], &[], body, &|| false).unwrap();
             for pid in &daemons {
@@ -675,7 +674,7 @@ mod tests {
         };
         let baseline = records();
         assert_eq!(baseline.iter().sum::<usize>(), 4);
-        let body: DaemonBody = Arc::new(|ctx, _ep| {
+        let body: DaemonBody = Arc::new(|ctx, _comm| {
             while !ctx.killed() {
                 std::thread::sleep(Duration::from_millis(1));
             }
