@@ -138,6 +138,14 @@ count -eq 1 fn:end_session $DAEMON 'fe\.kill\(' 'fe.kill(sid)' "daemon.rs: fe.ki
 # no job is special-cased as unclaimed.
 forbid file $ENGINE 'placing: bool' 'placing: bool,' "engine: the placing flag is back"
 forbid file $ENGINE 'unclaimed' 'let unclaimed = 1;' "engine: the unclaimed-job special case is back"
+# One authority for a session's life: the engine's mint is the one place a
+# record enters its session table, so no lookup files one on the side.
+forbid file $ENGINE '\.or_default\(\)' 'sessions.lock().entry(id).or_default()' \
+  "engine: a lookup files a session record"
+count -eq 1 live $ENGINE '\.(insert|entry)\(' 'table.live.insert(id, session);' \
+  "engine: the session table gains records in more than one place"
+count -eq 1 fn:mint $ENGINE/mod.rs '\.(insert|entry)\(' 'table.live.insert(id, session);' \
+  "engine: the session table gains records outside Engine::mint"
 
 # One job spec: the job id and ranks live on the node's task block, and the
 # RM's kill matches the block's job id, never a string in a task's env.

@@ -80,14 +80,20 @@ pub struct EngineEndpoint {
 }
 
 impl EngineEndpoint {
+    /// Mint a new session's id and file its record with the engine: the
+    /// only ids a spawn-bearing command is taken for.
+    pub fn mint_session(&self) -> SessionId {
+        self.engine.mint()
+    }
+
     /// Start an exchange without waiting for any reply: give the command a
     /// fresh reply channel and hand back an [`Exchange`] from which replies
     /// are consumed one at a time. A kill or detach is served on this
-    /// thread; a spawn-bearing command is filed with the engine and queued
-    /// for its command loop. This is the pipelining primitive — the launch
-    /// path consumes the RPDTAB reply and runs the tool's pack callback
-    /// while the engine is still spawning daemons, then waits for the spawn
-    /// ack.
+    /// thread; a spawn-bearing command is queued for the engine's command
+    /// loop if its session was minted and is not ending, and refused here
+    /// otherwise. This is the pipelining primitive — the launch path
+    /// consumes the RPDTAB reply and runs the tool's pack callback while the
+    /// engine is still spawning daemons, then waits for the spawn ack.
     pub fn begin_exchange(&self, cmd: EngineCommand) -> LmonResult<Exchange> {
         let (reply, replies) = crossbeam_channel::unbounded();
         if let Some(queued) = self.engine.accept(cmd, reply) {
@@ -160,7 +166,7 @@ mod tests {
         LmonpMsg::of_type(mtype).with_tag(tag)
     }
 
-    fn command(mtype: MsgType, session: u32) -> EngineCommand {
+    fn command(mtype: MsgType, session: u64) -> EngineCommand {
         EngineCommand::control(SessionId(session), LmonpMsg::of_type(mtype))
     }
 
@@ -169,17 +175,18 @@ mod tests {
     fn test_channel() -> (EngineEndpoint, EngineInlet) {
         let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
         let rm = std::sync::Arc::new(SlurmRm::new(cluster));
-        engine_channel(Engine { rm, sessions: Default::default() })
+        engine_channel(Engine { rm, sessions: Default::default(), minted: Default::default() })
     }
 
     #[test]
     fn commands_carry_their_sidecar_and_replies_flow() {
         let (fe, inlet) = test_channel();
-        let mut cmd = command(MsgType::FeLaunchReq, 7);
+        let session = fe.mint_session();
+        let mut cmd = command(MsgType::FeLaunchReq, session.0);
         cmd.sidecar.daemon_exe = "tool_daemon".into();
         let ex = fe.begin_exchange(cmd).unwrap();
         let (got, reply) = inlet.recv().unwrap();
-        assert_eq!(got.session, SessionId(7), "the session travels with its command");
+        assert_eq!(got.session, session, "the session travels with its command");
         assert_eq!(got.msg.mtype, MsgType::FeLaunchReq);
         assert_eq!(got.sidecar.daemon_exe, "tool_daemon", "the sidecar travels with its command");
         reply.send(control_msg(MsgType::EngineAck, 7)).unwrap();
@@ -189,13 +196,14 @@ mod tests {
     #[test]
     fn dropped_engine_surfaces_as_error() {
         let (fe, inlet) = test_channel();
+        let session = fe.mint_session().0;
         // An exchange in flight when the engine goes learns it from its
         // reply channel, not from its timeout.
-        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 0)).unwrap();
+        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, session)).unwrap();
         drop(inlet);
         let err = ex.next(Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, LmonError::Engine(_)), "{err:?}");
-        let again = fe.begin_exchange(command(MsgType::FeLaunchReq, 0));
+        let again = fe.begin_exchange(command(MsgType::FeLaunchReq, session));
         assert!(again.is_err());
     }
 
@@ -215,7 +223,8 @@ mod tests {
     #[test]
     fn an_unanswered_exchange_times_out() {
         let (fe, _inlet) = test_channel();
-        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 0)).unwrap();
+        let session = fe.mint_session().0;
+        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, session)).unwrap();
         let err = ex.next(Duration::from_millis(10)).unwrap_err();
         assert!(matches!(err, LmonError::Timeout(_)));
     }
@@ -227,26 +236,28 @@ mod tests {
         // how the engine learns the launch was abandoned — and an MW spawn
         // exchange on the *same session* must see only its own reply.
         let (fe, inlet) = test_channel();
+        let session = fe.mint_session();
         let err = fe
-            .exchange(command(MsgType::FeLaunchReq, 5), 2, Duration::from_millis(10))
+            .exchange(command(MsgType::FeLaunchReq, session.0), 2, Duration::from_millis(10))
             .unwrap_err();
         assert!(matches!(err, LmonError::Timeout(_)));
 
         let (launch, stale) = inlet.recv().unwrap();
-        assert_eq!(launch.session, SessionId(5));
+        assert_eq!(launch.session, session);
 
         let h = std::thread::spawn(move || {
             let (spawn, reply) = inlet.recv().unwrap();
             assert_eq!(spawn.msg.mtype, MsgType::FeSpawnMwReq);
-            assert_eq!(spawn.session, SessionId(5));
+            assert_eq!(spawn.session, session);
             // The engine catches up on the timed-out launch only now.
             assert!(stale.send(control_msg(MsgType::EngineRpdtab, 5)).is_err());
             assert!(stale.send(control_msg(MsgType::EngineAck, 5)).is_err());
             reply.send(control_msg(MsgType::EngineStatus, 5)).unwrap();
             inlet
         });
-        let replies =
-            fe.exchange(command(MsgType::FeSpawnMwReq, 5), 1, Duration::from_secs(5)).unwrap();
+        let replies = fe
+            .exchange(command(MsgType::FeSpawnMwReq, session.0), 1, Duration::from_secs(5))
+            .unwrap();
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].mtype, MsgType::EngineStatus, "stale same-tag replies never arrive");
         h.join().unwrap();
@@ -259,14 +270,15 @@ mod tests {
         // replies. Each exchange must come back with exactly its own.
         let (fe, inlet) = test_channel();
         let fe = std::sync::Arc::new(fe);
+        let (s5, s9) = (fe.mint_session(), fe.mint_session());
 
         let engine = std::thread::spawn(move || {
             let first = inlet.recv().unwrap();
             let second = inlet.recv().unwrap();
             let (launch5, launch9) =
-                if first.0.session == SessionId(5) { (first, second) } else { (second, first) };
-            assert_eq!(launch5.0.session, SessionId(5));
-            assert_eq!(launch9.0.session, SessionId(9));
+                if first.0.session == s5 { (first, second) } else { (second, first) };
+            assert_eq!(launch5.0.session, s5);
+            assert_eq!(launch9.0.session, s9);
             let (reply5, reply9) = (launch5.1, launch9.1);
             reply9.send(control_msg(MsgType::EngineRpdtab, 9)).unwrap();
             reply5.send(control_msg(MsgType::EngineRpdtab, 5)).unwrap();
@@ -276,10 +288,10 @@ mod tests {
 
         let fe5 = fe.clone();
         let t5 = std::thread::spawn(move || {
-            fe5.exchange(command(MsgType::FeLaunchReq, 5), 2, Duration::from_secs(10)).unwrap()
+            fe5.exchange(command(MsgType::FeLaunchReq, s5.0), 2, Duration::from_secs(10)).unwrap()
         });
         let t9 = std::thread::spawn(move || {
-            fe.exchange(command(MsgType::FeLaunchReq, 9), 2, Duration::from_secs(10)).unwrap()
+            fe.exchange(command(MsgType::FeLaunchReq, s9.0), 2, Duration::from_secs(10)).unwrap()
         });
 
         let r5 = t5.join().unwrap();
@@ -296,7 +308,8 @@ mod tests {
     #[test]
     fn incremental_exchange_interleaves_replies_with_caller_work() {
         let (fe, inlet) = test_channel();
-        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, 4)).unwrap();
+        let session = fe.mint_session().0;
+        let ex = fe.begin_exchange(command(MsgType::FeLaunchReq, session)).unwrap();
         let (_cmd, reply) = inlet.recv().unwrap();
         let early = ex.next(Duration::from_millis(5));
         assert!(matches!(early, Err(LmonError::Timeout(_))), "no reply sent yet: {early:?}");
@@ -321,8 +334,9 @@ mod tests {
             reply.send(error.with_lmon_payload(b"boom".to_vec()).as_error()).unwrap();
             inlet
         });
+        let session = fe.mint_session().0;
         let replies =
-            fe.exchange(command(MsgType::FeLaunchReq, 5), 2, Duration::from_secs(5)).unwrap();
+            fe.exchange(command(MsgType::FeLaunchReq, session), 2, Duration::from_secs(5)).unwrap();
         assert_eq!(replies.len(), 1, "error replies are terminal");
         assert!(replies[0].error);
         h.join().unwrap();

@@ -20,8 +20,8 @@
 //! * `FeSpawnMwReq` — allocate middleware nodes and launch TBON daemons.
 //! * `FeDetachReq` / `FeKillReq` — release or destroy the session's job.
 //!
-//! The three spawning requests are filed one way, as placing, before they
-//! are queued, and bulk-launch through one function on a worker thread.
+//! The three spawning requests, for minted sessions only, are marked placing
+//! before they are queued, and bulk-launch through one function on a worker thread.
 //! Launch and attach share everything that follows "job stopped, RPDTAB in
 //! hand". Detach and kill are calls on the engine's session table, made on
 //! the caller's thread: they queue behind nothing and wake no engine
@@ -73,10 +73,8 @@ enum EngineJob {
 }
 
 /// Everything the engine holds for one session, shared between the front
-/// end's calls and the spawn workers: filed when a spawn-bearing command is
-/// sent, it owns what its commands place until `end_session` removes it
-/// whole.
-#[derive(Default)]
+/// end's calls and the spawn workers: filed when its id is minted, it owns
+/// what its commands place until `end_session` removes it whole.
 struct EngineSession {
     /// The job under engine control, from the moment it exists.
     job: Option<EngineJob>,
@@ -92,13 +90,13 @@ struct EngineSession {
 }
 
 /// Where a session is in its one lifecycle.
-#[derive(Default)]
 enum Phase {
+    /// Minted, with no spawn-bearing command yet: an end finds no job.
+    Minted,
     /// A launch, attach or MW spawn is placing daemons; a kill or detach
     /// that comes in meanwhile waits here, with its reply channel.
     Placing { ending: Option<(JobStatus, Sender<LmonpMsg>)> },
     /// Nothing is placing: a kill or detach ends the session at once.
-    #[default]
     Live,
 }
 
@@ -119,18 +117,19 @@ struct SpawnCmd<'a> {
 pub struct Engine {
     rm: Arc<dyn ResourceManager>,
     sessions: Arc<parking_lot::Mutex<HashMap<SessionId, EngineSession>>>,
+    minted: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl Engine {
     /// Spawn the engine as a process on the cluster front end, returning
     /// the FE-side endpoint and the engine's pid.
     pub fn spawn(rm: Arc<dyn ResourceManager>) -> LmonResult<(EngineEndpoint, Pid)> {
-        let engine = Engine { rm, sessions: Arc::default() };
+        let engine = Engine { rm, sessions: Arc::default(), minted: Arc::default() };
         let cluster = engine.rm.cluster().clone();
         let (fe_end, inlet) = channel::engine_channel(engine.clone());
         let pid = cluster
             .spawn_active(NodeId::FrontEnd, ProcSpec::named("launchmon_engine"), move |_ctx| {
-                // Only spawn-bearing commands are queued, each filed already.
+                // Only spawn-bearing commands are queued, each placing already.
                 // They run on worker threads, so concurrent launches overlap;
                 // each answers on its exchange's channel.
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -148,11 +147,20 @@ impl Engine {
         Ok((fe_end, pid))
     }
 
+    /// Mint the next id, never reusing one, and file its record under the lock.
+    fn mint(&self) -> SessionId {
+        let mut sessions = self.sessions.lock();
+        let id = SessionId(self.minted.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
+        let (job, ctl, daemons, mw_allocs) = (None, None, Vec::new(), Vec::new());
+        sessions.insert(id, EngineSession { job, ctl, daemons, mw_allocs, phase: Phase::Minted });
+        id
+    }
+
     /// Take one command on the caller's thread. A kill or detach acts on the
     /// session table here and answers on `reply` (at once, unless a placing
-    /// worker keeps it). A spawn-bearing command is filed `Placing` and
-    /// handed back for the command loop, so a kill sent after this returns
-    /// always finds it. Anything else is answered with an error.
+    /// worker keeps it). A spawn-bearing command for a minted session not
+    /// ending is marked `Placing` and handed back for the command loop, so a
+    /// kill sent after this returns always finds it; anything else is refused.
     fn accept(
         &self,
         cmd: EngineCommand,
@@ -163,9 +171,13 @@ impl Engine {
             MsgType::FeKillReq => self.request_end(id, JobStatus::Killed, reply),
             MsgType::FeDetachReq => self.request_end(id, JobStatus::Detached, reply),
             MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq => {
-                let filed = Phase::Placing { ending: None };
-                self.sessions.lock().entry(id).or_default().phase = filed;
-                return Some((cmd, reply));
+                match self.sessions.lock().get_mut(&id) {
+                    Some(s) if !matches!(s.phase, Phase::Placing { ending: Some(_) }) => {
+                        s.phase = Phase::Placing { ending: None };
+                        return Some((cmd, reply));
+                    }
+                    _ => drop(reply.send(error_reply(format!("no session {}", id.0)))),
+                }
             }
             other => drop(reply.send(error_reply(format!("unexpected {other:?}")))),
         }
@@ -267,7 +279,7 @@ impl Engine {
         let cluster = self.rm.cluster();
         let nodes = rpdtab.hosts().into_iter().map(|h| cluster.node_by_host(&h).map(|n| n.id));
         let nodes = nodes.collect::<Result<_, _>>().map_err(|e| format!("host map: {e}"))?;
-        let alloc = Allocation { id: u64::from(cmd.session.0), nodes };
+        let alloc = Allocation { id: cmd.session.0, nodes };
         let bytes = rpdtab.bytes().clone();
         self.place(cmd.session, |s| s.job = Some(EngineJob::Attached { launcher_pid, rpdtab }))?;
         self.colocate(cmd, ctl, bytes, &alloc)
@@ -399,7 +411,8 @@ impl Engine {
     /// launch that never acked (it has no trace yet). An end a placing
     /// session kept wins over `end`; it and `reply` are answered.
     fn end_session(&self, id: SessionId, end: JobStatus, reply: Option<Sender<LmonpMsg>>) {
-        let Some(session) = self.sessions.lock().remove(&id) else {
+        let session = self.sessions.lock().remove(&id);
+        let Some(session) = session.filter(|s| !matches!(s.phase, Phase::Minted)) else {
             let verb = if end == JobStatus::Killed { "kill" } else { "detach" };
             let text = format!("{verb}: no job for session {}", id.0);
             let _ = reply.map(|reply| reply.send(error_reply(text)));
@@ -477,6 +490,55 @@ mod tests {
     use lmon_cluster::VirtualCluster;
 
     const SHORT_WAIT: Duration = Duration::from_secs(5);
+
+    fn engine() -> Engine {
+        let cluster = VirtualCluster::new(ClusterConfig::with_nodes(1));
+        let rm = Arc::new(lmon_rm::SlurmRm::new(cluster));
+        Engine { rm, sessions: Arc::default(), minted: Arc::default() }
+    }
+
+    /// Take `mtype` for `id` as `begin_exchange` would: whether it was
+    /// queued, and its reply if it was answered at once.
+    fn take(engine: &Engine, id: SessionId, mtype: MsgType) -> (bool, Option<LmonpMsg>) {
+        let (reply, replies) = crossbeam_channel::unbounded();
+        let queued = engine.accept(EngineCommand::control(id, LmonpMsg::of_type(mtype)), reply);
+        (queued.is_some(), replies.try_recv().ok())
+    }
+
+    #[test]
+    fn ids_are_unique_and_dense() {
+        let engine = engine();
+        assert_eq!([engine.mint(), engine.mint()], [SessionId(0), SessionId(1)]);
+        assert_eq!(engine.sessions.lock().len(), 2);
+    }
+
+    /// Minted ids are distinct and an ended one is never minted again; a
+    /// spawn-bearing command on an id never minted, or already ended, is
+    /// refused with an error and files no record.
+    #[test]
+    fn only_a_minted_session_takes_a_spawn() {
+        let engine = engine();
+        let (ended, live) = (engine.mint(), engine.mint());
+        let (queued, answer) = take(&engine, ended, MsgType::FeKillReq);
+        assert!(!queued && answer.is_some_and(|m| m.error), "a session that placed nothing");
+        let mut ids: Vec<SessionId> = (0..4).map(|_| engine.mint()).collect();
+        ids.extend([ended, live]);
+        ids.sort();
+        ids.dedup();
+        assert_eq!(ids.len(), 6, "every minted id is new: {ids:?}");
+        let filed = engine.sessions.lock().len();
+        for id in [ended, SessionId(99)] {
+            for mtype in [MsgType::FeLaunchReq, MsgType::FeAttachReq, MsgType::FeSpawnMwReq] {
+                let (queued, answer) = take(&engine, id, mtype);
+                assert!(!queued, "{mtype:?} on session {} was queued", id.0);
+                let answer = answer.expect("a refusal is answered at once");
+                assert!(answer.error && answer.mtype == MsgType::EngineError, "{answer:?}");
+            }
+        }
+        assert_eq!(engine.sessions.lock().len(), filed, "a refused spawn files no record");
+        let (queued, answer) = take(&engine, live, MsgType::FeSpawnMwReq);
+        assert!(queued && answer.is_none(), "a minted session's spawn is queued");
+    }
 
     /// A launcher that waits for the go signal, raises `forks` fork events,
     /// optionally stops at an unexpected symbol, then hits

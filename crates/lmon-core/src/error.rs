@@ -19,7 +19,7 @@ pub enum LmonError {
     /// Collective-layer failure inside a daemon.
     Iccl(IcclError),
     /// Referenced an unknown session.
-    NoSuchSession(u32),
+    NoSuchSession(u64),
     /// The session is not in the state the operation requires.
     BadSessionState {
         /// What the operation needed.

@@ -138,8 +138,6 @@ const ENDED_SESSION_CAP: usize = 64;
 /// session.
 #[derive(Default)]
 struct Sessions {
-    /// The next id to hand out (skipping live ones once it wraps).
-    next_id: u32,
     live: HashMap<SessionId, FeSession>,
     ended: VecDeque<EndedSession>,
     /// Lifetime health transitions recorded.
@@ -150,18 +148,6 @@ struct Sessions {
 }
 
 impl Sessions {
-    /// Create a session with the given cookie under a fresh id. After 2³²
-    /// sessions the counter wraps; ids of sessions still live are skipped.
-    fn create(&mut self, cookie: SessionCookie) -> SessionId {
-        while self.live.contains_key(&SessionId(self.next_id)) {
-            self.next_id = self.next_id.wrapping_add(1);
-        }
-        let id = SessionId(self.next_id);
-        self.next_id = self.next_id.wrapping_add(1);
-        self.live.insert(id, FeSession::new(cookie));
-        id
-    }
-
     /// What a live or recently ended session still has: its state,
     /// timeline and health monitor.
     fn view(
@@ -440,9 +426,11 @@ impl LmonFrontEnd {
         }
     }
 
-    /// `LMON_fe_createSession`.
+    /// `LMON_fe_createSession`, under the id the engine mints for it.
     pub fn create_session(&self) -> SessionId {
-        self.sessions.lock().create(SessionCookie::mint())
+        let id = self.engine.mint_session();
+        self.sessions.lock().live.insert(id, FeSession::new(SessionCookie::mint()));
+        id
     }
 
     /// Register the pack callback for FE→BE piggybacked data.
@@ -832,30 +820,17 @@ fn spawn_command(
 mod tests {
     use super::*;
 
-    fn sessions_with(n: usize) -> (Sessions, Vec<SessionId>) {
+    /// File a fresh record under `id`, as `create_session` does with the
+    /// id the engine minted.
+    fn create(sessions: &mut Sessions, id: u64) -> SessionId {
+        sessions.live.insert(SessionId(id), FeSession::new(SessionCookie::mint_seeded(id)));
+        SessionId(id)
+    }
+
+    fn sessions_with(n: u64) -> (Sessions, Vec<SessionId>) {
         let mut sessions = Sessions::default();
-        let ids = (0..n).map(|i| sessions.create(SessionCookie::mint_seeded(i as u64))).collect();
+        let ids = (0..n).map(|i| create(&mut sessions, i)).collect();
         (sessions, ids)
-    }
-
-    #[test]
-    fn ids_are_unique_and_dense() {
-        let (sessions, ids) = sessions_with(2);
-        assert_eq!(ids, [SessionId(0), SessionId(1)]);
-        assert_eq!(sessions.live.len(), 2);
-    }
-
-    /// The id counter wraps after 2³² sessions; a session still live under
-    /// a low id must not be handed out again (its record would be
-    /// overwritten and its mux link id refused).
-    #[test]
-    fn ids_skip_live_sessions_after_the_counter_wraps() {
-        let (mut sessions, ids) = sessions_with(1);
-        sessions.next_id = u32::MAX - 1;
-        let next: Vec<u32> =
-            (0..3).map(|i| sessions.create(SessionCookie::mint_seeded(i)).0).collect();
-        assert_eq!(next, [u32::MAX - 1, u32::MAX, 1], "live session {} is skipped", ids[0].0);
-        assert_eq!(sessions.live.len(), 4);
     }
 
     #[test]
@@ -883,7 +858,7 @@ mod tests {
     fn ten_thousand_ended_sessions_leave_only_the_ended_tier() {
         let mut sessions = Sessions::default();
         for i in 0..10_000u64 {
-            let id = sessions.create(SessionCookie::mint_seeded(i));
+            let id = create(&mut sessions, i);
             sessions.record_health(id, HealthState::Degraded, 0, format!("fault in {i}"));
             sessions.record_health(id, HealthState::Healed, 1, "repaired".into());
             sessions.end(id, SessionState::Killed).unwrap();

@@ -5,14 +5,13 @@
 //! procedures ... include a session parameter. ... Internally, the
 //! front-end runtime maintains a session resource descriptor table."
 //!
-//! This module holds a session's name and its lifecycle. The descriptor
-//! table itself is the front end's one session map (`crate::fe`): one
-//! record per live session, dropped when the session is killed or
-//! detached.
+//! This module holds a session's name and its lifecycle. The engine mints
+//! each id and decides which sessions exist; the front end's descriptor
+//! table (`crate::fe`) keeps one record per live session under that id.
 
-/// Identifier of a session in the FE's descriptor table.
+/// A session's id, minted by the engine alone: densely from 0, never twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SessionId(pub u32);
+pub struct SessionId(pub u64);
 
 /// Lifecycle of a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -82,7 +82,7 @@ struct End {
 struct EndState {
     /// Sessions open on this end, each with the sender into its inbox;
     /// `None` once the peer closed the session or the peer end died.
-    open: HashMap<u32, Option<Sender<LmonpMsg>>>,
+    open: HashMap<u64, Option<Sender<LmonpMsg>>>,
     /// High-water mark of `open.len()`.
     peak: usize,
 }
@@ -120,7 +120,7 @@ impl SessionMux {
     /// Fails with [`ProtoError::InvalidField`] if the session is already
     /// open on this side, and [`ProtoError::Disconnected`] once the peer
     /// end has died.
-    pub fn open(&self, id: u32) -> ProtoResult<MuxEndpoint> {
+    pub fn open(&self, id: u64) -> ProtoResult<MuxEndpoint> {
         let (own, peer) = self.side.ends();
         let mut state = own.state.lock();
         // Checked under this end's lock, which the peer's death takes after
@@ -130,7 +130,7 @@ impl SessionMux {
             return Err(ProtoError::Disconnected);
         }
         if state.open.contains_key(&id) {
-            return Err(ProtoError::InvalidField { field: "mux_session", value: u64::from(id) });
+            return Err(ProtoError::InvalidField { field: "mux_session", value: id });
         }
         let (tx, inbox) = unbounded();
         state.open.insert(id, Some(tx));
@@ -168,13 +168,13 @@ impl SessionMux {
 /// disconnection once it has drained what was sent.
 pub struct MuxEndpoint {
     side: Arc<Side>,
-    id: u32,
+    id: u64,
     inbox: Receiver<LmonpMsg>,
 }
 
 impl MuxEndpoint {
     /// The logical session id this endpoint serves.
-    pub fn session_id(&self) -> u32 {
+    pub fn session_id(&self) -> u64 {
         self.id
     }
 }
@@ -430,7 +430,7 @@ mod tests {
             ep.send(msg(ep.session_id() as u16)).unwrap();
         }
         for ep in &far_eps {
-            assert_eq!(u32::from(ep.recv().unwrap().tag), ep.session_id());
+            assert_eq!(u64::from(ep.recv().unwrap().tag), ep.session_id());
         }
         assert_eq!(near.session_count(), 512);
         assert_eq!(near.peak_session_count(), 512);

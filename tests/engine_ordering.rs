@@ -2,7 +2,9 @@
 //! command is filed with the engine before `begin_exchange` queues it. So
 //! an end sent right after a launch or attach always finds it, however
 //! far the engine's worker has got, and program order on the caller's
-//! thread is the only order that matters.
+//! thread is the only order that matters. A spawn-bearing command for a
+//! session the engine did not mint, or has ended, is refused and places
+//! nothing.
 //!
 //! Thread counts are process-wide, so this file is its own test binary and
 //! its tests take turns.
@@ -13,10 +15,12 @@ use std::time::{Duration, Instant};
 use launchmon::cluster::config::ClusterConfig;
 use launchmon::cluster::process::Pid;
 use launchmon::cluster::VirtualCluster;
-use launchmon::core::engine::channel::{EngineCommand, EngineSidecar, Exchange};
+use launchmon::core::engine::channel::{EngineCommand, EngineEndpoint, EngineSidecar, Exchange};
 use launchmon::core::engine::Engine;
 use launchmon::core::session::SessionId;
-use launchmon::proto::payload::{AttachRequest, DaemonSpec, JobStatus, LaunchRequest};
+use launchmon::proto::payload::{
+    AttachRequest, DaemonSpec, JobStatus, LaunchRequest, SpawnMwRequest,
+};
 use launchmon::proto::wire::WireDecode;
 use launchmon::proto::{LmonpMsg, MsgType};
 use launchmon::rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager, RmResult};
@@ -171,8 +175,8 @@ fn a_kill_sent_right_after_a_launch_stops_it() {
     let rm = Arc::new(GatedRm::new(&cluster));
     let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
     let (baseline, before) = (records(&cluster), settled_threads());
-    for id in 0..3 {
-        let session = SessionId(id);
+    for _ in 0..3 {
+        let session = engine.mint_session();
         let release = rm.launches.hold_next();
         let req = LaunchRequest {
             app_exe: "app".into(),
@@ -220,9 +224,10 @@ fn a_detach_sent_right_after_an_attach_stops_it() {
         let msg = LmonpMsg::of_type(MsgType::FeDetachReq);
         engine.begin_exchange(EngineCommand::control(session, msg)).unwrap()
     };
-    for id in 0..3 {
+    for _ in 0..3 {
+        let session = engine.mint_session();
         let release = rm.spawns.hold_next();
-        let (attached, detached) = (attach(SessionId(id)), detach(SessionId(id)));
+        let (attached, detached) = (attach(session), detach(session));
         release.send(()).unwrap();
         assert_eq!(status(&detached), JobStatus::Detached);
         assert_ends_in_error(&attached);
@@ -232,9 +237,121 @@ fn a_detach_sent_right_after_an_attach_stops_it() {
 
     // Each stopped attach let go of the launcher: the next one traces it,
     // places its daemons and acks.
-    let attached = attach(SessionId(3));
+    let session = engine.mint_session();
+    let attached = attach(session);
     while attached.next(WAIT).expect("the attach is answered").mtype != MsgType::EngineAck {}
-    assert_eq!(status(&detach(SessionId(3))), JobStatus::Detached);
+    assert_eq!(status(&detach(session)), JobStatus::Detached);
     settle_to(job_records, || records(&cluster), "records after the last detach");
     rm.kill_job(&job).unwrap();
+}
+
+/// A 2 × 2 launch request.
+fn launch_msg() -> LmonpMsg {
+    let req = LaunchRequest {
+        app_exe: "app".into(),
+        app_args: Vec::new(),
+        nodes: 2,
+        tasks_per_node: 2,
+        daemon: DaemonSpec::bare("toold"),
+    };
+    LmonpMsg::of_type(MsgType::FeLaunchReq).with_lmon(&req)
+}
+
+/// Read a spawn-bearing exchange up to its ack.
+fn await_ack(spawn: &Exchange) {
+    while spawn.next(WAIT).expect("the spawn is answered").mtype != MsgType::EngineAck {}
+}
+
+/// End `session` with a kill or detach and return the status it reports.
+fn end(engine: &EngineEndpoint, session: SessionId, mtype: MsgType) -> JobStatus {
+    let msg = LmonpMsg::of_type(mtype);
+    status(&engine.begin_exchange(EngineCommand::control(session, msg)).unwrap())
+}
+
+/// A front end checks its record, then sends: a kill that lands between
+/// the two ends the session first. A spawn-bearing command that then
+/// arrives for the ended id used to be filed afresh and acked, and what it
+/// placed outlived every later kill. It is refused now, and places nothing.
+fn a_spawn_on_an_ended_session_is_refused(spawn: MsgType) {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm = Arc::new(SlurmRm::new(cluster.clone()));
+    let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
+    let baseline = records(&cluster);
+    let session = engine.mint_session();
+    await_ack(&engine.begin_exchange(spawn_command(session, launch_msg())).unwrap());
+    assert_eq!(end(&engine, session, MsgType::FeKillReq), JobStatus::Killed);
+    let msg = match spawn {
+        MsgType::FeLaunchReq => launch_msg(),
+        _ => {
+            let req = SpawnMwRequest { count: 2, daemon: DaemonSpec::bare("commd") };
+            LmonpMsg::of_type(MsgType::FeSpawnMwReq).with_lmon(&req)
+        }
+    };
+    assert_ends_in_error(&engine.begin_exchange(spawn_command(session, msg)).unwrap());
+    settle_to(baseline, || records(&cluster), "records after a spawn on an ended session");
+    let nodes = rm.allocate_mw_nodes(4).expect("every node is free again");
+    rm.release_allocation(&nodes);
+}
+
+#[test]
+fn an_mw_spawn_on_an_ended_session_is_refused() {
+    a_spawn_on_an_ended_session_is_refused(MsgType::FeSpawnMwReq);
+}
+
+#[test]
+fn a_launch_on_an_ended_session_is_refused() {
+    a_spawn_on_an_ended_session_is_refused(MsgType::FeLaunchReq);
+}
+
+/// The same for an attach sent after a detach: the job runs on, with no
+/// daemon of the ended session beside it.
+#[test]
+fn an_attach_on_an_ended_session_is_refused() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm = Arc::new(SlurmRm::new(cluster.clone()));
+    let job = rm.launch_job(&JobSpec::new("app", 2, 2), false).unwrap();
+    let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
+    let job_records = 2 * 2 + 2; // tasks + launcher + engine
+    let deadline = Instant::now() + WAIT;
+    while records(&cluster) < job_records {
+        assert!(Instant::now() < deadline, "the job never placed its tasks");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let session = engine.mint_session();
+    let attach = || {
+        let req = AttachRequest { launcher_pid: job.launcher_pid.0, daemon: DaemonSpec::bare("d") };
+        let msg = LmonpMsg::of_type(MsgType::FeAttachReq).with_lmon(&req);
+        engine.begin_exchange(spawn_command(session, msg)).unwrap()
+    };
+    await_ack(&attach());
+    assert_eq!(end(&engine, session, MsgType::FeDetachReq), JobStatus::Detached);
+    assert_ends_in_error(&attach());
+    settle_to(job_records, || records(&cluster), "records after an attach on an ended session");
+    rm.kill_job(&job).unwrap();
+}
+
+/// A spawn-bearing command that arrives while a kill waits on a placing
+/// launch is refused: filing it would drop the kill's reply, and the
+/// session would outlive the kill that was meant to end it.
+#[test]
+fn a_spawn_on_an_ending_session_is_refused() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm = Arc::new(GatedRm::new(&cluster));
+    let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
+    let baseline = records(&cluster);
+    let session = engine.mint_session();
+    let release = rm.launches.hold_next();
+    let launch = engine.begin_exchange(spawn_command(session, launch_msg())).unwrap();
+    let kill = LmonpMsg::of_type(MsgType::FeKillReq);
+    let kill = engine.begin_exchange(EngineCommand::control(session, kill)).unwrap();
+    let req = SpawnMwRequest { count: 2, daemon: DaemonSpec::bare("commd") };
+    let msg = LmonpMsg::of_type(MsgType::FeSpawnMwReq).with_lmon(&req);
+    assert_ends_in_error(&engine.begin_exchange(spawn_command(session, msg)).unwrap());
+    release.send(()).unwrap();
+    assert_eq!(status(&kill), JobStatus::Killed);
+    assert_ends_in_error(&launch);
+    settle_to(baseline, || records(&cluster), "records after a spawn on an ending session");
 }

@@ -962,7 +962,7 @@ fn the_rpdtab_reply_is_the_launchers_proctable_bytes() {
     );
     let (engine, _pid) = Engine::spawn(Arc::new(rm)).unwrap();
     let baseline = records(&cluster);
-    let session = SessionId(7);
+    let session = engine.mint_session();
     let req = LaunchRequest {
         app_exe: "app".into(),
         app_args: Vec::new(),
