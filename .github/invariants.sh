@@ -134,8 +134,8 @@ count -eq 1 fn:end_session $ENGINE/mod.rs 'release_allocation\(' 'rm.release_all
   "engine: release_allocation( not in end_session"
 count -eq 1 file $DAEMON 'fe\.kill\(' 'fe.kill(sid)' "daemon.rs: fe.kill( not once"
 count -eq 1 fn:end_session $DAEMON 'fe\.kill\(' 'fe.kill(sid)' "daemon.rs: fe.kill( not in end_session"
-# One phase field (Placing / Live) says whether a kill waits for a spawn, and
-# no job is special-cased as unclaimed.
+# One phase (the lifecycle table's) says whether a kill waits for a spawn,
+# and no job is special-cased as unclaimed.
 forbid file $ENGINE 'placing: bool' 'placing: bool,' "engine: the placing flag is back"
 forbid file $ENGINE 'unclaimed' 'let unclaimed = 1;' "engine: the unclaimed-job special case is back"
 # One authority for a session's life: the engine's mint is the one place a
@@ -146,6 +146,13 @@ count -eq 1 live $ENGINE '\.(insert|entry)\(' 'table.live.insert(id, session);' 
   "engine: the session table gains records in more than one place"
 count -eq 1 fn:mint $ENGINE/mod.rs '\.(insert|entry)\(' 'table.live.insert(id, session);' \
   "engine: the session table gains records outside Engine::mint"
+# One lifecycle table: engine/lifecycle.rs decides every phase a session
+# moves to, marking it placing in one arm, and holds no RM type, lock,
+# channel or clock; Engine is the shell that carries its effects out.
+count -eq 1 file $ENGINE '(=>|[^=!<>]=).*Phase::Placing \{' '(_, Spawn(cmd)) => (Phase::Placing { cmd }, Go),' \
+  "engine: a session is marked placing in more than one place"
+forbid file $ENGINE/lifecycle.rs 'lmon_rm|\bSender\b|parking_lot|Instant' 'use lmon_rm::api::JobHandle;' \
+  "engine/lifecycle.rs names an RM type, a lock, a channel or a clock"
 
 # One job spec: the job id and ranks live on the node's task block, and the
 # RM's kill matches the block's job id, never a string in a task's env.

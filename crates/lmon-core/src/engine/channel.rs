@@ -26,6 +26,7 @@ use lmon_proto::header::MsgType;
 use lmon_proto::msg::LmonpMsg;
 use lmon_rm::api::DaemonBody;
 
+use crate::engine::lifecycle::Event;
 use crate::engine::Engine;
 use crate::error::{LmonError, LmonResult};
 use crate::session::SessionId;
@@ -90,7 +91,8 @@ impl EngineEndpoint {
     /// fresh reply channel and hand back an [`Exchange`] from which replies
     /// are consumed one at a time. A kill or detach is served on this
     /// thread; a spawn-bearing command is queued for the engine's command
-    /// loop if its session was minted and is not ending, and refused here
+    /// loop if its session was minted and is neither ending nor placing
+    /// another (nor, for a launch or attach, holds a job), and refused here
     /// otherwise. This is the pipelining primitive — the launch path
     /// consumes the RPDTAB reply and runs the tool's pack callback while the
     /// engine is still spawning daemons, then waits for the spawn ack.
@@ -99,7 +101,7 @@ impl EngineEndpoint {
         if let Some(queued) = self.engine.accept(cmd, reply) {
             if let Err(unsent) = self.commands.send(queued) {
                 let (cmd, _reply) = unsent.0;
-                self.engine.fail(cmd.session, cmd.msg.mtype);
+                let _ = self.engine.step(cmd.session, Event::Fail, |_| ());
                 return Err(LmonError::Engine("engine is gone".into()));
             }
         }
@@ -203,7 +205,7 @@ mod tests {
         drop(inlet);
         let err = ex.next(Duration::from_secs(5)).unwrap_err();
         assert!(matches!(err, LmonError::Engine(_)), "{err:?}");
-        let again = fe.begin_exchange(command(MsgType::FeLaunchReq, session));
+        let again = fe.begin_exchange(command(MsgType::FeLaunchReq, fe.mint_session().0));
         assert!(again.is_err());
     }
 
@@ -231,12 +233,13 @@ mod tests {
 
     #[test]
     fn timed_out_exchange_does_not_desync_the_next_one_even_on_the_same_tag() {
-        // A launch exchange on session 5 times out before the engine
-        // replies. Its late replies (same tag!) must fail to send — that is
-        // how the engine learns the launch was abandoned — and an MW spawn
-        // exchange on the *same session* must see only its own reply.
+        // A launch exchange times out before the engine replies. Its late
+        // replies (same tag!) must fail to send — that is how the engine
+        // learns the launch was abandoned — and the MW spawn exchange that
+        // follows must see only its own reply. It runs on a second session,
+        // since a session with a launch still placing refuses it.
         let (fe, inlet) = test_channel();
-        let session = fe.mint_session();
+        let (session, next) = (fe.mint_session(), fe.mint_session());
         let err = fe
             .exchange(command(MsgType::FeLaunchReq, session.0), 2, Duration::from_millis(10))
             .unwrap_err();
@@ -248,16 +251,15 @@ mod tests {
         let h = std::thread::spawn(move || {
             let (spawn, reply) = inlet.recv().unwrap();
             assert_eq!(spawn.msg.mtype, MsgType::FeSpawnMwReq);
-            assert_eq!(spawn.session, session);
+            assert_eq!(spawn.session, next);
             // The engine catches up on the timed-out launch only now.
             assert!(stale.send(control_msg(MsgType::EngineRpdtab, 5)).is_err());
             assert!(stale.send(control_msg(MsgType::EngineAck, 5)).is_err());
             reply.send(control_msg(MsgType::EngineStatus, 5)).unwrap();
             inlet
         });
-        let replies = fe
-            .exchange(command(MsgType::FeSpawnMwReq, session.0), 1, Duration::from_secs(5))
-            .unwrap();
+        let replies =
+            fe.exchange(command(MsgType::FeSpawnMwReq, next.0), 1, Duration::from_secs(5)).unwrap();
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].mtype, MsgType::EngineStatus, "stale same-tag replies never arrive");
         h.join().unwrap();

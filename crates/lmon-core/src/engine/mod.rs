@@ -8,26 +8,13 @@
 //! LaunchMON's other components ... by translating a series of commands
 //! between them and the RM." (§3.1)
 //!
-//! The engine runs as its own process on the front-end node of the virtual
-//! cluster (co-located with RM launchers, which also run there) and serves
-//! LMONP commands from the front-end API:
-//!
-//! * `FeLaunchReq` — run `launchAndSpawn`: execute the launcher under trace
-//!   control, run it to `MPIR_Breakpoint`, fetch the RPDTAB, bulk-launch
-//!   daemons through the RM.
-//! * `FeAttachReq` — `attachAndSpawn`: adopt a running launcher, read the
-//!   APAI directly, bulk-launch daemons.
-//! * `FeSpawnMwReq` — allocate middleware nodes and launch TBON daemons.
-//! * `FeDetachReq` / `FeKillReq` — release or destroy the session's job.
-//!
-//! The three spawning requests, for minted sessions only, are marked placing
-//! before they are queued, and bulk-launch through one function on a worker thread.
-//! Launch and attach share everything that follows "job stopped, RPDTAB in
-//! hand". Detach and kill are calls on the engine's session table, made on
-//! the caller's thread: they queue behind nothing and wake no engine
-//! thread. Every way a session ends runs through one teardown,
-//! `end_session`: a kill or detach, whenever it lands, and a launch or
-//! attach that fails or is abandoned.
+//! The engine runs as its own process on the front-end node, beside the RM
+//! launchers, and serves the front end's launch, attach, MW spawn, detach
+//! and kill. What each does to its session is one pure table, `lifecycle`,
+//! and `Engine` is its shell: it calls the RM and carries out the verdicts.
+//! A session places one spawn-bearing command at a time, and a launch or
+//! attach only while it holds no job; any other is refused with an error
+//! naming the session. Every way a session ends runs through `end_session`.
 //!
 //! The paper builds the tracing side as a Driver → Event Manager → Event
 //! Decoder → Event Handler pipeline behind abstract classes a port inherits
@@ -37,6 +24,7 @@
 //! porting seam is [`ResourceManager`], which has one implementation per RM.
 
 pub mod channel;
+mod lifecycle;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,13 +44,19 @@ use lmon_rm::api::{Allocation, DaemonBody, JobHandle, JobSpec, ResourceManager};
 use lmon_rm::mpir;
 
 use crate::engine::channel::{EngineCommand, EngineEndpoint, EngineSidecar};
+use crate::engine::lifecycle::{Effect, Event, Life};
 use crate::error::{LmonError, LmonResult};
 use crate::session::SessionId;
 use crate::timeline::{CriticalEvent, TimelineRecorder};
 
-/// How long a launched launcher may go without a trace event before the
-/// launch gives up on reaching `MPIR_Breakpoint`.
+/// How long a launched launcher may stay silent before its launch gives up.
 const EVENT_WAIT: Duration = Duration::from_secs(30);
+
+/// Where one command's replies go.
+type Reply = Sender<LmonpMsg>;
+
+/// What a worker's step comes to: `Err` stops the worker, with the reason.
+type Step = Result<(), String>;
 
 /// A job under engine control.
 enum EngineJob {
@@ -72,47 +66,28 @@ enum EngineJob {
     Attached { launcher_pid: Pid, rpdtab: CheckedRpdtab },
 }
 
-/// Everything the engine holds for one session, shared between the front
-/// end's calls and the spawn workers: filed when its id is minted, it owns
-/// what its commands place until `end_session` removes it whole.
+/// Everything the engine holds for one session, from its mint until
+/// `end_session` takes it whole: each resource joins as soon as it exists,
+/// and the launcher's trace at the ack (dropping it resumes the launcher).
 struct EngineSession {
-    /// The job under engine control, from the moment it exists.
     job: Option<EngineJob>,
-    /// The launcher's trace, set exactly at the launch or attach ack (the
-    /// worker holds it until then); dropping it resumes the launcher.
     ctl: Option<TraceController>,
-    /// Every daemon the session spawned, back end and middleware alike,
-    /// with the node the RM placed it on.
     daemons: Vec<(NodeId, Pid)>,
-    /// Middleware node allocations, each filed before its spawn starts.
     mw_allocs: Vec<Allocation>,
-    phase: Phase,
+    life: Life<Reply>,
 }
 
-/// Where a session is in its one lifecycle.
-enum Phase {
-    /// Minted, with no spawn-bearing command yet: an end finds no job.
-    Minted,
-    /// A launch, attach or MW spawn is placing daemons; a kill or detach
-    /// that comes in meanwhile waits here, with its reply channel.
-    Placing { ending: Option<(JobStatus, Sender<LmonpMsg>)> },
-    /// Nothing is placing: a kill or detach ends the session at once.
-    Live,
-}
-
-/// A spawn-bearing command in flight: the daemon image the RM is to
-/// bulk-launch, and where the command's replies go.
+/// A spawn-bearing command in flight: its daemon image, and its replies.
 struct SpawnCmd<'a> {
     session: SessionId,
     body: DaemonBody,
     sidecar: EngineSidecar,
     timeline: TimelineRecorder,
-    reply: &'a Sender<LmonpMsg>,
+    reply: &'a Reply,
 }
 
-/// Engine state: one per engine process. Cloning shares the state — the
-/// front end's endpoint and each worker thread handling a spawn-bearing
-/// command hold a clone.
+/// Engine state: one per engine process. Cloning shares it, with the front
+/// end's endpoint and each spawn-bearing command's worker thread.
 #[derive(Clone)]
 pub struct Engine {
     rm: Arc<dyn ResourceManager>,
@@ -121,19 +96,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawn the engine as a process on the cluster front end, returning
-    /// the FE-side endpoint and the engine's pid.
+    /// Spawn the engine on the cluster front end: its FE endpoint, and pid.
     pub fn spawn(rm: Arc<dyn ResourceManager>) -> LmonResult<(EngineEndpoint, Pid)> {
         let engine = Engine { rm, sessions: Arc::default(), minted: Arc::default() };
         let cluster = engine.rm.cluster().clone();
         let (fe_end, inlet) = channel::engine_channel(engine.clone());
         let pid = cluster
             .spawn_active(NodeId::FrontEnd, ProcSpec::named("launchmon_engine"), move |_ctx| {
-                // Only spawn-bearing commands are queued, each placing already.
-                // They run on worker threads, so concurrent launches overlap;
-                // each answers on its exchange's channel.
+                // Spawn-bearing commands only, each placing, each on a worker.
                 let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                // The loop ends when the front end drops its endpoint.
                 while let Ok((cmd, reply)) = inlet.recv() {
                     let engine = engine.clone();
                     workers.push(std::thread::spawn(move || engine.handle(cmd, reply)));
@@ -152,44 +123,38 @@ impl Engine {
         let mut sessions = self.sessions.lock();
         let id = SessionId(self.minted.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
         let (job, ctl, daemons, mw_allocs) = (None, None, Vec::new(), Vec::new());
-        sessions.insert(id, EngineSession { job, ctl, daemons, mw_allocs, phase: Phase::Minted });
+        sessions.insert(id, EngineSession { job, ctl, daemons, mw_allocs, life: Life::MINTED });
         id
     }
 
-    /// Take one command on the caller's thread. A kill or detach acts on the
-    /// session table here and answers on `reply` (at once, unless a placing
-    /// worker keeps it). A spawn-bearing command for a minted session not
-    /// ending is marked `Placing` and handed back for the command loop, so a
-    /// kill sent after this returns always finds it; anything else is refused.
-    fn accept(
-        &self,
-        cmd: EngineCommand,
-        reply: Sender<LmonpMsg>,
-    ) -> Option<(EngineCommand, Sender<LmonpMsg>)> {
-        let id = cmd.session;
-        match cmd.msg.mtype {
-            MsgType::FeKillReq => self.request_end(id, JobStatus::Killed, reply),
-            MsgType::FeDetachReq => self.request_end(id, JobStatus::Detached, reply),
-            MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq => {
-                match self.sessions.lock().get_mut(&id) {
-                    Some(s) if !matches!(s.phase, Phase::Placing { ending: Some(_) }) => {
-                        s.phase = Phase::Placing { ending: None };
-                        return Some((cmd, reply));
-                    }
-                    _ => drop(reply.send(error_reply(format!("no session {}", id.0)))),
-                }
+    /// Take one command on the caller's thread, as the table says: an end
+    /// runs (or waits for the placing worker), and a spawn-bearing command is
+    /// refused while its session places another, is ending or is not open, a
+    /// launch or attach also once it holds a job, or else marked placing and
+    /// handed back for the command loop, so an end sent next always finds it.
+    fn accept(&self, cmd: EngineCommand, reply: Reply) -> Option<(EngineCommand, Reply)> {
+        let (id, mtype) = (cmd.session, cmd.msg.mtype);
+        let taken = match mtype {
+            MsgType::FeKillReq | MsgType::FeDetachReq => {
+                let kill = mtype == MsgType::FeKillReq;
+                let end = if kill { JobStatus::Killed } else { JobStatus::Detached };
+                let _ = self.step(id, Event::End(end, reply), |_| ());
+                return None;
             }
-            other => drop(reply.send(error_reply(format!("unexpected {other:?}")))),
-        }
+            MsgType::FeLaunchReq | MsgType::FeAttachReq | MsgType::FeSpawnMwReq => {
+                self.step(id, Event::Spawn(mtype), |_| ())
+            }
+            other => Err(format!("unexpected {other:?}")),
+        };
+        let Err(text) = taken else { return Some((cmd, reply)) };
+        let _ = reply.send(error_reply(text));
         None
     }
 
     /// Run one spawn-bearing command on its worker. Replies stream back as
-    /// they are produced: the RPDTAB reply leaves *before* the daemon spawn,
-    /// so the FE pipelines the BE handshake against it. A handler's `Err` is
-    /// the command's one, terminal error reply, sent once `fail` has dealt
-    /// with the session.
-    fn handle(&self, cmd: EngineCommand, reply: Sender<LmonpMsg>) {
+    /// they are produced (the RPDTAB before the daemon spawn); a handler's
+    /// `Err` is the one, terminal error reply, sent once the table had it.
+    fn handle(&self, cmd: EngineCommand, reply: Reply) {
         let EngineCommand { session, msg, mut sidecar } = cmd;
         // Checked before any job is launched or node allocated for it.
         let missing = || format!("{:?} missing daemon body", msg.mtype);
@@ -203,66 +168,44 @@ impl Engine {
             }
         });
         let Err(text) = result else { return };
-        self.fail(session, msg.mtype);
+        let _ = self.step(session, Event::Fail, |_| ());
         let _ = reply.send(error_reply(text));
     }
 
-    /// A filed spawn-bearing command of type `mtype` failed: a launch or
-    /// attach ends its session, and an MW spawn goes live unless it kept an
-    /// end.
-    fn fail(&self, session: SessionId, mtype: MsgType) {
-        if mtype != MsgType::FeSpawnMwReq || self.go_live(session, |_| ()).is_err() {
-            let attach = mtype == MsgType::FeAttachReq;
-            let end = if attach { JobStatus::Detached } else { JobStatus::Killed };
-            self.end_session(session, end, None);
-        }
-    }
-
     /// launchAndSpawn's own part: start the job under trace control, stop it
-    /// at `MPIR_Breakpoint`, where the proctable is valid, and read its
-    /// RPDTAB: the launcher's own encoding, checked, which the engine
-    /// forwards without building a row.
-    fn handle_launch(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
+    /// at `MPIR_Breakpoint` and read its RPDTAB, checked, forwarded as it is.
+    fn handle_launch(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Step {
         let req: LaunchRequest = msg.decode_lmon().map_err(|e| format!("launch req: {e}"))?;
-        let (session, timeline) = (cmd.session, &cmd.timeline);
-
-        // e2: execute the RM launcher under engine control.
-        timeline.mark(CriticalEvent::E2LauncherExec);
+        // e2: the launcher runs, gated; once filed, any end of it kills it.
+        cmd.timeline.mark(CriticalEvent::E2LauncherExec);
         let (nodes, tasks) = (req.nodes as usize, req.tasks_per_node as usize);
         let spec = JobSpec { app_args: req.app_args, ..JobSpec::new(req.app_exe, nodes, tasks) };
         let handle = self.rm.launch_job(&spec, true).map_err(|e| format!("launch_job: {e}"))?;
         let (launcher, alloc) = (handle.launcher_pid, handle.allocation.clone());
-        // The job joins the session still gated: from here on, however the
-        // launch ends, `end_session` kills it.
-        self.place(session, |s| s.job = Some(EngineJob::Launched(handle)))?;
+        self.step(cmd.session, Event::Placed, |s| s.job = Some(EngineJob::Launched(handle)))?;
         let (ctl, shared) = self.trace(launcher)?;
         mpir::set_being_debugged(&ctl, &shared);
-        self.place(session, |s| {
+        self.step(cmd.session, Event::Placed, |s| {
             if let Some(EngineJob::Launched(handle)) = &mut s.job {
                 handle.release();
             }
         })?;
-
         run_to_breakpoint(&ctl, EVENT_WAIT).map_err(|e| format!("breakpoint: {e}"))?;
-        timeline.mark(CriticalEvent::E3AtBreakpoint);
-
+        cmd.timeline.mark(CriticalEvent::E3AtBreakpoint);
         // Region B: fetch the RPDTAB out of the launcher's address space.
         let rpdtab = mpir::fetch_proctable(&ctl).map_err(|e| format!("rpdtab: {e}"))?;
-        timeline.mark(CriticalEvent::E4RpdtabFetched);
+        cmd.timeline.mark(CriticalEvent::E4RpdtabFetched);
         self.colocate(cmd, ctl, rpdtab.bytes().clone(), &alloc)
     }
 
     /// attachAndSpawn's own part: adopt a running launcher and rebuild the
     /// job's footprint from its proctable.
-    fn handle_attach(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
+    fn handle_attach(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Step {
         let req: AttachRequest = msg.decode_lmon().map_err(|e| format!("attach req: {e}"))?;
-        let timeline = &cmd.timeline;
-        timeline.mark(CriticalEvent::E2LauncherExec);
+        cmd.timeline.mark(CriticalEvent::E2LauncherExec);
         let launcher_pid = Pid(req.launcher_pid);
         let (ctl, _shared) = self.trace(launcher_pid)?;
-
-        // The job is already running: poll the APAI until the proctable is
-        // valid (it almost always already is).
+        // The job is already running: poll the APAI until the table is valid.
         let deadline = Instant::now() + Duration::from_secs(10);
         let rpdtab = loop {
             match mpir::fetch_proctable(&ctl) {
@@ -271,17 +214,15 @@ impl Engine {
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
         };
-        timeline.mark(CriticalEvent::E3AtBreakpoint);
-        timeline.mark(CriticalEvent::E4RpdtabFetched);
-
-        // The table's one decode is for the allocation footprint (the
-        // RPDTAB hosts) and the kill record; the front end gets the bytes.
+        cmd.timeline.mark(CriticalEvent::E3AtBreakpoint);
+        cmd.timeline.mark(CriticalEvent::E4RpdtabFetched);
+        // One decode, for the footprint and the kill; the FE gets the bytes.
         let cluster = self.rm.cluster();
         let nodes = rpdtab.hosts().into_iter().map(|h| cluster.node_by_host(&h).map(|n| n.id));
         let nodes = nodes.collect::<Result<_, _>>().map_err(|e| format!("host map: {e}"))?;
         let alloc = Allocation { id: cmd.session.0, nodes };
-        let bytes = rpdtab.bytes().clone();
-        self.place(cmd.session, |s| s.job = Some(EngineJob::Attached { launcher_pid, rpdtab }))?;
+        let (bytes, job) = (rpdtab.bytes().clone(), EngineJob::Attached { launcher_pid, rpdtab });
+        self.step(cmd.session, Event::Placed, |s| s.job = Some(job))?;
         self.colocate(cmd, ctl, bytes, &alloc)
     }
 
@@ -294,52 +235,49 @@ impl Engine {
         Ok((ctl, rec.shared.clone()))
     }
 
-    /// The tail launch and attach share once the job is stopped (or
-    /// adopted) with its checked RPDTAB bytes in hand: stream the table,
-    /// co-locate the daemons over the job's footprint, let a launched job
-    /// run, and hand the trace to the session with the ack.
+    /// What launch and attach share once their RPDTAB bytes are in hand:
+    /// stream them, co-locate the daemons, let the job run, and ack.
     fn colocate(
         &self,
         cmd: SpawnCmd<'_>,
         ctl: TraceController,
         rpdtab: Bytes,
         alloc: &Allocation,
-    ) -> Result<(), String> {
-        // Stream the launcher's RPDTAB bytes now, before the spawn: the FE
-        // stages the BE handshake against them while daemons come up, and
-        // channel FIFO order keeps them ahead of the spawn ack.
+    ) -> Step {
+        // Unless an end came in, the table goes first: the FE stages the BE
+        // handshake on it. An abandoned exchange fails the send, and the command.
         let (session, reply) = (cmd.session, cmd.reply);
-        self.place(session, |_| ())?; // a kill during the breakpoint wait spawns nothing
-        answer(reply, LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon_payload(rpdtab))?;
+        self.step(session, Event::Placed, |_| ())?;
+        let table = LmonpMsg::of_type(MsgType::EngineRpdtab).with_lmon_payload(rpdtab);
+        reply.send(table).map_err(|_| "the front end abandoned the exchange".to_string())?;
         let pids = self.spawn_daemons(cmd, alloc)?;
-        // Let a launched job run under tool control, and go live with the
-        // trace, unless a kill or detach came in first.
+        // The job runs under tool control; the trace joins with the ack.
         ctl.continue_proc();
-        self.go_live(session, |s| s.ctl = Some(ctl))?;
-        let master = self.daemon_info(alloc, &pids, 0);
-        answer(reply, LmonpMsg::of_type(MsgType::EngineAck).with_lmon(&master))
+        let ack =
+            LmonpMsg::of_type(MsgType::EngineAck).with_lmon(&self.daemon_info(alloc, &pids, 0));
+        self.step(session, Event::Ack, |s| {
+            s.ctl = Some(ctl);
+            let _ = reply.send(ack);
+        })
     }
 
-    /// The co-location core of every spawn-bearing request (e5/e6): the
-    /// RM's bulk daemon launch onto `alloc`, with the pids recorded against
-    /// the session so a later kill reaches them. Returns them in rank order.
+    /// The co-location core of every spawn-bearing request (e5/e6): the RM's
+    /// bulk daemon launch onto `alloc`, filed. Returns the pids in rank order.
     fn spawn_daemons(&self, cmd: SpawnCmd<'_>, alloc: &Allocation) -> Result<Vec<Pid>, String> {
         let SpawnCmd { session, body, sidecar, timeline, .. } = cmd;
         let EngineSidecar { daemon_exe: exe, daemon_args: args, daemon_env: env, .. } = sidecar;
         timeline.mark(CriticalEvent::E5DaemonSpawnStart);
-        // A kill or detach kept for this session stops the spawn at its next
-        // wave; the spawn then fails, and the worker ends the session.
-        let ending = || self.place(session, |_| ()).is_err();
+        // A kept kill or detach stops the spawn at its next wave, failing it.
+        let ending = || self.step(session, Event::Placed, |_| ()).is_err();
         let spawned = self.rm.spawn_daemons(alloc, &exe, &args, &env, body, &ending);
         let pids = spawned.map_err(|e| format!("spawn daemons: {e}"))?;
         timeline.mark(CriticalEvent::E6DaemonsSpawned);
         let placed = alloc.nodes.iter().copied().zip(pids.iter().copied());
-        self.place(session, |s| s.daemons.extend(placed))?;
+        self.step(session, Event::Placed, |s| s.daemons.extend(placed))?;
         Ok(pids)
     }
 
-    /// Identity of the rank-`rank` daemon of a spawn: the RM places daemon
-    /// `i` on the allocation's `i`-th node.
+    /// The rank-`rank` daemon of a spawn, on the allocation's `rank`-th node.
     fn daemon_info(&self, alloc: &Allocation, pids: &[Pid], rank: usize) -> DaemonInfo {
         let node = alloc.nodes.get(rank).and_then(|id| self.rm.cluster().node(*id).ok());
         DaemonInfo {
@@ -350,79 +288,59 @@ impl Engine {
         }
     }
 
-    /// launchMwDaemons: the daemons land on freshly allocated nodes, and
-    /// the ack says where the RM put each one, in rank order — the front
-    /// end assigns personalities from that, not from a guess.
-    fn handle_spawn_mw(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Result<(), String> {
+    /// launchMwDaemons: daemons on freshly allocated nodes, and an ack that
+    /// says where the RM put each one, in rank order, for the personalities.
+    fn handle_spawn_mw(&self, msg: &LmonpMsg, cmd: SpawnCmd<'_>) -> Step {
         let req: SpawnMwRequest = msg.decode_lmon().map_err(|e| format!("mw req: {e}"))?;
         let (session, reply) = (cmd.session, cmd.reply);
         let alloc =
             self.rm.allocate_mw_nodes(req.count as usize).map_err(|e| format!("mw alloc: {e}"))?;
-        self.place(session, |s| s.mw_allocs.push(alloc.clone()))?;
+        self.step(session, Event::Placed, |s| s.mw_allocs.push(alloc.clone()))?;
         let pids = self.spawn_daemons(cmd, &alloc)?;
         let placed: Vec<DaemonInfo> =
             (0..pids.len()).map(|rank| self.daemon_info(&alloc, &pids, rank)).collect();
-        self.go_live(session, |_| ())?;
         let mut placement = Vec::new();
         put_seq(&mut placement, &placed);
-        answer(reply, LmonpMsg::of_type(MsgType::EngineAck).with_lmon_payload(placement))
+        let ack = LmonpMsg::of_type(MsgType::EngineAck).with_lmon_payload(placement);
+        self.step(session, Event::Ack, |_| drop(reply.send(ack)))
     }
 
-    /// Record `put` in the session's filed entry, then stop a placing worker
-    /// if a kill or detach came in meanwhile: its `Err` leads to `end_session`.
-    fn place(&self, id: SessionId, put: impl FnOnce(&mut EngineSession)) -> Result<(), String> {
+    /// Feed `ev` to session `id`'s life and carry out the verdict under the
+    /// same lock: `put` files what the step placed (an ack's sends the ack,
+    /// so no end is answered in between), and a teardown unfiles the record.
+    fn step(&self, id: SessionId, ev: Event<Reply>, put: impl FnOnce(&mut EngineSession)) -> Step {
         let mut sessions = self.sessions.lock();
-        let entry = sessions.get_mut(&id).ok_or_else(|| format!("session {} ended", id.0))?;
-        put(entry);
-        if let Phase::Placing { ending: Some((end, _)) } = &entry.phase {
-            return Err(format!("session {} ended while placing: {end:?}", id.0));
+        let (mut gone, mut s) = (Life::GONE, sessions.get_mut(&id));
+        let effect = s.as_mut().map_or(&mut gone, |s| &mut s.life).on(ev);
+        if let (Effect::Go | Effect::Stop, Some(s)) = (&effect, s) {
+            put(s);
         }
-        Ok(())
-    }
-
-    /// End a command's placing: record `put` and make the session live, or
-    /// fail as `place` does, with `put` dropped unrecorded.
-    fn go_live(&self, id: SessionId, put: impl FnOnce(&mut EngineSession)) -> Result<(), String> {
-        self.place(id, |s| {
-            if let Phase::Placing { ending: None } = s.phase {
-                put(s);
-                s.phase = Phase::Live;
+        let text = |why: &str| format!("session {} {why}", id.0);
+        let (why, reply) = match effect {
+            Effect::Go => return Ok(()),
+            Effect::Stop => ("is ending", None),
+            Effect::Refuse(why, reply) => (why, reply),
+            Effect::TearDown(end, reply) => {
+                let session = sessions.remove(&id);
+                drop(sessions);
+                if let Some(session) = session {
+                    self.end_session(session, end.map_err(text), reply);
+                }
+                return Ok(());
             }
-        })
-    }
-
-    /// A kill or detach. A placing session keeps it for its worker to end at
-    /// its next phase boundary or spawn wave; any other session ends now.
-    fn request_end(&self, id: SessionId, end: JobStatus, reply: Sender<LmonpMsg>) {
-        if let Some(s) = self.sessions.lock().get_mut(&id) {
-            if let Phase::Placing { ending } = &mut s.phase {
-                *ending = Some((end, reply));
-                return;
-            }
+        };
+        if let Some(reply) = reply {
+            let _ = reply.send(error_reply(text(why)));
         }
-        self.end_session(id, end, Some(reply));
+        Err(text(why))
     }
 
-    /// The one teardown, however a session ends. Its record leaves the
-    /// engine whole, and the process records it owns leave the cluster: the
-    /// daemons are killed (a detach's were told to shut down, a failed
-    /// spawn's never will be), the MW nodes go back, the dropped trace
-    /// resumes the launcher, and a kill kills the job, as does any end of a
-    /// launch that never acked (it has no trace yet). An end a placing
-    /// session kept wins over `end`; it and `reply` are answered.
-    fn end_session(&self, id: SessionId, end: JobStatus, reply: Option<Sender<LmonpMsg>>) {
-        let session = self.sessions.lock().remove(&id);
-        let Some(session) = session.filter(|s| !matches!(s.phase, Phase::Minted)) else {
-            let verb = if end == JobStatus::Killed { "kill" } else { "detach" };
-            let text = format!("{verb}: no job for session {}", id.0);
-            let _ = reply.map(|reply| reply.send(error_reply(text)));
-            return;
-        };
-        let EngineSession { job, ctl, daemons, mw_allocs, phase } = session;
-        let (end, reply) = match phase {
-            Phase::Placing { ending: Some((end, kept)) } => (end, Some(kept)),
-            _ => (end, reply),
-        };
+    /// The one teardown of a record the table unfiled: its daemons die (a
+    /// detach's were told to shut down), its MW nodes go back, the dropped
+    /// trace resumes the launcher, and a kill kills the job, as does any end
+    /// of a launch that never acked. `reply` is answered with `end`.
+    fn end_session(&self, s: EngineSession, end: Result<JobStatus, String>, reply: Option<Reply>) {
+        let EngineSession { job, ctl, daemons, mw_allocs, .. } = s;
         let cluster = self.rm.cluster();
         for (node_id, pid) in daemons {
             let Ok(node) = cluster.node(node_id) else { continue };
@@ -431,15 +349,14 @@ impl Engine {
         for alloc in &mw_allocs {
             self.rm.release_allocation(alloc);
         }
-        let (kill, acked) = (end == JobStatus::Killed, ctl.is_some());
+        let (kill, acked) = (end == Ok(JobStatus::Killed), ctl.is_some());
         drop(ctl);
         let ended = match job {
             Some(EngineJob::Launched(handle)) if kill || !acked => {
                 self.rm.kill_job(&handle).map_err(|e| format!("kill: {e}"))
             }
             Some(EngineJob::Attached { launcher_pid, rpdtab }) if kill => {
-                // An adopted job has no RM handle: its tasks are the
-                // proctable's rows, each killed on its own host.
+                // No RM handle: each proctable row is killed on its host.
                 for row in rpdtab.entries() {
                     if let Ok(node) = cluster.node_by_host(&row.host) {
                         node.kill_task(Pid(row.pid));
@@ -450,17 +367,12 @@ impl Engine {
             }
             _ => Ok(()),
         };
-        let status = LmonpMsg::of_type(MsgType::EngineStatus).with_lmon_payload(end.to_bytes());
         if let Some(reply) = reply {
-            let _ = reply.send(ended.map_or_else(error_reply, |()| status));
+            let status = |bytes| LmonpMsg::of_type(MsgType::EngineStatus).with_lmon_payload(bytes);
+            let end = end.and_then(|end| ended.map(|()| end.to_bytes()));
+            let _ = reply.send(end.map_or_else(error_reply, status));
         }
     }
-}
-
-/// Send one reply on a command's exchange. It fails once the front end has
-/// abandoned the exchange, and a placing worker then ends its session.
-fn answer(reply: &Sender<LmonpMsg>, msg: LmonpMsg) -> Result<(), String> {
-    reply.send(msg).map_err(|_| "the front end abandoned the exchange".to_string())
 }
 
 /// A command's one error reply, terminal wherever it lands.
@@ -469,9 +381,8 @@ fn error_reply(text: String) -> LmonpMsg {
 }
 
 /// Let a traced launcher run until it stops at `MPIR_Breakpoint`, where the
-/// job is tool-ready. Any other stop is resumed, or the launcher would hang
-/// there; forks and execs need nothing. An exit, or `wait` without an event,
-/// fails the launch.
+/// job is tool-ready. Any other stop is resumed, or the launcher would hang;
+/// forks and execs need nothing. An exit, or `wait` with no event, fails it.
 fn run_to_breakpoint(ctl: &TraceController, wait: Duration) -> Result<(), String> {
     loop {
         match ctl.wait_event(wait).map_err(|e| e.to_string())? {

@@ -596,6 +596,10 @@ impl LmonFrontEnd {
     }
 
     /// `LMON_fe_launchMwDaemons`: allocate nodes and launch TBON daemons.
+    /// The session places one spawn-bearing command at a time: while its
+    /// launch or attach is still in flight, the engine refuses this one with
+    /// an error naming the session, and nothing is placed. Called after that
+    /// launch or attach returns, as a tool's overlay does, it is taken.
     pub fn launch_mw_daemons(
         &self,
         session: SessionId,

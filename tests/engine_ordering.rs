@@ -355,3 +355,77 @@ fn a_spawn_on_an_ending_session_is_refused() {
     assert_ends_in_error(&launch);
     settle_to(baseline, || records(&cluster), "records after a spawn on an ending session");
 }
+
+/// A 2-daemon MW spawn request.
+fn mw_msg() -> LmonpMsg {
+    let req = SpawnMwRequest { count: 2, daemon: DaemonSpec::bare("commd") };
+    LmonpMsg::of_type(MsgType::FeSpawnMwReq).with_lmon(&req)
+}
+
+/// Read a spawn-bearing exchange to its ack or its error, and return it.
+fn outcome(spawn: &Exchange) -> LmonpMsg {
+    loop {
+        let reply = spawn.next(WAIT).expect("the spawn is answered");
+        if reply.error || matches!(reply.mtype, MsgType::EngineAck | MsgType::EngineError) {
+            return reply;
+        }
+    }
+}
+
+/// The text of a refusal: an error reply, which names its session.
+fn refusal(reply: &LmonpMsg) -> String {
+    assert!(reply.error && reply.mtype == MsgType::EngineError, "{:?}, not a refusal", reply.mtype);
+    String::from_utf8_lossy(&reply.lmon).into_owned()
+}
+
+/// An MW spawn sent while the same session's launch is still placing used
+/// to be taken beside it. It acked and made the session live, so a kill
+/// ended the session at once, and the launch's job, released afterwards,
+/// joined no record: its launcher, tasks and two nodes were never freed.
+/// A session places one command at a time now, so the MW spawn is refused,
+/// and the kill waits for the launch and frees everything it placed.
+#[test]
+fn an_mw_spawn_while_a_launch_places_is_refused() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm = Arc::new(GatedRm::new(&cluster));
+    let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
+    let baseline = records(&cluster);
+    let session = engine.mint_session();
+    let release = rm.launches.hold_next();
+    let launch = engine.begin_exchange(spawn_command(session, launch_msg())).unwrap();
+    let mw = outcome(&engine.begin_exchange(spawn_command(session, mw_msg())).unwrap());
+    let kill = LmonpMsg::of_type(MsgType::FeKillReq);
+    let kill = engine.begin_exchange(EngineCommand::control(session, kill)).unwrap();
+    release.send(()).unwrap();
+    assert_eq!(status(&kill), JobStatus::Killed);
+    assert_ends_in_error(&launch);
+    settle_to(baseline, || records(&cluster), "records after a launch raced by an MW spawn");
+    let nodes = rm.allocate_mw_nodes(4).expect("every node is free again");
+    rm.release_allocation(&nodes);
+    assert_eq!(refusal(&mw), format!("session {} is placing", session.0));
+}
+
+/// A second launch on a session whose launch acked used to ack as well, and
+/// its job took the first one's place in the record: the kill then freed
+/// only the second job. A launch or attach is refused once its session
+/// holds a job. An MW spawn after the launch is still taken, the order a
+/// tool's overlay uses, and the kill frees all of it.
+#[test]
+fn a_second_launch_on_a_live_session_is_refused() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = VirtualCluster::new(ClusterConfig::with_nodes(4));
+    let rm = Arc::new(SlurmRm::new(cluster.clone()));
+    let (engine, _pid) = Engine::spawn(rm.clone()).unwrap();
+    let baseline = records(&cluster);
+    let session = engine.mint_session();
+    await_ack(&engine.begin_exchange(spawn_command(session, launch_msg())).unwrap());
+    let again = outcome(&engine.begin_exchange(spawn_command(session, launch_msg())).unwrap());
+    let mw = outcome(&engine.begin_exchange(spawn_command(session, mw_msg())).unwrap());
+    assert_eq!(end(&engine, session, MsgType::FeKillReq), JobStatus::Killed);
+    settle_to(baseline, || records(&cluster), "records after a second launch on a live session");
+    let nodes = rm.allocate_mw_nodes(4).expect("every node is free again");
+    rm.release_allocation(&nodes);
+    assert_eq!(refusal(&again), format!("session {} holds a job", session.0));
+    assert_eq!(mw.mtype, MsgType::EngineAck, "an MW spawn after the launch is taken");
+}
